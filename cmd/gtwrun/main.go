@@ -19,10 +19,8 @@
 //	-shards N        shards per sweep scenario (0 = GOMAXPROCS)
 //	-kernels N       PDES kernels per testbed network (0/1 = single)
 //	-shared          run every scenario on ONE shared, contended testbed
-//	-contiguous      use PR 3's static contiguous batch dispatch for sweeps
 //	-json            print each report as JSON instead of text
 //	-timeout D       cancel the whole run after D (e.g. 30s)
-//	-serve ADDR      run a distributed-run coordinator instead (see gtwd)
 //	-connect URL     run scenarios through a remote coordinator
 //	-token TOK       tenant token for a -tenants coordinator (with -connect)
 //
@@ -32,13 +30,12 @@
 // carries the participant count and per-shard timings. Neither
 // sharding nor distribution ever changes the report itself.
 //
-// Distributed mode: -serve ADDR turns gtwrun into a coordinator
-// (gtwd's engine inside gtwrun); -connect URL submits the named
-// scenarios to such a coordinator — with its job queue and result
-// cache — and prints the reports exactly as a local run would.
-// Connected runs follow each job over the coordinator's /v1/events
-// stream (no polling traffic while the job runs) and fall back to
-// plain status polling automatically if the stream dies mid-job.
+// Distributed mode: -connect URL submits the named scenarios to a gtwd
+// coordinator — with its job queue and result cache — and prints the
+// reports exactly as a local run would. Connected runs follow each job
+// over the coordinator's /v1/events stream (no polling traffic while
+// the job runs) and fall back to plain status polling automatically if
+// the stream dies mid-job.
 package main
 
 import (
@@ -48,8 +45,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
-	"net/http"
 	"os"
 	"time"
 
@@ -111,12 +106,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"let -kernels partitioning cut inside a site at switch boundaries when the WAN cut alone cannot reach the requested count")
 	shared := fs.Bool("shared", false,
 		"run scenarios on one shared testbed (scenarios that drive their own simulation kernel still run privately)")
-	contiguous := fs.Bool("contiguous", false,
-		"dispatch sweep grids as static contiguous batches instead of work-stealing leases (perf comparison)")
 	asJSON := fs.Bool("json", false, "print each report as JSON instead of text")
 	timeout := fs.Duration("timeout", 0, "cancel the whole run after this duration (0 = none)")
-	serve := fs.String("serve", "",
-		"listen address: serve as a distributed-run coordinator instead of running scenarios (see also cmd/gtwd)")
 	connect := fs.String("connect", "",
 		"coordinator URL: run the named scenarios through a remote coordinator instead of in-process")
 	token := fs.String("token", "",
@@ -133,10 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  %-24s %s\n", s.Name(), s.Description())
 		}
 		return 0
-	}
-
-	if *serve != "" {
-		return runServe(*serve, stderr)
 	}
 
 	rest := fs.Args()
@@ -182,9 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	opts = append(opts, gtw.WithWAN(oc))
-	if *contiguous {
-		opts = append(opts, gtw.WithDispatcher(gtw.NewContiguousDispatcher))
-	}
 	if *shared {
 		opts = append(opts, gtw.WithTestbed(gtw.NewTestbed(gtw.Config{WAN: oc, Extensions: *ext, Kernels: *kernels, Intra: *intra})))
 	}
@@ -198,9 +182,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *connect != "" {
 		// Options that never reach the wire split two ways: -shards,
-		// -workers, -kernels and -contiguous only change wall-clock
-		// time and may
-		// be dropped silently, but -shared changes report content (the
+		// -workers and -kernels only change wall-clock time and may be
+		// dropped silently, but -shared changes report content (the
 		// testbed is this process's memory) — dropping it would hand
 		// back a different report than the one asked for.
 		if *shared {
@@ -283,20 +266,6 @@ func printEnvelope(stdout, stderr io.Writer, env jsonEnvelope) {
 		return
 	}
 	fmt.Fprintln(stdout, string(b))
-}
-
-// runServe turns gtwrun into a distributed-run coordinator — gtwd's
-// engine with gtwrun's defaults. Blocks until the process is killed.
-func runServe(addr string, stderr io.Writer) int {
-	logger := log.New(stderr, "gtwrun: ", log.LstdFlags)
-	c := dist.New(dist.Config{Logf: logger.Printf})
-	defer c.Close()
-	logger.Printf("coordinator listening on %s (gtwd defaults; run gtwd for tuning flags)", addr)
-	if err := http.ListenAndServe(addr, c.Handler()); err != nil {
-		fmt.Fprintf(stderr, "gtwrun: -serve %s: %v\n", addr, err)
-		return 1
-	}
-	return 0
 }
 
 // runConnect submits the named scenarios to a remote coordinator and

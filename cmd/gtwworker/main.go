@@ -1,6 +1,6 @@
 // Command gtwworker is the distributed-run worker: it pulls leases from
-// a gtwd (or gtwrun -serve) coordinator, evaluates the leased grid
-// points on its own simulation kernels, and streams each point's result
+// a gtwd coordinator, evaluates the leased grid points on its own
+// simulation kernels, and streams each point's result
 // back the moment it finishes, heartbeating while it computes. Any
 // scenario can arrive — sweeps lease runs of their grid, one-shot
 // applications lease their single wrapped point — and testbeds are

@@ -236,16 +236,3 @@ type FutureWorkResult = core.FutureWorkResult
 //
 // Deprecated: use Run(ctx, "future-work").
 func FutureWorkAnalysis() (FutureWorkResult, error) { return core.FutureWorkAnalysis() }
-
-// Formatting helpers for the experiment results.
-//
-// Deprecated: every scenario Report renders itself via Text().
-var (
-	FormatFigure1    = core.FormatFigure1
-	FormatFigure2    = core.FormatFigure2
-	FormatFigure3    = core.FormatFigure3
-	FormatFigure4    = core.FormatFigure4
-	FormatSection3   = core.FormatSection3
-	FormatUpgrade    = core.FormatUpgrade
-	FormatFutureWork = core.FormatFutureWork
-)

@@ -207,10 +207,10 @@ func SweepSharded(b *testing.B) {
 // benchSweepUneven builds an intentionally uneven grid, the shape that
 // motivated the work-stealing dispatcher: 16 points where point 0 costs
 // ~10x its siblings (the figure1 pattern — its Ethernet-MTU probe
-// simulates ~10x longer than the other paths). Contiguous batching
-// strands the expensive point in a batch with ordinary ones, so that
-// shard finishes long after the rest went idle; work stealing isolates
-// it and the idle shards drain the remaining points.
+// simulates ~10x longer than the other paths). A static split strands
+// the expensive point in a batch with ordinary ones, so that shard
+// finishes long after the rest went idle; work stealing isolates it and
+// the idle shards drain the remaining points.
 func benchSweepUneven() *core.Sweep {
 	vals := make([]any, 16)
 	for i := range vals {
@@ -238,42 +238,22 @@ func benchSweepUneven() *core.Sweep {
 		})
 }
 
-// runUnevenSweep drives the uneven grid on 4 shards with the given
-// dispatch policy. Four shards on 16 points is the contended shape:
-// every contiguous batch holds 4 points, so the batch containing the
-// 10x point costs ~13 units while its siblings cost 4.
-func runUnevenSweep(b *testing.B, maker core.DispatcherMaker) {
-	sw := benchSweepUneven()
-	opts := core.NewOptions(core.WithShards(4), core.WithDispatcher(maker))
-	rep, err := sw.Run(context.Background(), nil, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if sr, ok := rep.(core.ShardedReport); !ok || len(sr.ShardTimings()) == 0 {
-		b.Fatal("sweep report lost its shard timings")
-	}
-}
-
-// SweepContiguousUneven is the pre-dispatcher baseline on the uneven
-// grid: PR 3's static contiguous batches, which leave three shards idle
-// while the fourth grinds through the batch holding the 10x point.
-func SweepContiguousUneven(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runUnevenSweep(b, core.NewContiguousDispatcher)
-	}
-}
-
-// SweepWorkStealing is the same uneven grid under the work-stealing
-// dispatcher (the default): the expensive point gets a lease of its
-// own and the finished shards steal the rest. The tracked number is
-// this row beating SweepContiguousUneven in BENCH_kernel.json.
+// SweepWorkStealing drives the uneven grid on 4 shards through the
+// work-stealing queue: the expensive point gets a lease of its own and
+// the finished shards steal the rest. Four shards on 16 points is the
+// contended shape: an even four-way split would cost ~13 units for the
+// batch containing the 10x point and 4 for its siblings.
 func SweepWorkStealing(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runUnevenSweep(b, core.NewWorkStealingDispatcher)
+		rep, err := benchSweepUneven().Run(context.Background(), nil, core.NewOptions(core.WithShards(4)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sr, ok := rep.(core.ShardedReport); !ok || len(sr.ShardTimings()) == 0 {
+			b.Fatal("sweep report lost its shard timings")
+		}
 	}
 }
 
@@ -504,7 +484,6 @@ func Specs() []Spec {
 		{"BenchmarkTCPTransfer", TCPTransfer},
 		{"BenchmarkSweepSingleKernel", SweepSingleKernel},
 		{"BenchmarkSweepSharded", SweepSharded},
-		{"BenchmarkSweepContiguousUneven", SweepContiguousUneven},
 		{"BenchmarkSweepWorkStealing", SweepWorkStealing},
 		{"BenchmarkPDESLargeTopologySingleKernel", PDESLargeTopologySingleKernel},
 		{"BenchmarkPDESLargeTopology", PDESLargeTopology},

@@ -17,12 +17,6 @@ func BenchmarkSweepSingleKernel(b *testing.B) { benchkit.SweepSingleKernel(b) }
 // BenchmarkSweepSharded splits the grid across per-core shards.
 func BenchmarkSweepSharded(b *testing.B) { benchkit.SweepSharded(b) }
 
-// BenchmarkSweepContiguousUneven runs an intentionally uneven grid (one
-// ~10x point, the figure1 pattern) under PR 3's static contiguous
-// batches.
-func BenchmarkSweepContiguousUneven(b *testing.B) { benchkit.SweepContiguousUneven(b) }
-
-// BenchmarkSweepWorkStealing runs the same uneven grid under the
-// work-stealing dispatcher; beating the contiguous row is the tracked
-// property.
+// BenchmarkSweepWorkStealing runs an intentionally uneven grid (one
+// ~10x point, the figure1 pattern) through the work-stealing queue.
 func BenchmarkSweepWorkStealing(b *testing.B) { benchkit.SweepWorkStealing(b) }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"time"
 )
@@ -9,7 +11,7 @@ import (
 // split the grid into contiguous batches, one per shard, fixed up
 // front; grids with very uneven point costs (figure1's Ethernet-MTU
 // probe is ~10x its siblings) left shards idle while one ground through
-// the expensive batch. A Dispatcher instead hands out leases — small
+// the expensive batch. The LeaseQueue instead hands out leases — small
 // contiguous runs of grid points — on demand from one shared queue, so
 // a shard that finishes early steals the next lease instead of going
 // idle. The same queue serves two kinds of consumers: the in-process
@@ -23,7 +25,7 @@ import (
 // points instead of bytes.
 
 // Lease is a contiguous run of grid points [Lo, Hi) checked out by one
-// worker. Seq is unique within the dispatcher and is what makes result
+// worker. Seq is unique within the queue and is what makes result
 // delivery idempotent: a lease completes at most once.
 type Lease struct {
 	Seq    uint64 `json:"seq"`
@@ -35,47 +37,14 @@ type Lease struct {
 // Points reports the number of grid points in the lease.
 func (l Lease) Points() int { return l.Hi - l.Lo }
 
-// Dispatcher hands out grid-point leases to sweep workers and tracks
-// their completion. Implementations are safe for concurrent use.
-type Dispatcher interface {
-	// Next blocks until a lease is available for the named worker and
-	// returns it, or returns ok=false when every point has completed
-	// (or the dispatcher was closed). In-process shard loops use Next.
-	Next(worker string) (Lease, bool)
-	// TryNext is the non-blocking form for polling callers (the
-	// coordinator's HTTP lease handler): ok=false means nothing is
-	// available right now, not that the sweep is over.
-	TryNext(worker string) (Lease, bool)
-	// Complete marks a lease's points evaluated. elapsed feeds the
-	// worker's throughput estimate. Completing a lease that is not
-	// outstanding (already completed, or requeued after expiry) is a
-	// no-op, which is what makes duplicate result uploads idempotent.
-	Complete(l Lease, elapsed time.Duration)
-	// Requeue returns an outstanding lease's points to the queue — the
-	// dead-worker path. Requeueing a lease that already completed is a
-	// no-op.
-	Requeue(l Lease)
-	// Done is closed when every grid point has completed.
-	Done() <-chan struct{}
-	// Close aborts the dispatch: blocked Next calls return false and no
-	// further leases are handed out. Used on context cancellation.
-	Close()
-}
-
-// DispatcherMaker builds a dispatcher for a sweep run over `points`
-// grid points with `workers` expected concurrent consumers.
-type DispatcherMaker func(points, workers int) Dispatcher
-
 // span is a pending run of grid points [lo, hi).
 type span struct{ lo, hi int }
 
-// pointQueue is the shared lease queue behind both dispatch policies.
-// In work-stealing mode leases are carved off the front of the pending
-// spans at a size steered by the worker's throughput EWMA; in
-// contiguous mode the spans are pre-split into one batch per worker and
-// handed out whole (PR 3's static policy, kept for comparison — the
-// benchkit suite races the two on an uneven grid).
-type pointQueue struct {
+// LeaseQueue hands out grid-point leases to sweep workers and tracks
+// their completion: leases are carved off the front of the pending
+// spans at a size steered by the worker's throughput EWMA. Safe for
+// concurrent use.
+type LeaseQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
@@ -83,10 +52,10 @@ type pointQueue struct {
 	total       int
 	completed   int
 	workers     int // expected concurrency (lease sizing hint)
-	presplit    bool
 	seq         uint64
 	outstanding map[uint64]Lease
 	rate        map[string]float64 // per-worker EWMA, points/sec
+	skip        SkipFunc
 	closed      bool
 	done        chan struct{}
 }
@@ -94,67 +63,55 @@ type pointQueue struct {
 // rateAlpha is the EWMA smoothing factor for per-worker throughput.
 const rateAlpha = 0.4
 
-func newPointQueue(points, workers int, presplit bool, skip []bool) *pointQueue {
+// NewWorkStealingDispatcher builds the queue for a sweep run over
+// `points` grid points with `workers` expected concurrent consumers.
+func NewWorkStealingDispatcher(points, workers int) *LeaseQueue {
 	if workers < 1 {
 		workers = 1
 	}
-	q := &pointQueue{
+	q := &LeaseQueue{
 		total:       points,
 		workers:     workers,
-		presplit:    presplit,
 		outstanding: make(map[uint64]Lease),
 		rate:        make(map[string]float64),
 		done:        make(chan struct{}),
 	}
 	q.cond = sync.NewCond(&q.mu)
-	switch {
-	case len(skip) == points && points > 0:
-		// Points already done (content-addressed store hits) count as
-		// completed and are never leased: the pending spans are the
-		// maximal runs of missing points.
-		var credited int
-		q.spans, credited = missingSpans(0, skip)
-		q.completed += credited
-	case presplit:
-		// PR 3's contiguous batches: worker s's batch is [lo, hi).
-		for s := 0; s < workers && s < points; s++ {
-			lo := s * points / workers
-			hi := (s + 1) * points / workers
-			if hi > lo {
-				q.spans = append(q.spans, span{lo, hi})
-			}
-		}
-	case points > 0:
+	if points > 0 {
 		q.spans = []span{{0, points}}
-	}
-	if q.completed == q.total {
+	} else {
 		close(q.done)
 	}
 	return q
 }
 
-// NewWorkStealingDispatcher builds the default dispatcher: one shared
-// point queue all workers lease from, with EWMA-steered lease sizes.
-func NewWorkStealingDispatcher(points, workers int) Dispatcher {
-	return newPointQueue(points, workers, false, nil)
-}
+// SkipFunc reports which points of [lo, hi) the caller already has
+// results for, having recorded them itself (SweepRun.Prefill): index k
+// of the mask covers grid point lo+k. A nil or all-false mask skips
+// nothing.
+//
+// The coordinator's point store is the canonical predicate: a point
+// another job already computed — before this one was submitted, or
+// streamed by a concurrent overlapping job since — is served from the
+// store instead of being leased and re-simulated.
+type SkipFunc func(lo, hi int) []bool
 
-// NewWorkStealingDispatcherSkipping is the work-stealing dispatcher
-// over a grid where some points are already done (served from the
-// coordinator's point store): done points are credited as completed up
-// front and only the missing runs are leased. A nil done slice means
-// nothing is skipped.
-func NewWorkStealingDispatcherSkipping(points, workers int, done []bool) Dispatcher {
-	return newPointQueue(points, workers, false, done)
-}
-
-// NewContiguousDispatcher builds the static pre-split dispatcher: the
-// grid is cut into one contiguous batch per worker up front, as the
-// PR 3 executor did. It exists for comparison (benchkit races it
-// against work stealing on an uneven grid) and for callers that want
-// deterministic shard->points assignment.
-func NewContiguousDispatcher(points, workers int) Dispatcher {
-	return newPointQueue(points, workers, true, nil)
+// SetSkip installs the skip predicate; call it before the first lease
+// is asked for. The predicate is applied once over the whole grid right
+// here — so a grid that is already fully known completes without any
+// worker asking — and again over every freshly carved lease, whose
+// skipped points are credited as completed and whose remaining runs are
+// re-carved: workers only ever receive points that still need
+// computing. The queue never calls the predicate with its lock held.
+func (q *LeaseQueue) SetSkip(skip SkipFunc) {
+	mask := skip(0, q.total)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.skip = skip
+	if len(mask) == q.total && slices.Contains(mask, true) {
+		q.spans, q.completed = missingSpans(0, mask)
+		q.finishLocked()
+	}
 }
 
 // leaseSizeLocked picks how many points to carve for worker w.
@@ -165,7 +122,7 @@ func NewContiguousDispatcher(points, workers int) Dispatcher {
 // tail balances. A worker with a throughput history gets the base
 // scaled by its speed relative to the fleet mean, clamped to [1, 2x] —
 // faster workers take proportionally larger bites.
-func (q *pointQueue) leaseSizeLocked(w string, remaining int) int {
+func (q *LeaseQueue) leaseSizeLocked(w string, remaining int) int {
 	base := (remaining + 2*q.workers - 1) / (2 * q.workers)
 	if base < 1 {
 		base = 1
@@ -193,77 +150,72 @@ func (q *pointQueue) leaseSizeLocked(w string, remaining int) int {
 	return base
 }
 
-// tryNextLocked carves the next lease, or returns false if no work is
+// carveLocked carves the next lease, or returns false if no work is
 // pending right now.
-func (q *pointQueue) tryNextLocked(worker string) (Lease, bool) {
+func (q *LeaseQueue) carveLocked(worker string) (Lease, bool) {
 	if q.closed || len(q.spans) == 0 {
 		return Lease{}, false
 	}
 	sp := q.spans[0]
-	var l Lease
-	if q.presplit {
-		// Contiguous mode: the whole batch, as pre-split.
+	n := q.leaseSizeLocked(worker, sp.hi-sp.lo)
+	if sp.lo+n == sp.hi {
 		q.spans = q.spans[1:]
-		l = Lease{Lo: sp.lo, Hi: sp.hi}
 	} else {
-		n := q.leaseSizeLocked(worker, sp.hi-sp.lo)
-		l = Lease{Lo: sp.lo, Hi: sp.lo + n}
-		if sp.lo+n == sp.hi {
-			q.spans = q.spans[1:]
-		} else {
-			q.spans[0].lo = sp.lo + n
-		}
+		q.spans[0].lo = sp.lo + n
 	}
 	q.seq++
-	l.Seq = q.seq
-	l.Worker = worker
+	l := Lease{Seq: q.seq, Lo: sp.lo, Hi: sp.lo + n, Worker: worker}
 	q.outstanding[l.Seq] = l
 	return l, true
 }
 
-// TryNext implements Dispatcher.
-func (q *pointQueue) TryNext(worker string) (Lease, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.tryNextLocked(worker)
-}
-
-// Next implements Dispatcher.
-func (q *pointQueue) Next(worker string) (Lease, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// next hands out the next lease that still has something to compute.
+// With block set it waits while leases are outstanding — they may
+// complete (ending the sweep) or be requeued (bringing new work).
+func (q *LeaseQueue) next(worker string, block bool) (Lease, bool) {
 	for {
-		if l, ok := q.tryNextLocked(worker); ok {
+		q.mu.Lock()
+		l, ok := q.carveLocked(worker)
+		for !ok && block && !q.closed && q.completed < q.total {
+			q.cond.Wait()
+			l, ok = q.carveLocked(worker)
+		}
+		skip := q.skip
+		q.mu.Unlock()
+		if !ok || skip == nil {
+			return l, ok
+		}
+		mask := skip(l.Lo, l.Hi)
+		if len(mask) != l.Points() || !slices.Contains(mask, true) {
 			return l, true
 		}
-		if q.closed || q.completed == q.total {
-			return Lease{}, false
-		}
-		// Outstanding leases may complete (ending the sweep) or be
-		// requeued (bringing new work); wait for either.
-		q.cond.Wait()
+		// Credit the skipped points; the missing runs go back to the
+		// front of the queue, so the next carve picks up exactly the
+		// points that still need computing.
+		q.RequeuePartial(l, mask)
 	}
 }
 
-// completeReporter is the optional dispatcher extension SweepRun uses
-// to learn whether a Complete actually retired the lease (needed for
-// idempotent remote result delivery).
-type completeReporter interface {
-	completeReport(l Lease, elapsed time.Duration) bool
-}
+// Next blocks until a lease is available for the named worker and
+// returns it, or returns ok=false when every point has completed (or
+// the queue was closed). In-process shard loops use Next.
+func (q *LeaseQueue) Next(worker string) (Lease, bool) { return q.next(worker, true) }
 
-// Complete implements Dispatcher.
-func (q *pointQueue) Complete(l Lease, elapsed time.Duration) {
-	q.completeReport(l, elapsed)
-}
+// TryNext is the non-blocking form for polling callers (the
+// coordinator's HTTP lease handler): ok=false means nothing is
+// available right now, not that the sweep is over.
+func (q *LeaseQueue) TryNext(worker string) (Lease, bool) { return q.next(worker, false) }
 
-// completeReport is Complete, reporting whether the lease was still
-// outstanding (false: duplicate upload or expired-then-reassigned).
-func (q *pointQueue) completeReport(l Lease, elapsed time.Duration) bool {
+// Complete marks a lease's points evaluated; elapsed feeds the worker's
+// throughput estimate. It reports whether the lease was still
+// outstanding: completing one that already completed, or was requeued
+// after expiry, changes nothing and returns false — which is what makes
+// duplicate result uploads idempotent.
+func (q *LeaseQueue) Complete(l Lease, elapsed time.Duration) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if _, ok := q.outstanding[l.Seq]; !ok {
-		return false // duplicate or expired-then-reassigned: ignore
+		return false
 	}
 	delete(q.outstanding, l.Seq)
 	q.completed += l.Points()
@@ -275,57 +227,48 @@ func (q *pointQueue) completeReport(l Lease, elapsed time.Duration) bool {
 			q.rate[l.Worker] = pps
 		}
 	}
+	q.finishLocked()
+	return true
+}
+
+// finishLocked closes Done once every point has completed and wakes
+// workers blocked in Next.
+func (q *LeaseQueue) finishLocked() {
 	if q.completed == q.total {
 		close(q.done)
 	}
 	q.cond.Broadcast()
-	return true
 }
 
-// Requeue implements Dispatcher.
-func (q *pointQueue) Requeue(l Lease) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if _, ok := q.outstanding[l.Seq]; !ok {
-		return // completed in the meantime: nothing to retry
-	}
-	delete(q.outstanding, l.Seq)
-	// Front of the queue: retried points should not wait behind the
-	// whole remaining grid.
-	q.spans = append([]span{{l.Lo, l.Hi}}, q.spans...)
-	q.cond.Broadcast()
-}
+// Requeue returns an outstanding lease's points to the queue — the
+// dead-worker path.
+func (q *LeaseQueue) Requeue(l Lease) { q.RequeuePartial(l, nil) }
 
-// partialRequeuer is the optional dispatcher extension behind
-// SweepRun.Abandon: retire an expired lease crediting the points its
-// worker streamed before dying, requeueing only the unfinished rest.
-type partialRequeuer interface {
-	RequeuePartial(l Lease, finished []bool)
-}
-
-// RequeuePartial retires an outstanding lease whose worker died after
-// streaming some of its points: finished[k] (covering point l.Lo+k)
-// counts as completed, the unfinished runs go back to the front of the
-// queue. A lease that already completed is ignored, like Requeue.
-func (q *pointQueue) RequeuePartial(l Lease, finished []bool) {
+// RequeuePartial retires an outstanding lease that will not complete:
+// finished[k] (covering point l.Lo+k) counts as completed — streamed by
+// the worker before it died, or skipped — and the unfinished runs go
+// back to the front of the queue, so retried points do not wait behind
+// the whole remaining grid. A finished mask of the wrong length credits
+// nothing. A lease that already completed is ignored.
+func (q *LeaseQueue) RequeuePartial(l Lease, finished []bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if _, ok := q.outstanding[l.Seq]; !ok {
 		return
 	}
 	delete(q.outstanding, l.Seq)
-	retry, credited := missingSpans(l.Lo, finished)
+	retry, credited := []span{{l.Lo, l.Hi}}, 0
+	if len(finished) == l.Points() {
+		retry, credited = missingSpans(l.Lo, finished)
+	}
 	q.completed += credited
 	q.spans = append(retry, q.spans...)
-	if q.completed == q.total {
-		close(q.done)
-	}
-	q.cond.Broadcast()
+	q.finishLocked()
 }
 
 // missingSpans turns a done-mask into the maximal runs of not-done
 // points (offset by base into grid coordinates) plus the count of done
-// points — shared by the skip-construction and partial-requeue paths so
+// points — shared by the skip-install and partial-requeue paths so
 // their boundary arithmetic cannot drift apart.
 func missingSpans(base int, done []bool) (spans []span, credited int) {
 	lo := -1
@@ -345,13 +288,15 @@ func missingSpans(base int, done []bool) (spans []span, credited int) {
 	return spans, credited
 }
 
-// Done implements Dispatcher.
-func (q *pointQueue) Done() <-chan struct{} { return q.done }
+// Done is closed when every grid point has completed.
+func (q *LeaseQueue) Done() <-chan struct{} { return q.done }
 
 // Pending reports the number of grid points waiting in the queue (not
 // leased, not completed). The coordinator's fair-share arbiter uses it
-// to skip drained jobs without carving a lease.
-func (q *pointQueue) Pending() int {
+// to skip drained jobs without carving a lease. The skip predicate may
+// still absorb some of these points at grant time, so the count is an
+// upper bound on leasable work.
+func (q *LeaseQueue) Pending() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := 0
@@ -361,15 +306,9 @@ func (q *pointQueue) Pending() int {
 	return n
 }
 
-// PendingReporter is the optional dispatcher extension exposing how
-// many points are still waiting to be leased; both built-in
-// dispatchers and the filtering wrapper implement it.
-type PendingReporter interface {
-	Pending() int
-}
-
-// Close implements Dispatcher.
-func (q *pointQueue) Close() {
+// Close aborts the dispatch: blocked Next calls return false and no
+// further leases are handed out. Used on context cancellation.
+func (q *LeaseQueue) Close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
@@ -380,7 +319,7 @@ func (q *pointQueue) Close() {
 // observed outside this dispatch — the coordinator carries worker rates
 // across jobs so a proven-fast worker gets large leases from its first
 // ask of a new sweep.
-func (q *pointQueue) SeedRate(worker string, pointsPerSec float64) {
+func (q *LeaseQueue) SeedRate(worker string, pointsPerSec float64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if pointsPerSec > 0 {
@@ -389,164 +328,8 @@ func (q *pointQueue) SeedRate(worker string, pointsPerSec float64) {
 }
 
 // Rates snapshots the per-worker throughput EWMAs.
-func (q *pointQueue) Rates() map[string]float64 {
+func (q *LeaseQueue) Rates() map[string]float64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make(map[string]float64, len(q.rate))
-	for w, r := range q.rate {
-		out[w] = r
-	}
-	return out
-}
-
-// RateKeeper is the optional dispatcher extension for carrying worker
-// throughput estimates across runs; both built-in dispatchers implement
-// it.
-type RateKeeper interface {
-	SeedRate(worker string, pointsPerSec float64)
-	Rates() map[string]float64
-}
-
-// ------------------------------------------------- lease filtering --
-
-// LeaseFilterFunc inspects a freshly carved lease before it is handed
-// to a worker and returns a mask (one entry per point, index k covering
-// grid point l.Lo+k) of points the caller already has results for —
-// having delivered them out of band (SweepRun.DeliverPoint). A nil
-// return, or an all-false mask, passes the lease through untouched.
-//
-// The coordinator's mid-job store pickup is the canonical filter: a
-// point that landed in the content-addressed store after this job's
-// submit-time prefill — streamed by a concurrent overlapping job — is
-// served from the store at lease-grant time instead of being leased and
-// re-simulated.
-type LeaseFilterFunc func(l Lease) []bool
-
-// filterDispatcher wraps a Dispatcher with a grant-time lease filter:
-// points the filter claims are credited as completed (RequeuePartial)
-// and the remaining runs re-carved, so workers only ever receive points
-// that still need computing. Everything else delegates to the inner
-// dispatcher.
-type filterDispatcher struct {
-	inner  Dispatcher
-	filter LeaseFilterFunc
-}
-
-// NewFilteringDispatcher wraps inner so every lease is screened by
-// filter before a worker sees it. The inner dispatcher should support
-// partial requeue (both built-ins do); without it, filtered leases pass
-// through unfiltered.
-func NewFilteringDispatcher(inner Dispatcher, filter LeaseFilterFunc) Dispatcher {
-	return &filterDispatcher{inner: inner, filter: filter}
-}
-
-// screen applies the filter to a carved lease. ok=false means the lease
-// was wholly or partially absorbed: the caller should carve again.
-func (f *filterDispatcher) screen(l Lease) (Lease, bool) {
-	mask := f.filter(l)
-	hit := false
-	for _, m := range mask {
-		if m {
-			hit = true
-			break
-		}
-	}
-	if !hit || len(mask) != l.Points() {
-		return l, true
-	}
-	pr, ok := f.inner.(partialRequeuer)
-	if !ok {
-		// No partial support: the filter's out-of-band deliveries are
-		// harmless re-records of deterministic values; lease unchanged.
-		return l, true
-	}
-	// Credit the filtered points as completed; the missing runs go back
-	// to the front of the queue, so the re-carve below picks up exactly
-	// the points that still need computing.
-	pr.RequeuePartial(l, mask)
-	return Lease{}, false
-}
-
-// Next implements Dispatcher.
-func (f *filterDispatcher) Next(worker string) (Lease, bool) {
-	for {
-		l, ok := f.inner.Next(worker)
-		if !ok {
-			return l, false
-		}
-		if l, ok := f.screen(l); ok {
-			return l, true
-		}
-	}
-}
-
-// TryNext implements Dispatcher.
-func (f *filterDispatcher) TryNext(worker string) (Lease, bool) {
-	for {
-		l, ok := f.inner.TryNext(worker)
-		if !ok {
-			return l, false
-		}
-		if l, ok := f.screen(l); ok {
-			return l, true
-		}
-	}
-}
-
-// Complete implements Dispatcher.
-func (f *filterDispatcher) Complete(l Lease, elapsed time.Duration) { f.inner.Complete(l, elapsed) }
-
-// completeReport delegates idempotent completion to the inner
-// dispatcher (SweepRun.claim depends on it for remote delivery).
-func (f *filterDispatcher) completeReport(l Lease, elapsed time.Duration) bool {
-	if cr, ok := f.inner.(completeReporter); ok {
-		return cr.completeReport(l, elapsed)
-	}
-	f.inner.Complete(l, elapsed)
-	return true
-}
-
-// Requeue implements Dispatcher.
-func (f *filterDispatcher) Requeue(l Lease) { f.inner.Requeue(l) }
-
-// RequeuePartial delegates the streamed-tail credit path.
-func (f *filterDispatcher) RequeuePartial(l Lease, finished []bool) {
-	if pr, ok := f.inner.(partialRequeuer); ok {
-		pr.RequeuePartial(l, finished)
-		return
-	}
-	f.inner.Requeue(l)
-}
-
-// Done implements Dispatcher.
-func (f *filterDispatcher) Done() <-chan struct{} { return f.inner.Done() }
-
-// Pending implements PendingReporter by delegation. The filter may
-// still absorb some of these points at grant time, so the count is an
-// upper bound on leasable work — exactly what an arbiter deciding
-// "does this job have anything left to hand out" needs.
-func (f *filterDispatcher) Pending() int {
-	if pr, ok := f.inner.(PendingReporter); ok {
-		return pr.Pending()
-	}
-	return 0
-}
-
-// Close implements Dispatcher.
-func (f *filterDispatcher) Close() { f.inner.Close() }
-
-// SeedRate implements RateKeeper by delegation (no-op when the inner
-// dispatcher keeps no rates).
-func (f *filterDispatcher) SeedRate(worker string, pointsPerSec float64) {
-	if rk, ok := f.inner.(RateKeeper); ok {
-		rk.SeedRate(worker, pointsPerSec)
-	}
-}
-
-// Rates implements RateKeeper by delegation.
-func (f *filterDispatcher) Rates() map[string]float64 {
-	if rk, ok := f.inner.(RateKeeper); ok {
-		return rk.Rates()
-	}
-	return nil
+	return maps.Clone(q.rate)
 }

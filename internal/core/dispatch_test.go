@@ -69,35 +69,11 @@ func TestRequeueRevivesPointsAndStaleCompleteIsIgnored(t *testing.T) {
 	}
 	// The dead worker's late upload: completing the stale lease must
 	// not count points twice.
-	q := d.(interface {
-		completeReport(Lease, time.Duration) bool
-	})
-	if q.completeReport(l1, time.Millisecond) {
+	if d.Complete(l1, time.Millisecond) {
 		t.Error("stale lease completed; duplicate uploads would double-count")
 	}
-	if !q.completeReport(l2, time.Millisecond) {
+	if !d.Complete(l2, time.Millisecond) {
 		t.Error("live lease refused")
-	}
-}
-
-// Contiguous mode must reproduce PR 3's static batch split: worker s's
-// batch is [s*n/shards, (s+1)*n/shards).
-func TestContiguousDispatcherPreSplitsBatches(t *testing.T) {
-	const points, workers = 10, 3
-	d := NewContiguousDispatcher(points, workers)
-	for s := 0; s < workers; s++ {
-		l, ok := d.TryNext("w")
-		if !ok {
-			t.Fatalf("batch %d missing", s)
-		}
-		wantLo, wantHi := s*points/workers, (s+1)*points/workers
-		if l.Lo != wantLo || l.Hi != wantHi {
-			t.Errorf("batch %d = [%d,%d), want [%d,%d)", s, l.Lo, l.Hi, wantLo, wantHi)
-		}
-		d.Complete(l, time.Millisecond)
-	}
-	if _, ok := d.TryNext("w"); ok {
-		t.Error("extra batch after the pre-split was drained")
 	}
 }
 
@@ -105,9 +81,8 @@ func TestContiguousDispatcherPreSplitsBatches(t *testing.T) {
 // slower one — the WANify-style steering.
 func TestLeaseSizeFollowsThroughputEWMA(t *testing.T) {
 	d := NewWorkStealingDispatcher(64, 2)
-	rk := d.(RateKeeper)
-	rk.SeedRate("fast", 1000)
-	rk.SeedRate("slow", 10)
+	d.SeedRate("fast", 1000)
+	d.SeedRate("slow", 10)
 	lf, ok := d.TryNext("fast")
 	if !ok {
 		t.Fatal("no lease for fast worker")
@@ -155,165 +130,211 @@ func TestRatesSnapshotAfterCompletes(t *testing.T) {
 		}
 		d.Complete(l, 100*time.Millisecond)
 	}
-	rates := d.(RateKeeper).Rates()
+	rates := d.Rates()
 	if rates["w"] <= 0 {
 		t.Errorf("worker rate = %v, want a positive points/sec EWMA", rates["w"])
 	}
 }
 
-// The filtering dispatcher: points the filter claims at grant time are
-// credited as completed and never reach a worker; the worker receives
-// exactly the runs that still need computing, and the dispatcher drains
-// to Done.
-func TestFilteringDispatcherSkipsClaimedPoints(t *testing.T) {
-	inner := NewWorkStealingDispatcher(10, 1)
-	// The filter claims points 2, 3 and 7 the first time a lease covers
-	// them — the shape of results landing in the point store mid-job.
-	claimed := map[int]bool{2: true, 3: true, 7: true}
-	var claimedSeen []int
-	fd := NewFilteringDispatcher(inner, func(l Lease) []bool {
-		var mask []bool
-		hit := false
-		for i := l.Lo; i < l.Hi; i++ {
-			m := claimed[i]
-			if m {
-				hit = true
-				claimedSeen = append(claimedSeen, i)
-				delete(claimed, i)
-			}
-			mask = append(mask, m)
-		}
-		if !hit {
-			return nil
-		}
-		return mask
-	})
-	var leased []int
-	for {
-		l, ok := fd.TryNext("w")
-		if !ok {
-			break
-		}
-		for i := l.Lo; i < l.Hi; i++ {
-			leased = append(leased, i)
-		}
-		fd.Complete(l, time.Millisecond)
-	}
-	select {
-	case <-fd.Done():
-	default:
-		t.Fatal("dispatcher not drained after all leases completed")
-	}
-	if len(claimedSeen) != 3 {
-		t.Fatalf("filter claimed %v, want all of 2,3,7 probed", claimedSeen)
-	}
-	seen := map[int]int{}
-	for _, i := range leased {
-		seen[i]++
-	}
-	for i := 0; i < 10; i++ {
-		want := 1
-		if i == 2 || i == 3 || i == 7 {
-			want = 0
-		}
-		if seen[i] != want {
-			t.Errorf("point %d leased %d time(s), want %d (leased: %v)", i, seen[i], want, leased)
-		}
-	}
-}
-
-// A filter that claims every point must drive the dispatcher to Done
-// without any lease reaching a worker.
-func TestFilteringDispatcherFullyClaimedGrid(t *testing.T) {
-	inner := NewWorkStealingDispatcher(6, 2)
-	fd := NewFilteringDispatcher(inner, func(l Lease) []bool {
-		mask := make([]bool, l.Points())
-		for k := range mask {
-			mask[k] = true
-		}
-		return mask
-	})
-	if l, ok := fd.TryNext("w"); ok {
-		t.Fatalf("fully claimed grid still leased [%d,%d)", l.Lo, l.Hi)
-	}
-	select {
-	case <-fd.Done():
-	default:
-		t.Fatal("fully claimed grid did not drain to Done")
-	}
-}
-
-// The wrapper preserves the extensions SweepRun and the coordinator
-// rely on: idempotent completion, partial requeue, rate seeding.
-func TestFilteringDispatcherDelegatesExtensions(t *testing.T) {
-	inner := NewWorkStealingDispatcher(8, 1)
-	fd := NewFilteringDispatcher(inner, func(Lease) []bool { return nil })
-	rk, ok := fd.(RateKeeper)
-	if !ok {
-		t.Fatal("filtering dispatcher lost RateKeeper")
-	}
-	rk.SeedRate("w", 100)
-	if rates := rk.Rates(); rates["w"] != 100 {
-		t.Errorf("seeded rate did not reach the inner dispatcher: %v", rates)
-	}
-	l, _ := fd.TryNext("w")
-	cr, ok := fd.(interface {
-		completeReport(l Lease, elapsed time.Duration) bool
-	})
-	if !ok {
-		t.Fatal("filtering dispatcher lost completeReport")
-	}
-	if !cr.completeReport(l, time.Millisecond) {
-		t.Error("first completion reported not-outstanding")
-	}
-	if cr.completeReport(l, time.Millisecond) {
-		t.Error("duplicate completion reported outstanding")
-	}
-	l2, _ := fd.TryNext("w")
-	pr, ok := fd.(interface {
-		RequeuePartial(l Lease, finished []bool)
-	})
-	if !ok {
-		t.Fatal("filtering dispatcher lost RequeuePartial")
-	}
-	finished := make([]bool, l2.Points())
-	if len(finished) > 0 {
-		finished[0] = true
-	}
-	pr.RequeuePartial(l2, finished)
-	l3, ok := fd.TryNext("w")
-	if !ok {
-		t.Fatal("partially requeued points not re-leased")
-	}
-	if l3.Lo != l2.Lo+1 {
-		t.Errorf("re-lease starts at %d, want %d (the first unfinished point)", l3.Lo, l2.Lo+1)
-	}
-}
-
 func TestPendingTracksQueueNotLeases(t *testing.T) {
 	d := NewWorkStealingDispatcher(10, 2)
-	pr, ok := d.(PendingReporter)
-	if !ok {
-		t.Fatal("work-stealing dispatcher does not report pending")
-	}
-	if got := pr.Pending(); got != 10 {
+	if got := d.Pending(); got != 10 {
 		t.Fatalf("fresh queue Pending = %d, want 10", got)
 	}
 	l, _ := d.TryNext("w")
-	if got := pr.Pending(); got != 10-l.Points() {
+	if got := d.Pending(); got != 10-l.Points() {
 		t.Fatalf("Pending after lease = %d, want %d (leased points are not pending)", got, 10-l.Points())
 	}
 	d.Requeue(l)
-	if got := pr.Pending(); got != 10 {
+	if got := d.Pending(); got != 10 {
 		t.Fatalf("Pending after requeue = %d, want 10", got)
 	}
+}
 
-	fd := NewFilteringDispatcher(NewWorkStealingDispatcher(4, 1), func(Lease) []bool { return nil })
-	fpr, ok := fd.(PendingReporter)
-	if !ok {
-		t.Fatal("filtering dispatcher does not report pending")
+// The queue with a skip predicate installed — the coordinator's store
+// reuse. known are the points the predicate knows when it is installed,
+// late the ones it learns right after (the shape of results landing in
+// the point store mid-job, picked up at lease grant). Every row also
+// checks that the rest of the queue's methods behave the same with a
+// predicate in place.
+func TestDispatchQueue(t *testing.T) {
+	// drain leases and completes until nothing is pending, returning
+	// how often each point was handed to a worker and the leases in
+	// grant order.
+	drain := func(q *LeaseQueue, points int) (seen []int, leases []Lease) {
+		seen = make([]int, points)
+		for l, ok := q.TryNext("w"); ok; l, ok = q.TryNext("w") {
+			for i := l.Lo; i < l.Hi; i++ {
+				seen[i]++
+			}
+			leases = append(leases, l)
+			q.Complete(l, time.Millisecond)
+		}
+		return seen, leases
 	}
-	if got := fpr.Pending(); got != 4 {
-		t.Fatalf("filtered Pending = %d, want 4", got)
+	isDone := func(q *LeaseQueue) bool {
+		select {
+		case <-q.Done():
+			return true
+		default:
+			return false
+		}
+	}
+	all := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	tests := []struct {
+		name            string
+		points, workers int
+		known, late     []int
+		check           func(t *testing.T, q *LeaseQueue, skipped map[int]int)
+	}{
+		{"install-all-done", 3, 2, all(3), nil, func(t *testing.T, q *LeaseQueue, _ map[int]int) {
+			// Born complete, without any worker asking.
+			if !isDone(q) {
+				t.Error("fully known grid is not done at install")
+			}
+			if l, ok := q.TryNext("w"); ok {
+				t.Errorf("fully known grid handed out [%d,%d)", l.Lo, l.Hi)
+			}
+		}},
+		{"install-missing-runs", 8, 1, []int{0, 3, 5, 6}, nil, func(t *testing.T, q *LeaseQueue, _ map[int]int) {
+			if got := q.Pending(); got != 4 {
+				t.Errorf("Pending = %d, want the 4 missing points", got)
+			}
+			seen, leases := drain(q, 8)
+			for i, want := range []int{0, 1, 1, 0, 1, 0, 0, 1} {
+				if seen[i] != want {
+					t.Errorf("point %d leased %d time(s), want %d", i, seen[i], want)
+				}
+			}
+			for k := 1; k < len(leases); k++ {
+				if leases[k].Lo < leases[k-1].Hi {
+					t.Errorf("leases out of grid order: %v", leases)
+				}
+			}
+			if !isDone(q) {
+				t.Error("not done after the missing points completed")
+			}
+		}},
+		{"grant-partial", 10, 1, nil, []int{2, 3, 7}, func(t *testing.T, q *LeaseQueue, skipped map[int]int) {
+			seen, _ := drain(q, 10)
+			for i := range seen {
+				want := 1
+				if i == 2 || i == 3 || i == 7 {
+					want = 0
+				}
+				if seen[i] != want {
+					t.Errorf("point %d leased %d time(s), want %d", i, seen[i], want)
+				}
+			}
+			for _, i := range []int{2, 3, 7} {
+				if skipped[i] != 1 {
+					t.Errorf("point %d skipped %d time(s), want exactly once", i, skipped[i])
+				}
+			}
+			if !isDone(q) {
+				t.Error("not done after the re-carved runs completed")
+			}
+		}},
+		{"grant-absorbed", 6, 2, nil, all(6), func(t *testing.T, q *LeaseQueue, _ map[int]int) {
+			// Until a worker asks, Pending is an upper bound: the
+			// predicate has not seen the late points yet.
+			if got := q.Pending(); got != 6 {
+				t.Errorf("Pending before the first ask = %d, want 6", got)
+			}
+			if l, ok := q.TryNext("w"); ok {
+				t.Errorf("fully absorbed grid still leased [%d,%d)", l.Lo, l.Hi)
+			}
+			if got := q.Pending(); got != 0 {
+				t.Errorf("Pending after absorption = %d, want 0", got)
+			}
+			if !isDone(q) {
+				t.Error("fully absorbed grid did not drain to Done")
+			}
+		}},
+		{"requeue-partial", 8, 1, nil, nil, func(t *testing.T, q *LeaseQueue, _ map[int]int) {
+			l, _ := q.TryNext("victim")
+			if l.Points() < 2 {
+				t.Fatalf("first lease too small for the test: [%d,%d)", l.Lo, l.Hi)
+			}
+			finished := make([]bool, l.Points())
+			finished[0] = true // streamed before death
+			q.RequeuePartial(l, finished)
+			seen, leases := drain(q, 8)
+			if leases[0].Lo != l.Lo+1 {
+				t.Errorf("re-lease starts at %d, want %d (the first unfinished point)", leases[0].Lo, l.Lo+1)
+			}
+			if seen[l.Lo] != 0 {
+				t.Errorf("streamed point %d re-leased", l.Lo)
+			}
+			if !isDone(q) {
+				t.Error("streamed point not credited: queue never drained")
+			}
+		}},
+		{"requeue-front", 8, 2, nil, nil, func(t *testing.T, q *LeaseQueue, _ map[int]int) {
+			l1, _ := q.TryNext("dead")
+			q.TryNext("other")
+			q.Requeue(l1)
+			l3, ok := q.TryNext("rescuer")
+			if !ok || l3.Lo != l1.Lo || l3.Seq == l1.Seq {
+				t.Errorf("after requeue got lease %+v (ok=%v), want the retried points %d.. first under a new seq", l3, ok, l1.Lo)
+			}
+		}},
+		{"complete-duplicate", 4, 1, nil, nil, func(t *testing.T, q *LeaseQueue, _ map[int]int) {
+			l, _ := q.TryNext("w")
+			if !q.Complete(l, time.Millisecond) {
+				t.Error("first completion reported not-outstanding")
+			}
+			if q.Complete(l, time.Millisecond) {
+				t.Error("duplicate completion reported outstanding")
+			}
+			if l.Points() < 4 && isDone(q) {
+				t.Error("duplicate completion counted its points twice")
+			}
+		}},
+		{"rates", 64, 2, nil, nil, func(t *testing.T, q *LeaseQueue, _ map[int]int) {
+			q.SeedRate("fast", 1000)
+			q.SeedRate("slow", 10)
+			if r := q.Rates(); r["fast"] != 1000 || r["slow"] != 10 {
+				t.Errorf("seeded rates did not round-trip: %v", r)
+			}
+			lf, _ := q.TryNext("fast")
+			ls, _ := q.TryNext("slow")
+			if lf.Points() <= ls.Points() {
+				t.Errorf("fast worker leased %d points, slow %d; the seeded EWMA should favor the fast one",
+					lf.Points(), ls.Points())
+			}
+		}},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			q := NewWorkStealingDispatcher(tc.points, tc.workers)
+			known := make(map[int]bool)
+			for _, i := range tc.known {
+				known[i] = true
+			}
+			skipped := make(map[int]int)
+			installed := false
+			q.SetSkip(func(lo, hi int) []bool {
+				mask := make([]bool, hi-lo)
+				for i := lo; i < hi; i++ {
+					mask[i-lo] = known[i]
+					if installed && known[i] {
+						skipped[i]++
+					}
+				}
+				return mask
+			})
+			installed = true
+			for _, i := range tc.late {
+				known[i] = true
+			}
+			tc.check(t, q, skipped)
+		})
 	}
 }

@@ -164,51 +164,6 @@ func TestPointKeyContentAddressing(t *testing.T) {
 	}
 }
 
-// The skipping dispatcher never leases done points and completes once
-// the missing ones are evaluated.
-func TestDispatcherSkippingLeasesOnlyMissingPoints(t *testing.T) {
-	done := []bool{true, false, false, true, false, true, true, false}
-	d := NewWorkStealingDispatcherSkipping(len(done), 1, done)
-	leased := make([]bool, len(done))
-	for {
-		l, ok := d.TryNext("w")
-		if !ok {
-			break
-		}
-		for i := l.Lo; i < l.Hi; i++ {
-			if done[i] {
-				t.Errorf("leased already-done point %d (lease [%d,%d))", i, l.Lo, l.Hi)
-			}
-			leased[i] = true
-		}
-		d.Complete(l, time.Millisecond)
-	}
-	for i, want := range done {
-		if leased[i] == want {
-			t.Errorf("point %d: done=%v leased=%v", i, want, leased[i])
-		}
-	}
-	select {
-	case <-d.Done():
-	default:
-		t.Error("dispatcher not done after missing points completed")
-	}
-}
-
-// An all-done grid is born complete: nothing leases, Done is closed.
-func TestDispatcherSkippingAllDone(t *testing.T) {
-	done := []bool{true, true, true}
-	d := NewWorkStealingDispatcherSkipping(3, 2, done)
-	if _, ok := d.TryNext("w"); ok {
-		t.Error("fully prefilled grid handed out a lease")
-	}
-	select {
-	case <-d.Done():
-	default:
-		t.Error("fully prefilled dispatcher is not done")
-	}
-}
-
 // RequeuePartial credits the streamed prefix and re-leases only the
 // unfinished tail — the dead-worker-late-in-a-lease path.
 func TestRequeuePartialReLeasesOnlyUnfinishedTail(t *testing.T) {
@@ -222,9 +177,7 @@ func TestRequeuePartialReLeasesOnlyUnfinishedTail(t *testing.T) {
 	}
 	finished := make([]bool, l.Points())
 	finished[0], finished[1] = true, true // streamed before death
-	d.(interface {
-		RequeuePartial(Lease, []bool)
-	}).RequeuePartial(l, finished)
+	d.RequeuePartial(l, finished)
 
 	seen := make(map[int]int)
 	for {

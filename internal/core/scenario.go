@@ -79,13 +79,9 @@ type Options struct {
 	// not exceeding a Workers bound, capped at the grid size).
 	// Non-sweep scenarios ignore it.
 	Shards int
-	// Dispatcher builds the lease queue sweeps hand their grid out
-	// through (default NewWorkStealingDispatcher). Dispatch policy
-	// changes only wall-clock time, never report bytes.
-	Dispatcher DispatcherMaker
 	// Kernels > 1 runs each testbed's network as a conservative
 	// parallel simulation on that many kernels (capped by the number of
-	// WAN-separated sites). Like Shards and Dispatcher it is execution
+	// WAN-separated sites). Like Shards it is execution
 	// policy: reports stay byte-identical, so it never enters point
 	// keys or the wire protocol.
 	Kernels int
@@ -143,15 +139,6 @@ func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 // changes only wall-clock time: shard results merge in grid order, so
 // reports stay byte-identical.
 func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
-
-// WithDispatcher selects how sweeps lease their grid points to shards
-// (and, through internal/dist, to remote workers). The default is
-// NewWorkStealingDispatcher; NewContiguousDispatcher restores PR 3's
-// static batch split. Dispatch policy changes only wall-clock time:
-// results always merge in grid order, so reports stay byte-identical.
-func WithDispatcher(maker DispatcherMaker) Option {
-	return func(o *Options) { o.Dispatcher = maker }
-}
 
 // WithKernels partitions every engine-built testbed's network at
 // WAN-link boundaries and runs it as a conservative parallel simulation

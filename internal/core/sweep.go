@@ -21,11 +21,11 @@ import (
 // declaratively (Axes), evaluates one grid point at a time (PointFunc)
 // and reassembles the point results into the ordinary scenario Report
 // (MergeFunc). The executor leases batches of grid points to shards
-// through a work-stealing Dispatcher (dispatch.go) — each shard owning
+// through the work-stealing LeaseQueue (dispatch.go) — each shard owning
 // a fresh sim.Kernel/netsim.Network/Testbed — and merges results in
 // grid order — never completion order — so a run's report is
 // byte-identical to the sequential one at any shard or worker count.
-// The same dispatcher queue serves remote workers (internal/dist),
+// The same queue serves remote workers (internal/dist),
 // which lease points over HTTP; SweepRun is the executor core shared by
 // both paths.
 //
@@ -193,10 +193,9 @@ func (r *sweepReport) ShardTimings() []ShardTiming { return r.timings }
 //
 // Sharding: opts.Shards bounds the shard count (0 = GOMAXPROCS, capped
 // at the number of points). Shards lease batches of points from a
-// shared work-stealing queue (or the dispatcher installed by
-// WithDispatcher) — a shard that drains its lease steals the next one,
-// so uneven point costs no longer leave shards idle. Each shard runs on
-// its own fresh testbed built from opts — except in shared mode
+// shared work-stealing queue — a shard that drains its lease steals the
+// next one, so uneven point costs no longer leave shards idle. Each
+// shard runs on its own fresh testbed built from opts — except in shared mode
 // (opts.Testbed non-nil), where every shard uses the one shared testbed
 // so co-allocation stays common and the backbone counters keep
 // accumulating across scenarios; shards then contend on the testbed's
@@ -207,9 +206,9 @@ func (r *sweepReport) ShardTimings() []ShardTiming { return r.timings }
 //
 // Cancellation stops shards between points and Run returns ctx's error;
 // a panicking point is contained and reported as that point's error.
-// The first error in grid order wins. Dispatch policy changes only
-// wall-clock time: results merge in grid order, so the report stays
-// byte-identical whatever the shard count or dispatcher.
+// The first error in grid order wins. Dispatch changes only wall-clock
+// time: results merge in grid order, so the report stays byte-identical
+// whatever the shard count.
 func (sw *Sweep) Run(ctx context.Context, tb *Testbed, opts Options) (Report, error) {
 	pts := sw.Points()
 	if len(pts) == 0 {
@@ -237,15 +236,11 @@ func (sw *Sweep) Run(ctx context.Context, tb *Testbed, opts Options) (Report, er
 		shardCfg = tb.Cfg
 	}
 
-	maker := opts.Dispatcher
-	if maker == nil {
-		maker = NewWorkStealingDispatcher
-	}
-	run := NewSweepRun(sw, opts, maker(len(pts), shards), shards)
-	// Cancellation closes the dispatcher, unblocking shards waiting on
-	// Next; the per-point ctx check records the error for points still
-	// held in leases.
-	stop := context.AfterFunc(ctx, run.d.Close)
+	run := NewSweepRun(sw, opts, NewWorkStealingDispatcher(len(pts), shards), shards)
+	// Cancellation closes the queue, unblocking shards waiting on Next;
+	// the per-point ctx check records the error for points still held
+	// in leases.
+	stop := context.AfterFunc(ctx, run.q.Close)
 	defer stop()
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
@@ -293,23 +288,28 @@ func (sw *Sweep) NewShardTestbed(opts Options) *Testbed {
 // ------------------------------------------------------- executor core --
 
 // SweepRun is one in-flight evaluation of a sweep's grid: the results
-// array, the dispatcher feeding it, and the per-participant timings.
+// array, the queue feeding it, and the per-participant timings.
 // Sweep.Run drives it with in-process shards only; the internal/dist
 // coordinator additionally delivers remotely evaluated leases into the
 // same run, so local shards and remote workers steal from one queue.
+//
+// Lock order is r.mu then the queue's lock, never the reverse; the
+// queue calls its skip predicate (it records through Prefill) unlocked.
 type SweepRun struct {
 	sw   *Sweep
 	opts Options
 	pts  []Point
-	d    Dispatcher
+	q    *LeaseQueue
 
 	// OnPoint, when set before the run starts, observes every freshly
 	// recorded error-free point result — local shard evaluations,
 	// streamed remote points and completed leases alike, but not
-	// Prefill (those results came from the observer's own store). The
-	// coordinator uses it to persist each point the moment it exists, so
-	// a crash loses at most the points still being computed. Called
-	// outside the run's lock, possibly from several goroutines at once.
+	// Prefill (those results came from the observer's own store), and
+	// each point once: re-recording a point that already has a result
+	// is not fresh. The coordinator uses it to persist each point the
+	// moment it exists, so a crash loses at most the points still being
+	// computed. Called outside the run's lock, possibly from several
+	// goroutines at once.
 	OnPoint func(i int, val any)
 
 	mu      sync.Mutex
@@ -322,12 +322,12 @@ type SweepRun struct {
 }
 
 // NewSweepRun prepares an execution of sw's grid with localShards
-// in-process shard slots. The dispatcher d hands out the leases; it
-// must have been built for len(sw.Points()) points.
-func NewSweepRun(sw *Sweep, opts Options, d Dispatcher, localShards int) *SweepRun {
+// in-process shard slots. The queue q hands out the leases; it must
+// have been built for len(sw.Points()) points.
+func NewSweepRun(sw *Sweep, opts Options, q *LeaseQueue, localShards int) *SweepRun {
 	pts := sw.Points()
 	return &SweepRun{
-		sw: sw, opts: opts, pts: pts, d: d,
+		sw: sw, opts: opts, pts: pts, q: q,
 		results: make([]any, len(pts)),
 		errs:    make([]error, len(pts)),
 		visited: make([]bool, len(pts)),
@@ -336,9 +336,43 @@ func NewSweepRun(sw *Sweep, opts Options, d Dispatcher, localShards int) *SweepR
 	}
 }
 
-// Dispatcher returns the queue feeding this run (the coordinator leases
-// from it on behalf of remote workers).
-func (r *SweepRun) Dispatcher() Dispatcher { return r.d }
+// Queue returns the lease queue feeding this run (the coordinator
+// leases from it on behalf of remote workers).
+func (r *SweepRun) Queue() *LeaseQueue { return r.q }
+
+// recordLocked is the one place a point result enters the run; the
+// caller holds r.mu. A point that already has an error-free result
+// keeps it: point functions are deterministic, so a later write is the
+// same value again (a streamed point repeated in its lease's final
+// upload) or a stale failure (a worker whose lease expired and was
+// re-run elsewhere). Reports whether an error-free result was freshly
+// recorded — the ones OnPoint observes.
+func (r *SweepRun) recordLocked(i int, val any, err error) bool {
+	if r.visited[i] && r.errs[i] == nil {
+		return false
+	}
+	r.results[i], r.errs[i], r.visited[i] = val, err, true
+	return err == nil
+}
+
+// record takes the lock around recordLocked and, with observe set,
+// hands a fresh result to OnPoint.
+func (r *SweepRun) record(i int, val any, err error, observe bool) {
+	r.mu.Lock()
+	fresh := r.recordLocked(i, val, err)
+	r.mu.Unlock()
+	if fresh && observe && r.OnPoint != nil {
+		r.OnPoint(i, val)
+	}
+}
+
+// workerErr is the error for a remote worker's per-point string ("": none).
+func workerErr(l Lease, errStr string) error {
+	if errStr == "" {
+		return nil
+	}
+	return fmt.Errorf("worker %s: %s", l.Worker, errStr)
+}
 
 // RunShard is one in-process shard loop: lease points, evaluate them on
 // tb, complete the lease, repeat until the grid is drained. shard is
@@ -348,7 +382,7 @@ func (r *SweepRun) RunShard(ctx context.Context, shard int, worker string, tb *T
 	start := time.Now()
 	points := 0
 	for {
-		l, ok := r.d.Next(worker)
+		l, ok := r.q.Next(worker)
 		if !ok {
 			break
 		}
@@ -360,16 +394,10 @@ func (r *SweepRun) RunShard(ctx context.Context, shard int, worker string, tb *T
 			if err = ctx.Err(); err == nil {
 				res, err = r.sw.runOnePoint(ctx, tb, r.opts, r.pts[i])
 			}
-			r.mu.Lock()
-			r.results[i], r.errs[i] = res, err
-			r.visited[i] = true
-			r.mu.Unlock()
-			if r.OnPoint != nil && err == nil {
-				r.OnPoint(i, res)
-			}
+			r.record(i, res, err, true)
 		}
 		points += l.Points()
-		r.d.Complete(l, time.Since(leaseStart))
+		r.q.Complete(l, time.Since(leaseStart))
 	}
 	elapsed := time.Since(start).Nanoseconds()
 	if elapsed < 1 {
@@ -384,28 +412,26 @@ func (r *SweepRun) RunShard(ctx context.Context, shard int, worker string, tb *T
 
 // Deliver records a remotely evaluated lease: one result or error
 // string per point of [l.Lo, l.Hi), in grid order. The lease is
-// completed against the dispatcher; a lease that is no longer
-// outstanding (duplicate upload, or expired and re-run elsewhere) is
-// ignored and Deliver reports false.
+// completed against the queue; a lease that is no longer outstanding
+// (duplicate upload, or expired and re-run elsewhere) changes nothing
+// and Deliver reports false.
+//
+// Completing is the idempotency point — and can close the queue's Done,
+// waking whoever waits to merge the report. Claiming and recording
+// under one hold of r.mu, which Report and Progress also take, keeps
+// that reader from seeing the lease completed but not yet recorded.
 func (r *SweepRun) Deliver(l Lease, vals []any, errStrs []string, elapsed time.Duration) bool {
 	if len(vals) != l.Points() || len(errStrs) != l.Points() {
 		return false
 	}
-	// Claim the lease first: Complete is the idempotency point, and it
-	// refuses leases that already completed or were requeued.
-	if !r.claim(l, elapsed) {
+	r.mu.Lock()
+	if !r.q.Complete(l, elapsed) {
+		r.mu.Unlock()
 		return false
 	}
-	r.mu.Lock()
-	for k := 0; k < l.Points(); k++ {
-		i := l.Lo + k
-		r.results[i] = vals[k]
-		if errStrs[k] != "" {
-			r.errs[i] = fmt.Errorf("worker %s: %s", l.Worker, errStrs[k])
-		} else {
-			r.errs[i] = nil
-		}
-		r.visited[i] = true
+	fresh := make([]bool, l.Points())
+	for k := range vals {
+		fresh[k] = r.recordLocked(l.Lo+k, vals[k], workerErr(l, errStrs[k]))
 	}
 	t := r.remote[l.Worker]
 	if t == nil {
@@ -417,8 +443,8 @@ func (r *SweepRun) Deliver(l Lease, vals []any, errStrs []string, elapsed time.D
 	t.ElapsedNS += elapsed.Nanoseconds()
 	r.mu.Unlock()
 	if r.OnPoint != nil {
-		for k := 0; k < l.Points(); k++ {
-			if errStrs[k] == "" {
+		for k, f := range fresh {
+			if f {
 				r.OnPoint(l.Lo+k, vals[k])
 			}
 		}
@@ -427,62 +453,23 @@ func (r *SweepRun) Deliver(l Lease, vals []any, errStrs []string, elapsed time.D
 }
 
 // Prefill records a point result obtained outside this run — the
-// coordinator's content-addressed point store — before dispatch begins.
-// Prefilled points must also be marked done in the dispatcher
-// (NewWorkStealingDispatcherSkipping), so they are never leased.
-func (r *SweepRun) Prefill(i int, val any) {
-	r.mu.Lock()
-	r.results[i] = val
-	r.errs[i] = nil
-	r.visited[i] = true
-	r.mu.Unlock()
-}
+// coordinator's content-addressed point store. It is what the queue's
+// skip predicate calls for the points it reports as already known, so
+// they are credited there and never leased.
+func (r *SweepRun) Prefill(i int, val any) { r.record(i, val, nil, false) }
 
 // DeliverPoint records one point of an outstanding lease, streamed by a
 // remote worker before the lease completes. It does not touch the
-// dispatcher: the lease either completes normally later (Deliver) or
-// expires, in which case Abandon credits the streamed points and
-// requeues only the unfinished tail. Reports false for an index outside
-// the lease.
+// queue: the lease either completes normally later (Deliver) or
+// expires, in which case the queue's RequeuePartial credits the
+// streamed points and requeues only the unfinished tail. Reports false
+// for an index outside the lease.
 func (r *SweepRun) DeliverPoint(l Lease, index int, val any, errStr string) bool {
 	if index < l.Lo || index >= l.Hi {
 		return false
 	}
-	r.mu.Lock()
-	r.results[index] = val
-	if errStr != "" {
-		r.errs[index] = fmt.Errorf("worker %s: %s", l.Worker, errStr)
-	} else {
-		r.errs[index] = nil
-	}
-	r.visited[index] = true
-	r.mu.Unlock()
-	if r.OnPoint != nil && errStr == "" {
-		r.OnPoint(index, val)
-	}
+	r.record(index, val, workerErr(l, errStr), true)
 	return true
-}
-
-// Abandon retires a lease whose worker died, crediting the points it
-// already streamed (finished[k] covers point l.Lo+k) and requeueing
-// only the unfinished tail, so a worker lost late in a lease costs only
-// its unstreamed points. A nil or all-false finished degrades to a full
-// Requeue.
-func (r *SweepRun) Abandon(l Lease, finished []bool) {
-	partial := false
-	for _, f := range finished {
-		if f {
-			partial = true
-			break
-		}
-	}
-	if partial && len(finished) == l.Points() {
-		if pr, ok := r.d.(partialRequeuer); ok {
-			pr.RequeuePartial(l, finished)
-			return
-		}
-	}
-	r.d.Requeue(l)
 }
 
 // Progress reports how many grid points have a recorded result (from
@@ -499,35 +486,10 @@ func (r *SweepRun) Progress() (done, total int) {
 	return done, len(r.visited)
 }
 
-// Values snapshots the per-point results; ok[i] is true where point i
-// completed without error. The coordinator uses it to persist freshly
-// computed points into its store after a run.
-func (r *SweepRun) Values() (vals []any, ok []bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	vals = make([]any, len(r.results))
-	ok = make([]bool, len(r.results))
-	copy(vals, r.results)
-	for i := range r.results {
-		ok[i] = r.visited[i] && r.errs[i] == nil
-	}
-	return vals, ok
-}
-
-// claim completes l against the dispatcher and reports whether this
-// call was the one that retired it (false: duplicate or expired).
-func (r *SweepRun) claim(l Lease, elapsed time.Duration) bool {
-	if cr, ok := r.d.(completeReporter); ok {
-		return cr.completeReport(l, elapsed)
-	}
-	r.d.Complete(l, elapsed)
-	return true
-}
-
 // Wait blocks until every grid point has completed or ctx is done.
 func (r *SweepRun) Wait(ctx context.Context) error {
 	select {
-	case <-r.d.Done():
+	case <-r.q.Done():
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -622,32 +584,6 @@ func (sw *Sweep) DecodePoint(b []byte) (any, error) {
 		return nil, fmt.Errorf("core: sweep %q has no wire codec (WirePoint not declared)", sw.name)
 	}
 	return sw.decode(b)
-}
-
-// RunLease evaluates grid points [lo, hi) the way a non-streaming
-// remote worker does: on a fresh testbed built for this lease (nil for
-// NoShardTestbed sweeps), results and error strings in grid order.
-// Panics are contained per point, like in-process shards. (The real
-// worker streams instead: EvalPoint per point on its cached testbed.)
-func (sw *Sweep) RunLease(ctx context.Context, opts Options, lo, hi int) ([]any, []string, error) {
-	pts := sw.Points()
-	if lo < 0 || hi > len(pts) || lo >= hi {
-		return nil, nil, fmt.Errorf("core: sweep %q: lease [%d,%d) outside grid of %d points", sw.name, lo, hi, len(pts))
-	}
-	tb := sw.NewShardTestbed(opts)
-	vals := make([]any, hi-lo)
-	errStrs := make([]string, hi-lo)
-	for i := lo; i < hi; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		res, err := sw.runOnePoint(ctx, tb, opts, pts[i])
-		vals[i-lo] = res
-		if err != nil {
-			errStrs[i-lo] = err.Error()
-		}
-	}
-	return vals, errStrs, nil
 }
 
 // EvalPoint evaluates the single grid point at index i on tb, with the

@@ -445,8 +445,7 @@ func TestSweepRunOnPointObserver(t *testing.T) {
 		}, func(opts Options, results []any) (Report, error) {
 			return nil, nil
 		}).NoShardTestbed()
-	done := []bool{true, false, false, false, false, false} // point 0 prefilled
-	d := NewWorkStealingDispatcherSkipping(6, 1, done)
+	d := NewWorkStealingDispatcher(6, 1)
 	run := NewSweepRun(sw, Options{}, d, 1)
 	var mu sync.Mutex
 	seen := map[int]int{}
@@ -461,7 +460,16 @@ func TestSweepRunOnPointObserver(t *testing.T) {
 			}
 		}
 	}
-	run.Prefill(0, 0)
+	// Point 0 comes from the observer's own store: prefilled by the
+	// queue's skip predicate, never leased.
+	d.SetSkip(func(lo, hi int) []bool {
+		mask := make([]bool, hi-lo)
+		if lo == 0 {
+			run.Prefill(0, 0)
+			mask[0] = true
+		}
+		return mask
+	})
 	// Points 3 and 5 arrive remotely: 3 streamed mid-lease, 5 via a
 	// completed lease; the rest run on the local shard.
 	l, ok := d.TryNext("remote")
@@ -490,8 +498,8 @@ func TestSweepRunOnPointObserver(t *testing.T) {
 		t.Errorf("observer saw prefilled point 0 (%d times)", seen[0])
 	}
 	for i := l.Lo; i < l.Hi; i++ {
-		if seen[i] != 2 { // once streamed + once on lease completion
-			t.Errorf("remote point %d observed %d times, want 2 (stream + completion)", i, seen[i])
+		if seen[i] != 1 { // when streamed; the lease's completion repeats it and is not fresh
+			t.Errorf("remote point %d observed %d times, want 1 (its stream, not again on completion)", i, seen[i])
 		}
 	}
 	for i := int(l.Hi); i < 6; i++ {

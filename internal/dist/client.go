@@ -32,45 +32,55 @@ type Client struct {
 // their own; a shared value keeps concurrent use race-free.
 var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
 
-func (cl *Client) http() *http.Client {
-	if cl.HTTP != nil {
-		return cl.HTTP
+// doJSON is the one HTTP round trip Clients and Workers share: send in
+// as a JSON body (nil: none) with the bearer token (empty: no header)
+// through hc (nil: the default client), and decode a 200 reply into out
+// (nil: discard it). It returns the status code; 400 and above is an
+// error carrying the start of the response body.
+func doJSON(ctx context.Context, hc *http.Client, token, method, base, path string, in, out any) (int, error) {
+	if hc == nil {
+		hc = defaultHTTPClient
 	}
-	return defaultHTTPClient
-}
-
-func (cl *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		body = bytes.NewReader(b)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, cl.Base+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if cl.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+cl.Token)
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
 	}
-	resp, err := cl.http().Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	switch {
+	case resp.StatusCode >= 400:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("dist: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))
+		return resp.StatusCode, fmt.Errorf("dist: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))
+	case resp.StatusCode == http.StatusOK && out != nil:
+		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
 	}
-	if out == nil {
-		return nil
+	return resp.StatusCode, nil
+}
+
+// do is doJSON for the job-side endpoints, which answer 200 or fail.
+func (cl *Client) do(ctx context.Context, method, path string, in, out any) error {
+	code, err := doJSON(ctx, cl.HTTP, cl.Token, method, cl.Base, path, in, out)
+	if err == nil && code != http.StatusOK {
+		err = fmt.Errorf("dist: %s %s: unexpected status %d", method, path, code)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return err
 }
 
 // Submit posts a job and returns its (possibly already finished)
@@ -106,9 +116,7 @@ func (cl *Client) Wait(ctx context.Context, id string) (*JobStatus, error) {
 		if st.Status == JobDone || st.Status == JobFailed {
 			return st, nil
 		}
-		select {
-		case <-time.After(poll):
-		case <-ctx.Done():
+		if !sleepCtx(ctx, poll) {
 			return nil, ctx.Err()
 		}
 	}

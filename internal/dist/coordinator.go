@@ -93,9 +93,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.LocalShards == 0 {
 		cfg.LocalShards = 1
 	}
-	if cfg.LocalShards < 0 {
-		cfg.LocalShards = -1
-	}
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 4096
 	}
@@ -121,7 +118,6 @@ type job struct {
 	cached   bool
 	start    time.Time
 	elapsed  time.Duration
-	cancel   context.CancelFunc
 
 	// tenant is the submitter (never nil: the anonymous default tenant
 	// when auth is off). admitted marks a queued job that already holds
@@ -137,7 +133,7 @@ type job struct {
 	lastEvent atomic.Int64
 
 	// run is non-nil while a distributable plan is executing: the
-	// lease handlers dispatch from run.Dispatcher(). sw is the plan's
+	// lease handlers dispatch from run.Queue(). sw is the plan's
 	// executable grid (the scenario itself, or its one-point wrapper).
 	run *core.SweepRun
 	sw  *core.Sweep
@@ -148,8 +144,8 @@ type job struct {
 	pointsDone  int
 	// pointHits counts grid points served from the store — at submit
 	// time and at lease-grant pickup. Atomic because grant-time pickups
-	// happen inside the dispatcher's lease path, where c.mu is held by
-	// the caller (handleLease) or not held at all (local shards).
+	// happen inside the queue's lease path, where c.mu is held by the
+	// caller (handleLease) or not held at all (local shards).
 	pointHits atomic.Int64
 
 	report  []byte
@@ -296,7 +292,9 @@ func New(cfg Config) *Coordinator {
 	})
 	c.mux.HandleFunc("POST /v1/workers/register", c.authed(c.handleRegister))
 	c.mux.HandleFunc("POST /v1/workers/lease", c.authed(drop(c.handleLease)))
-	c.mux.HandleFunc("POST /v1/workers/heartbeat", c.authed(drop(c.handleHeartbeat)))
+	// A heartbeat is a points upload with no points — same request
+	// fields, same {"ok":…} reply, same lease extension.
+	c.mux.HandleFunc("POST /v1/workers/heartbeat", c.authed(drop(c.handlePoints)))
 	c.mux.HandleFunc("POST /v1/workers/points", c.authed(drop(c.handlePoints)))
 	c.mux.HandleFunc("POST /v1/workers/result", c.authed(drop(c.handleResult)))
 	go c.reap()
@@ -388,10 +386,6 @@ func (c *Coordinator) startJob(j *job) {
 
 // Handler returns the coordinator's HTTP handler.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// Metrics returns the obs registry the coordinator instruments itself
-// into (the one /v1/metrics renders).
-func (c *Coordinator) Metrics() *obs.Registry { return c.met.reg }
 
 // bindTenant attributes a job to its tenant and resolves the tenant's
 // point counters once, so every per-point increment afterwards is a
@@ -559,19 +553,8 @@ func (c *Coordinator) reap() {
 				if now.Before(rec.expires) {
 					continue
 				}
-				c.retireLeaseLocked(k, rec)
-				requeued := rec.lease.Points() - countTrue(rec.streamed)
-				// Refund what the dead worker never served: the points
-				// are about to be leased — and charged — again, and
-				// without the refund the tenant would pay twice and sink
-				// behind lower-priority tenants (priority inversion).
-				c.sched.Refund(rec.job.tenant.Name, requeued)
+				requeued := c.dropLeaseLocked(k, rec)
 				c.met.leasesExpired.Inc()
-				if rec.job.run != nil {
-					// Points the worker streamed before dying are kept;
-					// only the unfinished tail goes back to the queue.
-					rec.job.run.Abandon(rec.lease, rec.streamed)
-				}
 				c.events.publish(Event{
 					Type: "lease", Job: k.jobID, Tenant: rec.job.tenant.Name,
 					Worker: rec.lease.Worker, Requeued: requeued,
@@ -595,15 +578,37 @@ func countTrue(bs []bool) int {
 }
 
 // retireLeaseLocked removes a lease from the outstanding table and
-// returns its points to the tenant's in-flight budget. The inflight
-// entry stays at zero rather than being deleted, so the scrape-time
-// gauge sync sees the drop instead of a stale last value.
+// returns its points to the tenant's in-flight budget; retiring a lease
+// that is already gone is a no-op. The inflight entry stays at zero
+// rather than being deleted, so the scrape-time gauge sync sees the
+// drop instead of a stale last value.
 func (c *Coordinator) retireLeaseLocked(k leaseKey, rec *leaseRec) {
+	if c.leases[k] != rec {
+		return
+	}
 	delete(c.leases, k)
 	name := rec.job.tenant.Name
 	if c.inflight[name] -= rec.lease.Points(); c.inflight[name] < 0 {
 		c.inflight[name] = 0
 	}
+}
+
+// dropLeaseLocked gives up on a lease that will not complete — its
+// worker stopped heartbeating, its upload was malformed, or its job
+// ended first — and reports how many points that leaves unserved. The
+// points the worker streamed are already delivered and stay credited;
+// only the rest goes back to the job's queue, to be re-run by whoever
+// asks next. That rest is refunded: it is about to be leased — and
+// charged — again, and without the refund the tenant would pay twice
+// and sink behind lower-priority tenants (priority inversion).
+func (c *Coordinator) dropLeaseLocked(k leaseKey, rec *leaseRec) (requeued int) {
+	c.retireLeaseLocked(k, rec)
+	requeued = rec.lease.Points() - countTrue(rec.streamed)
+	c.sched.Refund(rec.job.tenant.Name, requeued)
+	if rec.job.run != nil {
+		rec.job.run.Queue().RequeuePartial(rec.lease, rec.streamed)
+	}
+	return requeued
 }
 
 // jobKey is the tenant+scenario+options identity used to share
@@ -755,7 +760,6 @@ func (c *Coordinator) execute(j *job) {
 	c.mu.Lock()
 	j.status = JobRunning
 	j.start = time.Now()
-	j.cancel = cancel
 	plan := core.PlanFor(s)
 	c.pstore.PutJob(c.jobRecordLocked(j))
 	c.mu.Unlock()
@@ -783,27 +787,9 @@ func (c *Coordinator) runDistributed(ctx context.Context, j *job, plan *core.Pla
 	if n == 0 {
 		return nil, fmt.Errorf("dist: scenario %q has an empty grid", j.scenario)
 	}
-	// Content-addressed reuse: a point another job already computed —
-	// same scenario, same coordinates, same relevant options — is
-	// decoded from its stored wire bytes exactly as a fresh worker
-	// upload would be, so reports assembled either way are
-	// byte-identical.
 	keys := make([]string, n)
-	done := make([]bool, n)
-	prevals := make([]any, n)
-	hits := 0
 	for i, pt := range points {
 		keys[i] = sw.PointKey(j.opts, pt)
-		b, ok := c.store.get(keys[i])
-		if !ok {
-			continue
-		}
-		v, err := sw.DecodePoint(b)
-		if err != nil {
-			continue // stored under an incompatible build: treat as miss
-		}
-		done[i], prevals[i] = true, v
-		hits++
 	}
 	shards := c.cfg.LocalShards
 	if shards < 0 {
@@ -813,66 +799,24 @@ func (c *Coordinator) runDistributed(ctx context.Context, j *job, plan *core.Pla
 		shards = n
 	}
 	c.mu.Lock()
-	sizeHint := shards + len(c.workers)
-	c.mu.Unlock()
-	inner := core.NewWorkStealingDispatcherSkipping(n, max(sizeHint, 1), done)
+	q := core.NewWorkStealingDispatcher(n, max(shards+len(c.workers), 1))
 	// Seed the queue with what earlier jobs learned about each worker,
 	// so a proven-fast worker gets large leases from its first ask.
-	if rk, ok := inner.(core.RateKeeper); ok {
-		c.mu.Lock()
-		for w, r := range c.rates {
-			rk.SeedRate(w, r)
-		}
-		c.mu.Unlock()
+	for w, r := range c.rates {
+		q.SeedRate(w, r)
 	}
-	// Grant-time store pickup: a point that landed in the store after
-	// this job's submit-time prefill — streamed by a concurrent job with
-	// an overlapping grid — is served from the store the moment a lease
-	// would cover it, instead of being re-simulated. The filter runs
-	// inside the dispatcher's lease path (under c.mu when handleLease is
-	// the caller), so it must not take c.mu itself.
-	var run *core.SweepRun
-	filter := func(l core.Lease) []bool {
-		mask := make([]bool, l.Points())
-		picked := 0
-		for k := range mask {
-			i := l.Lo + k
-			b, ok := c.store.get(keys[i])
-			if !ok {
-				continue
-			}
-			v, err := sw.DecodePoint(b)
-			if err != nil {
-				continue
-			}
-			run.Prefill(i, v)
-			mask[k] = true
-			picked++
-		}
-		if picked == 0 {
-			return nil
-		}
-		j.pointHits.Add(int64(picked))
-		j.mHit.Add(int64(picked))
-		j.tenant.Usage.PointsHit.Add(int64(picked))
-		c.cfg.Logf("dist: %s (%s) picked up %d stored point(s) at lease grant", j.id, j.scenario, picked)
-		return mask
-	}
-	d := core.NewFilteringDispatcher(inner, filter)
-	run = core.NewSweepRun(sw, j.opts, d, shards)
+	c.mu.Unlock()
+	run := core.NewSweepRun(sw, j.opts, q, shards)
 	// Persist each freshly computed point the moment it is recorded —
 	// local shard results included — so a crash loses at most the points
-	// still being evaluated. Remotely delivered points are already in
-	// the store (their wire bytes were put on upload receipt), which the
-	// contains probe skips.
-	// OnPoint fires outside the run's lock for every freshly recorded
-	// error-free point; remotely delivered points are already in the
-	// store (put on upload receipt, where they were attributed), which
-	// the contains probe skips — so the accounting branch below is
-	// exactly the local-shard fresh computes.
+	// still being evaluated. OnPoint fires outside the run's lock for
+	// every freshly recorded error-free point; remotely delivered points
+	// are already in the store (put on upload receipt, where they were
+	// attributed), which the contains probe skips — so the accounting
+	// branch below is exactly the local-shard fresh computes.
 	run.OnPoint = func(i int, val any) {
 		c.maybeProgress(j, run, n)
-		if keys[i] == "" || c.store.contains(keys[i]) {
+		if c.store.contains(keys[i]) {
 			return
 		}
 		b, err := sw.EncodePoint(val)
@@ -889,25 +833,50 @@ func (c *Coordinator) runDistributed(ctx context.Context, j *job, plan *core.Pla
 			j.tenant.Usage.StoreRejected.Add(1)
 		}
 	}
-	for i := range done {
-		if done[i] {
-			run.Prefill(i, prevals[i])
+	// Content-addressed reuse: a point another job already computed —
+	// same scenario, same coordinates, same relevant options — is
+	// decoded from its stored wire bytes exactly as a fresh worker
+	// upload would be, so reports assembled either way are
+	// byte-identical. As the queue's skip predicate it runs over the
+	// whole grid now, before anything is leased, and again over each
+	// lease at grant time — where a point that landed in the store since
+	// (streamed by a concurrent job with an overlapping grid) is served
+	// from the store instead of being re-simulated. The grant-time call
+	// comes from inside the lease path (under c.mu when handleLease is
+	// the caller), so the predicate must not take c.mu itself.
+	q.SetSkip(func(lo, hi int) []bool {
+		mask := make([]bool, hi-lo)
+		hits := 0
+		for i := lo; i < hi; i++ {
+			b, ok := c.store.get(keys[i])
+			if !ok {
+				continue
+			}
+			v, err := sw.DecodePoint(b)
+			if err != nil {
+				continue // stored under an incompatible build: treat as miss
+			}
+			run.Prefill(i, v)
+			mask[i-lo] = true
+			hits++
 		}
-	}
+		if hits == 0 {
+			return nil
+		}
+		j.pointHits.Add(int64(hits))
+		j.mHit.Add(int64(hits))
+		j.tenant.Usage.PointsHit.Add(int64(hits))
+		c.cfg.Logf("dist: %s (%s) reusing %d of points [%d,%d) from the store", j.id, j.scenario, hits, lo, hi)
+		return mask
+	})
 	c.mu.Lock()
 	j.run = run
 	j.sw = sw
 	j.keys = keys
 	j.pointsTotal = n
-	j.pointHits.Store(int64(hits))
 	c.mu.Unlock()
-	if hits > 0 {
-		j.mHit.Add(int64(hits))
-		j.tenant.Usage.PointsHit.Add(int64(hits))
-		c.cfg.Logf("dist: %s (%s) reusing %d/%d point(s) from the store", j.id, j.scenario, hits, n)
-	}
 
-	stop := context.AfterFunc(ctx, d.Close)
+	stop := context.AfterFunc(ctx, q.Close)
 	defer stop()
 	var wg sync.WaitGroup
 	// Local shards may run partitioned (ExecKernels): the overlay stays
@@ -932,10 +901,8 @@ func (c *Coordinator) runDistributed(ctx context.Context, j *job, plan *core.Pla
 	// and each registered worker's points tally — are journaled, so a
 	// restarted coordinator seeds its first dispatch with what this one
 	// learned (reconnecting workers keep their sticky IDs and EWMAs).
-	if rk, ok := d.(core.RateKeeper); ok {
-		for w, r := range rk.Rates() {
-			c.rates[w] = r
-		}
+	for w, r := range q.Rates() {
+		c.rates[w] = r
 	}
 	for id, ws := range c.workers {
 		c.pstore.PutWorker(persist.WorkerRecord{ID: id, Points: ws.points, RatePPS: c.rates[id]})
@@ -945,11 +912,10 @@ func (c *Coordinator) runDistributed(ctx context.Context, j *job, plan *core.Pla
 	j.run = nil
 	for k, rec := range c.leases {
 		if rec.job == j {
-			c.retireLeaseLocked(k, rec)
 			// A lease outliving its job delivered nothing the run
-			// waited for; refund the unserved part so the tenant is
-			// billed only for work that reached its report.
-			c.sched.Refund(rec.job.tenant.Name, rec.lease.Points()-countTrue(rec.streamed))
+			// waited for: the tenant is billed only for work that
+			// reached its report.
+			c.dropLeaseLocked(k, rec)
 		}
 	}
 	c.mu.Unlock()
@@ -969,81 +935,53 @@ func (c *Coordinator) finish(j *job, rep core.Report, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	j.elapsed = time.Since(j.start)
-	if err != nil {
-		j.status = JobFailed
-		j.errStr = err.Error()
-		if c.base.Err() != nil {
-			c.pstore.PutJob(persist.JobRecord{
-				ID: j.id, Scenario: j.scenario, Opts: optsJSON(j.wopts),
-				Status: JobQueued, PointsTotal: j.pointsTotal,
-				Tenant: j.tenant.Name,
-			})
-			c.cfg.Logf("dist: %s (%s) interrupted by shutdown after %d/%d point(s); journaled as queued for the next start",
-				j.id, j.scenario, j.pointsDone, j.pointsTotal)
-		} else {
-			c.pstore.PutJob(c.jobRecordLocked(j))
-			c.audit(j.tenant.Name, "job-failed", j.id, j.errStr)
-			c.cfg.Logf("dist: %s (%s) failed after %s (%d/%d point(s) done): %v",
-				j.id, j.scenario, j.elapsed.Round(time.Millisecond), j.pointsDone, j.pointsTotal, err)
+	var report []byte
+	if err == nil {
+		if report, err = rep.JSON(); err != nil {
+			err = fmt.Errorf("marshal: %w", err)
 		}
-		c.finishTelemetryLocked(j)
-		close(j.done)
-		return
 	}
-	j.status = JobDone
-	j.pointsDone = j.pointsTotal
-	j.cached = j.pointsTotal > 0 && int(j.pointHits.Load()) == j.pointsTotal
-	j.text = rep.Text()
-	if b, jerr := rep.JSON(); jerr == nil {
-		j.report = b
-	} else {
-		j.status = JobFailed
-		j.errStr = "marshal: " + jerr.Error()
-		c.pstore.PutJob(c.jobRecordLocked(j))
-		c.audit(j.tenant.Name, "job-failed", j.id, j.errStr)
-		c.finishTelemetryLocked(j)
-		close(j.done)
-		return
+	var rec persist.JobRecord
+	var action, detail string // the audit record; none for a shutdown
+	switch {
+	case err == nil:
+		j.status = JobDone
+		j.pointsDone = j.pointsTotal
+		j.cached = j.pointsTotal > 0 && int(j.pointHits.Load()) == j.pointsTotal
+		j.text, j.report = rep.Text(), report
+		if sr, ok := rep.(core.ShardedReport); ok {
+			j.timings = sr.ShardTimings()
+		}
+		rec, action, detail = c.jobRecordLocked(j), "job-done", j.scenario
+		c.cfg.Logf("dist: %s (%s) done in %s across %d participant(s), %d/%d point(s) from the store",
+			j.id, j.scenario, j.elapsed.Round(time.Millisecond), core.CountWorkers(j.timings),
+			j.pointHits.Load(), j.pointsTotal)
+	case c.base.Err() != nil:
+		j.status, j.errStr = JobFailed, err.Error()
+		rec = persist.JobRecord{
+			ID: j.id, Scenario: j.scenario, Opts: optsJSON(j.wopts),
+			Status: JobQueued, PointsTotal: j.pointsTotal,
+			Tenant: j.tenant.Name,
+		}
+		c.cfg.Logf("dist: %s (%s) interrupted by shutdown after %d/%d point(s); journaled as queued for the next start",
+			j.id, j.scenario, j.pointsDone, j.pointsTotal)
+	default:
+		j.status, j.errStr = JobFailed, err.Error()
+		rec, action, detail = c.jobRecordLocked(j), "job-failed", j.errStr
+		c.cfg.Logf("dist: %s (%s) failed after %s (%d/%d point(s) done): %v",
+			j.id, j.scenario, j.elapsed.Round(time.Millisecond), j.pointsDone, j.pointsTotal, err)
 	}
-	if sr, ok := rep.(core.ShardedReport); ok {
-		j.timings = sr.ShardTimings()
+	c.pstore.PutJob(rec)
+	if action != "" {
+		c.audit(j.tenant.Name, action, j.id, detail)
 	}
-	c.pstore.PutJob(c.jobRecordLocked(j))
-	c.audit(j.tenant.Name, "job-done", j.id, j.scenario)
-	c.cfg.Logf("dist: %s (%s) done in %s across %d participant(s), %d/%d point(s) from the store",
-		j.id, j.scenario, j.elapsed.Round(time.Millisecond), core.CountWorkers(j.timings),
-		j.pointHits.Load(), j.pointsTotal)
-	c.finishTelemetryLocked(j)
-	close(j.done)
-}
-
-// finishTelemetryLocked records a job's terminal state in the metrics
-// and on the event stream. A job journaled-as-queued by shutdown still
-// counts as failed here — this process did not complete it.
-func (c *Coordinator) finishTelemetryLocked(j *job) {
+	// A job journaled-as-queued by shutdown still counts as failed in
+	// the metrics and on the event stream — this process did not
+	// complete it.
 	c.met.jobsCompleted.With(j.status).Inc()
 	c.met.jobDuration.Observe(j.elapsed.Seconds())
 	c.jobEvent(j, j.status, j.errStr)
-}
-
-// WaitJob blocks until the job finishes or ctx is done, then returns
-// its status.
-func (c *Coordinator) WaitJob(ctx context.Context, id string) (*JobStatus, error) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("dist: unknown job %q", id)
-	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.statusLocked(j)
-	return &st, nil
+	close(j.done)
 }
 
 func (c *Coordinator) statusLocked(j *job) JobStatus {
@@ -1145,15 +1083,18 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// touchWorkerLocked updates the sticky worker record.
-func (c *Coordinator) touchWorkerLocked(id string) *workerState {
+// touchWorkerLocked updates the sticky worker record (none for an
+// upload that names no worker).
+func (c *Coordinator) touchWorkerLocked(id string) {
+	if id == "" {
+		return
+	}
 	ws := c.workers[id]
 	if ws == nil {
 		ws = &workerState{id: id}
 		c.workers[id] = ws
 	}
 	ws.lastSeen = time.Now()
-	return ws
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
@@ -1203,7 +1144,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		if t.MaxInFlight > 0 && c.inflight[t.Name] >= t.MaxInFlight {
 			continue
 		}
-		if pr, ok := j.run.Dispatcher().(core.PendingReporter); ok && pr.Pending() == 0 {
+		if j.run.Queue().Pending() == 0 {
 			continue
 		}
 		if _, seen := byTenant[t.Name]; !seen {
@@ -1213,12 +1154,14 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, name := range c.sched.Order(names) {
 		for _, j := range byTenant[name] {
-			l, ok := j.run.Dispatcher().TryNext(req.WorkerID)
+			l, ok := j.run.Queue().TryNext(req.WorkerID)
 			if !ok {
 				continue
 			}
-			rec := &leaseRec{job: j, lease: l, expires: time.Now().Add(c.cfg.LeaseTTL)}
-			c.leases[leaseKey{j.id, l.Seq}] = rec
+			c.leases[leaseKey{j.id, l.Seq}] = &leaseRec{
+				job: j, lease: l, expires: time.Now().Add(c.cfg.LeaseTTL),
+				streamed: make([]bool, l.Points()),
+			}
 			c.inflight[name] += l.Points()
 			c.sched.Charge(name, l.Points())
 			c.met.leasesGranted.Inc()
@@ -1236,27 +1179,56 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if !readJSON(w, r, &req) {
-		return
+// acceptPoint is the per-point intake both upload endpoints share. It
+// rejects an index outside the lease and a value that does not decode;
+// an error-free point's wire bytes go into the content-addressed store
+// — so even a job that later fails leaves them behind — and, when the
+// point is fresh, the work is attributed to the job's tenant. A
+// streamed point is always fresh; in a final upload only the unstreamed
+// remainder is (the put merely refreshes the streamed ones, attributed
+// on receipt; reading rec.streamed without c.mu is safe there, since
+// only a live lease is ever marked and this one is retired). The put
+// precedes the caller's delivery into the run, so run.OnPoint's
+// contains probe skips the point: this is the sole attribution point
+// for remote work. Returns the point's offset in the lease and its
+// decoded value (nil for a point carrying a worker error).
+func (c *Coordinator) acceptPoint(rec *leaseRec, p PointResult, streaming bool) (k int, val any, err error) {
+	j, l := rec.job, rec.lease
+	if p.Index < l.Lo || p.Index >= l.Hi {
+		return 0, nil, fmt.Errorf("point %d outside lease [%d,%d)", p.Index, l.Lo, l.Hi)
 	}
-	c.mu.Lock()
-	c.touchWorkerLocked(req.WorkerID)
-	rec, ok := c.leases[leaseKey{req.JobID, req.Seq}]
-	if ok {
-		rec.expires = time.Now().Add(c.cfg.LeaseTTL)
+	k = p.Index - l.Lo
+	if p.Error != "" {
+		return k, nil, nil
 	}
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, HeartbeatReply{OK: ok})
+	if val, err = j.sw.DecodePoint(p.Value); err != nil {
+		return k, nil, err
+	}
+	accepted, rejected := c.store.put(j.keys[p.Index], p.Value)
+	if !streaming && rec.streamed[k] {
+		return k, val, nil
+	}
+	if accepted {
+		j.tenant.Usage.StoreBytes.Add(int64(len(p.Value)))
+	}
+	if rejected {
+		j.tenant.Usage.StoreRejected.Add(1)
+	}
+	j.mRun.Inc()
+	j.tenant.Usage.PointsRun.Add(1)
+	if streaming {
+		j.mStreamed.Inc()
+		j.tenant.Usage.PointsStreamed.Add(1)
+	}
+	return k, val, nil
 }
 
 // handlePoints records points streamed mid-lease: each is delivered
-// into the run (partial progress the job status surfaces) and its wire
-// bytes go into the content-addressed store immediately, so even a job
-// that later fails leaves them behind. Streaming proves the worker is
-// alive, so it extends the lease like a heartbeat. OK=false tells the
-// worker its lease is gone and the rest of the work is wasted.
+// into the run (partial progress the job status surfaces) the moment it
+// is accepted. Streaming proves the worker is alive, so it extends the
+// lease — and a heartbeat is just the upload that streams nothing.
+// OK=false tells the worker its lease is gone and the rest of the work
+// is wasted.
 func (c *Coordinator) handlePoints(w http.ResponseWriter, r *http.Request) {
 	var up PointsUpload
 	if !readJSON(w, r, &up) {
@@ -1264,66 +1236,28 @@ func (c *Coordinator) handlePoints(w http.ResponseWriter, r *http.Request) {
 	}
 	key := leaseKey{up.JobID, up.Seq}
 	c.mu.Lock()
-	if up.WorkerID != "" {
-		c.touchWorkerLocked(up.WorkerID)
-	}
+	c.touchWorkerLocked(up.WorkerID)
 	rec, ok := c.leases[key]
-	var run *core.SweepRun
-	var sw *core.Sweep
-	var keys []string
-	var j *job
-	if ok {
-		rec.expires = time.Now().Add(c.cfg.LeaseTTL)
-		if rec.streamed == nil {
-			rec.streamed = make([]bool, rec.lease.Points())
-		}
-		j = rec.job
-		run, sw, keys = j.run, j.sw, j.keys
-	}
-	c.mu.Unlock()
-	if !ok || run == nil || sw == nil {
+	if !ok {
+		c.mu.Unlock()
 		writeJSON(w, http.StatusOK, PointsReply{OK: false})
 		return
 	}
+	rec.expires = time.Now().Add(c.cfg.LeaseTTL)
+	run := rec.job.run // non-nil: a job's leases are dropped with its run
+	c.mu.Unlock()
 	for _, p := range up.Points {
-		k := p.Index - rec.lease.Lo
-		if k < 0 || k >= rec.lease.Points() {
-			http.Error(w, fmt.Sprintf("point %d outside lease [%d,%d)", p.Index, rec.lease.Lo, rec.lease.Hi),
-				http.StatusBadRequest)
+		k, val, err := c.acceptPoint(rec, p, true)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
-		}
-		var val any
-		if p.Error == "" {
-			v, err := sw.DecodePoint(p.Value)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			val = v
-			if p.Index < len(keys) {
-				// The put precedes DeliverPoint, so run.OnPoint's
-				// contains probe sees the point resident and skips its
-				// local-compute accounting — this site is the sole
-				// attribution point for streamed work.
-				accepted, rejected := c.store.put(keys[p.Index], p.Value)
-				if accepted {
-					j.tenant.Usage.StoreBytes.Add(int64(len(p.Value)))
-				}
-				if rejected {
-					j.tenant.Usage.StoreRejected.Add(1)
-				}
-			}
-			j.mRun.Inc()
-			j.mStreamed.Inc()
-			j.tenant.Usage.PointsRun.Add(1)
-			j.tenant.Usage.PointsStreamed.Add(1)
 		}
 		run.DeliverPoint(rec.lease, p.Index, val, p.Error)
 		c.mu.Lock()
 		// Re-check ownership: if the lease expired while we decoded,
 		// the point is already delivered (harmless — the value is
 		// deterministic) but must not count as streamed on a dead rec.
-		if cur := c.leases[key]; cur == rec {
+		if c.leases[key] == rec {
 			rec.streamed[k] = true
 		}
 		c.mu.Unlock()
@@ -1338,18 +1272,8 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	key := leaseKey{up.JobID, up.Seq}
 	c.mu.Lock()
-	if up.WorkerID != "" {
-		c.touchWorkerLocked(up.WorkerID)
-	}
+	c.touchWorkerLocked(up.WorkerID)
 	rec, ok := c.leases[key]
-	if ok && up.WorkerID != "" {
-		// Count points only for uploads that still own a lease, so a
-		// retried upload (response lost, worker resent) does not
-		// inflate the worker's tally in /v1/status.
-		ws := c.workers[up.WorkerID]
-		ws.points += len(up.Points)
-		c.pstore.PutWorker(persist.WorkerRecord{ID: ws.id, Points: ws.points, RatePPS: c.rates[ws.id]})
-	}
 	if !ok {
 		// Lease already completed (retried upload) or expired and
 		// reassigned: acknowledge so the worker stops retrying, but
@@ -1358,76 +1282,48 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ResultReply{Accepted: false, Duplicate: true})
 		return
 	}
+	// Retiring the lease makes this upload its owner: a retry racing it
+	// finds nothing and is answered as a duplicate.
 	c.retireLeaseLocked(key, rec)
-	j := rec.job
-	run, sw, keys := j.run, j.sw, j.keys
+	run := rec.job.run // non-nil: a job's leases are dropped with its run
 	c.mu.Unlock()
-	if run == nil || sw == nil {
-		writeJSON(w, http.StatusOK, ResultReply{Accepted: false, Duplicate: true})
-		return
-	}
 	n := rec.lease.Points()
 	vals := make([]any, n)
 	errStrs := make([]string, n)
 	filled := make([]bool, n)
+	var err error
 	for _, p := range up.Points {
-		k := p.Index - rec.lease.Lo
-		if k < 0 || k >= n {
-			http.Error(w, fmt.Sprintf("point %d outside lease [%d,%d)", p.Index, rec.lease.Lo, rec.lease.Hi),
-				http.StatusBadRequest)
-			c.abandon(rec)
-			return
+		var k int
+		var val any
+		if k, val, err = c.acceptPoint(rec, p, false); err != nil {
+			break
 		}
-		filled[k] = true
-		if p.Error != "" {
-			errStrs[k] = p.Error
-			continue
-		}
-		v, err := sw.DecodePoint(p.Value)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			c.abandon(rec)
-			return
-		}
-		vals[k] = v
-		fresh := len(rec.streamed) != n || !rec.streamed[k]
-		if p.Index < len(keys) {
-			accepted, rejected := c.store.put(keys[p.Index], p.Value)
-			// Streamed points were attributed on receipt; only the
-			// unstreamed remainder is new work (the put above merely
-			// refreshes the streamed ones).
-			if fresh && accepted {
-				j.tenant.Usage.StoreBytes.Add(int64(len(p.Value)))
-			}
-			if fresh && rejected {
-				j.tenant.Usage.StoreRejected.Add(1)
-			}
-		}
-		if fresh {
-			j.mRun.Inc()
-			j.tenant.Usage.PointsRun.Add(1)
+		vals[k], errStrs[k], filled[k] = val, p.Error, true
+	}
+	for k := 0; k < n && err == nil; k++ {
+		if !filled[k] {
+			err = fmt.Errorf("upload missing point %d", rec.lease.Lo+k)
 		}
 	}
-	for k, ok := range filled {
-		if !ok {
-			http.Error(w, fmt.Sprintf("upload missing point %d", rec.lease.Lo+k), http.StatusBadRequest)
-			c.abandon(rec)
-			return
-		}
+	c.mu.Lock()
+	if err != nil {
+		// A bad upload returns the lease's unstreamed points to its
+		// job's queue, so they are re-run rather than lost.
+		c.dropLeaseLocked(key, rec)
+		c.mu.Unlock()
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
+	if up.WorkerID != "" {
+		// Count points only for uploads that owned a lease and
+		// validated, so neither a retried upload (response lost, worker
+		// resent) nor a rejected one inflates the worker's tally in
+		// /v1/status and the journal.
+		ws := c.workers[up.WorkerID]
+		ws.points += n
+		c.pstore.PutWorker(persist.WorkerRecord{ID: ws.id, Points: ws.points, RatePPS: c.rates[ws.id]})
+	}
+	c.mu.Unlock()
 	accepted := run.Deliver(rec.lease, vals, errStrs, time.Duration(up.ElapsedNS))
 	writeJSON(w, http.StatusOK, ResultReply{Accepted: accepted, Duplicate: !accepted})
-}
-
-// abandon returns a lease's unstreamed points to its job's queue after
-// a bad upload, so they are re-run rather than lost (points the worker
-// streamed earlier are already delivered and stay). The requeued points
-// are refunded: they will be charged again when re-leased.
-func (c *Coordinator) abandon(rec *leaseRec) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sched.Refund(rec.job.tenant.Name, rec.lease.Points()-countTrue(rec.streamed))
-	if rec.job.run != nil {
-		rec.job.run.Abandon(rec.lease, rec.streamed)
-	}
 }

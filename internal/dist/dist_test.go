@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/persist"
 )
 
 // registerWireSweep registers a fast, deterministic, distributable
@@ -219,6 +220,26 @@ func TestWorkerKilledMidLeaseReRunsElsewhere(t *testing.T) {
 	}
 }
 
+// evalPoints evaluates grid points [lo, hi) of a hand-pulled lease the
+// way a worker does — EvalPoint on one testbed built for the lease —
+// and wire-encodes them, for tests that build uploads by hand.
+func evalPoints(t *testing.T, sw *core.Sweep, lease LeaseReply, lo, hi int) []PointResult {
+	t.Helper()
+	opts := lease.Opts.Options()
+	tb := sw.NewShardTestbed(opts)
+	var prs []PointResult
+	for i := lo; i < hi; i++ {
+		pr := PointResult{Index: i}
+		if v, err := sw.EvalPoint(context.Background(), tb, opts, i); err != nil {
+			pr.Error = err.Error()
+		} else if pr.Value, err = sw.EncodePoint(v); err != nil {
+			t.Fatal(err)
+		}
+		prs = append(prs, pr)
+	}
+	return prs
+}
+
 // leasePump manually drives the worker protocol over HTTP: pull leases,
 // evaluate, upload — returning every upload it made so tests can replay
 // them.
@@ -232,19 +253,8 @@ func leasePump(t *testing.T, tc *testCluster, sw *core.Sweep, workerID string) [
 		if code == http.StatusNoContent {
 			return uploads
 		}
-		vals, errStrs, err := sw.RunLease(context.Background(), lease.Opts.Options(), lease.Lo, lease.Hi)
-		if err != nil {
-			t.Fatal(err)
-		}
 		up := ResultUpload{WorkerID: workerID, JobID: lease.JobID, Seq: lease.Seq, Lo: lease.Lo, Hi: lease.Hi,
-			ElapsedNS: int64(time.Millisecond)}
-		for k := range vals {
-			b, err := sw.EncodePoint(vals[k])
-			if err != nil {
-				t.Fatal(err)
-			}
-			up.Points = append(up.Points, PointResult{Index: lease.Lo + k, Value: b, Error: errStrs[k]})
-		}
+			ElapsedNS: int64(time.Millisecond), Points: evalPoints(t, sw, lease, lease.Lo, lease.Hi)}
 		var reply ResultReply
 		postJSONT(t, tc, "/v1/workers/result", up, &reply)
 		if !reply.Accepted {
@@ -314,6 +324,128 @@ func TestDuplicateResultUploadIgnored(t *testing.T) {
 	if !bytes.Equal(final.Report, wantJSON) {
 		t.Errorf("report after duplicate uploads differs:\n%s\nvs\n%s", final.Report, wantJSON)
 	}
+}
+
+// A malformed final upload — here a point index outside its lease — is
+// a 400 that costs nothing but time: the lease's points go back to the
+// queue and are re-run by another worker, the report stays
+// byte-identical, and the rejected body counts toward the uploading
+// worker's tally neither in /v1/status nor in the journaled
+// WorkerRecord.
+func TestRejectedResultUploadRequeuesAndLeavesTallyUnchanged(t *testing.T) {
+	registerWireSweep("dist-test-reject", 6, 0)
+	s, _ := core.Lookup("dist-test-reject")
+	sw := s.(*core.Sweep)
+	mem := persist.NewMem()
+	tc := newCluster(t, Config{LocalShards: -1, Store: mem})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	st, err := tc.cl.Submit(ctx, JobRequest{Scenario: "dist-test-reject"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lease LeaseReply
+	for postJSONT(t, tc, "/v1/workers/lease", LeaseRequest{WorkerID: "bad-worker"}, &lease) != http.StatusOK {
+		if ctx.Err() != nil {
+			t.Fatal("no lease became available")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	bad := ResultUpload{WorkerID: "bad-worker", JobID: lease.JobID, Seq: lease.Seq, Lo: lease.Lo, Hi: lease.Hi,
+		ElapsedNS: int64(time.Millisecond), Points: evalPoints(t, sw, lease, lease.Lo, lease.Hi)}
+	// The first point is the bad one, so nothing of the upload is
+	// taken in before the rejection.
+	bad.Points[0].Index = lease.Hi
+	if code := postJSONT(t, tc, "/v1/workers/result", bad, nil); code != http.StatusBadRequest {
+		t.Fatalf("upload with a point outside its lease: status %d, want 400", code)
+	}
+	tally := func(id string) (status, journaled int) {
+		t.Helper()
+		reply, err := tc.cl.Status(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range reply.Workers {
+			if w.ID == id {
+				status = w.Points
+			}
+		}
+		for _, w := range mem.Load().Workers {
+			if w.ID == id {
+				journaled = w.Points
+			}
+		}
+		return status, journaled
+	}
+	if status, journaled := tally("bad-worker"); status != 0 || journaled != 0 {
+		t.Errorf("rejected upload counted: /v1/status points=%d, journaled points=%d, want 0 and 0", status, journaled)
+	}
+
+	// The rejected lease's points are back in the queue: a healthy
+	// worker is handed the whole grid.
+	rerun := 0
+	for _, up := range leasePump(t, tc, sw, "good-worker") {
+		rerun += len(up.Points)
+	}
+	if rerun != 6 {
+		t.Errorf("healthy worker ran %d point(s), want all 6 (the rejected lease's included)", rerun)
+	}
+	final, err := tc.cl.Wait(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != JobDone {
+		t.Fatalf("job: %s (%s)", final.Status, final.Error)
+	}
+	wantJSON, _ := localReport(t, "dist-test-reject", WireOptions{}.Options())
+	if !bytes.Equal(final.Report, wantJSON) {
+		t.Errorf("report after a rejected upload differs:\n%s\nvs\n%s", final.Report, wantJSON)
+	}
+	if status, journaled := tally("bad-worker"); status != 0 || journaled != 0 {
+		t.Errorf("after the job: bad worker's tally is %d in /v1/status, %d journaled, want 0 and 0", status, journaled)
+	}
+	if status, journaled := tally("good-worker"); status != 6 || journaled != 6 {
+		t.Errorf("good worker's tally is %d in /v1/status, %d journaled, want 6 and 6", status, journaled)
+	}
+}
+
+// One-point jobs are where a lease's completion and its job's merge sit
+// closest together: the upload that completes the only lease also
+// closes the queue's Done, and the job goroutine merges the moment it
+// does. Every job must finish done — a "point never evaluated (dispatch
+// abandoned)" failure means a result became visible only after its
+// lease had completed.
+func TestOnePointJobsNeverAbandoned(t *testing.T) {
+	registerWireSweep("dist-test-onepoint", 1, 0)
+	tc := newCluster(t, Config{LocalShards: -1, Poll: 2 * time.Millisecond})
+	tc.startWorker(t, NewWorker(""))
+	tc.startWorker(t, NewWorker(""))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	const jobs, clients = 2000, 4
+	cl := &Client{Base: tc.srv.URL, Poll: time.Millisecond}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for n := c; n < jobs; n += clients {
+				// A fresh Frames per job: every one is a store miss.
+				st, err := cl.Run(ctx, JobRequest{Scenario: "dist-test-onepoint", Opts: WireOptions{Frames: n + 1}})
+				if err != nil {
+					t.Errorf("job %d: %v", n, err)
+					return
+				}
+				if st.Status != JobDone {
+					t.Errorf("job %d (%s): %s (%s)", n, st.ID, st.Status, st.Error)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }
 
 // The content-addressed point store: an identical second submission is

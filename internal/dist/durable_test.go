@@ -110,18 +110,8 @@ func TestCoordinatorKilledMidSweepResumesOnlyUnstreamedTail(t *testing.T) {
 	if lease.Hi-lease.Lo < 4 {
 		t.Fatalf("first lease [%d,%d) too small to stream a strict prefix", lease.Lo, lease.Hi)
 	}
-	vals, errStrs, err := sw.RunLease(context.Background(), lease.Opts.Options(), lease.Lo, lease.Lo+3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	up := PointsUpload{WorkerID: "doomed", JobID: lease.JobID, Seq: lease.Seq}
-	for k := range vals {
-		b, err := sw.EncodePoint(vals[k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		up.Points = append(up.Points, PointResult{Index: lease.Lo + k, Value: b, Error: errStrs[k]})
-	}
+	up := PointsUpload{WorkerID: "doomed", JobID: lease.JobID, Seq: lease.Seq,
+		Points: evalPoints(t, sw, lease, lease.Lo, lease.Lo+3)}
 	var preply PointsReply
 	postJSONT(t, a, "/v1/workers/points", up, &preply)
 	if !preply.OK {

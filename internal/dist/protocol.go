@@ -13,7 +13,7 @@
 // workers with sticky IDs pull leases, heartbeat while computing,
 // stream each point's result as it finishes, and complete the lease
 // with an idempotent final upload. The lease queue is the same
-// work-stealing core.Dispatcher that feeds in-process shards, so the
+// work-stealing core.LeaseQueue that feeds in-process shards, so the
 // coordinator's local shards and any number of remote workers steal
 // from one queue, per-worker throughput EWMAs steering larger leases to
 // faster workers. Results merge in grid order, so a distributed run's
@@ -42,9 +42,10 @@
 //
 // A lease not heartbeaten within its TTL is requeued — but points the
 // worker already streamed are kept, so a worker dying late in a lease
-// costs only its unfinished tail. A result upload for a lease that
-// already completed (duplicate, or expired-and-reassigned) is
-// acknowledged but ignored.
+// costs only its unfinished tail. (Streaming extends the lease too: to
+// the coordinator a heartbeat is a points upload that carries none.) A
+// result upload for a lease that already completed (duplicate, or
+// expired-and-reassigned) is acknowledged but ignored.
 //
 // Multi-tenancy: a coordinator configured with a tenant registry (gtwd
 // -tenants) requires "Authorization: Bearer <token>" on every endpoint
@@ -66,7 +67,7 @@ import (
 
 // WireOptions is the cross-machine subset of core.Options: the fields
 // that parameterize a scenario, without the process-local ones
-// (Testbed, Workers, Shards, Dispatcher). It is also the result-cache
+// (Testbed, Workers, Shards). It is also the result-cache
 // key, because these are exactly the fields that can change report
 // bytes.
 type WireOptions struct {

@@ -276,18 +276,8 @@ func TestExpiredStreamedLeaseReLeasesOnlyUnstreamedPoints(t *testing.T) {
 		t.Fatalf("first lease [%d,%d) too small to stream a strict prefix", lease.Lo, lease.Hi)
 	}
 	streamed := []int{lease.Lo, lease.Lo + 1, lease.Lo + 2}
-	vals, errStrs, err := sw.RunLease(context.Background(), lease.Opts.Options(), lease.Lo, lease.Lo+3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	up := PointsUpload{WorkerID: "victim", JobID: lease.JobID, Seq: lease.Seq}
-	for k := range vals {
-		b, err := sw.EncodePoint(vals[k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		up.Points = append(up.Points, PointResult{Index: lease.Lo + k, Value: b, Error: errStrs[k]})
-	}
+	up := PointsUpload{WorkerID: "victim", JobID: lease.JobID, Seq: lease.Seq,
+		Points: evalPoints(t, sw, lease, lease.Lo, lease.Lo+3)}
 	var preply PointsReply
 	postJSONT(t, tc, "/v1/workers/points", up, &preply)
 	if !preply.OK {
@@ -319,19 +309,8 @@ func TestExpiredStreamedLeaseReLeasesOnlyUnstreamedPoints(t *testing.T) {
 				t.Fatalf("re-lease [%d,%d) includes streamed point %d", nl.Lo, nl.Hi, idx)
 			}
 		}
-		rvals, rerrs, err := sw.RunLease(context.Background(), nl.Opts.Options(), nl.Lo, nl.Hi)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rup := ResultUpload{WorkerID: "rescuer", JobID: nl.JobID, Seq: nl.Seq, Lo: nl.Lo, Hi: nl.Hi,
-			ElapsedNS: int64(time.Millisecond)}
-		for k := range rvals {
-			b, err := sw.EncodePoint(rvals[k])
-			if err != nil {
-				t.Fatal(err)
-			}
-			rup.Points = append(rup.Points, PointResult{Index: nl.Lo + k, Value: b, Error: rerrs[k]})
-		}
+			ElapsedNS: int64(time.Millisecond), Points: evalPoints(t, sw, nl, nl.Lo, nl.Hi)}
 		var rreply ResultReply
 		postJSONT(t, tc, "/v1/workers/result", rup, &rreply)
 	}

@@ -1,13 +1,10 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -113,44 +110,10 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-func (w *Worker) client() *http.Client {
-	if w.Client != nil {
-		return w.Client
-	}
-	return defaultHTTPClient
-}
-
 // postJSON posts in and decodes the reply into out (when non-nil and
 // the status is 200). Returns the HTTP status code.
 func (w *Worker) postJSON(ctx context.Context, path string, in, out any) (int, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if w.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+w.Token)
-	}
-	resp, err := w.client().Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK && out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, err
-		}
-		return resp.StatusCode, nil
-	}
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-	if resp.StatusCode >= 400 {
-		return resp.StatusCode, fmt.Errorf("dist: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
-	}
-	return resp.StatusCode, nil
+	return doJSON(ctx, w.Client, w.Token, http.MethodPost, w.Coordinator, path, in, out)
 }
 
 // Run registers with the coordinator and serves leases until ctx is

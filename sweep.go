@@ -62,39 +62,3 @@ func NewSweep(name, description string, axes []Axis, runPoint PointFunc, merge M
 // (0 = GOMAXPROCS, not exceeding a WithWorkers bound). Sharding changes
 // only wall-clock time, never the report bytes.
 func WithShards(n int) Option { return core.WithShards(n) }
-
-// Lease is a contiguous run of grid points checked out by one worker
-// from a sweep's Dispatcher.
-type Lease = core.Lease
-
-// Dispatcher hands out grid-point leases to sweep shards (and, through
-// the distributed run service, to remote gtwworker processes): a
-// shared queue with lease/complete/requeue semantics, safe for
-// concurrent use.
-type Dispatcher = core.Dispatcher
-
-// DispatcherMaker builds a dispatcher for a sweep run (points in the
-// grid, expected concurrent workers).
-type DispatcherMaker = core.DispatcherMaker
-
-// NewWorkStealingDispatcher is the default dispatch policy: every
-// shard leases batches from one shared queue, a shard that finishes
-// early steals the next lease, and per-worker throughput EWMAs steer
-// larger leases to faster workers. Closes the idle gap contiguous
-// batching leaves on grids with uneven point costs.
-func NewWorkStealingDispatcher(points, workers int) Dispatcher {
-	return core.NewWorkStealingDispatcher(points, workers)
-}
-
-// NewContiguousDispatcher is the static policy sweeps used before the
-// work-stealing queue: the grid pre-split into one contiguous batch
-// per shard. Kept for comparison and for callers that want a
-// deterministic shard->points assignment.
-func NewContiguousDispatcher(points, workers int) Dispatcher {
-	return core.NewContiguousDispatcher(points, workers)
-}
-
-// WithDispatcher selects the sweep dispatch policy (default
-// NewWorkStealingDispatcher). Dispatch changes only wall-clock time:
-// results always merge in grid order, so reports stay byte-identical.
-func WithDispatcher(maker DispatcherMaker) Option { return core.WithDispatcher(maker) }
