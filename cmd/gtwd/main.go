@@ -83,10 +83,6 @@ func main() {
 		"how long a worker may hold a lease without heartbeating before its points are requeued")
 	localShards := flag.Int("local-shards", 1,
 		"in-process shards the coordinator contributes to every distributed job (negative = pure remote)")
-	kernels := flag.Int("kernels", 0,
-		"partition local-shard testbed networks across N PDES kernels (execution policy: reports are kernel-count independent; feeds the gtw_pdes_* metrics)")
-	intra := flag.Bool("intra", false,
-		"let -kernels partitioning cut inside sites at switch boundaries when the WAN cut alone cannot reach the requested count")
 	cacheSize := flag.Int("cache", 4096,
 		"content-addressed point-store entries (finished grid points, LRU-evicted)")
 	cacheBytes := flag.Int64("cache-bytes", 0,
@@ -130,8 +126,6 @@ func main() {
 		LeaseTTL:        *leaseTTL,
 		Poll:            *poll,
 		LocalShards:     *localShards,
-		ExecKernels:     *kernels,
-		ExecIntra:       *intra,
 		CacheSize:       *cacheSize,
 		CacheBytes:      *cacheBytes,
 		CacheEntryBytes: *cacheEntryBytes,

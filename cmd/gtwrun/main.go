@@ -102,8 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	shards := fs.Int("shards", 0, "shards per sweep scenario (0 = GOMAXPROCS; reports are shard-count independent)")
 	kernels := fs.Int("kernels", 0,
 		"PDES kernels per testbed network (0/1 = single kernel; reports are kernel-count independent)")
-	intra := fs.Bool("intra", false,
-		"let -kernels partitioning cut inside a site at switch boundaries when the WAN cut alone cannot reach the requested count")
 	shared := fs.Bool("shared", false,
 		"run scenarios on one shared testbed (scenarios that drive their own simulation kernel still run privately)")
 	asJSON := fs.Bool("json", false, "print each report as JSON instead of text")
@@ -155,9 +153,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *ext {
 		opts = append(opts, gtw.WithExtensions())
 	}
-	if *intra {
-		opts = append(opts, gtw.WithIntra())
-	}
 	var oc gtw.OC
 	switch *wan {
 	case "oc12":
@@ -170,7 +165,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opts = append(opts, gtw.WithWAN(oc))
 	if *shared {
-		opts = append(opts, gtw.WithTestbed(gtw.NewTestbed(gtw.Config{WAN: oc, Extensions: *ext, Kernels: *kernels, Intra: *intra})))
+		opts = append(opts, gtw.WithTestbed(gtw.NewTestbed(gtw.Config{WAN: oc, Extensions: *ext, Kernels: *kernels})))
 	}
 
 	ctx := context.Background()

@@ -118,8 +118,6 @@ func snapshot(ctx context.Context, cl *dist.Client) error {
 	fmt.Printf(", hits %d/%d (%.1f%%), evictions %d, rejected %d\n",
 		st.StoreHits, lookups, hitRate, st.StoreEvictions, st.StoreRejected)
 
-	printPDES(met)
-
 	if len(st.Tenants) > 0 {
 		fmt.Printf("tenants:\n  %-12s %-7s %6s %9s %6s %9s %9s %9s %10s %8s\n",
 			"name", "class", "weight", "inflight", "jobs", "run", "hit", "streamed", "bytes", "rejected")
@@ -135,38 +133,6 @@ func snapshot(ctx context.Context, cl *dist.Client) error {
 		}
 	}
 	return nil
-}
-
-// printPDES renders the per-kernel utilization line for partitioned
-// (multi-kernel) simulation runs: each kernel's share of the fired
-// events — the load-balance picture — plus its cumulative barrier wait
-// when the coordinator collected blocked-time telemetry. Silent when no
-// partitioned run has happened.
-func printPDES(met map[string]float64) {
-	if met == nil {
-		return
-	}
-	var events []float64
-	total := 0.0
-	for i := 0; ; i++ {
-		v, ok := met[fmt.Sprintf(`gtw_pdes_kernel_events_total{kernel="%d"}`, i)]
-		if !ok {
-			break
-		}
-		events = append(events, v)
-		total += v
-	}
-	if len(events) == 0 || total == 0 {
-		return
-	}
-	fmt.Printf("pdes: %.0f rounds, %.0f null msgs; kernel util", met["gtw_pdes_rounds_total"], met["gtw_pdes_null_messages_total"])
-	for i, v := range events {
-		fmt.Printf("  %d:%.1f%%", i, 100*v/total)
-		if b, ok := met[fmt.Sprintf(`gtw_pdes_kernel_blocked_seconds{kernel="%d"}`, i)]; ok && b > 0 {
-			fmt.Printf(" (blocked %.2fs)", b)
-		}
-	}
-	fmt.Println()
 }
 
 // scrape pulls /v1/metrics and parses the sample lines into

@@ -311,9 +311,7 @@ func (h *pdesBounce) HandleDrop(*netsim.Packet) {}
 func pdesLargeTopology(b *testing.B, kernels int) {
 	const sites, hostsPer, hops = 4, 8, 64
 	n, hosts := buildPDESSites(sites, hostsPer)
-	if kernels > 1 {
-		n.Partition(kernels, 0)
-	}
+	n.Partition(kernels)
 	h := &pdesBounce{n: n, hops: hops}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -343,8 +341,8 @@ func PDESLargeTopology(b *testing.B) { pdesLargeTopology(b, 4) }
 
 // buildPDESSitesUneven is buildPDESSites with unequal WAN latencies:
 // the link from site 0 to site s has delay s x 500 µs, so the cut
-// graph mixes a short edge with progressively longer ones. Under the
-// global window every partition synchronizes at the worst (shortest)
+// graph mixes a short edge with progressively longer ones. One global
+// window would synchronize every partition at the worst (shortest)
 // 500 µs; per-pair horizons give the distant pairs their own, larger
 // bounds.
 func buildPDESSitesUneven(sites, hostsPer int) (*netsim.Network, [][]netsim.NodeID) {
@@ -372,14 +370,12 @@ func buildPDESSitesUneven(sites, hostsPer int) (*netsim.Network, [][]netsim.Node
 // pdesPerPair is the shared body for the unequal-latency benchmark:
 // the 4-site load of pdesLargeTopology on WAN links of 500 µs, 1 ms
 // and 1.5 ms, so the partitioned row exercises per-pair horizons where
-// they differ most from the global window.
+// they differ most from one global window.
 func pdesPerPair(b *testing.B, kernels int) {
 	const sites, hostsPer, hops = 4, 8, 64
 	n, hosts := buildPDESSitesUneven(sites, hostsPer)
-	if kernels > 1 {
-		if eff := n.Partition(kernels, 0); eff != kernels {
-			b.Fatalf("Partition(%d) = %d effective kernels", kernels, eff)
-		}
+	if eff := n.Partition(kernels); eff != kernels {
+		b.Fatalf("Partition(%d) = %d effective kernels", kernels, eff)
 	}
 	h := &pdesBounce{n: n, hops: hops}
 	b.ReportAllocs()
@@ -403,64 +399,35 @@ func PDESPerPairLookaheadSingleKernel(b *testing.B) { pdesPerPair(b, 1) }
 
 // PDESPerPairLookahead partitions the unequal-latency topology across
 // 4 kernels. Every cut queue carries its edge's own latency, so the
-// group runs per-pair horizons: the 500 µs edge no longer throttles
-// the 1.5 ms pairs. Compare against PDESPerPairLookaheadSingleKernel.
+// 500 µs edge does not throttle the 1.5 ms pairs. Compare against PDESPerPairLookaheadSingleKernel.
 func PDESPerPairLookahead(b *testing.B) { pdesPerPair(b, 4) }
 
-// pdesIntra is the shared body for the giant-LAN benchmark: one star
-// LAN — the shape that stayed serial before within-component
-// partitioning — cut at the switch boundary across the host-switch
-// links (10 µs per-pair lookahead).
-func pdesIntra(b *testing.B, kernels int) {
-	const hostsPer, hops = 32, 64
-	n, hosts := buildPDESSites(1, hostsPer)
-	if kernels > 1 {
-		if eff := n.PartitionOpt(netsim.PartitionOptions{Kernels: kernels, Intra: true}); eff != kernels {
-			b.Fatalf("PartitionOpt(%d, Intra) = %d effective kernels", kernels, eff)
-		}
-	}
-	h := &pdesBounce{n: n, hops: hops}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, src := range hosts[0] {
-			p := n.NewPacketAt(src)
-			p.Src, p.Dst, p.Bytes = src, hosts[0][(j+1)%hostsPer], 4096
-			p.Handler = h
-			n.Send(p)
-		}
-		n.Run()
-	}
-}
-
-// PDESIntraComponentSingleKernel is the serial baseline for the
-// giant-LAN topology.
-func PDESIntraComponentSingleKernel(b *testing.B) { pdesIntra(b, 1) }
-
-// PDESIntraComponent runs the giant LAN across 2 kernels via
-// intra-component cuts — the topology that could not use >1 kernel at
-// all before PR 10. On one core the ratio vs the single-kernel row
-// bounds the 10 µs-lookahead synchronization overhead (two kernels keep
-// the barrier party small; the overhead grows with the member count).
-func PDESIntraComponent(b *testing.B) { pdesIntra(b, 2) }
-
 // NullMessageOverhead isolates the cost of the conservative protocol
-// itself: two kernels, all events on one of them spaced exactly one
-// lookahead apart, so every synchronization round fires a single event
-// and the measured time is pure bound-exchange + barrier traffic
-// (ns/op / 512 events ~= cost per null-message round).
+// itself: two kernels, all events on one of them, so every
+// synchronization round fires a single event and the measured time is
+// pure bound-exchange + barrier traffic (ns/op / 512 events ~= cost per
+// null-message round). The two kernels are joined by a cut edge in each
+// direction that never carries a message (hence the nil deliver hooks):
+// without them no horizon would
+// bind the busy kernel and it would drain all 512 events in one round.
+// With them its horizon is its own bound plus the shortest cycle back to
+// itself (2 x la, the idle kernel's bound being infinite), so events
+// spaced exactly that far apart fire one per round.
 func NullMessageOverhead(b *testing.B) {
 	const la = 100 * time.Microsecond
 	const events = 512
 	k0, k1 := sim.NewKernel(), sim.NewKernel()
-	g := pdes.NewGroup(la, []*pdes.Member{{K: k0}, {K: k1}})
+	g := pdes.NewGroup([]*pdes.Member{
+		{K: k0, In: []*pdes.Queue{pdes.NewQueue(1, 1, la, nil)}},
+		{K: k1, In: []*pdes.Queue{pdes.NewQueue(1, 0, la, nil)}},
+	})
 	noop := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := k0.Now()
 		for j := 1; j <= events; j++ {
-			k0.At(start.Add(time.Duration(j)*la), noop)
+			k0.At(start.Add(time.Duration(j)*2*la), noop)
 		}
 		g.Run()
 	}
@@ -489,8 +456,6 @@ func Specs() []Spec {
 		{"BenchmarkPDESLargeTopology", PDESLargeTopology},
 		{"BenchmarkPDESPerPairLookaheadSingleKernel", PDESPerPairLookaheadSingleKernel},
 		{"BenchmarkPDESPerPairLookahead", PDESPerPairLookahead},
-		{"BenchmarkPDESIntraComponentSingleKernel", PDESIntraComponentSingleKernel},
-		{"BenchmarkPDESIntraComponent", PDESIntraComponent},
 		{"BenchmarkNullMessageOverhead", NullMessageOverhead},
 	}
 }

@@ -64,11 +64,6 @@ type Config struct {
 	// byte-identical at any value, so it never enters point keys or the
 	// wire protocol.
 	Kernels int
-	// Intra additionally lets the partitioner cut inside a site at
-	// switch boundaries when the WAN cut alone cannot reach Kernels
-	// partitions (netsim.PartitionOptions.Intra). Execution policy like
-	// Kernels: byte-identical reports, never in point keys.
-	Intra bool
 }
 
 // Host names of the standard topology.
@@ -251,12 +246,7 @@ func New(cfg Config) *Testbed {
 	}
 
 	n.ComputeRoutes()
-	if cfg.Kernels > 1 {
-		n.PartitionOpt(netsim.PartitionOptions{Kernels: cfg.Kernels, Intra: cfg.Intra})
-		if pdesTelemetry.Load() {
-			n.SetBlockedTelemetry(true)
-		}
-	}
+	n.Partition(cfg.Kernels)
 	return tb
 }
 

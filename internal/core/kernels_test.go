@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/tcpsim"
 )
@@ -22,8 +24,8 @@ func TestScenarioKernelsByteIdentity(t *testing.T) {
 				text string
 				json []byte
 			}
-			run := func(kernels int, opts ...Option) snapshot {
-				rep, err := Run(context.Background(), name, append([]Option{WithKernels(kernels)}, opts...)...)
+			run := func(kernels int) snapshot {
+				rep, err := Run(context.Background(), name, WithKernels(kernels))
 				if err != nil {
 					t.Fatalf("kernels=%d: %v", kernels, err)
 				}
@@ -46,10 +48,6 @@ func TestScenarioKernelsByteIdentity(t *testing.T) {
 			}
 			for _, kernels := range []int{2, 4} {
 				check("wan-cut", kernels, run(kernels))
-				// Intra mode additionally cuts inside sites at switch
-				// boundaries — per-pair horizons mix LAN and WAN
-				// latencies; the reports must not notice.
-				check("intra", kernels, run(kernels, WithIntra()))
 			}
 		})
 	}
@@ -91,5 +89,39 @@ func TestTestbedKernelsPartitionsNetwork(t *testing.T) {
 	}
 	if rtt1 != rtt2 {
 		t.Fatalf("RTT %v on partitioned testbed, %v on single", rtt2, rtt1)
+	}
+}
+
+// TestPartitionedTestbedsReleaseGoroutines pins the lifetime of the
+// PDES workers: a partitioned testbed is built per grid point, so a
+// worker goroutine that outlived its Run would strand one goroutine —
+// and through its stack the whole network — per point. After any number
+// of partitioned runs the goroutine count must be back where a serial
+// run leaves it.
+func TestPartitionedTestbedsReleaseGoroutines(t *testing.T) {
+	ctx := context.Background()
+	if _, err := Run(ctx, "mixed-traffic", WithShards(1)); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		for _, name := range []string{"mixed-traffic", "backbone-aggregate"} {
+			if _, err := Run(ctx, name, WithKernels(2), WithShards(1)); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+	// Goroutines that have returned take a moment to leave the count.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		runtime.GC()
+		got := runtime.NumGoroutine()
+		if got <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 20 partitioned runs, %d before: partitioned testbeds leak their workers", got, base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -1,18 +1,14 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "sync"
 
 // PDESAggregate is the process-wide sum of PDES synchronization
 // counters over every partitioned testbed run so far: how many rounds
 // the kernel groups turned, how many null messages (bound broadcasts)
 // they exchanged, and how the fired events split across kernel indices.
-// It is what an observability host (gtwd's /v1/metrics, gtwrun's
-// -kernels envelope) exports, and it is deliberately outside report
-// bytes — kernel counts and sync costs are execution policy.
+// It is what gtwrun -kernels prints as its pdes: line, and it is
+// deliberately outside report bytes — kernel counts and sync costs are
+// execution policy.
 type PDESAggregate struct {
 	// Flushes counts testbed flushes that carried new activity —
 	// roughly "partitioned simulation phases recorded".
@@ -24,24 +20,12 @@ type PDESAggregate struct {
 	// testbeds (testbeds with fewer kernels contribute to the low
 	// indices). The spread is the load-balance picture.
 	KernelEvents []int64
-	// KernelBlocked[i] sums wall-clock barrier wait of kernel index i.
-	// All zero unless EnablePDESBlockedTelemetry ran before the
-	// testbeds were built.
-	KernelBlocked []time.Duration
 }
 
 var (
-	pdesMu        sync.Mutex
-	pdesAgg       PDESAggregate
-	pdesTelemetry atomic.Bool
+	pdesMu  sync.Mutex
+	pdesAgg PDESAggregate
 )
-
-// EnablePDESBlockedTelemetry makes every subsequently built partitioned
-// testbed measure per-kernel barrier wait (wall clock) and fold it into
-// PDESSnapshot. Observability hosts call it at startup; it is off by
-// default because the measurement costs two clock reads per kernel per
-// barrier, which benchmarks must not pay.
-func EnablePDESBlockedTelemetry() { pdesTelemetry.Store(true) }
 
 // PDESSnapshot returns a copy of the process-wide PDES aggregate.
 func PDESSnapshot() PDESAggregate {
@@ -49,7 +33,6 @@ func PDESSnapshot() PDESAggregate {
 	defer pdesMu.Unlock()
 	out := pdesAgg
 	out.KernelEvents = append([]int64(nil), pdesAgg.KernelEvents...)
-	out.KernelBlocked = append([]time.Duration(nil), pdesAgg.KernelBlocked...)
 	return out
 }
 
@@ -80,13 +63,6 @@ func (tb *Testbed) flushPDES() {
 		dEvents[i] = v
 		changed = changed || v != 0
 	}
-	dBlocked := make([]time.Duration, len(s.Blocked))
-	for i, v := range s.Blocked {
-		if i < len(prev.Blocked) {
-			v -= prev.Blocked[i]
-		}
-		dBlocked[i] = v
-	}
 	if !changed {
 		return
 	}
@@ -101,11 +77,5 @@ func (tb *Testbed) flushPDES() {
 	}
 	for i, v := range dEvents {
 		pdesAgg.KernelEvents[i] += v
-	}
-	for len(pdesAgg.KernelBlocked) < len(dBlocked) {
-		pdesAgg.KernelBlocked = append(pdesAgg.KernelBlocked, 0)
-	}
-	for i, v := range dBlocked {
-		pdesAgg.KernelBlocked[i] += v
 	}
 }

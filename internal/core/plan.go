@@ -86,7 +86,7 @@ func (p *Plan) Run(ctx context.Context, o Options) (Report, error) {
 	}
 	tb := o.Testbed
 	if tb == nil {
-		tb = New(Config{WAN: o.WAN, Extensions: o.Extensions, Kernels: o.Kernels, Intra: o.Intra})
+		tb = New(Config{WAN: o.WAN, Extensions: o.Extensions, Kernels: o.Kernels})
 	}
 	defer tb.flushPDES()
 	return p.scenario.Run(ctx, tb, o)

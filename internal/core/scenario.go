@@ -85,10 +85,6 @@ type Options struct {
 	// policy: reports stay byte-identical, so it never enters point
 	// keys or the wire protocol.
 	Kernels int
-	// Intra lets the partitioner cut inside a site at switch
-	// boundaries when the WAN cut cannot reach Kernels partitions
-	// (Config.Intra). Execution policy like Kernels.
-	Intra bool
 }
 
 // Option mutates Options (the functional-options pattern).
@@ -146,13 +142,6 @@ func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
 // WAN-separated sites). Like WithShards it changes only wall-clock
 // time: reports are byte-identical at any kernel count.
 func WithKernels(n int) Option { return func(o *Options) { o.Kernels = n } }
-
-// WithIntra lets WithKernels partitioning additionally cut inside a
-// site at switch boundaries when the WAN cut alone cannot reach the
-// requested kernel count — per-pair lookahead keeps the short
-// switch-port bounds from throttling the WAN pairs. Like WithKernels it
-// changes only wall-clock time: reports are byte-identical either way.
-func WithIntra() Option { return func(o *Options) { o.Intra = true } }
 
 // funcScenario adapts a function to the Scenario interface.
 type funcScenario struct {

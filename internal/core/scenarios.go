@@ -106,7 +106,7 @@ func init() {
 		"Section 2: aggregate backbone capacity under concurrent 622-attached flows",
 		[]Axis{{Name: "wan", Values: []any{atm.OC12, atm.OC48}}},
 		func(ctx context.Context, tb *Testbed, opts Options, pt Point) (any, error) {
-			return backboneAggregate(pt.Coord(0).(atm.OC), opts.Flows, opts.Kernels, opts.Intra)
+			return backboneAggregate(pt.Coord(0).(atm.OC), opts.Flows, opts.Kernels)
 		},
 		func(opts Options, results []any) (Report, error) {
 			rep := &UpgradeReport{}
@@ -120,7 +120,7 @@ func init() {
 		"Section 2: 270 Mbit/s D1 video sharing the backbone with bulk TCP",
 		[]Axis{{Name: "wan", Values: []any{atm.OC12, atm.OC48}}},
 		func(ctx context.Context, tb *Testbed, opts Options, pt Point) (any, error) {
-			return mixedTraffic(pt.Coord(0).(atm.OC), opts.Kernels, opts.Intra)
+			return mixedTraffic(pt.Coord(0).(atm.OC), opts.Kernels)
 		},
 		func(opts Options, results []any) (Report, error) {
 			rep := &UpgradeReport{}

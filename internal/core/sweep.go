@@ -231,7 +231,7 @@ func (sw *Sweep) Run(ctx context.Context, tb *Testbed, opts Options) (Report, er
 	// testbed handed in by the caller fixes that configuration for
 	// every shard (the engine builds none for sweeps, so tb is non-nil
 	// only for direct callers and shared runs).
-	shardCfg := Config{WAN: opts.WAN, Extensions: opts.Extensions, Kernels: opts.Kernels, Intra: opts.Intra}
+	shardCfg := Config{WAN: opts.WAN, Extensions: opts.Extensions, Kernels: opts.Kernels}
 	if tb != nil {
 		shardCfg = tb.Cfg
 	}
@@ -282,7 +282,7 @@ func (sw *Sweep) NewShardTestbed(opts Options) *Testbed {
 	if sw.noTestbed {
 		return nil
 	}
-	return New(Config{WAN: opts.WAN, Extensions: opts.Extensions, Kernels: opts.Kernels, Intra: opts.Intra})
+	return New(Config{WAN: opts.WAN, Extensions: opts.Extensions, Kernels: opts.Kernels})
 }
 
 // ------------------------------------------------------- executor core --

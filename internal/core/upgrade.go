@@ -26,18 +26,17 @@ type AggregateRow struct {
 // backbone and reports the aggregate goodput. On OC-12 the backbone is
 // the bottleneck; on OC-48 the per-host attachments are.
 func BackboneAggregate(wan atm.OC, flows int) (AggregateRow, error) {
-	return backboneAggregate(wan, flows, 1, false)
+	return backboneAggregate(wan, flows, 1)
 }
 
 // backboneAggregate is BackboneAggregate on a testbed split across
 // `kernels` PDES kernels (1 = the classic single-kernel run; the report
-// is byte-identical either way); intra additionally allows
-// switch-boundary cuts.
-func backboneAggregate(wan atm.OC, flows, kernels int, intra bool) (AggregateRow, error) {
+// is byte-identical either way).
+func backboneAggregate(wan atm.OC, flows, kernels int) (AggregateRow, error) {
 	if flows < 1 || flows > 4 {
 		return AggregateRow{}, fmt.Errorf("core: 1..4 flows supported, got %d", flows)
 	}
-	tb := New(Config{WAN: wan, Kernels: kernels, Intra: intra})
+	tb := New(Config{WAN: wan, Kernels: kernels})
 	defer tb.flushPDES()
 	srcs := []string{HostWSJuelich, HostWS2Juelich, HostWS3Juelich, HostWS4Juelich}
 	dsts := []string{HostWSGMD, HostWS2GMD, HostWS3GMD, HostWS4GMD}
@@ -88,14 +87,13 @@ type MixedTrafficResult struct {
 // bulk TCP flow runs between workstation pairs. On OC-12 the two
 // compete for the 542 Mbit/s payload; on OC-48 both get their fill.
 func MixedTraffic(wan atm.OC) (MixedTrafficResult, error) {
-	return mixedTraffic(wan, 1, false)
+	return mixedTraffic(wan, 1)
 }
 
 // mixedTraffic is MixedTraffic with the testbed split across `kernels`
-// PDES kernels (intra allowing switch-boundary cuts); the report is
-// byte-identical at any kernel count.
-func mixedTraffic(wan atm.OC, kernels int, intra bool) (MixedTrafficResult, error) {
-	tb := New(Config{WAN: wan, Kernels: kernels, Intra: intra})
+// PDES kernels; the report is byte-identical at any kernel count.
+func mixedTraffic(wan atm.OC, kernels int) (MixedTrafficResult, error) {
+	tb := New(Config{WAN: wan, Kernels: kernels})
 	defer tb.flushPDES()
 	onyx, err := tb.Host(HostOnyx2)
 	if err != nil {

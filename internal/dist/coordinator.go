@@ -32,16 +32,6 @@ type Config struct {
 	// coordinator with no workers still makes progress); negative
 	// disables local evaluation entirely (pure remote execution).
 	LocalShards int
-	// ExecKernels > 1 partitions the local shards' testbed networks
-	// across that many PDES kernels (core.Options.Kernels). Pure
-	// execution policy: it never crosses the wire, never enters point
-	// keys, and reports stay byte-identical — but the partitioned runs
-	// feed the gtw_pdes_* rows of /v1/metrics (and gtwtop's kernel
-	// line), which stay zero on a serial coordinator.
-	ExecKernels int
-	// ExecIntra lets ExecKernels partitioning additionally cut inside
-	// sites at switch boundaries (core.Options.Intra).
-	ExecIntra bool
 	// CacheSize bounds the content-addressed point store (finished
 	// grid points, LRU-evicted; default 4096).
 	CacheSize int
@@ -234,10 +224,6 @@ type Coordinator struct {
 // already-streamed points served from the store), and starts the lease
 // reaper.
 func New(cfg Config) *Coordinator {
-	// The coordinator is an observability host: partitioned local runs
-	// should carry the per-kernel barrier-wait picture /v1/metrics
-	// exports.
-	core.EnablePDESBlockedTelemetry()
 	c := &Coordinator{
 		cfg:      cfg.withDefaults(),
 		jobs:     make(map[string]*job),
@@ -879,17 +865,11 @@ func (c *Coordinator) runDistributed(ctx context.Context, j *job, plan *core.Pla
 	stop := context.AfterFunc(ctx, q.Close)
 	defer stop()
 	var wg sync.WaitGroup
-	// Local shards may run partitioned (ExecKernels): the overlay stays
-	// out of j.opts so point keys and worker leases never see it —
-	// Kernels/Intra are execution policy, and the reports are
-	// kernel-count independent by the PDES byte-identity guarantee.
-	execOpts := j.opts
-	execOpts.Kernels, execOpts.Intra = c.cfg.ExecKernels, c.cfg.ExecIntra
 	for s := 0; s < shards; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			run.RunShard(ctx, s, "local-"+strconv.Itoa(s), sw.NewShardTestbed(execOpts))
+			run.RunShard(ctx, s, "local-"+strconv.Itoa(s), sw.NewShardTestbed(j.opts))
 		}(s)
 	}
 	waitErr := run.Wait(ctx)

@@ -599,43 +599,3 @@ func TestStatusReportsWorkers(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
-
-// ExecKernels is the observability path's fuel: a coordinator
-// configured to run its local shards partitioned must (a) keep reports
-// byte-identical — Kernels is execution policy and never reaches point
-// keys or worker leases — and (b) move the gtw_pdes_* rows of
-// /v1/metrics, which stay zero on a serial coordinator.
-func TestExecKernelsLocalShardsFeedPDESMetrics(t *testing.T) {
-	tc := newCluster(t, Config{LocalShards: 2, ExecKernels: 2})
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	st, err := tc.cl.Run(ctx, JobRequest{Scenario: "figure1-throughput"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Status != JobDone {
-		t.Fatalf("job %s: %s (%s)", st.ID, st.Status, st.Error)
-	}
-	wantJSON, wantText := localReport(t, "figure1-throughput", core.Options{})
-	if !bytes.Equal(st.Report, wantJSON) {
-		t.Errorf("ExecKernels report differs from serial run:\n%s\nvs\n%s", st.Report, wantJSON)
-	}
-	if st.Text != wantText {
-		t.Errorf("ExecKernels text differs:\n%s\nvs\n%s", st.Text, wantText)
-	}
-
-	m := tc.scrapeMetrics(t, "")
-	if m["gtw_pdes_rounds_total"] <= 0 {
-		t.Errorf("gtw_pdes_rounds_total = %v after a partitioned local run, want > 0", m["gtw_pdes_rounds_total"])
-	}
-	if m["gtw_pdes_null_messages_total"] <= 0 {
-		t.Errorf("gtw_pdes_null_messages_total = %v, want > 0", m["gtw_pdes_null_messages_total"])
-	}
-	// The standard testbed splits into 2 kernels; both must have fired.
-	for _, k := range []string{"0", "1"} {
-		if v := m[`gtw_pdes_kernel_events_total{kernel="`+k+`"}`]; v <= 0 {
-			t.Errorf("kernel %s fired %v events in the aggregate, want > 0", k, v)
-		}
-	}
-}

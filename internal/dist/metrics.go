@@ -2,9 +2,7 @@ package dist
 
 import (
 	"net/http"
-	"strconv"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -38,15 +36,6 @@ type metrics struct {
 	eventSubs               *obs.Gauge
 	workerRate              *obs.GaugeVec // by worker: throughput EWMA, points/sec
 	tenantInFlight          *obs.GaugeVec // by tenant: leased points
-
-	// PDES synchronization counters, synced from core's process-wide
-	// aggregate at scrape time: in-process partitioned runs (the
-	// coordinator's local shards) surface their kernel-level load
-	// picture next to the job metrics.
-	pdesRounds        *obs.Counter
-	pdesNulls         *obs.Counter
-	pdesKernelEvents  *obs.CounterVec // by kernel index: events fired
-	pdesKernelBlocked *obs.GaugeVec   // by kernel index: barrier wait, seconds
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -81,11 +70,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		eventSubs:      reg.Gauge("gtw_event_subscribers", "Live /v1/events subscribers."),
 		workerRate:     reg.GaugeVec("gtw_worker_rate_pps", "Per-worker throughput EWMA, points per second.", "worker"),
 		tenantInFlight: reg.GaugeVec("gtw_tenant_inflight_points", "Points currently leased per tenant.", "tenant"),
-
-		pdesRounds:        reg.Counter("gtw_pdes_rounds_total", "PDES synchronization rounds across partitioned runs."),
-		pdesNulls:         reg.Counter("gtw_pdes_null_messages_total", "PDES null messages (bound broadcasts) exchanged."),
-		pdesKernelEvents:  reg.CounterVec("gtw_pdes_kernel_events_total", "Events fired per PDES kernel index.", "kernel"),
-		pdesKernelBlocked: reg.GaugeVec("gtw_pdes_kernel_blocked_seconds", "Cumulative wall-clock barrier wait per PDES kernel index.", "kernel"),
 	}
 }
 
@@ -108,16 +92,6 @@ func (c *Coordinator) syncMetrics() {
 	c.met.storePoints.Set(float64(ss.points))
 	c.met.storeBytes.Set(float64(ss.bytes))
 	c.met.eventSubs.Set(float64(c.events.subscribers()))
-
-	pd := core.PDESSnapshot()
-	syncCounter(c.met.pdesRounds, pd.Rounds)
-	syncCounter(c.met.pdesNulls, pd.NullMessages)
-	for i, v := range pd.KernelEvents {
-		syncCounter(c.met.pdesKernelEvents.With(strconv.Itoa(i)), v)
-	}
-	for i, v := range pd.KernelBlocked {
-		c.met.pdesKernelBlocked.With(strconv.Itoa(i)).Set(v.Seconds())
-	}
 
 	c.mu.Lock()
 	running, queued := 0, 0

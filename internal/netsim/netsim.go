@@ -78,18 +78,7 @@ type Node struct {
 	// parallel.
 	k    *sim.Kernel
 	pool *pktPool
-
-	// work counts packet arrivals this node handled — a deterministic
-	// per-node load estimate (virtual events, not wall time) that
-	// Rebalance aggregates into island costs. Touched only by the
-	// node's own kernel.
-	work int64
 }
-
-// Work reports the packets this node has handled across all runs — the
-// deterministic load signal partition rebalancing uses. Quiescent-only
-// after Partition.
-func (nd *Node) Work() int64 { return nd.work }
 
 // Iface is one direction-pair attachment of a node to a link.
 type Iface struct {
@@ -245,8 +234,6 @@ type Network struct {
 	group     *pdes.Group
 	parts     []*part
 	lookahead time.Duration
-	popts     PartitionOptions
-	intra     bool // switch-boundary refinement was applied
 }
 
 // SetSeed sets the network's base random seed. Every stochastic
@@ -604,7 +591,6 @@ func (n *Network) transmitNext(ifc *Iface) {
 // arrive handles a packet reaching node nd.
 func (n *Network) arrive(nd *Node, p *Packet) {
 	k := nd.k
-	nd.work++
 	p.hops++
 	if p.hops > 64 {
 		nd.dropped++ // routing loop guard
@@ -709,13 +695,4 @@ func (n *Network) SyncStats() pdes.Stats {
 		return pdes.Stats{}
 	}
 	return n.group.Stats()
-}
-
-// SetBlockedTelemetry enables wall-clock measurement of per-kernel
-// barrier wait time in SyncStats (pdes.Group.SetBlockedTelemetry). A
-// no-op before Partition. Quiescent-only.
-func (n *Network) SetBlockedTelemetry(on bool) {
-	if n.group != nil {
-		n.group.SetBlockedTelemetry(on)
-	}
 }

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"sort"
 	"time"
 	"unsafe"
@@ -15,23 +14,6 @@ import (
 // cross-partition channels. 100 µs sits far above testbed LAN hops
 // (~10 µs) and far below the gigabit WAN's propagation delay (~500 µs).
 const DefaultCut = 100 * time.Microsecond
-
-// PartitionOptions configures PartitionOpt.
-type PartitionOptions struct {
-	// Kernels is the target partition count (the effective count may be
-	// lower; see PartitionOpt).
-	Kernels int
-	// Cut is the link-delay threshold for wide-area cut links
-	// (DefaultCut if zero or negative).
-	Cut time.Duration
-	// Intra allows cutting inside a connected component at switch
-	// boundaries — positive-delay links incident to a relay node
-	// (forwarding cost or copy-bandwidth cap) — when the wide-area cut
-	// alone yields fewer components than Kernels. Each such cut edge
-	// synchronizes on its own (smaller) link delay, so this only pays
-	// off with per-pair lookahead, which PartitionOpt always enables.
-	Intra bool
-}
 
 // part is one partition of a partitioned network: its kernel and its
 // packet pool.
@@ -53,35 +35,24 @@ func (d *xqDeliver) deliver(p unsafe.Pointer, at sim.Time) {
 }
 
 // Partition splits the network into up to k partitions, cutting every
-// link whose propagation delay is at least cut (DefaultCut if cut <= 0),
-// and binds each partition to its own kernel so Run executes them as a
-// conservative parallel simulation. It is PartitionOpt with the
-// wide-area cut only — a topology that is one big LAN stays serial; use
-// PartitionOpt with Intra to split it at switch boundaries.
-func (n *Network) Partition(k int, cut time.Duration) int {
-	return n.PartitionOpt(PartitionOptions{Kernels: k, Cut: cut})
-}
-
-// PartitionOpt splits the network into up to o.Kernels partitions and
-// binds each to its own kernel so Run executes them as a conservative
+// link whose propagation delay is at least DefaultCut, and binds each
+// partition to its own kernel so Run executes them as a conservative
 // parallel simulation. Every cut edge carries its own link delay as
 // that pair's synchronization bound (per-pair lookahead): two
 // partitions joined by a short edge sync tightly without being gated by
 // a long edge elsewhere, and vice versa.
 //
-// PartitionOpt must run on a quiescent, just-built network: after
+// Partition must run on a quiescent, just-built network: after
 // ComputeRoutes, before any traffic is scheduled (it panics otherwise,
 // and Connect panics after it). The node→partition assignment is a
-// deterministic function of the topology and the deterministic
-// per-node work counters (zero on a fresh network), so reports stay
+// deterministic function of the topology, so reports stay
 // byte-identical across runs and kernel counts.
 //
-// It returns the effective kernel count: nodes connected by uncuttable
-// links cannot be split, so the topology bounds the count regardless of
-// o.Kernels. With o.Kernels <= 1 or a single component the network is
-// left untouched on its original kernel.
-func (n *Network) PartitionOpt(o PartitionOptions) int {
-	k := o.Kernels
+// It returns the effective kernel count: nodes connected by local links
+// cannot be split, so the topology bounds the count regardless of k — a
+// topology that is one big LAN stays serial. With k <= 1 or a single
+// component the network is left untouched on its original kernel.
+func (n *Network) Partition(k int) int {
 	if k <= 1 {
 		return 1
 	}
@@ -91,12 +62,8 @@ func (n *Network) PartitionOpt(o PartitionOptions) int {
 	if n.K.Pending() > 0 || n.K.Now() != 0 {
 		panic("netsim: Partition on a network with scheduled or executed events")
 	}
-	if o.Cut <= 0 {
-		o.Cut = DefaultCut
-	}
-	n.popts = o
 
-	comp, ncomp := n.computeIslands(o)
+	comp, ncomp := n.islands()
 	if ncomp == 1 {
 		return 1
 	}
@@ -117,45 +84,10 @@ func (n *Network) PartitionOpt(o PartitionOptions) int {
 	return k
 }
 
-// relay reports whether the node forwards at a modelled cost — the
-// switches and gateways whose ports are the natural intra-component cut
-// boundaries.
-func (nd *Node) relay() bool { return nd.ForwardCost > 0 || nd.ForwardBps > 0 }
-
-// cuttable reports whether ifc's link may become a cross-partition
-// channel under options o: wide-area links always, switch-boundary
-// links when Intra is on. Zero-delay links are never cuttable — a cut
-// edge's delay is its synchronization bound, and a zero bound would
-// serialize the rounds.
-func (n *Network) cuttable(ifc *Iface, o PartitionOptions, intra bool) bool {
-	l := ifc.link
-	if l.Delay >= o.Cut {
-		return true
-	}
-	if !intra || l.Delay <= 0 {
-		return false
-	}
-	return ifc.node.relay() || ifc.peer.node.relay()
-}
-
-// computeIslands groups nodes into the finest partitionable units under
-// o: connected components over uncuttable links. The wide-area cut is
-// tried first; when it cannot yield o.Kernels components and Intra is
-// on, the switch-boundary cut refines it. The refinement choice is a
-// function of (topology, o) alone, so Rebalance recomputes the same
-// islands.
-func (n *Network) computeIslands(o PartitionOptions) ([]int, int) {
-	comp, ncomp := n.islands(o, false)
-	if o.Intra && ncomp < o.Kernels {
-		comp, ncomp = n.islands(o, true)
-		n.intra = true
-	}
-	return comp, ncomp
-}
-
-// islands computes connected components over links that are not
-// cuttable, in node-ID order so component numbering is deterministic.
-func (n *Network) islands(o PartitionOptions, intra bool) ([]int, int) {
+// islands groups nodes into the finest partitionable units: connected
+// components over local links (delay below DefaultCut), in node-ID order
+// so component numbering is deterministic.
+func (n *Network) islands() ([]int, int) {
 	comp := make([]int, len(n.nodes))
 	for i := range comp {
 		comp[i] = -1
@@ -171,7 +103,7 @@ func (n *Network) islands(o PartitionOptions, intra bool) ([]int, int) {
 			cur := frontier[len(frontier)-1]
 			frontier = frontier[:len(frontier)-1]
 			for _, ifc := range cur.ifaces {
-				if n.cuttable(ifc, o, intra) {
+				if ifc.link.Delay >= DefaultCut {
 					continue
 				}
 				peer := ifc.peer.node
@@ -187,31 +119,12 @@ func (n *Network) islands(o PartitionOptions, intra bool) ([]int, int) {
 }
 
 // assign maps islands to k partitions: longest-processing-time over
-// island costs. The cost of an island is the work its nodes carried in
-// previous runs (the kernels' deterministic event counters, sampled per
-// hop), or the node count on a fresh network where no traffic has run —
-// so the first assignment matches the old static LPT and later
-// Rebalance calls see real load. Island ID breaks ties, keeping the
-// assignment deterministic.
+// island node counts. Island ID breaks ties, keeping the assignment
+// deterministic.
 func (n *Network) assign(comp []int, ncomp, k int) []int {
 	cost := make([]int64, ncomp)
-	var worked int64
 	for _, nd := range n.nodes {
-		cost[comp[nd.ID]] += nd.work
-		worked += nd.work
-	}
-	if worked == 0 {
-		for i := range cost {
-			cost[i] = 0
-		}
-		for _, nd := range n.nodes {
-			cost[comp[nd.ID]]++
-		}
-	}
-	for i := range cost {
-		if cost[i] < 1 {
-			cost[i] = 1 // an idle island still occupies a slot
-		}
+		cost[comp[nd.ID]]++
 	}
 	order := make([]int, ncomp)
 	for i := range order {
@@ -240,9 +153,8 @@ func (n *Network) assign(comp []int, ncomp, k int) []int {
 
 // wire binds every node to its partition's kernel and pool and builds
 // the cross-partition channels: one queue per cut-link direction whose
-// endpoints landed in different partitions, each annotated with its own
-// link delay (the per-pair lookahead), plus the global lookahead floor
-// (the minimum delay among them). Iterating nodes then ifaces in
+// endpoints landed in different partitions, each carrying its own link
+// delay (the per-pair lookahead). Iterating nodes then ifaces in
 // ID/attachment order keeps every member's drain order — and with it
 // the injection order of equal-timestamp arrivals — deterministic.
 func (n *Network) wire(comp []int, compPart []int) {
@@ -257,7 +169,6 @@ func (n *Network) wire(comp []int, compPart []int) {
 		members[p] = &pdes.Member{K: n.parts[p].k}
 	}
 	lookahead := time.Duration(1) << 62
-	ncut := 0
 	for _, nd := range n.nodes {
 		for _, ifc := range nd.ifaces {
 			peer := ifc.peer.node
@@ -265,61 +176,16 @@ func (n *Network) wire(comp []int, compPart []int) {
 			if sp == rp {
 				continue
 			}
-			if ifc.link.Delay <= 0 {
-				// Can't happen: cuttable never admits zero-delay links.
-				panic(fmt.Sprintf("netsim: cut link %q has no delay", ifc.link.Name))
-			}
 			d := &xqDeliver{k: peer.k, nd: peer}
-			q := pdes.NewQueue(64, d.deliver)
-			q.SetEdge(sp, ifc.link.Delay)
-			ifc.xq = q
-			members[rp].In = append(members[rp].In, q)
+			ifc.xq = pdes.NewQueue(64, sp, ifc.link.Delay, d.deliver)
+			members[rp].In = append(members[rp].In, ifc.xq)
 			if ifc.link.Delay < lookahead {
 				lookahead = ifc.link.Delay
 			}
-			ncut++
 		}
-	}
-	if ncut > 0 && !n.intra && lookahead < n.popts.Cut {
-		// Can't happen: without Intra every cut link has Delay >= Cut.
-		panic(fmt.Sprintf("netsim: cut link delay %v below cut %v", lookahead, n.popts.Cut))
 	}
 	n.lookahead = lookahead
-	n.group = pdes.NewGroup(lookahead, members)
-}
-
-// Rebalance recomputes the island-to-partition assignment from the work
-// counters accumulated by previous runs and rewires the cut channels
-// accordingly — the between-runs load balancing of a skewed grid. The
-// partition (kernel) count is unchanged; only which island runs on
-// which kernel moves. Call only while the network is quiescent (never
-// mid-run): every kernel is dry and, thanks to the group's termination
-// resync, at the same virtual time, so moving a node is pure
-// bookkeeping. The counters are event counts, not wall clocks, so the
-// new assignment — like the old — is deterministic, and reports remain
-// byte-identical across any assignment.
-func (n *Network) Rebalance() {
-	if n.group == nil {
-		panic("netsim: Rebalance before Partition")
-	}
-	if n.group.Pending() > 0 {
-		panic("netsim: Rebalance with pending events")
-	}
-	comp, ncomp := n.computeIslands(n.popts)
-	compPart := n.assign(comp, ncomp, len(n.parts))
-	for _, nd := range n.nodes {
-		for _, ifc := range nd.ifaces {
-			ifc.xq = nil
-		}
-	}
-	n.group.Close()
-	// All kernels left the last run resynchronized to the same clock;
-	// normalize anyway so a never-run group's fresh kernels line up too.
-	now := n.Now()
-	for _, pt := range n.parts {
-		pt.k.AdvanceTo(now)
-	}
-	n.wire(comp, compPart)
+	n.group = pdes.NewGroup(members)
 }
 
 // Lookahead reports the synchronization floor of the partitioned

@@ -9,22 +9,20 @@
 //  2. Barrier; every member publishes its next-event time. The
 //     per-round bound announcement is the null message of the classic
 //     algorithm — one broadcast per member per round, counted in Stats.
-//  3. Every member computes its safe horizon from the published bounds
-//     and fires its events strictly below it. With a global lookahead
-//     window (unannotated queues) the horizon is the same for everyone:
-//     global-min + lookahead. With per-edge annotations (SetEdge) each
-//     member gets its own horizon from the latency-weighted distances
-//     of the cut graph — see "Per-pair lookahead" below. If every bound
-//     is infinite the simulation is over.
+//  3. Every member computes its own safe horizon from the published
+//     bounds and the latency-weighted distances of the cut graph — see
+//     "Per-pair lookahead" below — and fires its events strictly below
+//     it. If every bound is infinite the simulation is over.
 //  4. Barrier (making every enqueued message visible), next round.
 //
 // # Per-pair lookahead
 //
-// A global window synchronizes every kernel on the worst (smallest) cut
-// latency: one short edge anywhere throttles all partitions. When every
-// queue carries its edge's own latency (SetEdge), the group instead
-// bounds each member pair by the latency-weighted shortest path between
-// them. NewGroup precomputes, over the directed cut graph,
+// One global window (global-min + the smallest cut latency) would
+// synchronize every kernel on the worst edge: one short edge anywhere
+// throttles all partitions. Every queue carries its edge's own latency
+// (NewQueue), so the group instead bounds each member pair by the
+// latency-weighted shortest path between them. NewGroup precomputes,
+// over the directed cut graph,
 //
 //	dist[k][j] = shortest latency-weighted distance from k to j
 //	horiz[k][i] = min over incoming edges (j -> i, latency d) of
@@ -43,7 +41,8 @@
 // member holding the global minimum bound has H > B because every
 // horiz entry is positive (horiz[i][i] is i's shortest cycle). And it
 // is never less permissive than the global window, because every
-// horiz[k][i] is at least the minimum cut latency.
+// horiz[k][i] is at least the minimum cut latency. A member no cut edge
+// reaches has an infinite horizon and drains in one round.
 //
 // The rounds make the result independent of goroutine scheduling: which
 // host thread runs which member never changes what any kernel observes,
@@ -99,42 +98,30 @@ type Queue struct {
 	deliver func(p unsafe.Pointer, at sim.Time)
 	items   []item
 
-	// Edge annotation (SetEdge): the sending member's index and the
-	// edge's own minimum latency. A group whose queues are all
-	// annotated synchronizes with per-pair horizons instead of the
-	// global window.
+	// The cut edge: the sending member's index and the edge's own
+	// minimum latency, from which NewGroup derives the per-pair horizons.
 	from      int
 	lookahead time.Duration
-	hasEdge   bool
 }
 
-// NewQueue builds a queue preallocating capacity slots; deliver injects
-// one drained message into the receiving member's kernel and runs on
-// the receiver's goroutine.
-func NewQueue(capacity int, deliver func(p unsafe.Pointer, at sim.Time)) *Queue {
+// NewQueue builds the queue of one cut-edge direction, preallocating
+// capacity slots. from is the index (in the group's member slice) of
+// the sending member, lookahead the edge's own minimum latency — every
+// Push must be stamped at least lookahead after the sender's clock. It
+// must be positive: a zero-lookahead cut serializes the model and
+// belongs in one kernel. deliver injects one drained message into the
+// receiving member's kernel and runs on the receiver's goroutine.
+func NewQueue(capacity, from int, lookahead time.Duration, deliver func(p unsafe.Pointer, at sim.Time)) *Queue {
+	if from < 0 {
+		panic(fmt.Sprintf("pdes: queue with negative sending member index %d", from))
+	}
+	if lookahead <= 0 {
+		panic(fmt.Sprintf("pdes: queue with non-positive lookahead %v", lookahead))
+	}
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Queue{deliver: deliver, items: make([]item, 0, capacity), from: -1}
-}
-
-// SetEdge annotates the queue with its cut edge: from is the index (in
-// the group's member slice) of the sending member, lookahead the
-// edge's own minimum latency — every Push must be stamped at least
-// lookahead after the sender's clock. When every queue of a group is
-// annotated, NewGroup derives per-pair synchronization bounds from the
-// edge latencies instead of using one global window. Call before
-// NewGroup; lookahead must be positive.
-func (q *Queue) SetEdge(from int, lookahead time.Duration) {
-	if from < 0 {
-		panic(fmt.Sprintf("pdes: SetEdge with negative member index %d", from))
-	}
-	if lookahead <= 0 {
-		panic(fmt.Sprintf("pdes: SetEdge with non-positive lookahead %v", lookahead))
-	}
-	q.from = from
-	q.lookahead = lookahead
-	q.hasEdge = true
+	return &Queue{deliver: deliver, items: make([]item, 0, capacity), from: from, lookahead: lookahead}
 }
 
 // Push enqueues a message with its arrival timestamp. Call only from
@@ -171,18 +158,9 @@ type Stats struct {
 	// one per member per round (the CMB null-message traffic, realised
 	// here as the barrier's shared bound slots).
 	NullMessages int64
-	// PerPair reports whether the group synchronized with per-pair
-	// horizons (every queue edge-annotated) rather than the global
-	// window.
-	PerPair bool
 	// Events is the number of events each member's kernel has fired,
 	// indexed by member — the deterministic per-partition load signal.
 	Events []int64
-	// Blocked is the wall-clock time each member spent waiting at the
-	// round barriers, indexed by member. It is host-scheduling
-	// telemetry (not virtual time) and is only collected after
-	// SetBlockedTelemetry(true); otherwise the slice is all zero.
-	Blocked []time.Duration
 }
 
 // Group synchronizes a fixed set of members. Build once with NewGroup,
@@ -191,72 +169,51 @@ type Stats struct {
 // Between Runs the kernels are quiescent and the driver may schedule
 // freely; during a Run only member callbacks may touch the kernels.
 type Group struct {
-	members   []*Member
-	lookahead time.Duration
+	members []*Member
 
 	// horiz[k][i] is the per-pair bound offset: member i may fire below
-	// min over k of (bound[k] + horiz[k][i]). nil when any queue lacks
-	// an edge annotation — the group then uses the global window.
+	// min over k of (bound[k] + horiz[k][i]).
 	horiz [][]sim.Time
 
 	next  []sim.Time // per-member bound slots, exchanged at the barrier
 	bar   barrier
 	stats Stats
 
-	blocked   []time.Duration // per-member barrier wait, wall clock
-	telemetry bool
-
-	start   []chan struct{} // per-worker run signal, members 1..n-1
-	done    []chan struct{} // per-worker completion ack, members 1..n-1
-	started bool
-	closed  bool
+	// workers run the rounds of members 1..n-1 for one Run and signal
+	// wg. Built once in NewGroup so that spawning them allocates nothing
+	// per Run.
+	workers []func()
+	wg      sync.WaitGroup
 }
 
-// NewGroup builds a group over the given members. The lookahead is the
-// minimum latency of any cut edge: no member may ever receive a message
-// stamped earlier than the global minimum next-event time plus this
-// bound. It must be positive — a zero-lookahead cut serializes the
-// model and belongs in one kernel.
-//
-// When every queue of every member carries an edge annotation
-// (Queue.SetEdge), the group synchronizes with per-pair horizons
-// derived from the annotated latencies (see the package comment); the
-// global lookahead is then only the floor the horizons must respect.
-func NewGroup(lookahead time.Duration, members []*Member) *Group {
+// NewGroup builds a group over the given members, synchronized with
+// per-pair horizons derived from their queues' edge latencies (see the
+// package comment).
+func NewGroup(members []*Member) *Group {
 	if len(members) == 0 {
 		panic("pdes: group with no members")
 	}
-	if lookahead <= 0 && len(members) > 1 {
-		panic(fmt.Sprintf("pdes: non-positive lookahead %v", lookahead))
-	}
 	g := &Group{
-		members:   members,
-		lookahead: lookahead,
-		next:      make([]sim.Time, len(members)),
-		start:     make([]chan struct{}, len(members)),
-		done:      make([]chan struct{}, len(members)),
-		blocked:   make([]time.Duration, len(members)),
+		members: members,
+		horiz:   perPairHorizons(members),
+		next:    make([]sim.Time, len(members)),
 	}
 	g.bar.init(len(members))
 	for i := 1; i < len(members); i++ {
-		g.start[i] = make(chan struct{}, 1)
-		g.done[i] = make(chan struct{}, 1)
+		g.workers = append(g.workers, func() {
+			g.runMember(i)
+			g.wg.Done()
+		})
 	}
-	g.horiz = perPairHorizons(members)
-	g.stats.PerPair = g.horiz != nil
 	return g
 }
 
 // perPairHorizons builds the horizon table from the members' queue
-// annotations, or returns nil when any queue is unannotated (global
-// window mode). Floyd-Warshall over the member count — partitions are
-// few (one per core at most), so the cubic cost is noise next to one
-// simulation round.
+// edges. Floyd-Warshall over the member count — partitions are few (one
+// per core at most), so the cubic cost is noise next to one simulation
+// round. Without cut edges every entry is infinite.
 func perPairHorizons(members []*Member) [][]sim.Time {
 	n := len(members)
-	if n < 2 {
-		return nil
-	}
 	type edge struct {
 		from, to int
 		d        sim.Time
@@ -264,17 +221,11 @@ func perPairHorizons(members []*Member) [][]sim.Time {
 	var edges []edge
 	for i, m := range members {
 		for _, q := range m.In {
-			if !q.hasEdge {
-				return nil
-			}
 			if q.from >= n {
 				panic(fmt.Sprintf("pdes: queue edge from member %d, group has %d", q.from, n))
 			}
 			edges = append(edges, edge{q.from, i, sim.Time(q.lookahead)})
 		}
-	}
-	if len(edges) == 0 {
-		return nil
 	}
 	dist := make([][]sim.Time, n)
 	for i := range dist {
@@ -325,16 +276,6 @@ func perPairHorizons(members []*Member) [][]sim.Time {
 // Members reports the number of partitions.
 func (g *Group) Members() int { return len(g.members) }
 
-// PerPair reports whether the group synchronizes with per-pair horizons
-// (every queue edge-annotated) rather than one global window.
-func (g *Group) PerPair() bool { return g.horiz != nil }
-
-// SetBlockedTelemetry enables (or disables) wall-clock measurement of
-// per-member barrier wait time, surfaced as Stats.Blocked. It costs two
-// monotonic clock reads per member per barrier, so it is off by default
-// and meant for observability hosts, not benchmarks. Quiescent-only.
-func (g *Group) SetBlockedTelemetry(on bool) { g.telemetry = on }
-
 // Stats reports cumulative synchronization counters across every Run so
 // far. Read only while the group is quiescent.
 func (g *Group) Stats() Stats {
@@ -343,7 +284,6 @@ func (g *Group) Stats() Stats {
 	for i, m := range g.members {
 		s.Events[i] = m.K.Fired()
 	}
-	s.Blocked = append([]time.Duration(nil), g.blocked...)
 	return s
 }
 
@@ -360,73 +300,22 @@ func (g *Group) Pending() int {
 }
 
 // Run executes rounds until every kernel is dry and every queue empty.
-// Member 0 runs on the calling goroutine; the rest run on persistent
-// worker goroutines started lazily on first use and parked between
-// Runs, so repeated Runs allocate nothing.
+// Member 0 runs on the calling goroutine; the rest run on goroutines
+// that live for this Run only, so a group nobody runs again holds no
+// goroutine (and through it no kernels, nodes or packet pools) alive.
+// Run returns once they have all exited: returning really means the
+// group is quiescent, and Stats needs no further synchronization.
 func (g *Group) Run() {
-	if g.closed {
-		panic("pdes: Run on a closed group")
-	}
 	if len(g.members) == 1 {
 		g.members[0].K.Run()
 		return
 	}
-	if !g.started {
-		g.started = true
-		for i := 1; i < len(g.members); i++ {
-			go g.worker(i)
-		}
-	}
-	for i := 1; i < len(g.members); i++ {
-		g.start[i] <- struct{}{}
+	g.wg.Add(len(g.workers))
+	for _, w := range g.workers {
+		go w()
 	}
 	g.runMember(0)
-	// The final barrier releases every member at once, but a worker
-	// still has its loop epilogue to run (under telemetry, the blocked
-	// accumulation happens after the barrier wait it measures). Collect
-	// each worker's ack so Run returning really means the group is
-	// quiescent — Stats and rebuilds need no further synchronization.
-	for i := 1; i < len(g.members); i++ {
-		<-g.done[i]
-	}
-}
-
-// Close releases the group's parked worker goroutines. Call when the
-// group is quiescent and will not Run again (e.g. before rebuilding a
-// partitioned model with a new assignment); a closed group panics on
-// Run. Close is idempotent.
-func (g *Group) Close() {
-	if g.closed {
-		return
-	}
-	g.closed = true
-	for i := 1; i < len(g.members); i++ {
-		close(g.start[i])
-	}
-}
-
-// worker parks between runs and executes its member's rounds during
-// one.
-func (g *Group) worker(i int) {
-	for range g.start[i] {
-		g.runMember(i)
-		g.done[i] <- struct{}{}
-	}
-}
-
-// await is the member-facing barrier entry: it forwards to the shared
-// barrier, measuring the wall-clock wait when telemetry is on. Blocked
-// is deliberate wall-clock telemetry — host-scheduling skew between
-// members — and is never fed back into the model.
-func (g *Group) await(i int) {
-	if !g.telemetry {
-		g.bar.await()
-		return
-	}
-	//gtwvet:ignore determinism Blocked is opt-in wall-clock telemetry, never fed back into the model
-	t0 := time.Now()
-	g.bar.await()
-	g.blocked[i] += time.Since(t0)
+	g.wg.Wait()
 }
 
 // runMember is the per-member round loop. All members leave the loop in
@@ -444,7 +333,7 @@ func (g *Group) runMember(i int) {
 		} else {
 			g.next[i] = maxTime
 		}
-		g.await(i)
+		g.bar.await()
 		t := g.next[0]
 		for _, nt := range g.next[1:] {
 			if nt < t {
@@ -462,17 +351,15 @@ func (g *Group) runMember(i int) {
 			// their own last local events; resynchronize all clocks to
 			// the global last so the driver's next "schedule at Now()"
 			// lands at the same virtual time a single kernel would
-			// report. Per-pair groups reach this point with clocks
-			// spread across their unequal horizons — possibly far past
-			// the last global window — but the resync target is the
-			// same: the maximum clock is the globally last event, whose
-			// member never ran past it. Three barriers: bounds read
+			// report. The clocks are spread across the members' unequal
+			// horizons, but the maximum clock is the globally last
+			// event, whose member never ran past it. Three barriers: bounds read
 			// before the slots are reused for clocks, clocks published
 			// before the max is read, advances done before the caller
 			// resumes.
-			g.await(i)
+			g.bar.await()
 			g.next[i] = m.K.Now()
-			g.await(i)
+			g.bar.await()
 			now := g.next[0]
 			for _, v := range g.next[1:] {
 				if v > now {
@@ -480,21 +367,17 @@ func (g *Group) runMember(i int) {
 				}
 			}
 			m.K.AdvanceTo(now)
-			g.await(i)
+			g.bar.await()
 			return
 		}
-		if g.horiz != nil {
-			h := maxTime
-			for k, b := range g.next {
-				if hk := satAdd(b, g.horiz[k][i]); hk < h {
-					h = hk
-				}
+		h := maxTime
+		for k, b := range g.next {
+			if hk := satAdd(b, g.horiz[k][i]); hk < h {
+				h = hk
 			}
-			m.K.RunBefore(h)
-		} else {
-			m.K.RunBefore(t.Add(g.lookahead))
 		}
-		g.await(i)
+		m.K.RunBefore(h)
+		g.bar.await()
 	}
 }
 

@@ -19,7 +19,7 @@ func TestTwoMemberPingPong(t *testing.T) {
 
 	var atA, atB []sim.Time
 	var qAtoB, qBtoA *Queue
-	qAtoB = NewQueue(1, func(_ unsafe.Pointer, at sim.Time) {
+	qAtoB = NewQueue(1, 0, la, func(_ unsafe.Pointer, at sim.Time) {
 		kb.At(at, func() {
 			atB = append(atB, kb.Now())
 			if len(atA)+len(atB) < hops {
@@ -27,7 +27,7 @@ func TestTwoMemberPingPong(t *testing.T) {
 			}
 		})
 	})
-	qBtoA = NewQueue(1, func(_ unsafe.Pointer, at sim.Time) {
+	qBtoA = NewQueue(1, 1, la, func(_ unsafe.Pointer, at sim.Time) {
 		ka.At(at, func() {
 			atA = append(atA, ka.Now())
 			if len(atA)+len(atB) < hops {
@@ -36,7 +36,7 @@ func TestTwoMemberPingPong(t *testing.T) {
 		})
 	})
 
-	g := NewGroup(la, []*Member{
+	g := NewGroup([]*Member{
 		{K: ka, In: []*Queue{qBtoA}},
 		{K: kb, In: []*Queue{qAtoB}},
 	})
@@ -77,10 +77,10 @@ func TestGroupRerun(t *testing.T) {
 	ka, kb := sim.NewKernel(), sim.NewKernel()
 	const la = time.Millisecond
 	count := 0
-	qAtoB := NewQueue(1, func(_ unsafe.Pointer, at sim.Time) {
+	qAtoB := NewQueue(1, 0, la, func(_ unsafe.Pointer, at sim.Time) {
 		kb.At(at, func() { count++ })
 	})
-	g := NewGroup(la, []*Member{
+	g := NewGroup([]*Member{
 		{K: ka},
 		{K: kb, In: []*Queue{qAtoB}},
 	})
@@ -99,34 +99,60 @@ func TestSingleMemberRunsInline(t *testing.T) {
 	k := sim.NewKernel()
 	fired := false
 	k.At(5, func() { fired = true })
-	g := NewGroup(0, []*Member{{K: k}}) // zero lookahead allowed solo
+	g := NewGroup([]*Member{{K: k}})
 	g.Run()
 	if !fired || k.Now() != 5 {
 		t.Fatalf("fired=%v now=%v", fired, k.Now())
 	}
 }
 
+func expectPanic(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: no panic", name)
+		}
+	}()
+	f()
+}
+
 func TestNewGroupValidation(t *testing.T) {
-	expectPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: no panic", name)
-			}
-		}()
-		f()
-	}
-	expectPanic("empty", func() { NewGroup(time.Millisecond, nil) })
-	expectPanic("zero lookahead", func() {
-		NewGroup(0, []*Member{{K: sim.NewKernel()}, {K: sim.NewKernel()}})
+	expectPanic(t, "empty", func() { NewGroup(nil) })
+	expectPanic(t, "edge from outside group", func() {
+		nop := func(_ unsafe.Pointer, _ sim.Time) {}
+		NewGroup([]*Member{
+			{K: sim.NewKernel(), In: []*Queue{NewQueue(1, 7, time.Millisecond, nop)}},
+			{K: sim.NewKernel(), In: []*Queue{NewQueue(1, 1, time.Millisecond, nop)}},
+		})
 	})
+}
+
+// TestNoCutEdgesDrainInOneRound pins the degenerate table: members no
+// cut edge reaches have infinite horizons, so each drains its whole heap
+// in the first round and the second round terminates, resyncing every
+// clock to the globally last event.
+func TestNoCutEdgesDrainInOneRound(t *testing.T) {
+	ka, kb := sim.NewKernel(), sim.NewKernel()
+	fired := 0
+	for j := 1; j <= 10; j++ {
+		ka.At(sim.Time(j), func() { fired++ })
+	}
+	kb.At(100, func() {})
+	g := NewGroup([]*Member{{K: ka}, {K: kb}})
+	g.Run()
+	if fired != 10 || ka.Now() != 100 || kb.Now() != 100 {
+		t.Fatalf("fired=%d clocks=%v/%v, want 10 and both at 100", fired, ka.Now(), kb.Now())
+	}
+	if st := g.Stats(); st.Rounds != 2 {
+		t.Fatalf("took %d rounds, want 2 (one firing, one terminating)", st.Rounds)
+	}
 }
 
 // TestQueueFIFO pins the drain order: messages leave a queue in push
 // order, which keeps equal-timestamp injections deterministic.
 func TestQueueFIFO(t *testing.T) {
 	var got []sim.Time
-	q := NewQueue(2, func(_ unsafe.Pointer, at sim.Time) { got = append(got, at) })
+	q := NewQueue(2, 0, time.Millisecond, func(_ unsafe.Pointer, at sim.Time) { got = append(got, at) })
 	q.Push(nil, 3)
 	q.Push(nil, 1) // later push, earlier stamp: still drains second
 	q.Push(nil, 2)
@@ -143,24 +169,18 @@ func TestQueueFIFO(t *testing.T) {
 // per-pair tests: A and B sync at laAB, B and C at laBC, with queues in
 // both directions per pair. deliver hooks schedule a plain callback at
 // the stamped time.
-func chain3(t *testing.T, laAB, laBC time.Duration, annotate bool) (ks [3]*sim.Kernel, qs map[string]*Queue, members []*Member) {
+func chain3(t *testing.T, laAB, laBC time.Duration) (ks [3]*sim.Kernel, qs map[string]*Queue, members []*Member) {
 	t.Helper()
 	ks = [3]*sim.Kernel{sim.NewKernel(), sim.NewKernel(), sim.NewKernel()}
 	qs = map[string]*Queue{}
-	mk := func(to int) *Queue {
+	mk := func(from, to int, la time.Duration) *Queue {
 		k := ks[to]
-		return NewQueue(4, func(_ unsafe.Pointer, at sim.Time) {
+		return NewQueue(4, from, la, func(_ unsafe.Pointer, at sim.Time) {
 			k.At(at, func() {})
 		})
 	}
-	qs["AB"], qs["BA"] = mk(1), mk(0)
-	qs["BC"], qs["CB"] = mk(2), mk(1)
-	if annotate {
-		qs["AB"].SetEdge(0, laAB)
-		qs["BA"].SetEdge(1, laAB)
-		qs["BC"].SetEdge(1, laBC)
-		qs["CB"].SetEdge(2, laBC)
-	}
+	qs["AB"], qs["BA"] = mk(0, 1, laAB), mk(1, 0, laAB)
+	qs["BC"], qs["CB"] = mk(1, 2, laBC), mk(2, 1, laBC)
 	members = []*Member{
 		{K: ks[0], In: []*Queue{qs["BA"]}},
 		{K: ks[1], In: []*Queue{qs["AB"], qs["CB"]}},
@@ -172,21 +192,23 @@ func chain3(t *testing.T, laAB, laBC time.Duration, annotate bool) (ks [3]*sim.K
 // TestPerPairFewerRounds pins the point of per-pair lookahead: on a
 // chain whose A-B edge is 100x shorter than its B-C edge, member C is
 // 100 ms of virtual time away from the tight pair, so its horizon is
-// ~100 ms per round instead of the 1 ms global window. With dense
-// local work on C (events every 500 us for 50 ms) the global window
-// needs a round per millisecond of C's progress; per-pair C drains in
-// the first round and only the A<->B ping-pong sets the round count.
-// Clocks and event counts must be identical either way.
+// ~100 ms per round. The comparison is the same chain with every edge
+// set to the minimum latency — what one global window would
+// synchronize on. With dense local work on C (events every 500 us for
+// 100 ms) the uniform chain gives C at most its 2 ms self-cycle per
+// round, a round per two milliseconds of C's progress; with its true
+// latency C drains in the first round and only the A<->B ping-pong
+// sets the round count. Clocks and event counts must be identical
+// either way.
 func TestPerPairFewerRounds(t *testing.T) {
 	const laAB = time.Millisecond
-	const laBC = 100 * time.Millisecond
 
-	run := func(annotate bool) (st Stats, clocks [3]sim.Time) {
-		ks, qs, members := chain3(t, laAB, laBC, annotate)
+	run := func(laBC time.Duration) (st Stats, clocks [3]sim.Time) {
+		ks, qs, members := chain3(t, laAB, laBC)
 		hops := 0
 		var qAB, qBA *Queue = qs["AB"], qs["BA"]
 		// Rebuild A<->B deliver hooks to bounce a token 6 times.
-		*qAB = *NewQueue(4, func(_ unsafe.Pointer, at sim.Time) {
+		*qAB = *NewQueue(4, 0, laAB, func(_ unsafe.Pointer, at sim.Time) {
 			ks[1].At(at, func() {
 				hops++
 				if hops < 6 {
@@ -194,7 +216,7 @@ func TestPerPairFewerRounds(t *testing.T) {
 				}
 			})
 		})
-		*qBA = *NewQueue(4, func(_ unsafe.Pointer, at sim.Time) {
+		*qBA = *NewQueue(4, 1, laAB, func(_ unsafe.Pointer, at sim.Time) {
 			ks[0].At(at, func() {
 				hops++
 				if hops < 6 {
@@ -202,37 +224,27 @@ func TestPerPairFewerRounds(t *testing.T) {
 				}
 			})
 		})
-		if annotate {
-			qAB.SetEdge(0, laAB)
-			qBA.SetEdge(1, laAB)
-		}
-		g := NewGroup(laAB, members)
+		g := NewGroup(members)
 		ks[0].At(0, func() { qAB.Push(nil, sim.Time(laAB)) })
-		for j := 1; j <= 100; j++ {
+		for j := 1; j <= 200; j++ {
 			ks[2].At(sim.Time(j)*sim.Time(500*time.Microsecond), func() {})
 		}
 		g.Run()
 		return g.Stats(), [3]sim.Time{ks[0].Now(), ks[1].Now(), ks[2].Now()}
 	}
 
-	gStats, gClocks := run(false)
-	pStats, pClocks := run(true)
-	if gStats.PerPair || !pStats.PerPair {
-		t.Fatalf("PerPair flags: global=%v annotated=%v", gStats.PerPair, pStats.PerPair)
+	uStats, uClocks := run(laAB)
+	pStats, pClocks := run(100 * time.Millisecond)
+	if uClocks != pClocks {
+		t.Fatalf("clocks diverged: uniform %v, true latencies %v", uClocks, pClocks)
 	}
-	if gClocks != pClocks {
-		t.Fatalf("clocks diverged: global %v, per-pair %v", gClocks, pClocks)
-	}
-	for i := range gStats.Events {
-		if gStats.Events[i] != pStats.Events[i] {
-			t.Fatalf("event counts diverged: global %v, per-pair %v", gStats.Events, pStats.Events)
+	for i := range uStats.Events {
+		if uStats.Events[i] != pStats.Events[i] {
+			t.Fatalf("event counts diverged: uniform %v, true latencies %v", uStats.Events, pStats.Events)
 		}
 	}
-	if pStats.Rounds >= gStats.Rounds {
-		t.Fatalf("per-pair rounds %d not below global-window rounds %d", pStats.Rounds, gStats.Rounds)
-	}
-	if pStats.Rounds*5 > gStats.Rounds {
-		t.Fatalf("per-pair rounds %d, want at least 5x below global %d", pStats.Rounds, gStats.Rounds)
+	if pStats.Rounds*5 > uStats.Rounds {
+		t.Fatalf("true-latency rounds %d, want at least 5x below uniform-minimum %d", pStats.Rounds, uStats.Rounds)
 	}
 }
 
@@ -244,11 +256,11 @@ func TestPerPairFewerRounds(t *testing.T) {
 func TestPerPairTerminationResync(t *testing.T) {
 	const laAB = time.Millisecond
 	const laBC = 100 * time.Millisecond
-	ks, _, members := chain3(t, laAB, laBC, true)
+	ks, _, members := chain3(t, laAB, laBC)
 	last := sim.Time(50 * time.Millisecond)
 	ks[0].At(sim.Time(laAB), func() {})
 	ks[2].At(last, func() {})
-	g := NewGroup(laAB, members)
+	g := NewGroup(members)
 	g.Run()
 	for i, k := range ks {
 		if k.Now() != last {
@@ -260,18 +272,16 @@ func TestPerPairTerminationResync(t *testing.T) {
 	}
 }
 
-// TestPerPairStats checks the extended Stats surface: per-member event
-// counts come from the kernels' fired counters, and blocked time stays
-// zero until telemetry is enabled.
+// TestPerPairStats checks the per-member event counts come from the
+// kernels' fired counters.
 func TestPerPairStats(t *testing.T) {
-	ks, qs, members := chain3(t, time.Millisecond, 2*time.Millisecond, true)
-	g := NewGroup(time.Millisecond, members)
-	g.SetBlockedTelemetry(true)
+	ks, qs, members := chain3(t, time.Millisecond, 2*time.Millisecond)
+	g := NewGroup(members)
 	ks[0].At(0, func() { qs["AB"].Push(nil, sim.Time(time.Millisecond)) })
 	g.Run()
 	st := g.Stats()
-	if len(st.Events) != 3 || len(st.Blocked) != 3 {
-		t.Fatalf("Events/Blocked lengths %d/%d, want 3/3", len(st.Events), len(st.Blocked))
+	if len(st.Events) != 3 {
+		t.Fatalf("Events length %d, want 3", len(st.Events))
 	}
 	if st.Events[0] != 1 || st.Events[1] != 1 {
 		t.Fatalf("Events = %v, want one event each on A and B", st.Events)
@@ -283,50 +293,8 @@ func TestPerPairStats(t *testing.T) {
 	}
 }
 
-// TestPartialAnnotationStaysGlobal pins the fallback: one unannotated
-// queue keeps the whole group on the global window.
-func TestPartialAnnotationStaysGlobal(t *testing.T) {
-	ka, kb := sim.NewKernel(), sim.NewKernel()
-	qAB := NewQueue(1, func(_ unsafe.Pointer, at sim.Time) { kb.At(at, func() {}) })
-	qBA := NewQueue(1, func(_ unsafe.Pointer, at sim.Time) { ka.At(at, func() {}) })
-	qAB.SetEdge(0, time.Millisecond)
-	g := NewGroup(time.Millisecond, []*Member{
-		{K: ka, In: []*Queue{qBA}},
-		{K: kb, In: []*Queue{qAB}},
-	})
-	if g.PerPair() {
-		t.Fatal("group with an unannotated queue must use the global window")
-	}
-}
-
-func TestSetEdgeValidation(t *testing.T) {
-	expectPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: no panic", name)
-			}
-		}()
-		f()
-	}
-	q := NewQueue(1, func(_ unsafe.Pointer, _ sim.Time) {})
-	expectPanic("negative from", func() { q.SetEdge(-1, time.Millisecond) })
-	expectPanic("zero lookahead", func() { q.SetEdge(0, 0) })
-	expectPanic("edge from outside group", func() {
-		bad := NewQueue(1, func(_ unsafe.Pointer, _ sim.Time) {})
-		bad.SetEdge(7, time.Millisecond)
-		ka, kb := sim.NewKernel(), sim.NewKernel()
-		other := NewQueue(1, func(_ unsafe.Pointer, _ sim.Time) {})
-		other.SetEdge(1, time.Millisecond)
-		NewGroup(time.Millisecond, []*Member{
-			{K: ka, In: []*Queue{bad}},
-			{K: kb, In: []*Queue{other}},
-		})
-	})
-	expectPanic("run after close", func() {
-		ka, kb := sim.NewKernel(), sim.NewKernel()
-		g := NewGroup(time.Millisecond, []*Member{{K: ka}, {K: kb}})
-		g.Close()
-		g.Run()
-	})
+func TestNewQueueValidation(t *testing.T) {
+	nop := func(_ unsafe.Pointer, _ sim.Time) {}
+	expectPanic(t, "negative from", func() { NewQueue(1, -1, time.Millisecond, nop) })
+	expectPanic(t, "zero lookahead", func() { NewQueue(1, 0, 0, nop) })
 }

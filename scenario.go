@@ -146,10 +146,3 @@ func WithWorkers(n int) Option { return core.WithWorkers(n) }
 // Like WithShards it changes only wall-clock time: reports are
 // byte-identical at any kernel count.
 func WithKernels(n int) Option { return core.WithKernels(n) }
-
-// WithIntra lets WithKernels partitioning additionally cut inside a
-// site at switch boundaries when the WAN cut alone cannot reach the
-// requested kernel count; per-pair lookahead keeps the short
-// switch-port bounds from throttling the WAN pairs. Reports stay
-// byte-identical either way.
-func WithIntra() Option { return core.WithIntra() }
