@@ -6,11 +6,15 @@
 //
 // Local shards and remote workers steal from the same work queue, so a
 // coordinator with zero workers still completes every job, and each
-// worker that connects simply makes the queue drain faster. Workers
-// stream each point's result as it finishes; a lease not heartbeaten
-// within -lease-ttl is requeued, but only its unstreamed tail re-runs.
-// Killed workers cost time, never results: reports stay byte-identical
-// to a single-kernel run at any worker count.
+// worker that connects simply makes the queue drain faster. Idle workers
+// do not poll: their lease asks park on the coordinator until a job
+// publishes work (-poll is only their back-off after an empty or failed
+// ask), and a client's wait is one held request answered with the
+// finished report. Workers stream each point's result as it finishes; a
+// lease not heartbeaten within -lease-ttl is requeued, but only its
+// unstreamed tail re-runs. Killed workers cost time, never results:
+// reports stay byte-identical to a single-kernel run at any worker
+// count.
 //
 // Finished points land in a content-addressed store (-cache entries,
 // optionally -cache-bytes total wire bytes with -cache-entry-bytes per
@@ -90,7 +94,8 @@ func main() {
 	cacheEntryBytes := flag.Int("cache-entry-bytes", 0,
 		"largest single point result the store will keep, in bytes (0 = no cap)")
 	maxJobs := flag.Int("jobs", 4, "concurrently running jobs; further submissions queue FIFO")
-	poll := flag.Duration("poll", 200*time.Millisecond, "idle-poll interval hint for workers")
+	poll := flag.Duration("poll", 200*time.Millisecond,
+		"retry back-off handed to workers, between asks that came back empty or failed; idle workers park on the coordinator instead of polling")
 	dataDir := flag.String("data-dir", "",
 		"journal coordinator state here (WAL + snapshots) and recover it on restart; empty = in-memory only")
 	snapshot := flag.Duration("snapshot", time.Minute,
@@ -136,9 +141,15 @@ func main() {
 	})
 
 	srv := &http.Server{Addr: *addr, Handler: c.Handler()}
+	// Shutdown waits for active requests, and an idle fleet's are parked
+	// on the coordinator (lease asks, job waits, gtwtop's event stream):
+	// release them first, or SIGTERM burns the whole 5 s budget.
+	srv.RegisterOnShutdown(c.ReleaseParked)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		<-ctx.Done()
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -159,9 +170,12 @@ func main() {
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
-	// Shutdown order matters for durability: Close() cancels running
-	// jobs and waits for them to journal their interrupted state, THEN
-	// the disk store compacts its final snapshot.
+	// Shutdown order matters for durability: requests in flight (a
+	// result upload, a released wait) get their answers — ListenAndServe
+	// returns the moment Shutdown starts, not when it is done — then
+	// Close() cancels running jobs and waits for them to journal their
+	// interrupted state, THEN the disk store compacts its final snapshot.
+	<-drained
 	c.Close()
 	if disk != nil {
 		if err := disk.Close(); err != nil {

@@ -32,10 +32,11 @@
 //
 // Distributed mode: -connect URL submits the named scenarios to a gtwd
 // coordinator — with its job queue and result cache — and prints the
-// reports exactly as a local run would. Connected runs follow each job
-// over the coordinator's /v1/events stream (no polling traffic while
-// the job runs) and fall back to plain status polling automatically if
-// the stream dies mid-job.
+// reports exactly as a local run would. A connected run is two round
+// trips per job: the submit, and one status request the coordinator
+// holds (?wait_ms) until the job is finished and answers with the
+// report. Against a coordinator that does not hold requests the wait
+// degrades to status polling on its own.
 package main
 
 import (
@@ -298,11 +299,7 @@ func runConnect(ctx context.Context, url, token string, names []string, o gtw.Op
 		if err == nil {
 			jobID = st.ID
 			if st.Status != dist.JobDone && st.Status != dist.JobFailed {
-				// Follow the job over the event stream; if the stream dies
-				// mid-job WaitStream degrades to plain polling on its own.
-				st, err = cl.WaitStream(ctx, st.ID, func(cause error) {
-					fmt.Fprintf(stderr, "gtwrun: event stream lost (%v); polling %s\n", cause, jobID)
-				})
+				st, err = cl.Wait(ctx, st.ID)
 			}
 		}
 		if err != nil {

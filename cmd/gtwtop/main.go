@@ -100,7 +100,13 @@ func snapshot(ctx context.Context, cl *dist.Client) error {
 	}
 	fmt.Println()
 
-	fmt.Printf("workers: %d\n", len(st.Workers))
+	fmt.Printf("workers: %d", len(st.Workers))
+	if met != nil {
+		fmt.Printf("  (%.0f parked waiting for work; lease asks granted %.0f, empty %.0f)",
+			met["gtw_lease_parked"],
+			met[`gtw_lease_asks_total{result="granted"}`], met[`gtw_lease_asks_total{result="empty"}`])
+	}
+	fmt.Println()
 	for _, w := range st.Workers {
 		fmt.Printf("  %-20s %8d pts  %8.1f pts/s  seen %5.1fs ago\n",
 			w.ID, w.Points, w.RatePPS, float64(w.LastSeenMSAgo)/1000)

@@ -25,6 +25,11 @@
 // the worker dies between flushes (those points simply re-run
 // elsewhere; reports stay byte-identical).
 //
+// An idle worker costs the coordinator nothing: its lease ask is held
+// there until a job has work for it, so -poll only paces retries after
+// an empty or failed ask (and every ask, against an older coordinator
+// that answers at once).
+//
 // Run as many as you like; killing one mid-lease only delays its
 // points until the lease TTL expires and they are re-run elsewhere.
 package main
@@ -49,7 +54,7 @@ func main() {
 	coord := flag.String("coordinator", "http://127.0.0.1:9191", "coordinator base URL")
 	id := flag.String("id", "", "sticky worker ID (default: random, kept for the process lifetime)")
 	poll := flag.Duration("poll", 200*time.Millisecond,
-		"idle-poll interval (the coordinator's register reply overrides it)")
+		"retry back-off after an empty or failed lease ask (the coordinator's register reply overrides it); idle workers park on the coordinator instead of polling")
 	streamWindow := flag.Duration("stream-window", 0,
 		"coalesce points finishing within this window into one stream upload (0 = one upload per point)")
 	streamBatch := flag.Int("stream-batch", 16,

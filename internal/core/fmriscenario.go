@@ -141,10 +141,13 @@ func RunFMRIScenario(sc FMRIScenario) (FMRIScenarioResult, error) {
 
 	var wireTotal time.Duration
 	// Analysis chain process (unpipelined, as in the paper: the next
-	// frame is requested only after the previous display completed).
+	// frame is requested only after the previous display completed). It
+	// ends with the scanner's last frame, not after Frames of them: a
+	// chain that skipped frames would wait for the rest forever, and the
+	// parked Proc would keep its goroutine and this whole testbed alive.
 	tb.K.Go("chain", func(p *sim.Proc) {
-		for n := 0; n < sc.Frames; n++ {
-			f := ready.Recv(p)
+		for f := -1; f < sc.Frames-1; {
+			f = ready.Recv(p)
 			// Drain to the newest frame if we fell behind.
 			for {
 				next, ok := ready.TryRecv()

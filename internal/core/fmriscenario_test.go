@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestFMRIScenarioMeetsPaperBudget(t *testing.T) {
@@ -59,6 +61,22 @@ func TestFMRIScenarioFastTRSkipsFrames(t *testing.T) {
 	}
 	if res.Frames >= 16 {
 		t.Errorf("displayed %d/16 frames at TR=2; expected skips", res.Frames)
+	}
+	// A chain that skipped frames has fewer to wait for than it was
+	// started with, and must end with the scanner's last one instead of
+	// waiting for the rest: every run would strand a goroutine and,
+	// through its stack, the run's whole testbed.
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		if _, err := RunFMRIScenario(FMRIScenario{PEs: 256, TR: 2.0, Frames: 16}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Goroutines that have returned take a moment to leave the count.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 20 frame-skipping runs, %d before: the chain process leaks", runtime.NumGoroutine(), base)
+		}
 	}
 }
 

@@ -1,19 +1,17 @@
 package dist
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 )
 
-// Client is the coordinator's job-side API: submit scenario runs, poll
-// them to completion. cmd/gtwrun's -connect mode and the test suite
+// Client is the coordinator's job-side API: submit scenario runs, wait
+// for them to complete. cmd/gtwrun's -connect mode and the test suite
 // drive coordinators through it.
 type Client struct {
 	// Base is the coordinator URL, e.g. "http://127.0.0.1:9191".
@@ -24,7 +22,8 @@ type Client struct {
 	Token string
 	// HTTP is the client to use (default: 30s-timeout client).
 	HTTP *http.Client
-	// Poll is the job-poll interval (default 100ms).
+	// Poll paces Wait against a coordinator that answers a wait early
+	// (default 100ms); against one that holds it, Wait never sleeps.
 	Poll time.Duration
 }
 
@@ -102,124 +101,55 @@ func (cl *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 	return &st, nil
 }
 
-// Wait polls the job until it reaches a terminal state or ctx ends.
+// parkWait is the wait_ms Clients and Workers send through hc: how long
+// the coordinator may hold a request that has nothing to answer yet —
+// ten seconds, or half hc's whole-request timeout when that is shorter,
+// so a held request is answered before its own client gives up on it.
+func parkWait(hc *http.Client) time.Duration {
+	d := 10 * time.Second
+	if hc != nil && hc.Timeout > 0 {
+		d = min(d, hc.Timeout/2)
+	}
+	return d
+}
+
+// Wait blocks until the job is terminal or ctx ends. Each request asks
+// the coordinator to hold it until then (?wait_ms), so a finished job
+// comes back, report included, in the one request that waited for it.
+// An early, non-terminal answer came from a coordinator that ignores
+// wait_ms or is shutting down: only then does Wait sleep Poll.
 func (cl *Client) Wait(ctx context.Context, id string) (*JobStatus, error) {
 	poll := cl.Poll
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
 	}
+	wait := parkWait(cl.HTTP)
+	held := fmt.Sprintf("%s?wait_ms=%d", id, wait.Milliseconds()) // Job appends it to the path
 	for {
-		st, err := cl.Job(ctx, id)
-		if err != nil {
-			return nil, err
+		asked := time.Now()
+		st, err := cl.Job(ctx, held)
+		if err != nil || st.Status == JobDone || st.Status == JobFailed {
+			return st, err
 		}
-		if st.Status == JobDone || st.Status == JobFailed {
-			return st, nil
-		}
-		if !sleepCtx(ctx, poll) {
+		if time.Since(asked) < wait && !sleepCtx(ctx, poll) {
 			return nil, ctx.Err()
 		}
 	}
 }
 
-// streamHTTP builds the dedicated client for /v1/events: the regular
-// request client enforces a whole-request timeout, which would kill a
-// long-lived stream mid-job, so the stream reuses its transport but
-// drops the deadline (lifetime is governed by ctx instead).
-func (cl *Client) streamHTTP() *http.Client {
-	sc := &http.Client{}
-	if cl.HTTP != nil {
-		sc.Transport = cl.HTTP.Transport
-	}
-	return sc
-}
-
-// WaitStream waits for a job by consuming the coordinator's /v1/events
-// SSE stream, falling back to plain polling (Wait) if the stream
-// cannot be opened or dies mid-job; onFallback, when non-nil, observes
-// the error that triggered the fallback. The subscribe-then-poll race is
-// closed by order of operations: the server writes an opening comment
-// the moment the subscription is live, and WaitStream re-polls the job
-// after reading it — any transition before the subscription was live
-// is caught by that poll, and any transition after it arrives on the
-// stream (or visibly breaks it, triggering the fallback).
-func (cl *Client) WaitStream(ctx context.Context, id string, onFallback func(error)) (*JobStatus, error) {
-	if st, err := cl.Job(ctx, id); err != nil {
-		return nil, err
-	} else if st.Status == JobDone || st.Status == JobFailed {
-		return st, nil
-	}
-	fallback := func(cause error) (*JobStatus, error) {
-		if onFallback != nil {
-			onFallback(cause)
-		}
-		return cl.Wait(ctx, id)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.Base+"/v1/events", nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	if cl.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+cl.Token)
-	}
-	resp, err := cl.streamHTTP().Do(req)
-	if err != nil {
-		return fallback(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fallback(fmt.Errorf("dist: GET /v1/events: %s: %s", resp.Status, bytes.TrimSpace(msg)))
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	// The server's first line is the opening comment — once read, the
-	// subscription is live and the re-poll below closes the race.
-	if !sc.Scan() {
-		return fallback(fmt.Errorf("dist: event stream closed before the opening comment: %w", sc.Err()))
-	}
-	if st, err := cl.Job(ctx, id); err != nil {
-		return nil, err
-	} else if st.Status == JobDone || st.Status == JobFailed {
-		return st, nil
-	}
-	var data strings.Builder
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			var ev Event
-			if data.Len() > 0 && json.Unmarshal([]byte(data.String()), &ev) == nil &&
-				ev.Type == "job" && ev.Job == id &&
-				(ev.Status == JobDone || ev.Status == JobFailed) {
-				// Terminal transition seen: fetch the full status (the
-				// event carries no report bytes).
-				return cl.Job(ctx, id)
-			}
-			data.Reset()
-		case strings.HasPrefix(line, "data:"):
-			data.WriteString(strings.TrimSpace(strings.TrimPrefix(line, "data:")))
-		}
-	}
-	err = sc.Err()
-	if err == nil {
-		err = io.ErrUnexpectedEOF // server dropped the stream mid-job
-	}
-	if ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	return fallback(err)
+// WaitStream is Wait, under the name it had when waiting meant
+// consuming /v1/events; the callback is never invoked.
+//
+// Deprecated: use Wait.
+func (cl *Client) WaitStream(ctx context.Context, id string, _ func(error)) (*JobStatus, error) {
+	return cl.Wait(ctx, id)
 }
 
 // Run submits a job and waits for it.
 func (cl *Client) Run(ctx context.Context, req JobRequest) (*JobStatus, error) {
 	st, err := cl.Submit(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if st.Status == JobDone || st.Status == JobFailed {
-		return st, nil
+	if err != nil || st.Status == JobDone || st.Status == JobFailed {
+		return st, err
 	}
 	return cl.Wait(ctx, st.ID)
 }

@@ -23,8 +23,8 @@ type Config struct {
 	// LeaseTTL is how long a worker may hold a lease without
 	// heartbeating before its points are requeued (default 10s).
 	LeaseTTL time.Duration
-	// Poll is the idle-poll interval hint handed to workers (default
-	// 200ms).
+	// Poll is the back-off handed to workers for after an empty or
+	// failed lease ask (default 200ms); idle workers' asks are parked.
 	Poll time.Duration
 	// LocalShards is the number of in-process shards the coordinator
 	// itself contributes to every distributed job, stealing from the
@@ -167,6 +167,7 @@ type workerState struct {
 	id       string
 	lastSeen time.Time
 	points   int
+	parked   int // its lease asks parked right now: > 0 reads as seen now
 }
 
 // Coordinator owns the job queue, the result cache, the worker
@@ -205,17 +206,23 @@ type Coordinator struct {
 	met    *metrics
 	events *eventHub
 
+	// wake is closed (and replaced) under c.mu whenever work may have
+	// become grantable; a parked lease ask waits on the channel it read
+	// under the same hold of c.mu as its failed scan, so none is missed.
+	// released is closed by ReleaseParked.
+	wake        chan struct{}
+	released    chan struct{}
+	releaseOnce sync.Once
+
 	// Fair admission: running counts jobs holding one of the MaxJobs
 	// execution slots; admitCond (on c.mu) wakes queued jobs when a slot
 	// frees or shutdown starts.
 	running   int
 	admitCond *sync.Cond
 
-	wg        sync.WaitGroup // in-flight execute goroutines
-	stopped   chan struct{}
-	closeOnce sync.Once
-	base      context.Context
-	baseCxl   context.CancelFunc
+	wg      sync.WaitGroup // in-flight execute goroutines
+	base    context.Context
+	baseCxl context.CancelFunc
 }
 
 // New builds a coordinator, recovers any state its Store journaled in a
@@ -231,7 +238,8 @@ func New(cfg Config) *Coordinator {
 		leases:   make(map[leaseKey]*leaseRec),
 		rates:    make(map[string]float64),
 		inflight: make(map[string]int),
-		stopped:  make(chan struct{}),
+		wake:     make(chan struct{}),
+		released: make(chan struct{}),
 	}
 	c.pstore = c.cfg.Store
 	if c.pstore == nil {
@@ -500,38 +508,64 @@ func (c *Coordinator) release() {
 	c.mu.Unlock()
 }
 
-// Close cancels running jobs, stops the reaper, and waits for in-flight
-// job goroutines to finish journaling — interrupted jobs are recorded
-// as queued, so a restart on the same store resumes them. The caller
-// owns the persistence store's lifetime (close it after Close returns,
-// so the final snapshot carries every last record).
+// Close cancels running jobs, stops the reaper, releases what is parked
+// and waits for in-flight job goroutines to finish journaling —
+// interrupted jobs are recorded as queued, so a restart on the same
+// store resumes them. The caller owns the persistence store's lifetime
+// (close it after Close returns: the final snapshot has every record).
 func (c *Coordinator) Close() {
-	c.closeOnce.Do(func() {
-		c.baseCxl()
-		close(c.stopped)
-		c.events.dropAll(true)
-	})
+	c.baseCxl()
+	c.ReleaseParked()
 	c.wg.Wait()
 }
 
-// reaperInterval derives the expiry scan period from the lease TTL.
-func (c *Coordinator) reaperInterval() time.Duration {
-	iv := c.cfg.LeaseTTL / 4
-	if iv < 10*time.Millisecond {
-		iv = 10 * time.Millisecond
+// ReleaseParked answers every request the coordinator is holding —
+// lease asks with 204, job waits with the current status, /v1/events
+// streams by closing them — and holds none from then on. Shutdown of an
+// http.Server waits for active requests: give it this (RegisterOnShutdown).
+func (c *Coordinator) ReleaseParked() {
+	c.releaseOnce.Do(func() {
+		close(c.released)
+		c.events.dropAll()
+	})
+}
+
+// wakeLocked lets every parked lease ask re-run its scan.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// parkUntil is when a request that asked to be held for waitMS gets its
+// answer regardless: that long from now, a minute at most.
+func parkUntil(waitMS int64) time.Time {
+	return time.Now().Add(min(time.Duration(waitMS)*time.Millisecond, time.Minute))
+}
+
+// hold parks a request until ch fires (reported), the deadline passes,
+// its client goes away, or ReleaseParked.
+func (c *Coordinator) hold(r *http.Request, deadline time.Time, ch <-chan struct{}) bool {
+	t := time.NewTimer(time.Until(deadline))
+	defer t.Stop()
+	select {
+	case <-ch:
+		return true
+	case <-t.C:
+	case <-r.Context().Done():
+	case <-c.released:
 	}
-	return iv
+	return false
 }
 
 // reap requeues leases whose workers stopped heartbeating, so their
 // points are re-run by whoever asks next (another worker or a local
 // shard).
 func (c *Coordinator) reap() {
-	t := time.NewTicker(c.reaperInterval())
+	t := time.NewTicker(max(c.cfg.LeaseTTL/4, 10*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
-		case <-c.stopped:
+		case <-c.base.Done():
 			return
 		case now := <-t.C:
 			c.mu.Lock()
@@ -573,9 +607,11 @@ func (c *Coordinator) retireLeaseLocked(k leaseKey, rec *leaseRec) {
 		return
 	}
 	delete(c.leases, k)
-	name := rec.job.tenant.Name
-	if c.inflight[name] -= rec.lease.Points(); c.inflight[name] < 0 {
-		c.inflight[name] = 0
+	t, before := rec.job.tenant, c.inflight[rec.job.tenant.Name]
+	after := max(before-rec.lease.Points(), 0)
+	c.inflight[t.Name] = after
+	if before >= t.MaxInFlight && after < t.MaxInFlight {
+		c.wakeLocked() // a capped tenant (uncapped: after is never < 0) can be granted again
 	}
 }
 
@@ -593,6 +629,7 @@ func (c *Coordinator) dropLeaseLocked(k leaseKey, rec *leaseRec) (requeued int) 
 	c.sched.Refund(rec.job.tenant.Name, requeued)
 	if rec.job.run != nil {
 		rec.job.run.Queue().RequeuePartial(rec.lease, rec.streamed)
+		c.wakeLocked()
 	}
 	return requeued
 }
@@ -860,6 +897,9 @@ func (c *Coordinator) runDistributed(ctx context.Context, j *job, plan *core.Pla
 	j.sw = sw
 	j.keys = keys
 	j.pointsTotal = n
+	if q.Pending() > 0 { // an all-hit job wakes nobody
+		c.wakeLocked()
+	}
 	c.mu.Unlock()
 
 	stop := context.AfterFunc(ctx, q.Close)
@@ -877,15 +917,18 @@ func (c *Coordinator) runDistributed(ctx context.Context, j *job, plan *core.Pla
 
 	c.mu.Lock()
 	// Harvest throughput observations for the next job's seeding, and
-	// retire any leases still pointing at this job. The observations —
-	// and each registered worker's points tally — are journaled, so a
-	// restarted coordinator seeds its first dispatch with what this one
-	// learned (reconnecting workers keep their sticky IDs and EWMAs).
+	// retire any leases still pointing at this job. A registered worker
+	// whose EWMA this job moved is journaled with it (handleResult wrote
+	// its tally per lease), so a restarted coordinator seeds its first
+	// dispatch with what this one learned.
 	for w, r := range q.Rates() {
+		if c.rates[w] == r {
+			continue // seeded, and this job never heard from it
+		}
 		c.rates[w] = r
-	}
-	for id, ws := range c.workers {
-		c.pstore.PutWorker(persist.WorkerRecord{ID: id, Points: ws.points, RatePPS: c.rates[id]})
+		if ws := c.workers[w]; ws != nil {
+			c.pstore.PutWorker(persist.WorkerRecord{ID: w, Points: ws.points, RatePPS: r})
+		}
 	}
 	pd, _ := run.Progress()
 	j.pointsDone = pd
@@ -1012,18 +1055,22 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request, t *te
 	writeJSON(w, http.StatusOK, st)
 }
 
+// handleJob serves a job's status; with ?wait_ms=N it first waits, at
+// most that long, for the job to become terminal.
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	j, ok := c.jobs[r.PathValue("id")]
-	var st JobStatus
-	if ok {
-		st = c.statusLocked(j)
-	}
 	c.mu.Unlock()
 	if !ok {
 		http.Error(w, "unknown job", http.StatusNotFound)
 		return
 	}
+	if waitMS, _ := strconv.ParseInt(r.URL.Query().Get("wait_ms"), 10, 64); waitMS > 0 {
+		c.hold(r, parkUntil(waitMS), j.done)
+	}
+	c.mu.Lock()
+	st := c.statusLocked(j)
+	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, st)
 }
 
@@ -1041,9 +1088,12 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st.Jobs = len(c.jobs)
 	now := time.Now()
 	for _, ws := range c.workers {
+		ago := now.Sub(ws.lastSeen).Milliseconds()
+		if ws.parked > 0 {
+			ago = 0
+		}
 		st.Workers = append(st.Workers, WorkerStatus{
-			ID: ws.id, LastSeenMSAgo: now.Sub(ws.lastSeen).Milliseconds(),
-			Points: ws.points, RatePPS: c.rates[ws.id],
+			ID: ws.id, LastSeenMSAgo: ago, Points: ws.points, RatePPS: c.rates[ws.id],
 		})
 	}
 	for _, t := range list {
@@ -1063,11 +1113,11 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// touchWorkerLocked updates the sticky worker record (none for an
-// upload that names no worker).
-func (c *Coordinator) touchWorkerLocked(id string) {
+// touchWorkerLocked updates — and returns — the sticky worker record
+// (nil for an upload that names no worker).
+func (c *Coordinator) touchWorkerLocked(id string) *workerState {
 	if id == "" {
-		return
+		return nil
 	}
 	ws := c.workers[id]
 	if ws == nil {
@@ -1075,6 +1125,7 @@ func (c *Coordinator) touchWorkerLocked(id string) {
 		c.workers[id] = ws
 	}
 	ws.lastSeen = time.Now()
+	return ws
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
@@ -1098,6 +1149,10 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request, t *
 	})
 }
 
+// handleLease grants the asking worker its next lease. With nothing
+// grantable, an ask carrying wait_ms parks — c.mu released — until
+// wakeLocked, then scans again; it gets its 204 only at its deadline,
+// when its client goes away, or on ReleaseParked.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !readJSON(w, r, &req) {
@@ -1107,13 +1162,41 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "empty worker_id", http.StatusBadRequest)
 		return
 	}
+	deadline := parkUntil(req.WaitMS)
 	c.mu.Lock()
-	c.touchWorkerLocked(req.WorkerID)
-	// Weighted fair share over tenants with grantable work: group the
-	// running distributed jobs by tenant (submit order within a tenant),
-	// drop tenants at their in-flight cap or with drained queues, then
-	// walk tenants in ascending virtual time — the first TryNext that
-	// yields a lease wins and is charged against its tenant's clock.
+	ws := c.touchWorkerLocked(req.WorkerID)
+	reply, ok := c.grantLocked(req.WorkerID)
+	for again := req.WaitMS > 0; !ok && again; {
+		wake := c.wake
+		ws.parked++
+		c.met.leaseParked.Add(1)
+		c.mu.Unlock()
+		again = c.hold(r, deadline, wake)
+		c.mu.Lock()
+		ws.parked--
+		c.met.leaseParked.Add(-1)
+		ws.lastSeen = time.Now()
+		if again {
+			reply, ok = c.grantLocked(req.WorkerID)
+		}
+	}
+	c.mu.Unlock()
+	if !ok {
+		c.met.asksEmpty.Inc()
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	c.met.asksGranted.Inc()
+	writeJSON(w, http.StatusOK, reply)
+}
+
+// grantLocked carves the next lease for a worker by weighted fair share
+// over tenants with grantable work: group the running distributed jobs
+// by tenant (submit order within a tenant), drop tenants at their
+// in-flight cap or with drained queues, then walk tenants in ascending
+// virtual time — the first TryNext that yields a lease wins and is
+// charged against its tenant's clock.
+func (c *Coordinator) grantLocked(workerID string) (LeaseReply, bool) {
 	var names []string
 	byTenant := make(map[string][]*job)
 	for _, j := range c.order {
@@ -1134,7 +1217,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, name := range c.sched.Order(names) {
 		for _, j := range byTenant[name] {
-			l, ok := j.run.Queue().TryNext(req.WorkerID)
+			l, ok := j.run.Queue().TryNext(workerID)
 			if !ok {
 				continue
 			}
@@ -1145,18 +1228,14 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			c.inflight[name] += l.Points()
 			c.sched.Charge(name, l.Points())
 			c.met.leasesGranted.Inc()
-			reply := LeaseReply{
+			return LeaseReply{
 				JobID: j.id, Scenario: j.scenario, Seq: l.Seq,
 				Lo: l.Lo, Hi: l.Hi, Opts: j.wopts,
 				TTLMS: c.cfg.LeaseTTL.Milliseconds(),
-			}
-			c.mu.Unlock()
-			writeJSON(w, http.StatusOK, reply)
-			return
+			}, true
 		}
 	}
-	c.mu.Unlock()
-	w.WriteHeader(http.StatusNoContent)
+	return LeaseReply{}, false
 }
 
 // acceptPoint is the per-point intake both upload endpoints share. It

@@ -13,8 +13,7 @@ import (
 // buffered channel and a slow consumer simply loses frames (its
 // channel is full — SSE is a live view, not a durable log; the polling
 // endpoints remain the source of truth). dropAll disconnects every
-// subscriber, which is both the shutdown path and the fault-injection
-// hook behind the gtwrun -connect fallback test.
+// subscriber: the shutdown path.
 type eventHub struct {
 	mu     sync.Mutex
 	subs   map[chan []byte]struct{}
@@ -60,16 +59,20 @@ func (h *eventHub) subscribers() int {
 }
 
 // publish renders one event as an SSE frame and offers it to every
-// subscriber, dropping it for any whose buffer is full.
+// subscriber, dropping it for any whose buffer is full. With nobody
+// subscribed it renders nothing: callers publish under c.mu.
 func (h *eventHub) publish(ev Event) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.subs) == 0 {
+		return
+	}
 	ev.TimeMS = time.Now().UnixMilli()
 	data, err := json.Marshal(ev)
 	if err != nil {
 		return
 	}
 	frame := []byte(fmt.Sprintf("event: %s\ndata: %s\n\n", ev.Type, data))
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	for ch := range h.subs {
 		select {
 		case ch <- frame:
@@ -78,16 +81,12 @@ func (h *eventHub) publish(ev Event) {
 	}
 }
 
-// dropAll disconnects every subscriber. With stop=true the hub also
-// refuses new subscriptions (coordinator shutdown); with false it is
-// the mid-stream kill used by fault-injection tests — clients are cut
-// off but may reconnect.
-func (h *eventHub) dropAll(stop bool) {
+// dropAll disconnects every subscriber and refuses new subscriptions
+// (coordinator shutdown).
+func (h *eventHub) dropAll() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if stop {
-		h.closed = true
-	}
+	h.closed = true
 	for ch := range h.subs {
 		delete(h.subs, ch)
 		close(ch)
@@ -114,10 +113,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("X-Accel-Buffering", "no")
-	// The opening comment tells the client its subscription is live:
-	// any transition after this line will be delivered (or the stream
-	// will visibly break), which is what lets clients close the
-	// subscribe-then-poll race.
+	// The opening comment tells the client its subscription is live.
 	fmt.Fprintf(w, ": gtwd events\nretry: 1000\n\n")
 	fl.Flush()
 	hb := time.NewTicker(eventHeartbeat)
@@ -126,7 +122,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case frame, open := <-ch:
 			if !open {
-				return // hub dropped us (shutdown or injected kill)
+				return // hub dropped us: ReleaseParked
 			}
 			if _, err := w.Write(frame); err != nil {
 				return
@@ -138,8 +134,6 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			fl.Flush()
 		case <-r.Context().Done():
-			return
-		case <-c.stopped:
 			return
 		}
 	}

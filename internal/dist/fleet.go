@@ -149,7 +149,6 @@ func runClientFleet(ctx context.Context, _ *core.Testbed, opts core.Options) (co
 		Tenants:     reg,
 		LocalShards: -1, // pure remote: every point through the fair-share lease path
 		LeaseTTL:    2 * time.Second,
-		Poll:        2 * time.Millisecond,
 		MaxJobs:     nTenants + 1, // contention happens at the lease queue, not admission
 	})
 	defer coord.Close()
@@ -171,7 +170,6 @@ func runClientFleet(ctx context.Context, _ *core.Testbed, opts core.Options) (co
 	for i := 0; i < workers; i++ {
 		w := NewWorker(base)
 		w.Token = tens[0].Token
-		w.Poll = 2 * time.Millisecond
 		wwg.Add(1)
 		go func() {
 			defer wwg.Done()
@@ -181,7 +179,7 @@ func runClientFleet(ctx context.Context, _ *core.Testbed, opts core.Options) (co
 
 	clients := make([]*Client, nTenants)
 	for i := range clients {
-		clients[i] = &Client{Base: base, Token: tens[i].Token, Poll: 5 * time.Millisecond}
+		clients[i] = &Client{Base: base, Token: tens[i].Token}
 	}
 
 	// Phase 1: contention. Tenant-unique Frames values keep the grids'

@@ -19,6 +19,9 @@ type metrics struct {
 	leasesExpired *obs.Counter
 	authFailures  *obs.Counter
 
+	asksGranted, asksEmpty *obs.Counter // lease asks by answer: one vec, resolved at wiring
+	leaseParked            *obs.Gauge   // lease asks parked right now (kept by handleLease)
+
 	pointsRun      *obs.CounterVec // by tenant: computed fresh
 	pointsHit      *obs.CounterVec // by tenant: served from the store
 	pointsStreamed *obs.CounterVec // by tenant: uploaded mid-lease
@@ -42,8 +45,13 @@ func newMetrics(reg *obs.Registry) *metrics {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	asks := reg.CounterVec("gtw_lease_asks_total", "Lease asks answered, by result (granted: a lease; empty: 204).", "result")
 	return &metrics{
 		reg: reg,
+
+		asksGranted: asks.With("granted"),
+		asksEmpty:   asks.With("empty"),
+		leaseParked: reg.Gauge("gtw_lease_parked", "Lease asks parked on the coordinator, waiting for work."),
 
 		leasesGranted: reg.Counter("gtw_leases_granted_total", "Leases granted to workers."),
 		leasesExpired: reg.Counter("gtw_leases_expired_total", "Leases expired without heartbeat and requeued."),

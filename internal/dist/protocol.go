@@ -29,16 +29,25 @@
 // Protocol (all bodies JSON unless noted):
 //
 //	POST /v1/jobs                submit a scenario run  -> JobStatus
-//	GET  /v1/jobs/{id}           poll a job             -> JobStatus
+//	GET  /v1/jobs/{id}[?wait_ms] job status; waits      -> JobStatus
 //	GET  /v1/status              coordinator snapshot   -> StatusReply
 //	GET  /v1/metrics             Prometheus text exposition
 //	GET  /v1/events              SSE stream of Event frames
 //	GET  /healthz                liveness               -> "ok"
 //	POST /v1/workers/register    announce a worker      -> RegisterReply
-//	POST /v1/workers/lease       pull a work unit       -> LeaseReply | 204
+//	POST /v1/workers/lease       pull a work unit; waits -> LeaseReply | 204
 //	POST /v1/workers/heartbeat   extend a held lease    -> HeartbeatReply
 //	POST /v1/workers/points      stream finished points -> PointsReply
 //	POST /v1/workers/result      complete a lease       -> ResultReply
+//
+// Waiting, not polling: a lease ask with wait_ms and nothing grantable
+// parks until work may have become grantable (a grid published, a lease
+// requeued, a tenant back under its in-flight cap) and gets its 204
+// only at the deadline; GET /v1/jobs/{id}?wait_ms=N is held until the
+// job is terminal and answers with the report (the current status at
+// the deadline). Both are opt-in and both sides fall back: no wait_ms,
+// no waiting; and a Worker or Client whose wait_ms an older coordinator
+// ignored paces its next ask by Poll, which is all Poll is still for.
 //
 // A lease not heartbeaten within its TTL is requeued — but points the
 // worker already streamed are kept, so a worker dying late in a lease
@@ -111,7 +120,7 @@ const (
 )
 
 // JobStatus is the coordinator's view of a job, returned on submit and
-// on every poll.
+// by every status request.
 type JobStatus struct {
 	ID       string `json:"id"`
 	Scenario string `json:"scenario"`
@@ -152,15 +161,17 @@ type RegisterRequest struct {
 	WorkerID string `json:"worker_id"`
 }
 
-// RegisterReply tunes the worker's loop.
+// RegisterReply tunes the worker's loop (PollMS: its retry back-off).
 type RegisterReply struct {
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
 	PollMS     int64 `json:"poll_ms"`
 }
 
-// LeaseRequest pulls the next work unit for a worker.
+// LeaseRequest pulls the next work unit for a worker; WaitMS > 0 lets
+// the coordinator park an ask it cannot grant for up to that long.
 type LeaseRequest struct {
 	WorkerID string `json:"worker_id"`
+	WaitMS   int64  `json:"wait_ms,omitempty"`
 }
 
 // LeaseReply is one leased work unit: grid points [Lo, Hi) of the named

@@ -402,63 +402,6 @@ func TestMaxInFlightCapsLeasedPoints(t *testing.T) {
 	}
 }
 
-// gtwrun -connect rides the SSE stream; when the stream dies mid-job
-// the client must notice and fall back to polling, and the job must
-// still complete.
-func TestWaitStreamFallsBackToPollingWhenStreamKilled(t *testing.T) {
-	registerWireSweep("dist-test-ssefall", 30, 20*time.Millisecond)
-	tc := newCluster(t, Config{})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	st, err := tc.cl.Submit(ctx, JobRequest{Scenario: "dist-test-ssefall"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kill := make(chan struct{})
-	go func() {
-		defer close(kill)
-		time.Sleep(150 * time.Millisecond) // mid-job: 30 points x 20ms on one shard
-		tc.c.events.dropAll(false)
-	}()
-	var fallbackErr error
-	final, err := tc.cl.WaitStream(ctx, st.ID, func(cause error) { fallbackErr = cause })
-	<-kill
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Status != JobDone {
-		t.Fatalf("job after fallback: %s (%s)", final.Status, final.Error)
-	}
-	if fallbackErr == nil {
-		t.Fatalf("stream was killed mid-job but WaitStream never fell back")
-	}
-}
-
-// The happy path: WaitStream completes a job via the event stream
-// without ever falling back to polling.
-func TestWaitStreamCompletesViaEvents(t *testing.T) {
-	registerWireSweep("dist-test-ssehappy", 10, 10*time.Millisecond)
-	tc := newCluster(t, Config{})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	st, err := tc.cl.Submit(ctx, JobRequest{Scenario: "dist-test-ssehappy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := tc.cl.WaitStream(ctx, st.ID, func(cause error) {
-		t.Errorf("unexpected fallback: %v", cause)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Status != JobDone {
-		t.Fatalf("job: %s (%s)", final.Status, final.Error)
-	}
-	if len(final.Report) == 0 {
-		t.Fatal("final status carries no report")
-	}
-}
-
 // The metrics endpoint and the status snapshot surface the control
 // plane's accounting: lease and point counters move with a real run,
 // and the per-tenant block attributes the work.

@@ -33,8 +33,9 @@ type Worker struct {
 	Token string
 	// Client is the HTTP client (default: 30s-timeout client).
 	Client *http.Client
-	// Poll is the idle-poll interval; the coordinator's register reply
-	// overrides it.
+	// Poll is the back-off after a lease ask that came back empty or
+	// failed; the coordinator's register reply overrides it. An idle
+	// worker's ask is parked by the coordinator, not repeated every Poll.
 	Poll time.Duration
 	// BatchWindow coalesces points finishing within this window into one
 	// streamed POST /v1/workers/points body, cutting the per-point HTTP
@@ -117,8 +118,8 @@ func (w *Worker) postJSON(ctx context.Context, path string, in, out any) (int, e
 }
 
 // Run registers with the coordinator and serves leases until ctx is
-// cancelled. Transient coordinator errors are retried with the poll
-// interval as backoff.
+// cancelled. Transient coordinator errors and empty answers are retried
+// with the poll interval as backoff.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Poll <= 0 {
 		w.Poll = 200 * time.Millisecond
@@ -144,10 +145,11 @@ func (w *Worker) Run(ctx context.Context) error {
 			return ctx.Err()
 		}
 		var lease LeaseReply
-		code, err := w.postJSON(ctx, "/v1/workers/lease", LeaseRequest{WorkerID: w.ID}, &lease)
+		code, err := w.postJSON(ctx, "/v1/workers/lease",
+			LeaseRequest{WorkerID: w.ID, WaitMS: parkWait(w.Client).Milliseconds()}, &lease)
 		switch {
 		case err != nil:
-			w.logf("dist: worker %s: lease poll: %v", w.ID, err)
+			w.logf("dist: worker %s: lease ask: %v", w.ID, err)
 			fallthrough
 		case code == http.StatusNoContent:
 			if !sleepCtx(ctx, w.Poll) {
