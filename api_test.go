@@ -1,8 +1,29 @@
 package gtw
 
 import (
+	"context"
+	"encoding/json"
 	"testing"
 )
+
+// runTyped runs a registered scenario through the facade and decodes
+// its measurement record into the scenario's typed report. (A sweep's
+// Run result wraps the merged report with its shard timings, so the
+// record — the same bytes either way — is the uniform way in.)
+func runTyped(tb testing.TB, name string, into Report, opts ...Option) {
+	tb.Helper()
+	rep, err := Run(context.Background(), name, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := rep.JSON()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := json.Unmarshal(b, into); err != nil {
+		tb.Fatalf("%s: decoding the record into %T: %v", name, into, err)
+	}
+}
 
 // The facade must expose a working end-to-end path: build the testbed,
 // run a transfer, reserve resources, run an experiment driver.
@@ -22,8 +43,9 @@ func TestFacadeQuickstartPath(t *testing.T) {
 }
 
 func TestFacadeTables(t *testing.T) {
-	paper := PaperTable1()
-	model := ModelTable1()
+	var t1 Table1Report
+	runTyped(t, "table1-model", &t1)
+	paper, model := PaperTable1(), t1.Model
 	if len(paper) != 9 || len(model) != 9 {
 		t.Fatalf("table lengths %d/%d", len(paper), len(model))
 	}
@@ -36,26 +58,20 @@ func TestFacadeTables(t *testing.T) {
 }
 
 func TestFacadeExperiments(t *testing.T) {
-	res, err := RunFMRIScenario(FMRIScenario{PEs: 256, TR: 3.0, Frames: 6})
-	if err != nil {
-		t.Fatal(err)
+	var fmri FMRIDataflowReport
+	runTyped(t, "fmri-dataflow", &fmri, WithPEs(256), WithFrames(6))
+	if fmri.Result.MaxGUIDelay >= 5 {
+		t.Errorf("scenario delay %.2f s", fmri.Result.MaxGUIDelay)
 	}
-	if res.MaxGUIDelay >= 5 {
-		t.Errorf("scenario delay %.2f s", res.MaxGUIDelay)
-	}
-	fw, err := FutureWorkAnalysis()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var fw FutureWorkReport
+	runTyped(t, "future-work", &fw)
 	if fw.BWiNSaturation < 1998 || fw.BWiNSaturation > 2001 {
 		t.Errorf("saturation %.2f", fw.BWiNSaturation)
 	}
-	agg, err := BackboneAggregate(OC12, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.AggregateMbps <= 0 {
-		t.Error("no aggregate throughput")
+	var up UpgradeReport
+	runTyped(t, "backbone-aggregate", &up, WithFlows(2))
+	if len(up.Aggregate) == 0 || up.Aggregate[0].Backbone != OC12 || up.Aggregate[0].AggregateMbps <= 0 {
+		t.Errorf("no OC-12 aggregate throughput: %+v", up.Aggregate)
 	}
 	if OC3.LineRate() >= OC12.LineRate() || OC12.LineRate() >= OC48.LineRate() {
 		t.Error("carrier ordering broken")

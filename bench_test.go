@@ -83,23 +83,19 @@ func BenchmarkFIREModulesReal(b *testing.B) {
 // measurements (Figure 1's quantitative content).
 func BenchmarkFigure1Throughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := Figure1Throughput()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].Mbps, "hippi-local-Mbps")
-		b.ReportMetric(rows[1].Mbps, "wan-t3e-sp2-Mbps")
-		b.ReportMetric(rows[2].Mbps, "ws-64K-Mbps")
+		var f1 Figure1Report
+		runTyped(b, "figure1-throughput", &f1)
+		b.ReportMetric(f1.Rows[0].Mbps, "hippi-local-Mbps")
+		b.ReportMetric(f1.Rows[1].Mbps, "wan-t3e-sp2-Mbps")
+		b.ReportMetric(f1.Rows[2].Mbps, "ws-64K-Mbps")
 	}
 }
 
 // BenchmarkFigure2EndToEnd regenerates the fMRI latency budget.
 func BenchmarkFigure2EndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := Figure2EndToEnd(256, 30)
-		if err != nil {
-			b.Fatal(err)
-		}
+		var r Figure2Report
+		runTyped(b, "figure2-endtoend", &r, WithPEs(256), WithFrames(30))
 		b.ReportMetric(r.TotalDelay, "total-delay-s")
 		b.ReportMetric(r.Unpipelined, "period-s")
 		b.ReportMetric(r.SafeTR, "safe-TR-s")
@@ -109,10 +105,8 @@ func BenchmarkFigure2EndToEnd(b *testing.B) {
 // BenchmarkFigure3Overlay regenerates the GUI overlay experiment.
 func BenchmarkFigure3Overlay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := Figure3Overlay()
-		if err != nil {
-			b.Fatal(err)
-		}
+		var r Figure3Report
+		runTyped(b, "figure3-overlay", &r)
 		b.ReportMetric(float64(r.ActivatedVoxels), "activated-voxels")
 		b.ReportMetric(r.PeakCorrelation, "peak-r")
 	}
@@ -121,10 +115,8 @@ func BenchmarkFigure3Overlay(b *testing.B) {
 // BenchmarkFigure4Workbench regenerates the visualization rates.
 func BenchmarkFigure4Workbench(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := Figure4Workbench()
-		if err != nil {
-			b.Fatal(err)
-		}
+		var r Figure4Report
+		runTyped(b, "figure4-workbench", &r)
 		b.ReportMetric(r.Rows[0].FPS, "oc12-clip-fps")
 		b.ReportMetric(r.StreamFPS, "measured-stream-fps")
 	}
@@ -134,12 +126,10 @@ func BenchmarkFigure4Workbench(b *testing.B) {
 // requirements table.
 func BenchmarkSection3Applications(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := Section3Applications()
-		if err != nil {
-			b.Fatal(err)
-		}
+		var s3 Section3Report
+		runTyped(b, "section3-applications", &s3)
 		ok := 0
-		for _, r := range rows {
+		for _, r := range s3.Rows {
 			if r.OK {
 				ok++
 			}
@@ -272,61 +262,48 @@ func BenchmarkFMRIScenarioDES(b *testing.B) {
 	for _, pes := range []int{64, 256} {
 		pes := pes
 		b.Run(fmt.Sprintf("PEs=%d", pes), func(b *testing.B) {
-			var res FMRIScenarioResult
+			var rep FMRIDataflowReport // the scenario runs at TR 4.0 s
 			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = RunFMRIScenario(FMRIScenario{PEs: pes, TR: 4.0, Frames: 10})
-				if err != nil {
-					b.Fatal(err)
-				}
+				runTyped(b, "fmri-dataflow", &rep, WithPEs(pes), WithFrames(10))
 			}
-			b.ReportMetric(res.MeanGUIDelay, "gui-delay-s")
-			b.ReportMetric(res.MeanVRDelay, "vr-delay-s")
-			b.ReportMetric(res.WireSeconds, "wire-s")
+			b.ReportMetric(rep.Result.MeanGUIDelay, "gui-delay-s")
+			b.ReportMetric(rep.Result.MeanVRDelay, "vr-delay-s")
+			b.ReportMetric(rep.Result.WireSeconds, "wire-s")
 		})
 	}
 }
 
 // BenchmarkBackboneUpgrade regenerates the upgrade-motivation
-// experiments (U1/U2): aggregate flows and mixed video+bulk traffic on
-// both backbone generations.
+// experiments (U1/U2): aggregate flows and mixed video+bulk traffic,
+// each scenario reporting both backbone generations side by side.
 func BenchmarkBackboneUpgrade(b *testing.B) {
-	for _, wan := range []OC{OC12, OC48} {
-		wan := wan
-		b.Run(fmt.Sprintf("aggregate-%v", wan), func(b *testing.B) {
-			var row AggregateRow
-			for i := 0; i < b.N; i++ {
-				var err error
-				row, err = BackboneAggregate(wan, 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(row.AggregateMbps, "aggregate-Mbps")
-		})
-		b.Run(fmt.Sprintf("mixed-%v", wan), func(b *testing.B) {
-			var m MixedTrafficResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				m, err = MixedTraffic(wan)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(m.Video.OnTime), "video-frames-on-time")
-			b.ReportMetric(m.BulkMbps, "bulk-Mbps")
-		})
-	}
+	b.Run("aggregate", func(b *testing.B) {
+		var rep UpgradeReport
+		for i := 0; i < b.N; i++ {
+			runTyped(b, "backbone-aggregate", &rep, WithFlows(4))
+		}
+		for _, row := range rep.Aggregate {
+			b.ReportMetric(row.AggregateMbps, fmt.Sprintf("%v-aggregate-Mbps", row.Backbone))
+		}
+	})
+	b.Run("mixed", func(b *testing.B) {
+		var rep UpgradeReport
+		for i := 0; i < b.N; i++ {
+			runTyped(b, "mixed-traffic", &rep)
+		}
+		for _, m := range rep.Mixed {
+			b.ReportMetric(float64(m.Video.OnTime), fmt.Sprintf("%v-video-frames-on-time", m.Backbone))
+			b.ReportMetric(m.BulkMbps, fmt.Sprintf("%v-bulk-Mbps", m.Backbone))
+		}
+	})
 }
 
 // BenchmarkFutureWork regenerates the forward-looking analyses: B-WiN
 // saturation (section 1) and multi-echo feasibility (section 4).
 func BenchmarkFutureWork(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := FutureWorkAnalysis()
-		if err != nil {
-			b.Fatal(err)
-		}
+		var r FutureWorkReport
+		runTyped(b, "future-work", &r)
 		b.ReportMetric(r.BWiNSaturation, "bwin-saturation-year")
 		b.ReportMetric(r.Acquisitions[1].T3EFullSeconds, "multiecho-512PE-s")
 	}

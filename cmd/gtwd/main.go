@@ -10,9 +10,9 @@
 // do not poll: their lease asks park on the coordinator until a job
 // publishes work (-poll is only their back-off after an empty or failed
 // ask), and a client's wait is one held request answered with the
-// finished report. Workers stream each point's result as it finishes; a
-// lease not heartbeaten within -lease-ttl is requeued, but only its
-// unstreamed tail re-runs. Killed workers cost time, never results:
+// finished report. Workers upload each point's result as it finishes,
+// once; a lease not heard from within -lease-ttl is requeued, but only
+// the tail it had not uploaded re-runs. Killed workers cost time, never results:
 // reports stay byte-identical to a single-kernel run at any worker
 // count.
 //

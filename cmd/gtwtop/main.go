@@ -7,16 +7,13 @@
 // Usage:
 //
 //	gtwtop [-coordinator http://host:9191] [-token TOK]
-//	       [-refresh 2s] [-once] [-topology]
+//	       [-refresh 2s] [-once]
 //
 // -once prints a single snapshot and exits (CI-friendly); the default
 // mode reprints the snapshot every -refresh and interleaves streamed
 // events. Against a gtwd started with -tenants, -token must carry a
-// configured tenant token.
-//
-// -topology restores this command's original job — printing and
-// validating the testbed topology (hosts, path MTUs, RTTs; a textual
-// Figure 1) without contacting any coordinator.
+// configured tenant token. (The testbed topology this command once
+// printed is in `gtwrun -list` and internal/core's tests.)
 package main
 
 import (
@@ -26,89 +23,92 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"net/http"
+	"os"
 	"os/signal"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	gtw "repro"
-
 	"repro/internal/dist"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("gtwtop: ")
-	coord := flag.String("coordinator", "http://127.0.0.1:9191", "coordinator base URL")
-	token := flag.String("token", "", "tenant token for a -tenants coordinator (Authorization: Bearer)")
-	refresh := flag.Duration("refresh", 2*time.Second, "snapshot interval")
-	once := flag.Bool("once", false, "print one snapshot and exit")
-	topology := flag.Bool("topology", false, "print the testbed topology instead of connecting to a coordinator")
-	ext := flag.Bool("extensions", false, "with -topology: include the section-5 extension sites")
-	oc12 := flag.Bool("oc12", false, "with -topology: use the 1997/98 OC-12 backbone instead of OC-48")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *topology {
-		printTopology(*ext, *oc12)
-		return
+// run is the testable body of main: it parses args, renders to stdout,
+// complains to stderr and reports the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gtwtop", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	coord := fs.String("coordinator", "http://127.0.0.1:9191", "coordinator base URL")
+	token := fs.String("token", "", "tenant token for a -tenants coordinator (Authorization: Bearer)")
+	refresh := fs.Duration("refresh", 2*time.Second, "snapshot interval")
+	once := fs.Bool("once", false, "print one snapshot and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 
 	cl := &dist.Client{Base: *coord, Token: *token}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	if err := snapshot(ctx, cl); err != nil {
-		log.Fatal(err)
+	if err := snapshot(ctx, cl, stdout); err != nil {
+		fmt.Fprintf(stderr, "gtwtop: %v\n", err)
+		return 1
 	}
 	if *once {
-		return
+		return 0
 	}
 
-	go tailEvents(ctx, *coord, *token)
+	go tailEvents(ctx, *coord, *token, stdout, stderr)
 	tick := time.NewTicker(*refresh)
 	defer tick.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			return
+			return 0
 		case <-tick.C:
-			if err := snapshot(ctx, cl); err != nil {
-				log.Printf("snapshot: %v", err)
+			if err := snapshot(ctx, cl, stdout); err != nil {
+				fmt.Fprintf(stderr, "gtwtop: snapshot: %v\n", err)
 			}
 		}
 	}
 }
 
 // snapshot renders one /v1/status + /v1/metrics dashboard frame.
-func snapshot(ctx context.Context, cl *dist.Client) error {
+func snapshot(ctx context.Context, cl *dist.Client, out io.Writer) error {
 	st, err := cl.Status(ctx)
 	if err != nil {
 		return err
 	}
 	met, _ := scrape(ctx, cl) // best-effort: older coordinators lack /v1/metrics
 
-	fmt.Printf("--- %s  %s ---\n", time.Now().Format("15:04:05"), cl.Base)
-	fmt.Printf("jobs: %d tracked", st.Jobs)
+	fmt.Fprintf(out, "--- %s  %s ---\n", time.Now().Format("15:04:05"), cl.Base)
+	fmt.Fprintf(out, "jobs: %d tracked", st.Jobs)
 	if met != nil {
-		fmt.Printf("  (running %.0f, queued %.0f, done %.0f, failed %.0f; leases granted %.0f, expired %.0f)",
+		fmt.Fprintf(out, "  (running %.0f, queued %.0f, done %.0f, failed %.0f; leases granted %.0f, expired %.0f)",
 			met["gtw_jobs_running"], met["gtw_jobs_queued"],
 			met[`gtw_jobs_completed_total{status="done"}`], met[`gtw_jobs_completed_total{status="failed"}`],
 			met["gtw_leases_granted_total"], met["gtw_leases_expired_total"])
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 
-	fmt.Printf("workers: %d", len(st.Workers))
+	fmt.Fprintf(out, "workers: %d", len(st.Workers))
 	if met != nil {
-		fmt.Printf("  (%.0f parked waiting for work; lease asks granted %.0f, empty %.0f)",
+		fmt.Fprintf(out, "  (%.0f parked waiting for work; lease asks granted %.0f, empty %.0f)",
 			met["gtw_lease_parked"],
 			met[`gtw_lease_asks_total{result="granted"}`], met[`gtw_lease_asks_total{result="empty"}`])
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	for _, w := range st.Workers {
-		fmt.Printf("  %-20s %8d pts  %8.1f pts/s  seen %5.1fs ago\n",
+		fmt.Fprintf(out, "  %-20s %8d pts  %8.1f pts/s  seen %5.1fs ago\n",
 			w.ID, w.Points, w.RatePPS, float64(w.LastSeenMSAgo)/1000)
 	}
 
@@ -117,22 +117,22 @@ func snapshot(ctx context.Context, cl *dist.Client) error {
 	if lookups > 0 {
 		hitRate = 100 * float64(st.StoreHits) / float64(lookups)
 	}
-	fmt.Printf("store: %d/%d points, %s", st.StorePoints, st.StoreCap, formatBytes(st.StoreBytes))
+	fmt.Fprintf(out, "store: %d/%d points, %s", st.StorePoints, st.StoreCap, formatBytes(st.StoreBytes))
 	if st.StoreBytesCap > 0 {
-		fmt.Printf(" of %s", formatBytes(st.StoreBytesCap))
+		fmt.Fprintf(out, " of %s", formatBytes(st.StoreBytesCap))
 	}
-	fmt.Printf(", hits %d/%d (%.1f%%), evictions %d, rejected %d\n",
+	fmt.Fprintf(out, ", hits %d/%d (%.1f%%), evictions %d, rejected %d\n",
 		st.StoreHits, lookups, hitRate, st.StoreEvictions, st.StoreRejected)
 
 	if len(st.Tenants) > 0 {
-		fmt.Printf("tenants:\n  %-12s %-7s %6s %9s %6s %9s %9s %9s %10s %8s\n",
+		fmt.Fprintf(out, "tenants:\n  %-12s %-7s %6s %9s %6s %9s %9s %9s %10s %8s\n",
 			"name", "class", "weight", "inflight", "jobs", "run", "hit", "streamed", "bytes", "rejected")
 		for _, t := range st.Tenants {
 			inflight := strconv.Itoa(t.InFlight)
 			if t.MaxInFlight > 0 {
 				inflight += "/" + strconv.Itoa(t.MaxInFlight)
 			}
-			fmt.Printf("  %-12s %-7s %6.0f %9s %6d %9d %9d %9d %10s %8d\n",
+			fmt.Fprintf(out, "  %-12s %-7s %6.0f %9s %6d %9d %9d %9d %10s %8d\n",
 				t.Name, t.Class, t.Weight, inflight, t.JobsSubmitted,
 				t.PointsRun, t.PointsHit, t.PointsStreamed,
 				formatBytes(t.StoreBytes), t.StoreRejected)
@@ -180,10 +180,10 @@ func scrape(ctx context.Context, cl *dist.Client) (map[string]float64, error) {
 // tailEvents follows /v1/events, printing one line per transition
 // between snapshots. Stream errors are retried until ctx ends — the
 // periodic snapshots keep working regardless.
-func tailEvents(ctx context.Context, base, token string) {
+func tailEvents(ctx context.Context, base, token string, out, stderr io.Writer) {
 	for ctx.Err() == nil {
-		if err := tailOnce(ctx, base, token); err != nil && ctx.Err() == nil {
-			log.Printf("event stream: %v (retrying)", err)
+		if err := tailOnce(ctx, base, token, out); err != nil && ctx.Err() == nil {
+			fmt.Fprintf(stderr, "gtwtop: event stream: %v (retrying)\n", err)
 			select {
 			case <-time.After(time.Second):
 			case <-ctx.Done():
@@ -192,7 +192,7 @@ func tailEvents(ctx context.Context, base, token string) {
 	}
 }
 
-func tailOnce(ctx context.Context, base, token string) error {
+func tailOnce(ctx context.Context, base, token string, out io.Writer) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/events", nil)
 	if err != nil {
 		return err
@@ -209,31 +209,38 @@ func tailOnce(ctx context.Context, base, token string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("GET /v1/events: %s", resp.Status)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var data strings.Builder
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if data.Len() > 0 {
-				var ev dist.Event
-				if json.Unmarshal([]byte(data.String()), &ev) == nil {
-					printEvent(ev)
-				}
-				data.Reset()
-			}
-		case strings.HasPrefix(line, "data:"):
-			data.WriteString(strings.TrimSpace(strings.TrimPrefix(line, "data:")))
-		}
-	}
-	if err := sc.Err(); err != nil {
+	if err := printStream(resp.Body, out); err != nil {
 		return err
 	}
 	return errors.New("stream closed")
 }
 
-func printEvent(ev dist.Event) {
+// printStream reads SSE frames until the stream ends and prints each
+// event that parses. A frame is dispatched by the blank line that ends
+// it, its data: lines joined by newlines; comment and event: lines carry
+// nothing the payload does not; a frame the stream cut short is dropped.
+func printStream(r io.Reader, out io.Writer) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	var data []string
+	for sc.Scan() {
+		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "data:"); ok {
+			data = append(data, strings.TrimPrefix(rest, " "))
+		}
+		if line != "" || len(data) == 0 {
+			continue
+		}
+		var ev dist.Event
+		if json.Unmarshal([]byte(strings.Join(data, "\n")), &ev) == nil {
+			printEvent(out, ev)
+		}
+		data = data[:0]
+	}
+	return sc.Err()
+}
+
+func printEvent(out io.Writer, ev dist.Event) {
 	at := time.UnixMilli(ev.TimeMS).Format("15:04:05")
 	switch ev.Type {
 	case "job":
@@ -244,13 +251,13 @@ func printEvent(ev dist.Event) {
 		if ev.Error != "" {
 			line += "  error=" + ev.Error
 		}
-		fmt.Println(line)
+		fmt.Fprintln(out, line)
 	case "points":
-		fmt.Printf("%s  job %s %d/%d points\n", at, ev.Job, ev.PointsDone, ev.PointsTotal)
+		fmt.Fprintf(out, "%s  job %s %d/%d points\n", at, ev.Job, ev.PointsDone, ev.PointsTotal)
 	case "worker":
-		fmt.Printf("%s  worker %s registered\n", at, ev.Worker)
+		fmt.Fprintf(out, "%s  worker %s registered\n", at, ev.Worker)
 	case "lease":
-		fmt.Printf("%s  lease expired on job %s (worker %s), %d point(s) requeued\n",
+		fmt.Fprintf(out, "%s  lease expired on job %s (worker %s), %d point(s) requeued\n",
 			at, ev.Job, ev.Worker, ev.Requeued)
 	}
 }
@@ -263,51 +270,5 @@ func formatBytes(n int64) string {
 		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
 	default:
 		return fmt.Sprintf("%d B", n)
-	}
-}
-
-// printTopology is gtwtop's original mode: a textual Figure 1.
-func printTopology(ext, oc12 bool) {
-	cfg := gtw.Config{Extensions: ext}
-	if oc12 {
-		cfg.WAN = gtw.OC12
-	}
-	tb := gtw.NewTestbed(cfg)
-
-	fmt.Printf("Gigabit Testbed West — backbone %v (payload %.0f Mbit/s)\n",
-		tb.Cfg.WAN, tb.Cfg.WAN.PayloadRate()/1e6)
-	fmt.Println("\nhosts:")
-	for _, name := range tb.HostNames() {
-		if spec, ok := tb.Machine(name); ok {
-			fmt.Printf("  %-16s %-12s %4d PEs, %5.0f Mflop/s/PE sustained\n",
-				name, spec.Kind, spec.PEs, spec.SustainedFlops/1e6)
-		} else {
-			fmt.Printf("  %-16s (network element / workstation)\n", name)
-		}
-	}
-
-	fmt.Println("\npath checks:")
-	pairs := [][2]string{
-		{gtw.HostT3E600, gtw.HostT3E1200},
-		{gtw.HostT3E600, gtw.HostSP2},
-		{gtw.HostWSJuelich, gtw.HostWSGMD},
-		{gtw.HostOnyx2, gtw.HostWSJuelich},
-	}
-	for _, p := range pairs {
-		mtu, err := tb.PathMTU(p[0], p[1])
-		if err != nil {
-			log.Fatal(err)
-		}
-		rtt, err := tb.RTT(p[0], p[1])
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-14s -> %-14s  MTU %5d  RTT %8.3f ms\n",
-			p[0], p[1], mtu, rtt.Seconds()*1000)
-	}
-
-	fmt.Println("\nregistered scenarios:")
-	for _, s := range gtw.Scenarios() {
-		fmt.Printf("  %-24s %s\n", s.Name(), s.Description())
 	}
 }

@@ -1,8 +1,9 @@
 // Command gtwworker is the distributed-run worker: it pulls leases from
 // a gtwd coordinator, evaluates the leased grid points on its own
-// simulation kernels, and streams each point's result
-// back the moment it finishes, heartbeating while it computes. Any
-// scenario can arrive — sweeps lease runs of their grid, one-shot
+// simulation kernels, and uploads each point's result the moment it
+// finishes — once: the batch carrying a lease's last point completes
+// it, and an empty batch is the heartbeat while a slow point computes.
+// Any scenario can arrive — sweeps lease runs of their grid, one-shot
 // applications lease their single wrapped point — and testbeds are
 // cached per job (keyed by Config), so the leases of one sweep stop
 // rebuilding the same topology.
@@ -18,17 +19,20 @@
 //	gtwworker -coordinator http://host:9191 [-id worker-a] [-poll 200ms]
 //	          [-stream-window 0] [-stream-batch 16] [-token TOK]
 //
-// By default every finished point streams in its own upload. A
-// -stream-window coalesces points finishing within the window into one
-// upload body of at most -stream-batch points — fewer round trips on
-// chatty sweeps, at the price of a slightly longer unstreamed tail if
-// the worker dies between flushes (those points simply re-run
-// elsewhere; reports stay byte-identical).
+// By default every finished point is its own upload. A -stream-window
+// coalesces points finishing within the window into one upload body of
+// at most -stream-batch points — fewer round trips on chatty sweeps, at
+// the price of a slightly longer undelivered tail if the worker dies
+// between uploads (those points simply re-run elsewhere; reports stay
+// byte-identical). A batch whose answer is lost is resent with the next.
+//
+// Worker and coordinator must speak the same worker protocol: the
+// register handshake carries its number, and on a mismatch gtwworker
+// exits with an error that states both instead of retrying.
 //
 // An idle worker costs the coordinator nothing: its lease ask is held
 // there until a job has work for it, so -poll only paces retries after
-// an empty or failed ask (and every ask, against an older coordinator
-// that answers at once).
+// an empty or failed ask.
 //
 // Run as many as you like; killing one mid-lease only delays its
 // points until the lease TTL expires and they are re-run elsewhere.

@@ -132,107 +132,11 @@ const (
 	OC48 = atm.OC48
 )
 
-// ---------------------------------------------------------------------
-// Deprecated one-shot experiment entry points. Each is now a registered
-// scenario with a uniform Report; these wrappers remain so existing
-// callers keep compiling.
-
 // Table1Row is one row of the paper's Table 1.
 type Table1Row = fire.Table1Row
 
 // PaperTable1 returns Table 1 exactly as printed in the paper.
 func PaperTable1() []Table1Row { return fire.PaperTable1 }
 
-// ModelTable1 evaluates the calibrated T3E-600 model at the paper's PE
-// counts.
-//
-// Deprecated: use Run(ctx, "table1-model").
-func ModelTable1() []Table1Row { return fire.DefaultT3E600().ModelTable1() }
-
 // Figure1Row is one testbed path measurement.
 type Figure1Row = core.Figure1Row
-
-// Figure1Throughput measures the section-2 throughput observations.
-//
-// Deprecated: use Run(ctx, "figure1-throughput").
-func Figure1Throughput() ([]Figure1Row, error) { return core.Figure1Throughput() }
-
-// Figure2Result is the section-4 latency budget.
-type Figure2Result = core.Figure2Result
-
-// Figure2EndToEnd evaluates the realtime-fMRI latency budget.
-//
-// Deprecated: use Run(ctx, "figure2-endtoend", WithPEs(pes), WithFrames(frames)).
-func Figure2EndToEnd(pes, frames int) (Figure2Result, error) {
-	return core.Figure2EndToEnd(pes, frames)
-}
-
-// Figure3Result is the FIRE GUI reproduction.
-type Figure3Result = core.Figure3Result
-
-// Figure3Overlay runs the 2-D overlay experiment.
-//
-// Deprecated: use Run(ctx, "figure3-overlay").
-func Figure3Overlay() (Figure3Result, error) { return core.Figure3Overlay() }
-
-// Figure4Result is the 3-D visualization / workbench experiment.
-type Figure4Result = core.Figure4Result
-
-// Figure4Workbench runs the visualization experiment.
-//
-// Deprecated: use Run(ctx, "figure4-workbench").
-func Figure4Workbench() (Figure4Result, error) { return core.Figure4Workbench() }
-
-// AppRow is one section-3 application requirement check.
-type AppRow = core.AppRow
-
-// Section3Applications verifies each application's WAN requirements.
-//
-// Deprecated: use Run(ctx, "section3-applications").
-func Section3Applications() ([]AppRow, error) { return core.Section3Applications() }
-
-// FMRIScenario configures the full discrete-event fMRI dataflow over
-// the testbed (scanner, RT-server, T3E, RT-client, Onyx 2, workbench).
-type FMRIScenario = core.FMRIScenario
-
-// FMRIScenarioResult reports the derived end-to-end timing.
-type FMRIScenarioResult = core.FMRIScenarioResult
-
-// RunFMRIScenario executes the five-computer fMRI scenario.
-//
-// Deprecated: use Run(ctx, "fmri-dataflow", WithPEs(pes), WithFrames(frames)).
-func RunFMRIScenario(sc FMRIScenario) (FMRIScenarioResult, error) {
-	return core.RunFMRIScenario(sc)
-}
-
-// AggregateRow is one backbone saturation measurement.
-type AggregateRow = core.AggregateRow
-
-// BackboneAggregate fills the backbone with concurrent flows — the
-// OC-12 -> OC-48 upgrade rationale.
-//
-// Deprecated: use Run(ctx, "backbone-aggregate", WithFlows(flows)),
-// which reports both backbone generations side by side (WithWAN does
-// not narrow it); call this function directly for a single carrier.
-func BackboneAggregate(wan OC, flows int) (AggregateRow, error) {
-	return core.BackboneAggregate(wan, flows)
-}
-
-// MixedTrafficResult compares video + bulk TCP sharing the backbone.
-type MixedTrafficResult = core.MixedTrafficResult
-
-// MixedTraffic runs the mixed-workload experiment.
-//
-// Deprecated: use Run(ctx, "mixed-traffic"), which reports both
-// backbone generations side by side (WithWAN does not narrow it);
-// call this function directly for a single carrier.
-func MixedTraffic(wan OC) (MixedTrafficResult, error) { return core.MixedTraffic(wan) }
-
-// FutureWorkResult holds the forward-looking analyses (B-WiN growth,
-// multi-echo imaging).
-type FutureWorkResult = core.FutureWorkResult
-
-// FutureWorkAnalysis evaluates the paper's forward-looking claims.
-//
-// Deprecated: use Run(ctx, "future-work").
-func FutureWorkAnalysis() (FutureWorkResult, error) { return core.FutureWorkAnalysis() }

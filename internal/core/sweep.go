@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -302,11 +303,10 @@ type SweepRun struct {
 	q    *LeaseQueue
 
 	// OnPoint, when set before the run starts, observes every freshly
-	// recorded error-free point result — local shard evaluations,
-	// streamed remote points and completed leases alike, but not
-	// Prefill (those results came from the observer's own store), and
-	// each point once: re-recording a point that already has a result
-	// is not fresh. The coordinator uses it to persist each point the
+	// recorded error-free point result — local shard evaluations and
+	// remotely delivered points alike, but not Prefill (those results
+	// came from the observer's own store), and each point once:
+	// re-recording a point that already has a result is not fresh. The coordinator uses it to persist each point the
 	// moment it exists, so a crash loses at most the points still being
 	// computed. Called outside the run's lock, possibly from several
 	// goroutines at once.
@@ -316,9 +316,8 @@ type SweepRun struct {
 	results []any
 	errs    []error
 	visited []bool
-	local   []ShardTiming           // one slot per in-process shard
-	remote  map[string]*ShardTiming // aggregated per remote worker
-	order   []string                // remote workers in first-delivery order
+	local   []ShardTiming // one slot per in-process shard
+	remote  []ShardTiming // aggregated per remote worker, in first-completion order
 }
 
 // NewSweepRun prepares an execution of sw's grid with localShards
@@ -332,7 +331,6 @@ func NewSweepRun(sw *Sweep, opts Options, q *LeaseQueue, localShards int) *Sweep
 		errs:    make([]error, len(pts)),
 		visited: make([]bool, len(pts)),
 		local:   make([]ShardTiming, localShards),
-		remote:  make(map[string]*ShardTiming),
 	}
 }
 
@@ -340,30 +338,24 @@ func NewSweepRun(sw *Sweep, opts Options, q *LeaseQueue, localShards int) *Sweep
 // leases from it on behalf of remote workers).
 func (r *SweepRun) Queue() *LeaseQueue { return r.q }
 
-// recordLocked is the one place a point result enters the run; the
-// caller holds r.mu. A point that already has an error-free result
-// keeps it: point functions are deterministic, so a later write is the
-// same value again (a streamed point repeated in its lease's final
-// upload) or a stale failure (a worker whose lease expired and was
-// re-run elsewhere). Reports whether an error-free result was freshly
-// recorded — the ones OnPoint observes.
-func (r *SweepRun) recordLocked(i int, val any, err error) bool {
-	if r.visited[i] && r.errs[i] == nil {
-		return false
-	}
-	r.results[i], r.errs[i], r.visited[i] = val, err, true
-	return err == nil
-}
-
-// record takes the lock around recordLocked and, with observe set,
-// hands a fresh result to OnPoint.
-func (r *SweepRun) record(i int, val any, err error, observe bool) {
+// record is the one place a point result enters the run. A point that
+// already has an error-free result keeps it: point functions are
+// deterministic, so a later write is the same value again (a batch
+// resent after its acknowledgement was lost) or a stale failure (a
+// worker whose lease expired and was re-run elsewhere). With observe
+// set, a freshly recorded error-free result is handed to OnPoint. It
+// reports whether the write was taken.
+func (r *SweepRun) record(i int, val any, err error, observe bool) (fresh bool) {
 	r.mu.Lock()
-	fresh := r.recordLocked(i, val, err)
+	fresh = !r.visited[i] || r.errs[i] != nil
+	if fresh {
+		r.results[i], r.errs[i], r.visited[i] = val, err, true
+	}
 	r.mu.Unlock()
-	if fresh && observe && r.OnPoint != nil {
+	if fresh && err == nil && observe && r.OnPoint != nil {
 		r.OnPoint(i, val)
 	}
+	return fresh
 }
 
 // workerErr is the error for a remote worker's per-point string ("": none).
@@ -410,45 +402,29 @@ func (r *SweepRun) RunShard(ctx context.Context, shard int, worker string, tb *T
 	r.mu.Unlock()
 }
 
-// Deliver records a remotely evaluated lease: one result or error
-// string per point of [l.Lo, l.Hi), in grid order. The lease is
-// completed against the queue; a lease that is no longer outstanding
-// (duplicate upload, or expired and re-run elsewhere) changes nothing
-// and Deliver reports false.
+// Complete finishes a remotely evaluated lease, every point of which
+// DeliverPoint has recorded: the lease is completed against the queue
+// (elapsed feeds the worker's throughput estimate) and credited to the
+// worker's timing. A lease that is no longer outstanding (expired and
+// re-run elsewhere) changes nothing and Complete reports false.
 //
-// Completing is the idempotency point — and can close the queue's Done,
-// waking whoever waits to merge the report. Claiming and recording
-// under one hold of r.mu, which Report and Progress also take, keeps
-// that reader from seeing the lease completed but not yet recorded.
-func (r *SweepRun) Deliver(l Lease, vals []any, errStrs []string, elapsed time.Duration) bool {
-	if len(vals) != l.Points() || len(errStrs) != l.Points() {
-		return false
-	}
+// Completing can close the queue's Done, waking whoever waits to merge
+// the report. Each point was recorded under r.mu before this call took
+// it, so that reader — Report and Progress take r.mu too — never sees
+// the lease completed but a point of it missing.
+func (r *SweepRun) Complete(l Lease, elapsed time.Duration) bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if !r.q.Complete(l, elapsed) {
-		r.mu.Unlock()
 		return false
 	}
-	fresh := make([]bool, l.Points())
-	for k := range vals {
-		fresh[k] = r.recordLocked(l.Lo+k, vals[k], workerErr(l, errStrs[k]))
+	i := slices.IndexFunc(r.remote, func(t ShardTiming) bool { return t.Worker == l.Worker })
+	if i < 0 {
+		i = len(r.remote)
+		r.remote = append(r.remote, ShardTiming{Worker: l.Worker})
 	}
-	t := r.remote[l.Worker]
-	if t == nil {
-		t = &ShardTiming{Worker: l.Worker}
-		r.remote[l.Worker] = t
-		r.order = append(r.order, l.Worker)
-	}
-	t.Points += l.Points()
-	t.ElapsedNS += elapsed.Nanoseconds()
-	r.mu.Unlock()
-	if r.OnPoint != nil {
-		for k, f := range fresh {
-			if f {
-				r.OnPoint(l.Lo+k, vals[k])
-			}
-		}
-	}
+	r.remote[i].Points += l.Points()
+	r.remote[i].ElapsedNS += elapsed.Nanoseconds()
 	return true
 }
 
@@ -458,23 +434,35 @@ func (r *SweepRun) Deliver(l Lease, vals []any, errStrs []string, elapsed time.D
 // they are credited there and never leased.
 func (r *SweepRun) Prefill(i int, val any) { r.record(i, val, nil, false) }
 
-// DeliverPoint records one point of an outstanding lease, streamed by a
-// remote worker before the lease completes. It does not touch the
-// queue: the lease either completes normally later (Deliver) or
-// expires, in which case the queue's RequeuePartial credits the
-// streamed points and requeues only the unfinished tail. Reports false
-// for an index outside the lease.
+// DeliverPoint records one point of an outstanding lease as a remote
+// worker uploads it — the one way a remote result enters the run. It
+// does not touch the queue: the lease either completes later (Complete,
+// once its last point is in) or expires, in which case the queue's
+// RequeuePartial credits the delivered points and requeues only the
+// unfinished tail. It reports whether the point was recorded: not for an
+// index outside the lease, nor for a point that already had its result.
 func (r *SweepRun) DeliverPoint(l Lease, index int, val any, errStr string) bool {
-	if index < l.Lo || index >= l.Hi {
-		return false
+	return index >= l.Lo && index < l.Hi && r.record(index, val, workerErr(l, errStr), true)
+}
+
+// Recorded reports which points of a lease have a result in the run —
+// index k of the mask covers grid point l.Lo+k, as RequeuePartial wants
+// it — and how many have none.
+func (r *SweepRun) Recorded(l Lease) (mask []bool, missing int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	mask = slices.Clone(r.visited[l.Lo:l.Hi])
+	for _, done := range mask {
+		if !done {
+			missing++
+		}
 	}
-	r.record(index, val, workerErr(l, errStr), true)
-	return true
+	return mask, missing
 }
 
 // Progress reports how many grid points have a recorded result (from
-// any path: local shards, streamed points, completed leases, prefills)
-// out of the grid total.
+// any path: local shards, remotely delivered points, prefills) out of
+// the grid total.
 func (r *SweepRun) Progress() (done, total int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -504,8 +492,7 @@ func (r *SweepRun) Timings() []ShardTiming {
 	defer r.mu.Unlock()
 	out := make([]ShardTiming, 0, len(r.local)+len(r.remote))
 	out = append(out, r.local...)
-	for _, w := range r.order {
-		t := *r.remote[w]
+	for _, t := range r.remote {
 		t.Shard = len(out)
 		out = append(out, t)
 	}

@@ -482,12 +482,11 @@ func TestSweepRunOnPointObserver(t *testing.T) {
 	for i := l.Lo; i < l.Hi; i++ {
 		run.DeliverPoint(l, i, "streamed", "")
 	}
-	vals := make([]any, l.Points())
-	errs := make([]string, l.Points())
-	for k := range vals {
-		vals[k] = "completed"
+	// A batch resent after a lost acknowledgement repeats a point: not fresh.
+	run.DeliverPoint(l, l.Lo, "completed", "")
+	if !run.Complete(l, time.Millisecond) || run.Complete(l, time.Millisecond) {
+		t.Fatal("Complete must report true for the outstanding lease, false for a repeat")
 	}
-	run.Deliver(l, vals, errs, time.Millisecond)
 	run.RunShard(context.Background(), 0, "local", nil)
 	if err := run.Wait(context.Background()); err != nil {
 		t.Fatal(err)
@@ -498,8 +497,8 @@ func TestSweepRunOnPointObserver(t *testing.T) {
 		t.Errorf("observer saw prefilled point 0 (%d times)", seen[0])
 	}
 	for i := l.Lo; i < l.Hi; i++ {
-		if seen[i] != 1 { // when streamed; the lease's completion repeats it and is not fresh
-			t.Errorf("remote point %d observed %d times, want 1 (its stream, not again on completion)", i, seen[i])
+		if seen[i] != 1 { // when first delivered; the resent one is not fresh
+			t.Errorf("remote point %d observed %d times, want 1 (its first delivery, not the resend)", i, seen[i])
 		}
 	}
 	for i := int(l.Hi); i < 6; i++ {

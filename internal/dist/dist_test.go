@@ -191,10 +191,11 @@ func TestWorkerKilledMidLeaseReRunsElsewhere(t *testing.T) {
 
 	var dropped atomic.Int32
 	victim := NewWorker("")
-	victim.DropLease = func(l LeaseReply) bool {
-		// Die on the first lease only; afterwards the worker serves
-		// normally (a restarted worker with the same sticky ID).
-		return dropped.CompareAndSwap(0, 1)
+	victim.DropAfterPoints = func(l LeaseReply, evaluated int) bool {
+		// Die holding the first lease only, before evaluating any of it;
+		// afterwards the worker serves normally (a restarted worker with
+		// the same sticky ID).
+		return evaluated == 0 && dropped.CompareAndSwap(0, 1)
 	}
 	tc.startWorker(t, victim)
 	tc.startWorker(t, NewWorker(""))
@@ -240,12 +241,20 @@ func evalPoints(t *testing.T, sw *core.Sweep, lease LeaseReply, lo, hi int) []Po
 	return prs
 }
 
+// lastBatch is a whole lease evaluated and uploaded in one body — the
+// last batch of a worker that sent no mid-lease ones.
+func lastBatch(t *testing.T, sw *core.Sweep, lease LeaseReply) PointsUpload {
+	t.Helper()
+	return PointsUpload{JobID: lease.JobID, Seq: lease.Seq,
+		ElapsedNS: int64(time.Millisecond), Points: evalPoints(t, sw, lease, lease.Lo, lease.Hi)}
+}
+
 // leasePump manually drives the worker protocol over HTTP: pull leases,
 // evaluate, upload — returning every upload it made so tests can replay
 // them.
-func leasePump(t *testing.T, tc *testCluster, sw *core.Sweep, workerID string) []ResultUpload {
+func leasePump(t *testing.T, tc *testCluster, sw *core.Sweep, workerID string) []PointsUpload {
 	t.Helper()
-	var uploads []ResultUpload
+	var uploads []PointsUpload
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		var lease LeaseReply
@@ -253,11 +262,10 @@ func leasePump(t *testing.T, tc *testCluster, sw *core.Sweep, workerID string) [
 		if code == http.StatusNoContent {
 			return uploads
 		}
-		up := ResultUpload{WorkerID: workerID, JobID: lease.JobID, Seq: lease.Seq, Lo: lease.Lo, Hi: lease.Hi,
-			ElapsedNS: int64(time.Millisecond), Points: evalPoints(t, sw, lease, lease.Lo, lease.Hi)}
-		var reply ResultReply
+		up := lastBatch(t, sw, lease)
+		var reply PointsReply
 		postJSONT(t, tc, "/v1/workers/result", up, &reply)
-		if !reply.Accepted {
+		if !reply.OK {
 			t.Fatalf("first upload of lease %d not accepted: %+v", lease.Seq, reply)
 		}
 		uploads = append(uploads, up)
@@ -285,9 +293,10 @@ func postJSONT(t *testing.T, tc *testCluster, path string, in, out any) int {
 	return resp.StatusCode
 }
 
-// Idempotency: re-uploading an already-completed lease must be
-// acknowledged as a duplicate and change nothing — the job's report
-// stays byte-identical to the single-kernel run.
+// Idempotency: re-uploading the last batch of an already-completed
+// lease must be acknowledged ok:false and change nothing — neither the
+// worker's tally nor the job's report, which stays byte-identical to
+// the single-kernel run.
 func TestDuplicateResultUploadIgnored(t *testing.T) {
 	registerWireSweep("dist-test-dup", 6, 0)
 	s, _ := core.Lookup("dist-test-dup")
@@ -301,17 +310,31 @@ func TestDuplicateResultUploadIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drain the grid by hand, then replay every upload verbatim.
+	waitRunning(t, tc.cl, st.ID)
 	uploads := leasePump(t, tc, sw, "pump-worker")
 	if len(uploads) == 0 {
 		t.Fatal("pump made no uploads")
 	}
-	for _, up := range uploads {
-		var reply ResultReply
-		postJSONT(t, tc, "/v1/workers/result", up, &reply)
-		if reply.Accepted || !reply.Duplicate {
-			t.Errorf("replayed upload of lease %d: accepted=%v duplicate=%v, want rejected duplicate",
-				up.Seq, reply.Accepted, reply.Duplicate)
+	tally := func() int {
+		t.Helper()
+		reply, err := tc.cl.Status(ctx)
+		if err != nil || len(reply.Workers) != 1 {
+			t.Fatalf("status: %v / %+v", err, reply)
 		}
+		return reply.Workers[0].Points
+	}
+	before := tally()
+	if before != 6 {
+		t.Errorf("pump worker's tally is %d after the first uploads, want 6", before)
+	}
+	for _, up := range uploads {
+		reply := PointsReply{OK: true}
+		if code := postJSONT(t, tc, "/v1/workers/result", up, &reply); code != http.StatusOK || reply.OK {
+			t.Errorf("replayed last batch of lease %d: status %d, ok=%v; want 200 ok:false", up.Seq, code, reply.OK)
+		}
+	}
+	if after := tally(); after != before {
+		t.Errorf("replayed last batches moved the worker's tally %d -> %d", before, after)
 	}
 	final, err := tc.cl.Wait(ctx, st.ID)
 	if err != nil {
@@ -326,7 +349,7 @@ func TestDuplicateResultUploadIgnored(t *testing.T) {
 	}
 }
 
-// A malformed final upload — here a point index outside its lease — is
+// A malformed last batch — here a point index outside its lease — is
 // a 400 that costs nothing but time: the lease's points go back to the
 // queue and are re-run by another worker, the report stays
 // byte-identical, and the rejected body counts toward the uploading
@@ -352,8 +375,7 @@ func TestRejectedResultUploadRequeuesAndLeavesTallyUnchanged(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	bad := ResultUpload{WorkerID: "bad-worker", JobID: lease.JobID, Seq: lease.Seq, Lo: lease.Lo, Hi: lease.Hi,
-		ElapsedNS: int64(time.Millisecond), Points: evalPoints(t, sw, lease, lease.Lo, lease.Hi)}
+	bad := lastBatch(t, sw, lease)
 	// The first point is the bad one, so nothing of the upload is
 	// taken in before the rejection.
 	bad.Points[0].Index = lease.Hi

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,7 +111,7 @@ func TestCoordinatorKilledMidSweepResumesOnlyUnstreamedTail(t *testing.T) {
 	if lease.Hi-lease.Lo < 4 {
 		t.Fatalf("first lease [%d,%d) too small to stream a strict prefix", lease.Lo, lease.Hi)
 	}
-	up := PointsUpload{WorkerID: "doomed", JobID: lease.JobID, Seq: lease.Seq,
+	up := PointsUpload{JobID: lease.JobID, Seq: lease.Seq,
 		Points: evalPoints(t, sw, lease, lease.Lo, lease.Lo+3)}
 	var preply PointsReply
 	postJSONT(t, a, "/v1/workers/points", up, &preply)
@@ -289,8 +290,7 @@ func TestLeaseGrantPicksUpPointsStoredMidJob(t *testing.T) {
 		for _, p := range up.Points {
 			for _, i := range stored {
 				if p.Index == i {
-					t.Errorf("lease [%d,%d) included point %d, which was in the store at grant time",
-						up.Lo, up.Hi, i)
+					t.Errorf("lease %d included point %d, which was in the store at grant time", up.Seq, i)
 				}
 			}
 		}
@@ -478,5 +478,54 @@ func TestBatchStreamingDeathReRunsOnlyUnflushedTail(t *testing.T) {
 	wantJSON, _ := localReport(t, "dist-test-batch-kill", WireOptions{}.Options())
 	if !bytes.Equal(st.Report, wantJSON) {
 		t.Errorf("report after batched death differs:\n%s\nvs\n%s", st.Report, wantJSON)
+	}
+}
+
+// A recovered job must not run with options it could not read: a
+// non-terminal job whose journaled options do not parse into WireOptions
+// is restored failed with the parse error — pollable, journaled, audited
+// — and is never re-enqueued (re-run with zero options it would serve
+// some other run's report under this job's ID).
+func TestRecoveredJobWithUnreadableOptionsFails(t *testing.T) {
+	counts := registerCountingSweep("dist-test-badopts", 2, 0)
+	mem := persist.NewMem()
+	mem.PutJob(persist.JobRecord{ID: "job-7", Scenario: "dist-test-badopts",
+		Opts: json.RawMessage(`{"pes":"many"}`), Status: JobRunning, PointsTotal: 2})
+	tc := newCluster(t, Config{Store: mem})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	st, err := tc.cl.Wait(ctx, "job-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Status != JobFailed || !strings.Contains(st.Error, "options") || len(st.Report) != 0 {
+		t.Fatalf("recovered job: %s (%q), report %s; want failed with the options parse error and no report", st.Status, st.Error, st.Report)
+	}
+	// A healthy job after it runs, under the next ID, and is the only
+	// thing that evaluated a point.
+	next, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-badopts"})
+	if err != nil || next.Status != JobDone || next.ID != "job-8" {
+		t.Fatalf("next job: %v / %+v, want job-8 done", err, next)
+	}
+	if counts(0) != 1 || counts(1) != 1 {
+		t.Errorf("points evaluated %d and %d times, want once each: the unreadable job must never run", counts(0), counts(1))
+	}
+	state := mem.Load()
+	var journaled *persist.JobRecord
+	for i := range state.Jobs {
+		if state.Jobs[i].ID == "job-7" {
+			journaled = &state.Jobs[i]
+		}
+	}
+	if journaled == nil || journaled.Status != JobFailed || journaled.Error != st.Error {
+		t.Errorf("journal holds %+v, want job-7 failed with the same error (a restart must not retry it)", journaled)
+	}
+	audited := false
+	for _, a := range state.Audit {
+		audited = audited || (a.Action == "job-failed" && a.JobID == "job-7")
+	}
+	if !audited {
+		t.Error("no job-failed audit record for job-7")
 	}
 }

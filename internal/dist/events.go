@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/tenant"
 )
 
 // eventHub fans coordinator transitions out to /v1/events subscribers.
@@ -98,7 +100,7 @@ func (h *eventHub) dropAll() {
 const eventHeartbeat = 10 * time.Second
 
 // handleEvents serves GET /v1/events: an SSE stream of Event frames.
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request, _ *tenant.Tenant) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusNotImplemented)

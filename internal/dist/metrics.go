@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	"repro/internal/obs"
+	"repro/internal/tenant"
 )
 
 // metrics is the coordinator's instrument bundle. Hot-path instruments
@@ -101,9 +102,10 @@ func (c *Coordinator) syncMetrics() {
 	c.met.storeBytes.Set(float64(ss.bytes))
 	c.met.eventSubs.Set(float64(c.events.subscribers()))
 
-	c.mu.Lock()
+	sch := c.sched
+	sch.mu.Lock()
 	running, queued := 0, 0
-	for _, j := range c.order {
+	for _, j := range sch.order {
 		switch j.status {
 		case JobRunning:
 			running++
@@ -113,18 +115,18 @@ func (c *Coordinator) syncMetrics() {
 	}
 	c.met.jobsRunning.Set(float64(running))
 	c.met.jobsQueued.Set(float64(queued))
-	c.met.workersGauge.Set(float64(len(c.workers)))
-	for id, r := range c.rates {
+	c.met.workersGauge.Set(float64(len(sch.workers)))
+	for id, r := range sch.rates {
 		c.met.workerRate.With(id).Set(r)
 	}
-	for name, n := range c.inflight {
+	for name, n := range sch.inflight {
 		c.met.tenantInFlight.With(name).Set(float64(n))
 	}
-	c.mu.Unlock()
+	sch.mu.Unlock()
 }
 
 // handleMetrics serves GET /v1/metrics in the Prometheus text format.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request, _ *tenant.Tenant) {
 	c.syncMetrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = c.met.reg.WriteText(w)

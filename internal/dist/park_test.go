@@ -167,9 +167,7 @@ func TestParkedAskGrantedByInFlightCapRelease(t *testing.T) {
 	ask := askAsync(ctx, tc.srv.URL, "tok-alpha", "w-1", 20_000)
 	waitParked(t, tc.c, 1)
 	l := first.lease
-	up := ResultUpload{WorkerID: "w-0", JobID: l.JobID, Seq: l.Seq, Lo: l.Lo, Hi: l.Hi,
-		ElapsedNS: int64(time.Millisecond), Points: evalPoints(t, sw, l, l.Lo, l.Hi)}
-	if code, body := postAs(t, tc.srv.URL+"/v1/workers/result", "tok-alpha", up); code != http.StatusOK {
+	if code, body := postAs(t, tc.srv.URL+"/v1/workers/result", "tok-alpha", lastBatch(t, sw, l)); code != http.StatusOK {
 		t.Fatalf("result upload: %d: %s", code, body)
 	}
 	res := await(t, ask, "the capped tenant's next lease")
@@ -249,7 +247,7 @@ func TestWorkerPacesByPollWhenWaitIgnored(t *testing.T) {
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/v1/workers/register":
-			writeJSON(w, http.StatusOK, RegisterReply{LeaseTTLMS: 1000, PollMS: poll.Milliseconds()})
+			writeJSON(w, http.StatusOK, RegisterReply{LeaseTTLMS: 1000, PollMS: poll.Milliseconds(), Proto: wireProto})
 		case "/v1/workers/lease":
 			var req LeaseRequest
 			if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.WaitMS <= 0 {

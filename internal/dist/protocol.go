@@ -10,12 +10,12 @@
 //
 // The shape follows the WANify/MPWide pattern from PAPERS.md: a thin
 // coordinator owns the work queue and hands out lease-based work units;
-// workers with sticky IDs pull leases, heartbeat while computing,
-// stream each point's result as it finishes, and complete the lease
-// with an idempotent final upload. The lease queue is the same
-// work-stealing core.LeaseQueue that feeds in-process shards, so the
-// coordinator's local shards and any number of remote workers steal
-// from one queue, per-worker throughput EWMAs steering larger leases to
+// workers with sticky IDs pull leases, upload each point's result as it
+// finishes — once — and complete the lease with its last batch. The
+// lease queue is the same work-stealing core.LeaseQueue that feeds
+// in-process shards, so the coordinator's local shards and any number
+// of remote workers steal from one queue, per-worker throughput EWMAs
+// steering larger leases to
 // faster workers. Results merge in grid order, so a distributed run's
 // report is byte-identical to a single-kernel run.
 //
@@ -36,25 +36,39 @@
 //	GET  /healthz                liveness               -> "ok"
 //	POST /v1/workers/register    announce a worker      -> RegisterReply
 //	POST /v1/workers/lease       pull a work unit; waits -> LeaseReply | 204
-//	POST /v1/workers/heartbeat   extend a held lease    -> HeartbeatReply
-//	POST /v1/workers/points      stream finished points -> PointsReply
-//	POST /v1/workers/result      complete a lease       -> ResultReply
+//	POST /v1/workers/points      a mid-lease batch      -> PointsReply
+//	POST /v1/workers/result      the lease's last batch -> PointsReply
+//
+// One upload: both upload routes take a PointsUpload and one handler
+// serves them; the path is the only done flag. A batch carries the
+// points the coordinator has not acknowledged yet, so each point crosses
+// the wire once; a batch whose answer was lost is resent with the next,
+// and a resent point is recorded and attributed once. Any upload extends
+// the lease — the empty mid-lease batch is the heartbeat — and a lease
+// not heard from within its TTL is requeued, keeping what was uploaded:
+// a worker dying late in a lease costs only its unfinished tail. The
+// last batch completes the lease, so by then every point of [lo, hi)
+// must have arrived. A rejected batch (400: index outside the lease,
+// undecodable value, a hole at the end) drops the lease and requeues
+// what it had not delivered at once; ok:false answers a lease that is
+// gone — expired and reassigned, its job over, or completed by the batch
+// this one retries — and changes nothing. A worker abandons its lease on
+// ok:false and on any 4xx.
+//
+// The register handshake carries the worker protocol number (proto,
+// today 2): the coordinator refuses a register naming another with a
+// 400 that states both, and a worker whose reply names another, or none
+// (a coordinator that predates the number), stops with an error instead
+// of looping on uploads the other side cannot complete.
 //
 // Waiting, not polling: a lease ask with wait_ms and nothing grantable
 // parks until work may have become grantable (a grid published, a lease
 // requeued, a tenant back under its in-flight cap) and gets its 204
 // only at the deadline; GET /v1/jobs/{id}?wait_ms=N is held until the
 // job is terminal and answers with the report (the current status at
-// the deadline). Both are opt-in and both sides fall back: no wait_ms,
-// no waiting; and a Worker or Client whose wait_ms an older coordinator
-// ignored paces its next ask by Poll, which is all Poll is still for.
-//
-// A lease not heartbeaten within its TTL is requeued — but points the
-// worker already streamed are kept, so a worker dying late in a lease
-// costs only its unfinished tail. (Streaming extends the lease too: to
-// the coordinator a heartbeat is a points upload that carries none.) A
-// result upload for a lease that already completed (duplicate, or
-// expired-and-reassigned) is acknowledged but ignored.
+// the deadline). Both are opt-in: no wait_ms, no waiting; and a Client
+// whose wait_ms was ignored paces its next ask by Poll, which is all
+// Poll is still for.
 //
 // Multi-tenancy: a coordinator configured with a tenant registry (gtwd
 // -tenants) requires "Authorization: Bearer <token>" on every endpoint
@@ -159,13 +173,21 @@ type JobStatus struct {
 // EWMA) on the coordinator.
 type RegisterRequest struct {
 	WorkerID string `json:"worker_id"`
+	Proto    int    `json:"proto"`
 }
 
-// RegisterReply tunes the worker's loop (PollMS: its retry back-off).
+// RegisterReply tunes the worker's loop (PollMS: its retry back-off)
+// and names the protocol the coordinator speaks.
 type RegisterReply struct {
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
 	PollMS     int64 `json:"poll_ms"`
+	Proto      int   `json:"proto"`
 }
+
+// wireProto numbers the worker protocol; both sides of a register must
+// name the same one. 2: one upload body, the last batch completes the
+// lease (the separate full result upload before it had no number).
+const wireProto = 2
 
 // LeaseRequest pulls the next work unit for a worker; WaitMS > 0 lets
 // the coordinator park an ask it cannot grant for up to that long.
@@ -175,8 +197,8 @@ type LeaseRequest struct {
 }
 
 // LeaseReply is one leased work unit: grid points [Lo, Hi) of the named
-// sweep scenario. The worker must heartbeat within TTL or the lease is
-// requeued.
+// sweep scenario. The worker must upload — points, or the empty batch —
+// within TTL or the lease is requeued.
 type LeaseReply struct {
 	JobID    string      `json:"job_id"`
 	Scenario string      `json:"scenario"`
@@ -185,20 +207,6 @@ type LeaseReply struct {
 	Hi       int         `json:"hi"`
 	Opts     WireOptions `json:"opts"`
 	TTLMS    int64       `json:"ttl_ms"`
-}
-
-// HeartbeatRequest extends a held lease.
-type HeartbeatRequest struct {
-	WorkerID string `json:"worker_id"`
-	JobID    string `json:"job_id"`
-	Seq      uint64 `json:"seq"`
-}
-
-// HeartbeatReply acknowledges a heartbeat. OK=false means the lease is
-// gone (expired and reassigned, or the job ended): the worker should
-// abandon the work unit.
-type HeartbeatReply struct {
-	OK bool `json:"ok"`
 }
 
 // PointResult is one evaluated grid point on the wire: the sweep's
@@ -210,43 +218,22 @@ type PointResult struct {
 	Error string          `json:"error,omitempty"`
 }
 
-// PointsUpload streams finished points of a still-held lease, as each
-// point completes — partial progress the coordinator records (and
-// caches) immediately, so a worker that dies later in the lease only
-// costs its unstreamed tail. Streaming also proves liveness: it extends
-// the lease like a heartbeat.
+// PointsUpload is the one upload body: the points of a held lease — it
+// names its worker — that the coordinator has not acknowledged yet
+// (none: the heartbeat). ElapsedNS, read off the last batch, is the
+// worker's evaluation time for the whole lease.
 type PointsUpload struct {
-	WorkerID string        `json:"worker_id"`
-	JobID    string        `json:"job_id"`
-	Seq      uint64        `json:"seq"`
-	Points   []PointResult `json:"points"`
-}
-
-// PointsReply acknowledges a stream upload. OK=false means the lease is
-// gone (expired and reassigned, or the job ended): the worker should
-// abandon the rest of the lease.
-type PointsReply struct {
-	OK bool `json:"ok"`
-}
-
-// ResultUpload completes a lease: the full per-point results, including
-// any points already streamed (re-recording them is idempotent).
-type ResultUpload struct {
-	WorkerID  string        `json:"worker_id"`
 	JobID     string        `json:"job_id"`
 	Seq       uint64        `json:"seq"`
-	Lo        int           `json:"lo"`
-	Hi        int           `json:"hi"`
-	ElapsedNS int64         `json:"elapsed_ns"`
+	ElapsedNS int64         `json:"elapsed_ns,omitempty"`
 	Points    []PointResult `json:"points"`
 }
 
-// ResultReply acknowledges an upload. Duplicate=true means the lease
-// had already completed (or expired): the upload was ignored, which is
-// what makes retried uploads idempotent.
-type ResultReply struct {
-	Accepted  bool `json:"accepted"`
-	Duplicate bool `json:"duplicate,omitempty"`
+// PointsReply acknowledges an upload: its points are recorded. OK=false
+// means the lease is gone and nothing changed: the worker should abandon
+// it.
+type PointsReply struct {
+	OK bool `json:"ok"`
 }
 
 // WorkerStatus is one registered worker in the status snapshot.

@@ -18,10 +18,9 @@ import (
 // Eviction is least-recently-used over a bounded entry count and,
 // optionally, a total byte budget over the stored wire bytes; a
 // per-entry size cap rejects single oversized results outright. The
-// store keeps encoded wire bytes, not live values: what a worker
-// uploads is stored verbatim, and a hit decodes exactly as a fresh
-// upload would — which is what keeps reports assembled from cached
-// points byte-identical to freshly computed ones.
+// store keeps encoded wire bytes, not live values: a hit decodes
+// exactly as a fresh upload would — which is what keeps reports
+// assembled from cached points byte-identical to freshly computed ones.
 //
 // onPut/onEvict, when set, observe every accepted insert/update and
 // every eviction (both called with the store lock held) — the
@@ -90,19 +89,6 @@ func (s *pointStore) get(key string) ([]byte, bool) {
 	s.hits++
 	s.order.MoveToFront(el)
 	return el.Value.(*storeEntry).val, true
-}
-
-// contains reports residency without touching the LRU order or the
-// hit/miss counters — for callers deciding whether a put is needed,
-// not serving a result.
-func (s *pointStore) contains(key string) bool {
-	if key == "" {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.byKey[key]
-	return ok
 }
 
 // put inserts (or refreshes) a point's wire bytes, evicting least

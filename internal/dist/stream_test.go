@@ -276,7 +276,7 @@ func TestExpiredStreamedLeaseReLeasesOnlyUnstreamedPoints(t *testing.T) {
 		t.Fatalf("first lease [%d,%d) too small to stream a strict prefix", lease.Lo, lease.Hi)
 	}
 	streamed := []int{lease.Lo, lease.Lo + 1, lease.Lo + 2}
-	up := PointsUpload{WorkerID: "victim", JobID: lease.JobID, Seq: lease.Seq,
+	up := PointsUpload{JobID: lease.JobID, Seq: lease.Seq,
 		Points: evalPoints(t, sw, lease, lease.Lo, lease.Lo+3)}
 	var preply PointsReply
 	postJSONT(t, tc, "/v1/workers/points", up, &preply)
@@ -309,10 +309,7 @@ func TestExpiredStreamedLeaseReLeasesOnlyUnstreamedPoints(t *testing.T) {
 				t.Fatalf("re-lease [%d,%d) includes streamed point %d", nl.Lo, nl.Hi, idx)
 			}
 		}
-		rup := ResultUpload{WorkerID: "rescuer", JobID: nl.JobID, Seq: nl.Seq, Lo: nl.Lo, Hi: nl.Hi,
-			ElapsedNS: int64(time.Millisecond), Points: evalPoints(t, sw, nl, nl.Lo, nl.Hi)}
-		var rreply ResultReply
-		postJSONT(t, tc, "/v1/workers/result", rup, &rreply)
+		postJSONT(t, tc, "/v1/workers/result", lastBatch(t, sw, nl), nil)
 	}
 	final, err := tc.cl.Wait(ctx, st.ID)
 	if err != nil {

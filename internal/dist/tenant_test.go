@@ -79,7 +79,7 @@ func getAs(t *testing.T, url, token string) (int, []byte) {
 // loop, so lease sizing sees a populated pool.
 func (tc *testCluster) registerFakeWorker(t *testing.T, token, id string) {
 	t.Helper()
-	code, body := postAs(t, tc.srv.URL+"/v1/workers/register", token, RegisterRequest{WorkerID: id})
+	code, body := postAs(t, tc.srv.URL+"/v1/workers/register", token, RegisterRequest{WorkerID: id, Proto: wireProto})
 	if code != http.StatusOK {
 		t.Fatalf("register %s: %d: %s", id, code, body)
 	}

@@ -12,15 +12,15 @@ import (
 )
 
 // Worker pulls leases from a coordinator, evaluates the leased grid
-// points on its own simulation kernels, and streams each point's result
-// back the moment it finishes — so the coordinator sees partial
-// progress, and a worker killed late in a lease only costs the points
-// it had not streamed yet. Any scenario can arrive: parameter sweeps
-// lease grid runs, one-shot applications lease their single wrapped
-// point. Testbeds are cached per job (keyed by their Config), so the
-// leases of one sweep stop rebuilding the same topology. A worker keeps
-// one sticky ID for its lifetime, so the coordinator's throughput EWMA
-// and lease accounting survive reconnects.
+// points on its own simulation kernels, and uploads each point's result
+// the moment it finishes — once: the lease's last batch completes it —
+// so the coordinator sees partial progress, and a worker killed late in
+// a lease only costs the points it had not uploaded yet. Any scenario
+// can arrive: parameter sweeps lease grid runs, one-shot applications
+// lease their single wrapped point. Testbeds are cached per job (keyed
+// by their Config), so the leases of one sweep stop rebuilding the same
+// topology. A worker keeps one sticky ID for its lifetime, so the
+// coordinator's throughput EWMA and lease accounting survive reconnects.
 type Worker struct {
 	// Coordinator is the coordinator's base URL, e.g.
 	// "http://127.0.0.1:9191".
@@ -38,35 +38,30 @@ type Worker struct {
 	// worker's ask is parked by the coordinator, not repeated every Poll.
 	Poll time.Duration
 	// BatchWindow coalesces points finishing within this window into one
-	// streamed POST /v1/workers/points body, cutting the per-point HTTP
-	// round trips of fine-grained sweeps. 0 streams each point the
-	// moment it finishes (the single-point degenerate case). Points
-	// coalesced but not yet flushed when a worker dies are simply part
-	// of the unstreamed tail the coordinator re-runs, so batching
-	// trades a slightly longer tail for fewer uploads — never
-	// correctness.
+	// upload body, cutting the per-point HTTP round trips of
+	// fine-grained sweeps. 0 uploads each point the moment it finishes
+	// (the single-point degenerate case). Points coalesced but not yet
+	// uploaded when a worker dies are simply part of the undelivered
+	// tail the coordinator re-runs, so batching trades a slightly longer
+	// tail for fewer uploads — never correctness.
 	BatchWindow time.Duration
-	// BatchMax caps the points per streamed body when BatchWindow is set
-	// (default 16).
+	// BatchMax caps the points per mid-lease body when BatchWindow is
+	// set (default 16).
 	BatchMax int
 	// Logf, when set, receives worker events. Nil discards.
 	Logf func(format string, args ...any)
 
-	// DropLease, when set, is consulted before evaluating each lease;
-	// returning true makes the worker silently abandon the lease — no
-	// evaluation, no heartbeat, no upload — simulating a worker killed
-	// mid-lease. Test hook for the fault-injection suite.
-	DropLease func(l LeaseReply) bool
-	// DropAfterPoints, when set, is consulted after each point is
-	// evaluated and streamed; returning true makes the worker abandon
-	// the rest of the lease — no further points, no final upload —
-	// simulating a worker killed partway through a lease it had been
-	// streaming. Test hook for the streamed-tail fault suite.
-	DropAfterPoints func(l LeaseReply, streamed int) bool
+	// DropAfterPoints, when set, is consulted before a lease's first
+	// point (evaluated == 0) and after each point is evaluated and, if
+	// its batch was due, uploaded; returning true makes the worker
+	// silently abandon the rest of the lease — no further points, no last
+	// batch — simulating a worker killed holding it. Test hook for the
+	// fault-injection suites.
+	DropAfterPoints func(l LeaseReply, evaluated int) bool
 	// BeforeUpload, when set, runs after evaluation and before the
-	// result upload. Test hook (e.g. to double-upload for idempotency
-	// tests).
-	BeforeUpload func(up *ResultUpload)
+	// lease's last batch is sent. Test hook (e.g. to double-upload for
+	// idempotency tests).
+	BeforeUpload func(up *PointsUpload)
 	// TestbedCacheSize caps the testbed LRU (default 4 distinct
 	// configurations).
 	TestbedCacheSize int
@@ -119,14 +114,20 @@ func (w *Worker) postJSON(ctx context.Context, path string, in, out any) (int, e
 
 // Run registers with the coordinator and serves leases until ctx is
 // cancelled. Transient coordinator errors and empty answers are retried
-// with the poll interval as backoff.
+// with the poll interval as backoff; a coordinator that speaks another
+// worker protocol is not — retrying cannot help, and uploads the other
+// side cannot complete would loop forever — so Run returns an error.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Poll <= 0 {
 		w.Poll = 200 * time.Millisecond
 	}
 	for {
 		var reg RegisterReply
-		_, err := w.postJSON(ctx, "/v1/workers/register", RegisterRequest{WorkerID: w.ID}, &reg)
+		code, err := w.postJSON(ctx, "/v1/workers/register", RegisterRequest{WorkerID: w.ID, Proto: wireProto}, &reg)
+		if code == http.StatusBadRequest || (err == nil && reg.Proto != wireProto) {
+			return fmt.Errorf("dist: worker %s speaks protocol %d, coordinator %s answers %d (0: none yet) and %v",
+				w.ID, wireProto, w.Coordinator, reg.Proto, err)
+		}
 		if err == nil {
 			if reg.PollMS > 0 {
 				w.Poll = time.Duration(reg.PollMS) * time.Millisecond
@@ -155,10 +156,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			if !sleepCtx(ctx, w.Poll) {
 				return ctx.Err()
 			}
-			continue
-		}
-		if w.DropLease != nil && w.DropLease(lease) {
-			w.logf("dist: worker %s dropping lease %s/%d (fault injection)", w.ID, lease.JobID, lease.Seq)
 			continue
 		}
 		w.serveLease(ctx, lease)
@@ -217,14 +214,13 @@ func (w *Worker) leaseTestbed(sw *core.Sweep, opts core.Options) *core.Testbed {
 	return e.tb
 }
 
-// serveLease evaluates one lease point by point, streaming each result
-// as it finishes, then completes the lease with the full upload.
+// serveLease evaluates one lease point by point, uploading each result
+// as it finishes (or as its batch fills); the batch that carries the
+// lease's last point completes it.
 func (w *Worker) serveLease(ctx context.Context, lease LeaseReply) {
 	s, ok := core.Lookup(lease.Scenario)
-	up := ResultUpload{
-		WorkerID: w.ID, JobID: lease.JobID, Seq: lease.Seq,
-		Lo: lease.Lo, Hi: lease.Hi,
-	}
+	// up holds the points the coordinator has not acknowledged yet.
+	up := PointsUpload{JobID: lease.JobID, Seq: lease.Seq}
 	if !ok {
 		// A coordinator from a newer build may know scenarios this
 		// worker does not; report per-point errors so the job fails
@@ -234,7 +230,7 @@ func (w *Worker) serveLease(ctx context.Context, lease LeaseReply) {
 				Index: i, Error: fmt.Sprintf("worker has no scenario %q", lease.Scenario),
 			})
 		}
-		w.upload(ctx, &up)
+		w.upload(ctx, &up, true)
 		return
 	}
 	// Every scenario is executable as a plan: sweeps lease grid runs,
@@ -250,26 +246,18 @@ func (w *Worker) serveLease(ctx context.Context, lease LeaseReply) {
 	}
 
 	tb := w.leaseTestbed(sw, opts)
-	stream := lease.Hi-lease.Lo > 1 // a 1-point lease's final upload IS its stream
 	batchMax := w.BatchMax
 	if batchMax <= 0 {
 		batchMax = 16
 	}
-	// pending coalesces finished points awaiting a streamed upload; with
-	// BatchWindow unset every point flushes immediately, so the
-	// single-point path is the degenerate one-entry batch.
-	var pending []PointResult
 	var batchStart time.Time
-	flush := func() bool {
-		if len(pending) == 0 {
-			return true
-		}
-		ok := w.streamPoints(ctx, lease, pending)
-		pending = pending[:0]
-		return ok
-	}
 	start := time.Now()
 	for i := lease.Lo; i < lease.Hi; i++ {
+		if n := i - lease.Lo; w.DropAfterPoints != nil && w.DropAfterPoints(lease, n) {
+			w.logf("dist: worker %s dying after evaluating %d point(s) of lease %s/%d (fault injection)",
+				w.ID, n, lease.JobID, lease.Seq)
+			return
+		}
 		res, err := sw.EvalPoint(ctx, tb, opts, i)
 		if ctx.Err() != nil {
 			w.logf("dist: worker %s abandoning lease %s/%d: %v", w.ID, lease.JobID, lease.Seq, ctx.Err())
@@ -283,24 +271,15 @@ func (w *Worker) serveLease(ctx context.Context, lease LeaseReply) {
 		} else {
 			pr.Value = b
 		}
-		up.Points = append(up.Points, pr)
-		if stream {
-			if len(pending) == 0 {
-				batchStart = time.Now()
-			}
-			pending = append(pending, pr)
-			if w.BatchWindow <= 0 || len(pending) >= batchMax ||
-				time.Since(batchStart) >= w.BatchWindow || i == lease.Hi-1 {
-				if !flush() {
-					w.logf("dist: worker %s: lease %s/%d gone mid-stream; abandoning its tail",
-						w.ID, lease.JobID, lease.Seq)
-					return
-				}
-			}
+		if len(up.Points) == 0 {
+			batchStart = time.Now()
 		}
-		if w.DropAfterPoints != nil && w.DropAfterPoints(lease, len(up.Points)) {
-			w.logf("dist: worker %s dying after streaming %d point(s) of lease %s/%d (fault injection)",
-				w.ID, len(up.Points), lease.JobID, lease.Seq)
+		up.Points = append(up.Points, pr)
+		// With BatchWindow unset every point is its own batch; the last
+		// point waits for the lease's last batch below.
+		due := w.BatchWindow <= 0 || len(up.Points) >= batchMax || time.Since(batchStart) >= w.BatchWindow
+		if due && i < lease.Hi-1 && !w.upload(ctx, &up, false) {
+			w.logf("dist: worker %s: lease %s/%d gone mid-lease; abandoning its tail", w.ID, lease.JobID, lease.Seq)
 			return
 		}
 	}
@@ -309,69 +288,53 @@ func (w *Worker) serveLease(ctx context.Context, lease LeaseReply) {
 	if w.BeforeUpload != nil {
 		w.BeforeUpload(&up)
 	}
-	w.upload(ctx, &up)
+	w.upload(ctx, &up, true)
 }
 
-// streamPoints uploads a batch of finished points of a held lease in
-// one body. It reports false only when the coordinator says the lease
-// is gone; transient errors are tolerated — the final upload carries
-// every point again.
-func (w *Worker) streamPoints(ctx context.Context, lease LeaseReply, prs []PointResult) bool {
-	var reply PointsReply
-	_, err := w.postJSON(ctx, "/v1/workers/points", PointsUpload{
-		WorkerID: w.ID, JobID: lease.JobID, Seq: lease.Seq,
-		Points: append([]PointResult(nil), prs...),
-	}, &reply)
-	if err != nil {
-		w.logf("dist: worker %s: streaming %d point(s) of lease %s/%d: %v (final upload will cover them)",
-			w.ID, len(prs), lease.JobID, lease.Seq, err)
-		return true
+// upload posts the unacknowledged points of a held lease — mid-lease,
+// or as the last batch that completes it — and reports whether the
+// lease is still worth working on: false once the coordinator answers
+// that it is gone, or refuses the batch (any 4xx: it has already
+// requeued what it lacked). An acknowledged batch is cleared from up;
+// one whose answer was lost stays, to be sent again: a mid-lease one
+// with the points that finish next, the last one after a Poll, five
+// times in all.
+func (w *Worker) upload(ctx context.Context, up *PointsUpload, last bool) bool {
+	path, attempts := "/v1/workers/points", 1
+	if last {
+		path, attempts = "/v1/workers/result", 5
 	}
-	return reply.OK
+	for {
+		var reply PointsReply
+		code, err := w.postJSON(ctx, path, up, &reply)
+		if err == nil {
+			up.Points = up.Points[:0]
+			return reply.OK
+		}
+		if ctx.Err() != nil || (code >= 400 && code < 500) {
+			return false
+		}
+		w.logf("dist: worker %s: upload for lease %s/%d: %v (%d point(s) stay pending)", w.ID, up.JobID, up.Seq, err, len(up.Points))
+		if attempts--; attempts == 0 || !sleepCtx(ctx, w.Poll) {
+			return attempts == 0
+		}
+	}
 }
 
-// heartbeat extends the lease every ttl/3 until cancelled.
+// heartbeat extends the lease every ttl/3 — with the upload that
+// carries no points — until cancelled or the lease is gone.
 func (w *Worker) heartbeat(ctx context.Context, lease LeaseReply) {
-	iv := w.ttl / 3
-	if iv < 10*time.Millisecond {
-		iv = 10 * time.Millisecond
-	}
-	t := time.NewTicker(iv)
+	t := time.NewTicker(max(w.ttl/3, 10*time.Millisecond))
 	defer t.Stop()
+	beat := PointsUpload{JobID: lease.JobID, Seq: lease.Seq}
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			var hb HeartbeatReply
-			_, err := w.postJSON(ctx, "/v1/workers/heartbeat",
-				HeartbeatRequest{WorkerID: w.ID, JobID: lease.JobID, Seq: lease.Seq}, &hb)
-			if err == nil && !hb.OK {
-				return // lease is gone; evaluation result will be ignored
+			if !w.upload(ctx, &beat, false) {
+				return // lease is gone; what is evaluated from here on will be ignored
 			}
-		}
-	}
-}
-
-// upload posts the result, retrying transient failures. Duplicate
-// replies are success: the lease completed through another path.
-func (w *Worker) upload(ctx context.Context, up *ResultUpload) {
-	for attempt := 0; attempt < 5; attempt++ {
-		var reply ResultReply
-		_, err := w.postJSON(ctx, "/v1/workers/result", up, &reply)
-		if err == nil {
-			if reply.Duplicate {
-				w.logf("dist: worker %s: lease %s/%d already completed (duplicate upload ignored)",
-					w.ID, up.JobID, up.Seq)
-			}
-			return
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		w.logf("dist: worker %s: upload %s/%d failed: %v (retrying)", w.ID, up.JobID, up.Seq, err)
-		if !sleepCtx(ctx, w.Poll) {
-			return
 		}
 	}
 }
