@@ -10,7 +10,7 @@
 //
 // Flags:
 //
-//	-wan oc12|oc48   backbone generation for engine-built testbeds
+//	-wan oc12|oc48   backbone generation of the testbeds scenarios run on
 //	-extensions      include the section-5 extension sites
 //	-pes N           T3E partition size (fMRI scenarios)
 //	-frames N        volumes/frames/scans to acquire
@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	list := fs.Bool("list", false, "list registered scenarios and exit")
 	wan := fs.String("wan", defWAN,
-		"backbone generation for engine-built testbeds: oc12 or oc48 (carrier-sweep scenarios ignore it)")
+		"backbone generation of the testbeds scenarios run on: oc12 or oc48 (carrier-sweep scenarios ignore it)")
 	ext := fs.Bool("extensions", false, "include the section-5 extension sites")
 	pes := fs.Int("pes", def.PEs, "T3E partition size")
 	frames := fs.Int("frames", def.Frames, "volumes/frames/scans to acquire")

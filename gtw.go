@@ -53,14 +53,17 @@
 //	internal/atm         ATM/AAL5/SDH framing arithmetic
 //	internal/hippi       HiPPI channels and HiPPI-ATM gateways
 //	internal/tcpsim      TCP throughput model
-//	internal/mpi         metacomputing MPI (MPI-2 subset)
-//	internal/mpitrace    VAMPIR-style tracing
+//	internal/mpi         metacomputing MPI (MPI-2 subset): ranks are kernel
+//	                     processes, cross-host messages cross the netsim
+//	                     network their hosts sit on, in virtual time
+//	internal/mpitrace    VAMPIR-style tracing of that virtual time
 //	internal/machine     supercomputer performance models
 //	internal/fire        FIRE fMRI analysis (filters, motion, RVO, ...)
 //	internal/mri         synthetic MRI scanner
 //	internal/meg         pmusic / MUSIC dipole analysis
 //	internal/groundwater TRACE/PARTRACE coupling
 //	internal/climate     coupled ocean/atmosphere + flux coupler
+//	internal/cocolib     COCOLIB fluid-structure coupling (MetaCISPAR)
 //	internal/video       D1 studio video over ATM
 //	internal/viz         2-D overlay, 3-D merge, workbench streaming
 //	internal/core        the testbed topology, scenarios and run engine

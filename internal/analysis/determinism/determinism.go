@@ -18,10 +18,8 @@
 //     recognised: if the collected slice is later passed to a sort
 //     call in the same function, the range is clean.
 //
-// The check is domain-restricted (see domainPkgs): internal/mpi and
-// internal/mpitrace are excluded by design — VAMPIR-style trace
-// timestamps are wall-clock measurements, which is their whole point —
-// and the dist/persist planes legitimately deal in lease clocks.
+// The check is domain-restricted (see domainPkgs): the dist/persist
+// planes legitimately deal in lease clocks.
 package determinism
 
 import (
@@ -40,7 +38,7 @@ var domainPkgs = map[string]bool{
 	"hippi": true, "machine": true, "bwin": true, "core": true,
 	"video": true, "viz": true, "volume": true, "mri": true,
 	"meg": true, "climate": true, "groundwater": true, "linalg": true,
-	"fire": true, "cocolib": true,
+	"fire": true, "cocolib": true, "mpi": true, "mpitrace": true,
 }
 
 // randConstructors are math/rand selectors that build or seed explicit

@@ -5,7 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mpi"
+	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
 func TestGridGeometry(t *testing.T) {
@@ -225,10 +226,20 @@ func TestCoupledRunEndToEnd(t *testing.T) {
 		Dt:        3600,
 		Steps:     24,
 	}
-	shaper := mpi.LinkShaper{Latency: 50 * time.Microsecond, Bps: 2e9}
-	res, err := RunCoupled([3]string{"cray-t3e", "ibm-sp2", "coupler"}, shaper, cfg)
+	// Three hosts, the coupler in the middle.
+	net := netsim.New(sim.NewKernel())
+	link := netsim.LinkConfig{Bps: 2e9, Delay: 50 * time.Microsecond}
+	coupler := net.AddNode("coupler")
+	net.Connect(net.AddNode("cray-t3e"), coupler, link)
+	net.Connect(net.AddNode("ibm-sp2"), coupler, link)
+	net.ComputeRoutes()
+	res, err := RunCoupled(net, [3]string{"cray-t3e", "ibm-sp2", "coupler"}, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Four messages cross a link per step, each at least its delay.
+	if min := 24 * 4 * 50e-6; res.NetworkSeconds < min {
+		t.Errorf("network time = %v s, want >= %v s of propagation alone", res.NetworkSeconds, min)
 	}
 	if res.Steps != 24 {
 		t.Errorf("steps = %d", res.Steps)
@@ -251,7 +262,7 @@ func TestCoupledRunEndToEnd(t *testing.T) {
 }
 
 func TestCoupledRunValidation(t *testing.T) {
-	if _, err := RunCoupled([3]string{"a", "b", "c"}, nil, CoupledConfig{}); err == nil {
+	if _, err := RunCoupled(nil, [3]string{"a", "b", "c"}, CoupledConfig{}); err == nil {
 		t.Error("zero steps accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mpi"
+	"repro/internal/netsim"
 )
 
 // The flux coupler (CSM-style) is its own process: it receives surface
@@ -43,16 +44,19 @@ type CoupledResult struct {
 	FinalIceFraction float64
 	// MinSST and MaxSST bound the final SST field.
 	MinSST, MaxSST float64
+	// NetworkSeconds is the virtual time the run took, all of it spent
+	// on the network: the models' compute is charged none.
+	NetworkSeconds float64
 }
 
-// RunCoupled executes the three-process coupled model on the given
-// hosts (ocean, atmos, coupler) with WAN shaping between them.
-func RunCoupled(hosts [3]string, shaper mpi.Shaper, cfg CoupledConfig) (CoupledResult, error) {
+// RunCoupled executes the three-process coupled model on the nodes of
+// net named by hosts (ocean, atmos, coupler).
+func RunCoupled(net *netsim.Network, hosts [3]string, cfg CoupledConfig) (CoupledResult, error) {
 	if cfg.Steps <= 0 || cfg.Dt <= 0 {
 		return CoupledResult{}, fmt.Errorf("climate: bad coupled config steps=%d dt=%v", cfg.Steps, cfg.Dt)
 	}
 	var result CoupledResult
-	err := mpi.RunHosts(hosts[:], shaper, nil, func(c *mpi.Comm) error {
+	took, err := mpi.RunHosts(net, hosts[:], nil, func(c *mpi.Comm) error {
 		switch c.Rank() {
 		case 0:
 			return runOcean(c, cfg, &result)
@@ -63,6 +67,7 @@ func RunCoupled(hosts [3]string, shaper mpi.Shaper, cfg CoupledConfig) (CoupledR
 		}
 		return nil
 	})
+	result.NetworkSeconds = took.Seconds()
 	return result, err
 }
 

@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"repro/internal/mpi"
+	"repro/internal/netsim"
 )
 
 // InterfaceMesh is a 1-D parameterization of the coupling surface:
@@ -250,17 +251,20 @@ type FSIResult struct {
 	BytesExchanged int64
 	MaxDeflection  float64
 	TipResidual    float64 // last-step deflection change (convergence)
+	// NetworkSeconds is the virtual time the run took, all of it spent
+	// on the network: the solvers' compute is charged none.
+	NetworkSeconds float64
 }
 
 // RunFSI couples the two solvers over MPI (rank 0 = fluid, rank 1 =
-// structure) on the given hosts with WAN shaping, using non-matching
+// structure) on the nodes of net named by hosts, using non-matching
 // interface meshes, and returns the converged state.
-func RunFSI(hosts [2]string, shaper mpi.Shaper, fluidNodes, structNodes, steps int, dt float64) (FSIResult, error) {
+func RunFSI(net *netsim.Network, hosts [2]string, fluidNodes, structNodes, steps int, dt float64) (FSIResult, error) {
 	if steps <= 0 || dt <= 0 {
 		return FSIResult{}, fmt.Errorf("cocolib: bad FSI parameters steps=%d dt=%v", steps, dt)
 	}
 	var res FSIResult
-	err := mpi.RunHosts(hosts[:], shaper, nil, func(c *mpi.Comm) error {
+	took, err := mpi.RunHosts(net, hosts[:], nil, func(c *mpi.Comm) error {
 		switch c.Rank() {
 		case 0: // fluid
 			mesh := UniformMesh(fluidNodes)
@@ -315,5 +319,6 @@ func RunFSI(hosts [2]string, shaper mpi.Shaper, fluidNodes, structNodes, steps i
 		}
 		return nil
 	})
+	res.NetworkSeconds = took.Seconds()
 	return res, err
 }

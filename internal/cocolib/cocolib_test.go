@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
 func TestUniformMesh(t *testing.T) {
@@ -208,10 +210,17 @@ func TestChannelPressureRespondsToDeflection(t *testing.T) {
 }
 
 func TestRunFSIConverges(t *testing.T) {
-	shaper := mpi.LinkShaper{Latency: 20 * time.Microsecond, Bps: 1e9}
-	res, err := RunFSI([2]string{"vpp-fluid", "t3e-structure"}, shaper, 33, 21, 2000, 0.001)
+	net := netsim.New(sim.NewKernel())
+	net.Connect(net.AddNode("vpp-fluid"), net.AddNode("t3e-structure"),
+		netsim.LinkConfig{Bps: 1e9, Delay: 20 * time.Microsecond})
+	net.ComputeRoutes()
+	res, err := RunFSI(net, [2]string{"vpp-fluid", "t3e-structure"}, 33, 21, 2000, 0.001)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every exchange waits out at least the link's delay.
+	if min := 2000 * 20e-6; res.NetworkSeconds < min {
+		t.Errorf("network time = %v s, want >= %v s of propagation alone", res.NetworkSeconds, min)
 	}
 	if res.MaxDeflection <= 0 {
 		t.Error("panel did not deflect under flow pressure")
@@ -227,7 +236,7 @@ func TestRunFSIConverges(t *testing.T) {
 }
 
 func TestRunFSIValidation(t *testing.T) {
-	if _, err := RunFSI([2]string{"a", "b"}, nil, 10, 10, 0, 0.01); err == nil {
+	if _, err := RunFSI(nil, [2]string{"a", "b"}, 10, 10, 0, 0.01); err == nil {
 		t.Error("zero steps accepted")
 	}
 }

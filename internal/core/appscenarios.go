@@ -24,16 +24,20 @@ import (
 	"repro/internal/viz"
 )
 
-// The section-3 application workloads as registered scenarios. These
-// run on the metacomputing MPI with a WAN shaper set to the measured
-// testbed path (~260 Mbit/s, ~0.55 ms one-way), or on private
-// simulation kernels — they never touch the engine-provided testbed, so
-// they are safe in shared-testbed runs by construction.
+// The section-3 application workloads as registered scenarios. The
+// coupled codes run on the metacomputing MPI, their ranks placed on the
+// hosts of a private testbed of the run's generation (WAN, Extensions):
+// every message between sites crosses that testbed's HiPPI -> gateway ->
+// ATM -> backbone path as simulated packets, and the virtual time that
+// takes is reported. Compute is charged no virtual time — these codes
+// have no cost model (Table 1's is FIRE-only). Private testbeds and
+// private kernels mean nothing here drives the engine-provided testbed,
+// so these scenarios are safe in shared-testbed runs by construction.
 
-// testbedShaper shapes metacomputing-MPI traffic to the measured
-// T3E <-> SP2 WAN path of section 2.
-func testbedShaper() mpi.LinkShaper {
-	return mpi.LinkShaper{Latency: 550 * time.Microsecond, Bps: 260e6}
+// coupledNet builds the private testbed a coupled scenario's ranks run
+// on; it lives as long as the run.
+func coupledNet(opts Options) *netsim.Network {
+	return New(Config{WAN: opts.WAN, Extensions: opts.Extensions}).Net
 }
 
 func init() {
@@ -49,8 +53,7 @@ func init() {
 				Dt:        3600,
 				Steps:     48, // two simulated days
 			}
-			res, err := climate.RunCoupled([3]string{"cray-t3e", "ibm-sp2", "csm-coupler"},
-				testbedShaper(), cfg)
+			res, err := climate.RunCoupled(coupledNet(opts), [3]string{HostT3E600, HostSP2, HostT90}, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -76,12 +79,11 @@ func init() {
 				HeadDrift: 0.2,
 			}
 			rec := mpitrace.NewRecorder()
-			res, err := groundwater.RunCoupledTraced([2]string{"ibm-sp2", "cray-t3e"},
-				testbedShaper(), rec, cfg)
+			res, err := groundwater.RunCoupled(coupledNet(opts), [2]string{HostSP2, HostT3E600}, rec, cfg)
 			if err != nil {
 				return nil, err
 			}
-			summary := "  VAMPIR-style communication summary:\n" +
+			summary := "  VAMPIR-style communication summary (virtual time; compute is charged none):\n" +
 				mpitrace.FormatStats(rec.Stats()) + rec.Gantt(64)
 			return &GroundwaterReport{Result: res, TraceSummary: summary}, nil
 		}))
@@ -93,9 +95,8 @@ func init() {
 				return nil, err
 			}
 			const fluidNodes, structNodes = 65, 41
-			res, err := cocolib.RunFSI(
-				[2]string{"gmd-fluid-code", "fzj-structure-code"},
-				testbedShaper(), fluidNodes, structNodes, 2500, 0.001)
+			res, err := cocolib.RunFSI(coupledNet(opts), [2]string{HostSP2, HostT3E1200},
+				fluidNodes, structNodes, 2500, 0.001)
 			if err != nil {
 				return nil, err
 			}
@@ -105,7 +106,7 @@ func init() {
 	MustRegister(NewScenario("meg-music",
 		"Section 3: pmusic MEG dipole localisation and the MPP+vector metacomputing speedup",
 		func(ctx context.Context, tb *Testbed, opts Options) (Report, error) {
-			return runMEGScenario(ctx)
+			return runMEGScenario(ctx, tb)
 		}))
 
 	MustRegister(NewScenario("video-d1",
@@ -134,7 +135,7 @@ func init() {
 }
 
 // videoCarrierRun streams D1 frames over a private two-node network on
-// the given carrier (this is the examples/video experiment).
+// the given carrier.
 func videoCarrierRun(oc atm.OC, frames int) (VideoRow, error) {
 	k := sim.NewKernel()
 	n := netsim.New(k)
@@ -158,8 +159,9 @@ func videoCarrierRun(oc atm.OC, frames int) (VideoRow, error) {
 
 // runMEGScenario synthesizes a measurement with one active dipole,
 // scans a brain grid with MUSIC on 4 MPI ranks, and evaluates the
-// metacomputing speedup model (this is the examples/meg experiment).
-func runMEGScenario(ctx context.Context) (Report, error) {
+// metacomputing speedup model on the path the testbed measures between
+// the T3E and the SP2.
+func runMEGScenario(ctx context.Context, tb *Testbed) (Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -204,11 +206,18 @@ func runMEGScenario(ctx context.Context) (Report, error) {
 		PeakVal:    val,
 		ErrorMM:    best.Sub(truth).Norm() * 1000,
 	}
+	// The MPP+vector model crosses the measured T3E <-> SP2 path: half
+	// its round trip, at the rate the SP2's I/O lets through.
+	rtt, err := tb.RTT(HostT3E600, HostSP2)
+	if err != nil {
+		return nil, err
+	}
+	sp2, _ := tb.Machine(HostSP2)
 	m := meg.DistributedModel{
 		MPP:        machine.CrayT3E600(),
 		Vector:     machine.CrayT90(),
-		WANLatency: 550 * time.Microsecond,
-		WANBps:     260e6,
+		WANLatency: rtt / 2,
+		WANBps:     sp2.IOBps,
 		Sensors:    148, Signals: 5, GridPoints: len(grid), Iterations: 10,
 	}
 	for _, pes := range []int{16, 64, 256} {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -177,10 +178,17 @@ func TestCoAllocation(t *testing.T) {
 }
 
 func TestFigure1Experiment(t *testing.T) {
-	rows, err := Figure1Throughput()
-	if err != nil {
-		t.Fatal(err)
+	// One fresh testbed per probe, as the figure1-throughput sweep runs
+	// them, plus the analytic backbone rows.
+	var rows []Figure1Row
+	for _, p := range f1probes {
+		row, err := figure1Probe(New(Config{}), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
 	}
+	rows = append(rows, figure1AnalyticRows()...)
 	if len(rows) < 6 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -205,7 +213,7 @@ func TestFigure1Experiment(t *testing.T) {
 }
 
 func TestFigure2Experiment(t *testing.T) {
-	r, err := Figure2EndToEnd(256, 30)
+	r, err := figure2EndToEndOn(context.Background(), New(Config{}), 256, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +260,7 @@ func TestFigure3Experiment(t *testing.T) {
 }
 
 func TestFigure4Experiment(t *testing.T) {
-	r, err := Figure4Workbench()
+	r, err := figure4WorkbenchOn(context.Background(), New(Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +284,7 @@ func TestFigure4Experiment(t *testing.T) {
 }
 
 func TestSection3Experiment(t *testing.T) {
-	rows, err := Section3Applications()
+	rows, err := section3ApplicationsOn(context.Background(), New(Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,9 @@ import (
 )
 
 // This file contains the experiment drivers that regenerate the paper's
-// quantitative content. Each driver has a testbed-accepting core
-// (figure1Probe, figure2EndToEndOn, ...) used by the registered
-// scenarios — so runs can share one contended testbed — plus a
-// deprecated wrapper keeping the original one-shot signature, which
-// builds private testbeds so old callers see unchanged behaviour.
+// quantitative content. Each driver takes the testbed it measures
+// (figure1Probe, figure2EndToEndOn, ...), so the registered scenarios
+// can share one contended testbed.
 
 // ---------------------------------------------------------------- F1 --
 
@@ -96,22 +94,6 @@ func f1probeValues() []any {
 	return vals
 }
 
-// Figure1Throughput measures the section-2 throughput observations on
-// the simulated testbed, one fresh testbed per probe.
-//
-// Deprecated: use the "figure1-throughput" scenario via Run/RunAll.
-func Figure1Throughput() ([]Figure1Row, error) {
-	var rows []Figure1Row
-	for _, p := range f1probes {
-		row, err := figure1Probe(New(Config{}), p)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return append(rows, figure1AnalyticRows()...), nil
-}
-
 // FormatFigure1 renders the rows as a text table.
 func FormatFigure1(rows []Figure1Row) string {
 	var sb strings.Builder
@@ -180,15 +162,6 @@ func figure2EndToEndOn(ctx context.Context, tb *Testbed, pes, frames int) (Figur
 	}
 	res.PipelinedSession = pip
 	return res, nil
-}
-
-// Figure2EndToEnd evaluates the latency budget at the given PE count
-// and simulates unpipelined and pipelined realtime sessions.
-//
-// Deprecated: use the "figure2-endtoend" scenario via Run/RunAll with
-// WithPEs and WithFrames.
-func Figure2EndToEnd(pes, frames int) (Figure2Result, error) {
-	return figure2EndToEndOn(context.Background(), New(Config{}), pes, frames)
 }
 
 // FormatFigure2 renders the latency budget.
@@ -386,14 +359,6 @@ func figure4WorkbenchOn(ctx context.Context, tb *Testbed) (Figure4Result, error)
 	return res, nil
 }
 
-// Figure4Workbench runs the visualization experiment on a fresh
-// testbed.
-//
-// Deprecated: use the "figure4-workbench" scenario via Run/RunAll.
-func Figure4Workbench() (Figure4Result, error) {
-	return figure4WorkbenchOn(context.Background(), New(Config{}))
-}
-
 // FormatFigure4 renders the result.
 func FormatFigure4(r Figure4Result) string {
 	var sb strings.Builder
@@ -508,14 +473,6 @@ func section3ApplicationsOn(ctx context.Context, tb *Testbed) ([]AppRow, error) 
 		OK: ifaceTr.Duration < 100*time.Millisecond,
 	})
 	return rows, nil
-}
-
-// Section3Applications checks each application's WAN requirement
-// against a fresh simulated testbed.
-//
-// Deprecated: use the "section3-applications" scenario via Run/RunAll.
-func Section3Applications() ([]AppRow, error) {
-	return section3ApplicationsOn(context.Background(), New(Config{}))
 }
 
 // FormatSection3 renders the application table.

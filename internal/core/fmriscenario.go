@@ -25,7 +25,7 @@ import (
 // Raw volumes, functional results and rendered frames all travel as
 // packet trains over the simulated WAN, and the T3E compute time comes
 // from the calibrated cost model, so the end-to-end delay is derived
-// rather than assumed (unlike the budget arithmetic in Figure2EndToEnd,
+// rather than assumed (unlike the budget arithmetic in figure2EndToEndOn,
 // which uses the paper's own stage constants).
 type FMRIScenario struct {
 	// PEs is the T3E partition size.
@@ -63,8 +63,9 @@ type FMRIScenarioResult struct {
 	WireSeconds float64
 }
 
-// RunFMRIScenario executes the scenario on a fresh testbed.
-func RunFMRIScenario(sc FMRIScenario) (FMRIScenarioResult, error) {
+// RunFMRIScenario executes the scenario on a fresh testbed of the given
+// generation (the dataflow crosses the backbone twice per frame).
+func RunFMRIScenario(cfg Config, sc FMRIScenario) (FMRIScenarioResult, error) {
 	if sc.PEs < 1 || sc.Frames < 1 || sc.TR <= 0 {
 		return FMRIScenarioResult{}, fmt.Errorf("core: bad fMRI scenario %+v", sc)
 	}
@@ -80,7 +81,7 @@ func RunFMRIScenario(sc FMRIScenario) (FMRIScenarioResult, error) {
 	if sc.DisplayTime == 0 {
 		sc.DisplayTime = 0.6
 	}
-	tb := New(Config{})
+	tb := New(cfg)
 	model := fire.DefaultT3E600()
 	computeS := model.TotalTime(sc.PEs, sc.NX, sc.NY, sc.NZ)
 
@@ -95,31 +96,6 @@ func RunFMRIScenario(sc FMRIScenario) (FMRIScenarioResult, error) {
 	rawBytes := volume.New(sc.NX, sc.NY, sc.NZ).Bytes()
 	funcBytes := rawBytes            // correlation map, same matrix
 	frameBytes := 2 * 1024 * 768 * 3 // one stereo pair for the workbench
-
-	// transferProc moves nbytes as a packet train and resumes the
-	// caller when the last byte arrives.
-	transfer := func(p *sim.Proc, src, dst netsim.NodeID, nbytes int) {
-		const mtu = 65536 - 40
-		remaining := nbytes
-		done := sim.NewChan[struct{}](p.Kernel(), 0)
-		for remaining > 0 {
-			sz := mtu
-			if remaining < sz {
-				sz = remaining
-			}
-			remaining -= sz
-			last := remaining == 0
-			tb.Net.Send(&netsim.Packet{
-				Src: src, Dst: dst, Bytes: sz + 40,
-				OnDeliver: func(*netsim.Packet) {
-					if last {
-						done.TrySend(struct{}{})
-					}
-				},
-			})
-		}
-		done.Recv(p)
-	}
 
 	type frameStamp struct {
 		scanEnd sim.Time
@@ -156,14 +132,16 @@ func RunFMRIScenario(sc FMRIScenario) (FMRIScenarioResult, error) {
 				}
 				f = next
 			}
+			// Each transfer is a packet train; the chain resumes when its
+			// last byte arrives.
 			w0 := p.Now()
 			// RT-server (Jülich ws) -> T3E: raw volume + control.
-			transfer(p, hosts[HostWSJuelich], hosts[HostT3E600], rawBytes)
+			netsim.Train(tb.Net, hosts[HostWSJuelich], hosts[HostT3E600], rawBytes).Recv(p)
 			p.Sleep(sim.Duration(sc.ControlOverhead))
 			// T3E processing.
 			p.Sleep(sim.Duration(computeS))
 			// T3E -> RT-client: functional + anatomical maps.
-			transfer(p, hosts[HostT3E600], hosts[HostWSJuelich], 2*funcBytes)
+			netsim.Train(tb.Net, hosts[HostT3E600], hosts[HostWSJuelich], 2*funcBytes).Recv(p)
 			p.Sleep(sim.Duration(sc.ControlOverhead))
 			wireTotal += p.Now().Sub(w0) - sim.Duration(sc.ControlOverhead*2+computeS)
 			// 2-D display.
@@ -172,9 +150,9 @@ func RunFMRIScenario(sc FMRIScenario) (FMRIScenarioResult, error) {
 			// 3-D path: functional data to the Onyx 2, rendered
 			// stereo frame back to the Jülich workbench.
 			w1 := p.Now()
-			transfer(p, hosts[HostT3E600], hosts[HostOnyx2], funcBytes)
+			netsim.Train(tb.Net, hosts[HostT3E600], hosts[HostOnyx2], funcBytes).Recv(p)
 			p.Sleep(sim.Duration(0.2)) // merge + render on the Onyx 2
-			transfer(p, hosts[HostOnyx2], hosts[HostWS2Juelich], frameBytes)
+			netsim.Train(tb.Net, hosts[HostOnyx2], hosts[HostWS2Juelich], frameBytes).Recv(p)
 			wireTotal += p.Now().Sub(w1) - sim.Duration(0.2)
 			stamps[f].vr = p.Now()
 		}

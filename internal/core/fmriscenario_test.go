@@ -7,7 +7,7 @@ import (
 )
 
 func TestFMRIScenarioMeetsPaperBudget(t *testing.T) {
-	res, err := RunFMRIScenario(FMRIScenario{PEs: 256, TR: 3.0, Frames: 12})
+	res, err := RunFMRIScenario(Config{}, FMRIScenario{PEs: 256, TR: 3.0, Frames: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestFMRIScenarioMeetsPaperBudget(t *testing.T) {
 }
 
 func TestFMRIScenarioFewerPEsSlower(t *testing.T) {
-	fast, err := RunFMRIScenario(FMRIScenario{PEs: 256, TR: 3.0, Frames: 8})
+	fast, err := RunFMRIScenario(Config{}, FMRIScenario{PEs: 256, TR: 3.0, Frames: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := RunFMRIScenario(FMRIScenario{PEs: 16, TR: 8.0, Frames: 8})
+	slow, err := RunFMRIScenario(Config{}, FMRIScenario{PEs: 16, TR: 8.0, Frames: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestFMRIScenarioFewerPEsSlower(t *testing.T) {
 func TestFMRIScenarioFastTRSkipsFrames(t *testing.T) {
 	// At TR=2 the unpipelined chain (~2.7 s + transfers) cannot keep
 	// up: the realtime system skips to the newest scan.
-	res, err := RunFMRIScenario(FMRIScenario{PEs: 256, TR: 2.0, Frames: 16})
+	res, err := RunFMRIScenario(Config{}, FMRIScenario{PEs: 256, TR: 2.0, Frames: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFMRIScenarioFastTRSkipsFrames(t *testing.T) {
 	// through its stack, the run's whole testbed.
 	base := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		if _, err := RunFMRIScenario(FMRIScenario{PEs: 256, TR: 2.0, Frames: 16}); err != nil {
+		if _, err := RunFMRIScenario(Config{}, FMRIScenario{PEs: 256, TR: 2.0, Frames: 16}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,7 +81,7 @@ func TestFMRIScenarioFastTRSkipsFrames(t *testing.T) {
 }
 
 func TestFMRIScenarioValidation(t *testing.T) {
-	if _, err := RunFMRIScenario(FMRIScenario{}); err == nil {
+	if _, err := RunFMRIScenario(Config{}, FMRIScenario{}); err == nil {
 		t.Error("zero scenario accepted")
 	}
 }

@@ -41,18 +41,18 @@ func TestPointDepsDerivedSetsArePinned(t *testing.T) {
 		"figure1-throughput":    {"sweep", []string{"wan", "ext"}, []string{"wan", "ext"}},
 		"backbone-aggregate":    {"sweep", []string{"flows"}, []string{"flows"}},
 		"mixed-traffic":         {"sweep", []string{}, []string{}},
-		"fmri-pe-sweep":         {"sweep", []string{"frames"}, []string{"frames"}},
+		"fmri-pe-sweep":         {"sweep", []string{"wan", "ext", "frames"}, []string{"wan", "ext", "frames"}},
 		"table1-model":          {"scenario", nil, []string{}},
 		"figure2-endtoend":      {"scenario", nil, []string{"wan", "ext", "pes", "frames"}},
 		"figure3-overlay":       {"scenario", nil, []string{}},
 		"figure4-workbench":     {"scenario", nil, []string{"wan", "ext"}},
 		"section3-applications": {"scenario", nil, []string{"wan", "ext"}},
-		"fmri-dataflow":         {"scenario", nil, []string{"pes", "frames"}},
+		"fmri-dataflow":         {"scenario", nil, []string{"wan", "ext", "pes", "frames"}},
 		"future-work":           {"scenario", nil, []string{}},
-		"climate-coupled":       {"scenario", nil, []string{}},
-		"groundwater-coupled":   {"scenario", nil, []string{}},
-		"fsi-cocolib":           {"scenario", nil, []string{}},
-		"meg-music":             {"scenario", nil, []string{}},
+		"climate-coupled":       {"scenario", nil, []string{"wan", "ext"}},
+		"groundwater-coupled":   {"scenario", nil, []string{"wan", "ext"}},
+		"fsi-cocolib":           {"scenario", nil, []string{"wan", "ext"}},
+		"meg-music":             {"scenario", nil, []string{"wan", "ext"}},
 		"video-d1":              {"scenario", nil, []string{"frames"}},
 		"fire-rt-session":       {"scenario", nil, []string{"frames"}},
 		"client-fleet-unit":     {"sweep", []string{"frames"}, []string{"frames"}},

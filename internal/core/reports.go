@@ -190,6 +190,13 @@ func (r *FutureWorkReport) Text() string { return FormatFutureWork(r.FutureWorkR
 // JSON implements Report.
 func (r *FutureWorkReport) JSON() ([]byte, error) { return json.Marshal(r) }
 
+// networkLine is the line every coupled report ends on: what the run's
+// messages cost on the simulated testbed, the figure -wan moves.
+func networkLine(seconds float64, steps int) string {
+	return fmt.Sprintf("  on the testbed network: %.3f ms of virtual time per coupling step, %.3f s in all (compute is charged none)\n",
+		seconds*1000/float64(steps), seconds)
+}
+
 // ClimateReport carries the coupled ocean/atmosphere run.
 type ClimateReport struct {
 	Steps  int
@@ -206,6 +213,7 @@ func (r *ClimateReport) Text() string {
 	fmt.Fprintf(&sb, "  final mean SST %.2f K (range %.1f..%.1f), ice fraction %.3f\n",
 		r.Result.FinalMeanSST, r.Result.MinSST, r.Result.MaxSST, r.Result.FinalIceFraction)
 	sb.WriteString("  (the paper quotes up to 1 MByte in short bursts per timestep)\n")
+	sb.WriteString(networkLine(r.Result.NetworkSeconds, r.Result.Steps))
 	return sb.String()
 }
 
@@ -231,6 +239,7 @@ func (r *GroundwaterReport) Text() string {
 	fmt.Fprintf(&sb, "  PARTRACE: %d particles broke through, plume front at %.1f cells\n",
 		r.Result.Exited, r.Result.FinalMeanX)
 	sb.WriteString("  (the paper quotes up to 30 MByte/s for this field transfer)\n")
+	sb.WriteString(networkLine(r.Result.NetworkSeconds, r.Result.Steps))
 	if r.TraceSummary != "" {
 		sb.WriteString(r.TraceSummary)
 	}
@@ -257,6 +266,7 @@ func (r *FSIReport) Text() string {
 		r.Result.MaxDeflection, r.Result.TipResidual)
 	fmt.Fprintf(&sb, "  (COCOLIB interpolates between the %d-node fluid and %d-node structure meshes)\n",
 		r.FluidNodes, r.StructNodes)
+	sb.WriteString(networkLine(r.Result.NetworkSeconds, r.Result.Steps))
 	return sb.String()
 }
 

@@ -91,7 +91,7 @@ func init() {
 			// The dataflow drives its own simulation kernel, so it
 			// always builds a private testbed.
 			sc := FMRIScenario{PEs: opts.PEs, TR: 4.0, Frames: opts.Frames}
-			r, err := RunFMRIScenario(sc)
+			r, err := RunFMRIScenario(Config{WAN: opts.WAN, Extensions: opts.Extensions}, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -138,7 +138,7 @@ func init() {
 		[]Axis{{Name: "pes", Values: []any{16, 64, 256}}},
 		func(ctx context.Context, tb *Testbed, opts Options, pt Point) (any, error) {
 			sc := FMRIScenario{PEs: pt.Coord(0).(int), TR: 4.0, Frames: opts.Frames}
-			res, err := RunFMRIScenario(sc)
+			res, err := RunFMRIScenario(Config{WAN: opts.WAN, Extensions: opts.Extensions}, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -150,7 +150,7 @@ func init() {
 				rep.Rows = append(rep.Rows, r.(FMRIDataflowReport))
 			}
 			return rep, nil
-		}).NoShardTestbed().WirePoint(FMRIDataflowReport{}).PointDeps(OptFrames))
+		}).NoShardTestbed().WirePoint(FMRIDataflowReport{}).PointDeps(OptWAN, OptExtensions, OptFrames))
 
 	MustRegister(NewScenario("future-work",
 		"Sections 1+4 outlook: B-WiN saturation and multi-echo feasibility",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mpi"
+	"repro/internal/netsim"
 )
 
 // CoupledConfig describes a TRACE/PARTRACE metacomputing run: rank 0
@@ -29,28 +30,26 @@ type CoupledResult struct {
 	Exited       int
 	FinalMeanX   float64
 	CGIterTotal  int
+	// NetworkSeconds is the virtual time the run took, all of it spent
+	// on the network: the two codes' compute is charged none.
+	NetworkSeconds float64
 }
 
 // fieldTag is the coupling message tag.
 const fieldTag = 11
 
 // RunCoupled executes the coupled application on two ranks placed on
-// the given hosts with the given WAN shaper, and returns rank 1's
-// result. This is the §3 "Transport of solutants in ground water"
-// project in miniature.
-func RunCoupled(hosts [2]string, shaper mpi.Shaper, cfg CoupledConfig) (CoupledResult, error) {
-	return RunCoupledTraced(hosts, shaper, nil, cfg)
-}
-
-// RunCoupledTraced is RunCoupled with a communication tracer attached
+// the nodes of net named by hosts (TRACE, PARTRACE), and returns rank
+// 1's result. This is the §3 "Transport of solutants in ground water"
+// project in miniature. An optional tracer records the communication
 // (the VAMPIR workflow: run the coupled application, then inspect the
 // timeline and message matrix).
-func RunCoupledTraced(hosts [2]string, shaper mpi.Shaper, tracer mpi.Tracer, cfg CoupledConfig) (CoupledResult, error) {
+func RunCoupled(net *netsim.Network, hosts [2]string, tracer mpi.Tracer, cfg CoupledConfig) (CoupledResult, error) {
 	if cfg.Steps <= 0 {
 		return CoupledResult{}, fmt.Errorf("groundwater: coupled run needs steps > 0")
 	}
 	var result CoupledResult
-	err := mpi.RunHosts(hosts[:], shaper, tracer, func(c *mpi.Comm) error {
+	took, err := mpi.RunHosts(net, hosts[:], tracer, func(c *mpi.Comm) error {
 		switch c.Rank() {
 		case 0: // TRACE
 			flow := cfg.Flow
@@ -108,6 +107,7 @@ func RunCoupledTraced(hosts [2]string, shaper mpi.Shaper, tracer mpi.Tracer, cfg
 		}
 		return nil
 	})
+	result.NetworkSeconds = took.Seconds()
 	return result, err
 }
 

@@ -5,7 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mpi"
+	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
 func uniformCfg() FlowConfig {
@@ -222,10 +223,17 @@ func TestCoupledRunTransfersField(t *testing.T) {
 		Steps:     4,
 		HeadDrift: 0.1,
 	}
-	shaper := mpi.LinkShaper{Latency: 100 * time.Microsecond, Bps: 1e9}
-	res, err := RunCoupled([2]string{"ibm-sp2", "cray-t3e"}, shaper, cfg)
+	net := netsim.New(sim.NewKernel())
+	net.Connect(net.AddNode("ibm-sp2"), net.AddNode("cray-t3e"),
+		netsim.LinkConfig{Bps: 1e9, Delay: 100 * time.Microsecond})
+	net.ComputeRoutes()
+	res, err := RunCoupled(net, [2]string{"ibm-sp2", "cray-t3e"}, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Five messages, each one link delay plus its bytes at the link rate.
+	if min := 5*100e-6 + float64(res.TotalBytes)*8/1e9; res.NetworkSeconds < min {
+		t.Errorf("network time = %v s, want >= %v s", res.NetworkSeconds, min)
 	}
 	wantBytes := 3 * 4 * 20 * 8 * 6
 	if res.BytesPerStep != wantBytes {
@@ -243,7 +251,7 @@ func TestCoupledRunTransfersField(t *testing.T) {
 }
 
 func TestCoupledRunValidation(t *testing.T) {
-	if _, err := RunCoupled([2]string{"a", "b"}, nil, CoupledConfig{}); err == nil {
+	if _, err := RunCoupled(nil, [2]string{"a", "b"}, nil, CoupledConfig{}); err == nil {
 		t.Error("steps=0 accepted")
 	}
 }

@@ -53,33 +53,26 @@ func (op Op) apply(acc, in []float64) {
 
 // Barrier blocks until every rank of the communicator has entered it
 // (dissemination algorithm, ceil(log2 n) rounds).
-func (c *Comm) Barrier() {
+func (c *Comm) Barrier() error {
 	n := c.Size()
-	if n == 1 {
-		return
-	}
 	for dist := 1; dist < n; dist *= 2 {
-		dst := (c.rank + dist) % n
-		src := (c.rank - dist + n) % n
-		done := make(chan struct{})
-		go func() {
-			c.sendColl(dst, tagBarrier, nil)
-			close(done)
-		}()
-		c.recvColl(src, tagBarrier)
-		<-done
+		sent := c.isend("coll-send", c.collCtx, (c.rank+dist)%n, tagBarrier, nil)
+		if _, err := c.recvColl((c.rank-dist+n)%n, tagBarrier); err != nil {
+			return err
+		}
+		if _, err := sent.Wait(); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // Bcast distributes root's buffer to every rank along a binomial tree
 // and returns the received copy (on root: data itself).
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	if err := c.checkRank(root); err != nil {
-		return nil, err
-	}
 	n := c.Size()
-	if n == 1 {
-		return data, nil
+	if err := checkRank(root, n); err != nil {
+		return nil, err
 	}
 	// Rotate so the root is virtual rank 0, then run the standard
 	// binomial tree: receive at the level of the lowest set bit,
@@ -88,63 +81,64 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	mask := 1
 	for mask < n {
 		if vrank&mask != 0 {
-			parent := ((vrank - mask) + root) % n
-			data = c.recvColl(parent, tagBcast)
+			var err error
+			if data, err = c.recvColl((vrank-mask+root)%n, tagBcast); err != nil {
+				return nil, err
+			}
 			break
 		}
 		mask <<= 1
 	}
-	mask >>= 1
-	for mask > 0 {
+	for mask >>= 1; mask > 0; mask >>= 1 {
 		if vrank+mask < n {
-			child := (vrank + mask + root) % n
-			c.sendColl(child, tagBcast, data)
+			if err := c.sendColl((vrank+mask+root)%n, tagBcast, data); err != nil {
+				return nil, err
+			}
 		}
-		mask >>= 1
 	}
 	return data, nil
+}
+
+// combine receives src's vector and folds it into acc — the step every
+// reduction is made of. All ranks must pass vectors of equal length.
+func (c *Comm) combine(op Op, acc []float64, src, tag int) error {
+	data, err := c.recvColl(src, tag)
+	if err != nil {
+		return err
+	}
+	in, err := BytesToFloat64s(data)
+	if err != nil {
+		return err
+	}
+	if len(in) != len(acc) {
+		return fmt.Errorf("mpi: reduction length mismatch %d vs %d", len(in), len(acc))
+	}
+	op.apply(acc, in)
+	return nil
 }
 
 // Reduce combines the vec contributions of all ranks with op; the
 // result is returned at root (nil elsewhere). All ranks must pass
 // vectors of equal length.
 func (c *Comm) Reduce(root int, op Op, vec []float64) ([]float64, error) {
-	if err := c.checkRank(root); err != nil {
+	n := c.Size()
+	if err := checkRank(root, n); err != nil {
 		return nil, err
 	}
-	n := c.Size()
 	acc := append([]float64(nil), vec...)
-	if n == 1 {
-		return acc, nil
-	}
 	vrank := (c.rank - root + n) % n
 	// Binomial fan-in: mirror image of Bcast.
-	mask := 1
-	for mask < n {
+	for mask := 1; mask < n; mask <<= 1 {
 		if vrank&mask != 0 {
-			parent := vrank &^ mask
-			real := (parent + root) % n
-			c.sendColl(real, tagReduce, Float64sToBytes(acc))
-			break
+			return nil, c.sendColl((vrank&^mask+root)%n, tagReduce, Float64sToBytes(acc))
 		}
-		peer := vrank | mask
-		if peer < n {
-			data := c.recvColl((peer+root)%n, tagReduce)
-			in, err := BytesToFloat64s(data)
-			if err != nil {
+		if peer := vrank | mask; peer < n {
+			if err := c.combine(op, acc, (peer+root)%n, tagReduce); err != nil {
 				return nil, err
 			}
-			if len(in) != len(acc) {
-				return nil, fmt.Errorf("mpi: Reduce length mismatch %d vs %d", len(in), len(acc))
-			}
-			op.apply(acc, in)
 		}
-		mask <<= 1
 	}
-	if c.rank == root {
-		return acc, nil
-	}
-	return nil, nil
+	return acc, nil
 }
 
 // Allreduce combines contributions and delivers the result everywhere.
@@ -167,83 +161,57 @@ func (c *Comm) Allreduce(op Op, vec []float64) ([]float64, error) {
 // Gather collects each rank's buffer at root, ordered by rank. Only
 // root receives a non-nil result.
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
-	if err := c.checkRank(root); err != nil {
+	if err := checkRank(root, c.Size()); err != nil {
 		return nil, err
 	}
 	if c.rank != root {
-		c.sendColl(root, tagGather, data)
-		return nil, nil
+		return nil, c.sendColl(root, tagGather, data)
 	}
 	out := make([][]byte, c.Size())
 	out[root] = append([]byte(nil), data...)
-	for r := 0; r < c.Size(); r++ {
+	for r := range out {
 		if r == root {
 			continue
 		}
-		out[r] = c.recvColl(r, tagGather)
+		var err error
+		if out[r], err = c.recvColl(r, tagGather); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-// Allgather collects every rank's buffer everywhere.
+// Allgather collects every rank's buffer everywhere: an Alltoall in
+// which each rank sends everyone the same part.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	parts, err := c.Gather(0, data)
-	if err != nil {
-		return nil, err
+	parts := make([][]byte, c.Size())
+	for r := range parts {
+		parts[r] = data
 	}
-	// Flatten with a length prefix table, broadcast, and split.
-	var flat []byte
-	if c.rank == 0 {
-		lens := make([]float64, len(parts))
-		for i, p := range parts {
-			lens[i] = float64(len(p))
-		}
-		flat = Float64sToBytes(lens)
-		for _, p := range parts {
-			flat = append(flat, p...)
-		}
-	}
-	flat, err = c.Bcast(0, flat)
-	if err != nil {
-		return nil, err
-	}
-	n := c.Size()
-	lens, err := BytesToFloat64s(flat[:8*n])
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, n)
-	off := 8 * n
-	for i := 0; i < n; i++ {
-		l := int(lens[i])
-		if off+l > len(flat) {
-			return nil, fmt.Errorf("mpi: Allgather framing corrupt")
-		}
-		out[i] = flat[off : off+l : off+l]
-		off += l
-	}
-	return out, nil
+	return c.Alltoall(parts)
 }
 
 // Scatter distributes parts[i] from root to rank i and returns the
 // local part. Non-root ranks pass parts == nil.
 func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	if err := c.checkRank(root); err != nil {
+	if err := checkRank(root, c.Size()); err != nil {
 		return nil, err
 	}
-	if c.rank == root {
-		if len(parts) != c.Size() {
-			return nil, fmt.Errorf("mpi: Scatter needs %d parts, got %d", c.Size(), len(parts))
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			c.sendColl(r, tagScatter, parts[r])
-		}
-		return append([]byte(nil), parts[root]...), nil
+	if c.rank != root {
+		return c.recvColl(root, tagScatter)
 	}
-	return c.recvColl(root, tagScatter), nil
+	if len(parts) != c.Size() {
+		return nil, fmt.Errorf("mpi: Scatter needs %d parts, got %d", c.Size(), len(parts))
+	}
+	for r, part := range parts {
+		if r == root {
+			continue
+		}
+		if err := c.sendColl(r, tagScatter, part); err != nil {
+			return nil, err
+		}
+	}
+	return append([]byte(nil), parts[root]...), nil
 }
 
 // Scan computes the inclusive prefix reduction: rank r receives
@@ -252,20 +220,16 @@ func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
 func (c *Comm) Scan(op Op, vec []float64) ([]float64, error) {
 	acc := append([]float64(nil), vec...)
 	if c.rank > 0 {
-		data := c.recvColl(c.rank-1, tagScan)
-		in, err := BytesToFloat64s(data)
-		if err != nil {
-			return nil, err
-		}
-		if len(in) != len(acc) {
-			return nil, fmt.Errorf("mpi: Scan length mismatch %d vs %d", len(in), len(acc))
-		}
 		// acc = op(prefix, own): order matters only for
 		// non-commutative ops, which Op does not include.
-		op.apply(acc, in)
+		if err := c.combine(op, acc, c.rank-1, tagScan); err != nil {
+			return nil, err
+		}
 	}
 	if c.rank < c.Size()-1 {
-		c.sendColl(c.rank+1, tagScan, Float64sToBytes(acc))
+		if err := c.sendColl(c.rank+1, tagScan, Float64sToBytes(acc)); err != nil {
+			return nil, err
+		}
 	}
 	return acc, nil
 }
@@ -313,22 +277,22 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 	if len(parts) != n {
 		return nil, fmt.Errorf("mpi: Alltoall needs %d parts, got %d", n, len(parts))
 	}
-	out := make([][]byte, n)
-	out[c.rank] = append([]byte(nil), parts[c.rank]...)
-	done := make(chan struct{})
-	go func() {
-		for r := 0; r < n; r++ {
-			if r != c.rank {
-				c.sendColl(r, tagAlltoall, parts[r])
-			}
-		}
-		close(done)
-	}()
-	for r := 0; r < n; r++ {
+	var sent []*Request
+	for r, part := range parts {
 		if r != c.rank {
-			out[r] = c.recvColl(r, tagAlltoall)
+			sent = append(sent, c.isend("coll-send", c.collCtx, r, tagAlltoall, part))
 		}
 	}
-	<-done
-	return out, nil
+	out := make([][]byte, n)
+	out[c.rank] = append([]byte(nil), parts[c.rank]...)
+	for r := range out {
+		if r == c.rank {
+			continue
+		}
+		var err error
+		if out[r], err = c.recvColl(r, tagAlltoall); err != nil {
+			return nil, err
+		}
+	}
+	return out, WaitAll(sent...)
 }

@@ -4,14 +4,24 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
+
+	"repro/internal/netsim"
+	"repro/internal/sim"
 )
+
+// endpoint is one rank's handle on its world: what the communicators
+// and intercommunicators of that rank have in common.
+type endpoint struct {
+	world *World
+	proc  *sim.Proc // the rank's process, parked by its blocking calls
+	self  int       // world rank
+}
 
 // Comm is an intracommunicator: an ordered group of ranks with
 // point-to-point and collective operations. The zero value is not
 // usable; communicators come from World.Launch, Run, Split or Dup.
 type Comm struct {
-	world   *World
+	endpoint
 	group   []int // comm rank -> world rank
 	rank    int   // this process's comm rank
 	p2pCtx  int   // context for user point-to-point traffic
@@ -25,58 +35,103 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return len(c.group) }
 
 // Host reports the host this rank is placed on.
-func (c *Comm) Host() string { return c.world.HostOf(c.group[c.rank]) }
+func (c *Comm) Host() string { return c.world.HostOf(c.self) }
 
 // HostOfRank reports the host of another rank in this communicator.
 func (c *Comm) HostOfRank(r int) string { return c.world.HostOf(c.group[r]) }
 
-// World returns the underlying world (shared with spawned and attached
-// applications).
-func (c *Comm) World() *World { return c.world }
-
-func (c *Comm) trace(kind string, peer, tag, bytes int, start time.Time) {
-	if c.world.tracer != nil {
-		c.world.tracer.Event(c.group[c.rank], kind, peer, tag, bytes, start, time.Now())
-	}
-}
-
-func (c *Comm) checkRank(r int) error {
-	if r < 0 || r >= len(c.group) {
-		return fmt.Errorf("mpi: rank %d out of range [0,%d)", r, len(c.group))
+func checkRank(r, size int) error {
+	if r < 0 || r >= size {
+		return fmt.Errorf("mpi: rank %d out of range [0,%d)", r, size)
 	}
 	return nil
 }
 
-// Send delivers data to dst with the given tag (tag >= 0). It blocks
-// for the duration of the (shaped) transfer, like a standard-mode send
-// of a large message.
-func (c *Comm) Send(dst, tag int, data []byte) error {
-	if err := c.checkRank(dst); err != nil {
+// rankIn maps a world rank to its position in group (-1 if the sender
+// is outside it).
+func rankIn(group []int, world int) int {
+	for i, g := range group {
+		if g == world {
+			return i
+		}
+	}
+	return -1
+}
+
+// send moves data to rank dst of group on context ctx (tag >= 0) and
+// returns once it sits in the destination's mailbox: at once between
+// ranks of one host, after its packet train has crossed the network
+// otherwise. p is the process that waits out the transfer — the rank's
+// own, or the helper of a nonblocking send.
+func (e endpoint) send(p *sim.Proc, op string, ctx int, group []int, dst, tag int, data []byte) error {
+	if err := checkRank(dst, len(group)); err != nil {
 		return err
 	}
 	if tag < 0 {
 		return fmt.Errorf("mpi: negative tag %d is reserved", tag)
 	}
-	start := time.Now()
-	c.world.transfer(c.p2pCtx, c.group[c.rank], c.group[dst], tag, data)
-	c.trace("send", dst, tag, len(data), start)
+	w, to := e.world, group[dst]
+	start := w.k.Now()
+	msg := message{ctx: ctx, src: e.self, tag: tag, data: append([]byte(nil), data...)}
+	if a, b := w.ranks[e.self].node, w.ranks[to].node; a != b {
+		train := netsim.Train(w.net, a, b, envelope+len(data))
+		if err := w.park(p, blocked{e.self, op, ctx, to, tag, train}); err != nil {
+			return err
+		}
+	}
+	w.ranks[to].deliver(msg)
+	w.trace(e.self, op, dst, tag, len(data), start)
 	return nil
 }
 
+// deliver hands m to the oldest posted receive it matches (after every
+// older probe it matches) or queues it.
+func (s *slot) deliver(m message) {
+	for i := 0; i < len(s.posted); i++ {
+		r := s.posted[i]
+		if !r.matches(m) {
+			continue
+		}
+		s.posted = append(s.posted[:i], s.posted[i+1:]...)
+		r.match(m)
+		if !r.probe {
+			return
+		}
+		i--
+	}
+	s.queue = append(s.queue, m)
+}
+
+// take finds the oldest queued message r matches and removes it unless
+// r only probes.
+func (s *slot) take(r *Request) (message, bool) {
+	for i, m := range s.queue {
+		if r.matches(m) {
+			if !r.probe {
+				s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			}
+			return m, true
+		}
+	}
+	return message{}, false
+}
+
+// Send delivers data to dst with the given tag (tag >= 0). It blocks
+// for the duration of the transfer, like a standard-mode send of a
+// large message.
+func (c *Comm) Send(dst, tag int, data []byte) error {
+	return c.send(c.proc, "send", c.p2pCtx, c.group, dst, tag, data)
+}
+
 // sendColl is the internal send on the collective context.
-func (c *Comm) sendColl(dst, tag int, data []byte) {
-	start := time.Now()
-	c.world.transfer(c.collCtx, c.group[c.rank], c.group[dst], tag, data)
-	c.trace("coll-send", dst, tag, len(data), start)
+func (c *Comm) sendColl(dst, tag int, data []byte) error {
+	return c.send(c.proc, "coll-send", c.collCtx, c.group, dst, tag, data)
 }
 
 // recvColl is the internal receive on the collective context.
-func (c *Comm) recvColl(src, tag int) []byte {
-	worldSrc := c.group[src]
-	start := time.Now()
-	msg := c.world.boxes[c.group[c.rank]].get(c.collCtx, worldSrc, tag)
-	c.trace("coll-recv", src, tag, len(msg.data), start)
-	return msg.data
+func (c *Comm) recvColl(src, tag int) ([]byte, error) {
+	msg, err := c.irecv("coll-recv", c.collCtx, c.group, src, tag, false).Wait()
+	return msg.Data, err
 }
 
 // Message is a received point-to-point message.
@@ -89,31 +144,7 @@ type Message struct {
 // Recv blocks until a message matching src (or AnySource) and tag (or
 // AnyTag) arrives.
 func (c *Comm) Recv(src, tag int) (Message, error) {
-	if src != AnySource {
-		if err := c.checkRank(src); err != nil {
-			return Message{}, err
-		}
-	}
-	worldSrc := AnySource
-	if src != AnySource {
-		worldSrc = c.group[src]
-	}
-	start := time.Now()
-	msg := c.world.boxes[c.group[c.rank]].get(c.p2pCtx, worldSrc, tag)
-	commSrc := c.rankOfWorld(msg.src)
-	c.trace("recv", commSrc, msg.tag, len(msg.data), start)
-	return Message{Source: commSrc, Tag: msg.tag, Data: msg.data}, nil
-}
-
-// rankOfWorld maps a world rank back to a comm rank (-1 if the sender
-// is outside this communicator, e.g. intercomm traffic).
-func (c *Comm) rankOfWorld(w int) int {
-	for i, g := range c.group {
-		if g == w {
-			return i
-		}
-	}
-	return -1
+	return c.Irecv(src, tag).Wait()
 }
 
 // Status describes a pending message found by Probe/Iprobe.
@@ -127,91 +158,137 @@ type Status struct {
 // returns its status without receiving it (MPI_Probe) — the idiom the
 // RT-client uses to size buffers before pulling variable-size images.
 func (c *Comm) Probe(src, tag int) (Status, error) {
-	worldSrc := AnySource
-	if src != AnySource {
-		if err := c.checkRank(src); err != nil {
-			return Status{}, err
-		}
-		worldSrc = c.group[src]
-	}
-	s, tg, n := c.world.boxes[c.group[c.rank]].peek(c.p2pCtx, worldSrc, tag)
-	return Status{Source: c.rankOfWorld(s), Tag: tg, Bytes: n}, nil
+	m, err := c.irecv("probe", c.p2pCtx, c.group, src, tag, true).Wait()
+	return Status{Source: m.Source, Tag: m.Tag, Bytes: len(m.Data)}, err
 }
 
 // Iprobe reports whether a matching message is available, without
 // blocking (MPI_Iprobe).
 func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
-	worldSrc := AnySource
-	if src != AnySource {
-		if err := c.checkRank(src); err != nil {
-			return Status{}, false, err
-		}
-		worldSrc = c.group[src]
+	r, err := c.request("probe", c.p2pCtx, c.group, src, tag, true)
+	if err != nil {
+		return Status{}, false, err
 	}
-	s, tg, n, ok := c.world.boxes[c.group[c.rank]].tryPeek(c.p2pCtx, worldSrc, tag)
+	m, ok := c.world.ranks[c.self].take(r)
 	if !ok {
 		return Status{}, false, nil
 	}
-	return Status{Source: c.rankOfWorld(s), Tag: tg, Bytes: n}, true, nil
+	return Status{Source: rankIn(c.group, m.src), Tag: m.tag, Bytes: len(m.data)}, true, nil
 }
 
 // Sendrecv performs a combined send and receive, safe against the
 // head-to-head exchange deadlock.
 func (c *Comm) Sendrecv(dst, sendTag int, data []byte, src, recvTag int) (Message, error) {
-	errc := make(chan error, 1)
-	go func() { errc <- c.Send(dst, sendTag, data) }()
+	sent := c.Isend(dst, sendTag, data)
 	msg, err := c.Recv(src, recvTag)
 	if err != nil {
 		return Message{}, err
 	}
-	if err := <-errc; err != nil {
+	if _, err := sent.Wait(); err != nil {
 		return Message{}, err
 	}
 	return msg, nil
 }
 
-// Request is a handle for a nonblocking operation.
+// Request is a handle for a nonblocking operation; a blocking receive
+// is a Request waited for at once.
 type Request struct {
-	done chan struct{}
-	msg  Message
-	err  error
+	blocked // who waits for what; ch is set while Wait is parked
+	e       endpoint
+	group   []int // the numbering a receive reports its sender in
+	probe   bool  // complete on a match but leave the message queued
+	start   sim.Time
+	done    bool
+	msg     Message
+	err     error
+}
+
+// request describes a receive of the endpoint's rank from rank src of
+// group (or AnySource).
+func (e endpoint) request(op string, ctx int, group []int, src, tag int, probe bool) (*Request, error) {
+	peer := AnySource
+	if src != AnySource {
+		if err := checkRank(src, len(group)); err != nil {
+			return nil, err
+		}
+		peer = group[src]
+	}
+	return &Request{
+		blocked: blocked{rank: e.self, op: op, ctx: ctx, peer: peer, tag: tag},
+		e:       e, group: group, probe: probe, start: e.world.k.Now(),
+	}, nil
+}
+
+// irecv completes a receive from the mailbox or posts it there for the
+// matching send to complete.
+func (e endpoint) irecv(op string, ctx int, group []int, src, tag int, probe bool) *Request {
+	r, err := e.request(op, ctx, group, src, tag, probe)
+	if err != nil {
+		return &Request{done: true, err: err}
+	}
+	box := e.world.ranks[e.self]
+	if m, ok := box.take(r); ok {
+		r.match(m)
+	} else {
+		box.posted = append(box.posted, r)
+	}
+	return r
+}
+
+func (r *Request) matches(m message) bool {
+	return m.ctx == r.ctx && (r.peer == AnySource || m.src == r.peer) && (r.tag == AnyTag || m.tag == r.tag)
+}
+
+// match completes a receive with the message it waited for, at the
+// instant that message arrives.
+func (r *Request) match(m message) {
+	src := rankIn(r.group, m.src)
+	r.e.world.trace(r.rank, r.op, src, m.tag, len(m.data), r.start)
+	r.finish(Message{Source: src, Tag: m.tag, Data: m.data}, nil)
+}
+
+// finish completes the request and wakes its rank if that is waiting.
+func (r *Request) finish(m Message, err error) {
+	r.msg, r.err, r.done = m, err, true
+	if r.ch != nil {
+		r.ch.TrySend(struct{}{})
+	}
 }
 
 // Wait blocks until the operation completes and returns its result.
 // The Message is meaningful for Irecv requests only.
 func (r *Request) Wait() (Message, error) {
-	<-r.done
+	if !r.done {
+		w := r.e.world
+		r.ch = w.ranks[r.rank].wake
+		if err := w.park(r.e.proc, r.blocked); err != nil {
+			return Message{}, err
+		}
+	}
 	return r.msg, r.err
 }
 
 // Test reports whether the operation has completed without blocking.
-func (r *Request) Test() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
-}
+func (r *Request) Test() bool { return r.done }
 
 // Isend starts a nonblocking send.
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
-	req := &Request{done: make(chan struct{})}
-	go func() {
-		req.err = c.Send(dst, tag, data)
-		close(req.done)
-	}()
-	return req
+	return c.isend("send", c.p2pCtx, dst, tag, data)
+}
+
+// isend runs a send on a helper process of its own, so the transfer
+// proceeds while the rank goes on to receive.
+func (c *Comm) isend(op string, ctx, dst, tag int, data []byte) *Request {
+	r := &Request{blocked: blocked{rank: c.self, op: "wait for its nonblocking send"}, e: c.endpoint}
+	c.world.k.Go(op, func(p *sim.Proc) {
+		r.finish(Message{}, c.send(p, op, ctx, c.group, dst, tag, data))
+	})
+	return r
 }
 
 // Irecv starts a nonblocking receive.
 func (c *Comm) Irecv(src, tag int) *Request {
-	req := &Request{done: make(chan struct{})}
-	go func() {
-		req.msg, req.err = c.Recv(src, tag)
-		close(req.done)
-	}()
-	return req
+	return c.irecv("recv", c.p2pCtx, c.group, src, tag, false)
 }
 
 // WaitAll waits for all requests and returns the first error.

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"fmt"
+
+	"repro/internal/sim"
 )
 
 // This file implements the MPI-2 features the paper highlights for
@@ -12,7 +14,7 @@ import (
 // Intercomm connects a local group with a remote group. Point-to-point
 // operations address ranks of the remote group.
 type Intercomm struct {
-	world  *World
+	endpoint
 	local  []int // world ranks of the local group
 	remote []int // world ranks of the remote group
 	rank   int   // this process's rank within the local group
@@ -30,49 +32,12 @@ func (ic *Intercomm) RemoteSize() int { return len(ic.remote) }
 
 // Send delivers data to remote rank dst.
 func (ic *Intercomm) Send(dst, tag int, data []byte) error {
-	if dst < 0 || dst >= len(ic.remote) {
-		return fmt.Errorf("mpi: intercomm remote rank %d out of range [0,%d)", dst, len(ic.remote))
-	}
-	if tag < 0 {
-		return fmt.Errorf("mpi: negative tag %d is reserved", tag)
-	}
-	ic.world.transfer(ic.ctx, ic.local[ic.rank], ic.remote[dst], tag, data)
-	return nil
+	return ic.send(ic.proc, "send", ic.ctx, ic.remote, dst, tag, data)
 }
 
 // Recv blocks for a message from remote rank src (or AnySource).
 func (ic *Intercomm) Recv(src, tag int) (Message, error) {
-	worldSrc := AnySource
-	if src != AnySource {
-		if src < 0 || src >= len(ic.remote) {
-			return Message{}, fmt.Errorf("mpi: intercomm remote rank %d out of range [0,%d)", src, len(ic.remote))
-		}
-		worldSrc = ic.remote[src]
-	}
-	msg := ic.world.boxes[ic.local[ic.rank]].get(ic.ctx, worldSrc, tag)
-	commSrc := -1
-	for i, w := range ic.remote {
-		if w == msg.src {
-			commSrc = i
-			break
-		}
-	}
-	return Message{Source: commSrc, Tag: msg.tag, Data: msg.data}, nil
-}
-
-// SendFloat32s sends a float32 slice to remote rank dst — the payload
-// type of the fMRI image streams.
-func (ic *Intercomm) SendFloat32s(dst, tag int, v []float32) error {
-	return ic.Send(dst, tag, Float32sToBytes(v))
-}
-
-// RecvFloat32s receives a float32 slice from remote rank src.
-func (ic *Intercomm) RecvFloat32s(src, tag int) ([]float32, error) {
-	msg, err := ic.Recv(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	return BytesToFloat32s(msg.Data)
+	return ic.irecv("recv", ic.ctx, ic.remote, src, tag, false).Wait()
 }
 
 // Spawn starts n new ranks running fn on the given hosts (len(hosts)
@@ -81,56 +46,56 @@ func (ic *Intercomm) RecvFloat32s(src, tag int) ([]float32, error) {
 // to the root's view); the children receive their intercomm through
 // their function argument.
 func (c *Comm) Spawn(hosts []string, fn func(child *Comm, parent *Intercomm) error) (*Intercomm, error) {
-	if len(hosts) == 0 {
-		return nil, fmt.Errorf("mpi: Spawn with no hosts")
+	ctx := c.world.allocCtx()
+	children, err := c.world.Launch(hosts, func(child *Comm) error {
+		return fn(child, &Intercomm{endpoint: child.endpoint, local: child.group, remote: c.group, rank: child.rank, ctx: ctx})
+	})
+	if err != nil {
+		return nil, err
 	}
-	w := c.world
-	ctx := w.allocCtx()
-	childGroup := make([]int, len(hosts))
-	for i, h := range hosts {
-		childGroup[i] = w.addRank(h)
-	}
-	parentIc := &Intercomm{world: w, local: append([]int(nil), c.group...), remote: childGroup, rank: c.rank, ctx: ctx}
-	p2p, coll := w.allocCtx(), w.allocCtx()
-	for i := range childGroup {
-		childComm := &Comm{world: w, group: append([]int(nil), childGroup...), rank: i, p2pCtx: p2p, collCtx: coll}
-		childIc := &Intercomm{world: w, local: append([]int(nil), childGroup...), remote: append([]int(nil), c.group...), rank: i, ctx: ctx}
-		w.wg.Add(1)
-		go func() {
-			defer w.wg.Done()
-			w.setErr(fn(childComm, childIc))
-		}()
-	}
-	return parentIc, nil
+	return &Intercomm{endpoint: c.endpoint, local: c.group, remote: children, rank: c.rank, ctx: ctx}, nil
+}
+
+// port is a published connection point for MPI-2 Connect/Accept.
+type port struct {
+	server  []int               // world ranks of the owning communicator
+	clients []*connection       // connects nobody accepted yet, oldest first
+	arrived *sim.Chan[struct{}] // one token per entry of clients
+}
+
+// connection is one Connect waiting for its Accept.
+type connection struct {
+	server   *Intercomm          // the server half, built by the client
+	accepted *sim.Chan[struct{}] // wakes the client
 }
 
 // OpenPort publishes a named port owned by this communicator, like
 // MPI_Open_port + MPI_Publish_name: independently started applications
 // can then Connect to it by name. Opening an already-open name errors.
 func (c *Comm) OpenPort(name string) error {
-	w := c.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, exists := w.ports[name]; exists {
+	if _, exists := c.world.ports[name]; exists {
 		return fmt.Errorf("mpi: port %q already open", name)
 	}
-	w.ports[name] = &port{serverGroup: append([]int(nil), c.group...), connect: make(chan *Intercomm)}
+	c.world.ports[name] = &port{server: c.group, arrived: sim.NewChan[struct{}](c.world.k, 0)}
 	return nil
 }
 
 // Accept blocks until a client connects to the named port and returns
 // the server-side intercommunicator.
 func (c *Comm) Accept(name string) (*Intercomm, error) {
-	c.world.mu.Lock()
 	p, ok := c.world.ports[name]
-	c.world.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("mpi: port %q not open", name)
 	}
-	// The client builds both halves; the server's half arrives here.
-	ic := <-p.connect
-	ic.rank = c.rank
-	return ic, nil
+	if err := c.world.park(c.proc, blocked{rank: c.self, op: "accept " + name, ch: p.arrived}); err != nil {
+		return nil, err
+	}
+	// The client built both halves; the server's half is completed here.
+	conn := p.clients[0]
+	p.clients = p.clients[1:]
+	conn.server.endpoint, conn.server.rank = c.endpoint, c.rank
+	conn.accepted.TrySend(struct{}{})
+	return conn.server, nil
 }
 
 // Connect attaches this communicator to the named port, returning the
@@ -138,15 +103,19 @@ func (c *Comm) Accept(name string) (*Intercomm, error) {
 // Accept. This is how the testbed attached visualization front-ends to
 // running simulations.
 func (c *Comm) Connect(name string) (*Intercomm, error) {
-	c.world.mu.Lock()
 	p, ok := c.world.ports[name]
-	c.world.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("mpi: port %q not open", name)
 	}
 	ctx := c.world.allocCtx()
-	server := &Intercomm{world: c.world, local: p.serverGroup, remote: append([]int(nil), c.group...), ctx: ctx}
-	client := &Intercomm{world: c.world, local: append([]int(nil), c.group...), remote: p.serverGroup, rank: c.rank, ctx: ctx}
-	p.connect <- server
-	return client, nil
+	conn := &connection{
+		server:   &Intercomm{local: p.server, remote: c.group, ctx: ctx},
+		accepted: sim.NewChan[struct{}](c.world.k, 0),
+	}
+	p.clients = append(p.clients, conn)
+	p.arrived.TrySend(struct{}{})
+	if err := c.world.park(c.proc, blocked{rank: c.self, op: "connect " + name, ch: conn.accepted}); err != nil {
+		return nil, err
+	}
+	return &Intercomm{endpoint: c.endpoint, local: c.group, remote: p.server, rank: c.rank, ctx: ctx}, nil
 }

@@ -5,12 +5,6 @@ import (
 	"sort"
 )
 
-// Internal tags for communicator-management collectives.
-const (
-	tagSplit = 100 + iota
-	tagDup
-)
-
 // Split partitions the communicator: ranks passing the same color form
 // a new communicator, ordered by (key, rank). Every rank must call
 // Split; a negative color yields a nil communicator (the rank opts
@@ -22,26 +16,16 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	type member struct{ color, key, rank int }
+	type member struct{ key, rank int }
 	var mine []member
 	for r, buf := range pairs {
 		v, err := BytesToFloat64s(buf)
 		if err != nil || len(v) != 2 {
 			return nil, fmt.Errorf("mpi: Split framing corrupt from rank %d", r)
 		}
-		if int(v[0]) == color {
-			mine = append(mine, member{int(v[0]), int(v[1]), r})
+		if color >= 0 && int(v[0]) == color {
+			mine = append(mine, member{int(v[1]), r})
 		}
-	}
-	if color < 0 {
-		// Still must participate in the context agreement below to
-		// keep the collective order consistent: contexts are assigned
-		// deterministically from the world counter at rank 0 of each
-		// new group, communicated via one more Allgather.
-		if _, err := c.Allgather(nil); err != nil {
-			return nil, err
-		}
-		return nil, nil
 	}
 	sort.Slice(mine, func(i, j int) bool {
 		if mine[i].key != mine[j].key {
@@ -49,56 +33,35 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		}
 		return mine[i].rank < mine[j].rank
 	})
-	group := make([]int, len(mine))
-	newRank := -1
-	for i, m := range mine {
-		group[i] = c.group[m.rank]
-		if m.rank == c.rank {
-			newRank = i
-		}
-	}
-	// Context agreement: the lowest old rank of each color allocates
-	// the context pair and announces it via Allgather (indexed by the
-	// announcing rank).
+	// Context agreement: the first rank of each new group allocates the
+	// context pair and announces it in a second Allgather (indexed by
+	// the announcing rank), which opted-out ranks join empty-handed to
+	// keep the collective order consistent.
 	var ann []byte
-	if mine[0].rank == c.rank {
+	if len(mine) > 0 && mine[0].rank == c.rank {
 		p2p, coll := c.world.allocCtx(), c.world.allocCtx()
 		ann = Float64sToBytes([]float64{float64(p2p), float64(coll)})
 	}
 	anns, err := c.Allgather(ann)
-	if err != nil {
+	if err != nil || len(mine) == 0 {
 		return nil, err
 	}
-	ctxBuf := anns[mine[0].rank]
-	v, err := BytesToFloat64s(ctxBuf)
+	v, err := BytesToFloat64s(anns[mine[0].rank])
 	if err != nil || len(v) != 2 {
 		return nil, fmt.Errorf("mpi: Split context agreement corrupt")
 	}
-	return &Comm{
-		world: c.world, group: group, rank: newRank,
-		p2pCtx: int(v[0]), collCtx: int(v[1]),
-	}, nil
+	sub := &Comm{endpoint: c.endpoint, group: make([]int, len(mine)), p2pCtx: int(v[0]), collCtx: int(v[1])}
+	for i, m := range mine {
+		sub.group[i] = c.group[m.rank]
+		if m.rank == c.rank {
+			sub.rank = i
+		}
+	}
+	return sub, nil
 }
 
 // Dup returns a communicator with the same group but fresh contexts,
 // isolating its traffic from the original (libraries layered over user
-// code use this, e.g. the tracing tool).
-func (c *Comm) Dup() (*Comm, error) {
-	var ann []byte
-	if c.rank == 0 {
-		p2p, coll := c.world.allocCtx(), c.world.allocCtx()
-		ann = Float64sToBytes([]float64{float64(p2p), float64(coll)})
-	}
-	anns, err := c.Allgather(ann)
-	if err != nil {
-		return nil, err
-	}
-	v, err := BytesToFloat64s(anns[0])
-	if err != nil || len(v) != 2 {
-		return nil, fmt.Errorf("mpi: Dup context agreement corrupt")
-	}
-	return &Comm{
-		world: c.world, group: append([]int(nil), c.group...), rank: c.rank,
-		p2pCtx: int(v[0]), collCtx: int(v[1]),
-	}, nil
-}
+// code use this, e.g. the tracing tool): a Split that keeps everyone
+// together and in order.
+func (c *Comm) Dup() (*Comm, error) { return c.Split(0, c.rank) }

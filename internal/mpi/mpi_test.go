@@ -1,12 +1,25 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
-	"math"
-	"sync"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/netsim"
+	"repro/internal/sim"
 )
+
+// wan builds juelich <-> staugustin: two hosts joined by one link of the
+// given rate and per-direction queue capacity (0: netsim's default).
+func wan(bps float64, queueBytes int64) *netsim.Network {
+	n := netsim.New(sim.NewKernel())
+	n.Connect(n.AddNode("juelich"), n.AddNode("staugustin"),
+		netsim.LinkConfig{Bps: bps, Delay: 500 * time.Microsecond, QueueBytes: queueBytes})
+	n.ComputeRoutes()
+	return n
+}
 
 func TestPingPong(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
@@ -149,20 +162,18 @@ func TestIsendIrecvWaitTest(t *testing.T) {
 }
 
 func TestBarrierOrdering(t *testing.T) {
-	var mu sync.Mutex
+	// No lock: ranks hand the one virtual CPU to each other, which is
+	// what -race checks here.
 	var phase1, phase2 int
 	err := Run(8, func(c *Comm) error {
-		mu.Lock()
 		phase1++
-		mu.Unlock()
-		c.Barrier()
-		mu.Lock()
+		if err := c.Barrier(); err != nil {
+			return err
+		}
 		if phase1 != 8 {
-			mu.Unlock()
 			return fmt.Errorf("rank %d passed barrier with only %d arrivals", c.Rank(), phase1)
 		}
 		phase2++
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -415,8 +426,7 @@ func TestSplitOptOut(t *testing.T) {
 		if sub.Size() != 3 {
 			return fmt.Errorf("sub size = %d", sub.Size())
 		}
-		sub.Barrier()
-		return nil
+		return sub.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -495,7 +505,7 @@ func TestSpawnIntercomm(t *testing.T) {
 func TestConnectAccept(t *testing.T) {
 	w := NewWorld(nil, nil)
 	// Server application.
-	w.Launch([]string{"t3e"}, func(c *Comm) error {
+	_, err := w.Launch([]string{"t3e"}, func(c *Comm) error {
 		if err := c.OpenPort("fire-viz"); err != nil {
 			return err
 		}
@@ -512,18 +522,13 @@ func TestConnectAccept(t *testing.T) {
 		}
 		return ic.Send(0, 2, []byte("welcome"))
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Independently launched client (e.g. a visualization front-end).
-	w.Launch([]string{"onyx2"}, func(c *Comm) error {
-		// Wait for the port to appear (the server races us).
-		var ic *Intercomm
-		var err error
-		for i := 0; i < 100; i++ {
-			ic, err = c.Connect("fire-viz")
-			if err == nil {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
+	// Launched second, it runs second: the port is open by then.
+	_, err = w.Launch([]string{"onyx2"}, func(c *Comm) error {
+		ic, err := c.Connect("fire-viz")
 		if err != nil {
 			return err
 		}
@@ -539,50 +544,123 @@ func TestConnectAccept(t *testing.T) {
 		}
 		return nil
 	})
-	if err := w.Wait(); err != nil {
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Wait(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestWANShaperSlowsInterHostOnly(t *testing.T) {
-	shaper := LinkShaper{Latency: 30 * time.Millisecond}
+// TestWANSlowsInterHostOnly states the two-level cost structure in
+// exact virtual time: nothing inside a host, the network's own path
+// delay between hosts.
+func TestWANSlowsInterHostOnly(t *testing.T) {
 	hosts := []string{"juelich", "juelich", "staugustin"}
-	var intraDur, interDur time.Duration
-	err := RunHosts(hosts, shaper, nil, func(c *Comm) error {
-		switch c.Rank() {
-		case 0:
-			start := time.Now()
-			c.Send(1, 1, make([]byte, 1000)) // same host
-			intraDur = time.Since(start)
-			start = time.Now()
-			c.Send(2, 1, make([]byte, 1000)) // cross host
-			interDur = time.Since(start)
-		case 1, 2:
-			_, err := c.Recv(0, 1)
-			return err
+	const small, large = 1000, 200000 // one packet, four packets
+	// timed returns how long rank 0's sends to ranks 1 (same host) and
+	// 2 (cross host) block on a link of the given rate.
+	timed := func(net *netsim.Network, bytes int) (intra, inter time.Duration) {
+		_, err := RunHosts(net, hosts, nil, func(c *Comm) error {
+			if c.Rank() != 0 {
+				_, err := c.Recv(0, 1)
+				return err
+			}
+			start := c.world.k.Now()
+			if err := c.Send(1, 1, make([]byte, bytes)); err != nil {
+				return err
+			}
+			sent := c.world.k.Now()
+			if err := c.Send(2, 1, make([]byte, bytes)); err != nil {
+				return err
+			}
+			intra, inter = sent.Sub(start), c.world.k.Now().Sub(sent)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
+		return intra, inter
+	}
+	net := wan(600e6, 0)
+	intra, onePacket := timed(net, small)
+	want, err := net.PathDelay(0, 1, small+envelope+40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if intra != 0 || onePacket != want {
+		t.Errorf("1000 B: same host %v (want 0), cross host %v (want the path delay %v)", intra, onePacket, want)
+	}
+	intra, fourPackets := timed(wan(600e6, 0), large)
+	if intra != 0 || fourPackets <= onePacket {
+		t.Errorf("200 KB: same host %v (want 0), cross host %v (want more than one packet's %v)", intra, fourPackets, onePacket)
+	}
+	if _, faster := timed(wan(2400e6, 0), large); faster >= fourPackets {
+		t.Errorf("200 KB on a 4x faster link took %v, not less than %v", faster, fourPackets)
+	}
+}
+
+// deadlocked runs a two-rank world in which rank 0 blocks in block
+// forever and rank 1 returns peerErr, and returns what Wait and the
+// blocked call reported. Nothing may stay parked afterwards.
+func deadlocked(t *testing.T, net *netsim.Network, peerErr error, block func(c *Comm) error) (waitErr, callErr error) {
+	t.Helper()
+	w := NewWorld(net, nil)
+	_, err := w.Launch([]string{"juelich", "staugustin"}, func(c *Comm) error {
+		if c.Rank() == 1 {
+			return peerErr
+		}
+		callErr = block(c)
+		return callErr
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if interDur < 25*time.Millisecond {
-		t.Errorf("inter-host send took %v, want >= ~30ms", interDur)
+	_, waitErr = w.Wait()
+	if callErr == nil || !strings.Contains(callErr.Error(), "deadlock") {
+		t.Errorf("blocked call returned %v, want the deadlock error", callErr)
 	}
-	if intraDur > 10*time.Millisecond {
-		t.Errorf("intra-host send took %v, want fast", intraDur)
+	if n := w.k.Procs(); n != 0 || len(w.parked) != 0 {
+		t.Errorf("%d processes alive and %d parked after Wait", n, len(w.parked))
+	}
+	return waitErr, callErr
+}
+
+func TestUnansweredRecvIsADeadlockError(t *testing.T) {
+	waitErr, callErr := deadlocked(t, nil, nil, func(c *Comm) error {
+		_, err := c.Recv(1, 5)
+		return err
+	})
+	if waitErr != callErr {
+		t.Errorf("Wait returned %v, the blocked Recv %v", waitErr, callErr)
+	}
+	for _, want := range []string{"rank 0 on juelich in recv", "peer 1, tag 5"} {
+		if !strings.Contains(waitErr.Error(), want) {
+			t.Errorf("deadlock error %q does not name %q", waitErr, want)
+		}
 	}
 }
 
-func TestLinkShaperDelay(t *testing.T) {
-	s := LinkShaper{Latency: time.Millisecond, Bps: 8e6} // 1 MB/s
-	d := s.Delay(1000)                                   // 1 ms latency + 1 ms serialization
-	if math.Abs(d.Seconds()-0.002) > 1e-9 {
-		t.Errorf("Delay = %v", d)
+func TestEarlierRankErrorWinsOverDeadlock(t *testing.T) {
+	gaveUp := errors.New("rank 1 gave up")
+	waitErr, _ := deadlocked(t, wan(600e6, 0), gaveUp, func(c *Comm) error {
+		_, err := c.Sendrecv(1, 1, nil, 1, 1)
+		return err
+	})
+	if waitErr != gaveUp {
+		t.Errorf("Wait returned %v, want the error rank 1 returned before the deadlock", waitErr)
 	}
-	free := LinkShaper{Latency: time.Millisecond}
-	if free.Delay(1<<30) != time.Millisecond {
-		t.Error("zero-Bps shaper should charge latency only")
+}
+
+func TestLostTrainPacketIsADeadlockError(t *testing.T) {
+	// A queue that holds one packet: of the four sent back to back the
+	// first is on the wire, the second queued, the rest dropped — and the
+	// last one is what completes a train.
+	waitErr, _ := deadlocked(t, wan(600e6, 65536), nil, func(c *Comm) error {
+		return c.Send(1, 7, make([]byte, 200000))
+	})
+	if want := "rank 0 on juelich in send(ctx 1, peer 1, tag 7)"; !strings.Contains(waitErr.Error(), want) {
+		t.Errorf("deadlock error %q does not name %q", waitErr, want)
 	}
 }
 
@@ -704,7 +782,7 @@ func TestRunErrorsPropagate(t *testing.T) {
 
 func TestHostPlacement(t *testing.T) {
 	hosts := []string{"cray-t3e", "ibm-sp2"}
-	err := RunHosts(hosts, nil, nil, func(c *Comm) error {
+	_, err := RunHosts(nil, hosts, nil, func(c *Comm) error {
 		if c.Host() != hosts[c.Rank()] {
 			return fmt.Errorf("rank %d on %q", c.Rank(), c.Host())
 		}
@@ -716,7 +794,10 @@ func TestHostPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RunHosts(nil, nil, nil, func(*Comm) error { return nil }); err == nil {
+	if _, err := RunHosts(nil, nil, nil, func(*Comm) error { return nil }); err == nil {
 		t.Error("empty host list accepted")
+	}
+	if _, err := RunHosts(wan(600e6, 0), hosts, nil, func(*Comm) error { return nil }); err == nil {
+		t.Error("hosts that are no nodes of the network accepted")
 	}
 }

@@ -4,15 +4,18 @@
 // a text Gantt chart of communication activity. The original testbed
 // extended Pallas' VAMPIR tool for the metacomputing MPI library; this
 // package provides the same workflow for programs written against
-// internal/mpi.
+// internal/mpi. All times are virtual: the ranks are simulation
+// processes, so a trace is a deterministic function of the program and
+// the network it ran on.
 package mpitrace
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // Event is one recorded communication operation.
@@ -22,17 +25,16 @@ type Event struct {
 	Peer  int
 	Tag   int
 	Bytes int
-	Start time.Time
-	End   time.Time
+	Start sim.Time
+	End   sim.Time
 }
 
 // Duration reports the time spent inside the operation.
 func (e Event) Duration() time.Duration { return e.End.Sub(e.Start) }
 
-// Recorder collects events; it implements mpi.Tracer and is safe for
-// concurrent use by all ranks.
+// Recorder collects events; it implements mpi.Tracer. Ranks run one at
+// a time, so it needs no locking.
 type Recorder struct {
-	mu     sync.Mutex
 	events []Event
 }
 
@@ -40,18 +42,15 @@ type Recorder struct {
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Event implements the mpi.Tracer interface.
-func (r *Recorder) Event(rank int, kind string, peer, tag, bytes int, start, end time.Time) {
-	r.mu.Lock()
+func (r *Recorder) Event(rank int, kind string, peer, tag, bytes int, start, end sim.Time) {
 	r.events = append(r.events, Event{rank, kind, peer, tag, bytes, start, end})
-	r.mu.Unlock()
 }
 
-// Events returns a copy of all recorded events sorted by start time.
+// Events returns a copy of all recorded events sorted by start time
+// (simultaneous ones in the order they completed).
 func (r *Recorder) Events() []Event {
-	r.mu.Lock()
 	out := append([]Event(nil), r.events...)
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
 }
 
@@ -110,8 +109,10 @@ func (r *Recorder) Stats() Stats {
 }
 
 // Gantt renders a fixed-width text timeline: one row per rank, '#' where
-// the rank was inside a communication call, '.' where it was computing
-// (or idle). It is the textual equivalent of VAMPIR's timeline display.
+// the rank was inside a communication call, '.' where it was outside
+// one (in virtual time, where computing takes none, that is a rank with
+// nothing posted). It is the textual equivalent of VAMPIR's timeline
+// display.
 func (r *Recorder) Gantt(width int) string {
 	events := r.Events()
 	if len(events) == 0 || width <= 0 {
@@ -121,10 +122,10 @@ func (r *Recorder) Gantt(width int) string {
 	t1 := events[0].End
 	maxRank := 0
 	for _, e := range events {
-		if e.Start.Before(t0) {
+		if e.Start < t0 {
 			t0 = e.Start
 		}
-		if e.End.After(t1) {
+		if e.End > t1 {
 			t1 = e.End
 		}
 		if e.Rank > maxRank {

@@ -6,11 +6,16 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
 func TestRecorderWithRealMPIRun(t *testing.T) {
+	net := netsim.New(sim.NewKernel())
+	net.Connect(net.AddNode("a"), net.AddNode("b"), netsim.LinkConfig{Bps: 1e9, Delay: time.Millisecond})
+	net.ComputeRoutes()
 	rec := NewRecorder()
-	err := mpi.RunHosts([]string{"a", "a", "b"}, nil, rec, func(c *mpi.Comm) error {
+	took, err := mpi.RunHosts(net, []string{"a", "a", "b"}, rec, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 1, make([]byte, 100)); err != nil {
 				return err
@@ -23,13 +28,23 @@ func TestRecorderWithRealMPIRun(t *testing.T) {
 				return err
 			}
 		}
-		c.Barrier()
-		return nil
+		return c.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats := rec.Stats()
+	// The trace is in the run's own virtual time: rank 2, across the
+	// link, waited at least one propagation delay for its message, and
+	// no single operation outlasted the run.
+	if stats.Ranks[2].CommTime < time.Millisecond {
+		t.Errorf("rank 2 spent %v in MPI, less than the link delay", stats.Ranks[2].CommTime)
+	}
+	for _, e := range rec.Events() {
+		if e.Duration() > took {
+			t.Errorf("%s on rank %d took %v of a %v run", e.Kind, e.Rank, e.Duration(), took)
+		}
+	}
 	if len(stats.Ranks) != 3 {
 		t.Fatalf("%d ranks in stats", len(stats.Ranks))
 	}
@@ -57,7 +72,7 @@ func TestRecorderWithRealMPIRun(t *testing.T) {
 
 func TestGanttRendering(t *testing.T) {
 	rec := NewRecorder()
-	base := time.Now()
+	base := sim.Time(0).Add(time.Hour)
 	rec.Event(0, "send", 1, 0, 10, base, base.Add(10*time.Millisecond))
 	rec.Event(1, "recv", 0, 0, 10, base.Add(5*time.Millisecond), base.Add(20*time.Millisecond))
 	g := rec.Gantt(40)
@@ -85,11 +100,11 @@ func TestGanttEmpty(t *testing.T) {
 
 func TestEventsSorted(t *testing.T) {
 	rec := NewRecorder()
-	base := time.Now()
+	base := sim.Time(0).Add(time.Hour)
 	rec.Event(0, "send", 1, 0, 1, base.Add(time.Second), base.Add(2*time.Second))
 	rec.Event(1, "send", 0, 0, 1, base, base.Add(time.Second))
 	ev := rec.Events()
-	if len(ev) != 2 || !ev[0].Start.Before(ev[1].Start) {
+	if len(ev) != 2 || ev[0].Start >= ev[1].Start {
 		t.Error("events not sorted by start time")
 	}
 	if ev[0].Duration() != time.Second {
