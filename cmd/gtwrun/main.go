@@ -23,6 +23,7 @@
 //	-timeout D       cancel the whole run after D (e.g. 30s)
 //	-connect URL     run scenarios through a remote coordinator
 //	-token TOK       tenant token for a -tenants coordinator (with -connect)
+//	-cpuprofile F    write a CPU profile of the run to F (go tool pprof)
 //
 // Sweep scenarios (figure1-throughput, backbone-aggregate,
 // mixed-traffic, fmri-pe-sweep) lease their parameter grid to -shards
@@ -47,6 +48,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	gtw "repro"
@@ -84,7 +86,7 @@ func main() {
 
 // run is the testable body of main: it parses args, drives the engine
 // and reports the process exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("gtwrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	def := gtw.DefaultOptions()
@@ -111,11 +113,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"coordinator URL: run the named scenarios through a remote coordinator instead of in-process")
 	token := fs.String("token", "",
 		"tenant token for a -tenants coordinator (with -connect; sent as Authorization: Bearer)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (read it with go tool pprof)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
+	}
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err == nil {
+			if err = pprof.StartCPUProfile(f); err != nil {
+				f.Close()
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "gtwrun: -cpuprofile: %v\n", err)
+			return 2
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil && code == 0 {
+				fmt.Fprintf(stderr, "gtwrun: -cpuprofile: %v\n", err)
+				code = 1
+			}
+		}()
 	}
 
 	if *list {

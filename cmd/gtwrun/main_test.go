@@ -76,6 +76,29 @@ func TestBadWANFlagFails(t *testing.T) {
 	}
 }
 
+func TestCPUProfileIsWritten(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	var out, errOut strings.Builder
+	if code := run([]string{"-cpuprofile", path, "table1-model"}, &out, &errOut); code != 0 {
+		t.Fatalf("run(-cpuprofile) = %d, stderr: %s", code, errOut.String())
+	}
+	// run has returned, so the profile is stopped and the file closed.
+	if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+		t.Errorf("profile not written: %v, %v", st, err)
+	}
+
+	// A path that cannot be created is a flag error, before anything runs.
+	out.Reset()
+	errOut.Reset()
+	bad := filepath.Join(t.TempDir(), "no-such-dir", "cpu.prof")
+	if code := run([]string{"-cpuprofile", bad, "table1-model"}, &out, &errOut); code != 2 {
+		t.Errorf("run(-cpuprofile %s) = %d, want 2", bad, code)
+	}
+	if !strings.Contains(errOut.String(), "-cpuprofile") || out.Len() != 0 {
+		t.Errorf("stderr %q should name the flag, stdout %q should be empty", errOut.String(), out.String())
+	}
+}
+
 func TestJSONOutput(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-json", "table1-model"}, &out, &errOut); code != 0 {

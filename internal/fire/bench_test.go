@@ -76,3 +76,23 @@ func BenchmarkCorrelatorAdd(b *testing.B) {
 		}
 	}
 }
+
+var benchShift [3]float64
+
+// BenchmarkEstimateShift: one motion estimate on the paper's 64x64x16
+// functional image moved by a fraction of a voxel — the Gauss-Newton
+// loop (a Shift plus a gradient pass per iteration) that fire-rt-session
+// runs for every scan.
+func BenchmarkEstimateShift(b *testing.B) {
+	ref := mri.NewPhantom(64, 64, 16, nil).Anatomy
+	cur := ref.Shift(0.4, -0.3, 0.2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := EstimateShift(ref, cur, MotionOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchShift = d
+	}
+}

@@ -2,8 +2,10 @@ package fire
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/mri"
 	"repro/internal/volume"
 )
@@ -170,6 +172,100 @@ func TestEstimateShiftFeaturelessErrors(t *testing.T) {
 	b := volume.New(8, 8, 8)
 	if _, err := EstimateShift(a, b, MotionOptions{}); err == nil {
 		t.Error("featureless image should error (singular normal equations)")
+	}
+}
+
+// A volume thinner than its border has no interior to fit: the error
+// must say so, naming the axis, instead of blaming the image.
+func TestEstimateShiftThinVolumeNamesDimension(t *testing.T) {
+	for _, c := range []struct {
+		nx, ny, nz, border int
+		want               string
+	}{
+		{24, 24, 4, 0, "NZ = 4 with Border 2"}, // default border
+		{6, 24, 12, 3, "NX = 6 with Border 3"},
+		{24, 2, 12, 1, "NY = 2 with Border 1"},
+	} {
+		v := mri.NewPhantom(c.nx, c.ny, c.nz, nil).Anatomy
+		_, err := EstimateShift(v, v.Shift(0.5, 0, 0), MotionOptions{Border: c.border})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%dx%dx%d border %d: error %v, want one naming %q", c.nx, c.ny, c.nz, c.border, err, c.want)
+		}
+	}
+}
+
+// referenceEstimateShift is EstimateShift as it was before the
+// gradients were read by stride: one volume.Gradient call (six clamps,
+// seven Idx) per interior voxel per iteration. EstimateShift must agree
+// with it to the last bit.
+func referenceEstimateShift(ref, cur *volume.Volume, opts MotionOptions) ([3]float64, error) {
+	opts.fill()
+	var d [3]float64
+	for iter := 0; iter < opts.MaxIter; iter++ {
+		moved := cur.Shift(-d[0], -d[1], -d[2])
+		var jtj [3][3]float64
+		var jtr [3]float64
+		b := opts.Border
+		for z := b; z < ref.NZ-b; z++ {
+			for y := b; y < ref.NY-b; y++ {
+				for x := b; x < ref.NX-b; x++ {
+					gx, gy, gz := moved.Gradient(x, y, z)
+					r := float64(ref.At(x, y, z) - moved.At(x, y, z))
+					g := [3]float64{gx, gy, gz}
+					for i := 0; i < 3; i++ {
+						for j := 0; j < 3; j++ {
+							jtj[i][j] += g[i] * g[j]
+						}
+						jtr[i] += g[i] * r
+					}
+				}
+			}
+		}
+		a := linalg.NewMat(3, 3)
+		for i := 0; i < 3; i++ {
+			for j := 0; j < 3; j++ {
+				a.Set(i, j, jtj[i][j])
+			}
+		}
+		delta, err := linalg.Solve(a, jtr[:])
+		if err != nil {
+			return d, err
+		}
+		d[0] += delta[0]
+		d[1] += delta[1]
+		d[2] += delta[2]
+		if math.Sqrt(delta[0]*delta[0]+delta[1]*delta[1]+delta[2]*delta[2]) < opts.Tol {
+			break
+		}
+	}
+	return d, nil
+}
+
+func TestEstimateShiftEqualsGradientLoopBitForBit(t *testing.T) {
+	ref := phantomVolume()
+	for _, c := range []struct {
+		shift  [3]float64
+		border int
+	}{
+		{[3]float64{1.0, 0, 0}, 0},
+		{[3]float64{0.5, -0.7, 0.3}, 0},
+		{[3]float64{-1.2, 0.4, -0.5}, 0},
+		{[3]float64{0.5, -0.7, 0.3}, 1}, // the thinnest border: neighbors reach the faces
+	} {
+		cur := ref.Shift(c.shift[0], c.shift[1], c.shift[2])
+		got, err := EstimateShift(ref, cur, MotionOptions{Border: c.border})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := referenceEstimateShift(ref, cur, MotionOptions{Border: c.border})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("shift %v border %d axis %d: %v, Gradient loop %v", c.shift, c.border, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -43,35 +43,52 @@ func EstimateShift(ref, cur *volume.Volume, opts MotionOptions) ([3]float64, err
 			ref.NX, ref.NY, ref.NZ, cur.NX, cur.NY, cur.NZ)
 	}
 	opts.fill()
+	b := opts.Border
+	for i, n := range [3]int{ref.NX, ref.NY, ref.NZ} {
+		if b < 1 || n <= 2*b {
+			return [3]float64{}, fmt.Errorf("fire: motion fit has no interior voxels: N%c = %d with Border %d (need Border >= 1 and N > 2*Border)",
+				"XYZ"[i], n, b)
+		}
+	}
+	nx, plane := ref.NX, ref.NX*ref.NY
 	var d [3]float64
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		// Resample cur back by the current estimate.
 		moved := cur.Shift(-d[0], -d[1], -d[2])
 		// Accumulate J^T J and J^T r over interior voxels, where J
 		// columns are the spatial gradients of the moved image and
-		// r is the intensity residual vs. the reference.
-		var jtj [3][3]float64
+		// r is the intensity residual vs. the reference. Border >= 1
+		// keeps every neighbor inside the volume, so the gradients are
+		// the plain central differences volume.Gradient computes there.
+		// J^T J is symmetric and g[i]*g[j] == g[j]*g[i] exactly, so six
+		// running sums, each in serial voxel order, are its nine entries.
+		var xx, xy, xz, yy, yz, zz float64
 		var jtr [3]float64
-		b := opts.Border
+		m := moved.Data
 		for z := b; z < ref.NZ-b; z++ {
 			for y := b; y < ref.NY-b; y++ {
-				for x := b; x < ref.NX-b; x++ {
-					gx, gy, gz := moved.Gradient(x, y, z)
-					r := float64(ref.At(x, y, z) - moved.At(x, y, z))
-					g := [3]float64{gx, gy, gz}
-					for i := 0; i < 3; i++ {
-						for j := 0; j < 3; j++ {
-							jtj[i][j] += g[i] * g[j]
-						}
-						jtr[i] += g[i] * r
-					}
+				row := ref.Idx(0, y, z)
+				for v := row + b; v < row+nx-b; v++ {
+					gx := float64(m[v+1]-m[v-1]) / 2
+					gy := float64(m[v+nx]-m[v-nx]) / 2
+					gz := float64(m[v+plane]-m[v-plane]) / 2
+					r := float64(ref.Data[v] - m[v])
+					xx += gx * gx
+					xy += gx * gy
+					xz += gx * gz
+					yy += gy * gy
+					yz += gy * gz
+					zz += gz * gz
+					jtr[0] += gx * r
+					jtr[1] += gy * r
+					jtr[2] += gz * r
 				}
 			}
 		}
 		a := linalg.NewMat(3, 3)
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				a.Set(i, j, jtj[i][j])
+		for i, row := range [3][3]float64{{xx, xy, xz}, {xy, yy, yz}, {xz, yz, zz}} {
+			for j, v := range row {
+				a.Set(i, j, v)
 			}
 		}
 		delta, err := linalg.Solve(a, jtr[:])

@@ -52,10 +52,17 @@ func RunCoupled(net *netsim.Network, hosts [2]string, tracer mpi.Tracer, cfg Cou
 	took, err := mpi.RunHosts(net, hosts[:], tracer, func(c *mpi.Comm) error {
 		switch c.Rank() {
 		case 0: // TRACE
-			flow := cfg.Flow
+			// K and Dx do not change between coupling steps: one
+			// stencil serves the run, and a step only re-solves for
+			// the drifted inflow head.
+			st, err := assemble(cfg.Flow)
+			if err != nil {
+				return fmt.Errorf("TRACE: %w", err)
+			}
+			headLeft := cfg.Flow.HeadLeft
 			cgTotal := 0
 			for s := 0; s < cfg.Steps; s++ {
-				field, err := SolveFlow(flow)
+				field, err := st.solve(headLeft, cfg.Flow.HeadRight)
 				if err != nil {
 					return fmt.Errorf("TRACE step %d: %w", s, err)
 				}
@@ -64,7 +71,7 @@ func RunCoupled(net *netsim.Network, hosts [2]string, tracer mpi.Tracer, cfg Cou
 				if err := c.Send(1, fieldTag, buf); err != nil {
 					return err
 				}
-				flow.HeadLeft += cfg.HeadDrift
+				headLeft += cfg.HeadDrift
 			}
 			// Ship the solver-effort tally for the report.
 			return c.SendFloat64s(1, fieldTag+1, []float64{float64(cgTotal)})

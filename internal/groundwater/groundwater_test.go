@@ -2,6 +2,7 @@ package groundwater
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -253,5 +254,123 @@ func TestCoupledRunTransfersField(t *testing.T) {
 func TestCoupledRunValidation(t *testing.T) {
 	if _, err := RunCoupled(nil, [2]string{"a", "b"}, nil, CoupledConfig{}); err == nil {
 		t.Error("steps=0 accepted")
+	}
+}
+
+// referenceOperator is the matrix-free closure SolveFlow applied before
+// the stencil was assembled, kept verbatim: six harmonic means and the
+// closure index math per cell per application. The assembled operator
+// must reproduce its every output bit.
+func referenceOperator(cfg FlowConfig) func(dst, src []float64) {
+	nx, ny, nz := cfg.NX, cfg.NY, cfg.NZ
+	idx := func(x, y, z int) int { return x + nx*(y+ny*z) }
+	inx := nx - 2
+	uidx := func(x, y, z int) int { return (x - 1) + inx*(y+ny*z) }
+	trans := func(c1, c2 int) float64 { return harmonic(cfg.K[c1], cfg.K[c2]) * cfg.Dx }
+	return func(dst, src []float64) {
+		for z := 0; z < nz; z++ {
+			for y := 0; y < ny; y++ {
+				for x := 1; x < nx-1; x++ {
+					c := idx(x, y, z)
+					u := uidx(x, y, z)
+					var diag, off float64
+					// x- neighbor.
+					t := trans(c, idx(x-1, y, z))
+					diag += t
+					if x-1 >= 1 {
+						off += t * src[uidx(x-1, y, z)]
+					}
+					// x+ neighbor.
+					t = trans(c, idx(x+1, y, z))
+					diag += t
+					if x+1 <= nx-2 {
+						off += t * src[uidx(x+1, y, z)]
+					}
+					// y, z neighbors: no-flow outside.
+					if y > 0 {
+						t = trans(c, idx(x, y-1, z))
+						diag += t
+						off += t * src[uidx(x, y-1, z)]
+					}
+					if y < ny-1 {
+						t = trans(c, idx(x, y+1, z))
+						diag += t
+						off += t * src[uidx(x, y+1, z)]
+					}
+					if z > 0 {
+						t = trans(c, idx(x, y, z-1))
+						diag += t
+						off += t * src[uidx(x, y, z-1)]
+					}
+					if z < nz-1 {
+						t = trans(c, idx(x, y, z+1))
+						diag += t
+						off += t * src[uidx(x, y, z+1)]
+					}
+					dst[u] = diag*src[u] - off
+				}
+			}
+		}
+	}
+}
+
+func TestAssembledOperatorMatchesReferenceBitForBit(t *testing.T) {
+	for _, g := range [][3]int{{40, 16, 12}, {9, 1, 5}, {9, 5, 1}, {3, 4, 4}, {3, 1, 1}} {
+		cfg := FlowConfig{NX: g[0], NY: g[1], NZ: g[2], Dx: 2.5, Porosity: 0.3,
+			K: LognormalK(g[0], g[1], g[2], 1e-4, 1.0, 42)}
+		st, err := assemble(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := referenceOperator(cfg)
+		n := (g[0] - 2) * g[1] * g[2]
+		rng := rand.New(rand.NewSource(int64(n)))
+		src, got, want := make([]float64, n), make([]float64, n), make([]float64, n)
+		for trial := 0; trial < 3; trial++ {
+			for i := range src {
+				src[i] = rng.NormFloat64() * 10
+			}
+			st.apply(got, src)
+			ref(want, src)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("grid %v trial %d: dst[%d] = %x, reference %x", g, trial, i,
+						math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// A coupled run solves every step on the stencil of its first: each
+// step must still be exactly the fresh solve of the drifted problem.
+func TestStencilReuseEqualsFreshSolves(t *testing.T) {
+	cfg := scenarioFlow()
+	st, err := assemble(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 2; step++ {
+		got, err := st.solve(cfg.HeadLeft, cfg.HeadRight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SolveFlow(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.CGIterations != want.CGIterations {
+			t.Fatalf("step %d: %d CG iterations on the reused stencil, %d fresh", step, got.CGIterations, want.CGIterations)
+		}
+		for name, pair := range map[string][2][]float64{
+			"Head": {got.Head, want.Head}, "VX": {got.VX, want.VX}, "VY": {got.VY, want.VY}, "VZ": {got.VZ, want.VZ},
+		} {
+			for i := range pair[1] {
+				if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+					t.Fatalf("step %d: %s[%d] = %v on the reused stencil, %v fresh", step, name, i, pair[0][i], pair[1][i])
+				}
+			}
+		}
+		cfg.HeadLeft += 0.2
 	}
 }

@@ -11,6 +11,15 @@
 // at the inflow (x=0) and outflow (x=NX-1) faces and no-flow elsewhere,
 // solved with conjugate gradients on the SPD system; Darcy fluxes are
 // converted to pore velocities with the porosity.
+//
+// The 7-point operator is assembled, not matrix-free: the per-face
+// transmissibilities and the diagonal depend only on the grid, K and
+// Dx, so they are computed once — per SolveFlow call, and once per run
+// in RunCoupled, whose steps change nothing but the inflow head and so
+// only rebuild the right-hand side. Every CG iteration then is a
+// stride-indexed sweep over those arrays. Initial guess and tolerance
+// are the same for every solve (no warm start), so a coupled step is
+// bit for bit the fresh solve of its boundary condition.
 package groundwater
 
 import (
@@ -78,8 +87,22 @@ func harmonic(a, b float64) float64 {
 	return 2 * a * b / (a + b)
 }
 
-// SolveFlow runs one steady-state TRACE solve.
-func SolveFlow(cfg FlowConfig) (*FlowField, error) {
+// stencil is TRACE's assembled 7-point operator on the unknowns (the
+// interior-in-x cells 1..NX-2, all y and z, x fastest): one
+// transmissibility per face plus the diagonal. It depends only on the
+// grid, K and Dx, so a coupled run assembles it once and every solve —
+// and every CG iteration inside one — reuses it.
+type stencil struct {
+	cfg FlowConfig // validated, Tol defaulted
+	inx int        // unknowns per row: NX-2
+	// Face transmissibilities per unknown; an entry whose neighbor lies
+	// outside the no-flow y/z boundary stays 0 and is never read.
+	xm, xp, ym, yp, zm, zp []float64
+	diag                   []float64
+}
+
+// assemble validates cfg and builds its stencil.
+func assemble(cfg FlowConfig) (*stencil, error) {
 	nx, ny, nz := cfg.NX, cfg.NY, cfg.NZ
 	if nx < 3 || ny < 1 || nz < 1 {
 		return nil, fmt.Errorf("groundwater: grid %dx%dx%d too small (need nx >= 3)", nx, ny, nz)
@@ -93,80 +116,121 @@ func SolveFlow(cfg FlowConfig) (*FlowField, error) {
 	if cfg.Tol == 0 {
 		cfg.Tol = 1e-10
 	}
-	idx := func(x, y, z int) int { return x + nx*(y+ny*z) }
-	// Unknowns: interior-in-x cells (1..nx-2), all y, z.
-	inx := nx - 2
-	n := inx * ny * nz
-	uidx := func(x, y, z int) int { return (x - 1) + inx*(y+ny*z) }
-
+	n := (nx - 2) * ny * nz
+	s := &stencil{cfg: cfg, inx: nx - 2,
+		xm: make([]float64, n), xp: make([]float64, n),
+		ym: make([]float64, n), yp: make([]float64, n),
+		zm: make([]float64, n), zp: make([]float64, n),
+		diag: make([]float64, n)}
 	// Interface transmissibility between two cells (unit cross-section
 	// area divided by spacing folds into a single Dx factor).
 	trans := func(c1, c2 int) float64 { return harmonic(cfg.K[c1], cfg.K[c2]) * cfg.Dx }
-
-	b := make([]float64, n)
-	op := func(dst, src []float64) {
-		for z := 0; z < nz; z++ {
-			for y := 0; y < ny; y++ {
-				for x := 1; x < nx-1; x++ {
-					c := idx(x, y, z)
-					u := uidx(x, y, z)
-					var diag, off float64
-					// x- neighbor.
-					t := trans(c, idx(x-1, y, z))
-					diag += t
-					if x-1 >= 1 {
-						off += t * src[uidx(x-1, y, z)]
-					}
-					// x+ neighbor.
-					t = trans(c, idx(x+1, y, z))
-					diag += t
-					if x+1 <= nx-2 {
-						off += t * src[uidx(x+1, y, z)]
-					}
-					// y, z neighbors: no-flow outside.
-					if y > 0 {
-						t = trans(c, idx(x, y-1, z))
-						diag += t
-						off += t * src[uidx(x, y-1, z)]
-					}
-					if y < ny-1 {
-						t = trans(c, idx(x, y+1, z))
-						diag += t
-						off += t * src[uidx(x, y+1, z)]
-					}
-					if z > 0 {
-						t = trans(c, idx(x, y, z-1))
-						diag += t
-						off += t * src[uidx(x, y, z-1)]
-					}
-					if z < nz-1 {
-						t = trans(c, idx(x, y, z+1))
-						diag += t
-						off += t * src[uidx(x, y, z+1)]
-					}
-					dst[u] = diag*src[u] - off
-				}
-			}
-		}
-	}
-	// RHS from Dirichlet planes.
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			b[uidx(1, y, z)] += trans(idx(1, y, z), idx(0, y, z)) * cfg.HeadLeft
-			b[uidx(nx-2, y, z)] += trans(idx(nx-2, y, z), idx(nx-1, y, z)) * cfg.HeadRight
-		}
-	}
-	h := make([]float64, n)
-	// Linear initial guess speeds convergence.
+	u := 0
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
 			for x := 1; x < nx-1; x++ {
-				f := float64(x) / float64(nx-1)
-				h[uidx(x, y, z)] = cfg.HeadLeft + f*(cfg.HeadRight-cfg.HeadLeft)
+				c := x + nx*(y+ny*z)
+				// The diagonal sums the faces in the order apply visits
+				// them: x-, x+, y-, y+, z-, z+.
+				var diag float64
+				s.xm[u] = trans(c, c-1)
+				diag += s.xm[u]
+				s.xp[u] = trans(c, c+1)
+				diag += s.xp[u]
+				// y, z neighbors: no-flow outside.
+				if y > 0 {
+					s.ym[u] = trans(c, c-nx)
+					diag += s.ym[u]
+				}
+				if y < ny-1 {
+					s.yp[u] = trans(c, c+nx)
+					diag += s.yp[u]
+				}
+				if z > 0 {
+					s.zm[u] = trans(c, c-nx*ny)
+					diag += s.zm[u]
+				}
+				if z < nz-1 {
+					s.zp[u] = trans(c, c+nx*ny)
+					diag += s.zp[u]
+				}
+				s.diag[u] = diag
+				u++
 			}
 		}
 	}
-	res, err := linalg.CG(op, h, b, cfg.Tol, 40*n)
+	return s, nil
+}
+
+// apply is the flow system's linalg.Operator: dst = A src over the
+// unknowns. The x- face of a row's first cell and the x+ face of its
+// last touch a Dirichlet plane, which is on the right-hand side and not
+// in src.
+func (s *stencil) apply(dst, src []float64) {
+	inx, ny, nz := s.inx, s.cfg.NY, s.cfg.NZ
+	plane := inx * ny
+	for z := 0; z < nz; z++ {
+		for y := 0; y < ny; y++ {
+			first := inx * (y + ny*z)
+			last := first + inx - 1
+			for u := first; u <= last; u++ {
+				var off float64
+				if u > first {
+					off += s.xm[u] * src[u-1]
+				}
+				if u < last {
+					off += s.xp[u] * src[u+1]
+				}
+				if y > 0 {
+					off += s.ym[u] * src[u-inx]
+				}
+				if y < ny-1 {
+					off += s.yp[u] * src[u+inx]
+				}
+				if z > 0 {
+					off += s.zm[u] * src[u-plane]
+				}
+				if z < nz-1 {
+					off += s.zp[u] * src[u+plane]
+				}
+				dst[u] = s.diag[u]*src[u] - off
+			}
+		}
+	}
+}
+
+// SolveFlow runs one steady-state TRACE solve.
+func SolveFlow(cfg FlowConfig) (*FlowField, error) {
+	s, err := assemble(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.solve(cfg.HeadLeft, cfg.HeadRight)
+}
+
+// solve runs one steady-state solve on the assembled grid with the
+// given Dirichlet heads (the stencil's own cfg.HeadLeft/HeadRight are
+// not consulted: a coupled run drifts them from step to step).
+func (s *stencil) solve(headLeft, headRight float64) (*FlowField, error) {
+	cfg := s.cfg
+	nx, ny, nz, inx := cfg.NX, cfg.NY, cfg.NZ, s.inx
+	n := inx * ny * nz
+	idx := func(x, y, z int) int { return x + nx*(y+ny*z) }
+
+	// RHS from the Dirichlet planes, and a linear initial guess, which
+	// speeds convergence.
+	b := make([]float64, n)
+	h := make([]float64, n)
+	for first := 0; first < n; first += inx {
+		last := first + inx - 1
+		b[first] += s.xm[first] * headLeft
+		b[last] += s.xp[last] * headRight
+		for x := 1; x < nx-1; x++ {
+			f := float64(x) / float64(nx-1)
+			h[first+x-1] = headLeft + f*(headRight-headLeft)
+		}
+	}
+	res, err := linalg.CG(s.apply, h, b, cfg.Tol, 40*n)
 	if err != nil {
 		return nil, fmt.Errorf("groundwater: CG failed: %w", err)
 	}
@@ -179,11 +243,9 @@ func SolveFlow(cfg FlowConfig) (*FlowField, error) {
 		Head: make([]float64, nx*ny*nz), CGIterations: res.Iterations}
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
-			field.Head[idx(0, y, z)] = cfg.HeadLeft
-			field.Head[idx(nx-1, y, z)] = cfg.HeadRight
-			for x := 1; x < nx-1; x++ {
-				field.Head[idx(x, y, z)] = h[uidx(x, y, z)]
-			}
+			field.Head[idx(0, y, z)] = headLeft
+			field.Head[idx(nx-1, y, z)] = headRight
+			copy(field.Head[idx(1, y, z):idx(nx-1, y, z)], h[inx*(y+ny*z):])
 		}
 	}
 	// Cell-centered pore velocities from central differences of head

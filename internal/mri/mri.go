@@ -127,23 +127,37 @@ func NewPhantom(nx, ny, nz int, acts []Activation) *Phantom {
 	mask := make([]bool, v.Voxels())
 	cx, cy, cz := float64(nx-1)/2, float64(ny-1)/2, float64(nz-1)/2
 	rx, ry, rz := float64(nx)*0.42, float64(ny)*0.42, float64(nz)*0.46
+	// Everything that depends on one coordinate only — the ellipsoid
+	// offsets and the texture's trigonometry — is tabulated per axis.
+	axis := func(n int, f func(i float64) float64) []float64 {
+		t := make([]float64, n)
+		for i := range t {
+			t[i] = f(float64(i))
+		}
+		return t
+	}
+	exs := axis(nx, func(x float64) float64 { return (x - cx) / rx })
+	eys := axis(ny, func(y float64) float64 { return (y - cy) / ry })
+	ezs := axis(nz, func(z float64) float64 { return (z - cz) / rz })
+	sinX := axis(nx, func(x float64) float64 { return math.Sin(x * 0.4) })
+	cosY := axis(ny, func(y float64) float64 { return math.Cos(y * 0.3) })
+	sinZ := axis(nz, math.Sin)
+	idx := 0
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
 			for x := 0; x < nx; x++ {
-				ex := (float64(x) - cx) / rx
-				ey := (float64(y) - cy) / ry
-				ez := (float64(z) - cz) / rz
+				ex, ey, ez := exs[x], eys[y], ezs[z]
 				r := ex*ex + ey*ey + ez*ez
-				idx := v.Idx(x, y, z)
 				switch {
 				case r < 0.75: // brain tissue with mild spatial texture
-					v.Data[idx] = float32(800 + 150*math.Sin(float64(x)*0.4)*math.Cos(float64(y)*0.3) + 50*math.Sin(float64(z)))
+					v.Data[idx] = float32(800 + 150*sinX[x]*cosY[y] + 50*sinZ[z])
 					mask[idx] = true
 				case r < 1.0: // skull/scalp shell
 					v.Data[idx] = 300
 				default: // air
 					v.Data[idx] = 0
 				}
+				idx++
 			}
 		}
 	}
@@ -185,8 +199,19 @@ type Scanner struct {
 	Phantom *Phantom
 	Cfg     ScanConfig
 	refs    [][]float64 // per-activation expected responses
-	rng     *rand.Rand
-	t       int
+	// gains lists every (brain voxel, activation) pair with a non-zero
+	// envelope, in voxel order and, within a voxel, activation order —
+	// the order Next applies them in.
+	gains []gain
+	rng   *rand.Rand
+	t     int
+}
+
+// gain is one activation's BOLD modulation depth at one voxel:
+// Amplitude times the envelope weight there.
+type gain struct {
+	voxel, act int
+	depth      float64
 }
 
 // NewScanner prepares an acquisition of cfg.NScans volumes.
@@ -197,6 +222,19 @@ func NewScanner(ph *Phantom, cfg ScanConfig) *Scanner {
 	s := &Scanner{Phantom: ph, Cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + 1))}
 	for _, a := range ph.Activations {
 		s.refs = append(s.refs, a.HRF.Convolve(cfg.Stimulus, cfg.TR))
+	}
+	// The envelopes do not change from scan to scan: evaluate them once.
+	base := ph.Anatomy
+	for idx, brain := range ph.BrainMask {
+		if !brain {
+			continue
+		}
+		x, y, z := idx%base.NX, idx/base.NX%base.NY, idx/(base.NX*base.NY)
+		for ai, a := range ph.Activations {
+			if w := a.ActivationWeight(x, y, z); w > 0 {
+				s.gains = append(s.gains, gain{idx, ai, a.Amplitude * w})
+			}
+		}
 	}
 	return s
 }
@@ -214,26 +252,19 @@ func (s *Scanner) Next() *volume.Volume {
 	base := ph.Anatomy
 	out := volume.New(base.NX, base.NY, base.NZ)
 	drift := s.Cfg.DriftPerScan * float64(s.t)
-	for z := 0; z < base.NZ; z++ {
-		for y := 0; y < base.NY; y++ {
-			for x := 0; x < base.NX; x++ {
-				idx := base.Idx(x, y, z)
-				sig := float64(base.Data[idx])
-				if ph.BrainMask[idx] {
-					for ai, a := range ph.Activations {
-						w := a.ActivationWeight(x, y, z)
-						if w > 0 {
-							sig *= 1 + a.Amplitude*w*s.refs[ai][s.t]
-						}
-					}
-					sig += drift
-				}
-				if s.Cfg.NoiseStd > 0 {
-					sig += s.rng.NormFloat64() * s.Cfg.NoiseStd
-				}
-				out.Data[idx] = float32(sig)
+	gains := s.gains
+	for idx, b := range base.Data {
+		sig := float64(b)
+		if ph.BrainMask[idx] {
+			for ; len(gains) > 0 && gains[0].voxel == idx; gains = gains[1:] {
+				sig *= 1 + gains[0].depth*s.refs[gains[0].act][s.t]
 			}
+			sig += drift
 		}
+		if s.Cfg.NoiseStd > 0 {
+			sig += s.rng.NormFloat64() * s.Cfg.NoiseStd
+		}
+		out.Data[idx] = float32(sig)
 	}
 	if s.Cfg.Motion != nil && s.t < len(s.Cfg.Motion) {
 		m := s.Cfg.Motion[s.t]

@@ -68,18 +68,19 @@ func WritePNG(w io.Writer, img image.Image) error { return png.Encode(w, img) }
 // on the Onyx 2: "it is merged with a high resolution (256x256x128
 // voxels) image of the subject's head". It returns the upsampled map.
 func MergeFunctional(anatHi, corr *volume.Volume) *volume.Volume {
-	out := volume.New(anatHi.NX, anatHi.NY, anatHi.NZ)
-	sx := float64(corr.NX-1) / float64(anatHi.NX-1)
-	sy := float64(corr.NY-1) / float64(anatHi.NY-1)
-	sz := float64(corr.NZ-1) / float64(anatHi.NZ-1)
-	for z := 0; z < anatHi.NZ; z++ {
-		for y := 0; y < anatHi.NY; y++ {
-			for x := 0; x < anatHi.NX; x++ {
-				out.Set(x, y, z, corr.Trilinear(float64(x)*sx, float64(y)*sy, float64(z)*sz))
+	// axis maps target voxels 0..n-1 onto source coordinates 0..src-1;
+	// a one-voxel target axis samples coordinate 0.
+	axis := func(n, src int) []float64 {
+		cs := make([]float64, n)
+		if n > 1 {
+			scale := float64(src-1) / float64(n-1)
+			for i := range cs {
+				cs[i] = float64(i) * scale
 			}
 		}
+		return cs
 	}
-	return out
+	return corr.Resample(axis(anatHi.NX, corr.NX), axis(anatHi.NY, corr.NY), axis(anatHi.NZ, corr.NZ))
 }
 
 // RenderMIP produces a maximum-intensity projection of the anatomy
@@ -95,21 +96,30 @@ func RenderMIP(anatHi, funcHi *volume.Volume, clip float64) (*image.RGBA, error)
 	if max > min {
 		scale = 200 / float64(max-min)
 	}
+	// Walk the planes in memory order, keeping per pixel the running
+	// peak and whether any voxel of its column is active — a max and an
+	// OR, so the z order does not matter.
+	pixels := anatHi.NX * anatHi.NY
+	peak := make([]float32, pixels)
+	active := make([]bool, pixels)
+	for z := 0; z < anatHi.NZ; z++ {
+		anat := anatHi.Data[z*pixels : (z+1)*pixels]
+		fn := funcHi.Data[z*pixels : (z+1)*pixels]
+		for p, v := range anat {
+			if v > peak[p] {
+				peak[p] = v
+			}
+			if float64(fn[p]) >= clip {
+				active[p] = true
+			}
+		}
+	}
 	img := image.NewRGBA(image.Rect(0, 0, anatHi.NX, anatHi.NY))
 	for y := 0; y < anatHi.NY; y++ {
 		for x := 0; x < anatHi.NX; x++ {
-			var peak float32
-			active := false
-			for z := 0; z < anatHi.NZ; z++ {
-				if v := anatHi.At(x, y, z); v > peak {
-					peak = v
-				}
-				if float64(funcHi.At(x, y, z)) >= clip {
-					active = true
-				}
-			}
-			g := uint8(float64(peak-min) * scale)
-			if active {
+			p := x + anatHi.NX*y
+			g := uint8(float64(peak[p]-min) * scale)
+			if active[p] {
 				img.SetRGBA(x, y, color.RGBA{255, uint8(200), uint8(g / 2), 255})
 			} else {
 				img.SetRGBA(x, y, color.RGBA{g, g, g, 255})

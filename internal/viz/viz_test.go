@@ -2,8 +2,10 @@ package viz
 
 import (
 	"bytes"
+	"image/color"
 	"image/png"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/atm"
@@ -145,5 +147,84 @@ func TestWorkbenchArithmetic(t *testing.T) {
 	// A larger MTU improves the rate (less header tax).
 	if WorkbenchFPS(atm.OC12.PayloadRate(), atm.MaxCLIPMTU) <= fps {
 		t.Error("64K MTU should beat the default CLIP MTU")
+	}
+}
+
+// A one-voxel axis used to divide by zero in the coordinate scale and
+// fill the merged volume with NaN; it samples coordinate 0 instead, so
+// merging flat volumes is plain 2-D bilinear upsampling.
+func TestMergeFunctionalOneVoxelAxis(t *testing.T) {
+	corr := volume.New(4, 4, 1)
+	for i := range corr.Data {
+		corr.Data[i] = float32(i*i%7) - 3
+	}
+	up := MergeFunctional(volume.New(8, 8, 1), corr)
+	if up.NX != 8 || up.NY != 8 || up.NZ != 1 {
+		t.Fatalf("merged shape %dx%dx%d", up.NX, up.NY, up.NZ)
+	}
+	for y := 0; y < 8; y++ {
+		for x := 0; x < 8; x++ {
+			cx, cy := float64(x)*3/7, float64(y)*3/7
+			x0, y0 := int(cx), int(cy)
+			x1, y1 := min(x0+1, 3), min(y0+1, 3)
+			fx, fy := cx-float64(x0), cy-float64(y0)
+			lo := float64(corr.At(x0, y0, 0))*(1-fx) + float64(corr.At(x1, y0, 0))*fx
+			hi := float64(corr.At(x0, y1, 0))*(1-fx) + float64(corr.At(x1, y1, 0))*fx
+			want := float32(lo*(1-fy) + hi*fy)
+			if got := up.At(x, y, 0); got != want {
+				t.Fatalf("merged (%d,%d) = %v, bilinear %v", x, y, got, want)
+			}
+		}
+	}
+	// Both volumes one voxel thick along every axis: still finite.
+	if got := MergeFunctional(volume.New(1, 1, 1), corr).At(0, 0, 0); got != corr.At(0, 0, 0) {
+		t.Errorf("1x1x1 merge = %v, want the map's corner %v", got, corr.At(0, 0, 0))
+	}
+}
+
+// RenderMIP walks the volume plane by plane; its pixels must equal the
+// column-by-column projection it replaced.
+func TestRenderMIPEqualsColumnOrderReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	anat, fn := volume.New(13, 9, 6), volume.New(13, 9, 6)
+	for i := range anat.Data {
+		anat.Data[i] = float32(rng.NormFloat64()*300 + 200) // some columns all-negative
+		fn.Data[i] = float32(rng.Float64())
+	}
+	const clip = 0.9
+	img, err := RenderMIP(anat, fn, clip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := anat.MinMax()
+	scale := 200 / float64(hi-lo)
+	sawActive, sawQuiet := false, false
+	for y := 0; y < anat.NY; y++ {
+		for x := 0; x < anat.NX; x++ {
+			var peak float32
+			active := false
+			for z := 0; z < anat.NZ; z++ {
+				if v := anat.At(x, y, z); v > peak {
+					peak = v
+				}
+				if float64(fn.At(x, y, z)) >= clip {
+					active = true
+				}
+			}
+			g := uint8(float64(peak-lo) * scale)
+			want := color.RGBA{g, g, g, 255}
+			if active {
+				want = color.RGBA{255, 200, g / 2, 255}
+				sawActive = true
+			} else {
+				sawQuiet = true
+			}
+			if got := img.RGBAAt(x, y); got != want {
+				t.Fatalf("pixel (%d,%d) = %+v, column-order reference %+v", x, y, got, want)
+			}
+		}
+	}
+	if !sawActive || !sawQuiet {
+		t.Fatalf("test volume exercises only one branch (active %v, quiet %v)", sawActive, sawQuiet)
 	}
 }

@@ -2,6 +2,7 @@ package volume
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -250,4 +251,81 @@ func TestSlabDecompBadP(t *testing.T) {
 		}
 	}()
 	SlabDecomp(16, 0)
+}
+
+// randomVolume fills an nx x ny x nz volume with seeded noise.
+func randomVolume(nx, ny, nz int, seed int64) *Volume {
+	rng := rand.New(rand.NewSource(seed))
+	v := New(nx, ny, nz)
+	for i := range v.Data {
+		v.Data[i] = float32(rng.NormFloat64() * 100)
+	}
+	return v
+}
+
+// requireResampleIsTrilinear checks Resample against the per-voxel
+// Trilinear loop it replaced, to the last bit.
+func requireResampleIsTrilinear(t *testing.T, name string, v *Volume, xs, ys, zs []float64) {
+	t.Helper()
+	got := v.Resample(xs, ys, zs)
+	if got.NX != len(xs) || got.NY != len(ys) || got.NZ != len(zs) {
+		t.Fatalf("%s: shape %dx%dx%d, want %dx%dx%d", name, got.NX, got.NY, got.NZ, len(xs), len(ys), len(zs))
+	}
+	for k, z := range zs {
+		for j, y := range ys {
+			for i, x := range xs {
+				want := v.Trilinear(x, y, z)
+				if g := got.At(i, j, k); math.Float32bits(g) != math.Float32bits(want) {
+					t.Fatalf("%s: voxel (%d,%d,%d) at (%v,%v,%v) = %v, Trilinear %v", name, i, j, k, x, y, z, g, want)
+				}
+			}
+		}
+	}
+}
+
+func TestResampleEqualsTrilinearBitForBit(t *testing.T) {
+	shifted := func(n int, d float64) []float64 {
+		cs := make([]float64, n)
+		for i := range cs {
+			cs[i] = float64(i) - d
+		}
+		return cs
+	}
+	for seed, dims := range [][3]int{{9, 7, 5}, {16, 1, 4}, {1, 1, 1}, {12, 10, 3}} {
+		v := randomVolume(dims[0], dims[1], dims[2], int64(seed))
+		rng := rand.New(rand.NewSource(int64(100 + seed)))
+		shifts := [][3]float64{
+			{0, 0, 0},
+			{0.3, -0.7, 0.25},     // fractional, mixed sign
+			{-1.6, 2.4, -3.9},     // more than one voxel
+			{2, -1, 1},            // exactly integral
+			{1e6, -1e6, 1e9},      // far out of range: every tap clamped
+			{-0.5, 1e-12, -1e-12}, // a hair off the grid on either side
+		}
+		for i := 0; i < 6; i++ {
+			shifts = append(shifts, [3]float64{rng.NormFloat64() * 2, rng.NormFloat64() * 2, rng.NormFloat64() * 2})
+		}
+		for _, d := range shifts {
+			xs, ys, zs := shifted(v.NX, d[0]), shifted(v.NY, d[1]), shifted(v.NZ, d[2])
+			requireResampleIsTrilinear(t, "shift", v, xs, ys, zs)
+			// Shift is that grid.
+			got, want := v.Shift(d[0], d[1], d[2]), v.Resample(xs, ys, zs)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("Shift%v voxel %d = %v, Resample %v", d, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+		// An upsampling grid, as the functional merge builds it: a
+		// different shape than the source, coordinates i * (n-1)/(m-1).
+		scaled := func(m, n int) []float64 {
+			cs := make([]float64, m)
+			scale := float64(n-1) / float64(m-1)
+			for i := range cs {
+				cs[i] = float64(i) * scale
+			}
+			return cs
+		}
+		requireResampleIsTrilinear(t, "upsample", v, scaled(29, v.NX), scaled(23, v.NY), scaled(11, v.NZ))
+	}
 }
