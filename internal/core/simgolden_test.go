@@ -1,0 +1,95 @@
+package core
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"repro/internal/atm"
+)
+
+var updateGolden = flag.Bool("update-sim-golden", false, "rewrite testdata/sim_golden.json from this tree")
+
+// simGoldenItems are the simulated-network reports whose bytes pin the
+// kernel's event order: the six sim-sweep items (bench/inproc.go's
+// sweepItems, same options) plus the three other scenarios that run on
+// sim + netsim.
+var simGoldenItems = []struct {
+	key, scenario string
+	opts          []Option
+}{
+	{"figure1-oc48", "figure1-throughput", nil},
+	{"figure1-oc12ext", "figure1-throughput", []Option{WithWAN(atm.OC12), WithExtensions()}},
+	{"backbone-aggregate", "backbone-aggregate", []Option{WithFlows(4)}},
+	{"mixed-traffic", "mixed-traffic", nil},
+	{"video-d1", "video-d1", nil},
+	{"fmri-pe-sweep", "fmri-pe-sweep", []Option{WithFrames(300)}},
+	{"fmri-dataflow", "fmri-dataflow", nil},
+	{"figure2-endtoend", "figure2-endtoend", nil},
+	{"section3-applications", "section3-applications", nil},
+}
+
+// TestSimGolden compares the sha256 of each item's Report.JSON, at one
+// and at two kernels, with digests recorded before the simulation
+// kernel's queue was restructured: any change to which events fire, or
+// in what (time, seq) order, moves some report byte. Regenerate only for
+// a change that means to alter the simulated network, with
+// go test ./internal/core -run TestSimGolden -update-sim-golden.
+func TestSimGolden(t *testing.T) {
+	// The digests are amd64's: the Go compiler fuses a*b+c into one FMA
+	// instruction on arm64, ppc64le and s390x, which rounds once instead
+	// of twice and moves the last bit of some float64 report fields.
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests are recorded on amd64 (FMA contraction differs on %s)", runtime.GOARCH)
+	}
+	path := filepath.Join("testdata", "sim_golden.json")
+	got := make(map[string]string)
+	for _, it := range simGoldenItems {
+		for _, kernels := range []int{1, 2} {
+			opts := append(append([]Option(nil), it.opts...), WithKernels(kernels))
+			rep, err := Run(context.Background(), it.scenario, opts...)
+			if err != nil {
+				t.Fatalf("%s kernels=%d: %v", it.key, kernels, err)
+			}
+			b, err := rep.JSON()
+			if err != nil {
+				t.Fatalf("%s kernels=%d: JSON: %v", it.key, kernels, err)
+			}
+			sum := sha256.Sum256(b)
+			got[fmt.Sprintf("%s/kernels=%d", it.key, kernels)] = hex.EncodeToString(sum[:])
+		}
+	}
+	if *updateGolden {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s holds %d digests, the test computes %d", path, len(want), len(got))
+	}
+	for key, d := range got {
+		if want[key] != d {
+			t.Errorf("%s: report digest %s, recorded %s", key, d, want[key])
+		}
+	}
+}
