@@ -92,9 +92,19 @@ type Iface struct {
 	q      sim.Ring[*Packet]
 	queued int64 // bytes in queue
 
-	busy     bool
+	// Packets wait in q only while a link-free event (transmitStep) is
+	// scheduled to send them. With q empty, (freeAt, freeSeq) is the
+	// reserved key of the link-free event of the last packet put on the
+	// wire, and the link is idle once that key has passed; freeSeq 0
+	// means nothing was ever sent. See transmitNext.
+	freeAt   sim.Time
+	freeSeq  uint64
 	capBytes int64
 	drops    int64
+
+	// arrivals carries this direction's packets to the peer: a lane on
+	// the peer node's kernel, since link arrivals are FIFO in time.
+	arrivals *sim.Lane
 
 	// Per-direction wire accounting. These used to live on the Link,
 	// but both directions of a partitioned link may serialize
@@ -105,7 +115,7 @@ type Iface struct {
 
 	// xq, when non-nil, is the cross-partition channel this direction
 	// feeds: the peer node lives on another kernel, so arrivals are
-	// pushed here instead of being scheduled on the peer's heap.
+	// pushed here and reach the arrivals lane when the peer drains it.
 	xq *pdes.Queue
 }
 
@@ -332,8 +342,8 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 		panic(fmt.Sprintf("netsim: link %q has non-positive bandwidth", cfg.Name))
 	}
 	l := &Link{Name: cfg.Name, Bps: cfg.Bps, Delay: cfg.Delay, MTU: cfg.MTU, Framer: cfg.Framer}
-	ia := &Iface{node: a, link: l, capBytes: cfg.QueueBytes}
-	ib := &Iface{node: b, link: l, capBytes: cfg.QueueBytes}
+	ia := &Iface{node: a, link: l, capBytes: cfg.QueueBytes, arrivals: b.k.NewLane()}
+	ib := &Iface{node: b, link: l, capBytes: cfg.QueueBytes, arrivals: a.k.NewLane()}
 	ia.peer, ib.peer = ib, ia
 	l.a, l.b = ia, ib
 	a.ifaces = append(a.ifaces, ia)
@@ -539,7 +549,9 @@ func (n *Network) drop(nd *Node, p *Packet) {
 	n.recycle(nd, p)
 }
 
-// forward routes packet p out of node nd.
+// forward routes packet p out of node nd: into the egress queue, and
+// onto the wire at once if the link is idle — nothing is serializing,
+// or the reserved link-free key of the last packet sent has passed.
 func (n *Network) forward(nd *Node, p *Packet) {
 	idx := nd.routes[p.Dst]
 	if idx < 0 {
@@ -555,20 +567,35 @@ func (n *Network) forward(nd *Node, p *Packet) {
 	}
 	ifc.q.Push(p)
 	ifc.queued += int64(p.Bytes)
-	if !ifc.busy {
+	switch {
+	case ifc.q.Len() > 1:
+		// Packets already waited: the link-free event that sends them
+		// is scheduled and will reach p.
+	case ifc.freeSeq != 0 && !nd.k.Passed(ifc.freeAt, ifc.freeSeq):
+		// The packet on the wire is still serializing: its link-free
+		// event becomes real, under the key it has had all along, and
+		// will find p.
+		nd.k.Materialize(ifc.freeAt, ifc.freeSeq, transmitStep, unsafe.Pointer(ifc), nil)
+	default:
 		n.transmitNext(ifc)
 	}
 }
 
 // transmitNext serializes the head-of-line packet on ifc. It runs on
-// the kernel of ifc's node; when the peer node lives on another kernel
-// the arrival crosses via the iface's pdes queue instead of the heap.
+// the kernel of ifc's node; the arrival rides ifc's lane to the peer,
+// via the iface's pdes queue first when the peer lives on another
+// kernel.
+//
+// The link is free again after serialization. With packets queued
+// behind this one, that is an event which sends the next. With none,
+// the event would only find the queue empty and mark the link idle, so
+// it is not scheduled: its key is reserved instead, and forward
+// materializes it if a packet queues before the key passes, or treats
+// the link as idle if it already has. Either way the key is taken at
+// this point of the schedule, before the arrival's, so every event keeps
+// the (at, seq) it would have as a scheduled link-free event, and the
+// simulation its order.
 func (n *Network) transmitNext(ifc *Iface) {
-	if ifc.q.Len() == 0 {
-		ifc.busy = false
-		return
-	}
-	ifc.busy = true
 	p := ifc.q.Pop()
 	ifc.queued -= int64(p.Bytes)
 
@@ -578,13 +605,16 @@ func (n *Network) transmitNext(ifc *Iface) {
 	txTime := time.Duration(float64(wire) * 8 / l.Bps * 1e9)
 	ifc.wireBytes += int64(wire)
 	ifc.busyTime += txTime
-	// Link free after serialization; next packet may start then.
-	k.AfterFunc(txTime, transmitStep, unsafe.Pointer(ifc), nil)
+	if ifc.q.Len() > 0 {
+		k.AfterFunc(txTime, transmitStep, unsafe.Pointer(ifc), nil)
+	} else {
+		ifc.freeAt, ifc.freeSeq = k.Now().Add(txTime), k.Reserve()
+	}
 	// Packet arrives at the peer after serialization + propagation.
 	if ifc.xq != nil {
 		ifc.xq.Push(unsafe.Pointer(p), k.Now().Add(txTime+l.Delay))
 	} else {
-		k.AfterFunc(txTime+l.Delay, arriveStep, unsafe.Pointer(ifc.peer.node), unsafe.Pointer(p))
+		ifc.arrivals.AtFunc(k.Now().Add(txTime+l.Delay), arriveStep, unsafe.Pointer(ifc.peer.node), unsafe.Pointer(p))
 	}
 }
 

@@ -287,6 +287,128 @@ func TestLinkUtilizationAccounting(t *testing.T) {
 	}
 }
 
+// checkLinks asserts the closed forms of a run that put `packets`
+// packets of `bytes` on each link and ended at now: every link carried
+// packets*bytes on the wire (raw framing) and was busy packets*tx of
+// now, and no node dropped anything.
+func checkLinks(t *testing.T, n *Network, links []*Link, packets, bytes int, now sim.Time) {
+	t.Helper()
+	for _, l := range links {
+		if got, want := l.WireBytes(), int64(packets*bytes); got != want {
+			t.Errorf("%s: WireBytes = %d, want %d", l.Name, got, want)
+		}
+		tx := time.Duration(float64(bytes) * 8 / l.Bps * 1e9)
+		want := (time.Duration(packets) * tx).Seconds() / now.Seconds()
+		if got := l.Utilization(now); math.Abs(got-want) > 1e-12 {
+			t.Errorf("%s: Utilization = %v, want %v", l.Name, got, want)
+		}
+	}
+	for id := 0; id < n.Nodes(); id++ {
+		if d := n.Node(NodeID(id)).Drops(); d != 0 {
+			t.Errorf("%s dropped %d packets", n.Node(NodeID(id)).Name, d)
+		}
+	}
+}
+
+// A packet that finds an empty queue behind it leaves a reserved
+// link-free key, not an event: a lone packet over three hops fires
+// forward, arrival x3, relay forward x2 and deliver — 7 events where one
+// link-free event per hop made it 10.
+func TestLonePacketFiresNoLinkFreeEvents(t *testing.T) {
+	n := New(sim.NewKernel())
+	a := n.AddNode("a")
+	r1 := n.AddNode("r1", WithForwardCost(time.Microsecond, 0))
+	r2 := n.AddNode("r2", WithForwardCost(time.Microsecond, 0))
+	b := n.AddNode("b")
+	cfg := LinkConfig{Bps: 1e9, Delay: 10 * time.Microsecond, MTU: 65536}
+	links := []*Link{n.Connect(a, r1, cfg), n.Connect(r1, r2, cfg), n.Connect(r2, b, cfg)}
+	n.ComputeRoutes()
+	var arrived sim.Time
+	n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000, OnDeliver: func(*Packet) { arrived = n.K.Now() }})
+	end := n.Run()
+	if got := n.K.Fired(); got != 7 {
+		t.Errorf("lone packet fired %d events, want 7", got)
+	}
+	if want, _ := n.PathDelay(a.ID, b.ID, 1000); arrived.Sub(0) != want || end != arrived {
+		t.Errorf("delivered at %v, run ended at %v, want both %v", arrived, end, want)
+	}
+	checkLinks(t, n, links, 1, 1000, end)
+}
+
+// A back-to-back burst of N packets on one link fires one link-free
+// event per packet that has a successor queued behind it: N-1.
+func TestBurstFiresOneLinkFreeEventPerSuccessor(t *testing.T) {
+	const N, bytes = 20, 12500 // 100 µs each at 1 Gbit/s
+	n, a, b := twoHosts(LinkConfig{Name: "ab", Bps: 1e9, Delay: time.Millisecond, MTU: 65536})
+	for i := 0; i < N; i++ {
+		n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: bytes})
+	}
+	end := n.Run()
+	// forward, arrival and deliver per packet, plus the link-free events.
+	if got, want := n.K.Fired()-3*N, int64(N-1); got != want {
+		t.Errorf("burst of %d fired %d link-free events, want %d", N, got, want)
+	}
+	if want := sim.Time(N*100*time.Microsecond + time.Millisecond); end != want {
+		t.Errorf("run ended at %v, want %v", end, want)
+	}
+	checkLinks(t, n, []*Link{a.ifaces[0].link}, N, bytes, end)
+}
+
+// A packet forwarded at the very instant the link frees sees the link
+// exactly as the event order has it: a forward keyed before the
+// reserved link-free key finds the link busy (the key is materialized
+// and fires to send it), one keyed after finds it idle and sends at
+// once. Either way the packet leaves at that instant.
+func TestForwardAtLinkFreeInstant(t *testing.T) {
+	const bytes = 12500
+	const tx = 100 * time.Microsecond // bytes at 1 Gbit/s
+	cfg := LinkConfig{Bps: 1e9, Delay: time.Millisecond, MTU: 65536}
+	for _, c := range []struct {
+		name     string
+		linkFree int64 // link-free events fired
+	}{
+		{"forward keyed before the link-free key", 1},
+		{"forward keyed after the link-free key", 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			n := New(k)
+			a := n.AddNode("a")
+			b := n.AddNode("b")
+			n.Connect(a, b, cfg)
+			n.ComputeRoutes()
+			var second sim.Time
+			p2 := &Packet{Src: a.ID, Dst: b.ID, Bytes: bytes, OnDeliver: func(*Packet) { second = k.Now() }}
+			wantFired := int64(6) // forward, arrival, deliver x2
+			if c.linkFree == 1 {
+				// A host-rate cap equal to the link rate schedules both
+				// forwards now: p1's at tx, p2's at 2tx — keyed before
+				// the link-free key p1's transmit reserves for 2tx.
+				a.HostBps = cfg.Bps
+				n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: bytes})
+				n.Send(p2)
+			} else {
+				// p2 is sent from an event at the link-free instant,
+				// so its forward is keyed after the reservation.
+				n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: bytes})
+				k.At(sim.Time(tx), func() { n.Send(p2) })
+				wantFired++
+			}
+			n.Run()
+			if got := k.Fired() - wantFired; got != c.linkFree {
+				t.Errorf("fired %d link-free events, want %d", got, c.linkFree)
+			}
+			start := sim.Time(tx)
+			if c.linkFree == 1 {
+				start += sim.Time(tx) // p1 itself waited tx for the host
+			}
+			if want := start.Add(tx + cfg.Delay); second != want {
+				t.Errorf("second packet delivered at %v, want %v", second, want)
+			}
+		})
+	}
+}
+
 func TestBadLinkPanics(t *testing.T) {
 	k := sim.NewKernel()
 	n := New(k)

@@ -23,15 +23,16 @@ type part struct {
 }
 
 // xqDeliver injects one cross-partition arrival into the receiving
-// node's kernel. It is the pdes.Queue deliver hook, running on the
-// receiver's goroutine after the window-closing barrier.
+// node's kernel, through the link direction's arrival lane. It is the
+// pdes.Queue deliver hook, running on the receiver's goroutine after the
+// window-closing barrier.
 type xqDeliver struct {
-	k  *sim.Kernel
-	nd *Node
+	lane *sim.Lane
+	nd   *Node
 }
 
 func (d *xqDeliver) deliver(p unsafe.Pointer, at sim.Time) {
-	d.k.AtFunc(at, arriveStep, unsafe.Pointer(d.nd), p)
+	d.lane.AtFunc(at, arriveStep, unsafe.Pointer(d.nd), p)
 }
 
 // Partition splits the network into up to k partitions, cutting every
@@ -164,6 +165,11 @@ func (n *Network) wire(comp []int, compPart []int) {
 		nd.k = pt.k
 		nd.pool = pt.pool
 	}
+	for _, nd := range n.nodes {
+		for _, ifc := range nd.ifaces {
+			ifc.arrivals = ifc.peer.node.k.NewLane()
+		}
+	}
 	members := make([]*pdes.Member, k)
 	for p := range members {
 		members[p] = &pdes.Member{K: n.parts[p].k}
@@ -176,7 +182,7 @@ func (n *Network) wire(comp []int, compPart []int) {
 			if sp == rp {
 				continue
 			}
-			d := &xqDeliver{k: peer.k, nd: peer}
+			d := &xqDeliver{lane: ifc.arrivals, nd: peer}
 			ifc.xq = pdes.NewQueue(64, sp, ifc.link.Delay, d.deliver)
 			members[rp].In = append(members[rp].In, ifc.xq)
 			if ifc.link.Delay < lookahead {

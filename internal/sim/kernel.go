@@ -3,18 +3,38 @@
 // The kernel drives a virtual clock measured in integer nanoseconds.
 // Work is expressed either as timed callbacks (Event) or as cooperative
 // processes (Proc) that block in virtual time on sleeps, channels and
-// resources. At most one process runs at any instant, and events with
-// equal timestamps fire in scheduling order, so simulations are fully
-// deterministic and independent of the host scheduler.
+// resources. At most one process runs at any instant, so simulations are
+// fully deterministic and independent of the host scheduler.
 //
-// The event queue is an index-tracked 4-ary min-heap over a pooled
-// freelist of event records: scheduling, firing and cancelling events
-// on the hot path performs no heap allocation and no interface boxing
-// once the pool is warm. Callbacks that would otherwise capture their
-// arguments in a per-event closure can use AtFunc/AfterFunc, which
-// carry two raw pointer arguments inside the event record itself. An
-// event record is exactly one cache line (64 bytes, size-asserted in
-// the tests), so the 4-ary heap touches two records per line.
+// # Ordering contract
+//
+// Every event carries a key (at, seq): its virtual time and a sequence
+// number the kernel hands out in scheduling order. Events fire in
+// increasing key order — always; equal timestamps fire in scheduling
+// order. The structures below decide only how much keeping that order
+// costs, never the order itself:
+//
+//   - The heap: an index-tracked 4-ary min-heap over a pooled freelist of
+//     event records. Scheduling, firing and cancelling perform no heap
+//     allocation and no interface boxing once the pool is warm; AtFunc
+//     carries two raw pointer arguments inside the record instead of a
+//     per-event closure. A record is exactly one cache line (64 bytes,
+//     size-asserted in the tests), so a sift touches two records per line.
+//   - The vacant root: Step leaves the fired event's root slot empty
+//     while its callback runs. The callback's first schedule fills the
+//     slot with one sift-down; only if nothing was scheduled does the last
+//     element move up, when the queue is next inspected. An event that
+//     schedules its successor pays one sift instead of two.
+//   - Lanes: a Lane is a FIFO stream of closure-free callbacks whose times
+//     never decrease (netsim's arrivals over one link direction). Only its
+//     head sits in the heap, under that entry's own key; the rest wait in
+//     a ring, so the heap holds one record per busy lane instead of one per
+//     packet in flight.
+//   - Reserved keys: Reserve takes the seq an event scheduled now would
+//     get without scheduling anything, Passed reports whether that key's
+//     turn has come and gone, and Materialize schedules a callback under
+//     the key while it has not. An event that would only find nothing to
+//     do (netsim's "link free again" with an empty queue) need never exist.
 //
 // The kernel underpins the network model (internal/netsim), the machine
 // cost models (internal/machine) and every experiment driver in this
@@ -55,13 +75,17 @@ func (t Time) Add(d time.Duration) Time {
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
 // Duration converts a floating-point number of seconds to a
-// time.Duration, saturating instead of overflowing for huge values.
+// time.Duration, saturating at 1<<62 ns instead of overflowing for huge
+// values and +Inf. Negative inputs, -Inf and NaN map to 0: Go leaves the
+// float-to-int conversion of NaN implementation-defined (math.MinInt64
+// on amd64), which would otherwise surface as a bogus "scheduled before
+// now" panic.
 func Duration(seconds float64) time.Duration {
 	const maxSec = float64(1<<62) / 1e9
 	if seconds > maxSec {
 		return time.Duration(1 << 62)
 	}
-	if seconds < 0 {
+	if !(seconds > 0) {
 		return 0
 	}
 	return time.Duration(seconds * 1e9)
@@ -123,7 +147,10 @@ func (ev Event) Pending() bool {
 type Kernel struct {
 	now      Time
 	seq      uint64
+	cur      uint64        // seq of the event firing now (the last fired)
 	heap     []*event      // 4-ary min-heap ordered by (at, seq)
+	vacant   bool          // heap[0] is the fired event's slot, not yet refilled
+	laned    int           // lane entries waiting behind their lane's head
 	free     []*event      // recycled event records
 	ctl      chan struct{} // handshake: proc -> kernel (parked or exited)
 	procs    int           // live (started, not yet finished) processes
@@ -141,7 +168,7 @@ type Kernel struct {
 	bounded bool
 	bound   Time
 
-	fired int64 // events fired since creation
+	fired int64 // callbacks executed since creation
 }
 
 // NewKernel returns a kernel with the clock at zero and no pending
@@ -153,11 +180,15 @@ func NewKernel() *Kernel {
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// alloc takes an event record from the pool (or makes one) and stamps
-// its schedule.
-func (k *Kernel) alloc(t Time) *event {
+// schedule takes an event record from the pool (or makes one), keys it
+// (t, seq) and inserts it into the heap: into the vacant root with one
+// sift-down when the event that just fired left it, else at the bottom
+// with a sift-up. Scheduling in the past panics: the caller has violated
+// causality. Callers set the callback fields afterwards; the heap orders
+// by key alone.
+func (k *Kernel) schedule(t Time, seq uint64) *event {
 	if t < k.now {
-		panic(fmt.Sprintf("sim: event scheduled at %v before now %v", t, k.now))
+		k.past(t)
 	}
 	var e *event
 	if n := len(k.free); n > 0 {
@@ -167,10 +198,29 @@ func (k *Kernel) alloc(t Time) *event {
 	} else {
 		e = &event{}
 	}
-	k.seq++
 	e.at = t
-	e.seq = k.seq
+	e.seq = seq
+	if k.vacant {
+		k.vacant = false
+		k.heap[0] = e
+		k.siftDown(0)
+	} else {
+		k.heap = append(k.heap, e)
+		k.siftUp(len(k.heap) - 1)
+	}
 	return e
+}
+
+// scheduleNext is schedule under the next seq, which is consumed only
+// once the schedule is accepted.
+func (k *Kernel) scheduleNext(t Time) *event {
+	e := k.schedule(t, k.seq+1)
+	k.seq++
+	return e
+}
+
+func (k *Kernel) past(t Time) {
+	panic(fmt.Sprintf("sim: event scheduled at %v before now %v", t, k.now))
 }
 
 // release recycles a record that has fired or been cancelled. Bumping
@@ -188,9 +238,8 @@ func (k *Kernel) release(e *event) {
 // At schedules fn to run at virtual time t. Scheduling in the past is an
 // error and panics: the caller has violated causality.
 func (k *Kernel) At(t Time, fn func()) Event {
-	e := k.alloc(t)
+	e := k.scheduleNext(t)
 	e.fn = fn
-	k.push(e)
 	return Event{e: e, gen: e.gen}
 }
 
@@ -210,11 +259,10 @@ func (k *Kernel) After(d time.Duration, fn func()) Event {
 // the event record inside a single cache line and hot paths that
 // schedule per-packet work allocation-free.
 func (k *Kernel) AtFunc(t Time, fn func(a0, a1 unsafe.Pointer), a0, a1 unsafe.Pointer) Event {
-	e := k.alloc(t)
+	e := k.scheduleNext(t)
 	e.fn2 = fn
 	e.a0 = a0
 	e.a1 = a1
-	k.push(e)
 	return Event{e: e, gen: e.gen}
 }
 
@@ -227,6 +275,39 @@ func (k *Kernel) AfterFunc(d time.Duration, fn func(a0, a1 unsafe.Pointer), a0, 
 	return k.AtFunc(k.now.Add(d), fn, a0, a1)
 }
 
+// Reserve consumes and returns the seq an event scheduled now would get,
+// without scheduling anything: (t, Reserve()) is the key an At(t, …) in
+// its place would have had. Materialize turns the key into an event
+// while Passed reports false; a key never materialized fires nothing and
+// is not counted by Fired or Pending.
+func (k *Kernel) Reserve() uint64 {
+	k.seq++
+	return k.seq
+}
+
+// Passed reports whether an event keyed (at, seq) would already have
+// fired: at is before now, or at is now and seq is below the seq of the
+// event currently firing. It is exact in event context — inside a
+// callback or a running Proc — which is where a reserved key is
+// decided.
+func (k *Kernel) Passed(at Time, seq uint64) bool {
+	return at < k.now || at == k.now && seq < k.cur
+}
+
+// Materialize schedules fn(a0, a1) under the reserved key (at, seq), so
+// it fires exactly where an AtFunc(at, …) made at Reserve time would
+// have. The key must come from Reserve and must not have passed.
+func (k *Kernel) Materialize(at Time, seq uint64, fn func(a0, a1 unsafe.Pointer), a0, a1 unsafe.Pointer) Event {
+	if seq == 0 || seq > k.seq || k.Passed(at, seq) {
+		panic(fmt.Sprintf("sim: Materialize(%v, %d): key not reserved or already passed (now %v, seq %d)", at, seq, k.now, k.cur))
+	}
+	e := k.schedule(at, seq)
+	e.fn2 = fn
+	e.a0 = a0
+	e.a1 = a1
+	return Event{e: e, gen: e.gen}
+}
+
 // Cancel removes a pending event. Cancelling the zero Event, or an
 // event that already fired or was already cancelled, is a no-op.
 func (k *Kernel) Cancel(ev Event) {
@@ -234,12 +315,22 @@ func (k *Kernel) Cancel(ev Event) {
 	if e == nil || e.gen != ev.gen || e.index < 0 {
 		return
 	}
+	if k.vacant {
+		k.refill()
+	}
 	k.remove(int(e.index))
 	k.release(e)
 }
 
-// Pending reports the number of events waiting to fire.
-func (k *Kernel) Pending() int { return len(k.heap) }
+// Pending reports the number of events waiting to fire, lane entries
+// included.
+func (k *Kernel) Pending() int {
+	n := len(k.heap) + k.laned
+	if k.vacant {
+		n--
+	}
+	return n
+}
 
 // AdvanceTo moves the clock forward to t without firing anything — the
 // quiescent resynchronization a parallel group does when its kernels
@@ -251,21 +342,30 @@ func (k *Kernel) AdvanceTo(t Time) {
 	if t <= k.now {
 		return
 	}
-	if len(k.heap) > 0 && k.heap[0].at < t {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) past pending event at %v", t, k.heap[0].at))
+	if e := k.next(); e != nil && e.at < t {
+		panic(fmt.Sprintf("sim: AdvanceTo(%v) past pending event at %v", t, e.at))
 	}
 	k.now = t
 }
 
-// Step fires the single earliest pending event, advancing the clock to
-// its timestamp. It reports whether an event was fired.
-func (k *Kernel) Step() bool {
-	if len(k.heap) == 0 {
-		return false
+// next returns the earliest pending event, refilling a vacant root
+// first, or nil when none is pending.
+func (k *Kernel) next() *event {
+	if k.vacant {
+		k.refill()
 	}
-	e := k.heap[0]
-	k.remove(0)
+	if len(k.heap) == 0 {
+		return nil
+	}
+	return k.heap[0]
+}
+
+// fire runs e, the root next returned: the clock moves to its time and
+// the root slot stays vacant for the callback's first schedule.
+func (k *Kernel) fire(e *event) {
+	k.vacant = true
 	k.now = e.at
+	k.cur = e.seq
 	k.fired++
 	// Capture the callback, then recycle the record *before* running
 	// it, so the callback can schedule new events into the warm pool.
@@ -281,6 +381,16 @@ func (k *Kernel) Step() bool {
 		k.panicVal = nil
 		panic(v)
 	}
+}
+
+// Step fires the single earliest pending event, advancing the clock to
+// its timestamp. It reports whether an event was fired.
+func (k *Kernel) Step() bool {
+	e := k.next()
+	if e == nil {
+		return false
+	}
+	k.fire(e)
 	return true
 }
 
@@ -289,7 +399,12 @@ func (k *Kernel) Step() bool {
 func (k *Kernel) Run() Time {
 	k.stopped = false
 	k.running, k.bounded = true, false
-	for !k.stopped && k.Step() {
+	for !k.stopped {
+		e := k.next()
+		if e == nil {
+			break
+		}
+		k.fire(e)
 	}
 	k.running = false
 	return k.now
@@ -300,8 +415,12 @@ func (k *Kernel) Run() Time {
 func (k *Kernel) RunUntil(t Time) Time {
 	k.stopped = false
 	k.running, k.bounded, k.bound = true, true, t
-	for !k.stopped && len(k.heap) > 0 && k.heap[0].at <= t {
-		k.Step()
+	for !k.stopped {
+		e := k.next()
+		if e == nil || e.at > t {
+			break
+		}
+		k.fire(e)
 	}
 	k.running, k.bounded = false, false
 	if k.now < t {
@@ -322,26 +441,32 @@ func (k *Kernel) RunUntil(t Time) Time {
 func (k *Kernel) RunBefore(h Time) Time {
 	k.stopped = false
 	k.running, k.bounded, k.bound = true, true, h-1
-	for !k.stopped && len(k.heap) > 0 && k.heap[0].at < h {
-		k.Step()
+	for !k.stopped {
+		e := k.next()
+		if e == nil || e.at >= h {
+			break
+		}
+		k.fire(e)
 	}
 	k.running, k.bounded = false, false
 	return k.now
 }
 
-// Fired reports the number of events this kernel has fired since its
-// creation. It is a deterministic measure of the work a partition
-// carried — the load signal conservative parallel groups use to
-// rebalance — and is cheap enough to maintain unconditionally.
+// Fired reports the number of callbacks this kernel has executed since
+// its creation (a reserved key never materialized is not one). It is a
+// deterministic measure of the work a partition carried — the load
+// signal conservative parallel groups use to rebalance — and is cheap
+// enough to maintain unconditionally.
 func (k *Kernel) Fired() int64 { return k.fired }
 
 // NextEventTime reports the timestamp of the earliest pending event.
 // The second result is false when no events are pending.
 func (k *Kernel) NextEventTime() (Time, bool) {
-	if len(k.heap) == 0 {
+	e := k.next()
+	if e == nil {
 		return 0, false
 	}
-	return k.heap[0].at, true
+	return e.at, true
 }
 
 // Stop makes the innermost Run or RunUntil return after the current
@@ -352,6 +477,71 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Procs reports the number of live processes (started and not yet
 // returned).
 func (k *Kernel) Procs() int { return k.procs }
+
+// ---- Lanes ----
+
+// Lane is a FIFO stream of closure-free callbacks on one kernel whose
+// times never decrease — the arrivals over one direction of a link.
+// Each entry keeps the key an AtFunc made in its place would have had,
+// so it fires at exactly the same point of the (at, seq) order; only the
+// lane's head sits in the heap, and the rest wait in a ring that is
+// bounded by what is in flight. Create lanes with Kernel.NewLane.
+type Lane struct {
+	k    *Kernel
+	q    Ring[laneEntry]
+	last Time // time of the newest entry, while q is non-empty
+}
+
+type laneEntry struct {
+	at     Time
+	seq    uint64
+	fn     func(a0, a1 unsafe.Pointer)
+	a0, a1 unsafe.Pointer
+}
+
+// NewLane returns an empty lane on k.
+func (k *Kernel) NewLane() *Lane { return &Lane{k: k} }
+
+// AtFunc schedules fn(a0, a1) at time t, with the same key and the same
+// firing point as Kernel.AtFunc. A t before the lane's newest entry
+// would break the lane's order, so that entry goes to the heap as an
+// ordinary event instead: the order never depends on the caller.
+func (l *Lane) AtFunc(t Time, fn func(a0, a1 unsafe.Pointer), a0, a1 unsafe.Pointer) {
+	k := l.k
+	switch {
+	case l.q.Len() == 0:
+		e := k.scheduleNext(t)
+		e.fn2 = laneStep
+		e.a0 = unsafe.Pointer(l)
+	case t < l.last:
+		k.AtFunc(t, fn, a0, a1)
+		return
+	default:
+		if t < k.now {
+			k.past(t)
+		}
+		k.seq++
+		k.laned++
+	}
+	l.q.Push(laneEntry{at: t, seq: k.seq, fn: fn, a0: a0, a1: a1})
+	l.last = t
+}
+
+// laneStep fires a lane's head entry: the next entry takes the head's
+// place in the heap under its own key, then the entry's callback runs.
+func laneStep(a0, _ unsafe.Pointer) {
+	l := (*Lane)(a0)
+	k := l.k
+	ent := l.q.Pop()
+	if l.q.Len() > 0 {
+		nx := l.q.front()
+		e := k.schedule(nx.at, nx.seq)
+		e.fn2 = laneStep
+		e.a0 = a0
+		k.laned--
+	}
+	ent.fn(ent.a0, ent.a1)
+}
 
 // ---- 4-ary min-heap over *event, ordered by (at, seq) ----
 //
@@ -366,12 +556,23 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-func (k *Kernel) push(e *event) {
-	k.heap = append(k.heap, e)
-	k.siftUp(len(k.heap) - 1)
+// refill closes a root the fired event's callback left vacant: the last
+// element moves up and sifts down, as a plain pop would have done.
+func (k *Kernel) refill() {
+	k.vacant = false
+	h := k.heap
+	last := len(h) - 1
+	moved := h[last]
+	h[last] = nil
+	k.heap = h[:last]
+	if last > 0 {
+		h[0] = moved
+		k.siftDown(0)
+	}
 }
 
-// remove deletes the event at heap index i, preserving heap order.
+// remove deletes the event at heap index i, preserving heap order. The
+// root must not be vacant.
 func (k *Kernel) remove(i int) {
 	h := k.heap
 	last := len(h) - 1

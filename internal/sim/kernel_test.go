@@ -179,15 +179,27 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestDurationHelper(t *testing.T) {
-	if d := Duration(1.5); d != 1500*time.Millisecond {
-		t.Errorf("Duration(1.5) = %v", d)
+	for _, c := range []struct {
+		sec  float64
+		want time.Duration
+	}{
+		{1.5, 1500 * time.Millisecond},
+		{-1, 0},
+		{1e300, 1 << 62},
+		{math.Inf(1), 1 << 62},
+		{math.Inf(-1), 0},
+		{math.Copysign(0, -1), 0},
+		{math.NaN(), 0},
+	} {
+		if d := Duration(c.sec); d != c.want {
+			t.Errorf("Duration(%v) = %v, want %v", c.sec, d, c.want)
+		}
 	}
-	if d := Duration(-1); d != 0 {
-		t.Errorf("Duration(-1) = %v, want 0", d)
-	}
-	if d := Duration(1e300); d <= 0 {
-		t.Errorf("Duration(1e300) overflowed to %v", d)
-	}
+	// NaN used to convert to math.MinInt64 ns on amd64 and make this
+	// schedule panic "before now".
+	k := NewKernel()
+	k.At(k.Now().Add(Duration(math.NaN())), func() {})
+	k.Run()
 }
 
 func TestTimeHelpers(t *testing.T) {
@@ -282,6 +294,26 @@ func TestAtFunc(t *testing.T) {
 	if len(got) != 3 || got[0] != 20 || got[1] != 1 || got[2] != 2 {
 		t.Errorf("AtFunc callbacks produced %v, want [20 1 2]", got)
 	}
+}
+
+// A reserved key can be materialized only while its turn has not come:
+// an event keyed (0, 1) materialized at (0, 2) would fire out of order,
+// so Materialize panics instead.
+func TestMaterializePassedKeyPanics(t *testing.T) {
+	k := NewKernel()
+	seq := k.Reserve()
+	k.At(0, func() {
+		if !k.Passed(0, seq) {
+			t.Errorf("key (0, %d) has not passed at (0, %d)", seq, seq+1)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("Materialize of a passed key did not panic")
+			}
+		}()
+		k.Materialize(0, seq, func(a0, a1 unsafe.Pointer) {}, nil, nil)
+	})
+	k.Run()
 }
 
 // The event record is the unit the 4-ary heap and the freelist shuffle

@@ -120,13 +120,17 @@ func (k *Kernel) drive(p *Proc) {
 		}
 	}()
 	for k.driving == p {
-		if k.stopped || len(k.heap) == 0 || (k.bounded && k.heap[0].at > k.bound) {
+		var e *event
+		if !k.stopped {
+			e = k.next()
+		}
+		if e == nil || (k.bounded && e.at > k.bound) {
 			k.driving = nil
 			k.ctl <- struct{}{}
 			<-p.wake
 			return
 		}
-		k.Step()
+		k.fire(e)
 	}
 }
 

@@ -30,6 +30,9 @@ func (r *Ring[T]) Push(v T) {
 	r.n++
 }
 
+// front returns the head-of-line slot; the ring must not be empty.
+func (r *Ring[T]) front() *T { return &r.buf[r.head] }
+
 // Pop removes and returns the head-of-line value. It panics on an empty
 // ring (check Len first), like an out-of-range slice index.
 func (r *Ring[T]) Pop() T {
