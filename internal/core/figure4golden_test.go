@@ -65,3 +65,29 @@ func TestFigure4Golden(t *testing.T) {
 		t.Errorf("figure4-workbench\n got %+v\nwant %+v (%s)", got, want, path)
 	}
 }
+
+// TestFigure4WorkbenchAllocatesNoVolume bounds what one figure4 run
+// allocates. Rendering from whole volumes cost 75.5 MB (anatomy,
+// brain mask, upsampled map); plane by plane it is a few 256x256
+// buffers and the PNG encoder, so a single 33 MB volume coming back
+// fails the bound.
+func TestFigure4WorkbenchAllocatesNoVolume(t *testing.T) {
+	const bound = 4 << 20
+	tb := New(Config{})
+	var least uint64
+	for i := 0; i < 3; i++ { // the least of three: TotalAlloc is process-wide
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := figure4WorkbenchOn(context.Background(), tb); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < least {
+			least = n
+		}
+	}
+	if least >= bound {
+		t.Errorf("figure4WorkbenchOn allocates %.1f MB, want under %d MB", float64(least)/(1<<20), bound>>20)
+	}
+	t.Logf("figure4WorkbenchOn allocates %.2f MB", float64(least)/(1<<20))
+}

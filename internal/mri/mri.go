@@ -125,6 +125,19 @@ type Phantom struct {
 func NewPhantom(nx, ny, nz int, acts []Activation) *Phantom {
 	v := volume.New(nx, ny, nz)
 	mask := make([]bool, v.Voxels())
+	plane, n := HeadPlanes(nx, ny, nz), nx*ny
+	for z := 0; z < nz; z++ {
+		plane(z, v.Data[z*n:(z+1)*n], mask[z*n:(z+1)*n])
+	}
+	return &Phantom{Anatomy: v, BrainMask: mask, Activations: acts}
+}
+
+// HeadPlanes is the phantom's nx x ny x nz anatomy as a plane
+// generator, so a consumer of a large head (figure 4's 256x256x128)
+// never holds the whole volume: plane(z, dst, mask) writes z-plane z,
+// nx*ny voxels x fastest, into dst and, unless mask is nil, whether each
+// voxel is brain into mask.
+func HeadPlanes(nx, ny, nz int) (plane func(z int, dst []float32, mask []bool)) {
 	cx, cy, cz := float64(nx-1)/2, float64(ny-1)/2, float64(nz-1)/2
 	rx, ry, rz := float64(nx)*0.42, float64(ny)*0.42, float64(nz)*0.46
 	// Everything that depends on one coordinate only — the ellipsoid
@@ -142,26 +155,26 @@ func NewPhantom(nx, ny, nz int, acts []Activation) *Phantom {
 	sinX := axis(nx, func(x float64) float64 { return math.Sin(x * 0.4) })
 	cosY := axis(ny, func(y float64) float64 { return math.Cos(y * 0.3) })
 	sinZ := axis(nz, math.Sin)
-	idx := 0
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				ex, ey, ez := exs[x], eys[y], ezs[z]
+	return func(z int, dst []float32, mask []bool) {
+		ez, sz, i := ezs[z], sinZ[z], 0
+		for y, ey := range eys {
+			for x, ex := range exs {
 				r := ex*ex + ey*ey + ez*ez
 				switch {
 				case r < 0.75: // brain tissue with mild spatial texture
-					v.Data[idx] = float32(800 + 150*sinX[x]*cosY[y] + 50*sinZ[z])
-					mask[idx] = true
+					dst[i] = float32(800 + 150*sinX[x]*cosY[y] + 50*sz)
 				case r < 1.0: // skull/scalp shell
-					v.Data[idx] = 300
+					dst[i] = 300
 				default: // air
-					v.Data[idx] = 0
+					dst[i] = 0
 				}
-				idx++
+				if mask != nil {
+					mask[i] = r < 0.75
+				}
+				i++
 			}
 		}
 	}
-	return &Phantom{Anatomy: v, BrainMask: mask, Activations: acts}
 }
 
 // ActivationWeight reports the activation envelope of site a at voxel

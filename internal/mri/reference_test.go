@@ -45,6 +45,51 @@ func referencePhantom(nx, ny, nz int) (*volume.Volume, []bool) {
 	return v, mask
 }
 
+// tabulatedPhantom is NewPhantom as it was before the head became a
+// plane generator: the per-axis tables and one loop over the whole
+// volume.
+func tabulatedPhantom(nx, ny, nz int) (*volume.Volume, []bool) {
+	v := volume.New(nx, ny, nz)
+	mask := make([]bool, v.Voxels())
+	cx, cy, cz := float64(nx-1)/2, float64(ny-1)/2, float64(nz-1)/2
+	rx, ry, rz := float64(nx)*0.42, float64(ny)*0.42, float64(nz)*0.46
+	// Everything that depends on one coordinate only — the ellipsoid
+	// offsets and the texture's trigonometry — is tabulated per axis.
+	axis := func(n int, f func(i float64) float64) []float64 {
+		t := make([]float64, n)
+		for i := range t {
+			t[i] = f(float64(i))
+		}
+		return t
+	}
+	exs := axis(nx, func(x float64) float64 { return (x - cx) / rx })
+	eys := axis(ny, func(y float64) float64 { return (y - cy) / ry })
+	ezs := axis(nz, func(z float64) float64 { return (z - cz) / rz })
+	sinX := axis(nx, func(x float64) float64 { return math.Sin(x * 0.4) })
+	cosY := axis(ny, func(y float64) float64 { return math.Cos(y * 0.3) })
+	sinZ := axis(nz, math.Sin)
+	idx := 0
+	for z := 0; z < nz; z++ {
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				ex, ey, ez := exs[x], eys[y], ezs[z]
+				r := ex*ex + ey*ey + ez*ez
+				switch {
+				case r < 0.75: // brain tissue with mild spatial texture
+					v.Data[idx] = float32(800 + 150*sinX[x]*cosY[y] + 50*sinZ[z])
+					mask[idx] = true
+				case r < 1.0: // skull/scalp shell
+					v.Data[idx] = 300
+				default: // air
+					v.Data[idx] = 0
+				}
+				idx++
+			}
+		}
+	}
+	return v, mask
+}
+
 // referenceSeries synthesizes cfg.NScans volumes the way Next did
 // before the activation envelopes were precomputed: ActivationWeight
 // (a Sqrt and a Cos) per brain voxel per activation per scan, and the
@@ -126,6 +171,40 @@ func TestPhantomEqualsDirectFormulaBitForBit(t *testing.T) {
 		want, wantMask := referencePhantom(d[0], d[1], d[2])
 		if digest(ph.BrainMask, ph.Anatomy) != digest(wantMask, want) {
 			t.Errorf("%dx%dx%d phantom differs from the direct formula", d[0], d[1], d[2])
+		}
+	}
+}
+
+// NewPhantom fills its volume through HeadPlanes; a consumer that asks
+// for planes into reused buffers — stale voxels and mask bits left over
+// from a previous plane, or no mask at all — must get the same bits.
+func TestHeadPlanesEqualTabulatedPhantomBitForBit(t *testing.T) {
+	for _, d := range [][3]int{{64, 64, 16}, {256, 256, 128}, {5, 1, 3}, {7, 9, 1}, {1, 1, 1}} {
+		want, wantMask := tabulatedPhantom(d[0], d[1], d[2])
+		ph := NewPhantom(d[0], d[1], d[2], nil)
+		if digest(ph.BrainMask, ph.Anatomy) != digest(wantMask, want) {
+			t.Errorf("%dx%dx%d: NewPhantom differs from the tabulated whole-volume loop", d[0], d[1], d[2])
+		}
+		n := d[0] * d[1]
+		head, anat, mask := HeadPlanes(d[0], d[1], d[2]), volume.New(d[0], d[1], d[2]), make([]bool, n*d[2])
+		plane, planeMask := make([]float32, n), make([]bool, n)
+		for i := range plane {
+			plane[i], planeMask[i] = float32(math.NaN()), true
+		}
+		for z := 0; z < d[2]; z++ {
+			head(z, plane, planeMask)
+			copy(anat.Data[z*n:], plane)
+			copy(mask[z*n:], planeMask)
+		}
+		if digest(mask, anat) != digest(wantMask, want) {
+			t.Errorf("%dx%dx%d: planes into reused buffers differ from the tabulated loop", d[0], d[1], d[2])
+		}
+		anat.Fill(float32(math.NaN()))
+		for z := 0; z < d[2]; z++ {
+			head(z, anat.Data[z*n:(z+1)*n], nil)
+		}
+		if digest(nil, anat) != digest(nil, want) {
+			t.Errorf("%dx%dx%d: maskless planes differ from the tabulated loop", d[0], d[1], d[2])
 		}
 	}
 }

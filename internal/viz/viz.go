@@ -2,7 +2,8 @@
 // project: the 2-D overlay display of the FIRE GUI (figure 3), the
 // merge of the functional data with the high-resolution anatomical
 // head scan for 3-D display (figure 4), a maximum-intensity-projection
-// renderer standing in for AVS/AVOCADO, and the Responsive Workbench
+// renderer standing in for AVS/AVOCADO — both streaming z-planes, so no
+// 256x256x128 volume is built — and the Responsive Workbench
 // frame-streaming arithmetic that section 4 quotes ("less than 8
 // frames/second over a 622 Mbit/s ATM network using classical IP").
 package viz
@@ -63,11 +64,11 @@ func RenderOverlay(anat, corr *volume.Volume, z int, clip float64) (*image.RGBA,
 // WritePNG encodes an image as PNG.
 func WritePNG(w io.Writer, img image.Image) error { return png.Encode(w, img) }
 
-// MergeFunctional upsamples the functional correlation map onto the
-// high-resolution anatomical grid (trilinear), as done before display
-// on the Onyx 2: "it is merged with a high resolution (256x256x128
-// voxels) image of the subject's head". It returns the upsampled map.
-func MergeFunctional(anatHi, corr *volume.Volume) *volume.Volume {
+// MergeSampler upsamples the functional correlation map onto an
+// nx x ny x nz high-resolution anatomical grid (trilinear), one z-plane
+// at a time, as done before display on the Onyx 2: "it is merged with a
+// high resolution (256x256x128 voxels) image of the subject's head".
+func MergeSampler(corr *volume.Volume, nx, ny, nz int) (plane func(z int, dst []float32)) {
 	// axis maps target voxels 0..n-1 onto source coordinates 0..src-1;
 	// a one-voxel target axis samples coordinate 0.
 	axis := func(n, src int) []float64 {
@@ -80,53 +81,67 @@ func MergeFunctional(anatHi, corr *volume.Volume) *volume.Volume {
 		}
 		return cs
 	}
-	return corr.Resample(axis(anatHi.NX, corr.NX), axis(anatHi.NY, corr.NY), axis(anatHi.NZ, corr.NZ))
+	return corr.PlaneSampler(axis(nx, corr.NX), axis(ny, corr.NY), axis(nz, corr.NZ))
 }
 
-// RenderMIP produces a maximum-intensity projection of the anatomy
-// along z with activated regions (upsampled correlation >= clip)
-// highlighted — the figure-4 style "light areas are regions of the
-// brain that are activated" rendering.
-func RenderMIP(anatHi, funcHi *volume.Volume, clip float64) (*image.RGBA, error) {
-	if !anatHi.SameShape(funcHi) {
-		return nil, fmt.Errorf("viz: merged volumes differ in shape")
+// MIP accumulates, from z-planes handed to Add, a maximum-intensity
+// projection of the anatomy along z with activated regions (upsampled
+// correlation >= clip) highlighted: figure 4's "light areas are regions
+// of the brain that are activated". Per pixel it keeps the running peak
+// and an OR of activity, so the plane order does not matter, and over
+// all voxels the anatomy's range, seeded from the first as MinMax does.
+type MIP struct {
+	nx       int
+	clip     float64
+	peak     []float32
+	active   []bool
+	min, max float32
+	seeded   bool
+}
+
+// NewMIP starts an empty nx x ny projection.
+func NewMIP(nx, ny int, clip float64) *MIP {
+	return &MIP{nx: nx, clip: clip, peak: make([]float32, nx*ny), active: make([]bool, nx*ny)}
+}
+
+// Add folds in one z-plane of the anatomy and the same plane of the
+// upsampled map, nx*ny voxels each, x fastest.
+func (m *MIP) Add(anat, fn []float32) {
+	if !m.seeded {
+		m.min, m.max, m.seeded = anat[0], anat[0], true
 	}
-	min, max := anatHi.MinMax()
+	for p, v := range anat {
+		if v > m.peak[p] {
+			m.peak[p] = v
+		}
+		if v < m.min {
+			m.min = v
+		}
+		if v > m.max {
+			m.max = v
+		}
+		if float64(fn[p]) >= m.clip {
+			m.active[p] = true
+		}
+	}
+}
+
+// Image renders the planes added so far.
+func (m *MIP) Image() *image.RGBA {
 	scale := 1.0
-	if max > min {
-		scale = 200 / float64(max-min)
+	if m.max > m.min {
+		scale = 200 / float64(m.max-m.min)
 	}
-	// Walk the planes in memory order, keeping per pixel the running
-	// peak and whether any voxel of its column is active — a max and an
-	// OR, so the z order does not matter.
-	pixels := anatHi.NX * anatHi.NY
-	peak := make([]float32, pixels)
-	active := make([]bool, pixels)
-	for z := 0; z < anatHi.NZ; z++ {
-		anat := anatHi.Data[z*pixels : (z+1)*pixels]
-		fn := funcHi.Data[z*pixels : (z+1)*pixels]
-		for p, v := range anat {
-			if v > peak[p] {
-				peak[p] = v
-			}
-			if float64(fn[p]) >= clip {
-				active[p] = true
-			}
+	img := image.NewRGBA(image.Rect(0, 0, m.nx, len(m.peak)/m.nx))
+	for p, v := range m.peak {
+		g := uint8(float64(v-m.min) * scale)
+		c := color.RGBA{g, g, g, 255}
+		if m.active[p] {
+			c = color.RGBA{255, 200, g / 2, 255}
 		}
+		img.SetRGBA(p%m.nx, p/m.nx, c)
 	}
-	img := image.NewRGBA(image.Rect(0, 0, anatHi.NX, anatHi.NY))
-	for y := 0; y < anatHi.NY; y++ {
-		for x := 0; x < anatHi.NX; x++ {
-			p := x + anatHi.NX*y
-			g := uint8(float64(peak[p]-min) * scale)
-			if active[p] {
-				img.SetRGBA(x, y, color.RGBA{255, uint8(200), uint8(g / 2), 255})
-			} else {
-				img.SetRGBA(x, y, color.RGBA{g, g, g, 255})
-			}
-		}
-	}
-	return img, nil
+	return img
 }
 
 // Workbench frame arithmetic (section 4): "the workbench has two

@@ -5,11 +5,10 @@
 // uses on the T3E).
 //
 // Two trilinear samplers give the same bits: Trilinear is the point
-// sampler, for one coordinate or coordinates with no structure;
-// Resample takes a tensor grid (one coordinate list per axis) and is
-// what anything producing a whole volume — Shift, the functional merge
-// for the workbench — should call, because it does the per-coordinate
-// work once per axis entry rather than once per voxel.
+// sampler; PlaneSampler takes a tensor grid (one coordinate list per
+// axis), does the per-coordinate work once per axis entry, and yields
+// the grid one z-plane at a time — how the workbench merge streams the
+// upsampled map. Resample and Shift collect its planes into a volume.
 package volume
 
 import (
@@ -159,24 +158,20 @@ func axisTaps(coords []float64, n int) []tap {
 	return taps
 }
 
-// Resample samples the volume trilinearly, with edge clamping, on the
-// tensor grid xs x ys x zs of fractional coordinates: output voxel
-// (i, j, k) is Trilinear(xs[i], ys[j], zs[k]), bit for bit. The grid
-// being separable, the floor, clamps and weights are computed once per
-// axis entry instead of once per voxel, and the four source rows once
-// per output row.
-func (v *Volume) Resample(xs, ys, zs []float64) *Volume {
-	out := New(len(xs), len(ys), len(zs))
+// PlaneSampler samples the volume trilinearly, with edge clamping, on
+// the tensor grid xs x ys x zs of fractional coordinates, one output
+// z-plane at a time: the returned plane(k, dst) writes len(xs)*len(ys)
+// voxels, x fastest, into dst, voxel (i, j) being Trilinear(xs[i],
+// ys[j], zs[k]) bit for bit. The grid being separable, the floor, clamps
+// and weights are computed once per axis entry instead of once per
+// voxel, and the four source rows once per output row.
+func (v *Volume) PlaneSampler(xs, ys, zs []float64) (plane func(k int, dst []float32)) {
 	tx, ty, tz := axisTaps(xs, v.NX), axisTaps(ys, v.NY), axisTaps(zs, v.NZ)
-	row := func(y, z int) []float32 {
-		start := v.Idx(0, y, z)
-		return v.Data[start : start+v.NX]
-	}
-	dst := out.Data
-	for _, z := range tz {
+	return func(k int, dst []float32) {
+		z := tz[k]
 		for _, y := range ty {
-			r00, r10 := row(y.i0, z.i0), row(y.i1, z.i0)
-			r01, r11 := row(y.i0, z.i1), row(y.i1, z.i1)
+			r00, r10 := v.row(y.i0, z.i0), v.row(y.i1, z.i0)
+			r01, r11 := v.row(y.i0, z.i1), v.row(y.i1, z.i1)
 			for i, x := range tx {
 				c00 := float64(r00[x.i0])*(1-x.f) + float64(r00[x.i1])*x.f
 				c10 := float64(r10[x.i0])*(1-x.f) + float64(r10[x.i1])*x.f
@@ -188,6 +183,21 @@ func (v *Volume) Resample(xs, ys, zs []float64) *Volume {
 			}
 			dst = dst[len(tx):]
 		}
+	}
+}
+
+// row returns source row (y, z).
+func (v *Volume) row(y, z int) []float32 {
+	start := v.Idx(0, y, z)
+	return v.Data[start : start+v.NX]
+}
+
+// Resample returns the whole grid xs x ys x zs, plane by plane.
+func (v *Volume) Resample(xs, ys, zs []float64) *Volume {
+	out := New(len(xs), len(ys), len(zs))
+	plane, n := v.PlaneSampler(xs, ys, zs), len(xs)*len(ys)
+	for k := range zs {
+		plane(k, out.Data[k*n:(k+1)*n])
 	}
 	return out
 }
