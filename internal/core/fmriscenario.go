@@ -8,7 +8,6 @@ import (
 	"repro/internal/mri"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/volume"
 )
 
 // FMRIScenario is the full figure-2 dataflow as a discrete-event
@@ -93,9 +92,9 @@ func RunFMRIScenario(cfg Config, sc FMRIScenario) (FMRIScenarioResult, error) {
 		}
 		hosts[name] = id
 	}
-	rawBytes := volume.New(sc.NX, sc.NY, sc.NZ).Bytes()
-	funcBytes := rawBytes            // correlation map, same matrix
-	frameBytes := 2 * 1024 * 768 * 3 // one stereo pair for the workbench
+	rawBytes := sc.NX * sc.NY * sc.NZ * 4 // float32 voxels
+	funcBytes := rawBytes                 // correlation map, same matrix
+	frameBytes := 2 * 1024 * 768 * 3      // one stereo pair for the workbench
 
 	type frameStamp struct {
 		scanEnd sim.Time
