@@ -10,6 +10,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -18,22 +19,34 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	out := flag.String("out", "head.png", "output PNG path")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, runs the scenario, prints its report to stdout and
+// writes the rendered head to -out.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("workbench", flag.ContinueOnError)
+	out := fs.String("out", "head.png", "output PNG path")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	rep, err := gtw.Run(context.Background(), "figure4-workbench")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Print(rep.Text())
-	fmt.Println("(the paper: 'less than 8 frames/second ... over a 622 Mbit/s ATM network using classical IP')")
+	fmt.Fprint(stdout, rep.Text())
+	fmt.Fprintln(stdout, "(the paper: 'less than 8 frames/second ... over a 622 Mbit/s ATM network using classical IP')")
 
 	f4, ok := rep.(*gtw.Figure4Report)
 	if !ok {
-		log.Fatalf("unexpected report type %T", rep)
+		return fmt.Errorf("unexpected report type %T", rep)
 	}
 	if err := os.WriteFile(*out, f4.PNG, 0o644); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("rendered activated head to %s\n", *out)
+	fmt.Fprintf(stdout, "rendered activated head to %s\n", *out)
+	return nil
 }
