@@ -286,7 +286,7 @@ type Figure4Row struct {
 // Figure4Result covers the 3-D visualization pipeline: merge + MIP
 // timing and the Responsive Workbench streaming rates.
 type Figure4Result struct {
-	RenderMs  float64
+	RenderMs  float64 // the plane loop: head, merge and MIP together
 	Rows      []Figure4Row
 	StreamFPS float64 // measured: frames over the simulated OC-12 path
 	PNGBytes  int
