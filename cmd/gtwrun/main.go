@@ -17,7 +17,6 @@
 //	-flows N         concurrent backbone flows
 //	-workers N       engine worker pool size
 //	-shards N        shards per sweep scenario (0 = GOMAXPROCS)
-//	-kernels N       PDES kernels per testbed network (0/1 = single)
 //	-shared          run every scenario on ONE shared, contended testbed
 //	-json            print each report as JSON instead of text
 //	-timeout D       cancel the whole run after D (e.g. 30s)
@@ -103,8 +102,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	flows := fs.Int("flows", def.Flows, "concurrent backbone flows")
 	workers := fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 0, "shards per sweep scenario (0 = GOMAXPROCS; reports are shard-count independent)")
-	kernels := fs.Int("kernels", 0,
-		"PDES kernels per testbed network (0/1 = single kernel; reports are kernel-count independent)")
 	shared := fs.Bool("shared", false,
 		"run scenarios on one shared testbed (scenarios that drive their own simulation kernel still run privately)")
 	asJSON := fs.Bool("json", false, "print each report as JSON instead of text")
@@ -171,7 +168,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		gtw.WithFlows(*flows),
 		gtw.WithWorkers(*workers),
 		gtw.WithShards(*shards),
-		gtw.WithKernels(*kernels),
 	}
 	if *ext {
 		opts = append(opts, gtw.WithExtensions())
@@ -188,7 +184,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	opts = append(opts, gtw.WithWAN(oc))
 	if *shared {
-		opts = append(opts, gtw.WithTestbed(gtw.NewTestbed(gtw.Config{WAN: oc, Extensions: *ext, Kernels: *kernels})))
+		opts = append(opts, gtw.WithTestbed(gtw.NewTestbed(gtw.Config{WAN: oc, Extensions: *ext})))
 	}
 
 	ctx := context.Background()
@@ -199,9 +195,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *connect != "" {
-		// Options that never reach the wire split two ways: -shards,
-		// -workers and -kernels only change wall-clock time and may be
-		// dropped silently, but -shared changes report content (the
+		// Options that never reach the wire split two ways: -shards and
+		// -workers only change wall-clock time and may be dropped
+		// silently, but -shared changes report content (the
 		// testbed is this process's memory) — dropping it would hand
 		// back a different report than the one asked for.
 		if *shared {
@@ -250,30 +246,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if !*asJSON {
 		fmt.Fprintf(stdout, "ran %d scenario(s) in %s, %d failed\n",
 			len(results), time.Since(start).Round(time.Millisecond), failed)
-		if *kernels > 1 {
-			printPDES(stdout)
-		}
 	}
 	if failed > 0 || err != nil {
 		return 1
 	}
 	return 0
-}
-
-// printPDES summarizes the PDES synchronization cost of a -kernels run:
-// rounds, null messages, and how the fired events split across kernels
-// (the load-balance picture). Execution metadata only — never part of a
-// report.
-func printPDES(stdout io.Writer) {
-	pd := gtw.PDESSnapshot()
-	if pd.Rounds == 0 {
-		return
-	}
-	fmt.Fprintf(stdout, "pdes: %d rounds, %d null msgs; events per kernel", pd.Rounds, pd.NullMessages)
-	for i, v := range pd.KernelEvents {
-		fmt.Fprintf(stdout, " %d:%d", i, v)
-	}
-	fmt.Fprintln(stdout)
 }
 
 // printEnvelope writes one -json line.

@@ -76,6 +76,17 @@ func TestBadWANFlagFails(t *testing.T) {
 	}
 }
 
+// The simulation runs on one kernel per testbed: -kernels is not a flag.
+func TestKernelsFlagIsRejected(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-kernels", "2", "table1-model"}, &out, &errOut); code != 2 {
+		t.Errorf("run(-kernels 2) = %d, want 2", code)
+	}
+	if !strings.Contains(errOut.String(), "-kernels") {
+		t.Errorf("stderr does not name the flag: %q", errOut.String())
+	}
+}
+
 func TestCPUProfileIsWritten(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cpu.prof")
 	var out, errOut strings.Builder

@@ -7,7 +7,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	gtw "repro"
@@ -15,21 +17,28 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run walks the API and prints what each step produced to stdout.
+func run(stdout io.Writer) error {
 	ctx := context.Background()
 
 	// The registry: every experiment is a named scenario.
-	fmt.Println("registered scenarios:")
+	fmt.Fprintln(stdout, "registered scenarios:")
 	for _, s := range gtw.Scenarios() {
-		fmt.Printf("  %-24s %s\n", s.Name(), s.Description())
+		fmt.Fprintf(stdout, "  %-24s %s\n", s.Name(), s.Description())
 	}
 
 	// Run one scenario with functional options.
 	rep, err := gtw.Run(ctx, "figure2-endtoend", gtw.WithPEs(256), gtw.WithFrames(30))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println()
-	fmt.Print(rep.Text())
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, rep.Text())
 
 	// Run several concurrently on ONE shared testbed — one facility
 	// for every experiment, as the paper's projects shared one WAN
@@ -38,26 +47,27 @@ func main() {
 	names := []string{"figure1-throughput", "figure4-workbench", "future-work"}
 	results, err := gtw.RunAll(ctx, names, gtw.WithTestbed(tb))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for _, r := range results {
-		fmt.Printf("shared-testbed run %-24s finished in %8s (err=%v)\n",
+		fmt.Fprintf(stdout, "shared-testbed run %-24s finished in %8s (err=%v)\n",
 			r.Name, r.Elapsed.Round(time.Millisecond), r.Err)
 	}
-	fmt.Printf("backbone carried %.1f MByte across the shared run\n",
+	fmt.Fprintf(stdout, "backbone carried %.1f MByte across the shared run\n",
 		float64(tb.BackboneWireBytes())/1e6)
 
 	// The testbed facade remains directly usable.
 	local, err := tb.TCPTransfer(gtw.HostT3E600, gtw.HostT3E1200, 64<<20, gtw.TCPConfig{WindowBytes: 4 << 20})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nlocal Cray complex (HiPPI, 64K MTU): %.1f Mbit/s (paper: >430)\n",
+	fmt.Fprintf(stdout, "\nlocal Cray complex (HiPPI, 64K MTU): %.1f Mbit/s (paper: >430)\n",
 		local.ThroughputBps/1e6)
 	if err := tb.Reserve("fmri-demo", gtw.HostT3E600, gtw.HostOnyx2, gtw.HostWSJuelich); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("co-allocated T3E + Onyx2 + workstation for session fmri-demo")
+	fmt.Fprintln(stdout, "co-allocated T3E + Onyx2 + workstation for session fmri-demo")
 	tb.Release("fmri-demo")
+	return nil
 }

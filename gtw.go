@@ -92,14 +92,6 @@ type Testbed = core.Testbed
 // TCPConfig tunes simulated TCP transfers.
 type TCPConfig = tcpsim.Config
 
-// PDESAggregate is the process-wide sum of PDES synchronization
-// counters over every partitioned (WithKernels > 1) testbed run:
-// rounds, null messages, and the per-kernel event split.
-type PDESAggregate = core.PDESAggregate
-
-// PDESSnapshot returns the current process-wide PDES aggregate.
-func PDESSnapshot() PDESAggregate { return core.PDESSnapshot() }
-
 // TCPResult reports a transfer outcome.
 type TCPResult = tcpsim.Result
 

@@ -34,7 +34,7 @@ import (
 // domainPkgs are the final import-path elements of packages whose code
 // feeds simulated results or report bytes.
 var domainPkgs = map[string]bool{
-	"sim": true, "pdes": true, "netsim": true, "tcpsim": true, "atm": true,
+	"sim": true, "netsim": true, "tcpsim": true, "atm": true,
 	"hippi": true, "machine": true, "bwin": true, "core": true,
 	"video": true, "viz": true, "volume": true, "mri": true,
 	"meg": true, "climate": true, "groundwater": true, "linalg": true,

@@ -1,8 +1,6 @@
-// Package netsim is in the simulation domain: partition assignment is
-// recomputed between runs, and the whole rebalancing contract is that
-// the cost signal and the resulting assignment are deterministic
-// functions of the model — counters and sorted orders, never wall
-// clocks or map order.
+// Package netsim is in the simulation domain: any cost signal and any
+// order built from it must be a deterministic function of the model —
+// counters and sorted orders, never wall clocks or map order.
 package netsim
 
 import (
@@ -10,8 +8,8 @@ import (
 	"time"
 )
 
-// Sampling wall clocks as a load estimate makes every rebalance pick a
-// different assignment run to run.
+// Sampling wall clocks as a load estimate gives a different answer run
+// to run.
 func costByWallClock(start time.Time) int64 {
 	return time.Now().UnixNano() - start.UnixNano() // want `time.Now in simulation/report code`
 }
@@ -26,8 +24,8 @@ func costByCounters(work []int64) int64 {
 	return c
 }
 
-// Ranging a map of island costs while building the assignment order
-// leaks map iteration order into partition membership.
+// Ranging a map of node costs while building an order leaks map
+// iteration order into the result.
 func assignOrder(costs map[int]int64) []int {
 	var order []int
 	for id := range costs {
@@ -36,7 +34,7 @@ func assignOrder(costs map[int]int64) []int {
 	return order
 }
 
-// Collect-then-sort erases the map order before assignment.
+// Collect-then-sort erases the map order.
 func assignOrderSorted(costs map[int]int64) []int {
 	var order []int
 	for id := range costs {

@@ -2,10 +2,9 @@
 // the bug class PRs 2–5 fixed by hand. Three resources in the tree are
 // pool-backed, and each has one ownership rule:
 //
-//   - netsim packets: Network.NewPacket and Network.NewPacketAt (the
-//     partition-pool variant) acquire from a pool and Network.Send
-//     transfers ownership to the network, which recycles the packet
-//     after the delivery/drop callback returns. A packet
+//   - netsim packets: Network.NewPacket acquires from a pool and
+//     Network.Send transfers ownership to the network, which recycles
+//     the packet after the delivery/drop callback returns. A packet
 //     that is acquired but never handed off leaks its pool slot; a
 //     packet touched after Send is a use-after-recycle.
 //   - tcpsim flows: Flow.Release returns the flow's sender state to the
@@ -78,9 +77,7 @@ func checkPackets(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		call, ok := analysis.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if !ok ||
-			(!isPoolMethod(info, call, "NewPacket", "Network") &&
-				!isPoolMethod(info, call, "NewPacketAt", "Network")) {
+		if !ok || !isPoolMethod(info, call, "NewPacket", "Network") {
 			return true
 		}
 		id, ok := as.Lhs[0].(*ast.Ident)

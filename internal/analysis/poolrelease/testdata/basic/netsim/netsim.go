@@ -23,10 +23,4 @@ func (n *Network) NewPacket() *Packet {
 	return &Packet{}
 }
 
-// NewPacketAt is the partition-pool variant: it draws from the pool of
-// the partition owning the node.
-func (n *Network) NewPacketAt(at NodeID) *Packet {
-	return n.NewPacket()
-}
-
 func (n *Network) Send(p *Packet) {}

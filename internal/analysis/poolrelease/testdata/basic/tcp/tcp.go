@@ -28,18 +28,6 @@ func acquireAndForget(n *netsim.Network) {
 	p.Bytes = 1
 }
 
-// The partition-pool variant follows the same ownership rule.
-func sendCleanAt(n *netsim.Network, src, dst netsim.NodeID) {
-	p := n.NewPacketAt(src)
-	p.Src, p.Dst, p.Bytes = src, dst, 1000
-	n.Send(p)
-}
-
-func acquireAtAndForget(n *netsim.Network, src netsim.NodeID) {
-	p := n.NewPacketAt(src) // want `packet "p" acquired from the pool but never sent`
-	p.Bytes = 1
-}
-
 // Returning the packet transfers ownership to the caller; not a leak.
 func acquireForCaller(n *netsim.Network) *netsim.Packet {
 	p := n.NewPacket()

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/sim/pdes"
 	"repro/internal/tcpsim"
 )
 
@@ -257,182 +256,6 @@ func SweepWorkStealing(b *testing.B) {
 	}
 }
 
-// buildPDESSites constructs the large-topology PDES benchmark network:
-// `sites` star LANs (one switch, hostsPer hosts on gigabit 10 µs links)
-// joined by 2.4 Gbit/s 500 µs WAN links from site 0's switch to every
-// other site — the repo's gigabit-testbed shape scaled out until one
-// kernel is the bottleneck.
-func buildPDESSites(sites, hostsPer int) (*netsim.Network, [][]netsim.NodeID) {
-	n := netsim.New(sim.NewKernel())
-	hosts := make([][]netsim.NodeID, sites)
-	switches := make([]*netsim.Node, sites)
-	for s := 0; s < sites; s++ {
-		sw := n.AddNode("sw", netsim.WithForwardCost(time.Microsecond, 16e9))
-		switches[s] = sw
-		for h := 0; h < hostsPer; h++ {
-			nd := n.AddNode("host")
-			n.Connect(nd, sw, netsim.LinkConfig{Name: "lan", Bps: 1e9, Delay: 10 * time.Microsecond})
-			hosts[s] = append(hosts[s], nd.ID)
-		}
-	}
-	for s := 1; s < sites; s++ {
-		n.Connect(switches[0], switches[s], netsim.LinkConfig{
-			Name: "wan", Bps: 2.4e9, Delay: 500 * time.Microsecond, QueueBytes: 64 << 20,
-		})
-	}
-	n.ComputeRoutes()
-	return n, hosts
-}
-
-// pdesBounce keeps a cross-site packet chain alive for a fixed hop
-// count carried in Seq. Chains run between every pair of ring-adjacent
-// sites, so with an even hop count every partition pool's gets and puts
-// balance and steady state allocates nothing.
-type pdesBounce struct {
-	n    *netsim.Network
-	hops int64
-}
-
-func (h *pdesBounce) HandleDeliver(p *netsim.Packet) {
-	if p.Seq >= h.hops {
-		return
-	}
-	r := h.n.NewPacketAt(p.Dst)
-	r.Src, r.Dst, r.Bytes, r.Seq = p.Dst, p.Src, p.Bytes, p.Seq+1
-	r.Handler = h
-	h.n.Send(r)
-}
-
-func (h *pdesBounce) HandleDrop(*netsim.Packet) {}
-
-// pdesLargeTopology is the shared body: one synchronized run of 4 sites
-// x 8 hosts with a 64-hop cross-site chain per host pair, on the given
-// kernel count.
-func pdesLargeTopology(b *testing.B, kernels int) {
-	const sites, hostsPer, hops = 4, 8, 64
-	n, hosts := buildPDESSites(sites, hostsPer)
-	n.Partition(kernels)
-	h := &pdesBounce{n: n, hops: hops}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for s := 0; s < sites; s++ {
-			for j, src := range hosts[s] {
-				p := n.NewPacketAt(src)
-				p.Src, p.Dst, p.Bytes = src, hosts[(s+1)%sites][j], 4096
-				p.Handler = h
-				n.Send(p)
-			}
-		}
-		n.Run()
-	}
-}
-
-// PDESLargeTopologySingleKernel is the serial baseline for the
-// conservative-PDES work: the large cross-site load on one kernel.
-func PDESLargeTopologySingleKernel(b *testing.B) { pdesLargeTopology(b, 1) }
-
-// PDESLargeTopology is the same load partitioned at the WAN cut across
-// 4 kernels (one per site, 500 µs lookahead). The tracked number is
-// this row vs PDESLargeTopologySingleKernel in BENCH_kernel.json — on a
-// >= 4-core machine the ratio is the parallel speedup; on one core it
-// bounds the synchronization overhead instead.
-func PDESLargeTopology(b *testing.B) { pdesLargeTopology(b, 4) }
-
-// buildPDESSitesUneven is buildPDESSites with unequal WAN latencies:
-// the link from site 0 to site s has delay s x 500 µs, so the cut
-// graph mixes a short edge with progressively longer ones. One global
-// window would synchronize every partition at the worst (shortest)
-// 500 µs; per-pair horizons give the distant pairs their own, larger
-// bounds.
-func buildPDESSitesUneven(sites, hostsPer int) (*netsim.Network, [][]netsim.NodeID) {
-	n := netsim.New(sim.NewKernel())
-	hosts := make([][]netsim.NodeID, sites)
-	switches := make([]*netsim.Node, sites)
-	for s := 0; s < sites; s++ {
-		sw := n.AddNode("sw", netsim.WithForwardCost(time.Microsecond, 16e9))
-		switches[s] = sw
-		for h := 0; h < hostsPer; h++ {
-			nd := n.AddNode("host")
-			n.Connect(nd, sw, netsim.LinkConfig{Name: "lan", Bps: 1e9, Delay: 10 * time.Microsecond})
-			hosts[s] = append(hosts[s], nd.ID)
-		}
-	}
-	for s := 1; s < sites; s++ {
-		n.Connect(switches[0], switches[s], netsim.LinkConfig{
-			Name: "wan", Bps: 2.4e9, Delay: time.Duration(s) * 500 * time.Microsecond, QueueBytes: 64 << 20,
-		})
-	}
-	n.ComputeRoutes()
-	return n, hosts
-}
-
-// pdesPerPair is the shared body for the unequal-latency benchmark:
-// the 4-site load of pdesLargeTopology on WAN links of 500 µs, 1 ms
-// and 1.5 ms, so the partitioned row exercises per-pair horizons where
-// they differ most from one global window.
-func pdesPerPair(b *testing.B, kernels int) {
-	const sites, hostsPer, hops = 4, 8, 64
-	n, hosts := buildPDESSitesUneven(sites, hostsPer)
-	if eff := n.Partition(kernels); eff != kernels {
-		b.Fatalf("Partition(%d) = %d effective kernels", kernels, eff)
-	}
-	h := &pdesBounce{n: n, hops: hops}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for s := 0; s < sites; s++ {
-			for j, src := range hosts[s] {
-				p := n.NewPacketAt(src)
-				p.Src, p.Dst, p.Bytes = src, hosts[(s+1)%sites][j], 4096
-				p.Handler = h
-				n.Send(p)
-			}
-		}
-		n.Run()
-	}
-}
-
-// PDESPerPairLookaheadSingleKernel is the serial baseline for the
-// unequal-latency topology.
-func PDESPerPairLookaheadSingleKernel(b *testing.B) { pdesPerPair(b, 1) }
-
-// PDESPerPairLookahead partitions the unequal-latency topology across
-// 4 kernels. Every cut queue carries its edge's own latency, so the
-// 500 µs edge does not throttle the 1.5 ms pairs. Compare against PDESPerPairLookaheadSingleKernel.
-func PDESPerPairLookahead(b *testing.B) { pdesPerPair(b, 4) }
-
-// NullMessageOverhead isolates the cost of the conservative protocol
-// itself: two kernels, all events on one of them, so every
-// synchronization round fires a single event and the measured time is
-// pure bound-exchange + barrier traffic (ns/op / 512 events ~= cost per
-// null-message round). The two kernels are joined by a cut edge in each
-// direction that never carries a message (hence the nil deliver hooks):
-// without them no horizon would
-// bind the busy kernel and it would drain all 512 events in one round.
-// With them its horizon is its own bound plus the shortest cycle back to
-// itself (2 x la, the idle kernel's bound being infinite), so events
-// spaced exactly that far apart fire one per round.
-func NullMessageOverhead(b *testing.B) {
-	const la = 100 * time.Microsecond
-	const events = 512
-	k0, k1 := sim.NewKernel(), sim.NewKernel()
-	g := pdes.NewGroup([]*pdes.Member{
-		{K: k0, In: []*pdes.Queue{pdes.NewQueue(1, 1, la, nil)}},
-		{K: k1, In: []*pdes.Queue{pdes.NewQueue(1, 0, la, nil)}},
-	})
-	noop := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := k0.Now()
-		for j := 1; j <= events; j++ {
-			k0.At(start.Add(time.Duration(j)*2*la), noop)
-		}
-		g.Run()
-	}
-}
-
 // Spec names one benchmark for the gtwbench harness.
 type Spec struct {
 	Name string
@@ -452,11 +275,6 @@ func Specs() []Spec {
 		{"BenchmarkSweepSingleKernel", SweepSingleKernel},
 		{"BenchmarkSweepSharded", SweepSharded},
 		{"BenchmarkSweepWorkStealing", SweepWorkStealing},
-		{"BenchmarkPDESLargeTopologySingleKernel", PDESLargeTopologySingleKernel},
-		{"BenchmarkPDESLargeTopology", PDESLargeTopology},
-		{"BenchmarkPDESPerPairLookaheadSingleKernel", PDESPerPairLookaheadSingleKernel},
-		{"BenchmarkPDESPerPairLookahead", PDESPerPairLookahead},
-		{"BenchmarkNullMessageOverhead", NullMessageOverhead},
 	}
 }
 

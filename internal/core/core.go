@@ -22,7 +22,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/sim/pdes"
 	"repro/internal/tcpsim"
 )
 
@@ -57,13 +56,6 @@ type Config struct {
 	// Extensions adds the section-5 sites (DLR, University of
 	// Cologne, University of Bonn).
 	Extensions bool
-	// Kernels > 1 partitions the simulated network at WAN-link
-	// boundaries and runs it as a conservative parallel simulation on
-	// that many kernels (capped by the number of WAN-separated sites).
-	// It is execution policy, not a model parameter: reports are
-	// byte-identical at any value, so it never enters point keys or the
-	// wire protocol.
-	Kernels int
 }
 
 // Host names of the standard topology.
@@ -124,8 +116,6 @@ type Testbed struct {
 
 	allocMu sync.Mutex // guards alloc
 	simMu   sync.Mutex // serialises kernel access and counter reads
-
-	pdesPrev pdes.Stats // last snapshot flushed into the PDES aggregate
 }
 
 // propDelayWAN is the one-way propagation delay of the ~100 km
@@ -246,7 +236,6 @@ func New(cfg Config) *Testbed {
 	}
 
 	n.ComputeRoutes()
-	n.Partition(cfg.Kernels)
 	return tb
 }
 

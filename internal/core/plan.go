@@ -86,9 +86,8 @@ func (p *Plan) Run(ctx context.Context, o Options) (Report, error) {
 	}
 	tb := o.Testbed
 	if tb == nil {
-		tb = New(Config{WAN: o.WAN, Extensions: o.Extensions, Kernels: o.Kernels})
+		tb = New(Config{WAN: o.WAN, Extensions: o.Extensions})
 	}
-	defer tb.flushPDES()
 	return p.scenario.Run(ctx, tb, o)
 }
 

@@ -79,12 +79,6 @@ type Options struct {
 	// not exceeding a Workers bound, capped at the grid size).
 	// Non-sweep scenarios ignore it.
 	Shards int
-	// Kernels > 1 runs each testbed's network as a conservative
-	// parallel simulation on that many kernels (capped by the number of
-	// WAN-separated sites). Like Shards it is execution
-	// policy: reports stay byte-identical, so it never enters point
-	// keys or the wire protocol.
-	Kernels int
 }
 
 // Option mutates Options (the functional-options pattern).
@@ -136,12 +130,11 @@ func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 // reports stay byte-identical.
 func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
 
-// WithKernels partitions every engine-built testbed's network at
-// WAN-link boundaries and runs it as a conservative parallel simulation
-// on up to n kernels (netsim.Partition; capped by the number of
-// WAN-separated sites). Like WithShards it changes only wall-clock
-// time: reports are byte-identical at any kernel count.
-func WithKernels(n int) Option { return func(o *Options) { o.Kernels = n } }
+// WithKernels does nothing: every testbed runs on one kernel.
+//
+// Deprecated: bench/inproc.go is its only caller; it goes when that
+// call does.
+func WithKernels(int) Option { return func(*Options) {} }
 
 // funcScenario adapts a function to the Scenario interface.
 type funcScenario struct {

@@ -106,7 +106,7 @@ func init() {
 		"Section 2: aggregate backbone capacity under concurrent 622-attached flows",
 		[]Axis{{Name: "wan", Values: []any{atm.OC12, atm.OC48}}},
 		func(ctx context.Context, tb *Testbed, opts Options, pt Point) (any, error) {
-			return backboneAggregate(pt.Coord(0).(atm.OC), opts.Flows, opts.Kernels)
+			return BackboneAggregate(pt.Coord(0).(atm.OC), opts.Flows)
 		},
 		func(opts Options, results []any) (Report, error) {
 			rep := &UpgradeReport{}
@@ -120,7 +120,7 @@ func init() {
 		"Section 2: 270 Mbit/s D1 video sharing the backbone with bulk TCP",
 		[]Axis{{Name: "wan", Values: []any{atm.OC12, atm.OC48}}},
 		func(ctx context.Context, tb *Testbed, opts Options, pt Point) (any, error) {
-			return mixedTraffic(pt.Coord(0).(atm.OC), opts.Kernels)
+			return MixedTraffic(pt.Coord(0).(atm.OC))
 		},
 		func(opts Options, results []any) (Report, error) {
 			rep := &UpgradeReport{}

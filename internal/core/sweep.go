@@ -232,7 +232,7 @@ func (sw *Sweep) Run(ctx context.Context, tb *Testbed, opts Options) (Report, er
 	// testbed handed in by the caller fixes that configuration for
 	// every shard (the engine builds none for sweeps, so tb is non-nil
 	// only for direct callers and shared runs).
-	shardCfg := Config{WAN: opts.WAN, Extensions: opts.Extensions, Kernels: opts.Kernels}
+	shardCfg := Config{WAN: opts.WAN, Extensions: opts.Extensions}
 	if tb != nil {
 		shardCfg = tb.Cfg
 	}
@@ -270,7 +270,6 @@ func (sw *Sweep) runOnePoint(ctx context.Context, tb *Testbed, opts Options, pt 
 		if r := recover(); r != nil {
 			err = fmt.Errorf("point panicked: %v", r)
 		}
-		tb.flushPDES()
 	}()
 	return sw.runPoint(ctx, tb, opts, pt)
 }
@@ -283,7 +282,7 @@ func (sw *Sweep) NewShardTestbed(opts Options) *Testbed {
 	if sw.noTestbed {
 		return nil
 	}
-	return New(Config{WAN: opts.WAN, Extensions: opts.Extensions, Kernels: opts.Kernels})
+	return New(Config{WAN: opts.WAN, Extensions: opts.Extensions})
 }
 
 // ------------------------------------------------------- executor core --

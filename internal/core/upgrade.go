@@ -26,18 +26,10 @@ type AggregateRow struct {
 // backbone and reports the aggregate goodput. On OC-12 the backbone is
 // the bottleneck; on OC-48 the per-host attachments are.
 func BackboneAggregate(wan atm.OC, flows int) (AggregateRow, error) {
-	return backboneAggregate(wan, flows, 1)
-}
-
-// backboneAggregate is BackboneAggregate on a testbed split across
-// `kernels` PDES kernels (1 = the classic single-kernel run; the report
-// is byte-identical either way).
-func backboneAggregate(wan atm.OC, flows, kernels int) (AggregateRow, error) {
 	if flows < 1 || flows > 4 {
 		return AggregateRow{}, fmt.Errorf("core: 1..4 flows supported, got %d", flows)
 	}
-	tb := New(Config{WAN: wan, Kernels: kernels})
-	defer tb.flushPDES()
+	tb := New(Config{WAN: wan})
 	srcs := []string{HostWSJuelich, HostWS2Juelich, HostWS3Juelich, HostWS4Juelich}
 	dsts := []string{HostWSGMD, HostWS2GMD, HostWS3GMD, HostWS4GMD}
 	var fl []*tcpsim.Flow
@@ -87,14 +79,7 @@ type MixedTrafficResult struct {
 // bulk TCP flow runs between workstation pairs. On OC-12 the two
 // compete for the 542 Mbit/s payload; on OC-48 both get their fill.
 func MixedTraffic(wan atm.OC) (MixedTrafficResult, error) {
-	return mixedTraffic(wan, 1)
-}
-
-// mixedTraffic is MixedTraffic with the testbed split across `kernels`
-// PDES kernels; the report is byte-identical at any kernel count.
-func mixedTraffic(wan atm.OC, kernels int) (MixedTrafficResult, error) {
-	tb := New(Config{WAN: wan, Kernels: kernels})
-	defer tb.flushPDES()
+	tb := New(Config{WAN: wan})
 	onyx, err := tb.Host(HostOnyx2)
 	if err != nil {
 		return MixedTrafficResult{}, err

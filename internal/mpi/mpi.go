@@ -103,14 +103,14 @@ type World struct {
 
 // NewWorld creates an empty world with an optional tracer. With a
 // network, ranks are placed on its nodes by host name and run on its
-// kernel, which must be the only one (no Partition); with nil, the
-// world gets a private kernel and every message is delivered at once.
+// kernel; with nil, the world gets a private kernel and every message
+// is delivered at once.
 func NewWorld(net *netsim.Network, tracer Tracer) *World {
 	w := &World{net: net, tracer: tracer, ports: make(map[string]*port)}
 	if net == nil {
 		w.k = sim.NewKernel()
-	} else if w.k = net.K; net.Kernels() != 1 {
-		panic("mpi: ranks are processes of one kernel; the network is partitioned")
+	} else {
+		w.k = net.K
 	}
 	return w
 }

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -33,29 +32,23 @@ func (r FloodResult) ThroughputBps(start sim.Time) float64 {
 func Flood(n *Network, src, dst NodeID, pktBytes, count int) FloodResult {
 	var res FloodResult
 	res.First = -1
-	// Delivery runs on dst's kernel, drops on whichever kernel hosts the
-	// full queue; dstK clocks deliveries, and the injection loop below
-	// runs before Run so the callbacks never race the loop.
-	dstK := n.KernelOf(dst)
-	var dropped int64
 	for i := 0; i < count; i++ {
 		p := &Packet{
 			Src: src, Dst: dst, Bytes: pktBytes,
 			OnDeliver: func(p *Packet) {
 				if res.First < 0 {
-					res.First = dstK.Now()
+					res.First = n.K.Now()
 				}
-				res.Last = dstK.Now()
+				res.Last = n.K.Now()
 				res.Delivered++
 				res.Bytes += int64(p.Bytes)
 			},
-			OnDrop: func(*Packet) { atomic.AddInt64(&dropped, 1) },
+			OnDrop: func(*Packet) { res.Dropped++ },
 		}
 		n.Send(p)
 		res.Sent++
 	}
 	n.Run()
-	res.Dropped = int(dropped)
 	return res
 }
 
@@ -63,13 +56,12 @@ func Flood(n *Network, src, dst NodeID, pktBytes, count int) FloodResult {
 // reply of repBytes between two hosts, including all queueing-free path
 // costs. It runs the kernel to completion.
 func Ping(n *Network, a, b NodeID, reqBytes, repBytes int) time.Duration {
-	ka := n.KernelOf(a)
-	start := ka.Now()
+	start := n.K.Now()
 	var end sim.Time
 	req := &Packet{Src: a, Dst: b, Bytes: reqBytes}
 	req.OnDeliver = func(*Packet) {
 		rep := &Packet{Src: b, Dst: a, Bytes: repBytes}
-		rep.OnDeliver = func(*Packet) { end = ka.Now() }
+		rep.OnDeliver = func(*Packet) { end = n.K.Now() }
 		n.Send(rep)
 	}
 	n.Send(req)

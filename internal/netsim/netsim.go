@@ -17,7 +17,6 @@ import (
 	"unsafe"
 
 	"repro/internal/sim"
-	"repro/internal/sim/pdes"
 )
 
 // NodeID identifies a node within one Network.
@@ -70,14 +69,6 @@ type Node struct {
 	rxFree  sim.Time
 	fwdFree sim.Time
 	dropped int64
-
-	// k is the kernel this node's events run on: the network's K until
-	// Partition assigns per-partition kernels. pool is the packet pool
-	// of the node's partition — pools are per-partition so the hot
-	// alloc/recycle path needs no locks when partitions run in
-	// parallel.
-	k    *sim.Kernel
-	pool *pktPool
 }
 
 // Iface is one direction-pair attachment of a node to a link.
@@ -102,21 +93,9 @@ type Iface struct {
 	capBytes int64
 	drops    int64
 
-	// arrivals carries this direction's packets to the peer: a lane on
-	// the peer node's kernel, since link arrivals are FIFO in time.
+	// arrivals carries this direction's packets to the peer: a lane,
+	// since link arrivals are FIFO in time.
 	arrivals *sim.Lane
-
-	// Per-direction wire accounting. These used to live on the Link,
-	// but both directions of a partitioned link may serialize
-	// concurrently on different kernels; the Link accessors sum the two
-	// directions at quiescent read time.
-	wireBytes int64
-	busyTime  time.Duration
-
-	// xq, when non-nil, is the cross-partition channel this direction
-	// feeds: the peer node lives on another kernel, so arrivals are
-	// pushed here and reach the arrivals lane when the peer drains it.
-	xq *pdes.Queue
 }
 
 // Link joins two nodes. It is full duplex: each direction has its own
@@ -129,21 +108,23 @@ type Link struct {
 	Framer Framer
 
 	a, b *Iface
+
+	// Wire accounting, both directions together.
+	wireBytes int64
+	busyTime  time.Duration
 }
 
-// WireBytes reports total framed bytes carried (both directions). Read
-// only while the simulation is quiescent: the per-direction counters
-// live on kernels that may run in parallel.
-func (l *Link) WireBytes() int64 { return l.a.wireBytes + l.b.wireBytes }
+// WireBytes reports total framed bytes carried (both directions).
+func (l *Link) WireBytes() int64 { return l.wireBytes }
 
 // Utilization reports the fraction of the interval [0, now] during
 // which the link was serializing, summed over both directions (so a
-// saturated duplex link reads 2.0). Read only while quiescent.
+// saturated duplex link reads 2.0).
 func (l *Link) Utilization(now sim.Time) float64 {
 	if now <= 0 {
 		return 0
 	}
-	return (l.a.busyTime + l.b.busyTime).Seconds() / now.Seconds()
+	return l.busyTime.Seconds() / now.Seconds()
 }
 
 // LinkConfig configures Connect.
@@ -203,10 +184,7 @@ type Packet struct {
 	pooled bool
 }
 
-// pktPool is one partition's packet freelist. Pooled packets migrate
-// between partitions with the traffic (a data packet is recycled at its
-// destination's partition, its ACK back at the source's), which
-// balances in steady state for request/response traffic.
+// pktPool is the network's packet freelist.
 type pktPool struct {
 	free []*Packet
 }
@@ -227,23 +205,14 @@ func (pp *pktPool) put(p *Packet) {
 }
 
 // Network is a collection of nodes and links bound to a simulation
-// kernel — or, after Partition, to several kernels run as one
-// conservative parallel simulation.
+// kernel.
 type Network struct {
-	// K is the default kernel: the only one before Partition, the
-	// partition-0 kernel after. Drivers that schedule events directly
-	// on K keep working unpartitioned; partition-aware drivers use
-	// KernelOf.
+	// K is the kernel every event of the network runs on; drivers
+	// schedule their own events on it too.
 	K     *sim.Kernel
 	nodes []*Node
 	seed  int64
-
-	defPool pktPool // partition-0 pool (the only one before Partition)
-
-	// Partition state: nil/empty while single-kernel.
-	group     *pdes.Group
-	parts     []*part
-	lookahead time.Duration
+	pool  pktPool
 }
 
 // SetSeed sets the network's base random seed. Every stochastic
@@ -261,33 +230,21 @@ func (n *Network) NewRand(stream int64) *rand.Rand {
 	return rand.New(rand.NewSource(n.seed + stream))
 }
 
-// NewPacket returns a zeroed packet from the default (partition-0)
-// pool. The network recycles it after its delivery or drop callback
-// runs (data and pure-ACK packets alike), so steady-state traffic
-// allocates nothing; the caller must not retain the packet past that
-// callback. On a partitioned network, traffic sources must use
-// NewPacketAt instead so the allocation hits the injecting node's
-// partition pool.
+// NewPacket returns a zeroed packet from the network's pool. The
+// network recycles it after its delivery or drop callback runs (data
+// and pure-ACK packets alike), so steady-state traffic allocates
+// nothing; the caller must not retain the packet past that callback.
 func (n *Network) NewPacket() *Packet {
-	return n.defPool.get()
+	return n.pool.get()
 }
 
-// NewPacketAt is NewPacket drawing from the pool of the partition that
-// owns node id — the form every traffic source must use on a
-// partitioned network (it must already be running on that node's
-// kernel to inject there). Unpartitioned, it is identical to
-// NewPacket. The recycle discipline is unchanged.
-func (n *Network) NewPacketAt(id NodeID) *Packet {
-	return n.nodes[id].pool.get()
-}
-
-// recycle returns a pooled packet to nd's partition freelist once the
-// network is done with it, clearing its fields so a parked packet does
-// not pin the finished flow's Handler/closures until the slot is
-// reused. Caller-allocated packets are left to the GC.
-func (n *Network) recycle(nd *Node, p *Packet) {
+// recycle returns a pooled packet to the freelist once the network is
+// done with it, clearing its fields so a parked packet does not pin the
+// finished flow's Handler/closures until the slot is reused.
+// Caller-allocated packets are left to the GC.
+func (n *Network) recycle(p *Packet) {
 	if p.pooled {
-		nd.pool.put(p)
+		n.pool.put(p)
 	}
 }
 
@@ -299,7 +256,7 @@ func New(k *sim.Kernel) *Network {
 // AddNode creates a node. The variadic options mutate the node before
 // it is returned.
 func (n *Network) AddNode(name string, opts ...func(*Node)) *Node {
-	nd := &Node{ID: NodeID(len(n.nodes)), Name: name, net: n, k: n.K, pool: &n.defPool}
+	nd := &Node{ID: NodeID(len(n.nodes)), Name: name, net: n}
 	for _, o := range opts {
 		o(nd)
 	}
@@ -326,9 +283,6 @@ func (n *Network) Nodes() int { return len(n.nodes) }
 
 // Connect joins two nodes with a duplex link.
 func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
-	if n.group != nil {
-		panic("netsim: Connect after Partition")
-	}
 	if cfg.MTU == 0 {
 		cfg.MTU = 9180
 	}
@@ -342,8 +296,8 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 		panic(fmt.Sprintf("netsim: link %q has non-positive bandwidth", cfg.Name))
 	}
 	l := &Link{Name: cfg.Name, Bps: cfg.Bps, Delay: cfg.Delay, MTU: cfg.MTU, Framer: cfg.Framer}
-	ia := &Iface{node: a, link: l, capBytes: cfg.QueueBytes, arrivals: b.k.NewLane()}
-	ib := &Iface{node: b, link: l, capBytes: cfg.QueueBytes, arrivals: a.k.NewLane()}
+	ia := &Iface{node: a, link: l, capBytes: cfg.QueueBytes, arrivals: n.K.NewLane()}
+	ib := &Iface{node: b, link: l, capBytes: cfg.QueueBytes, arrivals: n.K.NewLane()}
 	ia.peer, ib.peer = ib, ia
 	l.a, l.b = ia, ib
 	a.ifaces = append(a.ifaces, ia)
@@ -511,12 +465,10 @@ func deliverStep(a0, a1 unsafe.Pointer) {
 	nd.net.deliver(nd, (*Packet)(a1))
 }
 
-// Send injects a packet at p.Src. It must be called in kernel context
-// — on a partitioned network, in the context of the kernel that owns
-// p.Src (from an event callback or a process running there).
+// Send injects a packet at p.Src.
 func (n *Network) Send(p *Packet) {
 	src := n.nodes[p.Src]
-	k := src.k
+	k := n.K
 	if p.Src == p.Dst {
 		// Loopback: deliver at the current instant.
 		k.AtFunc(k.Now(), deliverStep, unsafe.Pointer(src), unsafe.Pointer(p))
@@ -536,17 +488,15 @@ func (n *Network) Send(p *Packet) {
 	k.AfterFunc(delay, forwardStep, unsafe.Pointer(src), unsafe.Pointer(p))
 }
 
-// drop invokes the packet's drop callback and recycles it into nd's
-// partition pool (nd is the node where the loss happened, so the pool
-// touched is always the executing kernel's own).
-func (n *Network) drop(nd *Node, p *Packet) {
+// drop invokes the packet's drop callback and recycles it.
+func (n *Network) drop(p *Packet) {
 	if p.OnDrop != nil {
 		p.OnDrop(p)
 	}
 	if p.Handler != nil {
 		p.Handler.HandleDrop(p)
 	}
-	n.recycle(nd, p)
+	n.recycle(p)
 }
 
 // forward routes packet p out of node nd: into the egress queue, and
@@ -556,13 +506,13 @@ func (n *Network) forward(nd *Node, p *Packet) {
 	idx := nd.routes[p.Dst]
 	if idx < 0 {
 		nd.dropped++
-		n.drop(nd, p)
+		n.drop(p)
 		return
 	}
 	ifc := nd.ifaces[idx]
 	if ifc.queued+int64(p.Bytes) > ifc.capBytes {
 		ifc.drops++
-		n.drop(nd, p)
+		n.drop(p)
 		return
 	}
 	ifc.q.Push(p)
@@ -571,20 +521,18 @@ func (n *Network) forward(nd *Node, p *Packet) {
 	case ifc.q.Len() > 1:
 		// Packets already waited: the link-free event that sends them
 		// is scheduled and will reach p.
-	case ifc.freeSeq != 0 && !nd.k.Passed(ifc.freeAt, ifc.freeSeq):
+	case ifc.freeSeq != 0 && !n.K.Passed(ifc.freeAt, ifc.freeSeq):
 		// The packet on the wire is still serializing: its link-free
 		// event becomes real, under the key it has had all along, and
 		// will find p.
-		nd.k.Materialize(ifc.freeAt, ifc.freeSeq, transmitStep, unsafe.Pointer(ifc), nil)
+		n.K.Materialize(ifc.freeAt, ifc.freeSeq, transmitStep, unsafe.Pointer(ifc), nil)
 	default:
 		n.transmitNext(ifc)
 	}
 }
 
-// transmitNext serializes the head-of-line packet on ifc. It runs on
-// the kernel of ifc's node; the arrival rides ifc's lane to the peer,
-// via the iface's pdes queue first when the peer lives on another
-// kernel.
+// transmitNext serializes the head-of-line packet on ifc; the arrival
+// rides ifc's lane to the peer.
 //
 // The link is free again after serialization. With packets queued
 // behind this one, that is an event which sends the next. With none,
@@ -600,31 +548,27 @@ func (n *Network) transmitNext(ifc *Iface) {
 	ifc.queued -= int64(p.Bytes)
 
 	l := ifc.link
-	k := ifc.node.k
+	k := n.K
 	wire := l.Framer.WireSize(p.Bytes)
 	txTime := time.Duration(float64(wire) * 8 / l.Bps * 1e9)
-	ifc.wireBytes += int64(wire)
-	ifc.busyTime += txTime
+	l.wireBytes += int64(wire)
+	l.busyTime += txTime
 	if ifc.q.Len() > 0 {
 		k.AfterFunc(txTime, transmitStep, unsafe.Pointer(ifc), nil)
 	} else {
 		ifc.freeAt, ifc.freeSeq = k.Now().Add(txTime), k.Reserve()
 	}
 	// Packet arrives at the peer after serialization + propagation.
-	if ifc.xq != nil {
-		ifc.xq.Push(unsafe.Pointer(p), k.Now().Add(txTime+l.Delay))
-	} else {
-		ifc.arrivals.AtFunc(k.Now().Add(txTime+l.Delay), arriveStep, unsafe.Pointer(ifc.peer.node), unsafe.Pointer(p))
-	}
+	ifc.arrivals.AtFunc(k.Now().Add(txTime+l.Delay), arriveStep, unsafe.Pointer(ifc.peer.node), unsafe.Pointer(p))
 }
 
 // arrive handles a packet reaching node nd.
 func (n *Network) arrive(nd *Node, p *Packet) {
-	k := nd.k
+	k := n.K
 	p.hops++
 	if p.hops > 64 {
 		nd.dropped++ // routing loop guard
-		n.drop(nd, p)
+		n.drop(p)
 		return
 	}
 	if nd.ID == p.Dst {
@@ -659,70 +603,15 @@ func (n *Network) deliver(nd *Node, p *Packet) {
 	if p.Handler != nil {
 		p.Handler.HandleDeliver(p)
 	}
-	n.recycle(nd, p)
+	n.recycle(p)
 }
 
-// Run executes the simulation until no events remain: the single
-// kernel's Run unpartitioned, the pdes group's synchronized rounds
-// after Partition. It returns the latest kernel clock, which every
-// report should use as "now" (kernels on event-free partitions stop
-// early at their last local event).
-func (n *Network) Run() sim.Time {
-	if n.group == nil {
-		n.K.Run()
-		return n.K.Now()
-	}
-	n.group.Run()
-	return n.Now()
-}
+// Run executes the simulation until no events remain and returns the
+// final clock.
+func (n *Network) Run() sim.Time { return n.K.Run() }
 
-// Now reports the simulation clock: the latest kernel clock after
-// Partition (the kernel that executed the globally last event carries
-// the same timestamp a single kernel would), so reports derived from it
-// are identical at any kernel count. Quiescent-only after Partition.
-func (n *Network) Now() sim.Time {
-	if n.group == nil {
-		return n.K.Now()
-	}
-	now := n.K.Now()
-	for _, pt := range n.parts[1:] {
-		if t := pt.k.Now(); t > now {
-			now = t
-		}
-	}
-	return now
-}
+// Now reports the simulation clock.
+func (n *Network) Now() sim.Time { return n.K.Now() }
 
-// Pending reports pending events across every kernel. Quiescent-only
-// after Partition.
-func (n *Network) Pending() int {
-	if n.group == nil {
-		return n.K.Pending()
-	}
-	return n.group.Pending()
-}
-
-// KernelOf returns the kernel that owns node id — the kernel a driver
-// must schedule on to inject traffic at that node. Before Partition
-// every node reports the network's K.
-func (n *Network) KernelOf(id NodeID) *sim.Kernel {
-	return n.nodes[id].k
-}
-
-// Kernels reports how many kernels execute the network (1 before
-// Partition).
-func (n *Network) Kernels() int {
-	if n.group == nil {
-		return 1
-	}
-	return n.group.Members()
-}
-
-// SyncStats reports the pdes synchronization counters (zero value
-// before Partition). Quiescent-only after Partition.
-func (n *Network) SyncStats() pdes.Stats {
-	if n.group == nil {
-		return pdes.Stats{}
-	}
-	return n.group.Stats()
-}
+// Pending reports the number of events waiting to fire.
+func (n *Network) Pending() int { return n.K.Pending() }

@@ -3,7 +3,6 @@ package netsim
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -25,24 +24,17 @@ type CrossTraffic struct {
 	// Seed makes the arrival process reproducible.
 	Seed int64
 
-	sent int64
-	// delivered/dropped are atomics: on a partitioned network delivery
-	// fires on Dst's kernel and drops on whichever kernel hosts the
-	// loss, concurrently with the injector. sent stays plain — only the
-	// injection chain on Src's kernel touches it.
-	delivered int64
-	dropped   int64
-	stopped   bool
-	next      sim.Event  // pending self-scheduled injection
-	rng       *rand.Rand // persists across restarts: one Poisson process
-	k         *sim.Kernel
+	sent, delivered, dropped int64
+	stopped                  bool
+	next                     sim.Event  // pending self-scheduled injection
+	rng                      *rand.Rand // persists across restarts: one Poisson process
 }
 
 // HandleDeliver implements Handler for the generator's pooled packets.
-func (ct *CrossTraffic) HandleDeliver(*Packet) { atomic.AddInt64(&ct.delivered, 1) }
+func (ct *CrossTraffic) HandleDeliver(*Packet) { ct.delivered++ }
 
 // HandleDrop implements Handler for the generator's pooled packets.
-func (ct *CrossTraffic) HandleDrop(*Packet) { atomic.AddInt64(&ct.dropped, 1) }
+func (ct *CrossTraffic) HandleDrop(*Packet) { ct.dropped++ }
 
 // Start begins injecting packets at the current virtual time and keeps
 // going until Stop is called or the kernel runs dry of other events
@@ -56,13 +48,11 @@ func (ct *CrossTraffic) Start(horizon time.Duration) {
 	if ct.PktBytes == 0 {
 		ct.PktBytes = 9180
 	}
-	// The whole injection chain lives on Src's kernel (the network's
-	// only kernel unless it is partitioned).
-	ct.k = ct.Net.KernelOf(ct.Src)
+	k := ct.Net.K
 	// Cancel any chain from an earlier Start: without this, a
 	// Stop-then-Start with no intervening kernel drain would leave the
 	// old chain's pending injection alive and double the offered load.
-	ct.k.Cancel(ct.next)
+	k.Cancel(ct.next)
 	ct.next = sim.Event{}
 	if ct.Bps <= 0 {
 		// Zero offered load: the mean inter-arrival gap diverges, so
@@ -82,23 +72,23 @@ func (ct *CrossTraffic) Start(horizon time.Duration) {
 		// rand.NewSource(ct.Seed+7) behaviour.
 		ct.rng = ct.Net.NewRand(ct.Seed + 7)
 	}
-	end := ct.k.Now().Add(horizon)
+	end := k.Now().Add(horizon)
 	meanGap := float64(ct.PktBytes*8) / ct.Bps // seconds
 	var inject func()
 	inject = func() {
 		ct.next = sim.Event{}
-		if ct.stopped || ct.k.Now() >= end {
+		if ct.stopped || k.Now() >= end {
 			return
 		}
 		ct.sent++
-		p := ct.Net.NewPacketAt(ct.Src)
+		p := ct.Net.NewPacket()
 		p.Src, p.Dst, p.Bytes = ct.Src, ct.Dst, ct.PktBytes
 		p.Handler = ct
 		ct.Net.Send(p)
 		gap := -math.Log(1-ct.rng.Float64()) * meanGap
-		ct.next = ct.k.After(sim.Duration(gap), inject)
+		ct.next = k.After(sim.Duration(gap), inject)
 	}
-	ct.next = ct.k.At(ct.k.Now(), inject)
+	ct.next = k.At(k.Now(), inject)
 }
 
 // Stop halts injection until the next Start, cancelling the pending
@@ -106,14 +96,13 @@ func (ct *CrossTraffic) Start(horizon time.Duration) {
 // behind.
 func (ct *CrossTraffic) Stop() {
 	ct.stopped = true
-	if ct.k != nil {
-		ct.k.Cancel(ct.next)
+	if ct.Net != nil {
+		ct.Net.K.Cancel(ct.next)
 	}
 	ct.next = sim.Event{}
 }
 
-// Stats reports sent/delivered/dropped packet counts. Read only while
-// the simulation is quiescent.
+// Stats reports sent/delivered/dropped packet counts.
 func (ct *CrossTraffic) Stats() (sent, delivered, dropped int64) {
-	return ct.sent, atomic.LoadInt64(&ct.delivered), atomic.LoadInt64(&ct.dropped)
+	return ct.sent, ct.delivered, ct.dropped
 }

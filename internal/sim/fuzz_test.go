@@ -12,8 +12,8 @@ import (
 // now+{0, 1, a pending event's time, small random}, cancels (events at
 // now included), lane pushes in and out of order, reserved keys that are
 // materialized or let pass, nested schedules from callbacks and
-// processes sleeping 0 or 1 ns, Step / Run / RunUntil / RunBefore,
-// Stop, and panicking callbacks followed by a resumed Run — and runs it
+// processes sleeping 0 or 1 ns, Step / Run / RunUntil, Stop, and
+// panicking callbacks followed by a resumed Run — and runs it
 // against Kernel and against refKernel, the heap kernel Kernel
 // replaced. The two transcripts must be identical: every callback and
 // process wake-up with its time, every panic, and after each operation
@@ -74,7 +74,6 @@ type sys interface {
 	step() bool
 	run() Time
 	runUntil(t Time) Time
-	runBefore(h Time) Time
 	stop()
 	pending() int
 	next() (Time, bool)
@@ -126,15 +125,14 @@ func (s *newSys) decide(res int, fn func()) bool {
 	s.evs = append(s.evs, s.k.Materialize(key.at, key.seq, callThunk, unsafe.Pointer(&fn), nil))
 	return false
 }
-func (s *newSys) step() bool            { return s.k.Step() }
-func (s *newSys) run() Time             { return s.k.Run() }
-func (s *newSys) runUntil(t Time) Time  { return s.k.RunUntil(t) }
-func (s *newSys) runBefore(h Time) Time { return s.k.RunBefore(h) }
-func (s *newSys) stop()                 { s.k.Stop() }
-func (s *newSys) pending() int          { return s.k.Pending() }
-func (s *newSys) next() (Time, bool)    { return s.k.NextEventTime() }
-func (s *newSys) fired() int64          { return s.k.Fired() }
-func (s *newSys) procs() int            { return s.k.Procs() }
+func (s *newSys) step() bool           { return s.k.Step() }
+func (s *newSys) run() Time            { return s.k.Run() }
+func (s *newSys) runUntil(t Time) Time { return s.k.RunUntil(t) }
+func (s *newSys) stop()                { s.k.Stop() }
+func (s *newSys) pending() int         { return s.k.Pending() }
+func (s *newSys) next() (Time, bool)   { return s.k.NextEventTime() }
+func (s *newSys) fired() int64         { return s.k.Fired() }
+func (s *newSys) procs() int           { return s.k.Procs() }
 func (s *newSys) spawn(body func(func(time.Duration))) {
 	s.k.Go("p", func(p *Proc) { body(p.Sleep) })
 }
@@ -207,14 +205,13 @@ func (s *refSys) step() bool {
 		}
 	}
 }
-func (s *refSys) run() Time             { return s.k.Run() }
-func (s *refSys) runUntil(t Time) Time  { return s.k.RunUntil(t) }
-func (s *refSys) runBefore(h Time) Time { return s.k.RunBefore(h) }
-func (s *refSys) stop()                 { s.k.Stop() }
-func (s *refSys) pending() int          { return s.k.Pending() - s.sentPending }
-func (s *refSys) next() (Time, bool)    { return s.k.NextEventTime() }
-func (s *refSys) fired() int64          { return s.k.Fired() - s.sentFired }
-func (s *refSys) procs() int            { return s.k.Procs() }
+func (s *refSys) run() Time            { return s.k.Run() }
+func (s *refSys) runUntil(t Time) Time { return s.k.RunUntil(t) }
+func (s *refSys) stop()                { s.k.Stop() }
+func (s *refSys) pending() int         { return s.k.Pending() - s.sentPending }
+func (s *refSys) next() (Time, bool)   { return s.k.NextEventTime() }
+func (s *refSys) fired() int64         { return s.k.Fired() - s.sentFired }
+func (s *refSys) procs() int           { return s.k.Procs() }
 func (s *refSys) spawn(body func(func(time.Duration))) {
 	s.k.Go("p", func(p *refProc) { body(p.Sleep) })
 }
@@ -248,7 +245,6 @@ const (
 	opStep
 	opRun
 	opRunUntil
-	opRunBefore
 	opCount
 )
 
@@ -407,7 +403,5 @@ func (m *program) op(op int) {
 		m.logf("run -> %d", s.run())
 	case opRunUntil:
 		m.logf("runUntil -> %d", s.runUntil(s.now().Add(m.delay())))
-	case opRunBefore:
-		m.logf("runBefore -> %d", s.runBefore(s.now().Add(m.delay())))
 	}
 }

@@ -332,22 +332,6 @@ func (k *Kernel) Pending() int {
 	return n
 }
 
-// AdvanceTo moves the clock forward to t without firing anything — the
-// quiescent resynchronization a parallel group does when its kernels
-// run dry at different virtual times (each stops at its own last
-// event; all must agree with the global last before the driver
-// schedules "at now" again). Moving past a pending event would skip it,
-// so that panics; t at or before now is a no-op.
-func (k *Kernel) AdvanceTo(t Time) {
-	if t <= k.now {
-		return
-	}
-	if e := k.next(); e != nil && e.at < t {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) past pending event at %v", t, e.at))
-	}
-	k.now = t
-}
-
 // next returns the earliest pending event, refilling a vacant root
 // first, or nil when none is pending.
 func (k *Kernel) next() *event {
@@ -429,33 +413,10 @@ func (k *Kernel) RunUntil(t Time) Time {
 	return k.now
 }
 
-// RunBefore fires events with timestamps strictly before horizon h and
-// returns the clock, which stays at the last fired event's time — it is
-// NOT advanced to h. This is the window primitive of conservative
-// parallel simulation (internal/sim/pdes): a partition kernel executes
-// [now, h) where h = global-min + lookahead, and the clock must keep
-// its event-derived value so the next window's cross-kernel arrivals
-// (all stamped >= h-lookahead+cut-delay >= the last fired event) never
-// violate causality. Time is integer nanoseconds, so the half-open
-// bound is expressed to the inline-drive machinery as bound = h-1.
-func (k *Kernel) RunBefore(h Time) Time {
-	k.stopped = false
-	k.running, k.bounded, k.bound = true, true, h-1
-	for !k.stopped {
-		e := k.next()
-		if e == nil || e.at >= h {
-			break
-		}
-		k.fire(e)
-	}
-	k.running, k.bounded = false, false
-	return k.now
-}
-
 // Fired reports the number of callbacks this kernel has executed since
 // its creation (a reserved key never materialized is not one). It is a
-// deterministic measure of the work a partition carried — the load
-// signal conservative parallel groups use to rebalance — and is cheap
+// deterministic measure of simulation work, independent of host speed:
+// the benchmark probes divide by it to price one event, and it is cheap
 // enough to maintain unconditionally.
 func (k *Kernel) Fired() int64 { return k.fired }
 

@@ -161,16 +161,6 @@ func (k *refKernel) RunUntil(t Time) Time {
 	return k.now
 }
 
-func (k *refKernel) RunBefore(h Time) Time {
-	k.stopped = false
-	k.running, k.bounded, k.bound = true, true, h-1
-	for !k.stopped && len(k.heap) > 0 && k.heap[0].at < h {
-		k.Step()
-	}
-	k.running, k.bounded = false, false
-	return k.now
-}
-
 func (k *refKernel) Fired() int64 { return k.fired }
 
 func (k *refKernel) NextEventTime() (Time, bool) {

@@ -19,8 +19,9 @@ type Flow struct {
 // flowFree pools sender records (each carrying its Flow handle and
 // send-timestamp ring) across transfers, so scenarios that open many
 // short flows pay no per-flow allocation in steady state. The pool is
-// shared across kernels; a mutex (rather than sync.Pool) keeps the
-// steady-state alloc count deterministic.
+// shared by every sweep shard, and shards are goroutines; a mutex
+// (rather than sync.Pool) keeps the steady-state alloc count
+// deterministic.
 var flowFree struct {
 	sync.Mutex
 	free []*sender
@@ -99,11 +100,10 @@ func Start(n *netsim.Network, src, dst netsim.NodeID, nbytes int64, cfg Config) 
 	}
 	s := getSender()
 	s.n, s.src, s.dst, s.cfg, s.total = n, src, dst, cfg, nbytes
-	s.kSrc = n.KernelOf(src)
 	s.mss = mss
 	s.cwnd = float64(cfg.InitialCwndSegs * mss)
 	s.ssthresh = float64(cfg.WindowBytes)
-	s.start = s.kSrc.Now()
+	s.start = n.K.Now()
 	if cap(s.sendTS) >= ringSize {
 		s.sendTS = s.sendTS[:ringSize]
 	} else {
@@ -117,7 +117,7 @@ func Start(n *netsim.Network, src, dst netsim.NodeID, nbytes int64, cfg Config) 
 		s.finish = s.start
 		return &s.handle, nil
 	}
-	s.kSrc.AtFunc(s.kSrc.Now(), startPump, unsafe.Pointer(s), nil)
+	n.K.AtFunc(n.K.Now(), startPump, unsafe.Pointer(s), nil)
 	return &s.handle, nil
 }
 

@@ -103,12 +103,6 @@ type sender struct {
 	cfg      Config
 	total    int64
 
-	// kSrc is the kernel owning src. All sender-side state (everything
-	// but rcvNext) is read and written only on this kernel; on a
-	// partitioned network the receiver side runs on dst's kernel and
-	// touches rcvNext alone, so the two sides never race.
-	kSrc *sim.Kernel
-
 	mss      int
 	ackSeq   int64 // cumulative bytes acknowledged (sender view)
 	rcvNext  int64 // highest contiguous byte received (receiver view)
@@ -203,7 +197,7 @@ func (s *sender) pump() {
 // unconditionally (stale occupants are either acked or invalidated).
 func (s *sender) recordSendTS(seq int64) {
 	e := &s.sendTS[(seq/int64(s.mss))%int64(len(s.sendTS))]
-	e.seq, e.gen, e.ts = seq, s.tsGen, s.kSrc.Now()
+	e.seq, e.gen, e.ts = seq, s.tsGen, s.n.K.Now()
 }
 
 // lookupSendTS reports the send time of the segment at seq, if it was
@@ -224,7 +218,7 @@ func (s *sender) sendSegment(seq int64) {
 	}
 	end := seq + payload
 	s.recordSendTS(seq)
-	pkt := s.n.NewPacketAt(s.src)
+	pkt := s.n.NewPacket()
 	pkt.Src, pkt.Dst = s.src, s.dst
 	pkt.Bytes = int(payload) + HeaderBytes
 	pkt.Seq, pkt.Aux = seq, end
@@ -241,7 +235,7 @@ func (s *sender) onDataArrive(seq, end int64) {
 		s.rcvNext = end
 	}
 	// Running at dst: the ACK allocation must come from dst's pool.
-	ack := s.n.NewPacketAt(s.dst)
+	ack := s.n.NewPacket()
 	ack.Src, ack.Dst = s.dst, s.src
 	ack.Bytes = AckBytes
 	ack.Seq = s.rcvNext
@@ -257,7 +251,7 @@ func (s *sender) onAck(ackNo int64) {
 	if ackNo > s.ackSeq {
 		// RTT sample from the oldest outstanding segment.
 		if ts, ok := s.lookupSendTS(s.ackSeq); ok {
-			s.rttSample(s.kSrc.Now().Sub(ts))
+			s.rttSample(s.n.K.Now().Sub(ts))
 		}
 		acked := ackNo - s.ackSeq
 		s.ackSeq = ackNo
@@ -324,12 +318,12 @@ func (s *sender) rto() time.Duration {
 func fireRTO(a0, _ unsafe.Pointer) { (*sender)(a0).onRTO() }
 
 func (s *sender) armRTO() {
-	s.kSrc.Cancel(s.rtoEv)
+	s.n.K.Cancel(s.rtoEv)
 	s.rtoEv = sim.Event{}
 	if s.done || s.ackSeq >= s.nextSeq {
 		return // nothing outstanding
 	}
-	s.rtoEv = s.kSrc.AfterFunc(s.rto(), fireRTO, unsafe.Pointer(s), nil)
+	s.rtoEv = s.n.K.AfterFunc(s.rto(), fireRTO, unsafe.Pointer(s), nil)
 }
 
 func (s *sender) onRTO() {
@@ -350,8 +344,8 @@ func (s *sender) onRTO() {
 
 func (s *sender) complete() {
 	s.done = true
-	s.finish = s.kSrc.Now()
-	s.kSrc.Cancel(s.rtoEv)
+	s.finish = s.n.K.Now()
+	s.n.K.Cancel(s.rtoEv)
 	s.rtoEv = sim.Event{}
 }
 

@@ -8,7 +8,6 @@ package video
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/netsim"
@@ -79,11 +78,6 @@ func Stream(n *netsim.Network, src, dst netsim.NodeID, cfg StreamConfig) (Stream
 	var res StreamResult
 	res.Frames = cfg.Frames
 
-	// Injection runs on src's kernel, delivery (and frames[] updates) on
-	// dst's. Drops can fire on any relay's kernel, so the loss counter is
-	// an atomic summed after the run.
-	srcK, dstK := n.KernelOf(src), n.KernelOf(dst)
-	var lost int64
 	for f := 0; f < cfg.Frames; f++ {
 		f := f
 		for k := 0; k < pktsPerFrame; k++ {
@@ -92,23 +86,22 @@ func Stream(n *netsim.Network, src, dst netsim.NodeID, cfg StreamConfig) (Stream
 				size = FrameBytes - (pktsPerFrame-1)*cfg.MTU
 			}
 			at := sim.Time(f)*sim.Time(FrameInterval) + sim.Time(k)*sim.Time(spacing)
-			srcK.At(at, func() {
+			n.K.At(at, func() {
 				n.Send(&netsim.Packet{
 					Src: src, Dst: dst, Bytes: size,
 					OnDeliver: func(*netsim.Packet) {
 						st := &frames[f]
 						st.received++
 						if st.received == pktsPerFrame {
-							st.complete = dstK.Now()
+							st.complete = n.K.Now()
 						}
 					},
-					OnDrop: func(*netsim.Packet) { atomic.AddInt64(&lost, 1) },
+					OnDrop: func(*netsim.Packet) { res.LostPackets++ },
 				})
 			})
 		}
 	}
 	n.Run()
-	res.LostPackets = int(lost)
 
 	var sumDelay time.Duration
 	completed := 0

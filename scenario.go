@@ -139,10 +139,3 @@ func WithTestbed(tb *Testbed) Option { return core.WithTestbed(tb) }
 
 // WithWorkers bounds the RunAll worker pool (default GOMAXPROCS).
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
-
-// WithKernels partitions every engine-built testbed's network at
-// WAN-link boundaries and runs it as a conservative parallel simulation
-// on up to n kernels (capped by the number of WAN-separated sites).
-// Like WithShards it changes only wall-clock time: reports are
-// byte-identical at any kernel count.
-func WithKernels(n int) Option { return core.WithKernels(n) }
