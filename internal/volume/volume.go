@@ -5,15 +5,17 @@
 // uses on the T3E).
 //
 // Two trilinear samplers give the same bits: Trilinear is the point
-// sampler; PlaneSampler takes a tensor grid (one coordinate list per
-// axis), does the per-coordinate work once per axis entry, and yields
-// the grid one z-plane at a time — how the workbench merge streams the
-// upsampled map. Resample and Shift collect its planes into a volume.
+// sampler; Sampler takes a tensor grid (one coordinate list per axis),
+// interpolates one axis at a time keeping each intermediate row and
+// slice, and yields the grid one z-plane at a time — how the workbench
+// merge streams the upsampled map. Resample and Shift collect its
+// planes into a volume.
 package volume
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Volume is a dense 3-D scalar field, indexed x fastest (x + NX*(y + NY*z)).
@@ -147,43 +149,132 @@ type tap struct {
 	f      float64
 }
 
-// axisTaps turns sampling coordinates along an axis of length n into
-// taps, exactly as Trilinear treats each of its three coordinates.
-func axisTaps(coords []float64, n int) []tap {
-	taps := make([]tap, len(coords))
-	for i, c := range coords {
-		c0 := int(math.Floor(c))
-		taps[i] = tap{clamp(c0, n), clamp(c0+1, n), c - float64(c0)}
-	}
-	return taps
+// tapAt turns a sampling coordinate along an axis of length n into a
+// tap, exactly as Trilinear treats each of its three coordinates.
+func tapAt(c float64, n int) tap {
+	c0 := int(math.Floor(c))
+	return tap{clamp(c0, n), clamp(c0+1, n), c - float64(c0)}
 }
 
-// PlaneSampler samples the volume trilinearly, with edge clamping, on
-// the tensor grid xs x ys x zs of fractional coordinates, one output
-// z-plane at a time: the returned plane(k, dst) writes len(xs)*len(ys)
-// voxels, x fastest, into dst, voxel (i, j) being Trilinear(xs[i],
-// ys[j], zs[k]) bit for bit. The grid being separable, the floor, clamps
-// and weights are computed once per axis entry instead of once per
-// voxel, and the four source rows once per output row.
-func (v *Volume) PlaneSampler(xs, ys, zs []float64) (plane func(k int, dst []float32)) {
-	tx, ty, tz := axisTaps(xs, v.NX), axisTaps(ys, v.NY), axisTaps(zs, v.NZ)
-	return func(k int, dst []float32) {
-		z := tz[k]
-		for _, y := range ty {
-			r00, r10 := v.row(y.i0, z.i0), v.row(y.i1, z.i0)
-			r01, r11 := v.row(y.i0, z.i1), v.row(y.i1, z.i1)
-			for i, x := range tx {
-				c00 := float64(r00[x.i0])*(1-x.f) + float64(r00[x.i1])*x.f
-				c10 := float64(r10[x.i0])*(1-x.f) + float64(r10[x.i1])*x.f
-				c01 := float64(r01[x.i0])*(1-x.f) + float64(r01[x.i1])*x.f
-				c11 := float64(r11[x.i0])*(1-x.f) + float64(r11[x.i1])*x.f
-				c0 := c00*(1-y.f) + c10*y.f
-				c1 := c01*(1-y.f) + c11*y.f
-				dst[i] = float32(c0*(1-z.f) + c1*z.f)
-			}
-			dst = dst[len(tx):]
+// lines holds two equal-length lines of float64s, each tagged with the
+// source index it was interpolated from (-1: none).
+type lines struct {
+	tag [2]int
+	buf []float64
+}
+
+// reset empties the cache and sizes its lines to n values, reusing the
+// backing array when it is large enough.
+func (l *lines) reset(n int) {
+	if cap(l.buf) < 2*n {
+		l.buf = make([]float64, 2*n)
+	}
+	l.buf, l.tag = l.buf[:2*n], [2]int{-1, -1}
+}
+
+// get returns the line tagged t and true, or else a line now tagged t
+// for the caller to compute and false. It never reuses the line tagged
+// keep, the other line the caller needs at the same time.
+func (l *lines) get(t, keep int) ([]float64, bool) {
+	n, i := len(l.buf)/2, 0
+	switch {
+	case l.tag[0] == t:
+		return l.buf[:n], true
+	case l.tag[1] == t:
+		return l.buf[n:], true
+	case l.tag[0] == keep:
+		i = 1
+	}
+	l.tag[i] = t
+	return l.buf[i*n : (i+1)*n], false
+}
+
+// Sampler samples a volume trilinearly, with edge clamping, on the
+// tensor grid xs x ys x zs of fractional coordinates, one output z-plane
+// at a time: Plane(k, dst) writes len(xs)*len(ys) voxels, x fastest,
+// voxel (i, j) being Trilinear(xs[i], ys[j], zs[k]) bit for bit.
+//
+// The grid being separable, the floor, clamps and weights are computed
+// once per axis entry, and the interpolation runs one axis at a time
+// with every intermediate kept: each source row a source z-slice needs
+// is interpolated along x once, each such slice along y once into a
+// len(xs) x len(ys) plane, and an output plane is the z-blend of the
+// two slice planes around it, which stay cached for the next output
+// plane. Each stage is the float64 expression Trilinear evaluates, so
+// the bits are the same. Planes are cheapest asked for in z order.
+//
+// The zero value is ready for Reset or Shift. Both reuse the sampler's
+// buffers, so a sampler that serves a loop allocates only while its
+// grid grows. A Sampler is not safe for concurrent use.
+type Sampler struct {
+	v          *Volume
+	tx, ty, tz []tap
+	rows       lines // source rows of one slice, interpolated along x
+	slices     lines // source slices, interpolated along x and y
+}
+
+// Reset points the sampler at v and the grid xs x ys x zs.
+func (s *Sampler) Reset(v *Volume, xs, ys, zs []float64) {
+	s.tx, s.ty, s.tz = slices.Grow(s.tx[:0], len(xs)), slices.Grow(s.ty[:0], len(ys)), slices.Grow(s.tz[:0], len(zs))
+	for _, c := range xs {
+		s.tx = append(s.tx, tapAt(c, v.NX))
+	}
+	for _, c := range ys {
+		s.ty = append(s.ty, tapAt(c, v.NY))
+	}
+	for _, c := range zs {
+		s.tz = append(s.tz, tapAt(c, v.NZ))
+	}
+	s.bind(v)
+}
+
+// bind attaches v and empties both caches for the current taps.
+func (s *Sampler) bind(v *Volume) {
+	s.v = v
+	s.rows.reset(len(s.tx))
+	s.slices.reset(len(s.tx) * len(s.ty))
+}
+
+// Plane writes output z-plane k into dst.
+func (s *Sampler) Plane(k int, dst []float32) {
+	z := s.tz[k]
+	c0, c1 := s.slice(z.i0, z.i1), s.slice(z.i1, z.i0)
+	dst = dst[:len(c0)]
+	for i := range dst {
+		dst[i] = float32(c0[i]*(1-z.f) + c1[i]*z.f)
+	}
+}
+
+// slice returns source slice z interpolated along x and y, computing it
+// unless it is cached; keep is the other slice the caller needs.
+func (s *Sampler) slice(z, keep int) []float64 {
+	c, ok := s.slices.get(z, keep)
+	if ok {
+		return c
+	}
+	n := len(s.tx)
+	s.rows.reset(n)
+	for j, y := range s.ty {
+		c00, c10 := s.row(y.i0, y.i1, z), s.row(y.i1, y.i0, z)
+		out := c[j*n : (j+1)*n]
+		for i := range out {
+			out[i] = c00[i]*(1-y.f) + c10[i]*y.f
 		}
 	}
+	return c
+}
+
+// row returns source row (y, z) interpolated along x, computing it
+// unless it is cached; keep is the other row the caller needs.
+func (s *Sampler) row(y, keep, z int) []float64 {
+	c, ok := s.rows.get(y, keep)
+	if !ok {
+		r := s.v.row(y, z)
+		for i, x := range s.tx {
+			c[i] = float64(r[x.i0])*(1-x.f) + float64(r[x.i1])*x.f
+		}
+	}
+	return c
 }
 
 // row returns source row (y, z).
@@ -192,28 +283,61 @@ func (v *Volume) row(y, z int) []float32 {
 	return v.Data[start : start+v.NX]
 }
 
+// PlaneSampler returns the Plane method of a new Sampler on the grid
+// xs x ys x zs.
+func (v *Volume) PlaneSampler(xs, ys, zs []float64) (plane func(k int, dst []float32)) {
+	s := new(Sampler)
+	s.Reset(v, xs, ys, zs)
+	return s.Plane
+}
+
 // Resample returns the whole grid xs x ys x zs, plane by plane.
 func (v *Volume) Resample(xs, ys, zs []float64) *Volume {
+	var s Sampler
+	s.Reset(v, xs, ys, zs)
 	out := New(len(xs), len(ys), len(zs))
-	plane, n := v.PlaneSampler(xs, ys, zs), len(xs)*len(ys)
-	for k := range zs {
-		plane(k, out.Data[k*n:(k+1)*n])
-	}
+	s.planes(out)
 	return out
+}
+
+// planes writes every output plane into out, in z order.
+func (s *Sampler) planes(out *Volume) {
+	n := out.NX * out.NY
+	for k := range s.tz {
+		s.Plane(k, out.Data[k*n:(k+1)*n])
+	}
 }
 
 // Shift returns the volume rigidly translated by (dx, dy, dz) voxels
 // (fractional allowed), resampled trilinearly with edge clamping. The
 // result at (x,y,z) is the input at (x-dx, y-dy, z-dz).
 func (v *Volume) Shift(dx, dy, dz float64) *Volume {
-	axis := func(n int, d float64) []float64 {
-		cs := make([]float64, n)
-		for i := range cs {
-			cs[i] = float64(i) - d
-		}
-		return cs
+	out := New(v.NX, v.NY, v.NZ)
+	new(Sampler).Shift(out, v, dx, dy, dz)
+	return out
+}
+
+// Shift writes v rigidly translated by (dx, dy, dz) voxels into dst, as
+// v.Shift does, reusing the sampler's buffers: the sampler resamples
+// without allocating once it has served a volume of this shape. dst
+// must have v's shape and must not be v.
+func (s *Sampler) Shift(dst, v *Volume, dx, dy, dz float64) {
+	if !dst.SameShape(v) || &dst.Data[0] == &v.Data[0] {
+		panic(fmt.Sprintf("volume: Shift into a %dx%dx%d volume that is not a distinct copy of the %dx%dx%d source",
+			dst.NX, dst.NY, dst.NZ, v.NX, v.NY, v.NZ))
 	}
-	return v.Resample(axis(v.NX, dx), axis(v.NY, dy), axis(v.NZ, dz))
+	s.tx, s.ty, s.tz = shiftTaps(s.tx[:0], v.NX, dx), shiftTaps(s.ty[:0], v.NY, dy), shiftTaps(s.tz[:0], v.NZ, dz)
+	s.bind(v)
+	s.planes(dst)
+}
+
+// shiftTaps appends the taps of coordinates i - d, i in [0, n).
+func shiftTaps(taps []tap, n int, d float64) []tap {
+	taps = slices.Grow(taps, n)
+	for i := 0; i < n; i++ {
+		taps = append(taps, tapAt(float64(i)-d, n))
+	}
+	return taps
 }
 
 // Gradient returns central-difference spatial gradients (gx, gy, gz) at

@@ -263,13 +263,30 @@ func randomVolume(nx, ny, nz int, seed int64) *Volume {
 	return v
 }
 
+// reused is one sampler every bit-for-bit check below also samples
+// through, so its caches are carried from grid to grid and volume to
+// volume: a stale row or slice would show as a wrong voxel.
+var reused Sampler
+
 // requireResampleIsTrilinear checks Resample against the per-voxel
-// Trilinear loop it replaced, to the last bit.
+// Trilinear loop it replaced, to the last bit, and the reused sampler
+// too, asked for its planes in reverse z order.
 func requireResampleIsTrilinear(t *testing.T, name string, v *Volume, xs, ys, zs []float64) {
 	t.Helper()
 	got := v.Resample(xs, ys, zs)
 	if got.NX != len(xs) || got.NY != len(ys) || got.NZ != len(zs) {
 		t.Fatalf("%s: shape %dx%dx%d, want %dx%dx%d", name, got.NX, got.NY, got.NZ, len(xs), len(ys), len(zs))
+	}
+	reused.Reset(v, xs, ys, zs)
+	n := len(xs) * len(ys)
+	plane := make([]float32, n)
+	for k := len(zs) - 1; k >= 0; k-- {
+		reused.Plane(k, plane)
+		for i, g := range plane {
+			if math.Float32bits(g) != math.Float32bits(got.Data[k*n+i]) {
+				t.Fatalf("%s: reused sampler plane %d voxel %d = %v, Resample %v", name, k, i, g, got.Data[k*n+i])
+			}
+		}
 	}
 	for k, z := range zs {
 		for j, y := range ys {
@@ -301,18 +318,27 @@ func TestResampleEqualsTrilinearBitForBit(t *testing.T) {
 			{2, -1, 1},            // exactly integral
 			{1e6, -1e6, 1e9},      // far out of range: every tap clamped
 			{-0.5, 1e-12, -1e-12}, // a hair off the grid on either side
+			{0.25, 0.5, 0.75},     // fractional, all positive: taps below
+			{-0.25, -0.5, -0.75},  // fractional, all negative: taps above
+			{0, 0, 0.5},           // z alone: every output plane blends two slices
 		}
+		into := New(v.NX, v.NY, v.NZ)
 		for i := 0; i < 6; i++ {
 			shifts = append(shifts, [3]float64{rng.NormFloat64() * 2, rng.NormFloat64() * 2, rng.NormFloat64() * 2})
 		}
 		for _, d := range shifts {
 			xs, ys, zs := shifted(v.NX, d[0]), shifted(v.NY, d[1]), shifted(v.NZ, d[2])
 			requireResampleIsTrilinear(t, "shift", v, xs, ys, zs)
-			// Shift is that grid.
+			// Shift is that grid, and so is the reused sampler's Shift
+			// into a reused volume.
 			got, want := v.Shift(d[0], d[1], d[2]), v.Resample(xs, ys, zs)
+			reused.Shift(into, v, d[0], d[1], d[2])
 			for i := range want.Data {
 				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 					t.Fatalf("Shift%v voxel %d = %v, Resample %v", d, i, got.Data[i], want.Data[i])
+				}
+				if math.Float32bits(into.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("Sampler.Shift%v voxel %d = %v, Resample %v", d, i, into.Data[i], want.Data[i])
 				}
 			}
 		}
@@ -327,5 +353,23 @@ func TestResampleEqualsTrilinearBitForBit(t *testing.T) {
 			return cs
 		}
 		requireResampleIsTrilinear(t, "upsample", v, scaled(29, v.NX), scaled(23, v.NY), scaled(11, v.NZ))
+		// figure 4's ratios: 4x in x and y, 8x in z, so each source row
+		// and slice serves several output rows and planes.
+		up := func(n, r int) []float64 { return scaled(max(r*(n-1)+1, 2), n) }
+		requireResampleIsTrilinear(t, "upsample 4x4x8", v, up(v.NX, 4), up(v.NY, 4), up(v.NZ, 8))
+		requireResampleIsTrilinear(t, "downsample", v, scaled(3, v.NX), scaled(2, v.NY), scaled(2, v.NZ))
+		// z taps clamped at both ends (i0 == i1) around interior ones,
+		// and y coordinates out of order and repeated.
+		spread := func(m int, lo, hi float64) []float64 {
+			cs := make([]float64, m)
+			for i := range cs {
+				cs[i] = lo + (hi-lo)*float64(i)/float64(max(m-1, 1))
+			}
+			return cs
+		}
+		ys := spread(v.NY+2, -1.5, float64(v.NY)+0.5)
+		ys[0], ys[len(ys)-1] = ys[len(ys)-1], ys[0]
+		ys = append(ys, ys[1], ys[1])
+		requireResampleIsTrilinear(t, "clamped", v, spread(v.NX, 0.1, float64(v.NX)-0.9), ys, spread(2*v.NZ+3, -2.25, float64(v.NZ)+1.25))
 	}
 }
