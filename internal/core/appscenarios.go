@@ -22,6 +22,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/video"
 	"repro/internal/viz"
+	"repro/internal/volume"
 )
 
 // The section-3 application workloads as registered scenarios. The
@@ -286,6 +287,7 @@ func runRTSession(ctx context.Context, scans int) (Report, error) {
 
 	corr := fire.NewCorrelator(sc.Reference(0), 64, 64, 16)
 	rep := &RTSessionReport{}
+	var fixed *volume.Volume // the motion-corrected scan, reused every scan
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -298,7 +300,8 @@ func runRTSession(ctx context.Context, scans int) (Report, error) {
 			break
 		}
 		// 3-D movement correction against the anatomy.
-		fixed, shift, err := fire.MotionCorrect(ph.Anatomy, msg.Image, fire.MotionOptions{})
+		var shift [3]float64
+		fixed, shift, err = fire.MotionCorrect(fixed, ph.Anatomy, msg.Image, fire.MotionOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -121,7 +121,7 @@ func TestEstimateShiftRecoversKnownMotion(t *testing.T) {
 func TestMotionCorrectRestoresImage(t *testing.T) {
 	ref := phantomVolume()
 	cur := ref.Shift(0.8, -0.6, 0.2)
-	fixed, d, err := MotionCorrect(ref, cur, MotionOptions{})
+	fixed, d, err := MotionCorrect(nil, ref, cur, MotionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +243,7 @@ func referenceEstimateShift(ref, cur *volume.Volume, opts MotionOptions) ([3]flo
 
 func TestEstimateShiftEqualsGradientLoopBitForBit(t *testing.T) {
 	ref := phantomVolume()
+	var fixed *volume.Volume // MotionCorrect's target, reused across the cases
 	for _, c := range []struct {
 		shift  [3]float64
 		border int
@@ -266,6 +267,29 @@ func TestEstimateShiftEqualsGradientLoopBitForBit(t *testing.T) {
 				t.Errorf("shift %v border %d axis %d: %v, Gradient loop %v", c.shift, c.border, i, got[i], want[i])
 			}
 		}
+		// MotionCorrect fits in its target volume, then resamples into
+		// it: the same estimate, and the image Shift gives for it.
+		var d [3]float64
+		fixed, d, err = MotionCorrect(fixed, ref, cur, MotionOptions{Border: c.border})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != want {
+			t.Errorf("shift %v border %d: MotionCorrect estimate %v, Gradient loop %v", c.shift, c.border, d, want)
+		}
+		ideal := cur.Shift(-want[0], -want[1], -want[2])
+		for i := range ideal.Data {
+			if math.Float32bits(fixed.Data[i]) != math.Float32bits(ideal.Data[i]) {
+				t.Fatalf("shift %v border %d: corrected voxel %d = %v, Shift %v", c.shift, c.border, i, fixed.Data[i], ideal.Data[i])
+			}
+		}
+	}
+	if _, _, err := MotionCorrect(volume.New(2, 2, 2), ref, ref.Clone(), MotionOptions{}); err == nil {
+		t.Error("MotionCorrect wrote into a target of another shape")
+	}
+	cur := ref.Clone()
+	if _, _, err := MotionCorrect(cur, ref, cur, MotionOptions{}); err == nil {
+		t.Error("MotionCorrect wrote over its own input")
 	}
 }
 

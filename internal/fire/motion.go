@@ -38,23 +38,40 @@ func (o *MotionOptions) fill() {
 // gradients and solve the 3x3 normal equations, then re-resample.
 // Small head movements (a few voxels) are the intended regime.
 func EstimateShift(ref, cur *volume.Volume, opts MotionOptions) ([3]float64, error) {
+	if err := checkMotion(ref, cur, &opts); err != nil {
+		return [3]float64{}, err
+	}
+	return estimateShift(new(volume.Sampler), volume.New(ref.NX, ref.NY, ref.NZ), ref, cur, opts)
+}
+
+// checkMotion validates a motion fit of cur against ref and fills in
+// the option defaults.
+func checkMotion(ref, cur *volume.Volume, opts *MotionOptions) error {
 	if !ref.SameShape(cur) {
-		return [3]float64{}, fmt.Errorf("fire: shape mismatch %dx%dx%d vs %dx%dx%d",
+		return fmt.Errorf("fire: shape mismatch %dx%dx%d vs %dx%dx%d",
 			ref.NX, ref.NY, ref.NZ, cur.NX, cur.NY, cur.NZ)
 	}
 	opts.fill()
 	b := opts.Border
 	for i, n := range [3]int{ref.NX, ref.NY, ref.NZ} {
 		if b < 1 || n <= 2*b {
-			return [3]float64{}, fmt.Errorf("fire: motion fit has no interior voxels: N%c = %d with Border %d (need Border >= 1 and N > 2*Border)",
+			return fmt.Errorf("fire: motion fit has no interior voxels: N%c = %d with Border %d (need Border >= 1 and N > 2*Border)",
 				"XYZ"[i], n, b)
 		}
 	}
+	return nil
+}
+
+// estimateShift is EstimateShift on checked inputs: every Gauss-Newton
+// iteration resamples cur through s into the same volume moved.
+func estimateShift(s *volume.Sampler, moved, ref, cur *volume.Volume, opts MotionOptions) ([3]float64, error) {
+	b := opts.Border
 	nx, plane := ref.NX, ref.NX*ref.NY
 	var d [3]float64
+	a := linalg.NewMat(3, 3)
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		// Resample cur back by the current estimate.
-		moved := cur.Shift(-d[0], -d[1], -d[2])
+		s.Shift(moved, cur, -d[0], -d[1], -d[2])
 		// Accumulate J^T J and J^T r over interior voxels, where J
 		// columns are the spatial gradients of the moved image and
 		// r is the intensity residual vs. the reference. Border >= 1
@@ -85,7 +102,6 @@ func EstimateShift(ref, cur *volume.Volume, opts MotionOptions) ([3]float64, err
 				}
 			}
 		}
-		a := linalg.NewMat(3, 3)
 		for i, row := range [3][3]float64{{xx, xy, xz}, {xy, yy, yz}, {xz, yz, zz}} {
 			for j, v := range row {
 				a.Set(i, j, v)
@@ -106,11 +122,27 @@ func EstimateShift(ref, cur *volume.Volume, opts MotionOptions) ([3]float64, err
 }
 
 // MotionCorrect estimates the shift of cur relative to ref and returns
-// the corrected (resampled) volume together with the estimate.
-func MotionCorrect(ref, cur *volume.Volume, opts MotionOptions) (*volume.Volume, [3]float64, error) {
-	d, err := EstimateShift(ref, cur, opts)
+// cur resampled by it together with the estimate. The corrected image
+// is written into dst, which also holds the fit's intermediate
+// resamplings, so a loop that passes the same dst every scan allocates
+// no volume; nil dst allocates one. dst must have cur's shape and must
+// not be cur.
+func MotionCorrect(dst, ref, cur *volume.Volume, opts MotionOptions) (*volume.Volume, [3]float64, error) {
+	if err := checkMotion(ref, cur, &opts); err != nil {
+		return nil, [3]float64{}, err
+	}
+	switch {
+	case dst == nil:
+		dst = volume.New(cur.NX, cur.NY, cur.NZ)
+	case dst == cur || !dst.SameShape(cur):
+		return nil, [3]float64{}, fmt.Errorf("fire: motion-correction target %dx%dx%d is not a separate %dx%dx%d volume",
+			dst.NX, dst.NY, dst.NZ, cur.NX, cur.NY, cur.NZ)
+	}
+	var s volume.Sampler
+	d, err := estimateShift(&s, dst, ref, cur, opts)
 	if err != nil {
 		return nil, d, err
 	}
-	return cur.Shift(-d[0], -d[1], -d[2]), d, nil
+	s.Shift(dst, cur, -d[0], -d[1], -d[2])
+	return dst, d, nil
 }

@@ -154,7 +154,7 @@ func (e *T3EExecutor) Process(ref, raw *volume.Volume) (*ProcessedScan, error) {
 	out := &ProcessedScan{}
 	out.Filtered = ParallelMedianFilter3D(raw, 1, e.Workers)
 	if ref != nil {
-		fixed, _, err := MotionCorrect(ref, out.Filtered, MotionOptions{})
+		fixed, _, err := MotionCorrect(nil, ref, out.Filtered, MotionOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -16,10 +16,11 @@ func TestProtoImageRoundTrip(t *testing.T) {
 		v.Data[i] = float32(i) * 1.5
 	}
 	var buf bytes.Buffer
-	if err := WriteImage(&buf, 7, v); err != nil {
+	rt := NewConn(&buf)
+	if err := rt.WriteImage(7, v); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := ReadMessage(&buf)
+	msg, err := rt.ReadMessage()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,17 +39,18 @@ func TestProtoImageRoundTrip(t *testing.T) {
 
 func TestProtoControlRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteRequest(&buf); err != nil {
+	rt := NewConn(&buf)
+	if err := rt.WriteRequest(); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDone(&buf); err != nil {
+	if err := rt.WriteDone(); err != nil {
 		t.Fatal(err)
 	}
-	m1, err := ReadMessage(&buf)
+	m1, err := rt.ReadMessage()
 	if err != nil || m1.Type != MsgRequest {
 		t.Fatalf("m1 = %+v err=%v", m1, err)
 	}
-	m2, err := ReadMessage(&buf)
+	m2, err := rt.ReadMessage()
 	if err != nil || m2.Type != MsgDone {
 		t.Fatalf("m2 = %+v err=%v", m2, err)
 	}
@@ -56,7 +58,7 @@ func TestProtoControlRoundTrip(t *testing.T) {
 
 func TestProtoRejectsGarbage(t *testing.T) {
 	buf := bytes.NewBuffer(make([]byte, headerSize)) // zero magic
-	if _, err := ReadMessage(buf); err == nil {
+	if _, err := NewConn(buf).ReadMessage(); err == nil {
 		t.Error("zero-magic header accepted")
 	}
 }
@@ -64,12 +66,75 @@ func TestProtoRejectsGarbage(t *testing.T) {
 func TestProtoRejectsTruncated(t *testing.T) {
 	v := volume.New(4, 4, 4)
 	var buf bytes.Buffer
-	if err := WriteImage(&buf, 0, v); err != nil {
+	if err := NewConn(&buf).WriteImage(0, v); err != nil {
 		t.Fatal(err)
 	}
 	trunc := bytes.NewBuffer(buf.Bytes()[:buf.Len()-10])
-	if _, err := ReadMessage(trunc); err == nil {
+	if _, err := NewConn(trunc).ReadMessage(); err == nil {
 		t.Error("truncated image accepted")
+	}
+}
+
+// imageHeader encodes an image header announcing the given dims and
+// payload, the only bytes a peer needs to send to make ReadMessage size
+// an allocation.
+func imageHeader(nx, ny, nz uint16, payload uint32) []byte {
+	buf := make([]byte, headerSize)
+	putHeader(buf, header{Magic: rtMagic, Type: MsgImage, NX: nx, NY: ny, NZ: nz, Payload: payload})
+	return buf
+}
+
+// TestProtoRejectsOversizedImage: a bare 24-byte header announcing a
+// 1024^3 image with payload 0 used to pass the size check (4*nvox
+// wrapped to 0 in 32 bits), allocate a 4 GiB volume and panic indexing
+// the empty payload. Every header whose image exceeds maxImageVoxels,
+// or whose payload disagrees with its dims in 64-bit arithmetic, is now
+// an error before anything is allocated.
+func TestProtoRejectsOversizedImage(t *testing.T) {
+	for _, c := range []struct {
+		nx, ny, nz uint16
+		payload    uint32
+	}{
+		{1024, 1024, 1024, 0},                // 4*2^30 wraps to 0
+		{1024, 1024, 1024, 1 << 31},          // wraps to 2^31 at other widths
+		{65535, 65535, 65535, 0},             // the largest dims the header holds
+		{4096, 4096, 2, 4 * 4096 * 4096 * 2}, // consistent, but over the limit
+	} {
+		_, err := NewConn(bytes.NewBuffer(imageHeader(c.nx, c.ny, c.nz, c.payload))).ReadMessage()
+		if err == nil {
+			t.Errorf("%dx%dx%d image with payload %d accepted", c.nx, c.ny, c.nz, c.payload)
+		}
+	}
+	// The sender refuses what the receiver would refuse.
+	if err := NewConn(new(bytes.Buffer)).WriteImage(0, volume.New(4096, 4096, 2)); err == nil {
+		t.Error("WriteImage sent an image over maxImageVoxels")
+	}
+	if err := NewConn(new(bytes.Buffer)).WriteImage(0, volume.New(1<<16, 1, 1)); err == nil {
+		t.Error("WriteImage sent an axis the header cannot hold")
+	}
+}
+
+// TestProtoReusesImage: a connection decodes every image into one
+// volume while the shape holds, and into a new one when it changes.
+func TestProtoReusesImage(t *testing.T) {
+	var buf bytes.Buffer
+	rt := NewConn(&buf)
+	a, b := volume.New(4, 3, 2), volume.New(2, 2, 2)
+	a.Fill(1)
+	b.Fill(2)
+	for _, v := range []*volume.Volume{a, a, b} {
+		if err := rt.WriteImage(0, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m1, _ := rt.ReadMessage()
+	m2, _ := rt.ReadMessage()
+	if m1.Image != m2.Image {
+		t.Error("same-shape images decoded into different volumes")
+	}
+	m3, err := rt.ReadMessage()
+	if err != nil || !m3.Image.SameShape(b) || m3.Image.Data[0] != 2 {
+		t.Fatalf("reshaped image = %+v, %v", m3.Image, err)
 	}
 }
 
@@ -231,4 +296,41 @@ func TestSafeTRRounding(t *testing.T) {
 	if SafeTR(3.01) != 3.5 {
 		t.Errorf("SafeTR(3.01) = %v", SafeTR(3.01))
 	}
+}
+
+// FuzzReadMessage feeds arbitrary bytes to a connection and reads
+// messages until one fails. Reading must never panic, and every image
+// it accepts must round-trip: WriteImage of the decoded volume and scan
+// reproduces the message's bytes exactly (NaN payloads included), but
+// for the header's pad bytes, which the reader ignores.
+//
+// The seed corpus in testdata/fuzz/FuzzReadMessage (every message type,
+// odd floats, reshaped and back-to-back images, and the headers that
+// are refused: the 1024^3 image that announces no payload, truncated,
+// inconsistent and unknown messages) replays in every plain go test.
+func FuzzReadMessage(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		src := bytes.NewBuffer(in)
+		rt := NewConn(src)
+		for {
+			start := len(in) - src.Len()
+			msg, err := rt.ReadMessage()
+			if err != nil {
+				return
+			}
+			if msg.Type != MsgImage {
+				continue
+			}
+			var out bytes.Buffer
+			if err := NewConn(&out).WriteImage(msg.Scan, msg.Image); err != nil {
+				t.Fatalf("accepted %dx%dx%d image cannot be written back: %v", msg.Image.NX, msg.Image.NY, msg.Image.NZ, err)
+			}
+			want := bytes.Clone(in[start : len(in)-src.Len()])
+			clear(want[5:8]) // pad bytes
+			clear(want[18:20])
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Fatalf("image of scan %d does not round-trip:\nread  %x\nwrote %x", msg.Scan, want, out.Bytes())
+			}
+		}
+	})
 }

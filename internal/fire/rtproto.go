@@ -40,8 +40,36 @@ type header struct {
 
 const headerSize = 24
 
-func writeHeader(w io.Writer, h header) error {
-	buf := make([]byte, headerSize)
+// maxImageVoxels bounds the images the protocol carries: 16 Mi voxels,
+// a 64 MiB payload, twice the 256x256x128 anatomy of the workbench. A
+// header announcing more is rejected before anything is allocated.
+const maxImageVoxels = 1 << 24
+
+// Conn is one end of an RT connection. It frames messages and owns the
+// buffer they are encoded in and decoded from and the volume images
+// are decoded into, so a session allocates them once: the Image of a
+// message ReadMessage returns is valid only until the next ReadMessage.
+type Conn struct {
+	rw  io.ReadWriter
+	buf []byte
+	img *volume.Volume
+}
+
+// NewConn frames RT messages on rw.
+func NewConn(rw io.ReadWriter) *Conn { return &Conn{rw: rw} }
+
+// grow returns the connection's buffer resized to n bytes.
+func (c *Conn) grow(n int) []byte {
+	if cap(c.buf) < n {
+		c.buf = make([]byte, n)
+	}
+	c.buf = c.buf[:n]
+	return c.buf
+}
+
+// putHeader encodes h into the first headerSize bytes of buf.
+func putHeader(buf []byte, h header) {
+	clear(buf[:headerSize])
 	binary.LittleEndian.PutUint32(buf[0:], h.Magic)
 	buf[4] = h.Type
 	binary.LittleEndian.PutUint32(buf[8:], h.Scan)
@@ -49,13 +77,11 @@ func writeHeader(w io.Writer, h header) error {
 	binary.LittleEndian.PutUint16(buf[14:], h.NY)
 	binary.LittleEndian.PutUint16(buf[16:], h.NZ)
 	binary.LittleEndian.PutUint32(buf[20:], h.Payload)
-	_, err := w.Write(buf)
-	return err
 }
 
-func readHeader(r io.Reader) (header, error) {
-	buf := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, buf); err != nil {
+func (c *Conn) readHeader() (header, error) {
+	buf := c.grow(headerSize)
+	if _, err := io.ReadFull(c.rw, buf); err != nil {
 		return header{}, err
 	}
 	h := header{
@@ -73,31 +99,37 @@ func readHeader(r io.Reader) (header, error) {
 	return h, nil
 }
 
-// WriteRequest sends a next-image request.
-func WriteRequest(w io.Writer) error {
-	return writeHeader(w, header{Magic: rtMagic, Type: MsgRequest})
+// writeControl sends a message without payload.
+func (c *Conn) writeControl(typ uint8) error {
+	buf := c.grow(headerSize)
+	putHeader(buf, header{Magic: rtMagic, Type: typ})
+	_, err := c.rw.Write(buf)
+	return err
 }
+
+// WriteRequest sends a next-image request.
+func (c *Conn) WriteRequest() error { return c.writeControl(MsgRequest) }
 
 // WriteDone sends the end-of-measurement marker.
-func WriteDone(w io.Writer) error {
-	return writeHeader(w, header{Magic: rtMagic, Type: MsgDone})
-}
+func (c *Conn) WriteDone() error { return c.writeControl(MsgDone) }
 
-// WriteImage sends one raw image with its scan index.
-func WriteImage(w io.Writer, scan int, v *volume.Volume) error {
-	h := header{
+// WriteImage sends one raw image with its scan index, header and
+// payload in one write.
+func (c *Conn) WriteImage(scan int, v *volume.Volume) error {
+	if v.NX > math.MaxUint16 || v.NY > math.MaxUint16 || v.NZ > math.MaxUint16 || v.Voxels() > maxImageVoxels {
+		return fmt.Errorf("fire: image %dx%dx%d exceeds the RT protocol's limits (%d per axis, %d voxels)",
+			v.NX, v.NY, v.NZ, math.MaxUint16, maxImageVoxels)
+	}
+	buf := c.grow(headerSize + 4*v.Voxels())
+	putHeader(buf, header{
 		Magic: rtMagic, Type: MsgImage, Scan: uint32(scan),
 		NX: uint16(v.NX), NY: uint16(v.NY), NZ: uint16(v.NZ),
 		Payload: uint32(4 * v.Voxels()),
-	}
-	if err := writeHeader(w, h); err != nil {
-		return err
-	}
-	buf := make([]byte, 4*v.Voxels())
+	})
 	for i, f := range v.Data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
+		binary.LittleEndian.PutUint32(buf[headerSize+4*i:], math.Float32bits(f))
 	}
-	_, err := w.Write(buf)
+	_, err := c.rw.Write(buf)
 	return err
 }
 
@@ -105,12 +137,13 @@ func WriteImage(w io.Writer, scan int, v *volume.Volume) error {
 type RTMessage struct {
 	Type  uint8
 	Scan  int
-	Image *volume.Volume // non-nil for MsgImage
+	Image *volume.Volume // non-nil for MsgImage; the connection's, until its next read
 }
 
-// ReadMessage reads and decodes one message.
-func ReadMessage(r io.Reader) (RTMessage, error) {
-	h, err := readHeader(r)
+// ReadMessage reads and decodes one message. An image is decoded into
+// the connection's volume, reallocated only when the shape changes.
+func (c *Conn) ReadMessage() (RTMessage, error) {
+	h, err := c.readHeader()
 	if err != nil {
 		return RTMessage{}, err
 	}
@@ -123,19 +156,21 @@ func ReadMessage(r io.Reader) (RTMessage, error) {
 		return msg, nil
 	case MsgImage:
 		nvox := int(h.NX) * int(h.NY) * int(h.NZ)
-		if nvox == 0 || h.Payload != uint32(4*nvox) {
-			return RTMessage{}, fmt.Errorf("fire: image payload %d inconsistent with dims %dx%dx%d",
-				h.Payload, h.NX, h.NY, h.NZ)
+		if nvox == 0 || nvox > maxImageVoxels || uint64(h.Payload) != 4*uint64(nvox) {
+			return RTMessage{}, fmt.Errorf("fire: image payload %d inconsistent with dims %dx%dx%d (at most %d voxels)",
+				h.Payload, h.NX, h.NY, h.NZ, maxImageVoxels)
 		}
-		buf := make([]byte, h.Payload)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		buf := c.grow(int(h.Payload))
+		if _, err := io.ReadFull(c.rw, buf); err != nil {
 			return RTMessage{}, err
 		}
-		v := volume.New(int(h.NX), int(h.NY), int(h.NZ))
-		for i := range v.Data {
-			v.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		if c.img == nil || c.img.NX != int(h.NX) || c.img.NY != int(h.NY) || c.img.NZ != int(h.NZ) {
+			c.img = volume.New(int(h.NX), int(h.NY), int(h.NZ))
 		}
-		msg.Image = v
+		for i := range c.img.Data {
+			c.img.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+		msg.Image = c.img
 		return msg, nil
 	default:
 		return RTMessage{}, fmt.Errorf("fire: unknown RT message type %d", h.Type)

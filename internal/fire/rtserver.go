@@ -25,9 +25,9 @@ type RTServer struct {
 // measurement ends or the client disconnects. It returns the number of
 // images served.
 func (s *RTServer) ServeConn(conn net.Conn) (int, error) {
-	served := 0
+	rt, served := NewConn(conn), 0
 	for {
-		msg, err := ReadMessage(conn)
+		msg, err := rt.ReadMessage()
 		if err != nil {
 			return served, fmt.Errorf("fire: RT-server read: %w", err)
 		}
@@ -36,7 +36,7 @@ func (s *RTServer) ServeConn(conn net.Conn) (int, error) {
 		}
 		v := s.Scanner.Next()
 		if v == nil {
-			if err := WriteDone(conn); err != nil {
+			if err := rt.WriteDone(); err != nil {
 				return served, err
 			}
 			return served, nil
@@ -44,7 +44,7 @@ func (s *RTServer) ServeConn(conn net.Conn) (int, error) {
 		if s.AvailabilityDelay > 0 {
 			time.Sleep(s.AvailabilityDelay)
 		}
-		if err := WriteImage(conn, s.Scanner.ScansDone()-1, v); err != nil {
+		if err := rt.WriteImage(s.Scanner.ScansDone()-1, v); err != nil {
 			return served, fmt.Errorf("fire: RT-server write: %w", err)
 		}
 		served++
@@ -67,10 +67,11 @@ func (s *RTServer) ListenAndServe(l net.Listener) (int, error) {
 // processing chain.
 type RTClient struct {
 	conn net.Conn
+	rt   *Conn
 }
 
 // NewRTClient wraps an established connection.
-func NewRTClient(conn net.Conn) *RTClient { return &RTClient{conn: conn} }
+func NewRTClient(conn net.Conn) *RTClient { return &RTClient{conn: conn, rt: NewConn(conn)} }
 
 // DialRT connects to an RT-server.
 func DialRT(addr string) (*RTClient, error) {
@@ -78,24 +79,26 @@ func DialRT(addr string) (*RTClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fire: RT dial: %w", err)
 	}
-	return &RTClient{conn: conn}, nil
+	return NewRTClient(conn), nil
 }
 
 // Close closes the connection.
 func (c *RTClient) Close() error { return c.conn.Close() }
 
-// NextImage requests and receives the next raw image. It returns
-// (nil, scan, nil) at the end of the measurement.
-func (c *RTClient) NextImage() (*RTMessage, error) {
-	if err := WriteRequest(c.conn); err != nil {
-		return nil, err
+// NextImage requests and receives the next raw image; at the end of the
+// measurement the message has type MsgDone and no image. Every image is
+// decoded into the same volume: it is valid only until the next call,
+// so a caller that keeps one must copy it.
+func (c *RTClient) NextImage() (RTMessage, error) {
+	if err := c.rt.WriteRequest(); err != nil {
+		return RTMessage{}, err
 	}
-	msg, err := ReadMessage(c.conn)
+	msg, err := c.rt.ReadMessage()
 	if err != nil {
-		return nil, err
+		return RTMessage{}, err
 	}
 	if msg.Type != MsgImage && msg.Type != MsgDone {
-		return nil, fmt.Errorf("fire: unexpected message type %d from RT-server", msg.Type)
+		return RTMessage{}, fmt.Errorf("fire: unexpected message type %d from RT-server", msg.Type)
 	}
-	return &msg, nil
+	return msg, nil
 }

@@ -57,6 +57,7 @@ func (s *RealtimeSession) Run() (int, *Result, error) {
 	corr := NewCorrelator(s.Reference, s.NX, s.NY, s.NZ)
 	frames := 0
 	var last *Result
+	var fixed *volume.Volume // motion-corrected scan, reused every frame
 	for {
 		msg, err := s.Client.NextImage()
 		if err != nil {
@@ -75,12 +76,11 @@ func (s *RealtimeSession) Run() (int, *Result, error) {
 		}
 		res := &Result{}
 		if s.MotionRef != nil {
-			fixed, shift, err := MotionCorrect(s.MotionRef, img, MotionOptions{})
+			fixed, res.Shift, err = MotionCorrect(fixed, s.MotionRef, img, MotionOptions{})
 			if err != nil {
 				return frames, last, fmt.Errorf("fire: scan %d motion correction: %w", msg.Scan, err)
 			}
 			img = fixed
-			res.Shift = shift
 		}
 		if err := corr.Add(img); err != nil {
 			return frames, last, err
