@@ -54,17 +54,20 @@ func Jet(lat float64) float64 {
 }
 
 // Step advances the atmosphere by dt seconds given the sea-surface
-// temperature regridded onto the atmosphere grid, returning the surface
-// fields for the ocean: net heat flux into the ocean (W/m^2) and the
-// zonal/meridional wind stress (N/m^2), all on the atmosphere grid.
-func (a *Atmos) Step(dt float64, sst []float64) (heatFlux, tauX, tauY []float64, err error) {
+// temperature regridded onto the atmosphere grid, and writes the
+// surface fields for the ocean into the caller's slices: net heat flux
+// into the ocean (W/m^2) and the zonal/meridional wind stress (N/m^2),
+// all on the atmosphere grid.
+func (a *Atmos) Step(dt float64, sst, heatFlux, tauX, tauY []float64) error {
 	g := a.Grid
-	if len(sst) != g.Cells() {
-		return nil, nil, nil, fmt.Errorf("climate: SST length %d != %d", len(sst), g.Cells())
+	for _, f := range [...]struct {
+		name string
+		v    []float64
+	}{{"SST", sst}, {"heat flux", heatFlux}, {"tauX", tauX}, {"tauY", tauY}} {
+		if len(f.v) != g.Cells() {
+			return fmt.Errorf("climate: %s length %d != %d", f.name, len(f.v), g.Cells())
+		}
 	}
-	heatFlux = make([]float64, g.Cells())
-	tauX = make([]float64, g.Cells())
-	tauY = make([]float64, g.Cells())
 	copy(a.scratch, a.TA)
 	const rhoCd = 1.2 * 1.3e-3
 	for j := 0; j < g.NLat; j++ {
@@ -101,5 +104,5 @@ func (a *Atmos) Step(dt float64, sst []float64) (heatFlux, tauX, tauY []float64,
 			tauY[c] = 0
 		}
 	}
-	return heatFlux, tauX, tauY, nil
+	return nil
 }

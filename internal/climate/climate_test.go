@@ -32,8 +32,8 @@ func TestRegridConstantExact(t *testing.T) {
 	for i := range f {
 		f[i] = 7.25
 	}
-	out, err := Regrid(src, f, dst)
-	if err != nil {
+	out := make([]float64, dst.Cells())
+	if err := Regrid(src, f, dst, out); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range out {
@@ -53,12 +53,11 @@ func TestRegridSmoothFieldRoundTrip(t *testing.T) {
 				0.3*math.Cos(2*src.Lon(i)*math.Pi/180)
 		}
 	}
-	down, err := Regrid(src, f, dst)
-	if err != nil {
+	down, back := make([]float64, dst.Cells()), make([]float64, src.Cells())
+	if err := Regrid(src, f, dst, down); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Regrid(dst, down, src)
-	if err != nil {
+	if err := Regrid(dst, down, src, back); err != nil {
 		t.Fatal(err)
 	}
 	// Smooth fields survive a down-up round trip within a few percent.
@@ -78,8 +77,11 @@ func TestRegridSmoothFieldRoundTrip(t *testing.T) {
 }
 
 func TestRegridValidation(t *testing.T) {
-	if _, err := Regrid(Grid{4, 4}, make([]float64, 3), Grid{2, 2}); err == nil {
+	if err := Regrid(Grid{4, 4}, make([]float64, 3), Grid{2, 2}, make([]float64, 4)); err == nil {
 		t.Error("bad field length accepted")
+	}
+	if err := Regrid(Grid{4, 4}, make([]float64, 16), Grid{2, 2}, make([]float64, 3)); err == nil {
+		t.Error("bad output length accepted")
 	}
 }
 
@@ -166,8 +168,8 @@ func TestAtmosFluxDirection(t *testing.T) {
 	for i := range sst {
 		sst[i] = 250
 	}
-	heat, tauX, _, err := a.Step(1800, sst)
-	if err != nil {
+	heat, tauX, tauY := make([]float64, g.Cells()), make([]float64, g.Cells()), make([]float64, g.Cells())
+	if err := a.Step(1800, sst, heat, tauX, tauY); err != nil {
 		t.Fatal(err)
 	}
 	warm := 0
@@ -198,8 +200,9 @@ func TestAtmosStaysBounded(t *testing.T) {
 	for i := range sst {
 		sst[i] = 290
 	}
+	heat, tauX, tauY := make([]float64, g.Cells()), make([]float64, g.Cells()), make([]float64, g.Cells())
 	for s := 0; s < 200; s++ {
-		if _, _, _, err := a.Step(1800, sst); err != nil {
+		if err := a.Step(1800, sst, heat, tauX, tauY); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -71,20 +71,23 @@ func RunCoupled(net *netsim.Network, hosts [3]string, cfg CoupledConfig) (Couple
 	return result, err
 }
 
+// The three loops below each own their buffers for the whole run: a
+// field burst goes out as one message encoded straight from the model's
+// arrays, and arrives decoded into the array the last step used.
+
 func runOcean(c *mpi.Comm, cfg CoupledConfig, result *CoupledResult) error {
 	o := NewOcean(cfg.OceanGrid)
 	n := cfg.OceanGrid.Cells()
+	var fields []float64
 	for s := 0; s < cfg.Steps; s++ {
 		// Send SST and ice to the coupler as one burst.
-		burst := make([]float64, 0, 2*n)
-		burst = append(burst, o.SST...)
-		burst = append(burst, o.Ice...)
-		if err := c.SendFloat64s(2, tagSSTIce, burst); err != nil {
+		if err := c.SendFloat64s(2, tagSSTIce, o.SST, o.Ice); err != nil {
 			return err
 		}
 		// Receive heat flux and stress (stress unused by the slab
 		// ocean but carried for protocol fidelity).
-		fields, err := c.RecvFloat64s(2, tagToOcn)
+		var err error
+		fields, err = c.RecvFloat64sInto(fields, 2, tagToOcn)
 		if err != nil {
 			return err
 		}
@@ -113,23 +116,20 @@ func runOcean(c *mpi.Comm, cfg CoupledConfig, result *CoupledResult) error {
 func runAtmos(c *mpi.Comm, cfg CoupledConfig) error {
 	a := NewAtmos(cfg.AtmosGrid)
 	n := cfg.AtmosGrid.Cells()
+	var fields []float64
+	burst := make([]float64, 3*n) // heat flux, tauX, tauY
 	for s := 0; s < cfg.Steps; s++ {
-		fields, err := c.RecvFloat64s(2, tagToAtm)
+		var err error
+		fields, err = c.RecvFloat64sInto(fields, 2, tagToAtm)
 		if err != nil {
 			return err
 		}
 		if len(fields) != 2*n {
 			return fmt.Errorf("climate: atmos got %d values, want %d", len(fields), 2*n)
 		}
-		sst := fields[:n]
-		heat, tauX, tauY, err := a.Step(cfg.Dt, sst)
-		if err != nil {
+		if err := a.Step(cfg.Dt, fields[:n], burst[:n], burst[n:2*n], burst[2*n:]); err != nil {
 			return err
 		}
-		burst := make([]float64, 0, 3*n)
-		burst = append(burst, heat...)
-		burst = append(burst, tauX...)
-		burst = append(burst, tauY...)
 		if err := c.SendFloat64s(2, tagFlux, burst); err != nil {
 			return err
 		}
@@ -140,10 +140,13 @@ func runAtmos(c *mpi.Comm, cfg CoupledConfig) error {
 func runCoupler(c *mpi.Comm, cfg CoupledConfig, result *CoupledResult) error {
 	og, ag := cfg.OceanGrid, cfg.AtmosGrid
 	on, an := og.Cells(), ag.Cells()
+	var burst, flux []float64
+	toAtm, toOcn := make([]float64, 2*an), make([]float64, 3*on)
 	var bytesPerExchange int
 	for s := 0; s < cfg.Steps; s++ {
 		// Ocean -> coupler.
-		burst, err := c.RecvFloat64s(0, tagSSTIce)
+		var err error
+		burst, err = c.RecvFloat64sInto(burst, 0, tagSSTIce)
 		if err != nil {
 			return err
 		}
@@ -151,21 +154,17 @@ func runCoupler(c *mpi.Comm, cfg CoupledConfig, result *CoupledResult) error {
 			return fmt.Errorf("climate: coupler got %d ocean values, want %d", len(burst), 2*on)
 		}
 		bytesPerExchange = 8 * len(burst)
-		// Regrid to the atmosphere grid.
-		sstA, err := Regrid(og, burst[:on], ag)
-		if err != nil {
-			return err
+		// Regrid SST and ice to the atmosphere grid.
+		for f := 0; f < 2; f++ {
+			if err := Regrid(og, burst[f*on:(f+1)*on], ag, toAtm[f*an:(f+1)*an]); err != nil {
+				return err
+			}
 		}
-		iceA, err := Regrid(og, burst[on:], ag)
-		if err != nil {
-			return err
-		}
-		out := append(sstA, iceA...)
-		if err := c.SendFloat64s(1, tagToAtm, out); err != nil {
+		if err := c.SendFloat64s(1, tagToAtm, toAtm); err != nil {
 			return err
 		}
 		// Atmos -> coupler.
-		flux, err := c.RecvFloat64s(1, tagFlux)
+		flux, err = c.RecvFloat64sInto(flux, 1, tagFlux)
 		if err != nil {
 			return err
 		}
@@ -173,19 +172,12 @@ func runCoupler(c *mpi.Comm, cfg CoupledConfig, result *CoupledResult) error {
 			return fmt.Errorf("climate: coupler got %d atmos values, want %d", len(flux), 3*an)
 		}
 		bytesPerExchange += 8 * len(flux)
-		heatO, err := Regrid(ag, flux[:an], og)
-		if err != nil {
-			return err
+		// Regrid heat flux, tauX and tauY to the ocean grid.
+		for f := 0; f < 3; f++ {
+			if err := Regrid(ag, flux[f*an:(f+1)*an], og, toOcn[f*on:(f+1)*on]); err != nil {
+				return err
+			}
 		}
-		tauXO, err := Regrid(ag, flux[an:2*an], og)
-		if err != nil {
-			return err
-		}
-		tauYO, err := Regrid(ag, flux[2*an:], og)
-		if err != nil {
-			return err
-		}
-		toOcn := append(append(heatO, tauXO...), tauYO...)
 		if err := c.SendFloat64s(0, tagToOcn, toOcn); err != nil {
 			return err
 		}

@@ -37,14 +37,17 @@ func (g Grid) Lon(i int) float64 { return 360 * (float64(i) + 0.5) / float64(g.N
 // FieldBytes reports the wire size of one float64 field on this grid.
 func (g Grid) FieldBytes() int { return 8 * g.Cells() }
 
-// Regrid interpolates a field from grid src to grid dst bilinearly,
-// periodic in longitude and clamped in latitude. A constant field maps
-// to the same constant exactly.
-func Regrid(src Grid, f []float64, dst Grid) ([]float64, error) {
+// Regrid interpolates field f from grid src to grid dst bilinearly,
+// periodic in longitude and clamped in latitude, writing the result
+// into out (dst.Cells() values). A constant field maps to the same
+// constant exactly.
+func Regrid(src Grid, f []float64, dst Grid, out []float64) error {
 	if len(f) != src.Cells() {
-		return nil, fmt.Errorf("climate: field length %d != %d cells", len(f), src.Cells())
+		return fmt.Errorf("climate: field length %d != %d cells", len(f), src.Cells())
 	}
-	out := make([]float64, dst.Cells())
+	if len(out) != dst.Cells() {
+		return fmt.Errorf("climate: regrid output length %d != %d cells", len(out), dst.Cells())
+	}
 	for j := 0; j < dst.NLat; j++ {
 		// Fractional source row of this destination latitude.
 		lat := dst.Lat(j)
@@ -74,7 +77,7 @@ func Regrid(src Grid, f []float64, dst Grid) ([]float64, error) {
 			out[dst.Idx(j, i)] = (1-wj)*((1-wi)*v00+wi*v01) + wj*((1-wi)*v10+wi*v11)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // AreaMean reports the area-weighted (cos latitude) mean of a field.

@@ -58,12 +58,19 @@ func rankIn(group []int, world int) int {
 	return -1
 }
 
-// send moves data to rank dst of group on context ctx (tag >= 0) and
-// returns once it sits in the destination's mailbox: at once between
-// ranks of one host, after its packet train has crossed the network
-// otherwise. p is the process that waits out the transfer — the rank's
-// own, or the helper of a nonblocking send.
+// send moves a copy of data to rank dst of group on context ctx
+// (tag >= 0): the caller may reuse data as soon as send returns.
 func (e endpoint) send(p *sim.Proc, op string, ctx int, group []int, dst, tag int, data []byte) error {
+	return e.transfer(p, op, ctx, group, dst, tag, append([]byte(nil), data...))
+}
+
+// transfer moves data itself to rank dst of group on context ctx
+// (tag >= 0) and returns once it sits in the destination's mailbox: at
+// once between ranks of one host, after its packet train has crossed
+// the network otherwise. The receiver owns data from then on. p is the
+// process that waits out the transfer — the rank's own, or the helper
+// of a nonblocking send.
+func (e endpoint) transfer(p *sim.Proc, op string, ctx int, group []int, dst, tag int, data []byte) error {
 	if err := checkRank(dst, len(group)); err != nil {
 		return err
 	}
@@ -72,7 +79,7 @@ func (e endpoint) send(p *sim.Proc, op string, ctx int, group []int, dst, tag in
 	}
 	w, to := e.world, group[dst]
 	start := w.k.Now()
-	msg := message{ctx: ctx, src: e.self, tag: tag, data: append([]byte(nil), data...)}
+	msg := message{ctx: ctx, src: e.self, tag: tag, data: data}
 	if a, b := w.ranks[e.self].node, w.ranks[to].node; a != b {
 		train := netsim.Train(w.net, a, b, envelope+len(data))
 		if err := w.park(p, blocked{e.self, op, ctx, to, tag, train}); err != nil {
@@ -307,23 +314,37 @@ func WaitAll(reqs ...*Request) error {
 
 // Float64sToBytes encodes a float64 slice little-endian.
 func Float64sToBytes(v []float64) []byte {
-	buf := make([]byte, 8*len(v))
-	for i, f := range v {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(f))
+	return appendFloat64s(make([]byte, 0, 8*len(v)), v)
+}
+
+// appendFloat64s appends v to buf little-endian.
+func appendFloat64s(buf []byte, v []float64) []byte {
+	for _, f := range v {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 	}
 	return buf
 }
 
 // BytesToFloat64s decodes a little-endian float64 slice.
 func BytesToFloat64s(b []byte) ([]float64, error) {
+	return decodeFloat64s(nil, b)
+}
+
+// decodeFloat64s decodes a little-endian float64 slice into dst's
+// array, allocating a new one only when dst's is too short.
+func decodeFloat64s(dst []float64, b []byte) ([]float64, error) {
 	if len(b)%8 != 0 {
 		return nil, fmt.Errorf("mpi: byte length %d not a multiple of 8", len(b))
 	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	n := len(b) / 8
+	if cap(dst) < n {
+		dst = make([]float64, n)
 	}
-	return out, nil
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return dst, nil
 }
 
 // Float32sToBytes encodes a float32 slice little-endian.
@@ -347,16 +368,33 @@ func BytesToFloat32s(b []byte) ([]float32, error) {
 	return out, nil
 }
 
-// SendFloat64s sends a float64 slice.
-func (c *Comm) SendFloat64s(dst, tag int, v []float64) error {
-	return c.Send(dst, tag, Float64sToBytes(v))
+// SendFloat64s sends the concatenation of parts as one float64 message.
+// The values are encoded once, straight into the message the receiver
+// gets; the caller may change parts as soon as the call returns.
+func (c *Comm) SendFloat64s(dst, tag int, parts ...[]float64) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	buf := make([]byte, 0, 8*n)
+	for _, p := range parts {
+		buf = appendFloat64s(buf, p)
+	}
+	return c.transfer(c.proc, "send", c.p2pCtx, c.group, dst, tag, buf)
 }
 
 // RecvFloat64s receives a float64 slice.
 func (c *Comm) RecvFloat64s(src, tag int) ([]float64, error) {
+	return c.RecvFloat64sInto(nil, src, tag)
+}
+
+// RecvFloat64sInto receives a float64 slice into dst's array, which a
+// loop that passes back what the last call returned reuses every step;
+// a new array is allocated only when dst's is too short.
+func (c *Comm) RecvFloat64sInto(dst []float64, src, tag int) ([]float64, error) {
 	msg, err := c.Recv(src, tag)
 	if err != nil {
 		return nil, err
 	}
-	return BytesToFloat64s(msg.Data)
+	return decodeFloat64s(dst, msg.Data)
 }
