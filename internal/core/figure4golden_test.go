@@ -74,18 +74,10 @@ func TestFigure4Golden(t *testing.T) {
 func TestFigure4WorkbenchAllocatesNoVolume(t *testing.T) {
 	const bound = 4 << 20
 	tb := New(Config{})
-	var least uint64
-	for i := 0; i < 3; i++ { // the least of three: TotalAlloc is process-wide
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := figure4WorkbenchOn(context.Background(), tb); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < least {
-			least = n
-		}
-	}
+	least := leastAlloc(t, func() error {
+		_, err := figure4WorkbenchOn(context.Background(), tb)
+		return err
+	})
 	if least >= bound {
 		t.Errorf("figure4WorkbenchOn allocates %.1f MB, want under %d MB", float64(least)/(1<<20), bound>>20)
 	}
