@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -24,21 +25,33 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("firesim: ")
-	scans := flag.Int("scans", 48, "number of scans in the measurement")
-	out := flag.String("out", "overlay.png", "output PNG path")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, runs the session, prints its report to stdout and
+// writes the overlay to -out.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("firesim", flag.ContinueOnError)
+	scans := fs.Int("scans", 48, "number of scans in the measurement")
+	out := fs.String("out", "overlay.png", "output PNG path")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	rep, err := gtw.Run(context.Background(), "fire-rt-session", gtw.WithFrames(*scans))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sess, ok := rep.(*gtw.RTSessionReport)
 	if !ok {
-		log.Fatalf("unexpected report type %T", rep)
+		return fmt.Errorf("unexpected report type %T", rep)
 	}
-	fmt.Print(sess.Text())
+	fmt.Fprint(stdout, sess.Text())
 	if err := os.WriteFile(*out, sess.PNG, 0o644); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("session complete: %d scans analysed, overlay written to %s\n", sess.Scans, *out)
+	fmt.Fprintf(stdout, "session complete: %d scans analysed, overlay written to %s\n", sess.Scans, *out)
+	return nil
 }
