@@ -239,7 +239,7 @@ func (s *Sampler) bind(v *Volume) {
 func (s *Sampler) Plane(k int, dst []float32) {
 	z := s.tz[k]
 	c0, c1 := s.slice(z.i0, z.i1), s.slice(z.i1, z.i0)
-	dst = dst[:len(c0)]
+	dst, c1 = dst[:len(c0)], c1[:len(c0)] // bounds checked once, not per voxel
 	for i := range dst {
 		dst[i] = float32(c0[i]*(1-z.f) + c1[i]*z.f)
 	}
@@ -255,8 +255,8 @@ func (s *Sampler) slice(z, keep int) []float64 {
 	n := len(s.tx)
 	s.rows.reset(n)
 	for j, y := range s.ty {
-		c00, c10 := s.row(y.i0, y.i1, z), s.row(y.i1, y.i0, z)
 		out := c[j*n : (j+1)*n]
+		c00, c10 := s.row(y.i0, y.i1, z)[:n], s.row(y.i1, y.i0, z)[:n]
 		for i := range out {
 			out[i] = c00[i]*(1-y.f) + c10[i]*y.f
 		}
@@ -269,7 +269,7 @@ func (s *Sampler) slice(z, keep int) []float64 {
 func (s *Sampler) row(y, keep, z int) []float64 {
 	c, ok := s.rows.get(y, keep)
 	if !ok {
-		r := s.v.row(y, z)
+		r, c := s.v.row(y, z), c[:len(s.tx)]
 		for i, x := range s.tx {
 			c[i] = float64(r[x.i0])*(1-x.f) + float64(r[x.i1])*x.f
 		}
