@@ -87,7 +87,7 @@ func runOcean(c *mpi.Comm, cfg CoupledConfig, result *CoupledResult) error {
 		// Receive heat flux and stress (stress unused by the slab
 		// ocean but carried for protocol fidelity).
 		var err error
-		fields, err = c.RecvFloat64sInto(fields, 2, tagToOcn)
+		fields, err = c.RecvFloat64s(fields, 2, tagToOcn)
 		if err != nil {
 			return err
 		}
@@ -120,7 +120,7 @@ func runAtmos(c *mpi.Comm, cfg CoupledConfig) error {
 	burst := make([]float64, 3*n) // heat flux, tauX, tauY
 	for s := 0; s < cfg.Steps; s++ {
 		var err error
-		fields, err = c.RecvFloat64sInto(fields, 2, tagToAtm)
+		fields, err = c.RecvFloat64s(fields, 2, tagToAtm)
 		if err != nil {
 			return err
 		}
@@ -146,7 +146,7 @@ func runCoupler(c *mpi.Comm, cfg CoupledConfig, result *CoupledResult) error {
 	for s := 0; s < cfg.Steps; s++ {
 		// Ocean -> coupler.
 		var err error
-		burst, err = c.RecvFloat64sInto(burst, 0, tagSSTIce)
+		burst, err = c.RecvFloat64s(burst, 0, tagSSTIce)
 		if err != nil {
 			return err
 		}
@@ -164,7 +164,7 @@ func runCoupler(c *mpi.Comm, cfg CoupledConfig, result *CoupledResult) error {
 			return err
 		}
 		// Atmos -> coupler.
-		flux, err = c.RecvFloat64sInto(flux, 1, tagFlux)
+		flux, err = c.RecvFloat64s(flux, 1, tagFlux)
 		if err != nil {
 			return err
 		}

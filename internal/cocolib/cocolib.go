@@ -131,7 +131,7 @@ func NewCoupler(c *mpi.Comm, peer, tag int, local InterfaceMesh) (*Coupler, erro
 	if err := c.SendFloat64s(peer, meshTag, local.Nodes); err != nil {
 		return nil, err
 	}
-	nodes, err := c.RecvFloat64s(peer, meshTag)
+	nodes, err := c.RecvFloat64s(nil, peer, meshTag)
 	if err != nil {
 		return nil, err
 	}

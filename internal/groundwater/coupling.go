@@ -101,7 +101,7 @@ func RunCoupled(net *netsim.Network, hosts [2]string, tracer mpi.Tracer, cfg Cou
 				}
 				elapsed += float64(cfg.Track.Steps) * cfg.Track.Dt
 			}
-			cg, err := c.RecvFloat64s(0, fieldTag+1)
+			cg, err := c.RecvFloat64s(nil, 0, fieldTag+1)
 			if err != nil {
 				return err
 			}

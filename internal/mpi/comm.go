@@ -383,15 +383,11 @@ func (c *Comm) SendFloat64s(dst, tag int, parts ...[]float64) error {
 	return c.transfer(c.proc, "send", c.p2pCtx, c.group, dst, tag, buf)
 }
 
-// RecvFloat64s receives a float64 slice.
-func (c *Comm) RecvFloat64s(src, tag int) ([]float64, error) {
-	return c.RecvFloat64sInto(nil, src, tag)
-}
-
-// RecvFloat64sInto receives a float64 slice into dst's array, which a
-// loop that passes back what the last call returned reuses every step;
-// a new array is allocated only when dst's is too short.
-func (c *Comm) RecvFloat64sInto(dst []float64, src, tag int) ([]float64, error) {
+// RecvFloat64s receives a float64 slice into dst's array, allocating a
+// new one only when dst's is too short (nil dst: always). A loop that
+// passes back what the last call returned decodes every step into the
+// same array.
+func (c *Comm) RecvFloat64s(dst []float64, src, tag int) ([]float64, error) {
 	msg, err := c.Recv(src, tag)
 	if err != nil {
 		return nil, err

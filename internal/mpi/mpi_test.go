@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -690,6 +692,50 @@ func TestFloatConversions(t *testing.T) {
 	}
 	if _, err := BytesToFloat32s(make([]byte, 5)); err == nil {
 		t.Error("ragged float32 bytes accepted")
+	}
+}
+
+// TestFloat64sMessages: SendFloat64s sends its parts as one message
+// that no longer depends on them once the call returns, and
+// RecvFloat64s decodes into the caller's array when it is long enough.
+// Send copies too: its caller may reuse the buffer at once.
+func TestFloat64sMessages(t *testing.T) {
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			a, b := []float64{1, 2}, []float64{3}
+			if err := c.SendFloat64s(1, 1, a, b); err != nil {
+				return err
+			}
+			a[0], b[0] = -1, -3
+			raw := []byte{9}
+			if err := c.Send(1, 2, raw); err != nil {
+				return err
+			}
+			raw[0] = 0
+			return c.SendFloat64s(1, 3, []float64{4, 5, 6, 7})
+		}
+		buf := make([]float64, 3)
+		got, err := c.RecvFloat64s(buf, 0, 1)
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(got, []float64{1, 2, 3}) || &got[0] != &buf[0] {
+			return fmt.Errorf("parts arrived as %v (into the caller's array: %v)", got, &got[0] == &buf[0])
+		}
+		if msg, err := c.Recv(0, 2); err != nil || !bytes.Equal(msg.Data, []byte{9}) {
+			return fmt.Errorf("Send delivered %v, %v", msg.Data, err)
+		}
+		got, err = c.RecvFloat64s(got, 0, 3)
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(got, []float64{4, 5, 6, 7}) || &got[0] == &buf[0] {
+			return fmt.Errorf("a message longer than dst arrived as %v", got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
