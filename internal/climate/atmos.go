@@ -60,13 +60,11 @@ func Jet(lat float64) float64 {
 // all on the atmosphere grid.
 func (a *Atmos) Step(dt float64, sst, heatFlux, tauX, tauY []float64) error {
 	g := a.Grid
-	for _, f := range [...]struct {
-		name string
-		v    []float64
-	}{{"SST", sst}, {"heat flux", heatFlux}, {"tauX", tauX}, {"tauY", tauY}} {
-		if len(f.v) != g.Cells() {
-			return fmt.Errorf("climate: %s length %d != %d", f.name, len(f.v), g.Cells())
-		}
+	if len(sst) != g.Cells() {
+		return fmt.Errorf("climate: SST length %d != %d", len(sst), g.Cells())
+	}
+	if len(heatFlux) != g.Cells() || len(tauX) != g.Cells() || len(tauY) != g.Cells() {
+		return fmt.Errorf("climate: surface field lengths %d, %d, %d != %d", len(heatFlux), len(tauX), len(tauY), g.Cells())
 	}
 	copy(a.scratch, a.TA)
 	const rhoCd = 1.2 * 1.3e-3

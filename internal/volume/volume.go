@@ -215,17 +215,18 @@ type Sampler struct {
 
 // Reset points the sampler at v and the grid xs x ys x zs.
 func (s *Sampler) Reset(v *Volume, xs, ys, zs []float64) {
-	s.tx, s.ty, s.tz = slices.Grow(s.tx[:0], len(xs)), slices.Grow(s.ty[:0], len(ys)), slices.Grow(s.tz[:0], len(zs))
-	for _, c := range xs {
-		s.tx = append(s.tx, tapAt(c, v.NX))
-	}
-	for _, c := range ys {
-		s.ty = append(s.ty, tapAt(c, v.NY))
-	}
-	for _, c := range zs {
-		s.tz = append(s.tz, tapAt(c, v.NZ))
-	}
+	s.tx, s.ty, s.tz = axisTaps(s.tx, xs, v.NX), axisTaps(s.ty, ys, v.NY), axisTaps(s.tz, zs, v.NZ)
 	s.bind(v)
+}
+
+// axisTaps refills taps with the taps of coords along an axis of
+// length n.
+func axisTaps(taps []tap, coords []float64, n int) []tap {
+	taps = slices.Grow(taps[:0], len(coords))
+	for _, c := range coords {
+		taps = append(taps, tapAt(c, n))
+	}
+	return taps
 }
 
 // bind attaches v and empties both caches for the current taps.
@@ -268,11 +269,12 @@ func (s *Sampler) slice(z, keep int) []float64 {
 // unless it is cached; keep is the other row the caller needs.
 func (s *Sampler) row(y, keep, z int) []float64 {
 	c, ok := s.rows.get(y, keep)
-	if !ok {
-		r, c := s.v.row(y, z), c[:len(s.tx)]
-		for i, x := range s.tx {
-			c[i] = float64(r[x.i0])*(1-x.f) + float64(r[x.i1])*x.f
-		}
+	if ok {
+		return c
+	}
+	r, c := s.v.row(y, z), c[:len(s.tx)]
+	for i, x := range s.tx {
+		c[i] = float64(r[x.i0])*(1-x.f) + float64(r[x.i1])*x.f
 	}
 	return c
 }
@@ -326,14 +328,15 @@ func (s *Sampler) Shift(dst, v *Volume, dx, dy, dz float64) {
 		panic(fmt.Sprintf("volume: Shift into a %dx%dx%d volume that is not a distinct copy of the %dx%dx%d source",
 			dst.NX, dst.NY, dst.NZ, v.NX, v.NY, v.NZ))
 	}
-	s.tx, s.ty, s.tz = shiftTaps(s.tx[:0], v.NX, dx), shiftTaps(s.ty[:0], v.NY, dy), shiftTaps(s.tz[:0], v.NZ, dz)
+	s.tx, s.ty, s.tz = shiftTaps(s.tx, v.NX, dx), shiftTaps(s.ty, v.NY, dy), shiftTaps(s.tz, v.NZ, dz)
 	s.bind(v)
 	s.planes(dst)
 }
 
-// shiftTaps appends the taps of coordinates i - d, i in [0, n).
+// shiftTaps refills taps with the taps of coordinates i - d, i in
+// [0, n).
 func shiftTaps(taps []tap, n int, d float64) []tap {
-	taps = slices.Grow(taps, n)
+	taps = slices.Grow(taps[:0], n)
 	for i := 0; i < n; i++ {
 		taps = append(taps, tapAt(float64(i)-d, n))
 	}
