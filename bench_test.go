@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper. Each
 // benchmark reports the reproduced quantities as custom metrics so
 // `go test -bench=. -benchmem` doubles as the experiment harness
-// (cmd/gtwbench prints the same data as tables).
+// (`gtwrun -flows 4 table1-model figure1-throughput ...` prints the
+// same data as tables; README lists the paper-order command).
 package gtw
 
 import (

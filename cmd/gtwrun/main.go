@@ -17,7 +17,6 @@
 //	-flows N         concurrent backbone flows
 //	-workers N       engine worker pool size
 //	-shards N        shards per sweep scenario (0 = GOMAXPROCS)
-//	-shared          run every scenario on ONE shared, contended testbed
 //	-json            print each report as JSON instead of text
 //	-timeout D       cancel the whole run after D (e.g. 30s)
 //	-connect URL     run scenarios through a remote coordinator
@@ -102,8 +101,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	flows := fs.Int("flows", def.Flows, "concurrent backbone flows")
 	workers := fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 0, "shards per sweep scenario (0 = GOMAXPROCS; reports are shard-count independent)")
-	shared := fs.Bool("shared", false,
-		"run scenarios on one shared testbed (scenarios that drive their own simulation kernel still run privately)")
 	asJSON := fs.Bool("json", false, "print each report as JSON instead of text")
 	timeout := fs.Duration("timeout", 0, "cancel the whole run after this duration (0 = none)")
 	connect := fs.String("connect", "",
@@ -183,9 +180,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 	opts = append(opts, gtw.WithWAN(oc))
-	if *shared {
-		opts = append(opts, gtw.WithTestbed(gtw.NewTestbed(gtw.Config{WAN: oc, Extensions: *ext})))
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -195,15 +189,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *connect != "" {
-		// Options that never reach the wire split two ways: -shards and
-		// -workers only change wall-clock time and may be dropped
-		// silently, but -shared changes report content (the
-		// testbed is this process's memory) — dropping it would hand
-		// back a different report than the one asked for.
-		if *shared {
-			fmt.Fprintln(stderr, "gtwrun: -shared cannot be combined with -connect (a shared testbed cannot cross the wire)")
-			return 2
-		}
+		// -shards and -workers never reach the wire: they only change
+		// wall-clock time, so dropping them is safe.
 		return runConnect(ctx, *connect, *token, names, gtw.NewOptions(opts...), *asJSON, stdout, stderr)
 	}
 

@@ -381,19 +381,6 @@ func TestConnectJSONEnvelopeGolden(t *testing.T) {
 	}
 }
 
-// -shared cannot travel to a remote coordinator (the shared testbed is
-// this process's memory, and silently dropping it would change report
-// content), so combining it with -connect is a usage error.
-func TestConnectRejectsShared(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-connect", "http://127.0.0.1:1", "-shared", "table1-model"}, &out, &errOut); code != 2 {
-		t.Errorf("run(-connect -shared) = %d, want usage error 2", code)
-	}
-	if !strings.Contains(errOut.String(), "-shared") {
-		t.Errorf("stderr does not explain the -shared conflict: %s", errOut.String())
-	}
-}
-
 // -h prints usage and must exit 0 (flag.ErrHelp is not a parse error).
 func TestHelpExitsZero(t *testing.T) {
 	var out, errOut strings.Builder

@@ -42,7 +42,9 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"io"
 	"log"
+	"os"
 	"os/signal"
 	"syscall"
 	"time"
@@ -53,19 +55,36 @@ import (
 )
 
 func main() {
-	log.SetFlags(log.LstdFlags)
-	log.SetPrefix("gtwworker: ")
-	coord := flag.String("coordinator", "http://127.0.0.1:9191", "coordinator base URL")
-	id := flag.String("id", "", "sticky worker ID (default: random, kept for the process lifetime)")
-	poll := flag.Duration("poll", 200*time.Millisecond,
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the testable body of main: it parses args, serves leases until
+// ctx ends or the coordinator refuses the worker, and reports the
+// process exit code (0 on a clean stop, 1 on an error, 2 on a flag
+// error). Log lines go to stderr.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	logger := log.New(stderr, "gtwworker: ", log.LstdFlags)
+	fs := flag.NewFlagSet("gtwworker", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	coord := fs.String("coordinator", "http://127.0.0.1:9191", "coordinator base URL")
+	id := fs.String("id", "", "sticky worker ID (default: random, kept for the process lifetime)")
+	poll := fs.Duration("poll", 200*time.Millisecond,
 		"retry back-off after an empty or failed lease ask (the coordinator's register reply overrides it); idle workers park on the coordinator instead of polling")
-	streamWindow := flag.Duration("stream-window", 0,
+	streamWindow := fs.Duration("stream-window", 0,
 		"coalesce points finishing within this window into one stream upload (0 = one upload per point)")
-	streamBatch := flag.Int("stream-batch", 16,
+	streamBatch := fs.Int("stream-batch", 16,
 		"most points per coalesced stream upload (with -stream-window)")
-	token := flag.String("token", "",
+	token := fs.String("token", "",
 		"tenant token for a -tenants coordinator (sent as Authorization: Bearer)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	w := dist.NewWorker(*coord)
 	w.Token = *token
@@ -75,13 +94,13 @@ func main() {
 	w.Poll = *poll
 	w.BatchWindow = *streamWindow
 	w.BatchMax = *streamBatch
-	w.Logf = log.Printf
+	w.Logf = logger.Printf
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	log.Printf("worker %s serving %s", w.ID, *coord)
+	logger.Printf("worker %s serving %s", w.ID, *coord)
 	if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
-	log.Printf("worker %s stopped", w.ID)
+	logger.Printf("worker %s stopped", w.ID)
+	return 0
 }

@@ -1,7 +1,7 @@
 // Quickstart: the unified scenario API. List the registry, run one
-// scenario with functional options, run several concurrently on a
-// shared contended testbed, and use the testbed facade directly for
-// the section-2 headline throughput and co-allocation.
+// scenario with functional options, run several concurrently, and use
+// the testbed facade directly for the section-2 headline throughput
+// and co-allocation.
 package main
 
 import (
@@ -40,24 +40,20 @@ func run(stdout io.Writer) error {
 	fmt.Fprintln(stdout)
 	fmt.Fprint(stdout, rep.Text())
 
-	// Run several concurrently on ONE shared testbed — one facility
-	// for every experiment, as the paper's projects shared one WAN
-	// (shared co-allocation, cumulative backbone accounting).
-	tb := gtw.NewTestbed(gtw.Config{})
+	// Run several concurrently, each on a fresh testbed.
 	names := []string{"figure1-throughput", "figure4-workbench", "future-work"}
-	results, err := gtw.RunAll(ctx, names, gtw.WithTestbed(tb))
+	results, err := gtw.RunAll(ctx, names)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(stdout)
 	for _, r := range results {
-		fmt.Fprintf(stdout, "shared-testbed run %-24s finished in %8s (err=%v)\n",
+		fmt.Fprintf(stdout, "run %-24s finished in %8s (err=%v)\n",
 			r.Name, r.Elapsed.Round(time.Millisecond), r.Err)
 	}
-	fmt.Fprintf(stdout, "backbone carried %.1f MByte across the shared run\n",
-		float64(tb.BackboneWireBytes())/1e6)
 
 	// The testbed facade remains directly usable.
+	tb := gtw.NewTestbed(gtw.Config{})
 	local, err := tb.TCPTransfer(gtw.HostT3E600, gtw.HostT3E1200, 64<<20, gtw.TCPConfig{WindowBytes: 4 << 20})
 	if err != nil {
 		return err

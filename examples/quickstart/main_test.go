@@ -22,7 +22,7 @@ func TestRunPrintsRegistryAndCoAllocation(t *testing.T) {
 		}
 	}
 	if n := strings.Count(out, "(err=<nil>)"); n != 3 {
-		t.Errorf("%d of 3 shared-testbed runs succeeded:\n%s", n, out)
+		t.Errorf("%d of 3 concurrent runs succeeded:\n%s", n, out)
 	}
 	if !strings.Contains(out, "co-allocated T3E + Onyx2 + workstation for session fmri-demo\n") {
 		t.Errorf("co-allocation line missing:\n%s", out)

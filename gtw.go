@@ -23,14 +23,6 @@
 //		fmt.Printf("%-24s %8s err=%v\n", r.Name, r.Elapsed.Round(time.Millisecond), r.Err)
 //	}
 //
-// Or all on one shared testbed — one facility for every experiment,
-// as the paper's projects shared one WAN (shared co-allocation and
-// cumulative backbone accounting; transfers serialise onto the one
-// simulation kernel):
-//
-//	tb := gtw.NewTestbed(gtw.Config{})
-//	results, err := gtw.RunAll(ctx, names, gtw.WithTestbed(tb))
-//
 // Adding a workload is a one-file exercise:
 //
 //	gtw.MustRegister(gtw.NewScenario("my-workload", "what it measures",
@@ -68,8 +60,10 @@
 //	internal/viz         2-D overlay, 3-D merge, workbench streaming
 //	internal/core        the testbed topology, scenarios and run engine
 //
-// See EXPERIMENTS.md for the paper-vs-measured record, and cmd/gtwrun
-// for the CLI that lists and runs any registered scenario.
+// See EXPERIMENTS.md for the paper-vs-measured record, cmd/gtwrun for
+// the CLI that lists and runs any registered scenario (`gtwrun -flows 4
+// table1-model figure1-throughput ...` prints the paper's tables in
+// order), and bench/ for the end-to-end and per-layer benchmark.
 package gtw
 
 import (
@@ -84,9 +78,9 @@ import (
 // extension sites).
 type Config = core.Config
 
-// Testbed is the simulated Gigabit Testbed West. It is safe to share
-// between concurrently running scenarios: co-allocation is guarded and
-// simulation access is serialised internally.
+// Testbed is the simulated Gigabit Testbed West. It is safe for
+// concurrent use: co-allocation is guarded and simulation access is
+// serialised internally.
 type Testbed = core.Testbed
 
 // TCPConfig tunes simulated TCP transfers.

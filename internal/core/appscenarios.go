@@ -32,8 +32,7 @@ import (
 // ATM -> backbone path as simulated packets, and the virtual time that
 // takes is reported. Compute is charged no virtual time — these codes
 // have no cost model (Table 1's is FIRE-only). Private testbeds and
-// private kernels mean nothing here drives the engine-provided testbed,
-// so these scenarios are safe in shared-testbed runs by construction.
+// private kernels mean nothing here drives the engine-provided testbed.
 
 // coupledNet builds the private testbed a coupled scenario's ranks run
 // on; it lives as long as the run.

@@ -1,22 +1,88 @@
 package core_test
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
-	"repro/internal/benchkit"
+	"repro/internal/core"
+	"repro/internal/tcpsim"
 )
 
 // The sweep-engine benchmarks: the same 8-point TCP sweep run on one
-// kernel vs. sharded across GOMAXPROCS kernels. Bodies live in
-// internal/benchkit so cmd/gtwbench runs the identical code into
-// BENCH_kernel.json; the tracked number is the ratio of the two.
+// kernel vs. sharded across GOMAXPROCS kernels (the ratio of the two is
+// the number to read), plus an uneven grid through the work-stealing
+// queue. bench/'s core.shard_speedup_x row reads the same kind of
+// ratio on its sim-sweep workload.
 
-// BenchmarkSweepSingleKernel is the pre-sharding baseline.
-func BenchmarkSweepSingleKernel(b *testing.B) { benchkit.SweepSingleKernel(b) }
+// transferSweep builds an unregistered sweep whose points are
+// WS-Jülich -> WS-GMD TCP bulk transfers of bytes(i) bytes, each on its
+// shard's testbed — the shape of every throughput scenario in the paper.
+func transferSweep(name string, points int, bytes func(i int) int64) *core.Sweep {
+	vals := make([]any, points)
+	for i := range vals {
+		vals[i] = i
+	}
+	return core.NewSweep(name, "sweep-engine benchmark",
+		[]core.Axis{{Name: "point", Values: vals}},
+		func(ctx context.Context, tb *core.Testbed, opts core.Options, pt core.Point) (any, error) {
+			return tb.TCPTransfer(core.HostWSJuelich, core.HostWSGMD, bytes(pt.Index),
+				tcpsim.Config{WindowBytes: 4 << 20})
+		},
+		func(opts core.Options, results []any) (core.Report, error) {
+			rep := &core.Figure1Report{}
+			for i, r := range results {
+				res := r.(tcpsim.Result)
+				rep.Rows = append(rep.Rows, core.Figure1Row{
+					Path: fmt.Sprintf("point %d", i), Mbps: res.ThroughputBps / 1e6,
+				})
+			}
+			return rep, nil
+		})
+}
 
-// BenchmarkSweepSharded splits the grid across per-core shards.
-func BenchmarkSweepSharded(b *testing.B) { benchkit.SweepSharded(b) }
+// runSweep drives sw at the given shard count (0 = GOMAXPROCS) b.N
+// times and checks each merged report kept its shard timings.
+func runSweep(b *testing.B, sw *core.Sweep, shards int) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := sw.Run(context.Background(), nil, core.NewOptions(core.WithShards(shards)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sr, ok := rep.(core.ShardedReport); !ok || len(sr.ShardTimings()) == 0 {
+			b.Fatal("sweep report lost its shard timings")
+		}
+	}
+}
 
-// BenchmarkSweepWorkStealing runs an intentionally uneven grid (one
-// ~10x point, the figure1 pattern) through the work-stealing queue.
-func BenchmarkSweepWorkStealing(b *testing.B) { benchkit.SweepWorkStealing(b) }
+// evenSweep is 8 points of 16 MiB each.
+func evenSweep() *core.Sweep {
+	return transferSweep("bench-sweep", 8, func(int) int64 { return 16 << 20 })
+}
+
+// BenchmarkSweepSingleKernel is the pre-sharding baseline: the whole
+// 8-point sweep evaluated sequentially on one testbed/kernel.
+func BenchmarkSweepSingleKernel(b *testing.B) { runSweep(b, evenSweep(), 1) }
+
+// BenchmarkSweepSharded is the same sweep split across GOMAXPROCS
+// shards, each owning a fresh kernel/network/testbed.
+func BenchmarkSweepSharded(b *testing.B) { runSweep(b, evenSweep(), 0) }
+
+// BenchmarkSweepWorkStealing runs an intentionally uneven grid through
+// the work-stealing queue: 16 points where point 0 costs ~10x its
+// siblings (the figure1 pattern). Four shards on 16 points is the
+// contended shape: an even four-way split would cost ~13 units for the
+// batch holding the 10x point and 4 for the others; work stealing
+// gives that point a lease of its own and the idle shards drain the
+// rest.
+func BenchmarkSweepWorkStealing(b *testing.B) {
+	sw := transferSweep("bench-sweep-uneven", 16, func(i int) int64 {
+		if i == 0 {
+			return 24 << 20
+		}
+		return (24 << 20) / 10
+	})
+	runSweep(b, sw, 4)
+}

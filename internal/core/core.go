@@ -93,14 +93,12 @@ const (
 
 // Testbed is a constructed Gigabit Testbed West instance.
 //
-// A Testbed may be shared by concurrently running scenarios (the
-// WithTestbed mode of RunAll): the co-allocation map is guarded by
-// allocMu, and every operation that advances the simulation kernel or
-// reads its counters (TCPTransfer, RTT, PathMTU, BackboneUtilization,
-// BackboneWireBytes) serialises on simMu. Shared scenarios therefore
-// interleave their transfers on one testbed — co-allocation is truly
-// shared and the backbone counters accumulate across all of them —
-// but each transfer still runs on an otherwise idle simulated network;
+// A Testbed is safe for concurrent use: the co-allocation map is
+// guarded by allocMu, and every operation that advances the simulation
+// kernel or reads its counters (TCPTransfer, RTT, PathMTU,
+// BackboneUtilization, BackboneWireBytes) serialises on simMu. Callers
+// that share one therefore interleave their transfers on it, but each
+// transfer still runs on an otherwise idle simulated network;
 // in-simulator bandwidth contention between two flows only happens
 // when one driver starts both (see BackboneAggregate, MixedTraffic).
 // Code that reaches into K or Net directly must have the testbed to

@@ -78,17 +78,13 @@ func (p *Plan) Distributable() bool { return p.sweep.Distributable() }
 
 // Run executes the plan in-process: native sweeps go through the
 // sharded sweep engine, wrapped scenarios run directly on an
-// engine-built (or shared) testbed — the single place that knows the
-// difference, so the engine, the coordinator and the CLI don't.
+// engine-built testbed — the single place that knows the difference,
+// so the engine, the coordinator and the CLI don't.
 func (p *Plan) Run(ctx context.Context, o Options) (Report, error) {
 	if !p.wrapped {
 		return p.sweep.Run(ctx, nil, o)
 	}
-	tb := o.Testbed
-	if tb == nil {
-		tb = New(Config{WAN: o.WAN, Extensions: o.Extensions})
-	}
-	return p.scenario.Run(ctx, tb, o)
+	return p.scenario.Run(ctx, New(Config{WAN: o.WAN, Extensions: o.Extensions}), o)
 }
 
 // WireReport is a scenario report reconstructed from its wire form: the

@@ -23,7 +23,7 @@ import (
 // table the old Format* helpers produced.
 type Report interface {
 	// Text renders the report as the human-readable table printed by
-	// cmd/gtwrun and cmd/gtwbench.
+	// cmd/gtwrun.
 	Text() string
 	// JSON marshals the underlying measurement record.
 	JSON() ([]byte, error)
@@ -31,17 +31,13 @@ type Report interface {
 
 // Scenario is one runnable experiment over the testbed.
 //
-// Run receives the testbed chosen by the engine: a fresh one per
-// scenario by default, or a single shared instance when the caller
-// passed WithTestbed — one facility shared by every experiment, as the
-// paper's projects shared one WAN. Sharing means common co-allocation
-// and cumulative backbone accounting with transfers serialised onto
-// the one kernel, not in-simulator bandwidth contention between
-// scenarios. Scenarios must touch the shared testbed only through its
-// concurrency-safe methods (TCPTransfer, RTT, PathMTU, Reserve,
-// Release, Allocations, BackboneUtilization); scenarios that need
-// exclusive control of a simulation kernel build a private testbed
-// internally and ignore the argument.
+// Run receives a fresh testbed built by the engine from the run's WAN
+// and Extensions options (a Sweep is handed nil and builds one per
+// shard). Scenarios that need a simulation kernel of their own build a
+// private testbed internally and ignore the argument. Contention
+// between the paper's projects on the one WAN is modelled inside one
+// scenario, which starts every competing flow on one kernel
+// (backbone-aggregate, mixed-traffic).
 type Scenario interface {
 	// Name is the unique registry key (kebab-case).
 	Name() string
@@ -70,9 +66,6 @@ type Options struct {
 	Frames int
 	// Flows is the number of concurrent flows for backbone loading.
 	Flows int
-	// Testbed, when non-nil, is shared by every scenario in a run
-	// instead of building a fresh testbed per scenario.
-	Testbed *Testbed
 	// Workers bounds engine concurrency in RunAll (default GOMAXPROCS).
 	Workers int
 	// Shards bounds the per-sweep shard count (default GOMAXPROCS,
@@ -113,13 +106,6 @@ func WithFrames(n int) Option { return func(o *Options) { o.Frames = n } }
 
 // WithFlows sets the number of concurrent backbone flows.
 func WithFlows(n int) Option { return func(o *Options) { o.Flows = n } }
-
-// WithTestbed runs every scenario on the given shared testbed instead
-// of a fresh one per scenario: co-allocation is shared, backbone
-// counters accumulate across scenarios, and transfers serialise onto
-// the one simulation kernel. The testbed's own Config wins: WithWAN
-// and WithExtensions do not affect a testbed supplied here.
-func WithTestbed(tb *Testbed) Option { return func(o *Options) { o.Testbed = tb } }
 
 // WithWorkers bounds the RunAll worker pool.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
@@ -230,8 +216,8 @@ type RunResult struct {
 	Elapsed time.Duration
 }
 
-// Run executes one registered scenario: resolve it, build its testbed
-// (or take the shared one from WithTestbed), run, report.
+// Run executes one registered scenario: resolve it, build its testbed,
+// run, report.
 func Run(ctx context.Context, name string, opts ...Option) (Report, error) {
 	s, ok := Lookup(name)
 	if !ok {
@@ -254,9 +240,8 @@ func RunWith(ctx context.Context, name string, o Options) (Report, error) {
 }
 
 // RunAll executes the named scenarios (all registered ones when names
-// is empty) on a worker pool. Scenarios run concurrently — each on a
-// fresh testbed, or all contending on one shared testbed when
-// WithTestbed is given. Results are returned in input order with
+// is empty) on a worker pool. Scenarios run concurrently, each on a
+// fresh testbed. Results are returned in input order with
 // per-scenario timing; a scenario failure lands in its RunResult.Err
 // without stopping the others. When ctx is cancelled, in-flight
 // scenarios are cancelled through their context, queued scenarios are
@@ -326,7 +311,7 @@ feed:
 }
 
 // runOne executes a single scenario with panic containment and timing.
-// The testbed decision (fresh, shared, or shard-built) lives in the
+// The testbed decision (engine-built or shard-built) lives in the
 // scenario's Plan, not here.
 func runOne(ctx context.Context, s Scenario, o Options) (res RunResult) {
 	res.Name = s.Name()

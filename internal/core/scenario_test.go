@@ -73,14 +73,13 @@ func TestOptionsDefaultsAndApplication(t *testing.T) {
 	if def.WAN != atm.OC48 || def.PEs != 256 || def.Frames != 30 || def.Flows != 2 {
 		t.Errorf("defaults = %+v", def)
 	}
-	if def.Extensions || def.Testbed != nil || def.Workers != 0 {
+	if def.Extensions || def.Workers != 0 {
 		t.Errorf("unexpected non-zero defaults: %+v", def)
 	}
-	tb := New(Config{})
 	o := NewOptions(WithWAN(atm.OC12), WithExtensions(), WithPEs(64),
-		WithFrames(5), WithFlows(3), WithTestbed(tb), WithWorkers(7))
+		WithFrames(5), WithFlows(3), WithWorkers(7))
 	if o.WAN != atm.OC12 || !o.Extensions || o.PEs != 64 || o.Frames != 5 ||
-		o.Flows != 3 || o.Testbed != tb || o.Workers != 7 {
+		o.Flows != 3 || o.Workers != 7 {
 		t.Errorf("options not applied: %+v", o)
 	}
 }
@@ -282,26 +281,5 @@ func TestTestbedConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if len(tb.Allocations()) != 0 {
 		t.Errorf("leaked allocations: %v", tb.Allocations())
-	}
-}
-
-// TestRunAllSharedTestbed runs scenarios concurrently on ONE shared
-// testbed under the race detector.
-func TestRunAllSharedTestbed(t *testing.T) {
-	tb := New(Config{})
-	names := []string{"figure2-endtoend", "figure4-workbench", "future-work", "figure2-endtoend"}
-	results, err := RunAll(context.Background(), names,
-		WithTestbed(tb), WithWorkers(4), WithFrames(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Errorf("%s: %v", r.Name, r.Err)
-		}
-	}
-	// The figure-2 scenarios moved volumes over the shared backbone.
-	if tb.BackboneWireBytes() == 0 {
-		t.Error("shared testbed carried no traffic")
 	}
 }

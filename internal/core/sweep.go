@@ -53,11 +53,9 @@ type Point struct {
 // Coord returns the point's value along axis i.
 func (pt Point) Coord(i int) any { return pt.Coords[i] }
 
-// PointFunc evaluates one grid point. tb is the shard's testbed: a
-// fresh instance owned by the shard by default, or the one shared
-// testbed when the run was given WithTestbed (shared runs must touch it
-// only through its concurrency-safe methods). Point functions that
-// drive their own simulation kernel (BackboneAggregate-style) ignore tb.
+// PointFunc evaluates one grid point. tb is the shard's testbed, a
+// fresh instance the shard owns. Point functions that drive their own
+// simulation kernel (BackboneAggregate-style) ignore tb.
 type PointFunc func(ctx context.Context, tb *Testbed, opts Options, pt Point) (any, error)
 
 // MergeFunc reassembles the per-point results — always in grid order,
@@ -89,8 +87,8 @@ type Sweep struct {
 
 // NoShardTestbed declares that every point function builds its own
 // simulation state (BackboneAggregate-style) and ignores the testbed
-// argument, so shards skip constructing one. A shared testbed from
-// WithTestbed is still passed through. Returns the sweep for chaining:
+// argument, so shards skip constructing one. Returns the sweep for
+// chaining:
 //
 //	MustRegister(NewSweep(...).NoShardTestbed())
 func (sw *Sweep) NoShardTestbed() *Sweep {
@@ -196,14 +194,9 @@ func (r *sweepReport) ShardTimings() []ShardTiming { return r.timings }
 // at the number of points). Shards lease batches of points from a
 // shared work-stealing queue — a shard that drains its lease steals the
 // next one, so uneven point costs no longer leave shards idle. Each
-// shard runs on its own fresh testbed built from opts — except in shared mode
-// (opts.Testbed non-nil), where every shard uses the one shared testbed
-// so co-allocation stays common and the backbone counters keep
-// accumulating across scenarios; shards then contend on the testbed's
-// internal locks instead of running truly in parallel. A testbed passed
-// through the tb argument alone serves an unsharded run (the engine's
-// fresh-per-scenario testbed); to share one across shards it must come
-// through WithTestbed.
+// shard runs on its own fresh testbed built from opts. A testbed passed
+// in as tb serves an unsharded run itself; sharded, it fixes the
+// configuration of every shard's fresh testbed.
 //
 // Cancellation stops shards between points and Run returns ctx's error;
 // a panicking point is contained and reported as that point's error.
@@ -231,7 +224,7 @@ func (sw *Sweep) Run(ctx context.Context, tb *Testbed, opts Options) (Report, er
 	// Shard testbeds are built from the sweep run's configuration; a
 	// testbed handed in by the caller fixes that configuration for
 	// every shard (the engine builds none for sweeps, so tb is non-nil
-	// only for direct callers and shared runs).
+	// only for direct callers).
 	shardCfg := Config{WAN: opts.WAN, Extensions: opts.Extensions}
 	if tb != nil {
 		shardCfg = tb.Cfg
@@ -248,8 +241,8 @@ func (sw *Sweep) Run(ctx context.Context, tb *Testbed, opts Options) (Report, er
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			shardTb := opts.Testbed // shared mode: every shard uses the one testbed
-			if shardTb == nil && shards == 1 {
+			var shardTb *Testbed
+			if shards == 1 {
 				shardTb = tb // unsharded: any testbed the caller handed in
 			}
 			if shardTb == nil && !sw.noTestbed {

@@ -132,49 +132,6 @@ func TestSweepReportSurfacesShardTimings(t *testing.T) {
 	}
 }
 
-// In shared-testbed mode the sweep must keep using the one testbed —
-// cumulative backbone accounting is the point of sharing — while still
-// producing the identical report.
-func TestSweepSharedTestbedAccumulates(t *testing.T) {
-	solo, err := Run(context.Background(), "figure1-throughput", WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := New(Config{})
-	shared, err := Run(context.Background(), "figure1-throughput", WithShards(2), WithTestbed(tb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.BackboneWireBytes() == 0 {
-		t.Error("shared testbed carried no sweep traffic")
-	}
-	if solo.Text() != shared.Text() {
-		t.Errorf("shared-testbed sweep changed the report:\n%s\nvs\n%s", solo.Text(), shared.Text())
-	}
-}
-
-// Calling a sweep's Run directly (not through the engine) with only
-// WithTestbed set must still hand every shard the shared testbed — the
-// engine happens to pass it as the tb argument too, but direct callers
-// may not.
-func TestSweepDirectRunUsesOptionTestbed(t *testing.T) {
-	s, ok := Lookup("figure1-throughput")
-	if !ok {
-		t.Fatal("figure1-throughput not registered")
-	}
-	tb := New(Config{})
-	rep, err := s.Run(context.Background(), nil, NewOptions(WithTestbed(tb), WithShards(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep == nil || rep.Text() == "" {
-		t.Fatal("no report")
-	}
-	if tb.BackboneWireBytes() == 0 {
-		t.Error("direct sweep run ignored the WithTestbed testbed")
-	}
-}
-
 // A caller-built testbed passed positionally fixes the configuration of
 // every shard testbed, even when sharding rebuilds them.
 func TestSweepShardsInheritCallerTestbedConfig(t *testing.T) {
@@ -315,40 +272,6 @@ func TestSweepPointPanicContained(t *testing.T) {
 	}
 	if results[1].Err != nil {
 		t.Errorf("sibling scenario failed: %v", results[1].Err)
-	}
-}
-
-// RunAll under shard contention: sharded sweeps and ordinary scenarios
-// mixed on ONE shared testbed, raced with -race in CI. Every shard of
-// every sweep contends on the shared testbed's locks while the plain
-// scenarios run their transfers on it too.
-func TestRunAllSharedTestbedWithShardedSweeps(t *testing.T) {
-	tb := New(Config{})
-	names := []string{
-		"figure1-throughput", "figure2-endtoend", "mixed-traffic",
-		"figure1-throughput", "figure4-workbench", "backbone-aggregate",
-	}
-	results, err := RunAll(context.Background(), names,
-		WithTestbed(tb), WithWorkers(4), WithShards(3), WithFrames(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Errorf("%s: %v", r.Name, r.Err)
-		}
-		if r.Report == nil {
-			t.Errorf("%s: nil report", r.Name)
-			continue
-		}
-		if sr, ok := r.Report.(ShardedReport); ok {
-			if len(sr.ShardTimings()) == 0 {
-				t.Errorf("%s: sweep ran with no shard timings", r.Name)
-			}
-		}
-	}
-	if tb.BackboneWireBytes() == 0 {
-		t.Error("shared testbed carried no traffic")
 	}
 }
 

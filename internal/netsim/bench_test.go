@@ -6,10 +6,9 @@ import (
 	"repro/internal/benchkit"
 )
 
-// The benchmark bodies live in internal/benchkit so cmd/gtwbench can
-// run the identical code with testing.Benchmark and emit
-// BENCH_kernel.json; these wrappers keep them discoverable under
-// `go test -bench`.
+// The benchmark bodies live in internal/benchkit because bench/ times
+// the same code as its netsim.packet_ns and netsim.hop_ns rows; these
+// wrappers keep them discoverable under `go test -bench`.
 
 // BenchmarkPacketDelivery measures end-to-end packet cost over one
 // link (send, serialize, propagate, deliver).

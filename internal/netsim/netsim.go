@@ -372,21 +372,6 @@ func (n *Network) PathMTU(src, dst NodeID) (int, error) {
 	return mtu, nil
 }
 
-// PathRTT reports the zero-load round-trip time for a packet of n bytes
-// and its (small) ACK between src and dst: serialization at every hop
-// plus propagation, forwarding and host costs, both ways.
-func (n *Network) PathRTT(src, dst NodeID, bytes, ackBytes int) (time.Duration, error) {
-	fwd, err := n.PathDelay(src, dst, bytes)
-	if err != nil {
-		return 0, err
-	}
-	back, err := n.PathDelay(dst, src, ackBytes)
-	if err != nil {
-		return 0, err
-	}
-	return fwd + back, nil
-}
-
 // PathDelay reports the zero-load one-way delay for a single packet of
 // the given size from src to dst.
 func (n *Network) PathDelay(src, dst NodeID, bytes int) (time.Duration, error) {

@@ -2,9 +2,9 @@
 //
 // The kernel drives a virtual clock measured in integer nanoseconds.
 // Work is expressed either as timed callbacks (Event) or as cooperative
-// processes (Proc) that block in virtual time on sleeps, channels and
-// resources. At most one process runs at any instant, so simulations are
-// fully deterministic and independent of the host scheduler.
+// processes (Proc) that block in virtual time on sleeps and channels.
+// At most one process runs at any instant, so simulations are fully
+// deterministic and independent of the host scheduler.
 //
 // # Ordering contract
 //

@@ -7,8 +7,8 @@ import (
 )
 
 // Proc is a cooperative simulation process: a goroutine whose blocking
-// operations (Sleep, channel receives, resource acquisition) advance
-// virtual rather than wall-clock time. Exactly one process runs at any
+// operations (Sleep, channel sends and receives) advance virtual
+// rather than wall-clock time. Exactly one process runs at any
 // moment; a process keeps the CPU until it blocks, so sequences of
 // ordinary Go code between blocking calls are atomic in virtual time.
 type Proc struct {
@@ -153,9 +153,9 @@ func (p *Proc) WaitUntil(t Time) {
 }
 
 // waitExternal parks the process until resume() is invoked by whatever
-// mechanism the caller registered beforehand (channel wait lists,
-// resource queues, ...). The registered mechanism must eventually call
-// the returned resume exactly once, from kernel context.
+// mechanism the caller registered beforehand (a channel's wait list).
+// That mechanism must eventually call the returned resume exactly
+// once, from kernel context.
 func (p *Proc) waitExternal() { p.park() }
 
 // resumeNow schedules p to be resumed at the current virtual instant.

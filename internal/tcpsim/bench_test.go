@@ -4,30 +4,44 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/benchkit"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
 )
 
-// BenchmarkTCPTransfer measures a full end-to-end 1 MiB TCP bulk
-// transfer over a gigabit link; the body lives in internal/benchkit so
-// cmd/gtwbench can run the identical code and emit BENCH_kernel.json.
-func BenchmarkTCPTransfer(b *testing.B) { benchkit.TCPTransfer(b) }
+// twoHosts builds two nodes joined by one gigabit link.
+func twoHosts() (*netsim.Network, netsim.NodeID, netsim.NodeID) {
+	n := netsim.New(sim.NewKernel())
+	a, z := n.AddNode("a"), n.AddNode("z")
+	n.Connect(a, z, netsim.LinkConfig{Bps: 1e9, Delay: 500 * time.Microsecond, MTU: 9180, QueueBytes: 1 << 30})
+	n.ComputeRoutes()
+	return n, a.ID, z.ID
+}
+
+// BenchmarkTCPTransfer measures a full end-to-end TCP bulk transfer
+// (slow start, windowing, ACK clocking) of 1 MiB over a gigabit link —
+// the composite cost every throughput scenario pays per flow.
+func BenchmarkTCPTransfer(b *testing.B) {
+	n, a, z := twoHosts()
+	const bytes = 1 << 20
+	b.SetBytes(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tcpsim.Transfer(n, a, z, bytes, tcpsim.Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // The flow pool must leave a warmed Transfer with zero allocations per
 // op: sender, Flow handle and send-timestamp ring all recycle, and the
 // packet/event pools below them are already allocation-free. This is
 // the regression gate for BenchmarkTCPTransfer's allocs/op.
 func TestTCPTransferSteadyStateZeroAllocs(t *testing.T) {
-	k := sim.NewKernel()
-	n := netsim.New(k)
-	a := n.AddNode("a")
-	z := n.AddNode("z")
-	n.Connect(a, z, netsim.LinkConfig{Bps: 1e9, Delay: 500 * time.Microsecond, MTU: 9180, QueueBytes: 1 << 30})
-	n.ComputeRoutes()
+	n, a, z := twoHosts()
 	xfer := func() {
-		if _, err := tcpsim.Transfer(n, a.ID, z.ID, 1<<20, tcpsim.Config{}); err != nil {
+		if _, err := tcpsim.Transfer(n, a, z, 1<<20, tcpsim.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}

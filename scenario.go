@@ -91,17 +91,15 @@ func Lookup(name string) (Scenario, bool) { return core.Lookup(name) }
 // Scenarios lists every registered scenario sorted by name.
 func Scenarios() []Scenario { return core.Scenarios() }
 
-// Run executes one registered scenario on a fresh testbed (or the one
-// supplied with WithTestbed).
+// Run executes one registered scenario on a fresh testbed.
 func Run(ctx context.Context, name string, opts ...Option) (Report, error) {
 	return core.Run(ctx, name, opts...)
 }
 
 // RunAll executes the named scenarios (all registered ones when names
-// is empty) concurrently on a worker pool — each on a fresh testbed,
-// or all on one shared testbed with WithTestbed. Results come back in
-// input order with per-scenario timing; cancelling ctx stops in-flight
-// scenarios and skips queued ones.
+// is empty) concurrently on a worker pool, each on a fresh testbed.
+// Results come back in input order with per-scenario timing;
+// cancelling ctx stops in-flight scenarios and skips queued ones.
 func RunAll(ctx context.Context, names []string, opts ...Option) ([]RunResult, error) {
 	return core.RunAll(ctx, names, opts...)
 }
@@ -129,13 +127,6 @@ func WithFrames(n int) Option { return core.WithFrames(n) }
 
 // WithFlows sets the number of concurrent backbone flows.
 func WithFlows(n int) Option { return core.WithFlows(n) }
-
-// WithTestbed runs every scenario of a RunAll on the given shared
-// testbed: shared co-allocation, cumulative backbone accounting, and
-// transfers serialised onto the one simulation kernel. The testbed's
-// own Config wins: WithWAN and WithExtensions do not affect a testbed
-// supplied here.
-func WithTestbed(tb *Testbed) Option { return core.WithTestbed(tb) }
 
 // WithWorkers bounds the RunAll worker pool (default GOMAXPROCS).
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
