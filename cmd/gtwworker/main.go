@@ -1,12 +1,12 @@
 // Command gtwworker is the distributed-run worker: it pulls leases from
 // a gtwd coordinator, evaluates the leased grid points on its own
-// simulation kernels, and uploads each point's result the moment it
-// finishes — once: the batch carrying a lease's last point completes
-// it, and an empty batch is the heartbeat while a slow point computes.
-// Any scenario can arrive — sweeps lease runs of their grid, one-shot
-// applications lease their single wrapped point — and testbeds are
-// cached per job (keyed by Config), so the leases of one sweep stop
-// rebuilding the same topology.
+// simulation kernels, and uploads each point's result once — the batch
+// carrying a lease's last point completes it, and an empty batch is the
+// heartbeat while a slow point computes. Any scenario can arrive —
+// sweeps lease runs of their grid, one-shot applications lease their
+// single wrapped point — and testbeds are cached per job (keyed by
+// Config), so the leases of one sweep stop rebuilding the same
+// topology.
 //
 // The worker's ID is sticky for the process lifetime (or across
 // restarts when pinned with -id): the coordinator's per-worker
@@ -16,15 +16,17 @@
 //
 // Usage:
 //
-//	gtwworker -coordinator http://host:9191 [-id worker-a] [-poll 200ms]
-//	          [-stream-window 0] [-stream-batch 16] [-token TOK]
+//	gtwworker -coordinator http://host:9191 [-id worker-a] [-poll 200ms] [-token TOK]
 //
-// By default every finished point is its own upload. A -stream-window
-// coalesces points finishing within the window into one upload body of
-// at most -stream-batch points — fewer round trips on chatty sweeps, at
-// the price of a slightly longer undelivered tail if the worker dies
-// between uploads (those points simply re-run elsewhere; reports stay
-// byte-identical). A batch whose answer is lost is resent with the next.
+// Uploads are paced by their own cost, with nothing to tune: mid-lease,
+// the worker uploads its pending points once they took at least as
+// long to evaluate as its last upload round trip (the register round
+// trip before the first). A point slower than a round trip streams the
+// moment it finishes; cheap points ride the next due batch or the
+// lease's last one. A worker that dies between uploads loses about one
+// round trip of evaluation plus one point, which re-runs elsewhere;
+// reports stay byte-identical. A batch whose answer is lost is resent
+// with the next.
 //
 // Worker and coordinator must speak the same worker protocol: the
 // register handshake carries its number, and on a mismatch gtwworker
@@ -73,10 +75,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	id := fs.String("id", "", "sticky worker ID (default: random, kept for the process lifetime)")
 	poll := fs.Duration("poll", 200*time.Millisecond,
 		"retry back-off after an empty or failed lease ask (the coordinator's register reply overrides it); idle workers park on the coordinator instead of polling")
-	streamWindow := fs.Duration("stream-window", 0,
-		"coalesce points finishing within this window into one stream upload (0 = one upload per point)")
-	streamBatch := fs.Int("stream-batch", 16,
-		"most points per coalesced stream upload (with -stream-window)")
 	token := fs.String("token", "",
 		"tenant token for a -tenants coordinator (sent as Authorization: Bearer)")
 	if err := fs.Parse(args); err != nil {
@@ -92,8 +90,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		w.ID = *id
 	}
 	w.Poll = *poll
-	w.BatchWindow = *streamWindow
-	w.BatchMax = *streamBatch
 	w.Logf = logger.Printf
 
 	logger.Printf("worker %s serving %s", w.ID, *coord)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"maps"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -22,7 +23,11 @@ import (
 // Per-worker throughput EWMAs steer lease sizes: a worker that has
 // proven fast gets proportionally larger leases, a slow one smaller —
 // the WANify-style runtime balancing from PAPERS.md, applied to grid
-// points instead of bytes.
+// points instead of bytes. Under that sits a floor priced from what
+// completed leases cost: a lease is never carved so small that its
+// predicted evaluation is shorter than the overhead of granting and
+// completing it, so a job of cheap points takes a few leases, not one
+// round trip per handful of points.
 
 // Lease is a contiguous run of grid points [Lo, Hi) checked out by one
 // worker. Seq is unique within the queue and is what makes result
@@ -58,6 +63,13 @@ type LeaseQueue struct {
 	skip        SkipFunc
 	closed      bool
 	done        chan struct{}
+
+	// What completed leases cost, summed over every Complete with a
+	// measured evaluation time: that time and their points, and their
+	// overhead — wall time from grant to completion minus the
+	// evaluation. The lease floor is priced from them.
+	evalNS, evalPoints int64
+	overheadNS, costed int64
 }
 
 // rateAlpha is the EWMA smoothing factor for per-worker throughput.
@@ -121,7 +133,8 @@ func (q *LeaseQueue) SetSkip(skip SkipFunc) {
 // amortize dispatch, late leases shrink toward single points so the
 // tail balances. A worker with a throughput history gets the base
 // scaled by its speed relative to the fleet mean, clamped to [1, 2x] —
-// faster workers take proportionally larger bites.
+// faster workers take proportionally larger bites. No lease is smaller
+// than floorLocked's, and none larger than remaining.
 func (q *LeaseQueue) leaseSizeLocked(w string, remaining int) int {
 	base := (remaining + 2*q.workers - 1) / (2 * q.workers)
 	if base < 1 {
@@ -144,10 +157,21 @@ func (q *LeaseQueue) leaseSizeLocked(w string, remaining int) int {
 			base = scaled
 		}
 	}
-	if base > remaining {
-		base = remaining
+	return min(max(base, q.floorLocked(remaining)), remaining)
+}
+
+// floorLocked is the smallest lease worth its overhead: the mean
+// per-lease overhead divided by the mean evaluation time per point,
+// rounded up, and at most remaining. It is 0 until a lease with
+// measured evaluation time has completed, and stays 0 while completions
+// carry no overhead, as in-process shards' do (they use Complete).
+func (q *LeaseQueue) floorLocked(remaining int) int {
+	if q.evalNS <= 0 || q.costed == 0 {
+		return 0
 	}
-	return base
+	perPoint := float64(q.evalNS) / float64(q.evalPoints)
+	overhead := float64(q.overheadNS) / float64(q.costed)
+	return int(min(math.Ceil(overhead/perPoint), float64(remaining)))
 }
 
 // carveLocked carves the next lease, or returns false if no work is
@@ -206,12 +230,21 @@ func (q *LeaseQueue) Next(worker string) (Lease, bool) { return q.next(worker, t
 // available right now, not that the sweep is over.
 func (q *LeaseQueue) TryNext(worker string) (Lease, bool) { return q.next(worker, false) }
 
-// Complete marks a lease's points evaluated; elapsed feeds the worker's
-// throughput estimate. It reports whether the lease was still
+// Complete marks a lease's points evaluated; elapsed, the time they
+// took to evaluate, feeds the worker's throughput estimate and the
+// queue's per-point cost. It reports whether the lease was still
 // outstanding: completing one that already completed, or was requeued
 // after expiry, changes nothing and returns false — which is what makes
-// duplicate result uploads idempotent.
+// duplicate result uploads idempotent. Complete prices the lease at no
+// overhead; a caller that knows the wall time since the grant passes it
+// through SweepRun.Complete.
 func (q *LeaseQueue) Complete(l Lease, elapsed time.Duration) bool {
+	return q.complete(l, elapsed, elapsed)
+}
+
+// complete is Complete with wall, the time from the lease's grant to
+// now, whose excess over elapsed is the lease's overhead.
+func (q *LeaseQueue) complete(l Lease, elapsed, wall time.Duration) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if _, ok := q.outstanding[l.Seq]; !ok {
@@ -226,6 +259,10 @@ func (q *LeaseQueue) Complete(l Lease, elapsed time.Duration) bool {
 		} else {
 			q.rate[l.Worker] = pps
 		}
+		q.evalNS += elapsed.Nanoseconds()
+		q.evalPoints += int64(l.Points())
+		q.overheadNS += max(wall-elapsed, 0).Nanoseconds()
+		q.costed++
 	}
 	q.finishLocked()
 	return true

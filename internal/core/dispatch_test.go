@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -94,6 +95,56 @@ func TestLeaseSizeFollowsThroughputEWMA(t *testing.T) {
 	if lf.Points() <= ls.Points() {
 		t.Errorf("fast worker leased %d points, slow %d; EWMA steering should favor the fast one",
 			lf.Points(), ls.Points())
+	}
+}
+
+// The lease floor: no completion, or completions with no overhead,
+// keep the point-count sizes; once a completion shows an overhead of
+// many points' evaluation, no lease is carved smaller than that — up
+// to all that is pending in the span, never more.
+func TestLeaseFloorCoversOverhead(t *testing.T) {
+	// sizes drains q, completing each lease at perPoint a point plus extra.
+	sizes := func(q *LeaseQueue, perPoint, extra time.Duration) []int {
+		var out []int
+		for l, ok := q.TryNext("w"); ok; l, ok = q.TryNext("w") {
+			out = append(out, l.Points())
+			eval := time.Duration(l.Points()) * perPoint
+			q.complete(l, eval, eval+extra)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name            string
+		perPoint, extra time.Duration // each completion's evaluation per point, and its overhead
+		want            []int
+	}{
+		// 64 points over 2 workers: the first lease, before any
+		// completion, is always a quarter; then half the remainder
+		// across the two.
+		{"no overhead keeps the point-count sizes", time.Microsecond, 0, []int{16, 12, 9, 7, 5, 4, 3, 2, 2, 1, 1, 1, 1}},
+		{"cheap points take the rest in one lease", time.Microsecond, 10 * time.Millisecond, []int{16, 48}},
+		{"the floor sits between base and the rest", time.Millisecond, 30 * time.Millisecond, []int{16, 30, 18}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := sizes(NewWorkStealingDispatcher(64, 2), tc.perPoint, tc.extra)
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("lease sizes %v, want %v", got, tc.want)
+			}
+		})
+	}
+	// A requeued lease splits the pending work into two spans: the
+	// floor never carves past the span it starts in.
+	q := NewWorkStealingDispatcher(64, 2)
+	l1, _ := q.TryNext("w")
+	l2, _ := q.TryNext("w")
+	q.complete(l2, time.Microsecond, time.Second)
+	finished := make([]bool, l1.Points())
+	for k := 4; k < len(finished); k++ {
+		finished[k] = true
+	}
+	q.RequeuePartial(l1, finished)
+	if l, _ := q.TryNext("w"); l.Lo != 0 || l.Hi != 4 {
+		t.Errorf("after a partial requeue the next lease is [%d,%d), want exactly the requeued run [0,4)", l.Lo, l.Hi)
 	}
 }
 

@@ -395,19 +395,21 @@ func (r *SweepRun) RunShard(ctx context.Context, shard int, worker string, tb *T
 }
 
 // Complete finishes a remotely evaluated lease, every point of which
-// DeliverPoint has recorded: the lease is completed against the queue
-// (elapsed feeds the worker's throughput estimate) and credited to the
-// worker's timing. A lease that is no longer outstanding (expired and
-// re-run elsewhere) changes nothing and Complete reports false.
+// DeliverPoint has recorded: the lease is completed against the queue —
+// elapsed, the worker's evaluation time, feeds its throughput estimate,
+// and wall, the time since the grant, prices the lease's overhead — and
+// credited to the worker's timing. A lease that is no longer
+// outstanding (expired and re-run elsewhere) changes nothing and
+// Complete reports false.
 //
 // Completing can close the queue's Done, waking whoever waits to merge
 // the report. Each point was recorded under r.mu before this call took
 // it, so that reader — Report and Progress take r.mu too — never sees
 // the lease completed but a point of it missing.
-func (r *SweepRun) Complete(l Lease, elapsed time.Duration) bool {
+func (r *SweepRun) Complete(l Lease, elapsed, wall time.Duration) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.q.Complete(l, elapsed) {
+	if !r.q.complete(l, elapsed, wall) {
 		return false
 	}
 	i := slices.IndexFunc(r.remote, func(t ShardTiming) bool { return t.Worker == l.Worker })
@@ -476,14 +478,19 @@ func (r *SweepRun) Wait(ctx context.Context) error {
 	}
 }
 
-// Timings returns the per-participant timings: in-process shards first
-// (by slot), then remote workers in first-delivery order, with Shard
-// indices assigned sequentially.
+// Timings returns the per-participant timings: the in-process shards
+// that ran first (by slot; a slot whose shard never started is not a
+// participant), then remote workers in first-delivery order, with
+// Shard indices assigned sequentially.
 func (r *SweepRun) Timings() []ShardTiming {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]ShardTiming, 0, len(r.local)+len(r.remote))
-	out = append(out, r.local...)
+	for _, t := range r.local {
+		if t.Worker != "" {
+			out = append(out, t)
+		}
+	}
 	for _, t := range r.remote {
 		t.Shard = len(out)
 		out = append(out, t)

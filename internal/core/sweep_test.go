@@ -407,7 +407,7 @@ func TestSweepRunOnPointObserver(t *testing.T) {
 	}
 	// A batch resent after a lost acknowledgement repeats a point: not fresh.
 	run.DeliverPoint(l, l.Lo, "completed", "")
-	if !run.Complete(l, time.Millisecond) || run.Complete(l, time.Millisecond) {
+	if !run.Complete(l, time.Millisecond, time.Millisecond) || run.Complete(l, time.Millisecond, time.Millisecond) {
 		t.Fatal("Complete must report true for the outstanding lease, false for a repeat")
 	}
 	run.RunShard(context.Background(), 0, "local", nil)

@@ -427,14 +427,18 @@ func (c *Coordinator) runDistributed(ctx context.Context, j *job, plan *core.Pla
 		c.cfg.Logf("dist: %s (%s) reusing %d of points [%d,%d) from the store", j.id, j.scenario, hits, lo, hi)
 		return mask
 	})
+	pending := q.Pending() > 0
 	sch.mu.Lock()
 	j.run = run
 	j.sw = sw
 	j.pointsTotal = n
-	if q.Pending() > 0 { // an all-hit job wakes nobody
+	if pending { // an all-hit job wakes nobody
 		sch.wakeLocked()
 	}
 	sch.mu.Unlock()
+	if !pending {
+		shards = 0 // nor builds a shard testbed: nothing is left to lease
+	}
 
 	stop := context.AfterFunc(ctx, q.Close)
 	defer stop()

@@ -506,6 +506,32 @@ func TestPointStoreServesRepeatJobs(t *testing.T) {
 	}
 }
 
+// A job whose every point is already in the store has nothing to
+// lease, so the coordinator starts no local shard for it — no shard
+// testbed is built — and its timings name no local participant; the
+// report is byte-identical to the cold run's.
+func TestAllHitJobStartsNoLocalShard(t *testing.T) {
+	registerWireSweep("dist-test-allhit", 4, 0)
+	tc := newCluster(t, Config{LocalShards: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cold, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-allhit"})
+	if err != nil || cold.Status != JobDone || len(cold.Shards) != 1 || cold.Shards[0].Worker != "local-0" {
+		t.Fatalf("cold run: %v / %+v, want done on the one local shard", err, cold)
+	}
+	hit, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-allhit"})
+	if err != nil || hit.Status != JobDone || !hit.Cached {
+		t.Fatalf("resubmission: %v / %+v, want done and cached", err, hit)
+	}
+	if len(hit.Shards) != 0 || hit.Workers != 0 {
+		t.Errorf("all-hit job reports %d participant(s) in timings %+v, want none", hit.Workers, hit.Shards)
+	}
+	wantJSON, _ := localReport(t, "dist-test-allhit", WireOptions{}.Options())
+	if !bytes.Equal(hit.Report, cold.Report) || !bytes.Equal(hit.Report, wantJSON) {
+		t.Errorf("all-hit report differs from the cold run or the single-kernel run:\n%s\nvs\n%s", hit.Report, wantJSON)
+	}
+}
+
 // Concurrent identical submissions share one in-flight job instead of
 // running the simulation twice.
 func TestConcurrentIdenticalSubmissionsShareOneJob(t *testing.T) {

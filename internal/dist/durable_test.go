@@ -359,13 +359,14 @@ func TestOverlappingJobsRacingShareTheStore(t *testing.T) {
 	t.Logf("racing jobs: hits=%d/%d", finals[0].PointHits, finals[1].PointHits)
 }
 
-// Batch streaming: a worker with a batch window coalesces points into
-// multi-point stream bodies — strictly fewer uploads than points — and
-// the job's report stays byte-identical.
+// Batch streaming: points cheaper than the round trip coalesce into
+// multi-point mid-lease bodies — each carrying exactly the points whose
+// pinned cost reached the round trip, strictly fewer bodies than
+// points — and the job's report stays byte-identical.
 func TestBatchStreamingCoalescesUploads(t *testing.T) {
 	registerWireSweep("dist-test-batch", 16, 2*time.Millisecond)
-	var bodies, streamed atomic.Int64
-	var maxBody atomic.Int64
+	var mu sync.Mutex
+	var bodies []int // points per mid-lease body, heartbeats left out
 	cfg := Config{LocalShards: -1, LeaseTTL: 500 * time.Millisecond, Poll: 10 * time.Millisecond, Logf: t.Logf}
 	c := New(cfg)
 	count := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -374,15 +375,10 @@ func TestBatchStreamingCoalescesUploads(t *testing.T) {
 			r.Body.Close()
 			r.Body = io.NopCloser(bytes.NewReader(body))
 			var up PointsUpload
-			if json.Unmarshal(body, &up) == nil {
-				bodies.Add(1)
-				streamed.Add(int64(len(up.Points)))
-				for {
-					cur := maxBody.Load()
-					if int64(len(up.Points)) <= cur || maxBody.CompareAndSwap(cur, int64(len(up.Points))) {
-						break
-					}
-				}
+			if json.Unmarshal(body, &up) == nil && len(up.Points) > 0 {
+				mu.Lock()
+				bodies = append(bodies, len(up.Points))
+				mu.Unlock()
 			}
 		}
 		c.Handler().ServeHTTP(w, r)
@@ -395,8 +391,7 @@ func TestBatchStreamingCoalescesUploads(t *testing.T) {
 	tc := &testCluster{c: c, srv: srv, cl: &Client{Base: srv.URL, Poll: 10 * time.Millisecond}}
 
 	w := NewWorker("")
-	w.BatchWindow = 10 * time.Second // points finish in ms: only BatchMax flushes
-	w.BatchMax = 4
+	pinCosts(w, time.Millisecond, 4*time.Millisecond) // a batch is due every 4 points
 	tc.startWorker(t, w)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -408,14 +403,20 @@ func TestBatchStreamingCoalescesUploads(t *testing.T) {
 	if st.Status != JobDone {
 		t.Fatalf("batched job: %s (%s)", st.Status, st.Error)
 	}
-	if bodies.Load() == 0 || streamed.Load() == 0 {
+	mu.Lock()
+	defer mu.Unlock()
+	if len(bodies) == 0 {
 		t.Fatal("nothing was streamed; batching proved nothing")
 	}
-	if bodies.Load() >= streamed.Load() {
-		t.Errorf("%d stream bodies for %d points: no coalescing happened", bodies.Load(), streamed.Load())
+	streamed := 0
+	for _, n := range bodies {
+		streamed += n
+		if n != 4 {
+			t.Errorf("a stream body carried %d point(s), want exactly 4: the points whose cost reached the round trip", n)
+		}
 	}
-	if maxBody.Load() < 2 || maxBody.Load() > 4 {
-		t.Errorf("largest stream body carried %d point(s), want between 2 and BatchMax=4", maxBody.Load())
+	if len(bodies) >= streamed {
+		t.Errorf("%d stream bodies for %d points: no coalescing happened", len(bodies), streamed)
 	}
 	wantJSON, _ := localReport(t, "dist-test-batch", WireOptions{}.Options())
 	if !bytes.Equal(st.Report, wantJSON) {
@@ -434,8 +435,7 @@ func TestBatchStreamingDeathReRunsOnlyUnflushedTail(t *testing.T) {
 	var died atomic.Bool
 	var killLo, killHi atomic.Int64
 	w := NewWorker("")
-	w.BatchWindow = 10 * time.Second // only BatchMax flushes
-	w.BatchMax = 4
+	pinCosts(w, time.Millisecond, 4*time.Millisecond) // a batch is due every 4 points
 	// Die once after evaluating 5 points of a ≥6-point lease: points
 	// 0–3 of the lease flushed as one batch, point 4 evaluated but
 	// pending, the rest never evaluated.

@@ -81,6 +81,7 @@ type leaseRec struct {
 	job      *job
 	run      *core.SweepRun // job.run at the grant; outlives job.run's reset
 	lease    core.Lease
+	granted  time.Time // its completion prices the lease's overhead from here
 	expires  time.Time
 	requeued int
 }
@@ -306,7 +307,7 @@ func (s *scheduler) grantLocked(workerID string, now time.Time) (*leaseRec, bool
 			if !ok {
 				continue
 			}
-			rec := &leaseRec{job: j, run: j.run, lease: l, expires: now.Add(s.ttl)}
+			rec := &leaseRec{job: j, run: j.run, lease: l, granted: now, expires: now.Add(s.ttl)}
 			s.leases[rec.key()] = rec
 			s.inflight[name] += l.Points()
 			s.fair.Charge(name, l.Points())

@@ -336,7 +336,7 @@ func (c *Coordinator) handlePoints(w http.ResponseWriter, r *http.Request, _ *te
 		return
 	}
 	if owned && last {
-		rec.run.Complete(rec.lease, time.Duration(up.ElapsedNS))
+		rec.run.Complete(rec.lease, time.Duration(up.ElapsedNS), time.Since(rec.granted))
 	}
 	writeJSON(w, http.StatusOK, PointsReply{OK: owned})
 }

@@ -71,15 +71,24 @@ func defaultTenant(t *testing.T, tc *testCluster) TenantStatus {
 	return st.Tenants[0]
 }
 
-// A multi-point lease puts each point on the wire once: the point-value
-// bytes a worker uploads for a whole job equal the bytes the store took
-// in, and the same number is attributed to the tenant.
+// pinCosts pins a worker's flush rule: every point costs eval and the
+// round trip is rtt, so a mid-lease batch carries ceil(rtt/eval)
+// points whatever the loopback's timing.
+func pinCosts(w *Worker, eval, rtt time.Duration) {
+	w.costs = func(int) (time.Duration, time.Duration) { return eval, rtt }
+}
+
+// A multi-point lease puts each point on the wire once, batched or not:
+// every grid point is in exactly one upload, and the point-value bytes a
+// worker uploads for a whole job equal the bytes the store took in, and
+// the same number is attributed to the tenant.
 func TestEachPointCrossesTheWireOnce(t *testing.T) {
 	registerWireSweep("dist-test-once", 12, 0)
 	tc := newCluster(t, Config{LocalShards: -1})
 	rt := &uploadRT{}
 	w := NewWorker("")
 	w.Client = &http.Client{Transport: rt}
+	pinCosts(w, time.Millisecond, 3*time.Millisecond) // mid-lease batches of 3
 	tc.startWorker(t, w)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -94,14 +103,20 @@ func TestEachPointCrossesTheWireOnce(t *testing.T) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	multi := false
+	sent := map[int]int{}
 	for i, up := range rt.uploads {
 		multi = multi || rt.paths[i] == "/v1/workers/points"
-		if rt.paths[i] == "/v1/workers/result" && len(up.Points) != 1 {
-			t.Errorf("last batch of lease %d carries %d points, want only the one not yet acknowledged", up.Seq, len(up.Points))
+		for _, p := range up.Points {
+			sent[p.Index]++
 		}
 	}
 	if !multi {
-		t.Fatal("no lease had more than one point; the test proved nothing")
+		t.Fatal("no lease had a mid-lease batch; the test proved nothing")
+	}
+	for i := 0; i < 12; i++ {
+		if sent[i] != 1 {
+			t.Errorf("point %d crossed the wire %d times, want once", i, sent[i])
+		}
 	}
 	if int64(rt.valueBytes) != status.StoreBytes || status.StoreBytes != status.Tenants[0].StoreBytes {
 		t.Errorf("worker uploaded %d bytes of point values; store holds %d, tenant is billed %d: want all equal",
@@ -118,6 +133,7 @@ func TestLostAcknowledgementResendsAndAttributesOnce(t *testing.T) {
 	rt := &uploadRT{lose: func(path string, nth int) bool { return nth == 0 || nth == 3 }}
 	w := NewWorker("")
 	w.Client = &http.Client{Transport: rt}
+	pinCosts(w, time.Millisecond, time.Millisecond) // every point is due on its own
 	tc.startWorker(t, w)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -154,6 +170,62 @@ func TestLostAcknowledgementResendsAndAttributesOnce(t *testing.T) {
 	if ten.PointsRun != 12 || ten.StoreBytes != stored || ten.PointsStreamed != 12-int64(leases) {
 		t.Errorf("tenant billed %d points run, %d streamed, %d store bytes; want 12, %d (all but each of %v leases' last) and %d: a resent point counts once",
 			ten.PointsRun, ten.PointsStreamed, ten.StoreBytes, 12-int64(leases), leases, stored)
+	}
+}
+
+// The flush rule weighs pending evaluation against the upload round
+// trip: points much cheaper than a round trip ride their lease's last
+// batch — no mid-lease upload at all — while points costlier than one
+// stream one at a time, the moment each finishes.
+func TestFlushRuleBatchesCheapPointsAndStreamsCostlyOnes(t *testing.T) {
+	registerWireSweep("dist-test-flush", 12, 0)
+	for _, pin := range []struct {
+		name      string
+		eval, rtt time.Duration
+		stream    bool // every point but each lease's last goes mid-lease, one per body
+	}{
+		{"cheap", time.Microsecond, time.Second, false},
+		{"costly", 2 * time.Millisecond, time.Millisecond, true},
+	} {
+		t.Run(pin.name, func(t *testing.T) {
+			tc := newCluster(t, Config{LocalShards: -1})
+			rt := &uploadRT{}
+			w := NewWorker("")
+			w.Client = &http.Client{Transport: rt}
+			pinCosts(w, pin.eval, pin.rtt)
+			tc.startWorker(t, w)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			st, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-flush"})
+			if err != nil || st.Status != JobDone {
+				t.Fatalf("job: %v / %+v", err, st)
+			}
+			leases := int(tc.scrapeMetrics(t, "")["gtw_leases_granted_total"])
+			rt.mu.Lock()
+			defer rt.mu.Unlock()
+			var mid, last, points int
+			for i, up := range rt.uploads {
+				points += len(up.Points)
+				if rt.paths[i] == "/v1/workers/result" {
+					last++
+				} else if mid++; len(up.Points) != 1 {
+					t.Errorf("mid-lease body carries %d points, want 1", len(up.Points))
+				}
+			}
+			if points != 12 || last != leases {
+				t.Errorf("%d points in %d last batches for %d leases: want 12 points, one last batch per lease", points, last, leases)
+			}
+			want := 0
+			if pin.stream {
+				want = 12 - leases
+			}
+			if mid != want {
+				t.Errorf("%d mid-lease bodies over %d leases, want %d", mid, leases, want)
+			}
+			if leases == 12 {
+				t.Error("no lease had more than one point; the test proved nothing")
+			}
+		})
 	}
 }
 

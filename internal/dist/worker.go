@@ -13,14 +13,19 @@ import (
 
 // Worker pulls leases from a coordinator, evaluates the leased grid
 // points on its own simulation kernels, and uploads each point's result
-// the moment it finishes — once: the lease's last batch completes it —
-// so the coordinator sees partial progress, and a worker killed late in
-// a lease only costs the points it had not uploaded yet. Any scenario
-// can arrive: parameter sweeps lease grid runs, one-shot applications
-// lease their single wrapped point. Testbeds are cached per job (keyed
-// by their Config), so the leases of one sweep stop rebuilding the same
-// topology. A worker keeps one sticky ID for its lifetime, so the
-// coordinator's throughput EWMA and lease accounting survive reconnects.
+// once: mid-lease, in a batch as soon as the points pending since the
+// last acknowledged upload took at least as long to evaluate as that
+// upload's round trip, or in the lease's last batch, which completes
+// it. A point that costs more than a round trip therefore streams the
+// moment it finishes, so the coordinator sees partial progress, while
+// cheap points ride the next due batch instead of costing a round trip
+// each; a worker killed mid-lease costs about one round trip of
+// evaluation plus one point. Any scenario can arrive: parameter sweeps
+// lease grid runs, one-shot applications lease their single wrapped
+// point. Testbeds are cached per job (keyed by their Config), so the
+// leases of one sweep stop rebuilding the same topology. A worker keeps
+// one sticky ID for its lifetime, so the coordinator's throughput EWMA
+// and lease accounting survive reconnects.
 type Worker struct {
 	// Coordinator is the coordinator's base URL, e.g.
 	// "http://127.0.0.1:9191".
@@ -37,26 +42,15 @@ type Worker struct {
 	// failed; the coordinator's register reply overrides it. An idle
 	// worker's ask is parked by the coordinator, not repeated every Poll.
 	Poll time.Duration
-	// BatchWindow coalesces points finishing within this window into one
-	// upload body, cutting the per-point HTTP round trips of
-	// fine-grained sweeps. 0 uploads each point the moment it finishes
-	// (the single-point degenerate case). Points coalesced but not yet
-	// uploaded when a worker dies are simply part of the undelivered
-	// tail the coordinator re-runs, so batching trades a slightly longer
-	// tail for fewer uploads — never correctness.
-	BatchWindow time.Duration
-	// BatchMax caps the points per mid-lease body when BatchWindow is
-	// set (default 16).
-	BatchMax int
 	// Logf, when set, receives worker events. Nil discards.
 	Logf func(format string, args ...any)
 
 	// DropAfterPoints, when set, is consulted before a lease's first
 	// point (evaluated == 0) and after each point is evaluated and, if
-	// its batch was due, uploaded; returning true makes the worker
-	// silently abandon the rest of the lease — no further points, no last
-	// batch — simulating a worker killed holding it. Test hook for the
-	// fault-injection suites.
+	// the flush rule made a batch due, uploaded; returning true makes the
+	// worker silently abandon the rest of the lease — no further points,
+	// no last batch — simulating a worker killed holding it. Test hook
+	// for the fault-injection suites.
 	DropAfterPoints func(l LeaseReply, evaluated int) bool
 	// BeforeUpload, when set, runs after evaluation and before the
 	// lease's last batch is sent. Test hook (e.g. to double-upload for
@@ -67,6 +61,15 @@ type Worker struct {
 	TestbedCacheSize int
 
 	ttl time.Duration
+	// rtt is the worker's last acknowledged upload round trip — the
+	// register round trip before the first — that the flush rule weighs
+	// pending evaluation against.
+	rtt time.Duration
+	// costs, when set, stands in for the flush rule's two measured
+	// figures after grid point i — its evaluation time and the round
+	// trip — so tests pin the rule instead of depending on loopback
+	// timing.
+	costs func(i int) (eval, roundTrip time.Duration)
 
 	// Testbed LRU: leases reuse one testbed per (Config, scenario
 	// epoch) across jobs, so back-to-back jobs on the same topology —
@@ -123,6 +126,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	for {
 		var reg RegisterReply
+		start := time.Now()
 		code, err := w.postJSON(ctx, "/v1/workers/register", RegisterRequest{WorkerID: w.ID, Proto: wireProto}, &reg)
 		if code == http.StatusBadRequest || (err == nil && reg.Proto != wireProto) {
 			return fmt.Errorf("dist: worker %s speaks protocol %d, coordinator %s answers %d (0: none yet) and %v",
@@ -133,6 +137,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				w.Poll = time.Duration(reg.PollMS) * time.Millisecond
 			}
 			w.ttl = time.Duration(reg.LeaseTTLMS) * time.Millisecond
+			w.rtt = time.Since(start)
 			break
 		}
 		w.logf("dist: worker %s: register: %v (retrying)", w.ID, err)
@@ -214,9 +219,10 @@ func (w *Worker) leaseTestbed(sw *core.Sweep, opts core.Options) *core.Testbed {
 	return e.tb
 }
 
-// serveLease evaluates one lease point by point, uploading each result
-// as it finishes (or as its batch fills); the batch that carries the
-// lease's last point completes it.
+// serveLease evaluates one lease point by point. After each point but
+// the last it uploads the pending points if they took at least the last
+// round trip to evaluate; the batch that carries the lease's last point
+// completes it.
 func (w *Worker) serveLease(ctx context.Context, lease LeaseReply) {
 	s, ok := core.Lookup(lease.Scenario)
 	// up holds the points the coordinator has not acknowledged yet.
@@ -246,23 +252,27 @@ func (w *Worker) serveLease(ctx context.Context, lease LeaseReply) {
 	}
 
 	tb := w.leaseTestbed(sw, opts)
-	batchMax := w.BatchMax
-	if batchMax <= 0 {
-		batchMax = 16
-	}
-	var batchStart time.Time
-	start := time.Now()
+	// elapsed is the lease's evaluation time, pending the part of it
+	// (as the flush rule weighs it) not yet acknowledged.
+	var elapsed, pending time.Duration
 	for i := lease.Lo; i < lease.Hi; i++ {
 		if n := i - lease.Lo; w.DropAfterPoints != nil && w.DropAfterPoints(lease, n) {
 			w.logf("dist: worker %s dying after evaluating %d point(s) of lease %s/%d (fault injection)",
 				w.ID, n, lease.JobID, lease.Seq)
 			return
 		}
+		start := time.Now()
 		res, err := sw.EvalPoint(ctx, tb, opts, i)
 		if ctx.Err() != nil {
 			w.logf("dist: worker %s abandoning lease %s/%d: %v", w.ID, lease.JobID, lease.Seq, ctx.Err())
 			return
 		}
+		cost, rtt := time.Since(start), w.rtt
+		elapsed += cost
+		if w.costs != nil {
+			cost, rtt = w.costs(i)
+		}
+		pending += cost
 		pr := PointResult{Index: i}
 		if err != nil {
 			pr.Error = err.Error()
@@ -271,19 +281,19 @@ func (w *Worker) serveLease(ctx context.Context, lease LeaseReply) {
 		} else {
 			pr.Value = b
 		}
-		if len(up.Points) == 0 {
-			batchStart = time.Now()
-		}
 		up.Points = append(up.Points, pr)
-		// With BatchWindow unset every point is its own batch; the last
-		// point waits for the lease's last batch below.
-		due := w.BatchWindow <= 0 || len(up.Points) >= batchMax || time.Since(batchStart) >= w.BatchWindow
-		if due && i < lease.Hi-1 && !w.upload(ctx, &up, false) {
+		if i == lease.Hi-1 || pending < rtt {
+			continue // the lease's last batch, or not yet worth a round trip
+		}
+		if !w.upload(ctx, &up, false) {
 			w.logf("dist: worker %s: lease %s/%d gone mid-lease; abandoning its tail", w.ID, lease.JobID, lease.Seq)
 			return
 		}
+		if len(up.Points) == 0 {
+			pending = 0
+		}
 	}
-	up.ElapsedNS = time.Since(start).Nanoseconds()
+	up.ElapsedNS = elapsed.Nanoseconds()
 	stopHB()
 	if w.BeforeUpload != nil {
 		w.BeforeUpload(&up)
@@ -295,10 +305,12 @@ func (w *Worker) serveLease(ctx context.Context, lease LeaseReply) {
 // or as the last batch that completes it — and reports whether the
 // lease is still worth working on: false once the coordinator answers
 // that it is gone, or refuses the batch (any 4xx: it has already
-// requeued what it lacked). An acknowledged batch is cleared from up;
-// one whose answer was lost stays, to be sent again: a mid-lease one
-// with the points that finish next, the last one after a Poll, five
-// times in all.
+// requeued what it lacked). An acknowledged batch is cleared from up,
+// and its round trip becomes the worker's rtt; one whose answer was
+// lost stays, to be sent again: a mid-lease one with the points that
+// finish next, the last one after a Poll, five times in all. The
+// heartbeat's empty uploads run beside the lease loop and leave rtt
+// alone.
 func (w *Worker) upload(ctx context.Context, up *PointsUpload, last bool) bool {
 	path, attempts := "/v1/workers/points", 1
 	if last {
@@ -306,8 +318,12 @@ func (w *Worker) upload(ctx context.Context, up *PointsUpload, last bool) bool {
 	}
 	for {
 		var reply PointsReply
+		start := time.Now()
 		code, err := w.postJSON(ctx, path, up, &reply)
 		if err == nil {
+			if len(up.Points) > 0 {
+				w.rtt = time.Since(start)
+			}
 			up.Points = up.Points[:0]
 			return reply.OK
 		}

@@ -131,7 +131,11 @@ type mirror struct {
 	workers map[string]*WorkerRecord
 	points  *list.List // *PointRecord, back = least recently stored
 	byKey   map[string]*list.Element
-	audit   []AuditRecord // oldest first, bounded by maxAuditRecords
+	// audit is a ring of at most maxAuditRecords entries: oldest first
+	// until it fills, then the oldest is at auditHead, where the next
+	// entry overwrites it.
+	audit     []AuditRecord
+	auditHead int
 }
 
 func newMirror() *mirror {
@@ -186,10 +190,12 @@ func (m *mirror) putWorker(rec WorkerRecord) {
 }
 
 func (m *mirror) appendAudit(rec AuditRecord) {
-	m.audit = append(m.audit, rec)
-	if over := len(m.audit) - maxAuditRecords; over > 0 {
-		m.audit = append(m.audit[:0], m.audit[over:]...)
+	if len(m.audit) < maxAuditRecords {
+		m.audit = append(m.audit, rec)
+		return
 	}
+	m.audit[m.auditHead] = rec
+	m.auditHead = (m.auditHead + 1) % maxAuditRecords
 }
 
 // load replaces the mirror's contents with a snapshot state.
@@ -225,7 +231,7 @@ func (m *mirror) state() *State {
 	for el := m.points.Back(); el != nil; el = el.Prev() {
 		s.Points = append(s.Points, *el.Value.(*PointRecord))
 	}
-	s.Audit = append(s.Audit, m.audit...)
+	s.Audit = append(append(s.Audit, m.audit[m.auditHead:]...), m.audit[:m.auditHead]...)
 	return s
 }
 

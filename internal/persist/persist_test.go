@@ -94,6 +94,55 @@ func TestAuditTrailBounded(t *testing.T) {
 	}
 }
 
+// Appending to a full audit trail overwrites its oldest entry in place:
+// after twice the cap plus one appends, both implementations hold
+// exactly the newest maxAuditRecords entries, oldest first, and a
+// snapshot loads back the same trail.
+func TestAuditTrailWrapsInOrder(t *testing.T) {
+	const n = 2*maxAuditRecords + 1
+	check := func(name string, st *State, appended int) {
+		t.Helper()
+		if len(st.Audit) != maxAuditRecords {
+			t.Fatalf("%s: audit len = %d, want %d", name, len(st.Audit), maxAuditRecords)
+		}
+		for i, a := range st.Audit {
+			if want := int64(appended - maxAuditRecords + i); a.TimeMS != want {
+				t.Fatalf("%s: audit[%d] = %d, want %d: the newest entries, oldest first", name, i, a.TimeMS, want)
+			}
+		}
+	}
+	mem := NewMem()
+	dir := t.TempDir()
+	d, err := Open(dir, DiskOptions{SnapshotEvery: -1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		rec := AuditRecord{TimeMS: int64(i), Action: "job-submit"}
+		mem.AppendAudit(rec)
+		d.AppendAudit(rec)
+	}
+	check("mem", mem.Load(), n)
+	check("disk", d.Load(), n)
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	d.AppendAudit(AuditRecord{TimeMS: n, Action: "job-submit"})
+	// Kill it without a final snapshot: the reopen loads the snapshot
+	// and replays the last append from the log over it.
+	d.mu.Lock()
+	d.wal.Close()
+	d.closed = true
+	d.mu.Unlock()
+	d.stopOnce.Do(func() { close(d.stop) })
+	re, err := Open(dir, DiskOptions{SnapshotEvery: -1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check("disk after snapshot, one more append and a kill", re.Load(), n+1)
+}
+
 // The two implementations agree on the contract: the same mutation
 // sequence loads back as the same state.
 func TestMemAndDiskAgreeOnState(t *testing.T) {
