@@ -62,22 +62,31 @@ func BenchmarkFIREModulesReal(b *testing.B) {
 	act := mri.Activation{CX: 16, CY: 16, CZ: 4, Radius: 3, Amplitude: 0.05, HRF: mri.DefaultHRF}
 	sc := mri.NewScanner(mri.NewPhantom(32, 32, 8, []mri.Activation{act}),
 		mri.ScanConfig{NX: 32, NY: 32, NZ: 8, TR: 2, NScans: 24, NoiseStd: 1, Seed: 1})
-	var series []*volume.Volume
-	for {
-		v := sc.Next()
-		if v == nil {
-			break
-		}
-		series = append(series, v)
-	}
+	series := scanSeries(sc)
 	ref := sc.Reference(0)
 	b.Run("correlate-24-scans", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fire.CorrelateSeries(series, ref); err != nil {
+			c := fire.NewCorrelator(ref, 32, 32, 8)
+			for _, v := range series {
+				if err := c.Add(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := c.Map(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// scanSeries runs sc to the end and keeps a clone of every scan: Next
+// overwrites the one volume it returns.
+func scanSeries(sc *mri.Scanner) []*volume.Volume {
+	var series []*volume.Volume
+	for v := sc.Next(); v != nil; v = sc.Next() {
+		series = append(series, v.Clone())
+	}
+	return series
 }
 
 // BenchmarkFigure1Throughput regenerates the section-2 path
@@ -229,14 +238,7 @@ func BenchmarkRVORefinement(b *testing.B) {
 	stim := mri.BlockStimulus(40, 8)
 	sc := mri.NewScanner(ph, mri.ScanConfig{NX: 12, NY: 12, NZ: 6, TR: 2, NScans: 40,
 		Stimulus: stim, NoiseStd: 0.5, Seed: 17})
-	var series []*volume.Volume
-	for {
-		v := sc.Next()
-		if v == nil {
-			break
-		}
-		series = append(series, v)
-	}
+	series := scanSeries(sc)
 	for _, mode := range []struct {
 		name string
 		opts fire.RVOOptions

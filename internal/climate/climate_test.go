@@ -76,6 +76,63 @@ func TestRegridSmoothFieldRoundTrip(t *testing.T) {
 	}
 }
 
+// regridPerCell is the reference Regrid is pinned against: both taps
+// computed for every destination cell, in row order.
+func regridPerCell(src Grid, f []float64, dst Grid, out []float64) {
+	for j := 0; j < dst.NLat; j++ {
+		fj := (dst.Lat(j)+90)/180*float64(src.NLat) - 0.5
+		j0 := int(math.Floor(fj))
+		wj := fj - float64(j0)
+		j1 := j0 + 1
+		if j0 < 0 {
+			j0, j1, wj = 0, 0, 0
+		}
+		if j1 >= src.NLat {
+			j0, j1, wj = src.NLat-1, src.NLat-1, 0
+		}
+		for i := 0; i < dst.NLon; i++ {
+			fi := dst.Lon(i)/360*float64(src.NLon) - 0.5
+			i0 := int(math.Floor(fi))
+			wi := fi - float64(i0)
+			i1 := i0 + 1
+			i0 = ((i0 % src.NLon) + src.NLon) % src.NLon
+			i1 = ((i1 % src.NLon) + src.NLon) % src.NLon
+			v00, v01 := f[src.Idx(j0, i0)], f[src.Idx(j0, i1)]
+			v10, v11 := f[src.Idx(j1, i0)], f[src.Idx(j1, i1)]
+			out[dst.Idx(j, i)] = (1-wj)*((1-wi)*v00+wi*v01) + wj*((1-wi)*v10+wi*v11)
+		}
+	}
+}
+
+func TestRegridEqualsPerCellTapsBitForBit(t *testing.T) {
+	// The climate-coupled grids both ways, plus destinations wider than
+	// one strip of hoisted column taps.
+	for _, c := range []struct{ src, dst Grid }{
+		{Grid{64, 128}, Grid{32, 64}},
+		{Grid{32, 64}, Grid{64, 128}},
+		{Grid{16, 40}, Grid{9, 300}},
+		{Grid{12, 700}, Grid{7, 513}},
+	} {
+		f := make([]float64, c.src.Cells())
+		for i := range f {
+			f[i] = math.Sin(float64(i)*0.37) * float64(1+i%11)
+		}
+		got, want := make([]float64, c.dst.Cells()), make([]float64, c.dst.Cells())
+		if err := Regrid(c.src, f, c.dst, got); err != nil {
+			t.Fatal(err)
+		}
+		regridPerCell(c.src, f, c.dst, want)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%v -> %v: cell %d is %v, per-cell taps give %v", c.src, c.dst, i, got[i], want[i])
+			}
+		}
+		if n := testing.AllocsPerRun(5, func() { Regrid(c.src, f, c.dst, got) }); n != 0 {
+			t.Errorf("%v -> %v: Regrid allocates %.0f times a call", c.src, c.dst, n)
+		}
+	}
+}
+
 func TestRegridValidation(t *testing.T) {
 	if err := Regrid(Grid{4, 4}, make([]float64, 3), Grid{2, 2}, make([]float64, 4)); err == nil {
 		t.Error("bad field length accepted")

@@ -48,36 +48,60 @@ func Regrid(src Grid, f []float64, dst Grid, out []float64) error {
 	if len(out) != dst.Cells() {
 		return fmt.Errorf("climate: regrid output length %d != %d cells", len(out), dst.Cells())
 	}
-	for j := 0; j < dst.NLat; j++ {
-		// Fractional source row of this destination latitude.
-		lat := dst.Lat(j)
-		fj := (lat+90)/180*float64(src.NLat) - 0.5
-		j0 := int(math.Floor(fj))
-		wj := fj - float64(j0)
-		j1 := j0 + 1
-		if j0 < 0 {
-			j0, j1, wj = 0, 0, 0
+	// A destination column's taps are the same on every row, so they
+	// are computed once per call, into a fixed array that needs no
+	// allocation: a grid wider than it is done in strips of columns.
+	var strip [256]lonTap
+	for c0 := 0; c0 < dst.NLon; c0 += len(strip) {
+		cols := strip[:min(len(strip), dst.NLon-c0)]
+		for k := range cols {
+			cols[k] = lonTapAt(src, dst.Lon(c0+k))
 		}
-		if j1 >= src.NLat {
-			j0, j1, wj = src.NLat-1, src.NLat-1, 0
-		}
-		for i := 0; i < dst.NLon; i++ {
-			lon := dst.Lon(i)
-			fi := lon/360*float64(src.NLon) - 0.5
-			i0 := int(math.Floor(fi))
-			wi := fi - float64(i0)
-			i1 := i0 + 1
-			// Periodic wrap.
-			i0 = ((i0 % src.NLon) + src.NLon) % src.NLon
-			i1 = ((i1 % src.NLon) + src.NLon) % src.NLon
-			v00 := f[src.Idx(j0, i0)]
-			v01 := f[src.Idx(j0, i1)]
-			v10 := f[src.Idx(j1, i0)]
-			v11 := f[src.Idx(j1, i1)]
-			out[dst.Idx(j, i)] = (1-wj)*((1-wi)*v00+wi*v01) + wj*((1-wi)*v10+wi*v11)
+		for j := 0; j < dst.NLat; j++ {
+			// Fractional source row of this destination latitude.
+			lat := dst.Lat(j)
+			fj := (lat+90)/180*float64(src.NLat) - 0.5
+			j0 := int(math.Floor(fj))
+			wj := fj - float64(j0)
+			j1 := j0 + 1
+			if j0 < 0 {
+				j0, j1, wj = 0, 0, 0
+			}
+			if j1 >= src.NLat {
+				j0, j1, wj = src.NLat-1, src.NLat-1, 0
+			}
+			row := out[dst.Idx(j, c0):][:len(cols)]
+			for k, c := range cols {
+				v00 := f[src.Idx(j0, c.i0)]
+				v01 := f[src.Idx(j0, c.i1)]
+				v10 := f[src.Idx(j1, c.i0)]
+				v11 := f[src.Idx(j1, c.i1)]
+				wi := c.wi
+				row[k] = (1-wj)*((1-wi)*v00+wi*v01) + wj*((1-wi)*v10+wi*v11)
+			}
 		}
 	}
 	return nil
+}
+
+// lonTap is the longitude half of a bilinear sample: the two source
+// columns around a longitude, wrapped periodically, and the weight of
+// the upper one.
+type lonTap struct {
+	i0, i1 int
+	wi     float64
+}
+
+// lonTapAt returns the tap of longitude lon on grid src.
+func lonTapAt(src Grid, lon float64) lonTap {
+	fi := lon/360*float64(src.NLon) - 0.5
+	i0 := int(math.Floor(fi))
+	wi := fi - float64(i0)
+	i1 := i0 + 1
+	// Periodic wrap.
+	i0 = ((i0 % src.NLon) + src.NLon) % src.NLon
+	i1 = ((i1 % src.NLon) + src.NLon) % src.NLon
+	return lonTap{i0, i1, wi}
 }
 
 // AreaMean reports the area-weighted (cos latitude) mean of a field.

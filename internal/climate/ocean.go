@@ -69,6 +69,7 @@ func (o *Ocean) Step(dt float64, heatFlux []float64) error {
 		if jp >= g.NLat {
 			jp = g.NLat - 1
 		}
+		clim := o.Climatology(g.Lat(j))
 		for i := 0; i < g.NLon; i++ {
 			im := (i - 1 + g.NLon) % g.NLon
 			ip := (i + 1) % g.NLon
@@ -78,7 +79,7 @@ func (o *Ocean) Step(dt float64, heatFlux []float64) error {
 			sst := o.scratch[c] +
 				o.Kappa*dt*lap +
 				dt*heatFlux[c]/o.HeatCapacity +
-				dt*o.Relax*(o.Climatology(g.Lat(j))-o.scratch[c])
+				dt*o.Relax*(clim-o.scratch[c])
 			// Latent buffering at the freezing point.
 			if sst < FreezePoint-2 {
 				sst = FreezePoint - 2

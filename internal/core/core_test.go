@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/atm"
+	"repro/internal/fire"
+	"repro/internal/mri"
 	"repro/internal/tcpsim"
+	"repro/internal/volume"
 )
 
 func TestFramers(t *testing.T) {
@@ -256,6 +260,52 @@ func TestFigure3Experiment(t *testing.T) {
 	}
 	if !strings.Contains(FormatFigure3(r), "peak r") {
 		t.Error("format output incomplete")
+	}
+}
+
+func TestFigure3StreamedROICourseEqualsSeries(t *testing.T) {
+	// figure3-overlay keeps no scan: it folds the first pass into the
+	// correlator and averages the ROI of a replayed second pass. The
+	// reference keeps a clone of every scan, correlates the series and
+	// sums each scan's ROI in voxel order; every bit must agree.
+	got, err := Figure3Overlay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ph, cfg := figure3Measurement()
+	sc := mri.NewScanner(ph, cfg)
+	var series []*volume.Volume
+	for v := sc.Next(); v != nil; v = sc.Next() {
+		series = append(series, v.Clone())
+	}
+	corr := fire.NewCorrelator(sc.Reference(0), cfg.NX, cfg.NY, cfg.NZ)
+	for _, v := range series {
+		if err := corr.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := corr.Map()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roi []int
+	for i, r := range m.Data {
+		if float64(r) >= 0.5 {
+			roi = append(roi, i)
+		}
+	}
+	if got.Scans != len(series) || got.ActivatedVoxels != len(roi) || len(got.ROICourse) != len(series) {
+		t.Fatalf("%d scans, %d ROI voxels, %d course samples; the series gives %d, %d, %d",
+			got.Scans, got.ActivatedVoxels, len(got.ROICourse), len(series), len(roi), len(series))
+	}
+	for k, v := range series {
+		var s float64
+		for _, i := range roi {
+			s += float64(v.Data[i])
+		}
+		if want := s / float64(len(roi)); math.Float64bits(got.ROICourse[k]) != math.Float64bits(want) {
+			t.Errorf("scan %d: streamed ROI mean %v, series %v", k, got.ROICourse[k], want)
+		}
 	}
 }
 

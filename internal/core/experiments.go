@@ -199,22 +199,22 @@ type Figure3Result struct {
 	PNGBytes        int
 }
 
+// figure3Measurement is the subject and acquisition figure 3 analyses.
+func figure3Measurement() (*mri.Phantom, mri.ScanConfig) {
+	act := mri.Activation{CX: 32, CY: 30, CZ: 8, Radius: 5, Amplitude: 0.05, HRF: mri.DefaultHRF}
+	return mri.NewPhantom(64, 64, 16, []mri.Activation{act}),
+		mri.ScanConfig{NX: 64, NY: 64, NZ: 16, TR: 2, NScans: 48, NoiseStd: 3, Seed: 42}
+}
+
 // Figure3Overlay runs a small synthetic measurement through the
 // analysis chain and renders the GUI overlay for the center slice.
 // (No testbed involvement: pure analysis + rendering.)
 func Figure3Overlay() (Figure3Result, error) {
-	act := mri.Activation{CX: 32, CY: 30, CZ: 8, Radius: 5, Amplitude: 0.05, HRF: mri.DefaultHRF}
-	ph := mri.NewPhantom(64, 64, 16, []mri.Activation{act})
-	cfg := mri.ScanConfig{NX: 64, NY: 64, NZ: 16, TR: 2, NScans: 48, NoiseStd: 3, Seed: 42}
+	ph, cfg := figure3Measurement()
+	// The first pass folds each scan into the correlator as it arrives.
 	sc := mri.NewScanner(ph, cfg)
 	corr := fire.NewCorrelator(sc.Reference(0), 64, 64, 16)
-	var series []*volume.Volume
-	for {
-		v := sc.Next()
-		if v == nil {
-			break
-		}
-		series = append(series, v)
+	for v := sc.Next(); v != nil; v = sc.Next() {
 		if err := corr.Add(v); err != nil {
 			return Figure3Result{}, err
 		}
@@ -223,7 +223,7 @@ func Figure3Overlay() (Figure3Result, error) {
 	if err != nil {
 		return Figure3Result{}, err
 	}
-	res := Figure3Result{Scans: len(series)}
+	res := Figure3Result{Scans: corr.Scans()}
 	clip := 0.5
 	roi := make([]bool, m.Voxels())
 	for i, v := range m.Data {
@@ -235,12 +235,21 @@ func Figure3Overlay() (Figure3Result, error) {
 			res.PeakCorrelation = float64(v)
 		}
 	}
+	// The map fixes the ROI only once every scan is in, so a second
+	// scanner replays the identical measurement and each scan is reduced
+	// to its ROI mean as it arrives, summed in voxel order.
 	if res.ActivatedVoxels > 0 {
-		course, err := fire.ROITimeCourse(series, roi)
-		if err != nil {
-			return res, err
+		sc = mri.NewScanner(ph, cfg)
+		res.ROICourse = make([]float64, 0, cfg.NScans)
+		for v := sc.Next(); v != nil; v = sc.Next() {
+			var s float64
+			for i, in := range roi {
+				if in {
+					s += float64(v.Data[i])
+				}
+			}
+			res.ROICourse = append(res.ROICourse, s/float64(res.ActivatedVoxels))
 		}
-		res.ROICourse = course
 	}
 	//gtwvet:ignore determinism RenderMs reports measured wall-clock render cost (the paper's Fig. 3 metric); computed once per point, so shard-count byte-identity is unaffected
 	start := time.Now()

@@ -16,15 +16,7 @@ func benchSeries(b *testing.B) ([]*volume.Volume, []float64, float64) {
 	stim := mri.BlockStimulus(32, 8)
 	sc := mri.NewScanner(ph, mri.ScanConfig{NX: 16, NY: 16, NZ: 8, TR: 2, NScans: 32,
 		Stimulus: stim, NoiseStd: 1, Seed: 4})
-	var series []*volume.Volume
-	for {
-		v := sc.Next()
-		if v == nil {
-			break
-		}
-		series = append(series, v)
-	}
-	return series, stim, 2.0
+	return scanSeries(sc), stim, 2.0
 }
 
 // BenchmarkParallelRVOScaling shows the real goroutine speedup of the

@@ -88,49 +88,3 @@ func (c *Correlator) Map() (*volume.Volume, error) {
 	}
 	return out, nil
 }
-
-// CorrelateSeries computes the correlation map of a complete series in
-// one call (the offline path; the realtime path uses Add incrementally).
-func CorrelateSeries(series []*volume.Volume, ref []float64) (*volume.Volume, error) {
-	if len(series) == 0 {
-		return nil, fmt.Errorf("fire: empty series")
-	}
-	c := NewCorrelator(ref, series[0].NX, series[0].NY, series[0].NZ)
-	for _, v := range series {
-		if err := c.Add(v); err != nil {
-			return nil, err
-		}
-	}
-	return c.Map()
-}
-
-// ROITimeCourse extracts the mean signal time course of a region of
-// interest — the upper-right display of the FIRE GUI (figure 3).
-func ROITimeCourse(series []*volume.Volume, roi []bool) ([]float64, error) {
-	if len(series) == 0 {
-		return nil, fmt.Errorf("fire: empty series")
-	}
-	if len(roi) != series[0].Voxels() {
-		return nil, fmt.Errorf("fire: ROI mask length %d != voxels %d", len(roi), series[0].Voxels())
-	}
-	var count int
-	for _, b := range roi {
-		if b {
-			count++
-		}
-	}
-	if count == 0 {
-		return nil, fmt.Errorf("fire: empty ROI")
-	}
-	out := make([]float64, len(series))
-	for t, v := range series {
-		var s float64
-		for i, b := range roi {
-			if b {
-				s += float64(v.Data[i])
-			}
-		}
-		out[t] = s / float64(count)
-	}
-	return out, nil
-}

@@ -421,26 +421,24 @@ func TestCorrelateSeriesMatchesIncremental(t *testing.T) {
 	ph := mri.NewPhantom(16, 16, 8, []mri.Activation{act})
 	cfg := mri.ScanConfig{NX: 16, NY: 16, NZ: 8, TR: 2, NScans: 32, NoiseStd: 1, Seed: 9}
 	sc := mri.NewScanner(ph, cfg)
-	var series []*volume.Volume
-	for {
-		v := sc.Next()
-		if v == nil {
-			break
-		}
-		series = append(series, v)
-	}
+	series := scanSeries(sc)
 	ref := sc.Reference(0)
-	batch, err := CorrelateSeries(series, ref)
+	batch, err := correlateSeries(series, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The incremental side folds each scan as a second scanner hands it
+	// over, in the one volume that scanner overwrites.
+	sc = mri.NewScanner(ph, cfg)
 	inc := NewCorrelator(ref, 16, 16, 8)
-	for _, v := range series {
-		inc.Add(v)
+	for v := sc.Next(); v != nil; v = sc.Next() {
+		if err := inc.Add(v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m, _ := inc.Map()
 	for i := range m.Data {
-		if math.Abs(float64(m.Data[i]-batch.Data[i])) > 1e-6 {
+		if m.Data[i] != batch.Data[i] {
 			t.Fatalf("incremental and batch maps differ at %d", i)
 		}
 	}
@@ -451,20 +449,20 @@ func TestROITimeCourse(t *testing.T) {
 	series[0].Data = []float32{1, 2, 3, 4}
 	series[1].Data = []float32{5, 6, 7, 8}
 	roi := []bool{true, false, false, true}
-	tc, err := ROITimeCourse(series, roi)
+	tc, err := roiTimeCourse(series, roi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tc[0] != 2.5 || tc[1] != 6.5 {
 		t.Errorf("time course = %v", tc)
 	}
-	if _, err := ROITimeCourse(series, []bool{true}); err == nil {
+	if _, err := roiTimeCourse(series, []bool{true}); err == nil {
 		t.Error("bad mask length accepted")
 	}
-	if _, err := ROITimeCourse(series, make([]bool, 4)); err == nil {
+	if _, err := roiTimeCourse(series, make([]bool, 4)); err == nil {
 		t.Error("empty ROI accepted")
 	}
-	if _, err := ROITimeCourse(nil, roi); err == nil {
+	if _, err := roiTimeCourse(nil, roi); err == nil {
 		t.Error("empty series accepted")
 	}
 }

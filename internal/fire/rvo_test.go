@@ -20,15 +20,7 @@ func rvoSeries(t *testing.T, h mri.HRF) ([]*volume.Volume, []float64, float64, [
 	cfg := mri.ScanConfig{NX: 12, NY: 12, NZ: 6, TR: tr, NScans: nScans,
 		Stimulus: stim, NoiseStd: 0.5, Seed: 17}
 	sc := mri.NewScanner(ph, cfg)
-	var series []*volume.Volume
-	for {
-		v := sc.Next()
-		if v == nil {
-			break
-		}
-		series = append(series, v)
-	}
-	return series, stim, tr, [3]int{6, 6, 3}
+	return scanSeries(sc), stim, tr, [3]int{6, 6, 3}
 }
 
 func TestRVORecoversDelay(t *testing.T) {
@@ -58,7 +50,7 @@ func TestRVOImprovesOverFixedReference(t *testing.T) {
 	truth := mri.HRF{Delay: 11.0, Dispersion: 2.2}
 	series, stim, tr, center := rvoSeries(t, truth)
 	fixedRef := mri.DefaultHRF.Convolve(stim[:len(series)], tr)
-	fixed, err := CorrelateSeries(series, fixedRef)
+	fixed, err := correlateSeries(series, fixedRef)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +118,7 @@ func TestRVODetrendingImprovesDriftedData(t *testing.T) {
 	cfg := mri.ScanConfig{NX: 12, NY: 12, NZ: 6, TR: tr, NScans: nScans,
 		Stimulus: stim, NoiseStd: 0.5, DriftPerScan: 3.0, Seed: 23}
 	sc := mri.NewScanner(ph, cfg)
-	var series []*volume.Volume
-	for {
-		v := sc.Next()
-		if v == nil {
-			break
-		}
-		series = append(series, v)
-	}
+	series := scanSeries(sc)
 	plain := DefaultRVOGrid()
 	res, err := RVO(series, stim, tr, plain)
 	if err != nil {

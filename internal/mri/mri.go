@@ -218,6 +218,10 @@ type Scanner struct {
 	gains []gain
 	rng   *rand.Rand
 	t     int
+	// vol is the volume Next returns every call. A moved scan is
+	// synthesized into raw and shifted into vol through shift.
+	vol, raw *volume.Volume
+	shift    volume.Sampler
 }
 
 // gain is one activation's BOLD modulation depth at one voxel:
@@ -232,12 +236,13 @@ func NewScanner(ph *Phantom, cfg ScanConfig) *Scanner {
 	if cfg.Stimulus == nil {
 		cfg.Stimulus = BlockStimulus(cfg.NScans, 8)
 	}
-	s := &Scanner{Phantom: ph, Cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + 1))}
+	base := ph.Anatomy
+	s := &Scanner{Phantom: ph, Cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + 1)),
+		vol: volume.New(base.NX, base.NY, base.NZ)}
 	for _, a := range ph.Activations {
 		s.refs = append(s.refs, a.HRF.Convolve(cfg.Stimulus, cfg.TR))
 	}
 	// The envelopes do not change from scan to scan: evaluate them once.
-	base := ph.Anatomy
 	for idx, brain := range ph.BrainMask {
 		if !brain {
 			continue
@@ -257,16 +262,31 @@ func (s *Scanner) ScansDone() int { return s.t }
 
 // Next synthesizes the next volume in the series, or returns nil when
 // the acquisition is complete.
+//
+// The scanner owns the result: every call returns the same *Volume,
+// overwritten, so it is valid until the next call. A caller that keeps
+// a scan past that clones it. Next allocates only on the first scan
+// that moves, for the buffers the shift reuses from then on.
 func (s *Scanner) Next() *volume.Volume {
 	if s.t >= s.Cfg.NScans {
 		return nil
 	}
+	var m Shift
+	if s.t < len(s.Cfg.Motion) {
+		m = s.Cfg.Motion[s.t]
+	}
+	moved := m.DX != 0 || m.DY != 0 || m.DZ != 0
+	out := s.vol
+	if moved {
+		if s.raw == nil {
+			s.raw = volume.New(out.NX, out.NY, out.NZ)
+		}
+		out = s.raw
+	}
 	ph := s.Phantom
-	base := ph.Anatomy
-	out := volume.New(base.NX, base.NY, base.NZ)
 	drift := s.Cfg.DriftPerScan * float64(s.t)
 	gains := s.gains
-	for idx, b := range base.Data {
+	for idx, b := range ph.Anatomy.Data {
 		sig := float64(b)
 		if ph.BrainMask[idx] {
 			for ; len(gains) > 0 && gains[0].voxel == idx; gains = gains[1:] {
@@ -279,14 +299,11 @@ func (s *Scanner) Next() *volume.Volume {
 		}
 		out.Data[idx] = float32(sig)
 	}
-	if s.Cfg.Motion != nil && s.t < len(s.Cfg.Motion) {
-		m := s.Cfg.Motion[s.t]
-		if m.DX != 0 || m.DY != 0 || m.DZ != 0 {
-			out = out.Shift(m.DX, m.DY, m.DZ)
-		}
+	if moved {
+		s.shift.Shift(s.vol, s.raw, m.DX, m.DY, m.DZ)
 	}
 	s.t++
-	return out
+	return s.vol
 }
 
 // Reference returns the normalized expected response of activation i —

@@ -213,9 +213,8 @@ func TestScannerMotionApplied(t *testing.T) {
 	motion := make([]Shift, 2)
 	motion[1] = Shift{DX: 3, DY: 0, DZ: 0}
 	cfg := ScanConfig{NX: 32, NY: 32, NZ: 8, TR: 2, NScans: 2, Motion: motion, Seed: 1}
-	sc := NewScanner(ph, cfg)
-	v0 := sc.Next()
-	v1 := sc.Next()
+	series := scanSeries(NewScanner(ph, cfg))
+	v0, v1 := series[0], series[1]
 	// The shifted frame differs from the first mostly by translation:
 	// shifting v1 back should approximately restore v0.
 	back := v1.Shift(-3, 0, 0)
@@ -242,5 +241,35 @@ func TestScannerExhaustion(t *testing.T) {
 	}
 	if sc.Next() != nil {
 		t.Fatal("scanner did not stop after NScans")
+	}
+}
+
+func TestScannerOwnsItsVolumeAndAllocatesNothingPerScan(t *testing.T) {
+	// Scan 0 moves, so the first call sizes everything; after it, moved
+	// and unmoved scans alike come back in the same volume and allocate
+	// nothing.
+	act := Activation{CX: 12, CY: 12, CZ: 4, Radius: 3, Amplitude: 0.05, HRF: DefaultHRF}
+	ph := NewPhantom(24, 24, 8, []Activation{act})
+	const scans = 40
+	motion := make([]Shift, scans)
+	for i := 0; i < scans; i += 3 {
+		motion[i] = Shift{DX: 0.6, DY: -0.3, DZ: 0.2}
+	}
+	sc := NewScanner(ph, ScanConfig{NX: 24, NY: 24, NZ: 8, TR: 2, NScans: scans,
+		NoiseStd: 2, DriftPerScan: 0.4, Motion: motion, Seed: 3})
+	first := sc.Next()
+	allocs := testing.AllocsPerRun(scans-2, func() {
+		if v := sc.Next(); v != first {
+			t.Fatalf("scan %d returned a different volume", sc.ScansDone()-1)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Next allocates %.1f times per scan after the first, want 0", allocs)
+	}
+	if sc.ScansDone() != scans {
+		t.Fatalf("%d scans taken, want %d", sc.ScansDone(), scans)
+	}
+	if sc.Next() != nil {
+		t.Error("scanner did not stop after NScans")
 	}
 }

@@ -145,6 +145,16 @@ func referenceSeries(ph *Phantom, cfg ScanConfig) []*volume.Volume {
 	return series
 }
 
+// scanSeries runs sc to the end and keeps a clone of every scan: Next
+// overwrites the one volume it returns.
+func scanSeries(sc *Scanner) []*volume.Volume {
+	var series []*volume.Volume
+	for v := sc.Next(); v != nil; v = sc.Next() {
+		series = append(series, v.Clone())
+	}
+	return series
+}
+
 // digest hashes volumes' voxel bits (and, if given, a mask).
 func digest(mask []bool, vols ...*volume.Volume) [sha256.Size]byte {
 	h := sha256.New()
@@ -221,11 +231,7 @@ func TestScannerSeriesEqualsPerVoxelEnvelopeBitForBit(t *testing.T) {
 		NoiseStd: 4, DriftPerScan: 0.5, Seed: 21,
 		Motion: []Shift{{}, {DX: 0.4}, {DX: -1.3, DY: 0.2, DZ: 0.6}, {}, {DY: 2}, {DX: 0.1, DY: 0.1, DZ: -0.1},
 			{DZ: 40}, {DX: 0.7, DY: -0.7}, {}, {DX: -0.2, DZ: 0.3}}} // scans 10, 11: past the list
-	sc := NewScanner(ph, cfg)
-	var got []*volume.Volume
-	for v := sc.Next(); v != nil; v = sc.Next() {
-		got = append(got, v)
-	}
+	got := scanSeries(NewScanner(ph, cfg))
 	want := referenceSeries(ph, cfg)
 	if len(got) != len(want) {
 		t.Fatalf("%d scans, want %d", len(got), len(want))
