@@ -66,8 +66,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
+	"os"
 	"os/signal"
 	"syscall"
 	"time"
@@ -80,36 +82,51 @@ import (
 )
 
 func main() {
-	log.SetFlags(log.LstdFlags)
-	log.SetPrefix("gtwd: ")
-	addr := flag.String("addr", ":9191", "listen address")
-	leaseTTL := flag.Duration("lease-ttl", 10*time.Second,
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
+
+// run is the testable body of main: it parses args, serves until
+// SIGINT/SIGTERM or a listen error, shuts the coordinator and then its
+// journal down, and reports the process exit code (0 on a clean stop,
+// 1 on an error, 2 on a flag error). Log lines go to stderr.
+func run(args []string, stderr io.Writer) int {
+	logger := log.New(stderr, "gtwd: ", log.LstdFlags)
+	fs := flag.NewFlagSet("gtwd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":9191", "listen address")
+	leaseTTL := fs.Duration("lease-ttl", 10*time.Second,
 		"how long a worker may hold a lease without heartbeating before its points are requeued")
-	localShards := flag.Int("local-shards", 1,
+	localShards := fs.Int("local-shards", 1,
 		"in-process shards the coordinator contributes to every distributed job (negative = pure remote)")
-	cacheSize := flag.Int("cache", 4096,
+	cacheSize := fs.Int("cache", 4096,
 		"content-addressed point-store entries (finished grid points, LRU-evicted)")
-	cacheBytes := flag.Int64("cache-bytes", 0,
+	cacheBytes := fs.Int64("cache-bytes", 0,
 		"point-store total wire-byte budget, LRU-evicted (0 = entry bound only)")
-	cacheEntryBytes := flag.Int("cache-entry-bytes", 0,
+	cacheEntryBytes := fs.Int("cache-entry-bytes", 0,
 		"largest single point result the store will keep, in bytes (0 = no cap)")
-	maxJobs := flag.Int("jobs", 4, "concurrently running jobs; further submissions queue FIFO")
-	poll := flag.Duration("poll", 200*time.Millisecond,
+	maxJobs := fs.Int("jobs", 4, "concurrently running jobs; further submissions queue FIFO")
+	poll := fs.Duration("poll", 200*time.Millisecond,
 		"retry back-off handed to workers, between asks that came back empty or failed; idle workers park on the coordinator instead of polling")
-	dataDir := flag.String("data-dir", "",
+	dataDir := fs.String("data-dir", "",
 		"journal coordinator state here (WAL + snapshots) and recover it on restart; empty = in-memory only")
-	snapshot := flag.Duration("snapshot", time.Minute,
+	snapshot := fs.Duration("snapshot", time.Minute,
 		"how often to compact the -data-dir journal into a snapshot (negative: only on shutdown and log growth)")
-	tenantsFile := flag.String("tenants", "",
+	tenantsFile := fs.String("tenants", "",
 		"tenant config file (JSON: token, name, class, max in-flight); enables token auth and fair-share scheduling")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var tenants *tenant.Registry
 	if *tenantsFile != "" {
 		var err error
 		tenants, err = tenant.Load(*tenantsFile)
 		if err != nil {
-			log.Fatalf("load -tenants %s: %v", *tenantsFile, err)
+			logger.Printf("load -tenants %s: %v", *tenantsFile, err)
+			return 1
 		}
 	}
 
@@ -119,10 +136,11 @@ func main() {
 		var err error
 		disk, err = persist.Open(*dataDir, persist.DiskOptions{
 			SnapshotEvery: *snapshot,
-			Logf:          log.Printf,
+			Logf:          logger.Printf,
 		})
 		if err != nil {
-			log.Fatalf("open -data-dir %s: %v", *dataDir, err)
+			logger.Printf("open -data-dir %s: %v", *dataDir, err)
+			return 1
 		}
 		store = disk
 	}
@@ -137,7 +155,7 @@ func main() {
 		MaxJobs:         *maxJobs,
 		Store:           store,
 		Tenants:         tenants,
-		Logf:            log.Printf,
+		Logf:            logger.Printf,
 	})
 
 	srv := &http.Server{Addr: *addr, Handler: c.Handler()}
@@ -164,11 +182,15 @@ func main() {
 	if tenants != nil {
 		auth = fmt.Sprintf("%d tenant(s), token auth", len(tenants.Tenants()))
 	}
-	log.Printf("coordinator listening on %s (lease ttl %s, %d local shard(s), point store %d, %s, %s)",
+	logger.Printf("coordinator listening on %s (lease ttl %s, %d local shard(s), point store %d, %s, %s)",
 		*addr, *leaseTTL, *localShards, *cacheSize, durable, auth)
-	err := srv.ListenAndServe()
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
+	code := 0
+	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		// The server never served: stop waiting for a signal and take
+		// the same way down, so an open journal is still closed.
+		logger.Print(err)
+		code = 1
+		stop()
 	}
 	// Shutdown order matters for durability: requests in flight (a
 	// result upload, a released wait) get their answers — ListenAndServe
@@ -179,8 +201,10 @@ func main() {
 	c.Close()
 	if disk != nil {
 		if err := disk.Close(); err != nil {
-			log.Fatalf("closing -data-dir journal: %v", err)
+			logger.Printf("closing -data-dir journal: %v", err)
+			code = 1
 		}
 	}
-	log.Printf("coordinator stopped")
+	logger.Printf("coordinator stopped")
+	return code
 }

@@ -1,7 +1,7 @@
 // Command gtwvet is the repository's multichecker: it loads the module
-// through the go toolchain and runs the three invariant analyzers —
-// pointdeps, determinism, poolrelease (see internal/analysis) — over
-// every main-module package.
+// through the go toolchain and runs the four invariant analyzers —
+// pointdeps, determinism, poolrelease, reach (see internal/analysis) —
+// over every main-module package.
 //
 // Usage:
 //
@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -34,13 +35,14 @@ import (
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/pointdeps"
 	"repro/internal/analysis/poolrelease"
+	"repro/internal/analysis/reach"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gtwvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -58,12 +60,31 @@ func run(args []string, stdout, stderr *os.File) int {
 		pointdeps.New(pointdeps.Config{CorePath: *corePath}),
 		determinism.New(),
 		poolrelease.New(),
+		reach.New(),
 	}
 	if *list {
 		for _, a := range all {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
+	}
+
+	analyzers := all
+	if *only != "" {
+		want := map[string]bool{}
+		for _, name := range strings.Split(*only, ",") {
+			want[strings.TrimSpace(name)] = true
+		}
+		analyzers = analyzers[:0:0]
+		for _, a := range all {
+			if want[a.Name] {
+				analyzers = append(analyzers, a)
+			}
+		}
+		if len(analyzers) == 0 {
+			fmt.Fprintf(stderr, "gtwvet: no analyzers match -run %q\n", *only)
+			return 2
+		}
 	}
 
 	patterns := fs.Args()
@@ -89,24 +110,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			return 2
 		}
 		return 0
-	}
-
-	analyzers := all
-	if *only != "" {
-		want := map[string]bool{}
-		for _, name := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(name)] = true
-		}
-		analyzers = analyzers[:0:0]
-		for _, a := range all {
-			if want[a.Name] {
-				analyzers = append(analyzers, a)
-			}
-		}
-		if len(analyzers) == 0 {
-			fmt.Fprintf(stderr, "gtwvet: no analyzers match -run %q\n", *only)
-			return 2
-		}
 	}
 
 	diags, err := analysis.Run(prog, analyzers)

@@ -8,8 +8,9 @@
 // pooled handles released on every path — and those must be enforced by
 // machines on every commit, not re-derived by reviewers.
 //
-// The three shipped analyzers live in the pointdeps, determinism and
-// poolrelease subpackages; cmd/gtwvet is the multichecker binary.
+// The four shipped analyzers live in the pointdeps, determinism,
+// poolrelease and reach subpackages; cmd/gtwvet is the multichecker
+// binary.
 package analysis
 
 import (

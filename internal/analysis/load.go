@@ -41,6 +41,9 @@ type Package struct {
 	Dir string
 	// Files are the parsed non-test Go files, with comments.
 	Files []*ast.File
+	// TestFiles are the paths of the package's _test.go files (internal
+	// and external). They are listed, not parsed or type-checked.
+	TestFiles []string
 	// Types is the source-checked package object.
 	Types *types.Package
 	// Info carries the type-checker's facts for Files.
@@ -57,6 +60,8 @@ type Program struct {
 	Pkgs []*Package
 	// ModulePath is the main module's path ("repro").
 	ModulePath string
+	// ModuleDir is the main module's root directory.
+	ModuleDir string
 
 	byPath map[string]*Package
 	decls  map[*types.Func]*FuncSource
@@ -77,27 +82,29 @@ func (p *Program) FuncDecl(fn *types.Func) *FuncSource { return p.decls[fn] }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	Standard   bool
-	GoFiles    []string
-	Module     *struct{ Path, Dir string }
-	Incomplete bool
-	Error      *struct{ Err string }
+	ImportPath                string
+	Dir                       string
+	Export                    string
+	Standard                  bool
+	GoFiles                   []string
+	TestGoFiles, XTestGoFiles []string
+	Module                    *struct{ Path, Dir string }
+	Incomplete                bool
+	Error                     *struct{ Err string }
 }
 
 // Load lists patterns under dir (the module root, or any directory
 // inside the module) and type-checks every main-module package they
-// resolve to. Test files are not loaded: gtwvet checks the shipped
-// tree, and fixtures are ordinary non-test packages.
+// resolve to. Test files are only listed (Package.TestFiles), not
+// type-checked: gtwvet checks the shipped tree, and fixtures are
+// ordinary non-test packages.
 func Load(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	args := append([]string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,Standard,GoFiles,Module,Incomplete,Error",
+		"-json=ImportPath,Dir,Export,Standard,GoFiles,TestGoFiles,XTestGoFiles,Module,Incomplete,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -136,7 +143,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	// belong to (go list resolves patterns against dir's module).
 	for _, lp := range pkgs {
 		if !lp.Standard && lp.Module != nil {
-			prog.ModulePath = lp.Module.Path
+			prog.ModulePath, prog.ModuleDir = lp.Module.Path, lp.Module.Dir
 			break
 		}
 	}
@@ -204,6 +211,9 @@ func typeCheck(prog *Program, imp types.Importer, lp listPkg) (*Package, error) 
 		return nil, fmt.Errorf("analysis: type-checking %s: %v", lp.ImportPath, err)
 	}
 	pkg := &Package{Path: lp.ImportPath, Dir: lp.Dir, Files: files, Types: tpkg, Info: info}
+	for _, name := range append(lp.TestGoFiles, lp.XTestGoFiles...) {
+		pkg.TestFiles = append(pkg.TestFiles, filepath.Join(lp.Dir, name))
+	}
 	for _, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)

@@ -59,16 +59,6 @@ func WireBytes(n int) int {
 	return Cells(n) * CellSize
 }
 
-// Efficiency reports the fraction of wire bandwidth available to an
-// n-byte AAL5 payload (0 < e < 1). Large payloads approach 48/53 minus
-// the trailer tax.
-func Efficiency(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return float64(n) / float64(WireBytes(n))
-}
-
 // CLIPWireBytes reports the wire size of an IP packet of n bytes carried
 // over LLC/SNAP-encapsulated AAL5, as Classical IP over ATM does.
 func CLIPWireBytes(n int) int {
@@ -107,29 +97,3 @@ func (c OC) ATMPayloadRate() float64 {
 }
 
 func (c OC) String() string { return fmt.Sprintf("OC-%d", int(c)) }
-
-// CBRVC describes a constant-bit-rate virtual circuit, as used for the
-// D1 studio-video streams in the multimedia project.
-type CBRVC struct {
-	// PCR is the peak cell rate in cells per second.
-	PCR float64
-}
-
-// NewCBRVC builds a CBR VC sized to carry payloadBps of AAL5 payload.
-func NewCBRVC(payloadBps float64) CBRVC {
-	return CBRVC{PCR: payloadBps / 8 / CellPayload}
-}
-
-// CellInterval reports the inter-cell emission interval in seconds.
-func (v CBRVC) CellInterval() float64 {
-	if v.PCR <= 0 {
-		return 0
-	}
-	return 1 / v.PCR
-}
-
-// WireBps reports the wire bandwidth the VC occupies in bit/s.
-func (v CBRVC) WireBps() float64 { return v.PCR * CellSize * 8 }
-
-// PayloadBps reports the AAL5 payload bandwidth of the VC in bit/s.
-func (v CBRVC) PayloadBps() float64 { return v.PCR * CellPayload * 8 }

@@ -96,23 +96,12 @@ func TestSDHRates(t *testing.T) {
 	}
 }
 
-func TestCBRVC(t *testing.T) {
-	// A 270 Mbit/s D1 stream needs 270e6/8/48 cells/s.
-	vc := NewCBRVC(270e6)
-	wantPCR := 270e6 / 8 / 48
-	if math.Abs(vc.PCR-wantPCR) > 1e-6 {
-		t.Errorf("PCR = %v, want %v", vc.PCR, wantPCR)
+// Efficiency reports the fraction of wire bandwidth available to an
+// n-byte AAL5 payload (0 < e < 1). Large payloads approach 48/53 minus
+// the trailer tax.
+func Efficiency(n int) float64 {
+	if n <= 0 {
+		return 0
 	}
-	if math.Abs(vc.PayloadBps()-270e6) > 1 {
-		t.Errorf("PayloadBps = %v", vc.PayloadBps())
-	}
-	if vc.WireBps() <= 270e6 {
-		t.Error("wire rate should exceed payload rate")
-	}
-	if vc.CellInterval() <= 0 {
-		t.Error("CellInterval <= 0")
-	}
-	if (CBRVC{}).CellInterval() != 0 {
-		t.Error("zero VC interval != 0")
-	}
+	return float64(n) / float64(WireBytes(n))
 }

@@ -41,15 +41,6 @@ const AccessCapacityMbps = 155
 // 2.4 Gbit/s payload class).
 const GigabitCapacityMbps = 2400
 
-// DemandAt extrapolates the demand in Mbit/s at the given (fractional)
-// year.
-func (m TrafficModel) DemandAt(year float64) float64 {
-	if m.AnnualGrowth <= 0 {
-		return m.BaseMbps
-	}
-	return m.BaseMbps * math.Pow(m.AnnualGrowth, year-m.BaseYear)
-}
-
 // SaturationYear reports the (fractional) year at which demand reaches
 // the given capacity, or an error when the model never reaches it.
 func (m TrafficModel) SaturationYear(capacityMbps float64) (float64, error) {

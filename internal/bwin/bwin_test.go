@@ -76,3 +76,12 @@ func TestSaturationConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// DemandAt extrapolates the demand in Mbit/s at the given (fractional)
+// year.
+func (m TrafficModel) DemandAt(year float64) float64 {
+	if m.AnnualGrowth <= 0 {
+		return m.BaseMbps
+	}
+	return m.BaseMbps * math.Pow(m.AnnualGrowth, year-m.BaseYear)
+}

@@ -11,8 +11,8 @@ import (
 
 func TestGridGeometry(t *testing.T) {
 	g := Grid{NLat: 4, NLon: 8}
-	if g.Cells() != 32 || g.FieldBytes() != 256 {
-		t.Error("cells/bytes")
+	if g.Cells() != 32 {
+		t.Error("cells")
 	}
 	if g.Lat(0) >= 0 || g.Lat(3) <= 0 {
 		t.Error("latitude orientation")

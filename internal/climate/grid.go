@@ -34,9 +34,6 @@ func (g Grid) Lat(j int) float64 { return -90 + 180*(float64(j)+0.5)/float64(g.N
 // Lon reports the longitude of column i in degrees.
 func (g Grid) Lon(i int) float64 { return 360 * (float64(i) + 0.5) / float64(g.NLon) }
 
-// FieldBytes reports the wire size of one float64 field on this grid.
-func (g Grid) FieldBytes() int { return 8 * g.Cells() }
-
 // Regrid interpolates field f from grid src to grid dst bilinearly,
 // periodic in longitude and clamped in latitude, writing the result
 // into out (dst.Cells() values). A constant field maps to the same

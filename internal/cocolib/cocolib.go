@@ -94,16 +94,6 @@ func sample(m InterfaceMesh, field []float64, x float64) float64 {
 	return field[lo]*(1-t) + field[hi]*t
 }
 
-// IntegralOn computes the trapezoidal integral of a nodal field over
-// its mesh — used to check load conservation across the coupling.
-func IntegralOn(m InterfaceMesh, field []float64) float64 {
-	var s float64
-	for i := 1; i < len(m.Nodes); i++ {
-		s += 0.5 * (field[i] + field[i-1]) * (m.Nodes[i] - m.Nodes[i-1])
-	}
-	return s
-}
-
 // Coupler is one side's handle on a COCOLIB coupling: it knows the
 // local and remote interface meshes and exchanges nodal fields over an
 // MPI communicator with a fixed peer rank.

@@ -240,3 +240,13 @@ func TestRunFSIValidation(t *testing.T) {
 		t.Error("zero steps accepted")
 	}
 }
+
+// IntegralOn computes the trapezoidal integral of a nodal field over
+// its mesh.
+func IntegralOn(m InterfaceMesh, field []float64) float64 {
+	var s float64
+	for i := 1; i < len(m.Nodes); i++ {
+		s += 0.5 * (field[i] + field[i-1]) * (m.Nodes[i] - m.Nodes[i-1])
+	}
+	return s
+}

@@ -36,7 +36,10 @@ func leastAlloc(t *testing.T, run func() error) uint64 {
 // new sampler and volume per moved scan; figure3-overlay cost 15.0 MB
 // while it kept all 48 scans to read the ROI course at the end. What
 // remains is one message payload per MPI send, the scanner's two
-// volumes and the correlator's sums.
+// volumes and the correlator's sums. groundwater-coupled (7.8 MB a run)
+// and fmri-dataflow (0.5 MB: it computes the volume size instead of
+// allocating a volume) are bounded too, so that a return to per-element
+// or per-volume allocation shows.
 func TestAppAllocationBudgets(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -45,6 +48,8 @@ func TestAppAllocationBudgets(t *testing.T) {
 		{"climate-coupled", 30 << 20},
 		{"fire-rt-session", 10 << 20},
 		{"figure3-overlay", 5 << 20},
+		{"groundwater-coupled", 10 << 20},
+		{"fmri-dataflow", 1 << 20},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			n := leastAlloc(t, func() error {

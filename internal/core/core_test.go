@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -349,4 +350,40 @@ func TestSection3Experiment(t *testing.T) {
 	if !strings.Contains(FormatSection3(rows), "groundwater") {
 		t.Error("format output incomplete")
 	}
+}
+
+// HostNames lists all hosts (sorted).
+func (tb *Testbed) HostNames() []string {
+	out := make([]string, 0, len(tb.hosts))
+	for name := range tb.hosts {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Allocations reports the current host -> session assignment.
+func (tb *Testbed) Allocations() map[string]string {
+	tb.allocMu.Lock()
+	defer tb.allocMu.Unlock()
+	out := make(map[string]string, len(tb.alloc))
+	for h, s := range tb.alloc {
+		out[h] = s
+	}
+	return out
+}
+
+// BackboneUtilization reports the WAN link's busy fraction over the
+// simulation so far (both directions; 2.0 = saturated duplex).
+func (tb *Testbed) BackboneUtilization() float64 {
+	tb.simMu.Lock()
+	defer tb.simMu.Unlock()
+	return tb.backbone.Utilization(tb.Net.Now())
+}
+
+// BackboneWireBytes reports total framed bytes carried on the WAN link.
+func (tb *Testbed) BackboneWireBytes() int64 {
+	tb.simMu.Lock()
+	defer tb.simMu.Unlock()
+	return tb.backbone.WireBytes()
 }

@@ -277,10 +277,6 @@ func (q *LeaseQueue) finishLocked() {
 	q.cond.Broadcast()
 }
 
-// Requeue returns an outstanding lease's points to the queue — the
-// dead-worker path.
-func (q *LeaseQueue) Requeue(l Lease) { q.RequeuePartial(l, nil) }
-
 // RequeuePartial retires an outstanding lease that will not complete:
 // finished[k] (covering point l.Lo+k) counts as completed — streamed by
 // the worker before it died, or skipped — and the unfinished runs go

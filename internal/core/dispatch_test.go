@@ -56,7 +56,7 @@ func TestRequeueRevivesPointsAndStaleCompleteIsIgnored(t *testing.T) {
 	if !ok {
 		t.Fatal("no first lease")
 	}
-	d.Requeue(l1)
+	d.RequeuePartial(l1, nil)
 	// The same points come back under a new lease seq.
 	l2, ok := d.TryNext("w2")
 	if !ok {
@@ -196,7 +196,7 @@ func TestPendingTracksQueueNotLeases(t *testing.T) {
 	if got := d.Pending(); got != 10-l.Points() {
 		t.Fatalf("Pending after lease = %d, want %d (leased points are not pending)", got, 10-l.Points())
 	}
-	d.Requeue(l)
+	d.RequeuePartial(l, nil)
 	if got := d.Pending(); got != 10 {
 		t.Fatalf("Pending after requeue = %d, want 10", got)
 	}
@@ -330,7 +330,7 @@ func TestDispatchQueue(t *testing.T) {
 		{"requeue-front", 8, 2, nil, nil, func(t *testing.T, q *LeaseQueue, _ map[int]int) {
 			l1, _ := q.TryNext("dead")
 			q.TryNext("other")
-			q.Requeue(l1)
+			q.RequeuePartial(l1, nil)
 			l3, ok := q.TryNext("rescuer")
 			if !ok || l3.Lo != l1.Lo || l3.Seq == l1.Seq {
 				t.Errorf("after requeue got lease %+v (ok=%v), want the retried points %d.. first under a new seq", l3, ok, l1.Lo)

@@ -67,10 +67,6 @@ func (p *Plan) Scenario() Scenario { return p.scenario }
 // sweeps, the synthesized one-point wrapper otherwise.
 func (p *Plan) Sweep() *Sweep { return p.sweep }
 
-// Wrapped reports whether the plan synthesized a one-point sweep around
-// a non-sweep scenario.
-func (p *Plan) Wrapped() bool { return p.wrapped }
-
 // Distributable reports whether the plan's points can travel to remote
 // workers. Wrapped scenarios always can (their wire form is the
 // report's JSON and text); native sweeps need a WirePoint declaration.

@@ -27,7 +27,7 @@ func TestPlanForWrapsNonSweepScenario(t *testing.T) {
 			return &planProbeReport{Value: 0.125 + float64(opts.Frames), Label: "wrapped"}, nil
 		})
 	p := PlanFor(s)
-	if !p.Wrapped() {
+	if !p.wrapped {
 		t.Fatal("non-sweep scenario did not wrap")
 	}
 	if !p.Distributable() {
@@ -96,7 +96,7 @@ func TestPlanForSweepIsIdentity(t *testing.T) {
 			return rep, nil
 		}).NoShardTestbed().WirePoint(Figure1Row{})
 	p := PlanFor(sw)
-	if p.Wrapped() || p.Sweep() != sw {
+	if p.wrapped || p.Sweep() != sw {
 		t.Fatal("sweep plan must be the sweep itself")
 	}
 	opts := NewOptions(WithShards(1))

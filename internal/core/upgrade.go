@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/atm"
 	"repro/internal/tcpsim"
@@ -115,20 +114,4 @@ func MixedTraffic(wan atm.OC) (MixedTrafficResult, error) {
 	}
 	bulk.Release()
 	return MixedTrafficResult{Backbone: wan, Video: vres, BulkMbps: bres.ThroughputBps / 1e6}, nil
-}
-
-// FormatUpgrade renders the upgrade-motivation experiments.
-func FormatUpgrade(aggs []AggregateRow, mixes []MixedTrafficResult) string {
-	var sb strings.Builder
-	sb.WriteString("U1: backbone aggregate capacity (concurrent 622-attached flows)\n")
-	for _, a := range aggs {
-		fmt.Fprintf(&sb, "  %-6v x%d flows: %7.1f Mbit/s aggregate\n", a.Backbone, a.Flows, a.AggregateMbps)
-	}
-	sb.WriteString("U2: 270 Mbit/s D1 video sharing the backbone with bulk TCP\n")
-	for _, m := range mixes {
-		fmt.Fprintf(&sb, "  %-6v video %2d/%2d frames on time (peak jitter %6.2f ms), bulk TCP %7.1f Mbit/s\n",
-			m.Backbone, m.Video.OnTime, m.Video.Frames,
-			m.Video.PeakJitter.Seconds()*1000, m.BulkMbps)
-	}
-	return sb.String()
 }

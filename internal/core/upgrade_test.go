@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/atm"
@@ -83,10 +82,6 @@ func TestMixedTrafficUpgradeEffect(t *testing.T) {
 	if !degraded {
 		t.Errorf("OC-12 mixed traffic shows no contention: video %d/%d, bulk %.1f Mbit/s",
 			m12.Video.OnTime, m12.Video.Frames, m12.BulkMbps)
-	}
-	text := FormatUpgrade([]AggregateRow{}, []MixedTrafficResult{m12, m48})
-	if !strings.Contains(text, "D1 video") {
-		t.Error("format output incomplete")
 	}
 }
 

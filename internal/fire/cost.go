@@ -157,13 +157,3 @@ func (m *T3EModel) ModelTable1() []Table1Row {
 	}
 	return out
 }
-
-// RVOFlops estimates the floating-point work of the full RVO raster for
-// an image: gridPoints correlation fits of length nScans over the
-// brain voxels (~65% of the volume), at ~3 flops per sample plus the fit
-// bookkeeping. Used to sanity-check the SustainedFlopsPerPE constant.
-func RVOFlops(nx, ny, nz, gridPoints, nScans int) float64 {
-	brainVox := 0.65 * float64(nx*ny*nz)
-	perFit := 3.0*float64(nScans) + 12
-	return brainVox * float64(gridPoints) * perFit
-}

@@ -36,36 +36,6 @@ func MedianFilter3D(v *volume.Volume, r int) *volume.Volume {
 	return out
 }
 
-// AverageFilter3D applies a (2r+1)^3 box average with edge clamping —
-// FIRE's post-pipeline smoothing stage.
-func AverageFilter3D(v *volume.Volume, r int) *volume.Volume {
-	if r <= 0 {
-		return v.Clone()
-	}
-	out := volume.New(v.NX, v.NY, v.NZ)
-	for z := 0; z < v.NZ; z++ {
-		for y := 0; y < v.NY; y++ {
-			for x := 0; x < v.NX; x++ {
-				var sum float64
-				var n int
-				for dz := -r; dz <= r; dz++ {
-					zz := clampIdx(z+dz, v.NZ)
-					for dy := -r; dy <= r; dy++ {
-						yy := clampIdx(y+dy, v.NY)
-						for dx := -r; dx <= r; dx++ {
-							xx := clampIdx(x+dx, v.NX)
-							sum += float64(v.At(xx, yy, zz))
-							n++
-						}
-					}
-				}
-				out.Set(x, y, z, float32(sum/float64(n)))
-			}
-		}
-	}
-	return out
-}
-
 func clampIdx(i, n int) int {
 	if i < 0 {
 		return 0

@@ -6,8 +6,7 @@
 // The analysis modules are real algorithms operating on real (synthetic)
 // data:
 //
-//   - spatial filters: a 3-D median filter for raw-image denoising and
-//     an averaging filter for post-pipeline smoothing,
+//   - a 3-D median filter for raw-image denoising,
 //   - 3-D movement correction by an iterative linear (Gauss-Newton)
 //     scheme,
 //   - detrending against a small set of drift basis vectors,
@@ -25,8 +24,6 @@
 package fire
 
 import (
-	"math"
-
 	"repro/internal/volume"
 )
 
@@ -38,17 +35,4 @@ type Result struct {
 	Shift [3]float64
 	// ScansUsed is the number of scans the correlation is based on.
 	ScansUsed int
-}
-
-// ClipMap returns the overlay mask for a clip level: voxels whose
-// correlation magnitude meets or exceeds clip, as the FIRE GUI overlays
-// them on the anatomy (figure 3).
-func (r *Result) ClipMap(clip float64) []bool {
-	out := make([]bool, r.Corr.Voxels())
-	for i, v := range r.Corr.Data {
-		if math.Abs(float64(v)) >= clip {
-			out[i] = true
-		}
-	}
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/mri"
 	"repro/internal/volume"
@@ -77,91 +76,6 @@ func insertionSort(a []float32) {
 		}
 		a[j+1] = v
 	}
-}
-
-// ParallelRVO is RVO with the voxel loop split across workers
-// goroutines. Results are identical to the serial RVO.
-func ParallelRVO(series []*volume.Volume, stim []float64, tr float64, opts RVOOptions, workers int) (*RVOResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return RVO(series, stim, tr, opts)
-	}
-	if err := validateRVOInputs(series, stim, opts); err != nil {
-		return nil, err
-	}
-	if opts.RefineIters == 0 {
-		opts.RefineIters = 6
-	}
-	nt := len(series)
-	shape := series[0]
-	refs := buildRVORefs(stim[:nt], tr, opts)
-	det, err := detrenderFor(opts, nt)
-	if err != nil {
-		return nil, err
-	}
-	res := &RVOResult{
-		Corr:       volume.New(shape.NX, shape.NY, shape.NZ),
-		Delay:      volume.New(shape.NX, shape.NY, shape.NZ),
-		Dispersion: volume.New(shape.NX, shape.NY, shape.NZ),
-	}
-	nvox := shape.Voxels()
-	var evaluated int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * nvox / workers
-		hi := (w + 1) * nvox / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			n := rvoVoxelRange(series, stim[:nt], tr, refs, det, opts, res, lo, hi)
-			atomic.AddInt64(&evaluated, n)
-		}(lo, hi)
-	}
-	wg.Wait()
-	res.Evaluated = evaluated
-	return res, nil
-}
-
-// T3EExecutor runs the full module chain with real goroutine
-// parallelism while reporting what the same work would have cost on the
-// modeled Cray partition — the dual view the reproduction offers.
-type T3EExecutor struct {
-	Model   *T3EModel
-	PEs     int
-	Workers int
-}
-
-// ProcessedScan is the executor's output for one raw scan.
-type ProcessedScan struct {
-	Filtered *volume.Volume
-	// ModeledSeconds is the Table-1-calibrated T3E time for the
-	// filter+motion+RVO chain at the executor's PE count.
-	ModeledSeconds float64
-}
-
-// Process runs the realtime per-scan work (median filter; motion
-// estimation against ref when ref != nil) and reports the modeled T3E
-// chain time for the scan's dimensions.
-func (e *T3EExecutor) Process(ref, raw *volume.Volume) (*ProcessedScan, error) {
-	if e.Model == nil || e.PEs < 1 {
-		return nil, fmt.Errorf("fire: executor not configured (model=%v pes=%d)", e.Model != nil, e.PEs)
-	}
-	out := &ProcessedScan{}
-	out.Filtered = ParallelMedianFilter3D(raw, 1, e.Workers)
-	if ref != nil {
-		fixed, _, err := MotionCorrect(nil, ref, out.Filtered, MotionOptions{})
-		if err != nil {
-			return nil, err
-		}
-		out.Filtered = fixed
-	}
-	out.ModeledSeconds = e.Model.TotalTime(e.PEs, raw.NX, raw.NY, raw.NZ)
-	return out, nil
 }
 
 // validateRVOInputs factors the RVO precondition checks.

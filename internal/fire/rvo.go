@@ -90,7 +90,6 @@ type gridRef struct {
 // correlation objective.
 //
 // series must all share one shape and len(series) <= len(stim).
-// ParallelRVO distributes the same computation over goroutines.
 func RVO(series []*volume.Volume, stim []float64, tr float64, opts RVOOptions) (*RVOResult, error) {
 	if err := validateRVOInputs(series, stim, opts); err != nil {
 		return nil, err

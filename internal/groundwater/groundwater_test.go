@@ -374,3 +374,21 @@ func TestStencilReuseEqualsFreshSolves(t *testing.T) {
 		cfg.HeadLeft += 0.2
 	}
 }
+
+// UniformK builds a homogeneous conductivity field.
+func UniformK(nx, ny, nz int, k float64) []float64 {
+	out := make([]float64, nx*ny*nz)
+	for i := range out {
+		out[i] = k
+	}
+	return out
+}
+
+// SolveFlow runs one steady-state TRACE solve.
+func SolveFlow(cfg FlowConfig) (*FlowField, error) {
+	s, err := assemble(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.solve(cfg.HeadLeft, cfg.HeadRight)
+}

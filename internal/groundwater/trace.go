@@ -14,9 +14,9 @@
 //
 // The 7-point operator is assembled, not matrix-free: the per-face
 // transmissibilities and the diagonal depend only on the grid, K and
-// Dx, so they are computed once — per SolveFlow call, and once per run
-// in RunCoupled, whose steps change nothing but the inflow head and so
-// only rebuild the right-hand side. Every CG iteration then is a
+// Dx, so they are computed once per run in RunCoupled, whose steps
+// change nothing but the inflow head and so only rebuild the
+// right-hand side. Every CG iteration then is a
 // stride-indexed sweep over those arrays. Initial guess and tolerance
 // are the same for every solve (no warm start), so a coupled step is
 // bit for bit the fresh solve of its boundary condition.
@@ -44,15 +44,6 @@ type FlowConfig struct {
 	Porosity float64
 	// Tol is the CG relative tolerance (default 1e-10).
 	Tol float64
-}
-
-// UniformK builds a homogeneous conductivity field.
-func UniformK(nx, ny, nz int, k float64) []float64 {
-	out := make([]float64, nx*ny*nz)
-	for i := range out {
-		out[i] = k
-	}
-	return out
 }
 
 // LognormalK builds a heterogeneous conductivity field with the given
@@ -199,15 +190,6 @@ func (s *stencil) apply(dst, src []float64) {
 	}
 }
 
-// SolveFlow runs one steady-state TRACE solve.
-func SolveFlow(cfg FlowConfig) (*FlowField, error) {
-	s, err := assemble(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.solve(cfg.HeadLeft, cfg.HeadRight)
-}
-
 // solve runs one steady-state solve on the assembled grid with the
 // given Dirichlet heads (the stencil's own cfg.HeadLeft/HeadRight are
 // not consulted: a coupled run drifts them from step to step).
@@ -276,10 +258,6 @@ func (s *stencil) solve(headLeft, headRight float64) (*FlowField, error) {
 	}
 	return field, nil
 }
-
-// FieldBytes reports the wire size of the velocity field as transferred
-// to PARTRACE (three float32 components per cell).
-func (f *FlowField) FieldBytes() int { return 3 * 4 * f.NX * f.NY * f.NZ }
 
 // Velocity samples the pore velocity at a fractional cell coordinate by
 // trilinear interpolation with edge clamping.

@@ -54,19 +54,6 @@ func TransferTime(n int) time.Duration {
 	return connectionOverhead + time.Duration(words+overhead)*wordTime
 }
 
-// Throughput reports the effective data rate in bit/s for packets of n
-// bytes sent back to back.
-func Throughput(n int) float64 {
-	d := TransferTime(n)
-	if d <= 0 {
-		return 0
-	}
-	return float64(n) * 8 / d.Seconds()
-}
-
-// Efficiency reports Throughput(n)/SignallingRate.
-func Efficiency(n int) float64 { return Throughput(n) / SignallingRate }
-
 // Gateway describes a workstation acting as an IP gateway between a
 // HiPPI channel and an ATM interface — the SGI O200 and Sun Ultra 30 in
 // Jülich and the Sun E5000 in Sankt Augustin. Packets are
@@ -89,27 +76,4 @@ type Gateway struct {
 // paper reports, while a 1500-byte MTU collapses to tens of Mbit/s.
 func DefaultGateway(name string) Gateway {
 	return Gateway{Name: name, PerPacket: 50 * time.Microsecond, CopyBps: 2.6e9}
-}
-
-// ForwardTime reports the gateway residence time of an n-byte packet.
-// A gateway with CopyBps <= 0 charges only the per-packet cost.
-func (g Gateway) ForwardTime(n int) time.Duration {
-	if n < 0 {
-		n = 0
-	}
-	var copyT time.Duration
-	if g.CopyBps > 0 {
-		copyT = time.Duration(float64(n) * 8 / g.CopyBps * 1e9)
-	}
-	return g.PerPacket + copyT
-}
-
-// MaxForwardBps reports the forwarding rate limit in bit/s that the
-// gateway imposes for packets of n bytes.
-func (g Gateway) MaxForwardBps(n int) float64 {
-	d := g.ForwardTime(n)
-	if d <= 0 {
-		return 0
-	}
-	return float64(n) * 8 / d.Seconds()
 }

@@ -3,6 +3,7 @@ package hippi
 import (
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestBursts(t *testing.T) {
@@ -83,4 +84,40 @@ func TestGatewayForwarding(t *testing.T) {
 	if (Gateway{}).MaxForwardBps(1000) != 0 {
 		t.Error("zero gateway should forward at 0")
 	}
+}
+
+// Throughput reports the effective data rate in bit/s for packets of n
+// bytes sent back to back.
+func Throughput(n int) float64 {
+	d := TransferTime(n)
+	if d <= 0 {
+		return 0
+	}
+	return float64(n) * 8 / d.Seconds()
+}
+
+// Efficiency reports Throughput(n)/SignallingRate.
+func Efficiency(n int) float64 { return Throughput(n) / SignallingRate }
+
+// ForwardTime reports the gateway residence time of an n-byte packet.
+// A gateway with CopyBps <= 0 charges only the per-packet cost.
+func (g Gateway) ForwardTime(n int) time.Duration {
+	if n < 0 {
+		n = 0
+	}
+	var copyT time.Duration
+	if g.CopyBps > 0 {
+		copyT = time.Duration(float64(n) * 8 / g.CopyBps * 1e9)
+	}
+	return g.PerPacket + copyT
+}
+
+// MaxForwardBps reports the forwarding rate limit in bit/s that the
+// gateway imposes for packets of n bytes.
+func (g Gateway) MaxForwardBps(n int) float64 {
+	d := g.ForwardTime(n)
+	if d <= 0 {
+		return 0
+	}
+	return float64(n) * 8 / d.Seconds()
 }

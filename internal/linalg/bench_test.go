@@ -14,22 +14,6 @@ func randomMat(rows, cols int, seed int64) *Mat {
 	return m
 }
 
-// BenchmarkQRLeastSquares measures the RVO-style fit (64 samples, 3
-// regressors).
-func BenchmarkQRLeastSquares(b *testing.B) {
-	a := randomMat(64, 3, 1)
-	y := make([]float64, 64)
-	for i := range y {
-		y[i] = float64(i % 7)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LstSq(a, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEigSym measures the MUSIC-scale eigendecomposition
 // (148 sensors).
 func BenchmarkEigSym(b *testing.B) {

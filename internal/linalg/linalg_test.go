@@ -331,3 +331,35 @@ func TestQRProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FromRows builds a matrix from row slices (all the same length).
+func FromRows(rows [][]float64) *Mat {
+	if len(rows) == 0 {
+		return NewMat(0, 0)
+	}
+	m := NewMat(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic("linalg: ragged rows")
+		}
+		copy(m.Data[i*m.Cols:], r)
+	}
+	return m
+}
+
+// MaxAbsDiff returns the largest absolute element-wise difference
+// between two equal-length vectors; a convenience for tests and
+// convergence checks.
+func MaxAbsDiff(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic("linalg: MaxAbsDiff length mismatch")
+	}
+	var m float64
+	for i := range a {
+		d := math.Abs(a[i] - b[i])
+		if d > m {
+			m = d
+		}
+	}
+	return m
+}

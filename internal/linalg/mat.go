@@ -1,6 +1,5 @@
 // Package linalg provides the small dense linear-algebra kernels the
-// application codes need: matrix/vector arithmetic, Householder QR
-// least squares (reference-vector fitting in FIRE), a cyclic Jacobi
+// application codes need: matrix/vector arithmetic, a cyclic Jacobi
 // eigensolver for symmetric matrices (signal-subspace extraction in the
 // MUSIC dipole analysis), and a conjugate-gradient solver for symmetric
 // positive-definite operators (the TRACE groundwater flow solver and the
@@ -28,21 +27,6 @@ func NewMat(rows, cols int) *Mat {
 		panic(fmt.Sprintf("linalg: negative dimensions %dx%d", rows, cols))
 	}
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from row slices (all the same length).
-func FromRows(rows [][]float64) *Mat {
-	if len(rows) == 0 {
-		return NewMat(0, 0)
-	}
-	m := NewMat(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
 }
 
 // At returns element (i, j).
@@ -147,21 +131,4 @@ func Scale(alpha float64, v []float64) {
 	for i := range v {
 		v[i] *= alpha
 	}
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference
-// between two equal-length vectors; a convenience for tests and
-// convergence checks.
-func MaxAbsDiff(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: MaxAbsDiff length mismatch")
-	}
-	var m float64
-	for i := range a {
-		d := math.Abs(a[i] - b[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

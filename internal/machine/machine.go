@@ -7,7 +7,6 @@ package machine
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -84,11 +83,6 @@ func SGIOnyx2() Spec {
 		SustainedFlops: 120e6, NetLatency: time.Microsecond, NetBps: 6.2e9}
 }
 
-func SunE5000() Spec {
-	return Spec{Name: "sun-e5000", Kind: SMP, PEs: 8,
-		SustainedFlops: 80e6, NetLatency: 2 * time.Microsecond, NetBps: 2.6e9}
-}
-
 // ComputeTime reports the modeled wall time for the given total flops
 // spread perfectly over p PEs (capped at the machine size).
 func (s Spec) ComputeTime(flops float64, p int) time.Duration {
@@ -100,22 +94,4 @@ func (s Spec) ComputeTime(flops float64, p int) time.Duration {
 	}
 	sec := flops / (s.SustainedFlops * float64(p))
 	return time.Duration(sec * 1e9)
-}
-
-// CollectiveTime reports the modeled cost of a tree collective (e.g.
-// broadcast or reduce) of the given payload over p PEs: log2(p) stages
-// of latency + serialization.
-func (s Spec) CollectiveTime(bytes, p int) time.Duration {
-	if p <= 1 {
-		return 0
-	}
-	stages := math.Ceil(math.Log2(float64(p)))
-	per := float64(s.NetLatency) + float64(bytes)*8/s.NetBps*1e9
-	return time.Duration(stages * per)
-}
-
-// ExchangeTime reports the modeled cost of a neighbor (halo) exchange
-// of the given payload per PE pair.
-func (s Spec) ExchangeTime(bytes int) time.Duration {
-	return s.NetLatency + time.Duration(float64(bytes)*8/s.NetBps*1e9)
 }

@@ -1,13 +1,14 @@
 package machine
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 )
 
 func TestSpecsSanity(t *testing.T) {
-	specs := []Spec{CrayT3E600(), CrayT3E1200(), CrayT90(), IBMSP2(), SGIOnyx2(), SunE5000()}
+	specs := []Spec{CrayT3E600(), CrayT3E1200(), CrayT90(), IBMSP2(), SGIOnyx2()}
 	for _, s := range specs {
 		if s.Name == "" || s.PEs <= 0 || s.SustainedFlops <= 0 || s.NetBps <= 0 {
 			t.Errorf("spec %+v incomplete", s)
@@ -77,4 +78,22 @@ func TestKindString(t *testing.T) {
 	if !strings.HasPrefix(Kind(99).String(), "kind(") {
 		t.Error("unknown kind should format numerically")
 	}
+}
+
+// CollectiveTime reports the modeled cost of a tree collective (e.g.
+// broadcast or reduce) of the given payload over p PEs: log2(p) stages
+// of latency + serialization.
+func (s Spec) CollectiveTime(bytes, p int) time.Duration {
+	if p <= 1 {
+		return 0
+	}
+	stages := math.Ceil(math.Log2(float64(p)))
+	per := float64(s.NetLatency) + float64(bytes)*8/s.NetBps*1e9
+	return time.Duration(stages * per)
+}
+
+// ExchangeTime reports the modeled cost of a neighbor (halo) exchange
+// of the given payload per PE pair.
+func (s Spec) ExchangeTime(bytes int) time.Duration {
+	return s.NetLatency + time.Duration(float64(bytes)*8/s.NetBps*1e9)
 }

@@ -260,15 +260,6 @@ func (r *ScanResult) Best() (Vec3, float64) {
 	return r.Points[bi], bv
 }
 
-// Scan evaluates the MUSIC metric on all grid points (serially).
-func Scan(a *SensorArray, us *linalg.Mat, grid []Vec3) *ScanResult {
-	res := &ScanResult{Points: grid, Values: make([]float64, len(grid))}
-	for i, p := range grid {
-		res.Values[i] = MusicValue(a, us, p)
-	}
-	return res
-}
-
 // BrainGrid builds a cubic grid of candidate positions inside a sphere
 // of radius rBrain, spacing h, upper hemisphere only (z > 0.01).
 func BrainGrid(rBrain, h float64) []Vec3 {

@@ -223,91 +223,6 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestRAPMusicSeparatesTwoDipoles(t *testing.T) {
-	arr := NewHelmetArray(64, 0.12)
-	p1 := Vec3{0.03, 0.0, 0.05}
-	p2 := Vec3{-0.03, 0.02, 0.04}
-	mk := func(p Vec3, seed float64) Dipole {
-		q := Vec3{1, seed, 0}.Cross(p)
-		q = q.Scale(2e-8 / q.Norm())
-		return Dipole{Pos: p, Moment: q}
-	}
-	d1, d2 := mk(p1, 0.2), mk(p2, -0.5)
-	nt := 120
-	d1.Course = make([]float64, nt)
-	d2.Course = make([]float64, nt)
-	for i := 0; i < nt; i++ {
-		// Linearly independent time courses so the covariance has a
-		// rank-2 signal subspace.
-		d1.Course[i] = math.Sin(float64(i) * 0.31)
-		d2.Course[i] = math.Cos(float64(i) * 0.17)
-	}
-	x, err := Synthesize(arr, []Dipole{d1, d2}, nt, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	us, vals, err := SignalSubspace(Covariance(x), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[1] < vals[2]*100 {
-		t.Fatalf("second signal eigenvalue %g not separated from noise floor %g", vals[1], vals[2])
-	}
-	grid := BrainGrid(0.09, 0.01)
-	res, err := RAPMusic(arr, us, grid, 2, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Positions) != 2 {
-		t.Fatalf("found %d sources, want 2", len(res.Positions))
-	}
-	// Each true dipole matched by one found source (order-free).
-	match := func(p Vec3) float64 {
-		best := 1e9
-		for _, f := range res.Positions {
-			if d := f.Sub(p).Norm(); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	if d := match(p1); d > 0.015 {
-		t.Errorf("dipole 1 missed by %.1f mm", d*1000)
-	}
-	if d := match(p2); d > 0.015 {
-		t.Errorf("dipole 2 missed by %.1f mm", d*1000)
-	}
-	// The two found positions must be distinct sources.
-	if res.Positions[0].Sub(res.Positions[1]).Norm() < 0.02 {
-		t.Error("RAP-MUSIC found the same source twice")
-	}
-}
-
-func TestRAPMusicValidation(t *testing.T) {
-	arr := NewHelmetArray(16, 0.12)
-	us := linalgIdentityCols(16, 1)
-	if _, err := RAPMusic(arr, us, nil, 1, 0.5); err == nil {
-		t.Error("empty grid accepted")
-	}
-	if _, err := RAPMusic(arr, us, BrainGrid(0.08, 0.03), 0, 0.5); err == nil {
-		t.Error("nSources=0 accepted")
-	}
-	// A subspace uncorrelated with any gain yields no source above
-	// threshold.
-	if _, err := RAPMusic(arr, us, BrainGrid(0.08, 0.03), 1, 0.999999); err == nil {
-		t.Error("impossible threshold should error")
-	}
-}
-
-// linalgIdentityCols builds an m x k matrix with orthonormal columns.
-func linalgIdentityCols(m, k int) *linalg.Mat {
-	out := linalg.NewMat(m, k)
-	for j := 0; j < k; j++ {
-		out.Set(j, j, 1)
-	}
-	return out
-}
-
 func TestDistributedModelSuperlinear(t *testing.T) {
 	m := DistributedModel{
 		MPP:        machine.CrayT3E600(),
@@ -338,4 +253,13 @@ func TestDistributedModelSuperlinear(t *testing.T) {
 	if slow.SuperlinearSpeedup(64) >= sp {
 		t.Error("WAN latency should erode the distributed gain")
 	}
+}
+
+// Scan evaluates the MUSIC metric on all grid points (serially).
+func Scan(a *SensorArray, us *linalg.Mat, grid []Vec3) *ScanResult {
+	res := &ScanResult{Points: grid, Values: make([]float64, len(grid))}
+	for i, p := range grid {
+		res.Values[i] = MusicValue(a, us, p)
+	}
+	return res
 }

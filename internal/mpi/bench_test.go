@@ -1,31 +1,8 @@
 package mpi
 
 import (
-	"fmt"
 	"testing"
 )
-
-// BenchmarkAllreduce measures the collective the coupled applications
-// lean on, across communicator sizes.
-func BenchmarkAllreduce(b *testing.B) {
-	for _, n := range []int{2, 4, 8} {
-		n := n
-		b.Run(fmt.Sprintf("ranks=%d", n), func(b *testing.B) {
-			vec := []float64{1, 2, 3, 4}
-			err := Run(n, func(c *Comm) error {
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Allreduce(OpSum, vec); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
 
 // BenchmarkP2PLatency measures the in-memory point-to-point round trip.
 func BenchmarkP2PLatency(b *testing.B) {

@@ -9,8 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-// endpoint is one rank's handle on its world: what the communicators
-// and intercommunicators of that rank have in common.
+// endpoint is one rank's handle on its world, shared by its
+// communicator and its requests.
 type endpoint struct {
 	world *World
 	proc  *sim.Proc // the rank's process, parked by its blocking calls
@@ -19,7 +19,7 @@ type endpoint struct {
 
 // Comm is an intracommunicator: an ordered group of ranks with
 // point-to-point and collective operations. The zero value is not
-// usable; communicators come from World.Launch, Run, Split or Dup.
+// usable; communicators come from World.Launch or Run.
 type Comm struct {
 	endpoint
 	group   []int // comm rank -> world rank
@@ -36,9 +36,6 @@ func (c *Comm) Size() int { return len(c.group) }
 
 // Host reports the host this rank is placed on.
 func (c *Comm) Host() string { return c.world.HostOf(c.self) }
-
-// HostOfRank reports the host of another rank in this communicator.
-func (c *Comm) HostOfRank(r int) string { return c.world.HostOf(c.group[r]) }
 
 func checkRank(r, size int) error {
 	if r < 0 || r >= size {
@@ -91,32 +88,23 @@ func (e endpoint) transfer(p *sim.Proc, op string, ctx int, group []int, dst, ta
 	return nil
 }
 
-// deliver hands m to the oldest posted receive it matches (after every
-// older probe it matches) or queues it.
+// deliver hands m to the oldest posted receive it matches or queues it.
 func (s *slot) deliver(m message) {
-	for i := 0; i < len(s.posted); i++ {
-		r := s.posted[i]
-		if !r.matches(m) {
-			continue
-		}
-		s.posted = append(s.posted[:i], s.posted[i+1:]...)
-		r.match(m)
-		if !r.probe {
+	for i, r := range s.posted {
+		if r.matches(m) {
+			s.posted = append(s.posted[:i], s.posted[i+1:]...)
+			r.match(m)
 			return
 		}
-		i--
 	}
 	s.queue = append(s.queue, m)
 }
 
-// take finds the oldest queued message r matches and removes it unless
-// r only probes.
+// take removes and returns the oldest queued message r matches.
 func (s *slot) take(r *Request) (message, bool) {
 	for i, m := range s.queue {
 		if r.matches(m) {
-			if !r.probe {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			}
+			s.queue = append(s.queue[:i], s.queue[i+1:]...)
 			return m, true
 		}
 	}
@@ -137,7 +125,7 @@ func (c *Comm) sendColl(dst, tag int, data []byte) error {
 
 // recvColl is the internal receive on the collective context.
 func (c *Comm) recvColl(src, tag int) ([]byte, error) {
-	msg, err := c.irecv("coll-recv", c.collCtx, c.group, src, tag, false).Wait()
+	msg, err := c.irecv("coll-recv", c.collCtx, c.group, src, tag).Wait()
 	return msg.Data, err
 }
 
@@ -152,35 +140,6 @@ type Message struct {
 // AnyTag) arrives.
 func (c *Comm) Recv(src, tag int) (Message, error) {
 	return c.Irecv(src, tag).Wait()
-}
-
-// Status describes a pending message found by Probe/Iprobe.
-type Status struct {
-	Source int // comm rank of the sender (-1 if outside the comm)
-	Tag    int
-	Bytes  int
-}
-
-// Probe blocks until a message matching src/tag is available and
-// returns its status without receiving it (MPI_Probe) — the idiom the
-// RT-client uses to size buffers before pulling variable-size images.
-func (c *Comm) Probe(src, tag int) (Status, error) {
-	m, err := c.irecv("probe", c.p2pCtx, c.group, src, tag, true).Wait()
-	return Status{Source: m.Source, Tag: m.Tag, Bytes: len(m.Data)}, err
-}
-
-// Iprobe reports whether a matching message is available, without
-// blocking (MPI_Iprobe).
-func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
-	r, err := c.request("probe", c.p2pCtx, c.group, src, tag, true)
-	if err != nil {
-		return Status{}, false, err
-	}
-	m, ok := c.world.ranks[c.self].take(r)
-	if !ok {
-		return Status{}, false, nil
-	}
-	return Status{Source: rankIn(c.group, m.src), Tag: m.tag, Bytes: len(m.data)}, true, nil
 }
 
 // Sendrecv performs a combined send and receive, safe against the
@@ -203,35 +162,26 @@ type Request struct {
 	blocked // who waits for what; ch is set while Wait is parked
 	e       endpoint
 	group   []int // the numbering a receive reports its sender in
-	probe   bool  // complete on a match but leave the message queued
 	start   sim.Time
 	done    bool
 	msg     Message
 	err     error
 }
 
-// request describes a receive of the endpoint's rank from rank src of
-// group (or AnySource).
-func (e endpoint) request(op string, ctx int, group []int, src, tag int, probe bool) (*Request, error) {
+// irecv starts a receive of the endpoint's rank from rank src of group
+// (or AnySource): it completes from the mailbox or is posted there for
+// the matching send to complete.
+func (e endpoint) irecv(op string, ctx int, group []int, src, tag int) *Request {
 	peer := AnySource
 	if src != AnySource {
 		if err := checkRank(src, len(group)); err != nil {
-			return nil, err
+			return &Request{done: true, err: err}
 		}
 		peer = group[src]
 	}
-	return &Request{
+	r := &Request{
 		blocked: blocked{rank: e.self, op: op, ctx: ctx, peer: peer, tag: tag},
-		e:       e, group: group, probe: probe, start: e.world.k.Now(),
-	}, nil
-}
-
-// irecv completes a receive from the mailbox or posts it there for the
-// matching send to complete.
-func (e endpoint) irecv(op string, ctx int, group []int, src, tag int, probe bool) *Request {
-	r, err := e.request(op, ctx, group, src, tag, probe)
-	if err != nil {
-		return &Request{done: true, err: err}
+		e:       e, group: group, start: e.world.k.Now(),
 	}
 	box := e.world.ranks[e.self]
 	if m, ok := box.take(r); ok {
@@ -275,9 +225,6 @@ func (r *Request) Wait() (Message, error) {
 	return r.msg, r.err
 }
 
-// Test reports whether the operation has completed without blocking.
-func (r *Request) Test() bool { return r.done }
-
 // Isend starts a nonblocking send.
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	return c.isend("send", c.p2pCtx, dst, tag, data)
@@ -295,18 +242,7 @@ func (c *Comm) isend(op string, ctx, dst, tag int, data []byte) *Request {
 
 // Irecv starts a nonblocking receive.
 func (c *Comm) Irecv(src, tag int) *Request {
-	return c.irecv("recv", c.p2pCtx, c.group, src, tag, false)
-}
-
-// WaitAll waits for all requests and returns the first error.
-func WaitAll(reqs ...*Request) error {
-	var first error
-	for _, r := range reqs {
-		if _, err := r.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return c.irecv("recv", c.p2pCtx, c.group, src, tag)
 }
 
 // --- Typed helpers (the "language interoperability" face of the

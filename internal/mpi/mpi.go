@@ -1,11 +1,7 @@
 // Package mpi is a metacomputing-aware message-passing library modeled
 // on the MPI subset Pallas implemented for the Gigabit Testbed West:
-// point-to-point communication (blocking and nonblocking), the usual
-// collectives, communicator splitting, and the MPI-2 features the paper
-// singles out as useful for metacomputing — dynamic process creation
-// (Spawn) and attachment of independently started applications
-// (Open/Connect/Accept), used there for realtime visualization and
-// computational steering.
+// point-to-point communication (blocking and nonblocking, raw bytes or
+// float64 vectors) and the Barrier, Gather and Scan collectives.
 //
 // The library runs on the simulation kernel. A rank is a sim.Proc of
 // its World's kernel: exactly one rank runs at any moment, a rank keeps
@@ -82,7 +78,7 @@ type slot struct {
 // what wakes it.
 type blocked struct {
 	rank           int    // world rank
-	op             string // "send", "recv", "accept fire-viz", ...
+	op             string // "send", "recv", "coll-recv", ...
 	ctx, peer, tag int    // of a send or receive; peer is a world rank
 	ch             *sim.Chan[struct{}]
 }
@@ -95,7 +91,6 @@ type World struct {
 	tracer  Tracer
 	ranks   []*slot
 	nextCtx int
-	ports   map[string]*port
 	parked  []blocked
 	err     error // first error a rank returned
 	dead    error // set once Wait found a deadlock; parking is over
@@ -106,7 +101,7 @@ type World struct {
 // kernel; with nil, the world gets a private kernel and every message
 // is delivered at once.
 func NewWorld(net *netsim.Network, tracer Tracer) *World {
-	w := &World{net: net, tracer: tracer, ports: make(map[string]*port)}
+	w := &World{net: net, tracer: tracer}
 	if net == nil {
 		w.k = sim.NewKernel()
 	} else {

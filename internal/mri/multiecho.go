@@ -48,10 +48,3 @@ func (a MultiEcho) VoxelsPerVolume() int { return a.Echoes * a.NX * a.NY * a.NZ 
 func (a MultiEcho) DataRateBps() float64 {
 	return float64(a.VoxelsPerVolume()) * 4 * 8 / a.TR
 }
-
-// WorkScale reports the analysis-work multiplier relative to the
-// standard acquisition (work scales with acquired voxels).
-func (a MultiEcho) WorkScale() float64 {
-	std := StandardAcquisition()
-	return float64(a.VoxelsPerVolume()) / float64(std.VoxelsPerVolume())
-}

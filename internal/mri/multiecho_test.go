@@ -19,9 +19,6 @@ func TestMultiEchoOrderOfMagnitude(t *testing.T) {
 	if ratio < 10 {
 		t.Errorf("advanced/standard data rate = %.1fx, paper claims an order of magnitude", ratio)
 	}
-	if adv.WorkScale() != ratio {
-		t.Errorf("work scale %v != data ratio %v (both are voxel-proportional)", adv.WorkScale(), ratio)
-	}
 }
 
 func TestMultiEchoRates(t *testing.T) {

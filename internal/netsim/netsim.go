@@ -215,11 +215,6 @@ type Network struct {
 	pool  pktPool
 }
 
-// SetSeed sets the network's base random seed. Every stochastic
-// component hanging off the network derives its generator through
-// NewRand, so one seed here reproduces a whole simulation.
-func (n *Network) SetSeed(seed int64) { n.seed = seed }
-
 // NewRand returns a deterministically seeded generator for one
 // stochastic stream (traffic generator, loss process, …). Distinct
 // stream values decorrelate components sharing a network; the same
@@ -415,16 +410,6 @@ func (nd *Node) relayCost(bytes int) time.Duration {
 		c += time.Duration(float64(bytes) * 8 / nd.ForwardBps * 1e9)
 	}
 	return c
-}
-
-// Drops reports packets dropped at full queues on this node's egress
-// interfaces.
-func (nd *Node) Drops() int64 {
-	total := nd.dropped
-	for _, ifc := range nd.ifaces {
-		total += ifc.drops
-	}
-	return total
 }
 
 // Closure-free event trampolines: a0 is the node or iface (which

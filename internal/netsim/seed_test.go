@@ -64,3 +64,8 @@ func TestSetSeedReproducesTraffic(t *testing.T) {
 		t.Logf("different seeds produced equal sent counts (%d); gap sequences may still differ", s1)
 	}
 }
+
+// SetSeed sets the network's base random seed. Every stochastic
+// component hanging off the network derives its generator through
+// NewRand, so one seed here reproduces a whole simulation.
+func (n *Network) SetSeed(seed int64) { n.seed = seed }

@@ -155,14 +155,6 @@ func (v *GaugeVec) With(value string) *Gauge {
 	return g.(*Gauge)
 }
 
-// Drop removes the series for the given label value (a worker that
-// deregistered, a tenant that disappeared from the config).
-func (v *GaugeVec) Drop(value string) {
-	v.r.mu.Lock()
-	defer v.r.mu.Unlock()
-	delete(v.fam.series, value)
-}
-
 // Registry holds metric families in registration order. All lookups
 // are idempotent: re-registering a name returns the existing
 // instrument, and a kind clash panics (it is a wiring bug, not a

@@ -405,3 +405,22 @@ func (m *program) op(op int) {
 		m.logf("runUntil -> %d", s.runUntil(s.now().Add(m.delay())))
 	}
 }
+
+// When reports the virtual time the event is scheduled for, or zero if
+// the handle no longer refers to a pending event.
+func (ev Event) When() Time {
+	if ev.e == nil || ev.e.gen != ev.gen {
+		return 0
+	}
+	return ev.e.at
+}
+
+// NextEventTime reports the timestamp of the earliest pending event.
+// The second result is false when no events are pending.
+func (k *Kernel) NextEventTime() (Time, bool) {
+	e := k.next()
+	if e == nil {
+		return 0, false
+	}
+	return e.at, true
+}

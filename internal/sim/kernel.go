@@ -127,15 +127,6 @@ type Event struct {
 	gen uint64
 }
 
-// When reports the virtual time the event is scheduled for, or zero if
-// the handle no longer refers to a pending event.
-func (ev Event) When() Time {
-	if ev.e == nil || ev.e.gen != ev.gen {
-		return 0
-	}
-	return ev.e.at
-}
-
 // Pending reports whether the handle still refers to a scheduled,
 // unfired event.
 func (ev Event) Pending() bool {
@@ -419,16 +410,6 @@ func (k *Kernel) RunUntil(t Time) Time {
 // the benchmark probes divide by it to price one event, and it is cheap
 // enough to maintain unconditionally.
 func (k *Kernel) Fired() int64 { return k.fired }
-
-// NextEventTime reports the timestamp of the earliest pending event.
-// The second result is false when no events are pending.
-func (k *Kernel) NextEventTime() (Time, bool) {
-	e := k.next()
-	if e == nil {
-		return 0, false
-	}
-	return e.at, true
-}
 
 // Stop makes the innermost Run or RunUntil return after the current
 // event completes. It may be called from inside event callbacks or

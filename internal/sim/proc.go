@@ -142,16 +142,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// WaitUntil blocks the process until virtual time t. Times in the past
-// behave like Sleep(0).
-func (p *Proc) WaitUntil(t Time) {
-	if t < p.k.now {
-		t = p.k.now
-	}
-	p.k.AtFunc(t, resumeProc, unsafe.Pointer(p), nil)
-	p.park()
-}
-
 // waitExternal parks the process until resume() is invoked by whatever
 // mechanism the caller registered beforehand (a channel's wait list).
 // That mechanism must eventually call the returned resume exactly

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestProcSleep(t *testing.T) {
@@ -105,4 +106,14 @@ func TestManyProcs(t *testing.T) {
 	if total != 200 {
 		t.Errorf("%d procs completed, want 200", total)
 	}
+}
+
+// WaitUntil blocks the process until virtual time t. Times in the past
+// behave like Sleep(0).
+func (p *Proc) WaitUntil(t Time) {
+	if t < p.k.now {
+		t = p.k.now
+	}
+	p.k.AtFunc(t, resumeProc, unsafe.Pointer(p), nil)
+	p.park()
 }

@@ -137,9 +137,3 @@ func Stream(n *netsim.Network, src, dst netsim.NodeID, cfg StreamConfig) (Stream
 	}
 	return res, nil
 }
-
-// FitsLink reports whether the CBR stream's wire rate (after the given
-// per-packet framing expansion factor) fits within payloadBps.
-func FitsLink(payloadBps, framingFactor float64) bool {
-	return D1Bps*framingFactor <= payloadBps
-}

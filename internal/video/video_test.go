@@ -100,3 +100,9 @@ func TestStreamValidation(t *testing.T) {
 		t.Error("zero frames accepted")
 	}
 }
+
+// FitsLink reports whether the CBR stream's wire rate (after the given
+// per-packet framing expansion factor) fits within payloadBps.
+func FitsLink(payloadBps, framingFactor float64) bool {
+	return D1Bps*framingFactor <= payloadBps
+}

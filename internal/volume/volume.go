@@ -80,26 +80,6 @@ func (v *Volume) MinMax() (min, max float32) {
 	return min, max
 }
 
-// Mean returns the mean voxel value.
-func (v *Volume) Mean() float64 {
-	var s float64
-	for _, x := range v.Data {
-		s += float64(x)
-	}
-	return s / float64(len(v.Data))
-}
-
-// Std returns the population standard deviation of the voxel values.
-func (v *Volume) Std() float64 {
-	m := v.Mean()
-	var s float64
-	for _, x := range v.Data {
-		d := float64(x) - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(v.Data)))
-}
-
 // clamp restricts i to [0, n-1].
 func clamp(i, n int) int {
 	if i < 0 {

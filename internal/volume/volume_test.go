@@ -373,3 +373,23 @@ func TestResampleEqualsTrilinearBitForBit(t *testing.T) {
 		requireResampleIsTrilinear(t, "clamped", v, spread(v.NX, 0.1, float64(v.NX)-0.9), ys, spread(2*v.NZ+3, -2.25, float64(v.NZ)+1.25))
 	}
 }
+
+// Mean returns the mean voxel value.
+func (v *Volume) Mean() float64 {
+	var s float64
+	for _, x := range v.Data {
+		s += float64(x)
+	}
+	return s / float64(len(v.Data))
+}
+
+// Std returns the population standard deviation of the voxel values.
+func (v *Volume) Std() float64 {
+	m := v.Mean()
+	var s float64
+	for _, x := range v.Data {
+		d := float64(x) - m
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(v.Data)))
+}
