@@ -234,3 +234,72 @@ func TestDegenerateTransferSizes(t *testing.T) {
 		t.Error("negative transfer size accepted")
 	}
 }
+
+// lossyPath is a fast access link into a slow bottleneck whose queue
+// holds one or two segments: slow start overshoots it, the drops come
+// back as duplicate ACKs (fast retransmit), and a go-back-N burst into
+// the same queue loses retransmissions too, so the RTO fires.
+func lossyPath(queue int64, mtu int) (*netsim.Network, netsim.NodeID, netsim.NodeID) {
+	n := netsim.New(sim.NewKernel())
+	a, r, b := n.AddNode("a"), n.AddNode("r"), n.AddNode("b")
+	n.Connect(a, r, netsim.LinkConfig{Bps: 1e9, Delay: 50 * time.Microsecond, MTU: mtu})
+	n.Connect(r, b, netsim.LinkConfig{Bps: 50e6, Delay: 2 * time.Millisecond, MTU: mtu, QueueBytes: queue})
+	n.ComputeRoutes()
+	return n, a.ID, b.ID
+}
+
+// TestLossyTransferPinned pins lossy transfers exactly as the kernel's
+// event order makes them: Duration, Retransmits and SRTT, how many of
+// the retransmissions were RTO firings and how many fast retransmits,
+// and the clock once the kernel has run dry. Each depends on where every
+// RTO event sits in the (at, seq) order — the 1 ms floor fires the timer
+// spuriously thousands of times — so a change to how the timer is kept
+// that moved one event, or left one pending past the transfer, shows here.
+func TestLossyTransferPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		queue           int64
+		mtu             int
+		bytes           int64
+		cfg             Config
+		dur, srtt       time.Duration
+		end             sim.Time
+		rtx, rtos, fast int
+	}{
+		{"ethernet", 2 << 10, 1500, 2 << 20, Config{WindowBytes: 32 << 10, RTOMin: 10 * time.Millisecond},
+			843726080, 4353299, 843726080, 20, 6, 14},
+		{"ethernet-spurious-rto", 2 << 10, 1500, 2 << 20, Config{WindowBytes: 32 << 10, RTOMin: time.Millisecond},
+			3306100800, 459485, 3309768483, 2160, 2160, 0},
+		{"clip", 10 << 10, 9180, 2 << 20, Config{WindowBytes: 64 << 10, RTOMin: 10 * time.Millisecond},
+			559807360, 5936693, 559807360, 17, 0, 17},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, a, b := lossyPath(tc.queue, tc.mtu)
+			f, err := Start(n, a, b, tc.bytes, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := f.s
+			rtos, fast := 0, 0
+			for n.K.Step() {
+				if s.rtx > rtos+fast {
+					if s.retries > 0 {
+						rtos++
+					} else {
+						fast++
+					}
+				}
+			}
+			res, err := f.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			end := n.K.Now()
+			if res.Duration != tc.dur || res.SRTT != tc.srtt || end != tc.end ||
+				res.Retransmits != tc.rtx || rtos != tc.rtos || fast != tc.fast {
+				t.Errorf("got Duration %d SRTT %d end %d Retransmits %d (%d RTO, %d fast), want %d %d %d %d (%d RTO, %d fast)",
+					res.Duration, res.SRTT, end, res.Retransmits, rtos, fast, tc.dur, tc.srtt, tc.end, tc.rtx, tc.rtos, tc.fast)
+			}
+		})
+	}
+}
