@@ -1,39 +1,38 @@
-package core_test
+package core
 
 import (
 	"context"
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/tcpsim"
 )
 
 // The sweep-engine benchmarks: the same 8-point TCP sweep run on one
 // kernel vs. sharded across GOMAXPROCS kernels (the ratio of the two is
 // the number to read), plus an uneven grid through the work-stealing
-// queue. bench/'s core.shard_speedup_x row reads the same kind of
+// queue. bench/'s shard_speedup_x row reads the same kind of
 // ratio on its sim-sweep workload.
 
 // transferSweep builds an unregistered sweep whose points are
 // WS-Jülich -> WS-GMD TCP bulk transfers of bytes(i) bytes, each on its
 // shard's testbed — the shape of every throughput scenario in the paper.
-func transferSweep(name string, points int, bytes func(i int) int64) *core.Sweep {
+func transferSweep(name string, points int, bytes func(i int) int64) *Sweep {
 	vals := make([]any, points)
 	for i := range vals {
 		vals[i] = i
 	}
-	return core.NewSweep(name, "sweep-engine benchmark",
-		[]core.Axis{{Name: "point", Values: vals}},
-		func(ctx context.Context, tb *core.Testbed, opts core.Options, pt core.Point) (any, error) {
-			return tb.TCPTransfer(core.HostWSJuelich, core.HostWSGMD, bytes(pt.Index),
+	return NewSweep(name, "sweep-engine benchmark",
+		[]Axis{{Name: "point", Values: vals}},
+		func(ctx context.Context, tb *Testbed, opts Options, pt Point) (any, error) {
+			return tb.TCPTransfer(HostWSJuelich, HostWSGMD, bytes(pt.Index),
 				tcpsim.Config{WindowBytes: 4 << 20})
 		},
-		func(opts core.Options, results []any) (core.Report, error) {
-			rep := &core.Figure1Report{}
+		func(opts Options, results []any) (Report, error) {
+			rep := &Figure1Report{}
 			for i, r := range results {
 				res := r.(tcpsim.Result)
-				rep.Rows = append(rep.Rows, core.Figure1Row{
+				rep.Rows = append(rep.Rows, Figure1Row{
 					Path: fmt.Sprintf("point %d", i), Mbps: res.ThroughputBps / 1e6,
 				})
 			}
@@ -43,22 +42,22 @@ func transferSweep(name string, points int, bytes func(i int) int64) *core.Sweep
 
 // runSweep drives sw at the given shard count (0 = GOMAXPROCS) b.N
 // times and checks each merged report kept its shard timings.
-func runSweep(b *testing.B, sw *core.Sweep, shards int) {
+func runSweep(b *testing.B, sw *Sweep, shards int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := sw.Run(context.Background(), nil, core.NewOptions(core.WithShards(shards)))
+		rep, err := sw.Run(context.Background(), nil, NewOptions(WithShards(shards)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if sr, ok := rep.(core.ShardedReport); !ok || len(sr.ShardTimings()) == 0 {
+		if sr, ok := rep.(ShardedReport); !ok || len(sr.ShardTimings()) == 0 {
 			b.Fatal("sweep report lost its shard timings")
 		}
 	}
 }
 
 // evenSweep is 8 points of 16 MiB each.
-func evenSweep() *core.Sweep {
+func evenSweep() *Sweep {
 	return transferSweep("bench-sweep", 8, func(int) int64 { return 16 << 20 })
 }
 
@@ -85,4 +84,29 @@ func BenchmarkSweepWorkStealing(b *testing.B) {
 		return (24 << 20) / 10
 	})
 	runSweep(b, sw, 4)
+}
+
+// BenchmarkFigure1EthernetProbe runs figure-1's 1500-MTU probe (96 MiB
+// over WS-Jülich -> WS-GMD in 1460-byte segments) on a fresh OC-48
+// testbed per op: the most expensive thing the repository simulates,
+// and the one every per-packet cost of sim, netsim and tcpsim is paid
+// on. events/op is what the kernel fired and ns/event the price of one;
+// compare both sides with -count ≥ 6.
+func BenchmarkFigure1EthernetProbe(b *testing.B) {
+	p := f1probes[4]
+	if p.mtu != 1500 {
+		b.Fatalf("f1probes[4] is %q, not the 1500-MTU probe", p.path)
+	}
+	var events int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb := New(Config{})
+		if _, err := figure1Probe(tb, p); err != nil {
+			b.Fatal(err)
+		}
+		events += tb.K.Fired()
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }

@@ -41,7 +41,8 @@ func (RawFramer) WireSize(n int) int { return n }
 // Name implements Framer.
 func (RawFramer) Name() string { return "raw" }
 
-// Node is a host, gateway or switch in the network.
+// Node is a host, gateway or switch in the network. Set its costs
+// before traffic flows: relay costs are memoized per packet size.
 type Node struct {
 	ID   NodeID
 	Name string
@@ -69,6 +70,13 @@ type Node struct {
 	rxFree  sim.Time
 	fwdFree sim.Time
 	dropped int64
+
+	// relay memoizes relayCost for the last two packet sizes (a
+	// switch relays data and ACKs by turns); bytes -1 is an empty slot.
+	relay [2]struct {
+		bytes int
+		cost  time.Duration
+	}
 }
 
 // Iface is one direction-pair attachment of a node to a link.
@@ -87,11 +95,17 @@ type Iface struct {
 	// scheduled to send them. With q empty, (freeAt, freeSeq) is the
 	// reserved key of the link-free event of the last packet put on the
 	// wire, and the link is idle once that key has passed; freeSeq 0
-	// means nothing was ever sent. See transmitNext.
+	// means nothing was ever sent. See transmit.
 	freeAt   sim.Time
 	freeSeq  uint64
 	capBytes int64
 	drops    int64
+
+	// The wire size and serialization time of a txBytes-byte packet,
+	// kept for the next packet of that size; txBytes -1 is none yet.
+	txBytes int
+	txWire  int
+	txTime  time.Duration
 
 	// arrivals carries this direction's packets to the peer: a lane,
 	// since link arrivals are FIFO in time.
@@ -99,7 +113,8 @@ type Iface struct {
 }
 
 // Link joins two nodes. It is full duplex: each direction has its own
-// queue and serialization.
+// queue and serialization. Bps and Framer are fixed once traffic flows:
+// each direction memoizes its serialization time per packet size.
 type Link struct {
 	Name   string
 	Bps    float64       // payload-level serialization uses WireSize/Bps
@@ -211,18 +226,16 @@ type Network struct {
 	// schedule their own events on it too.
 	K     *sim.Kernel
 	nodes []*Node
-	seed  int64
 	pool  pktPool
 }
 
 // NewRand returns a deterministically seeded generator for one
 // stochastic stream (traffic generator, loss process, …). Distinct
-// stream values decorrelate components sharing a network; the same
-// (seed, stream) pair always yields the same sequence. With the
-// default zero seed the stream value alone determines the sequence,
-// which keeps historical traces byte-identical.
+// stream values decorrelate components sharing a network; the stream
+// value alone determines the sequence, which keeps historical traces
+// byte-identical.
 func (n *Network) NewRand(stream int64) *rand.Rand {
-	return rand.New(rand.NewSource(n.seed + stream))
+	return rand.New(rand.NewSource(stream))
 }
 
 // NewPacket returns a zeroed packet from the network's pool. The
@@ -252,6 +265,7 @@ func New(k *sim.Kernel) *Network {
 // it is returned.
 func (n *Network) AddNode(name string, opts ...func(*Node)) *Node {
 	nd := &Node{ID: NodeID(len(n.nodes)), Name: name, net: n}
+	nd.relay[0].bytes, nd.relay[1].bytes = -1, -1
 	for _, o := range opts {
 		o(nd)
 	}
@@ -291,8 +305,8 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 		panic(fmt.Sprintf("netsim: link %q has non-positive bandwidth", cfg.Name))
 	}
 	l := &Link{Name: cfg.Name, Bps: cfg.Bps, Delay: cfg.Delay, MTU: cfg.MTU, Framer: cfg.Framer}
-	ia := &Iface{node: a, link: l, capBytes: cfg.QueueBytes, arrivals: n.K.NewLane()}
-	ib := &Iface{node: b, link: l, capBytes: cfg.QueueBytes, arrivals: n.K.NewLane()}
+	ia := &Iface{node: a, link: l, capBytes: cfg.QueueBytes, txBytes: -1, arrivals: n.K.NewLane()}
+	ib := &Iface{node: b, link: l, capBytes: cfg.QueueBytes, txBytes: -1, arrivals: n.K.NewLane()}
 	ia.peer, ib.peer = ib, ia
 	l.a, l.b = ia, ib
 	a.ifaces = append(a.ifaces, ia)
@@ -404,11 +418,22 @@ func (n *Network) PathDelay(src, dst NodeID, bytes int) (time.Duration, error) {
 	return total, nil
 }
 
+// relayCost is the time nd's forwarding CPU spends on a bytes-byte
+// packet.
 func (nd *Node) relayCost(bytes int) time.Duration {
+	m := &nd.relay
+	switch bytes {
+	case m[0].bytes:
+		return m[0].cost
+	case m[1].bytes:
+		return m[1].cost
+	}
 	c := nd.ForwardCost
 	if nd.ForwardBps > 0 {
 		c += time.Duration(float64(bytes) * 8 / nd.ForwardBps * 1e9)
 	}
+	m[1] = m[0]
+	m[0].bytes, m[0].cost = bytes, c
 	return c
 }
 
@@ -422,7 +447,9 @@ func forwardStep(a0, a1 unsafe.Pointer) {
 
 func transmitStep(a0, _ unsafe.Pointer) {
 	ifc := (*Iface)(a0)
-	ifc.node.net.transmitNext(ifc)
+	p := ifc.q.Pop()
+	ifc.queued -= int64(p.Bytes)
+	ifc.node.net.transmit(ifc, p)
 }
 
 func arriveStep(a0, a1 unsafe.Pointer) {
@@ -439,23 +466,22 @@ func deliverStep(a0, a1 unsafe.Pointer) {
 func (n *Network) Send(p *Packet) {
 	src := n.nodes[p.Src]
 	k := n.K
-	if p.Src == p.Dst {
+	switch {
+	case p.Src == p.Dst:
 		// Loopback: deliver at the current instant.
-		k.AtFunc(k.Now(), deliverStep, unsafe.Pointer(src), unsafe.Pointer(p))
-		return
-	}
-	// Host injection serialization.
-	delay := time.Duration(0)
-	if src.HostBps > 0 {
+		k.Tail(deliverStep, unsafe.Pointer(src), unsafe.Pointer(p))
+	case src.HostBps == 0:
+		k.Tail(forwardStep, unsafe.Pointer(src), unsafe.Pointer(p))
+	default:
+		// Host injection serialization.
 		start := k.Now()
 		if src.txFree > start {
 			start = src.txFree
 		}
 		dur := time.Duration(float64(p.Bytes) * 8 / src.HostBps * 1e9)
 		src.txFree = start.Add(dur)
-		delay = src.txFree.Sub(k.Now())
+		k.AtFunc(src.txFree, forwardStep, unsafe.Pointer(src), unsafe.Pointer(p))
 	}
-	k.AfterFunc(delay, forwardStep, unsafe.Pointer(src), unsafe.Pointer(p))
 }
 
 // drop invokes the packet's drop callback and recycles it.
@@ -469,9 +495,10 @@ func (n *Network) drop(p *Packet) {
 	n.recycle(p)
 }
 
-// forward routes packet p out of node nd: into the egress queue, and
-// onto the wire at once if the link is idle — nothing is serializing,
-// or the reserved link-free key of the last packet sent has passed.
+// forward routes packet p out of node nd: onto the wire at once if the
+// link is idle — nothing waits or is serializing, or the reserved
+// link-free key of the last packet sent has passed — else into the
+// egress queue.
 func (n *Network) forward(nd *Node, p *Packet) {
 	idx := nd.routes[p.Dst]
 	if idx < 0 {
@@ -485,23 +512,21 @@ func (n *Network) forward(nd *Node, p *Packet) {
 		n.drop(p)
 		return
 	}
+	if ifc.q.Len() == 0 && (ifc.freeSeq == 0 || n.K.Passed(ifc.freeAt, ifc.freeSeq)) {
+		n.transmit(ifc, p)
+		return
+	}
 	ifc.q.Push(p)
 	ifc.queued += int64(p.Bytes)
-	switch {
-	case ifc.q.Len() > 1:
-		// Packets already waited: the link-free event that sends them
-		// is scheduled and will reach p.
-	case ifc.freeSeq != 0 && !n.K.Passed(ifc.freeAt, ifc.freeSeq):
+	if ifc.q.Len() == 1 {
 		// The packet on the wire is still serializing: its link-free
 		// event becomes real, under the key it has had all along, and
-		// will find p.
+		// will find p. (With packets already waiting, it is scheduled.)
 		n.K.Materialize(ifc.freeAt, ifc.freeSeq, transmitStep, unsafe.Pointer(ifc), nil)
-	default:
-		n.transmitNext(ifc)
 	}
 }
 
-// transmitNext serializes the head-of-line packet on ifc; the arrival
+// transmit serializes p, the head-of-line packet, on ifc; the arrival
 // rides ifc's lane to the peer.
 //
 // The link is free again after serialization. With packets queued
@@ -513,15 +538,16 @@ func (n *Network) forward(nd *Node, p *Packet) {
 // this point of the schedule, before the arrival's, so every event keeps
 // the (at, seq) it would have as a scheduled link-free event, and the
 // simulation its order.
-func (n *Network) transmitNext(ifc *Iface) {
-	p := ifc.q.Pop()
-	ifc.queued -= int64(p.Bytes)
-
+func (n *Network) transmit(ifc *Iface, p *Packet) {
 	l := ifc.link
 	k := n.K
-	wire := l.Framer.WireSize(p.Bytes)
-	txTime := time.Duration(float64(wire) * 8 / l.Bps * 1e9)
-	l.wireBytes += int64(wire)
+	if p.Bytes != ifc.txBytes {
+		ifc.txBytes = p.Bytes
+		ifc.txWire = l.Framer.WireSize(p.Bytes)
+		ifc.txTime = time.Duration(float64(ifc.txWire) * 8 / l.Bps * 1e9)
+	}
+	txTime := ifc.txTime
+	l.wireBytes += int64(ifc.txWire)
 	l.busyTime += txTime
 	if ifc.q.Len() > 0 {
 		k.AfterFunc(txTime, transmitStep, unsafe.Pointer(ifc), nil)
@@ -542,18 +568,20 @@ func (n *Network) arrive(nd *Node, p *Packet) {
 		return
 	}
 	if nd.ID == p.Dst {
-		// Host delivery drain.
-		delay := time.Duration(0)
-		if nd.HostBps > 0 {
-			start := k.Now()
-			if nd.rxFree > start {
-				start = nd.rxFree
-			}
-			dur := time.Duration(float64(p.Bytes) * 8 / nd.HostBps * 1e9)
-			nd.rxFree = start.Add(dur)
-			delay = nd.rxFree.Sub(k.Now())
+		if nd.HostBps == 0 {
+			// No drain: the delivery ends the arrival, under the key
+			// an event scheduled now would have had.
+			k.Tail(deliverStep, unsafe.Pointer(nd), unsafe.Pointer(p))
+			return
 		}
-		k.AfterFunc(delay, deliverStep, unsafe.Pointer(nd), unsafe.Pointer(p))
+		// Host delivery drain.
+		start := k.Now()
+		if nd.rxFree > start {
+			start = nd.rxFree
+		}
+		dur := time.Duration(float64(p.Bytes) * 8 / nd.HostBps * 1e9)
+		nd.rxFree = start.Add(dur)
+		k.AtFunc(nd.rxFree, deliverStep, unsafe.Pointer(nd), unsafe.Pointer(p))
 		return
 	}
 	// Relay: the forwarding CPU is a serial resource; packets queue

@@ -65,10 +65,8 @@ func (ct *CrossTraffic) Start(horizon time.Duration) {
 	if ct.rng == nil {
 		// Lazily seeded and kept across restarts, so Stop-then-Start
 		// continues one Poisson process instead of replaying the same
-		// gap sequence each phase. The generator is derived from the
-		// network (stream ct.Seed+7), so the network's seed reseeds
-		// every generator in one place; with the default zero network
-		// seed the sequence is byte-identical to the historical
+		// gap sequence each phase. The generator is the network's
+		// stream ct.Seed+7, byte-identical to the historical
 		// rand.NewSource(ct.Seed+7) behaviour.
 		ct.rng = ct.Net.NewRand(ct.Seed + 7)
 	}

@@ -11,17 +11,19 @@ import (
 // FuzzKernelOrder decodes the input into a program — schedules at
 // now+{0, 1, a pending event's time, small random}, cancels (events at
 // now included), lane pushes in and out of order, reserved keys that are
-// materialized or let pass, nested schedules from callbacks and
-// processes sleeping 0 or 1 ns, Step / Run / RunUntil, Stop, and
-// panicking callbacks followed by a resumed Run — and runs it
-// against Kernel and against refKernel, the heap kernel Kernel
-// replaced. The two transcripts must be identical: every callback and
+// materialized or let pass, tails (from callbacks, where they run as the
+// event's tail, from processes and from the top level), nested schedules
+// from callbacks and processes sleeping 0 or 1 ns, Step / Run /
+// RunUntil, Stop, and panicking callbacks followed by a resumed Run —
+// and runs it against Kernel and against refKernel, the heap kernel
+// Kernel replaced. The two transcripts must be identical: every callback and
 // process wake-up with its time, every panic, and after each operation
 // Now, Pending, NextEventTime, Fired, Procs and every handle's When and
 // Pending.
 //
-// The reference has no lanes or reserved keys, so it is given their
-// meaning: a lane push is an AtFunc, and a reserved key is a sentinel
+// The reference has no lanes, tails or reserved keys, so it is given
+// their meaning: a lane push and a tail are an AtFunc at their time (a
+// tail's is now), and a reserved key is a sentinel
 // event scheduled at Reserve time. The sentinel's firing is the truth
 // Passed is checked against; a materialized key turns it into the real
 // callback, and a key never materialized counts as fired on neither
@@ -30,31 +32,99 @@ import (
 // arrival follows its link-free key, so an unmaterialized sentinel is
 // never the last event a run fires and the clocks agree.
 //
-// The seed corpus in testdata/fuzz/FuzzKernelOrder (the smallest input
-// found for each of those features, plus a few long interleavings)
-// replays in every plain go test.
+// The seed corpus in testdata/fuzz/FuzzKernelOrder (small inputs for
+// each of those features, plus a few long interleavings) replays in
+// every plain go test. TestKernelOrderTailPaths decodes the tail inputs
+// and checks they reach the paths they are there for.
 func FuzzKernelOrder(f *testing.F) {
+	for _, p := range tailPrograms {
+		f.Add(p.in)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) > 512 {
 			in = in[:512] // keep one input's simulation small
 		}
-		want := runProgram(&refSys{k: newRefKernel()}, in)
-		got := runProgram(&newSys{k: NewKernel()}, in)
-		for i := 0; i < len(want) || i < len(got); i++ {
-			var w, g string
-			if i < len(want) {
-				w = want[i]
-			}
-			if i < len(got) {
-				g = got[i]
-			}
-			if w != g {
-				lo := max(0, i-8)
-				t.Fatalf("transcripts diverge at line %d:\nreference: %q\nkernel:    %q\ncontext (reference):\n%s",
-					i, w, g, strings.Join(want[lo:min(len(want), i+1)], "\n"))
-			}
-		}
+		checkProgram(t, in)
 	})
+}
+
+// checkProgram runs in against Kernel and refKernel, fails t where the
+// transcripts diverge, and returns the transcript.
+func checkProgram(t *testing.T, in []byte) []string {
+	want := runProgram(&refSys{k: newRefKernel()}, in)
+	got := runProgram(&newSys{k: NewKernel()}, in)
+	for i := 0; i < len(want) || i < len(got); i++ {
+		var w, g string
+		if i < len(want) {
+			w = want[i]
+		}
+		if i < len(got) {
+			g = got[i]
+		}
+		if w != g {
+			lo := max(0, i-8)
+			t.Fatalf("transcripts diverge at line %d:\nreference: %q\nkernel:    %q\ncontext (reference):\n%s",
+				i, w, g, strings.Join(want[lo:min(len(want), i+1)], "\n"))
+		}
+	}
+	return got
+}
+
+// tailPrograms are seed inputs for the tail paths, each with lines its
+// transcript must contain, in order, to show it took the path it is
+// named for. (Decoding: one byte per top-level opcode, modulo opCount;
+// a callback reads a count modulo 3 and that many opcodes modulo
+// opStep.)
+var tailPrograms = []struct {
+	name string
+	in   []byte
+	want []string
+}{
+	// Event 1 at 0 leaves a tail and returns; with event 2 pending at 5
+	// the tail runs at once, with the root vacant, and stops Run.
+	{"stop inside a tail-run callback",
+		[]byte{opAt, 0, opAt, 3, 5, opRun, 2, opTail, opObserve, 1, opStop, opRun, 0},
+		[]string{"fire 1 @0", "tail in event=true", "fire 3 @0", "run -> 0", "now=0 pending=1 next=5/true fired=2 procs=0", "fire 2 @5"}},
+	// Under RunUntil(4), event 1's tail runs and leaves a tail of its
+	// own, which runs too; event 2 at 9 stays pending.
+	{"tail-run under RunUntil",
+		[]byte{opAt, 0, opAt, 3, 9, opRunUntil, 3, 4, 1, opTail, 1, opTail, 0, opRunUntil, 0, opStep, 0},
+		[]string{"fire 1 @0", "tail in event=true", "fire 3 @0", "tail in event=true", "fire 4 @0", "runUntil -> 4", "now=4 pending=1 next=9/true fired=3 procs=0"}},
+	// Event 2, scheduled at 0 before event 1's tail, keeps its turn:
+	// with the root vacant it is among the root's children.
+	{"tail behind an earlier key at now",
+		[]byte{opAt, 0, opAt, 0, opRun, 1, opTail, 0, 0},
+		[]string{"fire 1 @0", "tail in event=true", "fire 2 @0", "fire 3 @0"}},
+	// Top-level tails: the first takes the slot, the second (slot taken)
+	// is an ordinary event, and Step fires them one at a time, in key
+	// order, before event 3 scheduled after them at the same time.
+	{"tails outside events",
+		[]byte{opTail, opTail, opAt, 0, opStep, 0, opStep, 0, opRun, 0},
+		[]string{"tail in event=false", "tail in event=false", "fire 1 @0", "step -> true", "fire 2 @0", "step -> true", "fire 3 @0"}},
+	// A process leaves a tail before it sleeps: the tail runs before the
+	// process's wake-up event at the same time.
+	{"tail from a process",
+		[]byte{opSpawn, 2, opRun, 1, opTail, 0, 0, 0, 0},
+		[]string{"proc 1.0 @0", "tail in event=true", "fire 2 @0", "proc 1.1 @0"}},
+}
+
+// TestKernelOrderTailPaths runs the tail seed inputs and checks each
+// transcript reaches what its input is there for.
+func TestKernelOrderTailPaths(t *testing.T) {
+	for _, p := range tailPrograms {
+		t.Run(p.name, func(t *testing.T) {
+			log := checkProgram(t, p.in)
+			i := 0
+			for _, line := range log {
+				if i < len(p.want) && line == p.want[i] {
+					i++
+				}
+			}
+			if i < len(p.want) {
+				t.Errorf("transcript lacks %q (in order):\n%s", p.want[i], strings.Join(log, "\n"))
+			}
+		})
+	}
 }
 
 // sys is what a program can do to a kernel; newSys and refSys implement
@@ -64,6 +134,7 @@ type sys interface {
 	at(t Time, fn func())
 	atFunc(t Time, fn func())
 	lane(i int, t Time, fn func())
+	tail(fn func())
 	cancel(h int)
 	handles() int
 	handle(h int) (Time, bool)
@@ -105,6 +176,7 @@ func (s *newSys) lane(i int, t Time, fn func()) {
 	}
 	s.lanes[i].AtFunc(t, callThunk, unsafe.Pointer(&fn), nil)
 }
+func (s *newSys) tail(fn func())            { s.k.Tail(callThunk, unsafe.Pointer(&fn), nil) }
 func (s *newSys) cancel(h int)              { s.k.Cancel(s.evs[h]) }
 func (s *newSys) handles() int              { return len(s.evs) }
 func (s *newSys) handle(h int) (Time, bool) { return s.evs[h].When(), s.evs[h].Pending() }
@@ -161,6 +233,9 @@ func (s *refSys) atFunc(t Time, fn func()) {
 }
 func (s *refSys) lane(_ int, t Time, fn func()) {
 	s.k.AtFunc(t, callThunk, unsafe.Pointer(&fn), nil)
+}
+func (s *refSys) tail(fn func()) {
+	s.k.AtFunc(s.k.Now(), callThunk, unsafe.Pointer(&fn), nil)
 }
 func (s *refSys) cancel(h int)              { s.k.Cancel(s.evs[h]) }
 func (s *refSys) handles() int              { return len(s.evs) }
@@ -242,6 +317,7 @@ const (
 	opPanic
 	opSpawn
 	opObserve
+	opTail
 	opStep
 	opRun
 	opRunUntil
@@ -397,6 +473,9 @@ func (m *program) op(op int) {
 		})
 	case opObserve:
 		m.observe(false)
+	case opTail:
+		m.logf("tail in event=%v", m.inEvent)
+		s.tail(m.callback())
 	case opStep:
 		m.logf("step -> %v", s.step())
 	case opRun:
@@ -416,11 +495,26 @@ func (ev Event) When() Time {
 }
 
 // NextEventTime reports the timestamp of the earliest pending event.
-// The second result is false when no events are pending.
+// The second result is false when no events are pending. It only looks:
+// a vacant root stays vacant (its least key is among the root's
+// children), so observing from inside a callback leaves the kernel on
+// the path it was on.
 func (k *Kernel) NextEventTime() (Time, bool) {
-	e := k.next()
-	if e == nil {
+	var least *entry
+	if k.tail.e != nil {
+		least = &k.tail
+	}
+	lo, hi := 0, min(1, len(k.heap))
+	if k.vacant {
+		lo, hi = 1, min(5, len(k.heap))
+	}
+	for j := lo; j < hi; j++ {
+		if least == nil || k.heap[j].less(least) {
+			least = &k.heap[j]
+		}
+	}
+	if least == nil {
 		return 0, false
 	}
-	return e.at, true
+	return least.at, true
 }

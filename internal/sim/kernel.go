@@ -14,12 +14,12 @@
 // order. The structures below decide only how much keeping that order
 // costs, never the order itself:
 //
-//   - The heap: an index-tracked 4-ary min-heap over a pooled freelist of
-//     event records. Scheduling, firing and cancelling perform no heap
-//     allocation and no interface boxing once the pool is warm; AtFunc
-//     carries two raw pointer arguments inside the record instead of a
-//     per-event closure. A record is exactly one cache line (64 bytes,
-//     size-asserted in the tests), so a sift touches two records per line.
+//   - The heap: an index-tracked 4-ary min-heap of inline keys. Each
+//     entry carries its event's (at, seq) next to the pointer to the
+//     pooled record, so a sift compares keys without loading a record.
+//     Scheduling, firing and cancelling perform no heap allocation and no
+//     interface boxing once the pool is warm; AtFunc carries two raw
+//     pointer arguments inside the record instead of a per-event closure.
 //   - The vacant root: Step leaves the fired event's root slot empty
 //     while its callback runs. The callback's first schedule fills the
 //     slot with one sift-down; only if nothing was scheduled does the last
@@ -28,13 +28,20 @@
 //   - Lanes: a Lane is a FIFO stream of closure-free callbacks whose times
 //     never decrease (netsim's arrivals over one link direction). Only its
 //     head sits in the heap, under that entry's own key; the rest wait in
-//     a ring, so the heap holds one record per busy lane instead of one per
-//     packet in flight.
+//     a ring whose slots are filled and drained in place, so the heap
+//     holds one record per busy lane instead of one per packet in flight.
 //   - Reserved keys: Reserve takes the seq an event scheduled now would
 //     get without scheduling anything, Passed reports whether that key's
 //     turn has come and gone, and Materialize schedules a callback under
 //     the key while it has not. An event that would only find nothing to
 //     do (netsim's "link free again" with an empty queue) need never exist.
+//   - The tail: Tail schedules a callback at now under the next seq into a
+//     one-slot side buffer instead of the heap. It fires like any event —
+//     it sets the clock and the current seq and counts in Fired — as soon
+//     as its key is the least pending one, which is at once when the
+//     event that scheduled it returns and nothing else is pending at now
+//     (netsim's delivery at the end of an arrival). It never enters the
+//     heap; a second Tail while the slot is taken is an ordinary event.
 //
 // The kernel underpins the network model (internal/netsim), the machine
 // cost models (internal/machine) and every experiment driver in this
@@ -97,15 +104,14 @@ func (t Time) String() string {
 
 // event is a pooled scheduled-callback record. Records are recycled
 // after they fire or are cancelled; gen disambiguates a recycled record
-// from the schedule a stale Event handle refers to.
+// from the schedule a stale Event handle refers to. The key that orders
+// the record lives in its heap entry; at is kept only for Event.When.
 //
-// The record is packed to one 64-byte cache line: the closure-free
-// arguments are raw pointers (one word each, not two-word interfaces),
-// so two records share a line in the 4-ary heap's touch pattern. The
-// tests assert the size with unsafe.Sizeof.
+// The record fits one 64-byte cache line: the closure-free arguments
+// are raw pointers (one word each, not two-word interfaces). The tests
+// assert the size with unsafe.Sizeof.
 type event struct {
 	at  Time
-	seq uint64
 	gen uint64
 	fn  func()
 	// fn2/a0/a1 are the closure-free callback form: fn2 is typically a
@@ -113,7 +119,20 @@ type event struct {
 	// callback knows the concrete types it scheduled).
 	fn2    func(a0, a1 unsafe.Pointer)
 	a0, a1 unsafe.Pointer
-	index  int32 // heap index, -1 while pooled or firing
+	index  int32 // heap index, -1 while pooled, firing or in the tail
+}
+
+// entry is one slot of the heap (and the tail): an event's key inline,
+// beside its record.
+type entry struct {
+	at  Time
+	seq uint64
+	e   *event
+}
+
+// less orders entries by key; keys are unique.
+func (a *entry) less(b *entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 // Event is a handle on a scheduled callback, returned by At/After and
@@ -139,8 +158,9 @@ type Kernel struct {
 	now      Time
 	seq      uint64
 	cur      uint64        // seq of the event firing now (the last fired)
-	heap     []*event      // 4-ary min-heap ordered by (at, seq)
+	heap     []entry       // 4-ary min-heap ordered by (at, seq)
 	vacant   bool          // heap[0] is the fired event's slot, not yet refilled
+	tail     entry         // the Tail slot; tail.e is nil when empty
 	laned    int           // lane entries waiting behind their lane's head
 	free     []*event      // recycled event records
 	ctl      chan struct{} // handshake: proc -> kernel (parked or exited)
@@ -181,25 +201,27 @@ func (k *Kernel) schedule(t Time, seq uint64) *event {
 	if t < k.now {
 		k.past(t)
 	}
-	var e *event
-	if n := len(k.free); n > 0 {
-		e = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-	} else {
-		e = &event{}
-	}
+	e := k.alloc()
 	e.at = t
-	e.seq = seq
 	if k.vacant {
 		k.vacant = false
-		k.heap[0] = e
-		k.siftDown(0)
+		k.siftDown(0, entry{t, seq, e})
 	} else {
-		k.heap = append(k.heap, e)
-		k.siftUp(len(k.heap) - 1)
+		k.heap = append(k.heap, entry{})
+		k.siftUp(len(k.heap)-1, entry{t, seq, e})
 	}
 	return e
+}
+
+// alloc takes an event record from the pool, or makes one.
+func (k *Kernel) alloc() *event {
+	if n := len(k.free); n > 0 {
+		e := k.free[n-1]
+		k.free[n-1] = nil
+		k.free = k.free[:n-1]
+		return e
+	}
+	return &event{}
 }
 
 // scheduleNext is schedule under the next seq, which is consumed only
@@ -313,34 +335,84 @@ func (k *Kernel) Cancel(ev Event) {
 	k.release(e)
 }
 
+// Tail schedules fn(a0, a1) at the current time under the next seq —
+// the key AtFunc(k.Now(), …) would give it — without a heap entry: it
+// waits in the kernel's tail slot and fires as soon as no pending key is
+// less than its own, normally the moment the scheduling event returns.
+// Use it for work that ends an event (netsim's delivery at the end of an
+// arrival). The callback cannot be cancelled; while the slot holds an
+// earlier Tail, this one is scheduled as an ordinary event.
+func (k *Kernel) Tail(fn func(a0, a1 unsafe.Pointer), a0, a1 unsafe.Pointer) {
+	if k.tail.e != nil {
+		k.AtFunc(k.now, fn, a0, a1)
+		return
+	}
+	e := k.alloc()
+	e.at = k.now
+	e.fn2 = fn
+	e.a0 = a0
+	e.a1 = a1
+	k.seq++
+	k.tail = entry{k.now, k.seq, e}
+}
+
 // Pending reports the number of events waiting to fire, lane entries
-// included.
+// and the tail included.
 func (k *Kernel) Pending() int {
 	n := len(k.heap) + k.laned
 	if k.vacant {
 		n--
 	}
+	if k.tail.e != nil {
+		n++
+	}
 	return n
 }
 
-// next returns the earliest pending event, refilling a vacant root
-// first, or nil when none is pending.
-func (k *Kernel) next() *event {
+// next returns the entry of the earliest pending event — the tail's or
+// the heap root's, refilling a vacant root first — or nil when none is
+// pending.
+func (k *Kernel) next() *entry {
+	if k.tail.e != nil && k.tailFirst() {
+		return &k.tail
+	}
 	if k.vacant {
 		k.refill()
 	}
 	if len(k.heap) == 0 {
 		return nil
 	}
-	return k.heap[0]
+	return &k.heap[0]
 }
 
-// fire runs e, the root next returned: the clock moves to its time and
-// the root slot stays vacant for the callback's first schedule.
-func (k *Kernel) fire(e *event) {
-	k.vacant = true
-	k.now = e.at
-	k.cur = e.seq
+// tailFirst reports whether the tail's key is less than every key in
+// the heap. With the root vacant the heap's least key is among the
+// root's children, so the root stays vacant for the tail's callback.
+func (k *Kernel) tailFirst() bool {
+	h := k.heap
+	if !k.vacant {
+		return len(h) == 0 || k.tail.less(&h[0])
+	}
+	for j := 1; j < len(h) && j <= 4; j++ {
+		if h[j].less(&k.tail) {
+			return false
+		}
+	}
+	return true
+}
+
+// fire runs the event of x, the entry next returned: the clock moves to
+// its time, and a heap root's slot stays vacant for the callback's first
+// schedule.
+func (k *Kernel) fire(x *entry) {
+	e := x.e
+	k.now = x.at
+	k.cur = x.seq
+	if x == &k.tail {
+		k.tail.e = nil
+	} else {
+		k.vacant = true
+	}
 	k.fired++
 	// Capture the callback, then recycle the record *before* running
 	// it, so the callback can schedule new events into the warm pool.
@@ -361,11 +433,11 @@ func (k *Kernel) fire(e *event) {
 // Step fires the single earliest pending event, advancing the clock to
 // its timestamp. It reports whether an event was fired.
 func (k *Kernel) Step() bool {
-	e := k.next()
-	if e == nil {
+	x := k.next()
+	if x == nil {
 		return false
 	}
-	k.fire(e)
+	k.fire(x)
 	return true
 }
 
@@ -375,11 +447,11 @@ func (k *Kernel) Run() Time {
 	k.stopped = false
 	k.running, k.bounded = true, false
 	for !k.stopped {
-		e := k.next()
-		if e == nil {
+		x := k.next()
+		if x == nil {
 			break
 		}
-		k.fire(e)
+		k.fire(x)
 	}
 	k.running = false
 	return k.now
@@ -391,11 +463,11 @@ func (k *Kernel) RunUntil(t Time) Time {
 	k.stopped = false
 	k.running, k.bounded, k.bound = true, true, t
 	for !k.stopped {
-		e := k.next()
-		if e == nil || e.at > t {
+		x := k.next()
+		if x == nil || x.at > t {
 			break
 		}
-		k.fire(e)
+		k.fire(x)
 	}
 	k.running, k.bounded = false, false
 	if k.now < t {
@@ -465,7 +537,8 @@ func (l *Lane) AtFunc(t Time, fn func(a0, a1 unsafe.Pointer), a0, a1 unsafe.Poin
 		k.seq++
 		k.laned++
 	}
-	l.q.Push(laneEntry{at: t, seq: k.seq, fn: fn, a0: a0, a1: a1})
+	ent := l.q.push()
+	ent.at, ent.seq, ent.fn, ent.a0, ent.a1 = t, k.seq, fn, a0, a1
 	l.last = t
 }
 
@@ -474,7 +547,9 @@ func (l *Lane) AtFunc(t Time, fn func(a0, a1 unsafe.Pointer), a0, a1 unsafe.Poin
 func laneStep(a0, _ unsafe.Pointer) {
 	l := (*Lane)(a0)
 	k := l.k
-	ent := l.q.Pop()
+	ent := l.q.front()
+	fn, b0, b1 := ent.fn, ent.a0, ent.a1
+	l.q.drop()
 	if l.q.Len() > 0 {
 		nx := l.q.front()
 		e := k.schedule(nx.at, nx.seq)
@@ -482,100 +557,86 @@ func laneStep(a0, _ unsafe.Pointer) {
 		e.a0 = a0
 		k.laned--
 	}
-	ent.fn(ent.a0, ent.a1)
+	fn(b0, b1)
 }
 
-// ---- 4-ary min-heap over *event, ordered by (at, seq) ----
+// ---- 4-ary min-heap of entries, ordered by (at, seq) ----
 //
 // A 4-ary heap halves the tree depth of the binary container/heap it
 // replaced (fewer cache lines touched per sift) and, being concrete,
-// avoids the any boxing of heap.Interface.
-
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
+// avoids the any boxing of heap.Interface. The sifts carry the moving
+// entry in a register and write each slot once, updating the record's
+// index beside it.
 
 // refill closes a root the fired event's callback left vacant: the last
-// element moves up and sifts down, as a plain pop would have done.
+// entry moves up and sifts down, as a plain pop would have done.
 func (k *Kernel) refill() {
 	k.vacant = false
 	h := k.heap
 	last := len(h) - 1
 	moved := h[last]
-	h[last] = nil
+	h[last] = entry{}
 	k.heap = h[:last]
 	if last > 0 {
-		h[0] = moved
-		k.siftDown(0)
+		k.siftDown(0, moved)
 	}
 }
 
-// remove deletes the event at heap index i, preserving heap order. The
+// remove deletes the entry at heap index i, preserving heap order. The
 // root must not be vacant.
 func (k *Kernel) remove(i int) {
 	h := k.heap
 	last := len(h) - 1
-	h[i].index = -1
+	h[i].e.index = -1
+	moved := h[last]
+	h[last] = entry{}
+	k.heap = h[:last]
 	if i != last {
-		moved := h[last]
-		h[i] = moved
-		h[last] = nil
-		k.heap = h[:last]
-		moved.index = int32(i)
-		k.siftDown(i)
-		k.siftUp(int(moved.index))
-	} else {
-		h[last] = nil
-		k.heap = h[:last]
+		k.siftDown(i, moved)
+		j := int(moved.e.index)
+		k.siftUp(j, k.heap[j])
 	}
 }
 
-func (k *Kernel) siftUp(i int) {
+// siftUp places x at slot i or above it.
+func (k *Kernel) siftUp(i int, x entry) {
 	h := k.heap
-	e := h[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		pe := h[p]
-		if !eventLess(e, pe) {
+		if !x.less(&h[p]) {
 			break
 		}
-		h[i] = pe
-		pe.index = int32(i)
+		h[i] = h[p]
+		h[i].e.index = int32(i)
 		i = p
 	}
-	h[i] = e
-	e.index = int32(i)
+	h[i] = x
+	x.e.index = int32(i)
 }
 
-func (k *Kernel) siftDown(i int) {
+// siftDown places x at slot i or below it. The least child's key is
+// kept in registers while the siblings are scanned.
+func (k *Kernel) siftDown(i int, x entry) {
 	h := k.heap
 	n := len(h)
-	e := h[i]
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		min, me := c, h[c]
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if eventLess(h[j], me) {
-				min, me = j, h[j]
+		m, at, seq := c, h[c].at, h[c].seq
+		for j := c + 1; j < min(c+4, n); j++ {
+			if y := &h[j]; y.at < at || y.at == at && y.seq < seq {
+				m, at, seq = j, y.at, y.seq
 			}
 		}
-		if !eventLess(me, e) {
+		if x.at < at || x.at == at && x.seq < seq {
 			break
 		}
-		h[i] = me
-		me.index = int32(i)
-		i = min
+		h[i] = h[m]
+		h[i].e.index = int32(i)
+		i = m
 	}
-	h[i] = e
-	e.index = int32(i)
+	h[i] = x
+	x.e.index = int32(i)
 }

@@ -120,17 +120,17 @@ func (k *Kernel) drive(p *Proc) {
 		}
 	}()
 	for k.driving == p {
-		var e *event
+		var x *entry
 		if !k.stopped {
-			e = k.next()
+			x = k.next()
 		}
-		if e == nil || (k.bounded && e.at > k.bound) {
+		if x == nil || (k.bounded && x.at > k.bound) {
 			k.driving = nil
 			k.ctl <- struct{}{}
 			<-p.wake
 			return
 		}
-		k.fire(e)
+		k.fire(x)
 	}
 }
 

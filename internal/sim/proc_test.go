@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 	"time"
-	"unsafe"
 )
 
 func TestProcSleep(t *testing.T) {
@@ -44,20 +43,6 @@ func TestProcInterleaving(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
-	}
-}
-
-func TestProcWaitUntil(t *testing.T) {
-	k := NewKernel()
-	var at Time
-	k.Go("w", func(p *Proc) {
-		p.WaitUntil(Time(5 * time.Second))
-		p.WaitUntil(Time(time.Second)) // already past: no-op
-		at = p.Now()
-	})
-	k.Run()
-	if at != Time(5*time.Second) {
-		t.Errorf("WaitUntil finished at %v, want 5s", at)
 	}
 }
 
@@ -106,14 +91,4 @@ func TestManyProcs(t *testing.T) {
 	if total != 200 {
 		t.Errorf("%d procs completed, want 200", total)
 	}
-}
-
-// WaitUntil blocks the process until virtual time t. Times in the past
-// behave like Sleep(0).
-func (p *Proc) WaitUntil(t Time) {
-	if t < p.k.now {
-		t = p.k.now
-	}
-	p.k.AtFunc(t, resumeProc, unsafe.Pointer(p), nil)
-	p.park()
 }

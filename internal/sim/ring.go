@@ -17,7 +17,12 @@ func (r *Ring[T]) Len() int { return r.n }
 func (r *Ring[T]) Cap() int { return len(r.buf) }
 
 // Push appends v at the tail, growing the ring when full.
-func (r *Ring[T]) Push(v T) {
+func (r *Ring[T]) Push(v T) { *r.push() = v }
+
+// push appends a slot at the tail, growing the ring when full, and
+// returns it for the caller to fill in place. The slot holds the zero
+// value.
+func (r *Ring[T]) push() *T {
 	if r.n == len(r.buf) {
 		grown := make([]T, max(8, 2*len(r.buf)))
 		for i := 0; i < r.n; i++ {
@@ -26,8 +31,9 @@ func (r *Ring[T]) Push(v T) {
 		r.buf = grown
 		r.head = 0
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	slot := &r.buf[(r.head+r.n)&(len(r.buf)-1)]
 	r.n++
+	return slot
 }
 
 // front returns the head-of-line slot; the ring must not be empty.
@@ -40,8 +46,15 @@ func (r *Ring[T]) Pop() T {
 		panic("sim: Pop of empty Ring")
 	}
 	v := r.buf[r.head]
-	r.buf[r.head] = *new(T) // do not pin popped values
+	r.drop()
+	return v
+}
+
+// drop removes the head-of-line slot, zeroing it so the ring does not
+// pin what it held; the ring must not be empty. Read the slot through
+// front first.
+func (r *Ring[T]) drop() {
+	r.buf[r.head] = *new(T)
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return v
 }

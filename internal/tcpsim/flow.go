@@ -92,11 +92,11 @@ func Start(n *netsim.Network, src, dst netsim.NodeID, nbytes int64, cfg Config) 
 	}
 	// The send-timestamp ring needs one slot per outstanding segment;
 	// the window admits at most WindowBytes/mss of them (plus one for
-	// the sub-MSS clamp), so size it once here and never touch a map
-	// or clear() on the data path again.
-	ringSize := cfg.WindowBytes/mss + 2
-	if ringSize < 4 {
-		ringSize = 4
+	// the sub-MSS clamp), so size it once here, to a power of two, and
+	// never touch a map or clear() on the data path again.
+	ringSize := 4
+	for ringSize < cfg.WindowBytes/mss+2 {
+		ringSize *= 2
 	}
 	s := getSender()
 	s.n, s.src, s.dst, s.cfg, s.total = n, src, dst, cfg, nbytes

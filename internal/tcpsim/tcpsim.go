@@ -85,16 +85,20 @@ type tsEntry struct {
 }
 
 // dataPath and ackPath give the sender two distinct netsim.Handler
-// identities without allocating per-packet closures: data segments
-// carry [Seq, Aux) = [seq, end), pure ACKs carry Seq = ackNo.
+// identities without allocating per-packet closures. A data segment
+// carries its first byte in Seq and its segment number in Aux (its end
+// is Seq plus the payload); a pure ACK carries the cumulative ACK in Seq
+// and the number of the segment starting there in Aux.
 type dataPath struct{ s *sender }
 
-func (h dataPath) HandleDeliver(p *netsim.Packet) { h.s.onDataArrive(p.Seq, p.Aux) }
-func (h dataPath) HandleDrop(*netsim.Packet)      {} // recovered by RTO
+func (h dataPath) HandleDeliver(p *netsim.Packet) {
+	h.s.onDataArrive(p.Seq, p.Seq+int64(p.Bytes-HeaderBytes), p.Aux)
+}
+func (h dataPath) HandleDrop(*netsim.Packet) {} // recovered by RTO
 
 type ackPath struct{ s *sender }
 
-func (h ackPath) HandleDeliver(p *netsim.Packet) { h.s.onAck(p.Seq) }
+func (h ackPath) HandleDeliver(p *netsim.Packet) { h.s.onAck(p.Seq, p.Aux) }
 func (h ackPath) HandleDrop(*netsim.Packet)      {} // cumulative ACKs are redundant
 
 type sender struct {
@@ -107,6 +111,9 @@ type sender struct {
 	ackSeq   int64 // cumulative bytes acknowledged (sender view)
 	rcvNext  int64 // highest contiguous byte received (receiver view)
 	nextSeq  int64 // next byte to send
+	ackSeg   int64 // segment numbers of ackSeq, rcvNext and nextSeq:
+	rcvSeg   int64 // segment i starts at byte i*mss; they travel in
+	nextSeg  int64 // the packets, so no one divides
 	cwnd     float64
 	ssthresh float64
 	dupAcks  int
@@ -115,17 +122,26 @@ type sender struct {
 
 	srtt   time.Duration
 	rttvar time.Duration
-	// sendTS rings over the outstanding window: the slot for a segment
-	// starting at seq is seq/mss modulo the ring size. Segments are
-	// always mss-aligned (cumulative ACKs land on segment boundaries,
-	// and go-back-N rewinds to one), so live slots never collide.
+	// sendTS rings over the outstanding window: a power-of-two ring in
+	// which segment number i has slot i&(len-1). Segments are always
+	// mss-aligned (cumulative ACKs land on segment boundaries, and
+	// go-back-N rewinds to one), so live slots never collide.
 	sendTS []tsEntry
 	tsGen  uint32
 
 	dataH dataPath
 	ackH  ackPath
 
-	rtoEv  sim.Event
+	// The retransmission timer is due at the key (rtoAt, rtoSeq) the
+	// last armRTO reserved. rtoEv is its one pending event, keyed
+	// (rtoEvAt, rtoEvSeq): that key or an earlier one an older armRTO
+	// took, in which case the event moves itself on when it fires.
+	rtoEv    sim.Event
+	rtoAt    sim.Time
+	rtoSeq   uint64
+	rtoEvAt  sim.Time
+	rtoEvSeq uint64
+
 	done   bool
 	start  sim.Time
 	finish sim.Time
@@ -181,80 +197,83 @@ func (s *sender) pump() {
 		return
 	}
 	for s.nextSeq < s.total && s.nextSeq-s.ackSeq+int64(s.mss) <= s.window() {
-		s.sendSegment(s.nextSeq)
+		s.sendSegment(s.nextSeq, s.nextSeg)
 		seg := int64(s.mss)
 		if s.nextSeq+seg > s.total {
 			seg = s.total - s.nextSeq
 		}
 		s.nextSeq += seg
+		s.nextSeg++
 	}
 	s.armRTO()
 }
 
-// recordSendTS stamps the transmission of the segment at seq. Every
-// retransmission goes through goBackN, which bumps tsGen, so a segment
-// is sent at most once per generation and the slot can be overwritten
-// unconditionally (stale occupants are either acked or invalidated).
-func (s *sender) recordSendTS(seq int64) {
-	e := &s.sendTS[(seq/int64(s.mss))%int64(len(s.sendTS))]
+// recordSendTS stamps the transmission of segment number seg, which
+// starts at seq. Every retransmission goes through goBackN, which bumps
+// tsGen, so a segment is sent at most once per generation and the slot
+// can be overwritten unconditionally (stale occupants are either acked
+// or invalidated).
+func (s *sender) recordSendTS(seq, seg int64) {
+	e := &s.sendTS[seg&int64(len(s.sendTS)-1)]
 	e.seq, e.gen, e.ts = seq, s.tsGen, s.n.K.Now()
 }
 
-// lookupSendTS reports the send time of the segment at seq, if it was
-// stamped in the current generation.
-func (s *sender) lookupSendTS(seq int64) (sim.Time, bool) {
-	e := &s.sendTS[(seq/int64(s.mss))%int64(len(s.sendTS))]
+// lookupSendTS reports the send time of segment number seg, which
+// starts at seq, if it was stamped in the current generation.
+func (s *sender) lookupSendTS(seq, seg int64) (sim.Time, bool) {
+	e := &s.sendTS[seg&int64(len(s.sendTS)-1)]
 	if e.seq == seq && e.gen == s.tsGen {
 		return e.ts, true
 	}
 	return 0, false
 }
 
-// sendSegment transmits the segment starting at seq.
-func (s *sender) sendSegment(seq int64) {
+// sendSegment transmits segment number seg, which starts at seq.
+func (s *sender) sendSegment(seq, seg int64) {
 	payload := int64(s.mss)
 	if seq+payload > s.total {
 		payload = s.total - seq
 	}
-	end := seq + payload
-	s.recordSendTS(seq)
+	s.recordSendTS(seq, seg)
 	pkt := s.n.NewPacket()
 	pkt.Src, pkt.Dst = s.src, s.dst
 	pkt.Bytes = int(payload) + HeaderBytes
-	pkt.Seq, pkt.Aux = seq, end
+	pkt.Seq, pkt.Aux = seq, seg
 	pkt.Handler = s.dataH
 	s.n.Send(pkt)
 }
 
-// onDataArrive runs at the receiver: generate a cumulative ACK.
-// The simulated network preserves per-path FIFO order, so the receiver
-// only needs the highest contiguous byte; holes appear solely through
-// drops, which go-back-N recovery fills by resending from ackSeq.
-func (s *sender) onDataArrive(seq, end int64) {
+// onDataArrive runs at the receiver for segment number seg, [seq, end):
+// generate a cumulative ACK. The simulated network preserves per-path
+// FIFO order, so the receiver only needs the highest contiguous byte;
+// holes appear solely through drops, which go-back-N recovery fills by
+// resending from ackSeq.
+func (s *sender) onDataArrive(seq, end, seg int64) {
 	if seq <= s.rcvNext && end > s.rcvNext {
-		s.rcvNext = end
+		s.rcvNext, s.rcvSeg = end, seg+1
 	}
 	// Running at dst: the ACK allocation must come from dst's pool.
 	ack := s.n.NewPacket()
 	ack.Src, ack.Dst = s.dst, s.src
 	ack.Bytes = AckBytes
-	ack.Seq = s.rcvNext
+	ack.Seq, ack.Aux = s.rcvNext, s.rcvSeg
 	ack.Handler = s.ackH
 	s.n.Send(ack)
 }
 
-// onAck runs at the sender.
-func (s *sender) onAck(ackNo int64) {
+// onAck runs at the sender for a cumulative ACK of ackNo, the start of
+// segment number ackSeg.
+func (s *sender) onAck(ackNo, ackSeg int64) {
 	if s.done || s.err != nil {
 		return
 	}
 	if ackNo > s.ackSeq {
 		// RTT sample from the oldest outstanding segment.
-		if ts, ok := s.lookupSendTS(s.ackSeq); ok {
+		if ts, ok := s.lookupSendTS(s.ackSeq, s.ackSeg); ok {
 			s.rttSample(s.n.K.Now().Sub(ts))
 		}
 		acked := ackNo - s.ackSeq
-		s.ackSeq = ackNo
+		s.ackSeq, s.ackSeg = ackNo, ackSeg
 		s.dupAcks = 0
 		s.retries = 0
 		// Congestion window growth.
@@ -286,7 +305,7 @@ func (s *sender) onAck(ackNo int64) {
 // retransmissions stamp fresh times (Karn-style: no samples across a
 // retransmit).
 func (s *sender) goBackN() {
-	s.nextSeq = s.ackSeq
+	s.nextSeq, s.nextSeg = s.ackSeq, s.ackSeg
 	s.tsGen++
 	s.pump()
 }
@@ -314,16 +333,44 @@ func (s *sender) rto() time.Duration {
 }
 
 // fireRTO is the closure-free RTO trampoline; the sender rides in the
-// event record.
-func fireRTO(a0, _ unsafe.Pointer) { (*sender)(a0).onRTO() }
+// event record. An event scheduled before the last armRTO fires early,
+// and only moves on to the timer's current key.
+func fireRTO(a0, _ unsafe.Pointer) {
+	s := (*sender)(a0)
+	if s.rtoEvSeq != s.rtoSeq {
+		s.scheduleRTO()
+		return
+	}
+	s.onRTO()
+}
 
+// armRTO restarts the retransmission timer at now + rto(), or stops it
+// with nothing outstanding. Restarting reserves the key an event
+// scheduled here would have and leaves the pending event where it is,
+// unless that is later than the new key: an ACK costs no heap operation.
 func (s *sender) armRTO() {
+	if s.done || s.ackSeq >= s.nextSeq {
+		s.stopRTO() // nothing outstanding
+		return
+	}
+	k := s.n.K
+	s.rtoAt, s.rtoSeq = k.Now().Add(s.rto()), k.Reserve()
+	if s.rtoEv.Pending() && s.rtoEvAt <= s.rtoAt {
+		return
+	}
+	k.Cancel(s.rtoEv)
+	s.scheduleRTO()
+}
+
+// scheduleRTO makes the timer's current key its pending event.
+func (s *sender) scheduleRTO() {
+	s.rtoEv = s.n.K.Materialize(s.rtoAt, s.rtoSeq, fireRTO, unsafe.Pointer(s), nil)
+	s.rtoEvAt, s.rtoEvSeq = s.rtoAt, s.rtoSeq
+}
+
+func (s *sender) stopRTO() {
 	s.n.K.Cancel(s.rtoEv)
 	s.rtoEv = sim.Event{}
-	if s.done || s.ackSeq >= s.nextSeq {
-		return // nothing outstanding
-	}
-	s.rtoEv = s.n.K.AfterFunc(s.rto(), fireRTO, unsafe.Pointer(s), nil)
 }
 
 func (s *sender) onRTO() {
@@ -345,8 +392,7 @@ func (s *sender) onRTO() {
 func (s *sender) complete() {
 	s.done = true
 	s.finish = s.n.K.Now()
-	s.n.K.Cancel(s.rtoEv)
-	s.rtoEv = sim.Event{}
+	s.stopRTO()
 }
 
 func maxf(a, b float64) float64 {
