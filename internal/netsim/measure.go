@@ -29,7 +29,8 @@ func Ping(n *Network, a, b NodeID, reqBytes, repBytes int) time.Duration {
 // the caller — a process on the network's single kernel — receives from
 // the channel to wait out the transfer. Nothing is retransmitted, so a
 // train whose last packet is dropped at a full queue never completes,
-// and neither does an empty one (nbytes <= 0 sends no packet).
+// and neither does an empty one (nbytes <= 0 sends no packet). The
+// packets come from the network's pool.
 func Train(n *Network, src, dst NodeID, nbytes int) *sim.Chan[struct{}] {
 	const mtu = 65536 - 40
 	remaining := nbytes
@@ -40,15 +41,24 @@ func Train(n *Network, src, dst NodeID, nbytes int) *sim.Chan[struct{}] {
 			sz = remaining
 		}
 		remaining -= sz
-		last := remaining == 0
-		n.Send(&Packet{
-			Src: src, Dst: dst, Bytes: sz + 40,
-			OnDeliver: func(*Packet) {
-				if last {
-					done.TrySend(struct{}{})
-				}
-			},
-		})
+		p := n.NewPacket()
+		p.Src, p.Dst, p.Bytes = src, dst, sz+40
+		if remaining == 0 {
+			p.Aux = 1 // the last packet
+		}
+		p.Handler = trainEnd{done}
+		n.Send(p)
 	}
 	return done
 }
+
+// trainEnd signals a train's channel when its last packet (Aux 1)
+// arrives.
+type trainEnd struct{ done *sim.Chan[struct{}] }
+
+func (h trainEnd) HandleDeliver(p *Packet) {
+	if p.Aux == 1 {
+		h.done.TrySend(struct{}{})
+	}
+}
+func (trainEnd) HandleDrop(*Packet) {}

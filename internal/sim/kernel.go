@@ -14,9 +14,10 @@
 // order. The structures below decide only how much keeping that order
 // costs, never the order itself:
 //
-//   - The heap: an index-tracked 4-ary min-heap of inline keys. Each
-//     entry carries its event's (at, seq) next to the pointer to the
-//     pooled record, so a sift compares keys without loading a record.
+//   - The heap: an index-tracked 4-ary min-heap of 16-byte entries. Each
+//     entry carries its event's time next to the pointer to the pooled
+//     record, so a sift compares times without loading a record; only
+//     equal times load the records' seqs.
 //     Scheduling, firing and cancelling perform no heap allocation and no
 //     interface boxing once the pool is warm; AtFunc carries two raw
 //     pointer arguments inside the record instead of a per-event closure.
@@ -27,21 +28,28 @@
 //     schedules its successor pays one sift instead of two.
 //   - Lanes: a Lane is a FIFO stream of closure-free callbacks whose times
 //     never decrease (netsim's arrivals over one link direction). Only its
-//     head sits in the heap, under that entry's own key; the rest wait in
-//     a ring whose slots are filled and drained in place, so the heap
-//     holds one record per busy lane instead of one per packet in flight.
+//     head sits in the heap, under that entry's own key and in a record
+//     the lane owns; the rest wait in a ring whose slots are filled and
+//     drained in place, so the heap holds one entry per busy lane instead
+//     of one per packet in flight.
 //   - Reserved keys: Reserve takes the seq an event scheduled now would
 //     get without scheduling anything, Passed reports whether that key's
 //     turn has come and gone, and Materialize schedules a callback under
 //     the key while it has not. An event that would only find nothing to
-//     do (netsim's "link free again" with an empty queue) need never exist.
+//     do (netsim's "link free again" with an empty queue) need never exist,
+//     and a timer re-armed often (tcpsim's retransmission timer, on every
+//     ACK) takes a key per arming but keeps one event, which moves on to
+//     the latest key when it fires early.
 //   - The tail: Tail schedules a callback at now under the next seq into a
 //     one-slot side buffer instead of the heap. It fires like any event —
 //     it sets the clock and the current seq and counts in Fired — as soon
 //     as its key is the least pending one, which is at once when the
 //     event that scheduled it returns and nothing else is pending at now
-//     (netsim's delivery at the end of an arrival). It never enters the
-//     heap; a second Tail while the slot is taken is an ordinary event.
+//     (netsim's delivery at the end of an arrival, and a send from a host
+//     with no injection cap). With the root vacant the tail is compared
+//     with the root's children, and the root stays vacant for the tail's
+//     callback. It never enters the heap; a second Tail while the slot is
+//     taken is an ordinary event.
 //
 // The kernel underpins the network model (internal/netsim), the machine
 // cost models (internal/machine) and every experiment driver in this
@@ -104,14 +112,14 @@ func (t Time) String() string {
 
 // event is a pooled scheduled-callback record. Records are recycled
 // after they fire or are cancelled; gen disambiguates a recycled record
-// from the schedule a stale Event handle refers to. The key that orders
-// the record lives in its heap entry; at is kept only for Event.When.
+// from the schedule a stale Event handle refers to.
 //
 // The record fits one 64-byte cache line: the closure-free arguments
 // are raw pointers (one word each, not two-word interfaces). The tests
 // assert the size with unsafe.Sizeof.
 type event struct {
 	at  Time
+	seq uint64
 	gen uint64
 	fn  func()
 	// fn2/a0/a1 are the closure-free callback form: fn2 is typically a
@@ -120,19 +128,19 @@ type event struct {
 	fn2    func(a0, a1 unsafe.Pointer)
 	a0, a1 unsafe.Pointer
 	index  int32 // heap index, -1 while pooled, firing or in the tail
+	lane   bool  // a Lane's own head record, never pooled
 }
 
-// entry is one slot of the heap (and the tail): an event's key inline,
-// beside its record.
+// entry is one slot of the heap (and the tail): an event's time inline,
+// beside its record, which holds the seq that breaks ties.
 type entry struct {
-	at  Time
-	seq uint64
-	e   *event
+	at Time
+	e  *event
 }
 
 // less orders entries by key; keys are unique.
 func (a *entry) less(b *entry) bool {
-	return a.at < b.at || a.at == b.at && a.seq < b.seq
+	return a.at < b.at || a.at == b.at && a.e.seq < b.e.seq
 }
 
 // Event is a handle on a scheduled callback, returned by At/After and
@@ -202,15 +210,20 @@ func (k *Kernel) schedule(t Time, seq uint64) *event {
 		k.past(t)
 	}
 	e := k.alloc()
-	e.at = t
+	k.insert(t, seq, e)
+	return e
+}
+
+// insert puts record e into the heap under the key (t, seq).
+func (k *Kernel) insert(t Time, seq uint64, e *event) {
+	e.at, e.seq = t, seq
 	if k.vacant {
 		k.vacant = false
-		k.siftDown(0, entry{t, seq, e})
+		k.siftDown(0, entry{t, e})
 	} else {
 		k.heap = append(k.heap, entry{})
-		k.siftUp(len(k.heap)-1, entry{t, seq, e})
+		k.siftUp(len(k.heap)-1, entry{t, e})
 	}
-	return e
 }
 
 // alloc takes an event record from the pool, or makes one.
@@ -353,7 +366,8 @@ func (k *Kernel) Tail(fn func(a0, a1 unsafe.Pointer), a0, a1 unsafe.Pointer) {
 	e.a0 = a0
 	e.a1 = a1
 	k.seq++
-	k.tail = entry{k.now, k.seq, e}
+	e.seq = k.seq
+	k.tail = entry{k.now, e}
 }
 
 // Pending reports the number of events waiting to fire, lane entries
@@ -407,7 +421,7 @@ func (k *Kernel) tailFirst() bool {
 func (k *Kernel) fire(x *entry) {
 	e := x.e
 	k.now = x.at
-	k.cur = x.seq
+	k.cur = e.seq
 	if x == &k.tail {
 		k.tail.e = nil
 	} else {
@@ -417,7 +431,9 @@ func (k *Kernel) fire(x *entry) {
 	// Capture the callback, then recycle the record *before* running
 	// it, so the callback can schedule new events into the warm pool.
 	fn, fn2, a0, a1 := e.fn, e.fn2, e.a0, e.a1
-	k.release(e)
+	if !e.lane {
+		k.release(e)
+	}
 	if fn != nil {
 		fn()
 	} else {
@@ -503,7 +519,8 @@ func (k *Kernel) Procs() int { return k.procs }
 type Lane struct {
 	k    *Kernel
 	q    Ring[laneEntry]
-	last Time // time of the newest entry, while q is non-empty
+	last Time  // time of the newest entry, while q is non-empty
+	head event // the record the head entry sits in the heap with
 }
 
 type laneEntry struct {
@@ -514,7 +531,11 @@ type laneEntry struct {
 }
 
 // NewLane returns an empty lane on k.
-func (k *Kernel) NewLane() *Lane { return &Lane{k: k} }
+func (k *Kernel) NewLane() *Lane {
+	l := &Lane{k: k}
+	l.head = event{fn2: laneStep, a0: unsafe.Pointer(l), index: -1, lane: true}
+	return l
+}
 
 // AtFunc schedules fn(a0, a1) at time t, with the same key and the same
 // firing point as Kernel.AtFunc. A t before the lane's newest entry
@@ -524,9 +545,11 @@ func (l *Lane) AtFunc(t Time, fn func(a0, a1 unsafe.Pointer), a0, a1 unsafe.Poin
 	k := l.k
 	switch {
 	case l.q.Len() == 0:
-		e := k.scheduleNext(t)
-		e.fn2 = laneStep
-		e.a0 = unsafe.Pointer(l)
+		if t < k.now {
+			k.past(t)
+		}
+		k.seq++
+		k.insert(t, k.seq, &l.head)
 	case t < l.last:
 		k.AtFunc(t, fn, a0, a1)
 		return
@@ -552,9 +575,7 @@ func laneStep(a0, _ unsafe.Pointer) {
 	l.q.drop()
 	if l.q.Len() > 0 {
 		nx := l.q.front()
-		e := k.schedule(nx.at, nx.seq)
-		e.fn2 = laneStep
-		e.a0 = a0
+		k.insert(nx.at, nx.seq, &l.head)
 		k.laned--
 	}
 	fn(b0, b1)
@@ -615,7 +636,7 @@ func (k *Kernel) siftUp(i int, x entry) {
 }
 
 // siftDown places x at slot i or below it. The least child's key is
-// kept in registers while the siblings are scanned.
+// kept in registers while its siblings are scanned.
 func (k *Kernel) siftDown(i int, x entry) {
 	h := k.heap
 	n := len(h)
@@ -624,13 +645,13 @@ func (k *Kernel) siftDown(i int, x entry) {
 		if c >= n {
 			break
 		}
-		m, at, seq := c, h[c].at, h[c].seq
+		m, at := c, h[c].at
 		for j := c + 1; j < min(c+4, n); j++ {
-			if y := &h[j]; y.at < at || y.at == at && y.seq < seq {
-				m, at, seq = j, y.at, y.seq
+			if y := &h[j]; y.at < at || y.at == at && y.e.seq < h[m].e.seq {
+				m, at = j, y.at
 			}
 		}
-		if x.at < at || x.at == at && x.seq < seq {
+		if x.at < at || x.at == at && x.e.seq < h[m].e.seq {
 			break
 		}
 		h[i] = h[m]

@@ -316,14 +316,16 @@ func TestMaterializePassedKeyPanics(t *testing.T) {
 	k.Run()
 }
 
-// The event record is the unit the 4-ary heap and the freelist shuffle
-// around; keeping it within one 64-byte cache line (two records per
-// line touched during sifts) is a measured property of the kernel, not
-// an accident. This pins it against field additions quietly pushing the
-// record to 80+ bytes again.
+// The heap shuffles 16-byte entries (four siblings to a cache line) and
+// the freelist whole records, which must stay within one 64-byte cache
+// line. Both are measured properties of the kernel, not accidents: this
+// pins them against field additions quietly growing either.
 func TestEventRecordFitsOneCacheLine(t *testing.T) {
 	if sz := unsafe.Sizeof(event{}); sz > 64 {
 		t.Errorf("sim.event is %d bytes, must stay <= 64 (one cache line)", sz)
+	}
+	if sz := unsafe.Sizeof(entry{}); sz != 16 {
+		t.Errorf("sim.entry is %d bytes, want 16 (a time and a pointer)", sz)
 	}
 }
 
