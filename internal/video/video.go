@@ -9,6 +9,7 @@ package video
 import (
 	"fmt"
 	"time"
+	"unsafe"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -70,51 +71,37 @@ func Stream(n *netsim.Network, src, dst netsim.NodeID, cfg StreamConfig) (Stream
 	pktsPerFrame := (FrameBytes + cfg.MTU - 1) / cfg.MTU
 	spacing := FrameInterval / time.Duration(pktsPerFrame)
 
-	type frameState struct {
-		received int
-		complete sim.Time
-	}
-	frames := make([]frameState, cfg.Frames)
-	var res StreamResult
-	res.Frames = cfg.Frames
-
+	st := &stream{n: n, src: src, dst: dst, perFrame: pktsPerFrame, frames: make([]frameState, cfg.Frames)}
+	pkts := make([]streamPacket, cfg.Frames*pktsPerFrame)
 	for f := 0; f < cfg.Frames; f++ {
-		f := f
 		for k := 0; k < pktsPerFrame; k++ {
-			size := cfg.MTU
+			sp := &pkts[f*pktsPerFrame+k]
+			sp.frame, sp.bytes = f, cfg.MTU
 			if k == pktsPerFrame-1 {
-				size = FrameBytes - (pktsPerFrame-1)*cfg.MTU
+				sp.bytes = FrameBytes - (pktsPerFrame-1)*cfg.MTU
 			}
 			at := sim.Time(f)*sim.Time(FrameInterval) + sim.Time(k)*sim.Time(spacing)
-			n.K.At(at, func() {
-				n.Send(&netsim.Packet{
-					Src: src, Dst: dst, Bytes: size,
-					OnDeliver: func(*netsim.Packet) {
-						st := &frames[f]
-						st.received++
-						if st.received == pktsPerFrame {
-							st.complete = n.K.Now()
-						}
-					},
-					OnDrop: func(*netsim.Packet) { res.LostPackets++ },
-				})
-			})
+			n.K.AtFunc(at, sendStreamPacket, unsafe.Pointer(st), unsafe.Pointer(sp))
 		}
 	}
 	n.Run()
 
+	var res StreamResult
+	res.Frames = cfg.Frames
+	res.LostPackets = st.lost
+
 	var sumDelay time.Duration
 	completed := 0
 	var prevComplete sim.Time
-	for f := range frames {
-		st := &frames[f]
+	for f := range st.frames {
+		fs := &st.frames[f]
 		gen := sim.Time(f+1) * sim.Time(FrameInterval) // frame fully generated
-		if st.received < pktsPerFrame {
+		if fs.received < pktsPerFrame {
 			res.Late++ // incomplete = unplayable
 			continue
 		}
 		completed++
-		delay := st.complete.Sub(gen)
+		delay := fs.complete.Sub(gen)
 		sumDelay += delay
 		if delay <= cfg.TargetDelay {
 			res.OnTime++
@@ -122,7 +109,7 @@ func Stream(n *netsim.Network, src, dst netsim.NodeID, cfg StreamConfig) (Stream
 			res.Late++
 		}
 		if completed > 1 {
-			gap := st.complete.Sub(prevComplete) - FrameInterval
+			gap := fs.complete.Sub(prevComplete) - FrameInterval
 			if gap < 0 {
 				gap = -gap
 			}
@@ -130,10 +117,49 @@ func Stream(n *netsim.Network, src, dst netsim.NodeID, cfg StreamConfig) (Stream
 				res.PeakJitter = gap
 			}
 		}
-		prevComplete = st.complete
+		prevComplete = fs.complete
 	}
 	if completed > 0 {
 		res.MeanDelay = sumDelay / time.Duration(completed)
 	}
 	return res, nil
 }
+
+// stream is one Stream run's state: the handler of its pooled packets,
+// each of which carries its frame number in Seq.
+type stream struct {
+	n        *netsim.Network
+	src, dst netsim.NodeID
+	perFrame int
+	frames   []frameState
+	lost     int
+}
+
+type frameState struct {
+	received int
+	complete sim.Time
+}
+
+// streamPacket is what one packet's send event needs to know.
+type streamPacket struct{ frame, bytes int }
+
+// sendStreamPacket is the closure-free send event of one packet: a0 is
+// the stream, a1 the packet's streamPacket.
+func sendStreamPacket(a0, a1 unsafe.Pointer) {
+	st, sp := (*stream)(a0), (*streamPacket)(a1)
+	p := st.n.NewPacket()
+	p.Src, p.Dst, p.Bytes = st.src, st.dst, sp.bytes
+	p.Seq = int64(sp.frame)
+	p.Handler = st
+	st.n.Send(p)
+}
+
+func (st *stream) HandleDeliver(p *netsim.Packet) {
+	fs := &st.frames[p.Seq]
+	fs.received++
+	if fs.received == st.perFrame {
+		fs.complete = st.n.K.Now()
+	}
+}
+
+func (st *stream) HandleDrop(*netsim.Packet) { st.lost++ }
