@@ -11,7 +11,7 @@ import (
 // The sweep-engine benchmarks: the same 8-point TCP sweep run on one
 // kernel vs. sharded across GOMAXPROCS kernels (the ratio of the two is
 // the number to read), plus an uneven grid through the work-stealing
-// queue. bench/'s shard_speedup_x row reads the same kind of
+// queue. bench/'s core.shard_speedup_x row reads the same kind of
 // ratio on its sim-sweep workload.
 
 // transferSweep builds an unregistered sweep whose points are

@@ -199,23 +199,19 @@ func NewKernel() *Kernel {
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// schedule takes an event record from the pool (or makes one), keys it
-// (t, seq) and inserts it into the heap: into the vacant root with one
-// sift-down when the event that just fired left it, else at the bottom
-// with a sift-up. Scheduling in the past panics: the caller has violated
-// causality. Callers set the callback fields afterwards; the heap orders
-// by key alone.
-func (k *Kernel) schedule(t Time, seq uint64) *event {
+// schedule keys record e — one from the pool when e is nil — (t, seq)
+// and inserts it into the heap: into the vacant root with one sift-down
+// when the event that just fired left it, else at the bottom with a
+// sift-up. Scheduling in the past panics: the caller has violated
+// causality. Callers set the callback fields afterwards; the heap
+// orders by key alone.
+func (k *Kernel) schedule(t Time, seq uint64, e *event) *event {
 	if t < k.now {
 		k.past(t)
 	}
-	e := k.alloc()
-	k.insert(t, seq, e)
-	return e
-}
-
-// insert puts record e into the heap under the key (t, seq).
-func (k *Kernel) insert(t Time, seq uint64, e *event) {
+	if e == nil {
+		e = k.alloc()
+	}
 	e.at, e.seq = t, seq
 	if k.vacant {
 		k.vacant = false
@@ -224,6 +220,7 @@ func (k *Kernel) insert(t Time, seq uint64, e *event) {
 		k.heap = append(k.heap, entry{})
 		k.siftUp(len(k.heap)-1, entry{t, e})
 	}
+	return e
 }
 
 // alloc takes an event record from the pool, or makes one.
@@ -237,10 +234,10 @@ func (k *Kernel) alloc() *event {
 	return &event{}
 }
 
-// scheduleNext is schedule under the next seq, which is consumed only
-// once the schedule is accepted.
+// scheduleNext schedules a record from the pool under the next seq,
+// which is consumed only once the schedule is accepted.
 func (k *Kernel) scheduleNext(t Time) *event {
-	e := k.schedule(t, k.seq+1)
+	e := k.schedule(t, k.seq+1, nil)
 	k.seq++
 	return e
 }
@@ -327,7 +324,7 @@ func (k *Kernel) Materialize(at Time, seq uint64, fn func(a0, a1 unsafe.Pointer)
 	if seq == 0 || seq > k.seq || k.Passed(at, seq) {
 		panic(fmt.Sprintf("sim: Materialize(%v, %d): key not reserved or already passed (now %v, seq %d)", at, seq, k.now, k.cur))
 	}
-	e := k.schedule(at, seq)
+	e := k.schedule(at, seq, nil)
 	e.fn2 = fn
 	e.a0 = a0
 	e.a1 = a1
@@ -545,11 +542,8 @@ func (l *Lane) AtFunc(t Time, fn func(a0, a1 unsafe.Pointer), a0, a1 unsafe.Poin
 	k := l.k
 	switch {
 	case l.q.Len() == 0:
-		if t < k.now {
-			k.past(t)
-		}
+		k.schedule(t, k.seq+1, &l.head)
 		k.seq++
-		k.insert(t, k.seq, &l.head)
 	case t < l.last:
 		k.AtFunc(t, fn, a0, a1)
 		return
@@ -575,7 +569,7 @@ func laneStep(a0, _ unsafe.Pointer) {
 	l.q.drop()
 	if l.q.Len() > 0 {
 		nx := l.q.front()
-		k.insert(nx.at, nx.seq, &l.head)
+		k.schedule(nx.at, nx.seq, &l.head)
 		k.laned--
 	}
 	fn(b0, b1)

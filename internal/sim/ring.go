@@ -24,16 +24,22 @@ func (r *Ring[T]) Push(v T) { *r.push() = v }
 // value.
 func (r *Ring[T]) push() *T {
 	if r.n == len(r.buf) {
-		grown := make([]T, max(8, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf = grown
-		r.head = 0
+		r.grow()
 	}
 	slot := &r.buf[(r.head+r.n)&(len(r.buf)-1)]
 	r.n++
 	return slot
+}
+
+// grow doubles the slot count (to at least 8), unwrapping the values to
+// the front.
+func (r *Ring[T]) grow() {
+	grown := make([]T, max(8, 2*len(r.buf)))
+	for i := 0; i < r.n; i++ {
+		grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf = grown
+	r.head = 0
 }
 
 // front returns the head-of-line slot; the ring must not be empty.
