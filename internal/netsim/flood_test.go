@@ -31,15 +31,17 @@ func Flood(n *Network, src, dst NodeID, pktBytes, count int) FloodResult {
 	for i := 0; i < count; i++ {
 		p := &Packet{
 			Src: src, Dst: dst, Bytes: pktBytes,
-			OnDeliver: func(p *Packet) {
-				if res.First < 0 {
-					res.First = n.K.Now()
-				}
-				res.Last = n.K.Now()
-				res.Delivered++
-				res.Bytes += int64(p.Bytes)
+			Handler: hooks{
+				deliver: func(p *Packet) {
+					if res.First < 0 {
+						res.First = n.K.Now()
+					}
+					res.Last = n.K.Now()
+					res.Delivered++
+					res.Bytes += int64(p.Bytes)
+				},
+				drop: func(*Packet) { res.Dropped++ },
 			},
-			OnDrop: func(*Packet) { res.Dropped++ },
 		}
 		n.Send(p)
 		res.Sent++

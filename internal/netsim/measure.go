@@ -11,17 +11,28 @@ import (
 // costs. It runs the kernel to completion.
 func Ping(n *Network, a, b NodeID, reqBytes, repBytes int) time.Duration {
 	start := n.K.Now()
-	var end sim.Time
-	req := &Packet{Src: a, Dst: b, Bytes: reqBytes}
-	req.OnDeliver = func(*Packet) {
-		rep := &Packet{Src: b, Dst: a, Bytes: repBytes}
-		rep.OnDeliver = func(*Packet) { end = n.K.Now() }
-		n.Send(rep)
-	}
-	n.Send(req)
+	h := &pinger{n: n, repBytes: repBytes}
+	n.Send(&Packet{Src: a, Dst: b, Bytes: reqBytes, Handler: h})
 	n.Run()
-	return end.Sub(start)
+	return h.end.Sub(start)
 }
+
+// pinger answers Ping's request (Aux 0) with the reply (Aux 1) and
+// stamps the reply's arrival.
+type pinger struct {
+	n        *Network
+	repBytes int
+	end      sim.Time
+}
+
+func (h *pinger) HandleDeliver(p *Packet) {
+	if p.Aux == 0 {
+		h.n.Send(&Packet{Src: p.Dst, Dst: p.Src, Bytes: h.repBytes, Aux: 1, Handler: h})
+		return
+	}
+	h.end = h.n.K.Now()
+}
+func (*pinger) HandleDrop(*Packet) {}
 
 // Train injects nbytes from src to dst as a back-to-back train of
 // maximum-size packets and returns a channel that receives one value at

@@ -159,11 +159,10 @@ type LinkConfig struct {
 	QueueBytes int64
 }
 
-// Handler receives delivery/drop callbacks for a packet without the
-// per-packet closures OnDeliver/OnDrop cost: one long-lived Handler
-// value (typically a pointer into the protocol's flow state) serves
-// every packet of a flow, with per-packet context carried in the
-// packet's Seq/Aux fields.
+// Handler receives a packet's delivery or drop callback. One
+// long-lived Handler value (typically a pointer into the protocol's flow
+// state) serves every packet of a flow, with per-packet context carried
+// in the packet's Seq/Aux fields, so sending costs no closure.
 type Handler interface {
 	// HandleDeliver fires (in kernel context) when the packet reaches
 	// Dst, after any host-rate drain.
@@ -188,12 +187,6 @@ type Packet struct {
 	Seq, Aux int64
 	// Handler, if non-nil, receives the delivery/drop callback.
 	Handler Handler
-	// OnDeliver fires (in kernel context) when the packet reaches
-	// Dst, after any host-rate drain.
-	OnDeliver func(*Packet)
-	// OnDrop fires if the packet is lost to a full queue, an
-	// unreachable destination or the hop limit.
-	OnDrop func(*Packet)
 
 	hops   int
 	pooled bool
@@ -486,9 +479,6 @@ func (n *Network) Send(p *Packet) {
 
 // drop invokes the packet's drop callback and recycles it.
 func (n *Network) drop(p *Packet) {
-	if p.OnDrop != nil {
-		p.OnDrop(p)
-	}
 	if p.Handler != nil {
 		p.Handler.HandleDrop(p)
 	}
@@ -595,9 +585,6 @@ func (n *Network) arrive(nd *Node, p *Packet) {
 }
 
 func (n *Network) deliver(nd *Node, p *Packet) {
-	if p.OnDeliver != nil {
-		p.OnDeliver(p)
-	}
 	if p.Handler != nil {
 		p.Handler.HandleDeliver(p)
 	}

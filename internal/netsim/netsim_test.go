@@ -8,6 +8,22 @@ import (
 	"repro/internal/sim"
 )
 
+// hooks is a Handler made of two funcs; a nil func ignores its
+// callback.
+type hooks struct{ deliver, drop func(*Packet) }
+
+func (h hooks) HandleDeliver(p *Packet) {
+	if h.deliver != nil {
+		h.deliver(p)
+	}
+}
+
+func (h hooks) HandleDrop(p *Packet) {
+	if h.drop != nil {
+		h.drop(p)
+	}
+}
+
 // twoHosts builds a -- b with the given link config and computed routes.
 func twoHosts(cfg LinkConfig) (*Network, *Node, *Node) {
 	k := sim.NewKernel()
@@ -24,7 +40,7 @@ func TestSinglePacketDelay(t *testing.T) {
 	var arrived sim.Time
 	n.K.At(0, func() {
 		n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 125000, // 1 ms serialization at 1 Gbit/s
-			OnDeliver: func(*Packet) { arrived = n.K.Now() }})
+			Handler: hooks{deliver: func(*Packet) { arrived = n.K.Now() }}})
 	})
 	n.K.Run()
 	want := sim.Time(2 * time.Millisecond) // 1 ms tx + 1 ms prop
@@ -42,7 +58,7 @@ func TestPathDelayMatchesSimulation(t *testing.T) {
 	var arrived sim.Time
 	n.K.At(0, func() {
 		n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 9180,
-			OnDeliver: func(*Packet) { arrived = n.K.Now() }})
+			Handler: hooks{deliver: func(*Packet) { arrived = n.K.Now() }}})
 	})
 	n.K.Run()
 	if got := arrived.Sub(0); got != analytic {
@@ -143,7 +159,7 @@ func TestRoutingMultiHop(t *testing.T) {
 	delivered := false
 	n.K.At(0, func() {
 		n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000,
-			OnDeliver: func(*Packet) { delivered = true }})
+			Handler: hooks{deliver: func(*Packet) { delivered = true }}})
 	})
 	n.K.Run()
 	if !delivered {
@@ -163,7 +179,7 @@ func TestUnreachable(t *testing.T) {
 	dropped := false
 	n.K.At(0, func() {
 		n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 100,
-			OnDrop: func(*Packet) { dropped = true }})
+			Handler: hooks{drop: func(*Packet) { dropped = true }}})
 	})
 	n.K.Run()
 	if !dropped {
@@ -176,7 +192,7 @@ func TestLoopbackDelivers(t *testing.T) {
 	got := false
 	n.K.At(0, func() {
 		n.Send(&Packet{Src: a.ID, Dst: a.ID, Bytes: 100,
-			OnDeliver: func(*Packet) { got = true }})
+			Handler: hooks{deliver: func(*Packet) { got = true }}})
 	})
 	n.K.Run()
 	if !got {
@@ -200,7 +216,7 @@ func TestFIFOOrderPreserved(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			i := i
 			n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000 + i,
-				OnDeliver: func(*Packet) { order = append(order, i) }})
+				Handler: hooks{deliver: func(*Packet) { order = append(order, i) }}})
 		}
 	})
 	n.K.Run()
@@ -250,7 +266,7 @@ func TestCrossTrafficAddsQueueingDelay(t *testing.T) {
 			sendAt := sim.Time(i) * sim.Time(10*time.Millisecond)
 			n.K.At(sendAt, func() {
 				n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000,
-					OnDeliver: func(*Packet) { sum += n.K.Now().Sub(sendAt) }})
+					Handler: hooks{deliver: func(*Packet) { sum += n.K.Now().Sub(sendAt) }}})
 			})
 		}
 		n.K.Run()
@@ -324,7 +340,7 @@ func TestLonePacketFiresNoLinkFreeEvents(t *testing.T) {
 	links := []*Link{n.Connect(a, r1, cfg), n.Connect(r1, r2, cfg), n.Connect(r2, b, cfg)}
 	n.ComputeRoutes()
 	var arrived sim.Time
-	n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000, OnDeliver: func(*Packet) { arrived = n.K.Now() }})
+	n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000, Handler: hooks{deliver: func(*Packet) { arrived = n.K.Now() }}})
 	end := n.Run()
 	if got := n.K.Fired(); got != 7 {
 		t.Errorf("lone packet fired %d events, want 7", got)
@@ -378,7 +394,7 @@ func TestForwardAtLinkFreeInstant(t *testing.T) {
 			n.Connect(a, b, cfg)
 			n.ComputeRoutes()
 			var second sim.Time
-			p2 := &Packet{Src: a.ID, Dst: b.ID, Bytes: bytes, OnDeliver: func(*Packet) { second = k.Now() }}
+			p2 := &Packet{Src: a.ID, Dst: b.ID, Bytes: bytes, Handler: hooks{deliver: func(*Packet) { second = k.Now() }}}
 			wantFired := int64(6) // forward, arrival, deliver x2
 			if c.linkFree == 1 {
 				// A host-rate cap equal to the link rate schedules both
@@ -420,4 +436,63 @@ func TestBadLinkPanics(t *testing.T) {
 		}
 	}()
 	n.Connect(a, b, LinkConfig{})
+}
+
+// cellFramer frames a packet into whole 53-byte cells of 48 payload
+// bytes after an 8-byte trailer, so wire size is not packet size.
+type cellFramer struct{}
+
+func (cellFramer) WireSize(n int) int { return (n + 8 + 47) / 48 * 53 }
+func (cellFramer) Name() string       { return "cells" }
+
+// Each interface keeps the serialization time of the last packet size
+// it sent, and each node the relay costs of the last two sizes it
+// relayed. Packets whose sizes alternate and change — data and ACKs
+// through one gateway, then a size that evicts both — must each cost
+// what the link's and the gateway's fields give afresh.
+func TestMemoizedCostsFollowPacketSize(t *testing.T) {
+	n := New(sim.NewKernel())
+	a := n.AddNode("a")
+	gw := n.AddNode("gw", WithForwardCost(7*time.Microsecond, 310e6))
+	b := n.AddNode("b")
+	cfg := LinkConfig{Bps: 135.6e6, Delay: 50 * time.Microsecond, MTU: 9180, Framer: cellFramer{}}
+	links := []*Link{n.Connect(a, gw, cfg), n.Connect(gw, b, cfg)}
+	n.ComputeRoutes()
+
+	type send struct {
+		src, dst NodeID
+		bytes    int
+	}
+	sends := []send{
+		{a.ID, b.ID, 9180}, {b.ID, a.ID, 40}, {a.ID, b.ID, 9180}, {b.ID, a.ID, 40},
+		{a.ID, b.ID, 1500}, {a.ID, b.ID, 40}, {b.ID, a.ID, 9180}, {a.ID, b.ID, 1500},
+		{b.ID, a.ID, 1500}, {a.ID, b.ID, 576},
+	}
+	ser := func(bytes int) time.Duration {
+		return time.Duration(float64(cfg.Framer.WireSize(bytes)) * 8 / cfg.Bps * 1e9)
+	}
+	var wantWire int64
+	delivered := 0
+	for i, s := range sends {
+		at := sim.Time(time.Duration(i) * 10 * time.Millisecond) // no queueing
+		want := 2*(ser(s.bytes)+cfg.Delay) + gw.ForwardCost + time.Duration(float64(s.bytes)*8/gw.ForwardBps*1e9)
+		wantWire += int64(cfg.Framer.WireSize(s.bytes))
+		n.K.At(at, func() {
+			n.Send(&Packet{Src: s.src, Dst: s.dst, Bytes: s.bytes, Handler: hooks{deliver: func(*Packet) {
+				delivered++
+				if got := n.K.Now().Sub(at); got != want {
+					t.Errorf("send %d (%d bytes): took %v, want %v", i, s.bytes, got, want)
+				}
+			}}})
+		})
+	}
+	n.Run()
+	if delivered != len(sends) {
+		t.Errorf("%d of %d packets delivered", delivered, len(sends))
+	}
+	for _, l := range links {
+		if got := l.WireBytes(); got != wantWire {
+			t.Errorf("%s: WireBytes = %d, want %d", l.Name, got, wantWire)
+		}
+	}
 }

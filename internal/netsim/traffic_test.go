@@ -160,7 +160,7 @@ func TestDeepQueueFIFOAcrossWraparound(t *testing.T) {
 				k := seq
 				seq++
 				n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 10000,
-					OnDeliver: func(*Packet) { order = append(order, k) }})
+					Handler: hooks{deliver: func(*Packet) { order = append(order, k) }}})
 			}
 		})
 	}

@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -34,23 +38,23 @@ import (
 //
 // The seed corpus in testdata/fuzz/FuzzKernelOrder (small inputs for
 // each of those features, plus a few long interleavings) replays in
-// every plain go test. TestKernelOrderTailPaths decodes the tail inputs
-// and checks they reach the paths they are there for.
+// every plain go test. TestKernelOrderCorpusPrograms pins the program
+// each corpus file decodes to; TestKernelOrderTailPaths decodes the tail
+// inputs and checks they reach the paths they are there for.
 func FuzzKernelOrder(f *testing.F) {
 	for _, p := range tailPrograms {
 		f.Add(p.in)
 	}
-	f.Fuzz(func(t *testing.T, in []byte) {
-		if len(in) > 512 {
-			in = in[:512] // keep one input's simulation small
-		}
-		checkProgram(t, in)
-	})
+	f.Fuzz(func(t *testing.T, in []byte) { checkProgram(t, in) })
 }
 
-// checkProgram runs in against Kernel and refKernel, fails t where the
+// checkProgram runs in (its first 512 bytes, to keep one input's
+// simulation small) against Kernel and refKernel, fails t where the
 // transcripts diverge, and returns the transcript.
 func checkProgram(t *testing.T, in []byte) []string {
+	if len(in) > 512 {
+		in = in[:512]
+	}
 	want := runProgram(&refSys{k: newRefKernel()}, in)
 	got := runProgram(&newSys{k: NewKernel()}, in)
 	for i := 0; i < len(want) || i < len(got); i++ {
@@ -68,6 +72,57 @@ func checkProgram(t *testing.T, in []byte) []string {
 		}
 	}
 	return got
+}
+
+// corpusDigests pins what each file in testdata/fuzz/FuzzKernelOrder
+// decodes to: the first 8 bytes of the SHA-256 of its transcript, lines
+// joined by newlines. Inputs decode by opcode number, so adding,
+// removing or reordering an op turns every file into a different
+// program. Then re-encode the files — map each byte read as an opcode to
+// its op's new number and leave argument bytes as they are — until these
+// digests hold again; re-pin only when the transcript's wording changes.
+var corpusDigests = map[string]string{
+	"01cfd22da1e5f435": "769327c083aa740b",
+	"1a4e68df771f31f5": "10536d733c097033",
+	"1c430ba2b87d5566": "7d37b6c2ba1a1943",
+	"29c30fb48b1850c7": "10171ca49fcb7180",
+	"55cc57e8de6f7821": "4a2a8869fe66fa65",
+	"6f1246c0f3087d8f": "4fd67750e99d1582",
+	"7031d1c1e7c91700": "f864804721c07ae1",
+	"74a8cd2b6826b7ec": "6c73fc724fc2a5dd",
+	"78d8cccdaa07ed64": "145913e01ff23339",
+	"79e9c8a2bdae1591": "e7be46696c0db227",
+	"7a9cc305730c9d15": "6ce446553769713b",
+	"9c893777906471c3": "be0757e4b6643191",
+	"c1e7b1cdb8964c34": "0b8790798a1ec357",
+	"ca3385c17f69bf32": "1a8920efb8b98c63",
+	"d28ecd184ca6ebd4": "db0ba58c04b9d862",
+	"d4e9b5645a123c85": "e08b258015e99371",
+	"e5187035e80721f1": "4ef41c71352929f0",
+	"f35e37c0e30ffd2e": "4dc79ed7481bc8ad",
+	"f6b68f42eaeb833d": "158c8f242a428e98",
+}
+
+// TestKernelOrderCorpusPrograms checks every corpus file still decodes
+// to the program it was added as.
+func TestKernelOrderCorpusPrograms(t *testing.T) {
+	for name, want := range corpusDigests {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzKernelOrder", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The file is "go test fuzz v1" and one []byte("...") line.
+		_, arg, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		arg, ok := strings.CutPrefix(arg, "[]byte(")
+		in, err := strconv.Unquote(strings.TrimSuffix(arg, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a one-[]byte corpus file: %q", name, raw)
+		}
+		sum := sha256.Sum256([]byte(strings.Join(checkProgram(t, []byte(in)), "\n")))
+		if got := fmt.Sprintf("%x", sum[:8]); got != want {
+			t.Errorf("%s decodes to a different program: transcript digest %s, want %s", name, got, want)
+		}
+	}
 }
 
 // tailPrograms are seed inputs for the tail paths, each with lines its
