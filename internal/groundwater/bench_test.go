@@ -25,3 +25,25 @@ func BenchmarkSolveFlow(b *testing.B) {
 		benchField = f
 	}
 }
+
+var benchDot float64
+
+// BenchmarkStencilApply: one application of the assembled operator on
+// the scenario's grid, the body of every CG iteration; ns/cell is per
+// unknown.
+func BenchmarkStencilApply(b *testing.B) {
+	st, err := assemble(scenarioFlow())
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := len(st.faces)
+	src, dst := make([]float64, n), make([]float64, n)
+	for i := range src {
+		src[i] = float64(i%17) - 8
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchDot = st.apply(dst, src)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/cell")
+}

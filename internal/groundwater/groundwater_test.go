@@ -1,11 +1,13 @@
 package groundwater
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/linalg"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -330,12 +332,129 @@ func TestAssembledOperatorMatchesReferenceBitForBit(t *testing.T) {
 			for i := range src {
 				src[i] = rng.NormFloat64() * 10
 			}
-			st.apply(got, src)
+			dot := st.apply(got, src)
 			ref(want, src)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("grid %v trial %d: dst[%d] = %x, reference %x", g, trial, i,
 						math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+			var wantDot float64
+			for i := range src {
+				wantDot += src[i] * want[i]
+			}
+			if math.Float64bits(dot) != math.Float64bits(wantDot) {
+				t.Fatalf("grid %v trial %d: apply returned src·dst = %x, sequential sum %x", g, trial,
+					math.Float64bits(dot), math.Float64bits(wantDot))
+			}
+		}
+	}
+}
+
+// referenceCG is linalg.CG as it was before its updates and dot
+// products were fused into the operator and one update pass, kept
+// verbatim (less its scratch reuse), as linalg's own tests keep it.
+func referenceCG(a func(dst, src []float64), x, b []float64, tol float64, maxIter int) (linalg.CGResult, error) {
+	n := len(b)
+	if len(x) != n {
+		return linalg.CGResult{}, fmt.Errorf("linalg: CG dim mismatch x=%d b=%d", len(x), n)
+	}
+	if tol <= 0 {
+		tol = 1e-10
+	}
+	if maxIter <= 0 {
+		maxIter = 10 * n
+	}
+	bnorm := linalg.Norm2(b)
+	if bnorm == 0 {
+		for i := range x {
+			x[i] = 0
+		}
+		return linalg.CGResult{Converged: true}, nil
+	}
+	r := make([]float64, n)
+	ax := make([]float64, n)
+	a(ax, x)
+	for i := range r {
+		r[i] = b[i] - ax[i]
+	}
+	p := make([]float64, n)
+	copy(p, r)
+	ap := make([]float64, n)
+	rs := linalg.Dot(r, r)
+	var it int
+	for it = 0; it < maxIter; it++ {
+		if math.Sqrt(rs)/bnorm < tol {
+			return linalg.CGResult{Iterations: it, Residual: math.Sqrt(rs) / bnorm, Converged: true}, nil
+		}
+		a(ap, p)
+		pap := linalg.Dot(p, ap)
+		if pap <= 0 {
+			return linalg.CGResult{Iterations: it, Residual: math.Sqrt(rs) / bnorm},
+				fmt.Errorf("linalg: CG operator not positive definite (pAp=%g)", pap)
+		}
+		alpha := rs / pap
+		linalg.Axpy(alpha, p, x)
+		linalg.Axpy(-alpha, ap, r)
+		rsNew := linalg.Dot(r, r)
+		beta := rsNew / rs
+		for i := range p {
+			p[i] = r[i] + beta*p[i]
+		}
+		rs = rsNew
+	}
+	return linalg.CGResult{Iterations: it, Residual: math.Sqrt(rs) / bnorm, Converged: math.Sqrt(rs)/bnorm < tol}, nil
+}
+
+// The scenario's flow, solved the way it was before the stencil was
+// assembled and CG fused (the matrix-free reference operator, the
+// unfused CG, fresh vectors), must give st.solve's heads bit for bit
+// and its iteration count, for a first solve and for a drifted one on
+// the same stencil.
+func TestSolveMatchesReferenceCGBitForBit(t *testing.T) {
+	cfg := scenarioFlow()
+	st, err := assemble(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceOperator(cfg)
+	nx, ny, nz, inx := cfg.NX, cfg.NY, cfg.NZ, cfg.NX-2
+	n := inx * ny * nz
+	for step, headLeft := range []float64{cfg.HeadLeft, cfg.HeadLeft + 0.2} {
+		got, err := st.solve(headLeft, cfg.HeadRight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The reference right-hand side and initial guess.
+		uidx := func(x, y, z int) int { return (x - 1) + inx*(y+ny*z) }
+		b, h := make([]float64, n), make([]float64, n)
+		for z := 0; z < nz; z++ {
+			for y := 0; y < ny; y++ {
+				c := nx * (y + ny*z)
+				b[uidx(1, y, z)] += harmonic(cfg.K[c+1], cfg.K[c]) * cfg.Dx * headLeft
+				b[uidx(nx-2, y, z)] += harmonic(cfg.K[c+nx-2], cfg.K[c+nx-1]) * cfg.Dx * cfg.HeadRight
+				for x := 1; x < nx-1; x++ {
+					f := float64(x) / float64(nx-1)
+					h[uidx(x, y, z)] = headLeft + f*(cfg.HeadRight-headLeft)
+				}
+			}
+		}
+		res, err := referenceCG(ref, h, b, 1e-10, 40*n)
+		if err != nil || !res.Converged {
+			t.Fatalf("step %d: reference CG %+v, %v", step, res, err)
+		}
+		if got.CGIterations != res.Iterations {
+			t.Fatalf("step %d: %d CG iterations, reference %d", step, got.CGIterations, res.Iterations)
+		}
+		for z := 0; z < nz; z++ {
+			for y := 0; y < ny; y++ {
+				for x := 1; x < nx-1; x++ {
+					g, w := got.Head[got.Idx(x, y, z)], h[uidx(x, y, z)]
+					if math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("step %d: head(%d,%d,%d) = %x, reference %x", step, x, y, z,
+							math.Float64bits(g), math.Float64bits(w))
+					}
 				}
 			}
 		}
@@ -372,6 +491,56 @@ func TestStencilReuseEqualsFreshSolves(t *testing.T) {
 			}
 		}
 		cfg.HeadLeft += 0.2
+	}
+}
+
+// referenceTrilinear is how Velocity sampled each component before the
+// three shared one set of corners, kept verbatim: the floor, the clamps
+// and the eight indices once per component.
+func referenceTrilinear(data []float64, nx, ny, nz int, x, y, z float64) float64 {
+	x0, y0, z0 := int(math.Floor(x)), int(math.Floor(y)), int(math.Floor(z))
+	fx, fy, fz := x-float64(x0), y-float64(y0), z-float64(z0)
+	cl := func(i, n int) int {
+		if i < 0 {
+			return 0
+		}
+		if i >= n {
+			return n - 1
+		}
+		return i
+	}
+	at := func(x, y, z int) float64 { return data[cl(x, nx)+nx*(cl(y, ny)+ny*cl(z, nz))] }
+	c00 := at(x0, y0, z0)*(1-fx) + at(x0+1, y0, z0)*fx
+	c10 := at(x0, y0+1, z0)*(1-fx) + at(x0+1, y0+1, z0)*fx
+	c01 := at(x0, y0, z0+1)*(1-fx) + at(x0+1, y0, z0+1)*fx
+	c11 := at(x0, y0+1, z0+1)*(1-fx) + at(x0+1, y0+1, z0+1)*fx
+	c0 := c00*(1-fy) + c10*fy
+	c1 := c01*(1-fy) + c11*fy
+	return c0*(1-fz) + c1*fz
+}
+
+// Velocity must give the reference's bits for every component, inside
+// the grid and past each edge, where the corners clamp.
+func TestVelocityMatchesReferenceBitForBit(t *testing.T) {
+	f, err := SolveFlow(scenarioFlow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 5000; trial++ {
+		x := rng.Float64()*float64(f.NX+2) - 1
+		y := rng.Float64()*float64(f.NY+2) - 1
+		z := rng.Float64()*float64(f.NZ+2) - 1
+		vx, vy, vz := f.Velocity(x, y, z)
+		for _, c := range []struct {
+			got  float64
+			data []float64
+		}{{vx, f.VX}, {vy, f.VY}, {vz, f.VZ}} {
+			want := referenceTrilinear(c.data, f.NX, f.NY, f.NZ, x, y, z)
+			if math.Float64bits(c.got) != math.Float64bits(want) {
+				t.Fatalf("Velocity(%v, %v, %v) = %v, reference %v", x, y, z, c.got, want)
+			}
+		}
 	}
 }
 

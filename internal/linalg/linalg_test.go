@@ -1,10 +1,10 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -79,85 +79,6 @@ func TestVectorHelpers(t *testing.T) {
 	}
 	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
 		t.Error("Dot")
-	}
-}
-
-func TestQRSolvesExactSystem(t *testing.T) {
-	a := FromRows([][]float64{{2, 1}, {1, 3}, {0, 1}})
-	xTrue := []float64{1.5, -2}
-	b := a.MulVec(xTrue)
-	x, err := LstSq(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if MaxAbsDiff(x, xTrue) > 1e-12 {
-		t.Errorf("x = %v, want %v", x, xTrue)
-	}
-}
-
-func TestQRLeastSquaresResidualOrthogonal(t *testing.T) {
-	// Least-squares residual must be orthogonal to the column space.
-	rng := rand.New(rand.NewSource(7))
-	a := NewMat(20, 4)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	b := make([]float64, 20)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x, err := LstSq(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred := a.MulVec(x)
-	res := make([]float64, 20)
-	for i := range res {
-		res[i] = b[i] - pred[i]
-	}
-	at := a.T()
-	proj := at.MulVec(res)
-	for j, v := range proj {
-		if math.Abs(v) > 1e-10 {
-			t.Errorf("residual not orthogonal to column %d: %g", j, v)
-		}
-	}
-}
-
-func TestQRRankDeficient(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}}) // col2 = 2*col1
-	if _, err := LstSq(a, []float64{1, 2, 3}); err == nil {
-		t.Error("rank-deficient system did not error")
-	}
-}
-
-func TestQRUnderdetermined(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}})
-	if _, err := NewQR(a); err == nil {
-		t.Error("underdetermined QR did not error")
-	}
-}
-
-func TestFitLinear(t *testing.T) {
-	// y = 2 + 3t with noise-free data.
-	n := 10
-	x := NewMat(n, 2)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		tv := float64(i)
-		x.Set(i, 0, 1)
-		x.Set(i, 1, tv)
-		y[i] = 2 + 3*tv
-	}
-	beta, rss, err := FitLinear(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(beta[0], 2, 1e-10) || !almostEq(beta[1], 3, 1e-10) {
-		t.Errorf("beta = %v", beta)
-	}
-	if rss > 1e-18 {
-		t.Errorf("rss = %g", rss)
 	}
 }
 
@@ -242,10 +163,9 @@ func TestEigSymRejectsNonSquareAndAsymmetric(t *testing.T) {
 	}
 }
 
-func TestCGSolvesPoisson(t *testing.T) {
-	// 1-D Poisson: tridiagonal [-1 2 -1], SPD.
-	n := 50
-	op := func(dst, src []float64) {
+// poisson1D is the 1-D Poisson operator, tridiagonal [-1 2 -1], SPD.
+func poisson1D(n int) func(dst, src []float64) {
+	return func(dst, src []float64) {
 		for i := 0; i < n; i++ {
 			v := 2 * src[i]
 			if i > 0 {
@@ -257,6 +177,54 @@ func TestCGSolvesPoisson(t *testing.T) {
 			dst[i] = v
 		}
 	}
+}
+
+// poisson3D is a shifted 7-point Poisson operator on an nx x ny x nz
+// grid, the shape of TRACE's system.
+func poisson3D(nx, ny, nz int) func(dst, src []float64) {
+	return func(dst, src []float64) {
+		for z := 0; z < nz; z++ {
+			for y := 0; y < ny; y++ {
+				for x := 0; x < nx; x++ {
+					i := x + nx*(y+ny*z)
+					v := 6 * src[i]
+					if x > 0 {
+						v -= src[i-1]
+					}
+					if x < nx-1 {
+						v -= src[i+1]
+					}
+					if y > 0 {
+						v -= src[i-nx]
+					}
+					if y < ny-1 {
+						v -= src[i+nx]
+					}
+					if z > 0 {
+						v -= src[i-nx*ny]
+					}
+					if z < nz-1 {
+						v -= src[i+nx*ny]
+					}
+					dst[i] = v + 1e-3*src[i]
+				}
+			}
+		}
+	}
+}
+
+// fused turns an operator that only writes dst into an Operator, which
+// also returns src·dst.
+func fused(op func(dst, src []float64)) Operator {
+	return func(dst, src []float64) float64 {
+		op(dst, src)
+		return Dot(src, dst)
+	}
+}
+
+func TestCGSolvesPoisson(t *testing.T) {
+	n := 50
+	op := poisson1D(n)
 	xTrue := make([]float64, n)
 	for i := range xTrue {
 		xTrue[i] = math.Sin(float64(i) / 5)
@@ -264,7 +232,7 @@ func TestCGSolvesPoisson(t *testing.T) {
 	b := make([]float64, n)
 	op(b, xTrue)
 	x := make([]float64, n)
-	res, err := CG(op, x, b, 1e-12, 0)
+	res, err := CG(fused(op), x, b, 1e-12, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,10 +244,107 @@ func TestCGSolvesPoisson(t *testing.T) {
 	}
 }
 
+// referenceCG is CG as it was before its updates and dot products were
+// fused, kept verbatim (less its CGWork): a Dot after the operator, two
+// Axpy passes and a Dot per iteration, on an operator that only writes
+// dst.
+func referenceCG(a func(dst, src []float64), x, b []float64, tol float64, maxIter int) (CGResult, error) {
+	n := len(b)
+	if len(x) != n {
+		return CGResult{}, fmt.Errorf("linalg: CG dim mismatch x=%d b=%d", len(x), n)
+	}
+	if tol <= 0 {
+		tol = 1e-10
+	}
+	if maxIter <= 0 {
+		maxIter = 10 * n
+	}
+	bnorm := Norm2(b)
+	if bnorm == 0 {
+		for i := range x {
+			x[i] = 0
+		}
+		return CGResult{Converged: true}, nil
+	}
+	r := make([]float64, n)
+	ax := make([]float64, n)
+	a(ax, x)
+	for i := range r {
+		r[i] = b[i] - ax[i]
+	}
+	p := make([]float64, n)
+	copy(p, r)
+	ap := make([]float64, n)
+	rs := Dot(r, r)
+	var it int
+	for it = 0; it < maxIter; it++ {
+		if math.Sqrt(rs)/bnorm < tol {
+			return CGResult{Iterations: it, Residual: math.Sqrt(rs) / bnorm, Converged: true}, nil
+		}
+		a(ap, p)
+		pap := Dot(p, ap)
+		if pap <= 0 {
+			return CGResult{Iterations: it, Residual: math.Sqrt(rs) / bnorm},
+				fmt.Errorf("linalg: CG operator not positive definite (pAp=%g)", pap)
+		}
+		alpha := rs / pap
+		Axpy(alpha, p, x)
+		Axpy(-alpha, ap, r)
+		rsNew := Dot(r, r)
+		beta := rsNew / rs
+		for i := range p {
+			p[i] = r[i] + beta*p[i]
+		}
+		rs = rsNew
+	}
+	return CGResult{Iterations: it, Residual: math.Sqrt(rs) / bnorm, Converged: math.Sqrt(rs)/bnorm < tol}, nil
+}
+
+// The fused CG must walk the reference's iterates exactly: the same x
+// bits, iteration count and residual, converged or cut off by maxIter,
+// with fresh scratch and with scratch reused from a larger solve.
+func TestCGMatchesReferenceBitForBit(t *testing.T) {
+	var w CGWork
+	for _, c := range []struct {
+		name    string
+		n       int
+		op      func(dst, src []float64)
+		tol     float64
+		maxIter int
+	}{
+		{"poisson3D", 18 * 8 * 6, poisson3D(18, 8, 6), 1e-8, 0},
+		{"poisson3D-cut", 18 * 8 * 6, poisson3D(18, 8, 6), 1e-8, 7},
+		{"poisson1D", 50, poisson1D(50), 1e-12, 0},
+	} {
+		rng := rand.New(rand.NewSource(int64(c.n)))
+		b := make([]float64, c.n)
+		x0 := make([]float64, c.n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+			x0[i] = rng.NormFloat64() / 10
+		}
+		want := append([]float64(nil), x0...)
+		wantRes, wantErr := referenceCG(c.op, want, b, c.tol, c.maxIter)
+		for _, work := range []*CGWork{nil, &w} {
+			got := append([]float64(nil), x0...)
+			res, err := CG(fused(c.op), got, b, c.tol, c.maxIter, work)
+			if (err != nil) != (wantErr != nil) || res.Iterations != wantRes.Iterations ||
+				math.Float64bits(res.Residual) != math.Float64bits(wantRes.Residual) || res.Converged != wantRes.Converged {
+				t.Fatalf("%s: CG = %+v, %v; reference %+v, %v", c.name, res, err, wantRes, wantErr)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: x[%d] = %x, reference %x", c.name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
 func TestCGZeroRHS(t *testing.T) {
-	op := func(dst, src []float64) { copy(dst, src) }
+	op := fused(func(dst, src []float64) { copy(dst, src) })
 	x := []float64{5, 5}
-	res, err := CG(op, x, []float64{0, 0}, 1e-10, 10)
+	res, err := CG(op, x, []float64{0, 0}, 1e-10, 10, nil)
 	if err != nil || !res.Converged {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
@@ -289,46 +354,20 @@ func TestCGZeroRHS(t *testing.T) {
 }
 
 func TestCGRejectsIndefinite(t *testing.T) {
-	op := func(dst, src []float64) {
+	op := fused(func(dst, src []float64) {
 		dst[0] = -src[0]
 		dst[1] = -src[1]
-	}
+	})
 	x := make([]float64, 2)
-	if _, err := CG(op, x, []float64{1, 1}, 1e-10, 10); err == nil {
+	if _, err := CG(op, x, []float64{1, 1}, 1e-10, 10, nil); err == nil {
 		t.Error("indefinite operator accepted")
 	}
 }
 
 func TestCGDimMismatch(t *testing.T) {
-	op := func(dst, src []float64) { copy(dst, src) }
-	if _, err := CG(op, make([]float64, 3), make([]float64, 2), 0, 0); err == nil {
+	op := fused(func(dst, src []float64) { copy(dst, src) })
+	if _, err := CG(op, make([]float64, 3), make([]float64, 2), 0, 0, nil); err == nil {
 		t.Error("dim mismatch accepted")
-	}
-}
-
-// Property: QR factorization solves random consistent systems.
-func TestQRProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6)
-		m := n + rng.Intn(10)
-		a := NewMat(m, n)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		xTrue := make([]float64, n)
-		for i := range xTrue {
-			xTrue[i] = rng.NormFloat64()
-		}
-		b := a.MulVec(xTrue)
-		x, err := LstSq(a, b)
-		if err != nil {
-			return true // rank-deficient random draw: fine to reject
-		}
-		return MaxAbsDiff(x, xTrue) < 1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 
