@@ -353,8 +353,8 @@ func TestAssembledOperatorMatchesReferenceBitForBit(t *testing.T) {
 }
 
 // referenceCG is linalg.CG as it was before its updates and dot
-// products were fused into the operator and one update pass, kept
-// verbatim (less its scratch reuse), as linalg's own tests keep it.
+// products were fused into the operator and one update pass: the copy
+// linalg's own tests keep, with its calls package-qualified.
 func referenceCG(a func(dst, src []float64), x, b []float64, tol float64, maxIter int) (linalg.CGResult, error) {
 	n := len(b)
 	if len(x) != n {

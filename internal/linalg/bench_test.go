@@ -48,7 +48,7 @@ func BenchmarkCGPoisson(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x := make([]float64, n)
-		if _, err := CG(op, x, rhs, 1e-8, 0, nil); err != nil {
+		if _, err := CG(op, x, rhs, 1e-8, 0, new(CGWork)); err != nil {
 			b.Fatal(err)
 		}
 	}

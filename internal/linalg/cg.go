@@ -37,7 +37,7 @@ func (w *CGWork) vectors(n int) (r, p, ap []float64) {
 // CG solves A x = b for SPD A using the conjugate-gradient method,
 // starting from x (which it updates in place). It stops when the
 // relative residual falls below tol or maxIter iterations elapse. w
-// holds the scratch vectors between calls; nil allocates them.
+// holds the scratch vectors between calls.
 //
 // An iteration makes three passes over memory: the direction update,
 // the operator (which returns pAp), and one pass that moves x and r and
@@ -60,9 +60,6 @@ func CG(a Operator, x, b []float64, tol float64, maxIter int, w *CGWork) (CGResu
 			x[i] = 0
 		}
 		return CGResult{Converged: true}, nil
-	}
-	if w == nil {
-		w = new(CGWork)
 	}
 	r, p, ap := w.vectors(n)
 	a(ap, x)

@@ -232,7 +232,7 @@ func TestCGSolvesPoisson(t *testing.T) {
 	b := make([]float64, n)
 	op(b, xTrue)
 	x := make([]float64, n)
-	res, err := CG(fused(op), x, b, 1e-12, 0, nil)
+	res, err := CG(fused(op), x, b, 1e-12, 0, new(CGWork))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,9 +245,8 @@ func TestCGSolvesPoisson(t *testing.T) {
 }
 
 // referenceCG is CG as it was before its updates and dot products were
-// fused, kept verbatim (less its CGWork): a Dot after the operator, two
-// Axpy passes and a Dot per iteration, on an operator that only writes
-// dst.
+// fused, kept verbatim: a Dot after the operator, two Axpy passes and a
+// Dot per iteration, on an operator that only writes dst.
 func referenceCG(a func(dst, src []float64), x, b []float64, tol float64, maxIter int) (CGResult, error) {
 	n := len(b)
 	if len(x) != n {
@@ -325,7 +324,7 @@ func TestCGMatchesReferenceBitForBit(t *testing.T) {
 		}
 		want := append([]float64(nil), x0...)
 		wantRes, wantErr := referenceCG(c.op, want, b, c.tol, c.maxIter)
-		for _, work := range []*CGWork{nil, &w} {
+		for _, work := range []*CGWork{new(CGWork), &w} {
 			got := append([]float64(nil), x0...)
 			res, err := CG(fused(c.op), got, b, c.tol, c.maxIter, work)
 			if (err != nil) != (wantErr != nil) || res.Iterations != wantRes.Iterations ||
@@ -344,7 +343,7 @@ func TestCGMatchesReferenceBitForBit(t *testing.T) {
 func TestCGZeroRHS(t *testing.T) {
 	op := fused(func(dst, src []float64) { copy(dst, src) })
 	x := []float64{5, 5}
-	res, err := CG(op, x, []float64{0, 0}, 1e-10, 10, nil)
+	res, err := CG(op, x, []float64{0, 0}, 1e-10, 10, new(CGWork))
 	if err != nil || !res.Converged {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
@@ -359,14 +358,14 @@ func TestCGRejectsIndefinite(t *testing.T) {
 		dst[1] = -src[1]
 	})
 	x := make([]float64, 2)
-	if _, err := CG(op, x, []float64{1, 1}, 1e-10, 10, nil); err == nil {
+	if _, err := CG(op, x, []float64{1, 1}, 1e-10, 10, new(CGWork)); err == nil {
 		t.Error("indefinite operator accepted")
 	}
 }
 
 func TestCGDimMismatch(t *testing.T) {
 	op := fused(func(dst, src []float64) { copy(dst, src) })
-	if _, err := CG(op, make([]float64, 3), make([]float64, 2), 0, 0, nil); err == nil {
+	if _, err := CG(op, make([]float64, 3), make([]float64, 2), 0, 0, new(CGWork)); err == nil {
 		t.Error("dim mismatch accepted")
 	}
 }
