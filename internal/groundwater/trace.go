@@ -95,7 +95,8 @@ type face struct {
 // interior-in-x cells 1..NX-2, all y and z, x fastest): one face record
 // per unknown. It depends only on the grid, K and Dx, so a coupled run
 // assembles it once and every solve — and every CG iteration inside
-// one — reuses it, together with the solve's scratch vectors.
+// one — reuses it, together with the solve's scratch vectors, so a
+// stencil serves one solve at a time.
 type stencil struct {
 	cfg   FlowConfig // validated, Tol defaulted
 	inx   int        // unknowns per row: NX-2
@@ -200,6 +201,8 @@ func (s *stencil) apply(dst, src []float64) float64 {
 			}
 			fs := s.faces[first : first+inx]
 			out := dst[first : first+inx]
+			// One length for every slice of the row lets the compiler drop
+			// the loop's bounds checks.
 			ym, yp, zm, zp = ym[:len(row)], yp[:len(row)], zm[:len(row)], zp[:len(row)]
 			fs, out = fs[:len(row)], out[:len(row)]
 
