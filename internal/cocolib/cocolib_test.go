@@ -97,17 +97,6 @@ func TestInterpolateValidation(t *testing.T) {
 	}
 }
 
-func TestIntegralOn(t *testing.T) {
-	m := UniformMesh(101)
-	field := make([]float64, 101)
-	for i, x := range m.Nodes {
-		field[i] = x // integral of x over [0,1] = 0.5
-	}
-	if got := IntegralOn(m, field); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("integral = %v", got)
-	}
-}
-
 func TestCouplerHandshakeAndExchange(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		var mesh InterfaceMesh
@@ -239,14 +228,4 @@ func TestRunFSIValidation(t *testing.T) {
 	if _, err := RunFSI(nil, [2]string{"a", "b"}, 10, 10, 0, 0.01); err == nil {
 		t.Error("zero steps accepted")
 	}
-}
-
-// IntegralOn computes the trapezoidal integral of a nodal field over
-// its mesh.
-func IntegralOn(m InterfaceMesh, field []float64) float64 {
-	var s float64
-	for i := 1; i < len(m.Nodes); i++ {
-		s += 0.5 * (field[i] + field[i-1]) * (m.Nodes[i] - m.Nodes[i-1])
-	}
-	return s
 }

@@ -195,7 +195,6 @@ type Figure3Result struct {
 	ActivatedVoxels int
 	PeakCorrelation float64
 	ROICourse       []float64
-	RenderMs        float64
 	PNGBytes        int
 }
 
@@ -251,13 +250,10 @@ func Figure3Overlay() (Figure3Result, error) {
 			res.ROICourse = append(res.ROICourse, s/float64(res.ActivatedVoxels))
 		}
 	}
-	//gtwvet:ignore determinism RenderMs reports measured wall-clock render cost (the paper's Fig. 3 metric); computed once per point, so shard-count byte-identity is unaffected
-	start := time.Now()
 	img, err := viz.RenderOverlay(ph.Anatomy, m, 8, clip)
 	if err != nil {
 		return res, err
 	}
-	res.RenderMs = float64(time.Since(start).Microseconds()) / 1000
 	if err := viz.WritePNG(&discardCounter{&res.PNGBytes}, img); err != nil {
 		return res, err
 	}
@@ -278,8 +274,8 @@ func FormatFigure3(r Figure3Result) string {
 	sb.WriteString("F3: FIRE 2-D GUI content (overlay + ROI time course)\n")
 	fmt.Fprintf(&sb, "  %d scans analysed, %d voxels above clip 0.5, peak r = %.3f\n",
 		r.Scans, r.ActivatedVoxels, r.PeakCorrelation)
-	fmt.Fprintf(&sb, "  overlay rendered in %.2f ms (%d PNG bytes); ROI course %d samples\n",
-		r.RenderMs, r.PNGBytes, len(r.ROICourse))
+	fmt.Fprintf(&sb, "  overlay rendered (%d PNG bytes); ROI course %d samples\n",
+		r.PNGBytes, len(r.ROICourse))
 	return sb.String()
 }
 
@@ -292,10 +288,9 @@ type Figure4Row struct {
 	Paper  string
 }
 
-// Figure4Result covers the 3-D visualization pipeline: merge + MIP
-// timing and the Responsive Workbench streaming rates.
+// Figure4Result covers the 3-D visualization pipeline: the merged
+// MIP rendering and the Responsive Workbench streaming rates.
 type Figure4Result struct {
-	RenderMs  float64 // the plane loop: head, merge and MIP together
 	Rows      []Figure4Row
 	StreamFPS float64 // measured: frames over the simulated OC-12 path
 	PNGBytes  int
@@ -332,8 +327,6 @@ func figure4WorkbenchOn(ctx context.Context, tb *Testbed) (Figure4Result, error)
 	}
 	// Head, merge and projection advance together one z-plane at a
 	// time through two reused planes, so no 256x256x128 volume exists.
-	//gtwvet:ignore determinism RenderMs reports measured wall-clock merge + MIP cost (the paper's workbench pipeline metric); computed once per point, so shard-count byte-identity is unaffected
-	start := time.Now()
 	const nx, ny, nz = 256, 256, 128
 	head, merge, mip := mri.HeadPlanes(nx, ny, nz), viz.MergeSampler(corr, nx, ny, nz), viz.NewMIP(nx, ny, 0.5)
 	anat, fn := make([]float32, nx*ny), make([]float32, nx*ny)
@@ -343,7 +336,6 @@ func figure4WorkbenchOn(ctx context.Context, tb *Testbed) (Figure4Result, error)
 		mip.Add(anat, fn)
 	}
 	img := mip.Image()
-	res.RenderMs = time.Since(start).Seconds() * 1000
 	var buf bytes.Buffer
 	if err := viz.WritePNG(&buf, img); err != nil {
 		return res, err
@@ -373,7 +365,7 @@ func figure4WorkbenchOn(ctx context.Context, tb *Testbed) (Figure4Result, error)
 func FormatFigure4(r Figure4Result) string {
 	var sb strings.Builder
 	sb.WriteString("F4: 3-D visualization and Responsive Workbench streaming\n")
-	fmt.Fprintf(&sb, "  merge 64x64x16 onto 256x256x128 + MIP render: %.1f ms\n", r.RenderMs)
+	fmt.Fprintf(&sb, "  merge 64x64x16 onto 256x256x128 + MIP render: %d PNG bytes\n", r.PNGBytes)
 	for _, row := range r.Rows {
 		note := row.Paper
 		fmt.Fprintf(&sb, "  %-36s %6.2f frames/s  %s\n", row.Config, row.FPS, note)

@@ -55,8 +55,6 @@ func TestPointDepsDerivedSetsArePinned(t *testing.T) {
 		"meg-music":             {"scenario", nil, []string{"wan", "ext"}},
 		"video-d1":              {"scenario", nil, []string{"frames"}},
 		"fire-rt-session":       {"scenario", nil, []string{"frames"}},
-		"client-fleet-unit":     {"sweep", []string{"frames"}, []string{"frames"}},
-		"client-fleet":          {"scenario", nil, []string{"flows"}},
 	}
 
 	got := map[string]pointdeps.Entry{}

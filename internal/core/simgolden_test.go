@@ -2,11 +2,7 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -49,44 +45,13 @@ func TestSimGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests are recorded on amd64 (FMA contraction differs on %s)", runtime.GOARCH)
 	}
-	path := filepath.Join("testdata", "sim_golden.json")
 	got := make(map[string]string)
 	for _, it := range simGoldenItems {
 		rep, err := Run(context.Background(), it.scenario, it.opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", it.key, err)
 		}
-		b, err := rep.JSON()
-		if err != nil {
-			t.Fatalf("%s: JSON: %v", it.key, err)
-		}
-		sum := sha256.Sum256(b)
-		got[it.key+"/kernels=1"] = hex.EncodeToString(sum[:])
+		got[it.key+"/kernels=1"] = reportDigest(t, it.key, rep)
 	}
-	if *updateGolden {
-		b, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("%s holds %d digests, the test computes %d", path, len(want), len(got))
-	}
-	for key, d := range got {
-		if want[key] != d {
-			t.Errorf("%s: report digest %s, recorded %s", key, d, want[key])
-		}
-	}
+	checkDigests(t, filepath.Join("testdata", "sim_golden.json"), got, *updateGolden)
 }

@@ -84,25 +84,9 @@ func TestStreamSharesOC48WithHeadroom(t *testing.T) {
 	}
 }
 
-func TestFitsLink(t *testing.T) {
-	cellTax := 53.0 / 48.0
-	if !FitsLink(atm.OC12.PayloadRate(), cellTax) {
-		t.Error("D1 should fit OC-12 after cell tax")
-	}
-	if FitsLink(atm.OC3.PayloadRate(), cellTax) {
-		t.Error("D1 should not fit OC-3")
-	}
-}
-
 func TestStreamValidation(t *testing.T) {
 	n, a, b := link(atm.OC12.PayloadRate())
 	if _, err := Stream(n, a, b, StreamConfig{}); err == nil {
 		t.Error("zero frames accepted")
 	}
-}
-
-// FitsLink reports whether the CBR stream's wire rate (after the given
-// per-packet framing expansion factor) fits within payloadBps.
-func FitsLink(payloadBps, framingFactor float64) bool {
-	return D1Bps*framingFactor <= payloadBps
 }
