@@ -50,14 +50,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		only      = fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 		depReport = fs.Bool("pointdeps-report", false, "print the PointDeps declared-vs-derived audit as JSON and exit")
 		dir       = fs.String("C", ".", "directory to resolve package patterns in")
-		corePath  = fs.String("core", pointdeps.DefaultCorePath, "import path of the package declaring Options/NewSweep")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	all := []*analysis.Analyzer{
-		pointdeps.New(pointdeps.Config{CorePath: *corePath}),
+		pointdeps.New(pointdeps.Config{}),
 		determinism.New(),
 		poolrelease.New(),
 		reach.New(),
@@ -98,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *depReport {
-		entries, err := pointdeps.Audit(prog, pointdeps.Config{CorePath: *corePath})
+		entries, err := pointdeps.Audit(prog, pointdeps.Config{})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2

@@ -21,32 +21,42 @@ import (
 // deliberately dependency-free, so instead of golang.org/x/tools'
 // go/packages the loader drives the go toolchain directly:
 //
-//	go list -export -deps -json <patterns>
+//	go list -test -export -deps -json <patterns>
 //
-// enumerates every package in dependency order and materialises export
-// data (in the build cache) for all of them. Packages outside the main
-// module are imported from that export data through go/importer's
-// lookup hook — never re-type-checked — while the main module's own
-// packages are parsed and type-checked from source, in the dependency
-// order go list guarantees, so their ASTs and type objects share one
-// identity space across packages. That identity sharing is what lets
-// the pointdeps analyzer walk a call from internal/core into another
-// module package and keep resolving objects.
+// enumerates every package in dependency order, test variants
+// included, and materialises export data (in the build cache) for all
+// of them. Packages outside the main module are imported from that
+// export data through go/importer's lookup hook — never re-type-checked
+// — while the main module's own packages are parsed and type-checked
+// from source, in the dependency order go list guarantees, so their
+// ASTs and type objects share one identity space across packages. That
+// identity sharing is what lets the pointdeps analyzer walk a call from
+// internal/core into another module package and keep resolving objects.
+//
+// A package with tests is checked a second time together with its
+// internal _test.go files, and its external _test package on top of
+// that; go list's ImportMap routes each test build's imports to the
+// variants recompiled for it. Those checks have their own objects, so
+// code that relates a test's use to a declaration matches by
+// (*types.Func).FullName, not by identity.
 
 // Package is one type-checked main-module package.
 type Package struct {
-	// Path is the import path ("repro/internal/core").
+	// Path is the import path ("repro/internal/core", or
+	// "repro/internal/core_test" for an external test package).
 	Path string
 	// Dir is the package's source directory.
 	Dir string
-	// Files are the parsed non-test Go files, with comments.
+	// ForTest is, for a test package, the import path of the package
+	// whose tests it holds; it is empty for an ordinary package.
+	ForTest string
+	// Files are the parsed Go files, with comments: the non-test files
+	// of an ordinary package, only the _test.go files of a test package.
 	Files []*ast.File
-	// TestFiles are the paths of the package's _test.go files (internal
-	// and external). They are listed, not parsed or type-checked.
-	TestFiles []string
 	// Types is the source-checked package object.
 	Types *types.Package
-	// Info carries the type-checker's facts for Files.
+	// Info carries the type-checker's facts for every file checked with
+	// the package, Files among them.
 	Info *types.Info
 }
 
@@ -55,9 +65,13 @@ type Package struct {
 type Program struct {
 	// Fset is the file set shared by every package in the program.
 	Fset *token.FileSet
-	// Pkgs are the main-module packages in dependency order
-	// (dependencies before dependents).
+	// Pkgs are the main-module packages, sorted by import path.
 	Pkgs []*Package
+	// Tests are the main-module test packages, sorted by import path.
+	// A package with internal tests has one, checked together with the
+	// package's own files; a package with an external _test package has
+	// one for that too.
+	Tests []*Package
 	// ModulePath is the main module's path ("repro").
 	ModulePath string
 	// ModuleDir is the main module's root directory.
@@ -82,29 +96,32 @@ func (p *Program) FuncDecl(fn *types.Func) *FuncSource { return p.decls[fn] }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
-	ImportPath                string
-	Dir                       string
-	Export                    string
-	Standard                  bool
-	GoFiles                   []string
-	TestGoFiles, XTestGoFiles []string
-	Module                    *struct{ Path, Dir string }
-	Incomplete                bool
-	Error                     *struct{ Err string }
+	// ImportPath is the package's ID: "p", or "p [q.test]" for p
+	// recompiled for q's tests.
+	ImportPath string
+	ForTest    string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	ImportMap  map[string]string
+	Module     *struct {
+		Path, Dir string
+		Main      bool
+	}
+	Error *struct{ Err string }
 }
 
 // Load lists patterns under dir (the module root, or any directory
 // inside the module) and type-checks every main-module package they
-// resolve to. Test files are only listed (Package.TestFiles), not
-// type-checked: gtwvet checks the shipped tree, and fixtures are
-// ordinary non-test packages.
+// resolve to, with its tests. A type error anywhere, test files
+// included, fails the load.
 func Load(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	args := append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,Standard,GoFiles,TestGoFiles,XTestGoFiles,Module,Incomplete,Error",
+		"list", "-test", "-export", "-deps",
+		"-json=ImportPath,ForTest,Dir,Export,GoFiles,ImportMap,Module,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -139,17 +156,20 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		byPath: make(map[string]*Package),
 		decls:  make(map[*types.Func]*FuncSource),
 	}
-	// The main module is whichever module the listed source packages
-	// belong to (go list resolves patterns against dir's module).
+	// The main module is dir's own, even where it imports another local
+	// module through a replace (as bench/ imports repro): only the main
+	// module is checked from source.
 	for _, lp := range pkgs {
-		if !lp.Standard && lp.Module != nil {
+		if lp.Module != nil && lp.Module.Main {
 			prog.ModulePath, prog.ModuleDir = lp.Module.Path, lp.Module.Dir
 			break
 		}
 	}
 
-	imp := &programImporter{
-		prog: prog,
+	l := &loader{
+		prog:    prog,
+		checked: make(map[string]*types.Package),
+		parsed:  make(map[string]*ast.File),
 		base: importer.ForCompiler(prog.Fset, "gc", func(path string) (io.ReadCloser, error) {
 			f, ok := exports[path]
 			if !ok {
@@ -158,45 +178,56 @@ func Load(dir string, patterns ...string) (*Program, error) {
 			return os.Open(f)
 		}),
 	}
-
 	for _, lp := range pkgs {
-		if lp.Standard || lp.Module == nil || lp.Module.Path != prog.ModulePath {
+		// The generated test main ("p.test") has no source of its own.
+		if lp.Module == nil || !lp.Module.Main || lp.ForTest == "" && strings.HasSuffix(lp.ImportPath, ".test") {
 			continue
 		}
-		pkg, err := typeCheck(prog, imp, lp)
-		if err != nil {
+		if err := l.check(lp); err != nil {
 			return nil, err
 		}
-		prog.Pkgs = append(prog.Pkgs, pkg)
-		prog.byPath[pkg.Path] = pkg
 	}
 	sort.Slice(prog.Pkgs, func(i, j int) bool { return prog.Pkgs[i].Path < prog.Pkgs[j].Path })
+	sort.Slice(prog.Tests, func(i, j int) bool { return prog.Tests[i].Path < prog.Tests[j].Path })
 	return prog, nil
 }
 
-// programImporter resolves main-module imports to their source-checked
-// packages and everything else to export data.
-type programImporter struct {
+// loader type-checks main-module packages from source, in go list's
+// dependency order.
+type loader struct {
 	prog *Program
 	base types.Importer
+	// checked maps a go list ID to its source-checked package.
+	checked map[string]*types.Package
+	// parsed caches files by name: a test build re-checks its package's
+	// files.
+	parsed map[string]*ast.File
 }
 
-func (pi *programImporter) Import(path string) (*types.Package, error) {
-	if pkg := pi.prog.byPath[path]; pkg != nil {
-		return pkg.Types, nil
-	}
-	return pi.base.Import(path)
-}
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
 
-// typeCheck parses and checks one main-module package from source.
-func typeCheck(prog *Program, imp types.Importer, lp listPkg) (*Package, error) {
-	files := make([]*ast.File, 0, len(lp.GoFiles))
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// check parses and type-checks one listed main-module package and files
+// it under prog.Pkgs, prog.Tests, or neither (a dependency recompiled
+// for another package's tests).
+func (l *loader) check(lp listPkg) error {
+	var files, testFiles []*ast.File
 	for _, name := range lp.GoFiles {
-		f, err := parser.ParseFile(prog.Fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: parsing %s: %v", name, err)
+		name = filepath.Join(lp.Dir, name)
+		f := l.parsed[name]
+		if f == nil {
+			var err error
+			if f, err = parser.ParseFile(l.prog.Fset, name, nil, parser.ParseComments); err != nil {
+				return fmt.Errorf("analysis: parsing %s: %v", name, err)
+			}
+			l.parsed[name] = f
 		}
 		files = append(files, f)
+		if strings.HasSuffix(name, "_test.go") {
+			testFiles = append(testFiles, f)
+		}
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -205,15 +236,31 @@ func typeCheck(prog *Program, imp types.Importer, lp listPkg) (*Package, error) 
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(lp.ImportPath, prog.Fset, files, info)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if id, ok := lp.ImportMap[path]; ok {
+			path = id
+		}
+		if pkg := l.checked[path]; pkg != nil {
+			return pkg, nil
+		}
+		return l.base.Import(path)
+	})}
+	path, _, _ := strings.Cut(lp.ImportPath, " ")
+	tpkg, err := conf.Check(path, l.prog.Fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %v", lp.ImportPath, err)
+		return fmt.Errorf("analysis: type-checking %s: %v", lp.ImportPath, err)
 	}
-	pkg := &Package{Path: lp.ImportPath, Dir: lp.Dir, Files: files, Types: tpkg, Info: info}
-	for _, name := range append(lp.TestGoFiles, lp.XTestGoFiles...) {
-		pkg.TestFiles = append(pkg.TestFiles, filepath.Join(lp.Dir, name))
+	l.checked[lp.ImportPath] = tpkg
+	pkg := &Package{Path: path, Dir: lp.Dir, ForTest: lp.ForTest, Files: files, Types: tpkg, Info: info}
+	if lp.ForTest != "" {
+		if len(testFiles) > 0 {
+			pkg.Files = testFiles
+			l.prog.Tests = append(l.prog.Tests, pkg)
+		}
+		return nil
 	}
+	l.prog.Pkgs = append(l.prog.Pkgs, pkg)
+	l.prog.byPath[path] = pkg
 	for _, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -221,9 +268,9 @@ func typeCheck(prog *Program, imp types.Importer, lp listPkg) (*Package, error) 
 				continue
 			}
 			if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
-				prog.decls[fn] = &FuncSource{Decl: fd, Pkg: pkg}
+				l.prog.decls[fn] = &FuncSource{Decl: fd, Pkg: pkg}
 			}
 		}
 	}
-	return pkg, nil
+	return nil
 }

@@ -43,8 +43,8 @@ type Config struct {
 	CorePath string
 }
 
-// DefaultCorePath is the real repository's core package.
-const DefaultCorePath = "repro/internal/core"
+// defaultCorePath is the real repository's core package.
+const defaultCorePath = "repro/internal/core"
 
 // optionFields maps Options struct fields to their OptField wire
 // tokens, mirroring the constants in core/sweep.go. Only these fields
@@ -64,7 +64,7 @@ var depOrder = []string{"wan", "ext", "pes", "frames", "flows"}
 // New builds the pointdeps analyzer.
 func New(cfg Config) *analysis.Analyzer {
 	if cfg.CorePath == "" {
-		cfg.CorePath = DefaultCorePath
+		cfg.CorePath = defaultCorePath
 	}
 	return &analysis.Analyzer{
 		Name: "pointdeps",
@@ -121,7 +121,7 @@ type registration struct {
 // internal/core.
 func Audit(prog *analysis.Program, cfg Config) ([]Entry, error) {
 	if cfg.CorePath == "" {
-		cfg.CorePath = DefaultCorePath
+		cfg.CorePath = defaultCorePath
 	}
 	var out []Entry
 	for _, pkg := range prog.Pkgs {

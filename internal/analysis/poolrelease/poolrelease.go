@@ -18,8 +18,7 @@
 //     exactly why retention bugs are silent: a handle parked in a map,
 //     slice or channel outlives its generation and later Cancels
 //     nothing. Keeping the pending handle in a struct field (the
-//     CrossTraffic/tcpsim idiom) is the supported pattern and is not
-//     flagged.
+//     tcpsim idiom) is the supported pattern and is not flagged.
 //
 // The analysis is deliberately lexical and intra-function: it reasons
 // about straight-line statement order inside one function (including

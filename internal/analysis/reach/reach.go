@@ -9,13 +9,14 @@
 // reached when
 //
 //   - non-test module code outside its own declaration uses it,
-//   - a non-test file under the module's bench/ directory names it, or
-//   - a _test.go file of another package names it.
+//   - non-test code of the benchmark module under bench/ uses it, or
+//   - a _test.go file of another package uses it.
 //
-// The first is decided by go/types. The other two are matched with
-// go/parser only: a function as pkg.Name through the file's import of
-// its package, a method by its name alone, so any selector of that name
-// reaches every method so named (a floor, not an exact answer). A method
+// Every use is decided by go/types: the module is loaded with its test
+// packages, and bench/ is loaded as its own module, with this module
+// imported from export data. The loads do not share objects, so a use
+// is matched to a declaration by (*types.Func).FullName: a call to
+// another type's method of the same name reaches nothing here. A method
 // that implements an interface method declared in the program or in a
 // package it imports is exempt: an interface call reaches it without
 // naming it. Callers count only from loaded packages, so the answer is
@@ -23,23 +24,16 @@
 package reach
 
 import (
-	"fmt"
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"io/fs"
 	"os"
-	"path"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"repro/internal/analysis"
 )
 
 // benchDir is the module-relative directory of the benchmark module,
-// whose non-test files count as callers.
+// whose non-test code counts as a caller.
 const benchDir = "bench"
 
 // New builds the reach analyzer.
@@ -65,14 +59,13 @@ func New() *analysis.Analyzer {
 	}
 }
 
-// refs is what the whole program references.
+// refs is what the whole program references, by (*types.Func).FullName.
 type refs struct {
-	// uses holds the functions non-test module code uses.
-	uses map[*types.Func]bool
-	// named maps "importpath.Name" (a function) or ".Name" (a method)
-	// to the directories of the files, parsed with go/parser, that name
-	// it.
-	named map[string]map[string]bool
+	// uses holds the functions non-test module code, bench/ or another
+	// package's tests use.
+	uses map[string]bool
+	// ownTests holds the functions their own package's tests use.
+	ownTests map[string]bool
 	// ifaces indexes every interface in view by its method names.
 	ifaces    map[string][]*types.Interface
 	seenIface map[*types.Interface]bool
@@ -92,31 +85,19 @@ func check(pass *analysis.Pass, r *refs) {
 				continue
 			}
 			fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok || r.uses[fn] {
+			if !ok || r.uses[fn.FullName()] {
 				continue
 			}
-			key, what := pkg.Path+"."+fd.Name.Name, fd.Name.Name
+			what := fd.Name.Name
 			if fd.Recv != nil {
 				recv := fn.Type().(*types.Signature).Recv().Type()
 				if r.implements(recv, fd.Name.Name) {
 					continue
 				}
-				key, what = "."+fd.Name.Name, recvName(recv)+"."+fd.Name.Name
-			}
-			ownTests := false
-			reached := false
-			for dir := range r.named[key] {
-				if dir == pkg.Dir {
-					ownTests = true
-				} else {
-					reached = true
-				}
-			}
-			if reached {
-				continue
+				what = recvName(recv) + "." + fd.Name.Name
 			}
 			by := "nothing references it"
-			if ownTests {
+			if r.ownTests[fn.FullName()] {
 				by = "only its own package's tests reference it"
 			}
 			pass.Reportf(fd.Name.Pos(), "%s is unreached: %s (delete it, move it into a _test.go file, or waive it)", what, by)
@@ -149,11 +130,11 @@ func recvName(t types.Type) string {
 	return t.String()
 }
 
-// collect gathers what the program, its test files and bench/ reference.
+// collect gathers what the program, its tests and bench/ use.
 func collect(prog *analysis.Program) (*refs, error) {
 	r := &refs{
-		uses:      make(map[*types.Func]bool),
-		named:     make(map[string]map[string]bool),
+		uses:      make(map[string]bool),
+		ownTests:  make(map[string]bool),
 		ifaces:    make(map[string][]*types.Interface),
 		seenIface: make(map[*types.Interface]bool),
 	}
@@ -165,33 +146,27 @@ func collect(prog *analysis.Program) (*refs, error) {
 		for _, tv := range pkg.Info.Types {
 			r.addInterface(tv.Type)
 		}
-		for _, name := range pkg.TestFiles {
-			if err := r.scanFile(name, pkg.Dir, pkg.Path); err != nil {
-				return nil, err
-			}
-		}
+	}
+	for _, pkg := range prog.Tests {
+		r.scanUses(pkg)
 	}
 	root := filepath.Join(prog.ModuleDir, benchDir)
-	if _, err := os.Stat(root); err != nil {
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		return r, nil
 	}
-	err := filepath.WalkDir(root, func(name string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && d.Name() == "testdata" {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		return r.scanFile(name, filepath.Dir(name), "")
-	})
-	return r, err
+	bench, err := analysis.Load(root, "./...")
+	if err != nil {
+		return nil, err
+	}
+	for _, pkg := range bench.Pkgs {
+		r.scanUses(pkg)
+	}
+	return r, nil
 }
 
-// scanUses records the functions pkg's non-test code uses, except a
-// function's uses of itself.
+// scanUses records the functions pkg's files use, except a function's
+// uses of itself. A test package's uses of the package it tests go to
+// ownTests.
 func (r *refs) scanUses(pkg *analysis.Package) {
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
@@ -204,62 +179,20 @@ func (r *refs) scanUses(pkg *analysis.Package) {
 				if !ok {
 					return true
 				}
-				if fn, ok := pkg.Info.Uses[id].(*types.Func); ok && fn.Origin() != self {
-					r.uses[fn.Origin()] = true
+				fn, ok := pkg.Info.Uses[id].(*types.Func)
+				if !ok || fn.Origin() == self {
+					return true
+				}
+				fn = fn.Origin()
+				if pkg.ForTest != "" && fn.Pkg() != nil && fn.Pkg().Path() == pkg.ForTest {
+					r.ownTests[fn.FullName()] = true
+				} else {
+					r.uses[fn.FullName()] = true
 				}
 				return true
 			})
 		}
 	}
-}
-
-// scanFile records what one file outside the type-checked program
-// names. own is the import path of the package the file tests, or ""
-// for a bench/ file; in an internal test file every bare identifier may
-// name one of own's functions.
-func (r *refs) scanFile(name, dir, own string) error {
-	f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
-	if err != nil {
-		return fmt.Errorf("reach: %v", err)
-	}
-	imports := make(map[string]string)
-	for _, is := range f.Imports {
-		p, _ := strconv.Unquote(is.Path.Value)
-		local := path.Base(p)
-		if is.Name != nil {
-			local = is.Name.Name
-		}
-		imports[local] = p
-	}
-	internal := own != "" && !strings.HasSuffix(f.Name.Name, "_test")
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.SelectorExpr:
-			if id, ok := x.X.(*ast.Ident); ok {
-				if p, ok := imports[id.Name]; ok {
-					r.name(p+"."+x.Sel.Name, dir)
-					return false
-				}
-			}
-			r.name("."+x.Sel.Name, dir)
-		case *ast.Ident:
-			if internal {
-				r.name(own+"."+x.Name, dir)
-			}
-		}
-		return true
-	})
-	return nil
-}
-
-// name records that a file in dir names key.
-func (r *refs) name(key, dir string) {
-	dirs := r.named[key]
-	if dirs == nil {
-		dirs = make(map[string]bool)
-		r.named[key] = dirs
-	}
-	dirs[dir] = true
 }
 
 // addInterfaces indexes the named interfaces of pkg and of every

@@ -2,4 +2,7 @@ package main
 
 import "fixture/lib"
 
-func main() { lib.UsedByBench() }
+func main() {
+	lib.UsedByBench()
+	_ = lib.NewSquare(2).Diagonal()
+}

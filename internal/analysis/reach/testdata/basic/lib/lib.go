@@ -1,6 +1,9 @@
 package lib
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 func Unused() {} // want `Unused is unreached: nothing references it`
 
@@ -43,6 +46,15 @@ func (s Square) Perimeter() float64 { return 4 * s.Side } // want `Square.Perime
 func (s *Square) Grow() { s.Side++ } // want `Square.Grow is unreached: nothing references it`
 
 func (s *Square) Scale(f float64) { s.Side *= f }
+
+// Shrink shares its name with a method another package's test calls on
+// a type of its own; that call does not reach this one.
+func (s *Square) Shrink() { s.Side-- } // want `Square.Shrink is unreached: nothing references it`
+
+// NewSquare and Diagonal are reached by bench's typed call.
+func NewSquare(side float64) *Square { return &Square{Side: side} }
+
+func (s *Square) Diagonal() float64 { return s.Side * math.Sqrt2 }
 
 func Total(shapes []Shape) (sum float64) {
 	for _, s := range shapes {

@@ -22,7 +22,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/video"
 	"repro/internal/viz"
-	"repro/internal/volume"
 )
 
 // The section-3 application workloads as registered scenarios. The
@@ -284,39 +283,20 @@ func runRTSession(ctx context.Context, scans int) (Report, error) {
 	}
 	defer client.Close()
 
-	corr := fire.NewCorrelator(sc.Reference(0), 64, 64, 16)
-	rep := &RTSessionReport{}
-	var fixed *volume.Volume // the motion-corrected scan, reused every scan
-	for {
-		if err := ctx.Err(); err != nil {
+	res, err := fire.RunSession(ctx, client, sc.Reference(0), ph.Anatomy)
+	if err != nil {
+		if ctx.Err() != nil {
 			return nil, err
 		}
-		msg, err := client.NextImage()
-		if err != nil {
-			return fail(err)
-		}
-		if msg.Type == fire.MsgDone {
-			break
-		}
-		// 3-D movement correction against the anatomy.
-		var shift [3]float64
-		fixed, shift, err = fire.MotionCorrect(fixed, ph.Anatomy, msg.Image, fire.MotionOptions{})
-		if err != nil {
-			return nil, err
-		}
-		norm := math.Sqrt(shift[0]*shift[0] + shift[1]*shift[1] + shift[2]*shift[2])
-		if norm > rep.MaxShiftVoxels {
+		return fail(err)
+	}
+	rep := &RTSessionReport{Scans: len(res.Shifts)}
+	for _, s := range res.Shifts {
+		if norm := math.Sqrt(s[0]*s[0] + s[1]*s[1] + s[2]*s[2]); norm > rep.MaxShiftVoxels {
 			rep.MaxShiftVoxels = norm
 		}
-		if err := corr.Add(fixed); err != nil {
-			return nil, err
-		}
-		rep.Scans++
 	}
-	m, err := corr.Map()
-	if err != nil {
-		return nil, err
-	}
+	m := res.Corr
 	const clip = 0.5
 	for _, v := range m.Data {
 		if float64(v) >= clip {

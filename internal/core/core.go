@@ -94,8 +94,8 @@ const (
 //
 // A Testbed is safe for concurrent use: the co-allocation map is
 // guarded by allocMu, and every operation that advances the simulation
-// kernel or reads its counters (TCPTransfer, RTT, PathMTU,
-// BackboneUtilization, BackboneWireBytes) serialises on simMu. Callers
+// kernel or reads its counters (TCPTransfer, RTT, BackboneUtilization,
+// BackboneWireBytes) serialises on simMu. Callers
 // that share one therefore interleave their transfers on it, but each
 // transfer still runs on an otherwise idle simulated network;
 // in-simulator bandwidth contention between two flows only happens
@@ -281,21 +281,6 @@ func (tb *Testbed) RTT(src, dst string) (time.Duration, error) {
 	tb.simMu.Lock()
 	defer tb.simMu.Unlock()
 	return netsim.Ping(tb.Net, a, b, 64, 64), nil
-}
-
-// PathMTU reports the path MTU between two named hosts.
-func (tb *Testbed) PathMTU(src, dst string) (int, error) {
-	a, err := tb.Host(src)
-	if err != nil {
-		return 0, err
-	}
-	b, err := tb.Host(dst)
-	if err != nil {
-		return 0, err
-	}
-	tb.simMu.Lock()
-	defer tb.simMu.Unlock()
-	return tb.Net.PathMTU(a, b)
 }
 
 // Reserve claims exclusive use of the named hosts for a session — the

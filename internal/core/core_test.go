@@ -121,17 +121,6 @@ func TestWANRTTDominatedByPropagation(t *testing.T) {
 	}
 }
 
-func TestPathMTU(t *testing.T) {
-	tb := New(Config{})
-	mtu, err := tb.PathMTU(HostT3E600, HostSP2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mtu != atm.MaxCLIPMTU {
-		t.Errorf("path MTU = %d, want 64K end to end", mtu)
-	}
-}
-
 func TestOC12vsOC48Backbone(t *testing.T) {
 	// Workstation-to-workstation flows see the 622 attach either
 	// way, but the OC-12 backbone is the narrower pipe in the 1997

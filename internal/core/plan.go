@@ -60,9 +60,6 @@ func PlanFor(s Scenario) *Plan {
 	return &Plan{scenario: s, sweep: wrapScenario(s), wrapped: true}
 }
 
-// Scenario returns the scenario the plan was built from.
-func (p *Plan) Scenario() Scenario { return p.scenario }
-
 // Sweep returns the plan's executable grid: the scenario itself for
 // sweeps, the synthesized one-point wrapper otherwise.
 func (p *Plan) Sweep() *Sweep { return p.sweep }

@@ -271,7 +271,7 @@ func TestTestbedConcurrentAccess(t *testing.T) {
 			if _, err := tb.RTT(HostT3E600, HostSP2); err != nil {
 				t.Error(err)
 			}
-			if _, err := tb.PathMTU(HostT3E600, HostSP2); err != nil {
+			if _, err := tb.RTT(HostWSJuelich, HostWSGMD); err != nil {
 				t.Error(err)
 			}
 			_ = tb.BackboneUtilization()

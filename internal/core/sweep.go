@@ -152,9 +152,6 @@ type ShardTiming struct {
 	ElapsedNS int64 `json:"elapsed_ns"`
 }
 
-// Elapsed returns the shard's wall-clock time.
-func (st ShardTiming) Elapsed() time.Duration { return time.Duration(st.ElapsedNS) }
-
 // CountWorkers counts the participants that evaluated at least one
 // grid point — the "workers" figure of -json envelopes and dist job
 // statuses.

@@ -22,17 +22,3 @@
 // unpipelined session drivers, and the calibrated Cray T3E-600 cost
 // model that reproduces Table 1.
 package fire
-
-import (
-	"repro/internal/volume"
-)
-
-// Result of processing one scan through the module chain.
-type Result struct {
-	// Corr is the voxel-wise correlation coefficient map in [-1, 1].
-	Corr *volume.Volume
-	// Shift is the rigid motion estimate removed from this scan.
-	Shift [3]float64
-	// ScansUsed is the number of scans the correlation is based on.
-	ScansUsed int
-}

@@ -65,33 +65,6 @@ func TestMedianFilterZeroRadiusClones(t *testing.T) {
 	}
 }
 
-func TestAverageFilterSmooths(t *testing.T) {
-	v := volume.New(8, 8, 8)
-	v.Set(4, 4, 4, 27)
-	out := AverageFilter3D(v, 1)
-	// 27 spread over a 27-voxel window -> 1 at center.
-	if math.Abs(float64(out.At(4, 4, 4))-1) > 1e-6 {
-		t.Errorf("center = %v, want 1", out.At(4, 4, 4))
-	}
-	if math.Abs(float64(out.At(3, 4, 4))-1) > 1e-6 {
-		t.Errorf("neighbor = %v, want 1", out.At(3, 4, 4))
-	}
-	if out.At(0, 0, 0) != 0 {
-		t.Errorf("far voxel = %v, want 0", out.At(0, 0, 0))
-	}
-}
-
-func TestAverageFilterPreservesMeanOnConstant(t *testing.T) {
-	v := volume.New(5, 5, 5)
-	v.Fill(7)
-	out := AverageFilter3D(v, 2)
-	for _, x := range out.Data {
-		if math.Abs(float64(x)-7) > 1e-5 {
-			t.Fatalf("constant not preserved: %v", x)
-		}
-	}
-}
-
 func phantomVolume() *volume.Volume {
 	ph := mri.NewPhantom(24, 24, 12, nil)
 	return ph.Anatomy
@@ -465,57 +438,4 @@ func TestROITimeCourse(t *testing.T) {
 	if _, err := roiTimeCourse(nil, roi); err == nil {
 		t.Error("empty series accepted")
 	}
-}
-
-func TestClipMap(t *testing.T) {
-	r := &Result{Corr: volume.New(2, 1, 1)}
-	r.Corr.Data[0] = 0.7
-	r.Corr.Data[1] = -0.8
-	m := r.ClipMap(0.75)
-	if m[0] || !m[1] {
-		t.Errorf("clip map = %v", m)
-	}
-}
-
-// AverageFilter3D applies a (2r+1)^3 box average with edge clamping —
-// FIRE's post-pipeline smoothing stage.
-func AverageFilter3D(v *volume.Volume, r int) *volume.Volume {
-	if r <= 0 {
-		return v.Clone()
-	}
-	out := volume.New(v.NX, v.NY, v.NZ)
-	for z := 0; z < v.NZ; z++ {
-		for y := 0; y < v.NY; y++ {
-			for x := 0; x < v.NX; x++ {
-				var sum float64
-				var n int
-				for dz := -r; dz <= r; dz++ {
-					zz := clampIdx(z+dz, v.NZ)
-					for dy := -r; dy <= r; dy++ {
-						yy := clampIdx(y+dy, v.NY)
-						for dx := -r; dx <= r; dx++ {
-							xx := clampIdx(x+dx, v.NX)
-							sum += float64(v.At(xx, yy, zz))
-							n++
-						}
-					}
-				}
-				out.Set(x, y, z, float32(sum/float64(n)))
-			}
-		}
-	}
-	return out
-}
-
-// ClipMap returns the overlay mask for a clip level: voxels whose
-// correlation magnitude meets or exceeds clip, as the FIRE GUI overlays
-// them on the anatomy (figure 3).
-func (r *Result) ClipMap(clip float64) []bool {
-	out := make([]bool, r.Corr.Voxels())
-	for i, v := range r.Corr.Data {
-		if math.Abs(float64(v)) >= clip {
-			out[i] = true
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package fire
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/mri"
@@ -240,4 +241,35 @@ func clampF(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
+}
+
+// validateRVOInputs factors the RVO precondition checks.
+func validateRVOInputs(series []*volume.Volume, stim []float64, opts RVOOptions) error {
+	if len(series) < 4 {
+		return fmt.Errorf("fire: RVO needs >= 4 scans, have %d", len(series))
+	}
+	if len(opts.Delays) == 0 || len(opts.Dispersions) == 0 {
+		return fmt.Errorf("fire: empty RVO grid")
+	}
+	if len(stim) < len(series) {
+		return fmt.Errorf("fire: stimulus shorter (%d) than series (%d)", len(stim), len(series))
+	}
+	shape := series[0]
+	for _, v := range series {
+		if !v.SameShape(shape) {
+			return fmt.Errorf("fire: inconsistent series shapes")
+		}
+	}
+	return nil
+}
+
+// buildRVORefs precomputes the normalized grid references.
+func buildRVORefs(stim []float64, tr float64, opts RVOOptions) []gridRef {
+	refs := make([]gridRef, 0, len(opts.Delays)*len(opts.Dispersions))
+	for _, d := range opts.Delays {
+		for _, w := range opts.Dispersions {
+			refs = append(refs, gridRef{d, w, mri.HRF{Delay: d, Dispersion: w}.Convolve(stim, tr)})
+		}
+	}
+	return refs
 }

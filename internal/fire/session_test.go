@@ -1,6 +1,8 @@
 package fire
 
 import (
+	"context"
+	"errors"
 	"net"
 	"testing"
 
@@ -8,10 +10,9 @@ import (
 	"repro/internal/volume"
 )
 
-// startServer launches an RT-server for a fresh synthetic measurement
-// and returns a connected client plus the scanner.
-func startServer(t *testing.T, withMotion bool, nScans int) (*RTClient, *mri.Scanner) {
-	t.Helper()
+// measurement returns the scanner for a fresh synthetic measurement
+// and the phantom it images.
+func measurement(withMotion bool, nScans int) (*mri.Scanner, *mri.Phantom) {
 	act := mri.Activation{CX: 8, CY: 8, CZ: 4, Radius: 2.5, Amplitude: 0.06, HRF: mri.DefaultHRF}
 	ph := mri.NewPhantom(16, 16, 8, []mri.Activation{act})
 	cfg := mri.ScanConfig{NX: 16, NY: 16, NZ: 8, TR: 2, NScans: nScans, NoiseStd: 1, Seed: 31}
@@ -21,7 +22,14 @@ func startServer(t *testing.T, withMotion bool, nScans int) (*RTClient, *mri.Sca
 			cfg.Motion[i] = mri.Shift{DX: 0.6, DY: -0.3}
 		}
 	}
-	sc := mri.NewScanner(ph, cfg)
+	return mri.NewScanner(ph, cfg), ph
+}
+
+// startServer launches an RT-server for a fresh synthetic measurement
+// and returns a connected client, the scanner and the phantom.
+func startServer(t *testing.T, withMotion bool, nScans int) (*RTClient, *mri.Scanner, *mri.Phantom) {
+	t.Helper()
+	sc, ph := measurement(withMotion, nScans)
 	srv := &RTServer{Scanner: sc}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -34,124 +42,92 @@ func startServer(t *testing.T, withMotion bool, nScans int) (*RTClient, *mri.Sca
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
-	return client, sc
+	return client, sc, ph
 }
 
 func TestRealtimeSessionEndToEnd(t *testing.T) {
-	client, sc := startServer(t, false, 24)
-	var callbacks int
-	sess := &RealtimeSession{
-		Client:    client,
-		Reference: sc.Reference(0),
-		NX:        16, NY: 16, NZ: 8,
-		FilterRadius: 1,
-		OnFrame:      func(scan int, r *Result) { callbacks++ },
-	}
-	frames, last, err := sess.Run()
+	client, sc, ph := startServer(t, false, 24)
+	res, err := RunSession(context.Background(), client, sc.Reference(0), ph.Anatomy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frames != 24 || callbacks != 24 {
-		t.Errorf("frames=%d callbacks=%d", frames, callbacks)
+	if len(res.Shifts) != 24 {
+		t.Errorf("%d scans analysed, want 24", len(res.Shifts))
 	}
-	if last == nil || last.Corr == nil {
-		t.Fatal("no final correlation map")
-	}
-	if r := last.Corr.At(8, 8, 4); r < 0.6 {
-		t.Errorf("activation correlation %.3f (median-filtered path)", r)
-	}
-	if last.ScansUsed != 24 {
-		t.Errorf("ScansUsed = %d", last.ScansUsed)
+	if r := res.Corr.At(8, 8, 4); r < 0.6 {
+		t.Errorf("activation correlation %.3f", r)
 	}
 }
 
 func TestRealtimeSessionWithMotionCorrection(t *testing.T) {
-	client, sc := startServer(t, true, 24)
-	ph := mri.NewPhantom(16, 16, 8, nil)
-	var lastShift [3]float64
-	sess := &RealtimeSession{
-		Client:    client,
-		Reference: sc.Reference(0),
-		NX:        16, NY: 16, NZ: 8,
-		MotionRef: ph.Anatomy,
-		OnFrame: func(scan int, r *Result) {
-			if scan == 20 {
-				lastShift = r.Shift
-			}
-		},
-	}
-	frames, last, err := sess.Run()
+	client, sc, ph := startServer(t, true, 24)
+	res, err := RunSession(context.Background(), client, sc.Reference(0), ph.Anatomy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frames != 24 {
-		t.Fatalf("frames = %d", frames)
+	if len(res.Shifts) != 24 {
+		t.Fatalf("%d scans analysed, want 24", len(res.Shifts))
 	}
 	// The injected subject motion (0.6, -0.3, 0) is recovered.
-	if d := lastShift[0] - 0.6; d > 0.15 || d < -0.15 {
-		t.Errorf("estimated dx = %.2f, want ~0.6", lastShift[0])
+	if dx := res.Shifts[20][0]; dx-0.6 > 0.15 || dx-0.6 < -0.15 {
+		t.Errorf("estimated dx = %.2f, want ~0.6", dx)
 	}
-	if last.Corr.At(8, 8, 4) < 0.6 {
-		t.Errorf("correlation after motion correction = %.3f", last.Corr.At(8, 8, 4))
+	if res.Corr.At(8, 8, 4) < 0.6 {
+		t.Errorf("correlation after motion correction = %.3f", res.Corr.At(8, 8, 4))
 	}
 }
 
 func TestRealtimeSessionValidation(t *testing.T) {
-	if _, _, err := (&RealtimeSession{}).Run(); err == nil {
-		t.Error("empty session accepted")
+	ctx := context.Background()
+	client, sc, ph := startServer(t, false, 4)
+	if _, err := RunSession(ctx, nil, sc.Reference(0), ph.Anatomy); err == nil {
+		t.Error("session without client accepted")
 	}
-	client, sc := startServer(t, false, 2)
-	if _, _, err := (&RealtimeSession{Client: client}).Run(); err == nil {
+	if _, err := RunSession(ctx, client, nil, ph.Anatomy); err == nil {
 		t.Error("session without reference accepted")
 	}
-	if _, _, err := (&RealtimeSession{Client: client, Reference: sc.Reference(0)}).Run(); err == nil {
-		t.Error("session without matrix accepted")
+	if _, err := RunSession(ctx, client, sc.Reference(0), nil); err == nil {
+		t.Error("session without motion reference accepted")
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := RunSession(cancelled, client, sc.Reference(0), ph.Anatomy); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled session: err = %v, want context.Canceled", err)
 	}
 }
 
 func TestRealtimeSessionShapeMismatch(t *testing.T) {
-	client, sc := startServer(t, false, 4)
-	sess := &RealtimeSession{
-		Client:    client,
-		Reference: sc.Reference(0),
-		NX:        32, NY: 32, NZ: 8, // wrong matrix
-	}
-	if _, _, err := sess.Run(); err == nil {
+	client, sc, _ := startServer(t, false, 4)
+	if _, err := RunSession(context.Background(), client, sc.Reference(0), volume.New(32, 32, 8)); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 }
 
 func TestRealtimeSessionFeedsVolume(t *testing.T) {
-	// The session's last map shares the analysis chain with a direct
-	// correlator over the same data (no filter, no motion).
-	client, sc := startServer(t, false, 16)
-	sess := &RealtimeSession{
-		Client:    client,
-		Reference: sc.Reference(0),
-		NX:        16, NY: 16, NZ: 8,
-	}
-	_, last, err := sess.Run()
+	// The session's map is the analysis chain run directly over the
+	// same data: motion correction, then the correlator.
+	client, sc, ph := startServer(t, false, 16)
+	res, err := RunSession(context.Background(), client, sc.Reference(0), ph.Anatomy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want *volume.Volume
-	{
-		// Re-generate the same measurement deterministically.
-		act := mri.Activation{CX: 8, CY: 8, CZ: 4, Radius: 2.5, Amplitude: 0.06, HRF: mri.DefaultHRF}
-		ph := mri.NewPhantom(16, 16, 8, []mri.Activation{act})
-		sc2 := mri.NewScanner(ph, mri.ScanConfig{NX: 16, NY: 16, NZ: 8, TR: 2, NScans: 16, NoiseStd: 1, Seed: 31})
-		c := NewCorrelator(sc2.Reference(0), 16, 16, 8)
-		for {
-			v := sc2.Next()
-			if v == nil {
-				break
-			}
-			c.Add(v)
+	sc2, _ := measurement(false, 16)
+	c := NewCorrelator(sc2.Reference(0), 16, 16, 8)
+	var fixed *volume.Volume
+	for v := sc2.Next(); v != nil; v = sc2.Next() {
+		if fixed, _, err = MotionCorrect(fixed, ph.Anatomy, v, MotionOptions{}); err != nil {
+			t.Fatal(err)
 		}
-		want, _ = c.Map()
+		if err := c.Add(fixed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := c.Map()
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i := range want.Data {
-		if last.Corr.Data[i] != want.Data[i] {
+		if res.Corr.Data[i] != want.Data[i] {
 			t.Fatalf("session map differs from direct analysis at %d", i)
 		}
 	}

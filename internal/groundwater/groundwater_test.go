@@ -29,7 +29,7 @@ func TestUniformFlowLinearHead(t *testing.T) {
 	for x := 0; x < 20; x++ {
 		want := 10 * (1 - float64(x)/19)
 		for _, yz := range [][2]int{{0, 0}, {4, 3}, {7, 5}} {
-			got := f.Head[f.Idx(x, yz[0], yz[1])]
+			got := f.Head[x+f.NX*(yz[0]+f.NY*yz[1])]
 			if math.Abs(got-want) > 1e-6 {
 				t.Fatalf("head(%d,%d,%d) = %v, want %v", x, yz[0], yz[1], got, want)
 			}
@@ -67,8 +67,8 @@ func TestHeterogeneousFlowMassBalance(t *testing.T) {
 		var q float64
 		for z := 0; z < cfg.NZ; z++ {
 			for y := 0; y < cfg.NY; y++ {
-				c1 := f.Idx(x, y, z)
-				c2 := f.Idx(x+1, y, z)
+				c1 := x + f.NX*(y+f.NY*z)
+				c2 := c1 + 1
 				k := harmonic(cfg.K[c1], cfg.K[c2])
 				q += k * (f.Head[c1] - f.Head[c2]) * cfg.Dx
 			}
@@ -465,7 +465,7 @@ func TestSolveMatchesReferenceCGBitForBit(t *testing.T) {
 		for z := 0; z < nz; z++ {
 			for y := 0; y < ny; y++ {
 				for x := 1; x < nx-1; x++ {
-					g, w := got.Head[got.Idx(x, y, z)], h[uidx(x, y, z)]
+					g, w := got.Head[x+got.NX*(y+got.NY*z)], h[uidx(x, y, z)]
 					if math.Float64bits(g) != math.Float64bits(w) {
 						t.Fatalf("step %d: head(%d,%d,%d) = %x, reference %x", step, x, y, z,
 							math.Float64bits(g), math.Float64bits(w))

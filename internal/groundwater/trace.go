@@ -73,9 +73,6 @@ type FlowField struct {
 	CGIterations int
 }
 
-// Idx converts cell coordinates to a linear index.
-func (f *FlowField) Idx(x, y, z int) int { return x + f.NX*(y+f.NY*z) }
-
 func harmonic(a, b float64) float64 {
 	if a+b == 0 {
 		return 0

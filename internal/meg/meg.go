@@ -35,9 +35,6 @@ import (
 // Vec3 is a point or vector in head coordinates (meters).
 type Vec3 struct{ X, Y, Z float64 }
 
-// Add returns v + w.
-func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
-
 // Sub returns v - w.
 func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
 

@@ -1,51 +1,10 @@
 package mpi
 
-import (
-	"fmt"
-)
-
 // Internal collective tags.
 const (
 	tagBarrier = iota
 	tagGather
-	tagScan
 )
-
-// Op is a reduction operation over float64 element vectors.
-type Op int
-
-// Reduction operations.
-const (
-	OpSum Op = iota
-	OpMax
-	OpMin
-	OpProd
-)
-
-func (op Op) apply(acc, in []float64) {
-	switch op {
-	case OpSum:
-		for i := range acc {
-			acc[i] += in[i]
-		}
-	case OpMax:
-		for i := range acc {
-			if in[i] > acc[i] {
-				acc[i] = in[i]
-			}
-		}
-	case OpMin:
-		for i := range acc {
-			if in[i] < acc[i] {
-				acc[i] = in[i]
-			}
-		}
-	case OpProd:
-		for i := range acc {
-			acc[i] *= in[i]
-		}
-	}
-}
 
 // Barrier blocks until every rank of the communicator has entered it
 // (dissemination algorithm, ceil(log2 n) rounds).
@@ -60,24 +19,6 @@ func (c *Comm) Barrier() error {
 			return err
 		}
 	}
-	return nil
-}
-
-// combine receives src's vector and folds it into acc — the step every
-// reduction is made of. All ranks must pass vectors of equal length.
-func (c *Comm) combine(op Op, acc []float64, src, tag int) error {
-	data, err := c.recvColl(src, tag)
-	if err != nil {
-		return err
-	}
-	in, err := BytesToFloat64s(data)
-	if err != nil {
-		return err
-	}
-	if len(in) != len(acc) {
-		return fmt.Errorf("mpi: reduction length mismatch %d vs %d", len(in), len(acc))
-	}
-	op.apply(acc, in)
 	return nil
 }
 
@@ -102,24 +43,4 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 		}
 	}
 	return out, nil
-}
-
-// Scan computes the inclusive prefix reduction: rank r receives
-// op(vec_0, ..., vec_r). Linear chain (ranks are few in metacomputing
-// configurations; latency, not bandwidth, dominates).
-func (c *Comm) Scan(op Op, vec []float64) ([]float64, error) {
-	acc := append([]float64(nil), vec...)
-	if c.rank > 0 {
-		// acc = op(prefix, own): order matters only for
-		// non-commutative ops, which Op does not include.
-		if err := c.combine(op, acc, c.rank-1, tagScan); err != nil {
-			return nil, err
-		}
-	}
-	if c.rank < c.Size()-1 {
-		if err := c.sendColl(c.rank+1, tagScan, Float64sToBytes(acc)); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
 }

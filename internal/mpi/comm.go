@@ -34,9 +34,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size reports the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// Host reports the host this rank is placed on.
-func (c *Comm) Host() string { return c.world.HostOf(c.self) }
-
 func checkRank(r, size int) error {
 	if r < 0 || r >= size {
 		return fmt.Errorf("mpi: rank %d out of range [0,%d)", r, size)

@@ -183,32 +183,6 @@ func TestBarrierOrdering(t *testing.T) {
 	}
 }
 
-func TestReduceOps(t *testing.T) {
-	err := Run(4, func(c *Comm) error {
-		v := float64(c.Rank() + 1) // 1..4
-		min, err := c.Scan(OpMin, []float64{v})
-		if err != nil {
-			return err
-		}
-		prod, err := c.Scan(OpProd, []float64{v})
-		if err != nil {
-			return err
-		}
-		max, err := c.Scan(OpMax, []float64{5 - v})
-		if err != nil {
-			return err
-		}
-		// The last rank's prefix is the reduction over all four ranks.
-		if c.Rank() == 3 && (min[0] != 1 || prod[0] != 24 || max[0] != 4) {
-			return fmt.Errorf("min=%v prod=%v max=%v", min[0], prod[0], max[0])
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGather(t *testing.T) {
 	err := Run(4, func(c *Comm) error {
 		parts, err := c.Gather(2, []byte{byte(c.Rank())})
@@ -230,26 +204,6 @@ func TestGather(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScanPrefix(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 8} {
-		err := Run(n, func(c *Comm) error {
-			got, err := c.Scan(OpSum, []float64{float64(c.Rank() + 1)})
-			if err != nil {
-				return err
-			}
-			r := c.Rank() + 1
-			want := float64(r*(r+1)) / 2
-			if got[0] != want {
-				return fmt.Errorf("rank %d prefix sum = %v, want %v", c.Rank(), got[0], want)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
 	}
 }
 
@@ -471,8 +425,8 @@ func TestRunErrorsPropagate(t *testing.T) {
 func TestHostPlacement(t *testing.T) {
 	hosts := []string{"cray-t3e", "ibm-sp2"}
 	_, err := RunHosts(nil, hosts, nil, func(c *Comm) error {
-		if c.Host() != hosts[c.Rank()] {
-			return fmt.Errorf("rank %d on %q", c.Rank(), c.Host())
+		if host := c.world.HostOf(c.self); host != hosts[c.Rank()] {
+			return fmt.Errorf("rank %d on %q", c.Rank(), host)
 		}
 		return nil
 	})

@@ -12,7 +12,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 	"unsafe"
 
@@ -220,15 +219,6 @@ type Network struct {
 	K     *sim.Kernel
 	nodes []*Node
 	pool  pktPool
-}
-
-// NewRand returns a deterministically seeded generator for one
-// stochastic stream (traffic generator, loss process, …). Distinct
-// stream values decorrelate components sharing a network; the stream
-// value alone determines the sequence, which keeps historical traces
-// byte-identical.
-func (n *Network) NewRand(stream int64) *rand.Rand {
-	return rand.New(rand.NewSource(stream))
 }
 
 // NewPacket returns a zeroed packet from the network's pool. The

@@ -230,52 +230,68 @@ func TestFIFOOrderPreserved(t *testing.T) {
 	}
 }
 
-func TestCrossTrafficOfferedLoad(t *testing.T) {
-	n, a, b := twoHosts(LinkConfig{Bps: 622e6, Delay: time.Millisecond, MTU: 9180, QueueBytes: 64 << 20})
-	ct := &CrossTraffic{Net: n, Src: a.ID, Dst: b.ID, Bps: 100e6, Seed: 3}
-	ct.Start(2 * time.Second)
-	n.K.Run()
-	sent, delivered, dropped := ct.Stats()
-	if sent == 0 || delivered == 0 {
-		t.Fatal("no traffic generated")
-	}
-	if dropped != 0 {
-		t.Errorf("%d drops on an uncongested link", dropped)
-	}
-	// Offered load over 2 s at 100 Mbit/s with 9180-byte packets:
-	// ~2723 packets; Poisson spread allows +-10%.
-	want := 100e6 * 2 / (9180 * 8)
-	if float64(sent) < want*0.9 || float64(sent) > want*1.1 {
-		t.Errorf("sent %d packets, want ~%.0f", sent, want)
-	}
-}
-
-func TestCrossTrafficAddsQueueingDelay(t *testing.T) {
-	// A probe packet through an 80%-loaded link sees more delay than
-	// through an idle one.
-	probe := func(loadBps float64) time.Duration {
+// A probe packet queued behind a flood sees more delay than one
+// through an idle link.
+func TestFloodAddsQueueingDelay(t *testing.T) {
+	probe := func(flood int) time.Duration {
 		n, a, b := twoHosts(LinkConfig{Bps: 155e6, Delay: time.Millisecond, MTU: 9180, QueueBytes: 64 << 20})
-		if loadBps > 0 {
-			ct := &CrossTraffic{Net: n, Src: a.ID, Dst: b.ID, Bps: loadBps, Seed: 5}
-			ct.Start(500 * time.Millisecond)
-		}
 		var sum time.Duration
 		samples := 50
 		for i := 0; i < samples; i++ {
-			i := i
-			sendAt := sim.Time(i) * sim.Time(10*time.Millisecond)
+			sendAt := sim.Time(i) * sim.Time(time.Millisecond)
 			n.K.At(sendAt, func() {
 				n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000,
 					Handler: hooks{deliver: func(*Packet) { sum += n.K.Now().Sub(sendAt) }}})
 			})
 		}
-		n.K.Run()
+		// 100 packets of 9180 bytes hold the link for ~47 ms.
+		if res := Flood(n, a.ID, b.ID, 9180, flood); res.Delivered != flood {
+			t.Fatalf("flood delivered %d of %d packets", res.Delivered, flood)
+		}
 		return sum / time.Duration(samples)
 	}
 	idle := probe(0)
-	loaded := probe(124e6) // 80% of 155 Mbit/s
+	loaded := probe(100)
 	if loaded <= idle {
 		t.Errorf("loaded delay %v not above idle %v", loaded, idle)
+	}
+}
+
+// Repeated fill/drain waves cycle the ring head through the slice
+// several times; FIFO order must survive every wraparound.
+func TestDeepQueueFIFOAcrossWraparound(t *testing.T) {
+	n, a, b := twoHosts(LinkConfig{Bps: 100e6, Delay: time.Millisecond, MTU: 65536, QueueBytes: 64 << 20})
+	var order []int
+	seq := 0
+	// 6 waves of 20 x 10000-byte packets (0.8 ms serialization each),
+	// 25 ms apart: each wave queues ~19 deep and fully drains before
+	// the next, so the head laps the grown ring again and again.
+	for w := 0; w < 6; w++ {
+		at := sim.Time(w) * sim.Time(25*time.Millisecond)
+		n.K.At(at, func() {
+			for i := 0; i < 20; i++ {
+				k := seq
+				seq++
+				n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 10000,
+					Handler: hooks{deliver: func(*Packet) { order = append(order, k) }}})
+			}
+		})
+	}
+	n.K.Run()
+	if len(order) != 120 {
+		t.Fatalf("delivered %d packets, want 120", len(order))
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("FIFO broken at delivery %d: got packet %d", i, v)
+		}
+	}
+	ifc := a.ifaces[0]
+	if ifc.q.Cap() <= 16 {
+		t.Errorf("ring never grew: %d slots for a ~19-deep queue", ifc.q.Cap())
+	}
+	if laps := 120 / ifc.q.Cap(); laps < 2 {
+		t.Errorf("ring of %d slots lapped only %d times; waves too small for the test's purpose", ifc.q.Cap(), laps)
 	}
 }
 

@@ -49,9 +49,6 @@ func NewChan[T any](k *Kernel, capacity int) *Chan[T] {
 	return &Chan[T]{k: k, cap: capacity}
 }
 
-// Len reports the number of buffered messages.
-func (c *Chan[T]) Len() int { return c.buf.Len() }
-
 func (c *Chan[T]) getWaiter(p *Proc) *waiter[T] {
 	if l := len(c.wfree); l > 0 {
 		w := c.wfree[l-1]

@@ -80,8 +80,8 @@ func TestChanTrySendTryRecv(t *testing.T) {
 	if !ok || v != 7 {
 		t.Errorf("TryRecv = %d,%v want 7,true", v, ok)
 	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d, want 0", c.Len())
+	if c.buf.Len() != 0 {
+		t.Errorf("Len = %d, want 0", c.buf.Len())
 	}
 }
 
@@ -116,8 +116,8 @@ func TestChanHandoffPreservesDeadlines(t *testing.T) {
 			t.Errorf("value %d received at %v, want %v (handoff changed a deadline)", i, at, want)
 		}
 	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d after drain", c.Len())
+	if c.buf.Len() != 0 {
+		t.Errorf("Len = %d after drain", c.buf.Len())
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // now included), lane pushes in and out of order, reserved keys that are
 // materialized or let pass, tails (from callbacks, where they run as the
 // event's tail, from processes and from the top level), nested schedules
-// from callbacks and processes sleeping 0 or 1 ns, Step / Run /
-// RunUntil, Stop, and panicking callbacks followed by a resumed Run —
+// from callbacks and processes sleeping 0 or 1 ns, Step / Run, and
+// panicking callbacks followed by a resumed Run —
 // and runs it against Kernel and against refKernel, the heap kernel
 // Kernel replaced. The two transcripts must be identical: every callback and
 // process wake-up with its time, every panic, and after each operation
@@ -80,12 +80,13 @@ func checkProgram(t *testing.T, in []byte) []string {
 // removing or reordering an op turns every file into a different
 // program. Then re-encode the files — map each byte read as an opcode to
 // its op's new number and leave argument bytes as they are — until these
-// digests hold again; re-pin only when the transcript's wording changes.
+// digests hold again; re-pin only a file whose program used a removed
+// op, or when the transcript's wording changes.
 var corpusDigests = map[string]string{
 	"01cfd22da1e5f435": "769327c083aa740b",
 	"1a4e68df771f31f5": "10536d733c097033",
 	"1c430ba2b87d5566": "7d37b6c2ba1a1943",
-	"29c30fb48b1850c7": "10171ca49fcb7180",
+	"29c30fb48b1850c7": "c662c26fd8c23b0c",
 	"55cc57e8de6f7821": "4a2a8869fe66fa65",
 	"6f1246c0f3087d8f": "4fd67750e99d1582",
 	"7031d1c1e7c91700": "f864804721c07ae1",
@@ -94,12 +95,12 @@ var corpusDigests = map[string]string{
 	"79e9c8a2bdae1591": "e7be46696c0db227",
 	"7a9cc305730c9d15": "6ce446553769713b",
 	"9c893777906471c3": "be0757e4b6643191",
-	"c1e7b1cdb8964c34": "0b8790798a1ec357",
+	"c1e7b1cdb8964c34": "0438ab0b411f33d8",
 	"ca3385c17f69bf32": "1a8920efb8b98c63",
 	"d28ecd184ca6ebd4": "db0ba58c04b9d862",
 	"d4e9b5645a123c85": "e08b258015e99371",
 	"e5187035e80721f1": "4ef41c71352929f0",
-	"f35e37c0e30ffd2e": "4dc79ed7481bc8ad",
+	"f35e37c0e30ffd2e": "e443db87fe5c5c41",
 	"f6b68f42eaeb833d": "158c8f242a428e98",
 }
 
@@ -136,15 +137,15 @@ var tailPrograms = []struct {
 	want []string
 }{
 	// Event 1 at 0 leaves a tail and returns; with event 2 pending at 5
-	// the tail runs at once, with the root vacant, and stops Run.
-	{"stop inside a tail-run callback",
-		[]byte{opAt, 0, opAt, 3, 5, opRun, 2, opTail, opObserve, 1, opStop, opRun, 0},
-		[]string{"fire 1 @0", "tail in event=true", "fire 3 @0", "run -> 0", "now=0 pending=1 next=5/true fired=2 procs=0", "fire 2 @5"}},
-	// Under RunUntil(4), event 1's tail runs and leaves a tail of its
-	// own, which runs too; event 2 at 9 stays pending.
-	{"tail-run under RunUntil",
-		[]byte{opAt, 0, opAt, 3, 9, opRunUntil, 3, 4, 1, opTail, 1, opTail, 0, opRunUntil, 0, opStep, 0},
-		[]string{"fire 1 @0", "tail in event=true", "fire 3 @0", "tail in event=true", "fire 4 @0", "runUntil -> 4", "now=4 pending=1 next=9/true fired=3 procs=0"}},
+	// the tail runs at once, with the root vacant, before event 2.
+	{"tail-run callback with the root vacant",
+		[]byte{opAt, 0, opAt, 3, 5, opRun, 2, opTail, opObserve, 0, 0},
+		[]string{"fire 1 @0", "tail in event=true", "fire 3 @0", "now=0 pending=1 next=5/true fired=2 procs=0", "fire 2 @5", "run -> 5"}},
+	// Event 1's tail leaves a tail of its own, which runs too, both
+	// before event 2 at 9.
+	{"tail left by a tail-run callback",
+		[]byte{opAt, 0, opAt, 3, 9, opRun, 1, opTail, 1, opTail, 0, 0},
+		[]string{"fire 1 @0", "tail in event=true", "fire 3 @0", "tail in event=true", "fire 4 @0", "now=0 pending=1 next=9/true fired=3 procs=0", "fire 2 @9", "run -> 9"}},
 	// Event 2, scheduled at 0 before event 1's tail, keeps its turn:
 	// with the root vacant it is among the root's children.
 	{"tail behind an earlier key at now",
@@ -199,8 +200,6 @@ type sys interface {
 	decide(res int, fn func()) (passed bool)
 	step() bool
 	run() Time
-	runUntil(t Time) Time
-	stop()
 	pending() int
 	next() (Time, bool)
 	fired() int64
@@ -252,14 +251,12 @@ func (s *newSys) decide(res int, fn func()) bool {
 	s.evs = append(s.evs, s.k.Materialize(key.at, key.seq, callThunk, unsafe.Pointer(&fn), nil))
 	return false
 }
-func (s *newSys) step() bool           { return s.k.Step() }
-func (s *newSys) run() Time            { return s.k.Run() }
-func (s *newSys) runUntil(t Time) Time { return s.k.RunUntil(t) }
-func (s *newSys) stop()                { s.k.Stop() }
-func (s *newSys) pending() int         { return s.k.Pending() }
-func (s *newSys) next() (Time, bool)   { return s.k.NextEventTime() }
-func (s *newSys) fired() int64         { return s.k.Fired() }
-func (s *newSys) procs() int           { return s.k.Procs() }
+func (s *newSys) step() bool         { return s.k.Step() }
+func (s *newSys) run() Time          { return s.k.Run() }
+func (s *newSys) pending() int       { return s.k.Pending() }
+func (s *newSys) next() (Time, bool) { return s.k.NextEventTime() }
+func (s *newSys) fired() int64       { return s.k.Fired() }
+func (s *newSys) procs() int         { return s.k.Procs() }
 func (s *newSys) spawn(body func(func(time.Duration))) {
 	s.k.Go("p", func(p *Proc) { body(p.Sleep) })
 }
@@ -335,13 +332,11 @@ func (s *refSys) step() bool {
 		}
 	}
 }
-func (s *refSys) run() Time            { return s.k.Run() }
-func (s *refSys) runUntil(t Time) Time { return s.k.RunUntil(t) }
-func (s *refSys) stop()                { s.k.Stop() }
-func (s *refSys) pending() int         { return s.k.Pending() - s.sentPending }
-func (s *refSys) next() (Time, bool)   { return s.k.NextEventTime() }
-func (s *refSys) fired() int64         { return s.k.Fired() - s.sentFired }
-func (s *refSys) procs() int           { return s.k.Procs() }
+func (s *refSys) run() Time          { return s.k.Run() }
+func (s *refSys) pending() int       { return s.k.Pending() - s.sentPending }
+func (s *refSys) next() (Time, bool) { return s.k.NextEventTime() }
+func (s *refSys) fired() int64       { return s.k.Fired() - s.sentFired }
+func (s *refSys) procs() int         { return s.k.Procs() }
 func (s *refSys) spawn(body func(func(time.Duration))) {
 	s.k.Go("p", func(p *refProc) { body(p.Sleep) })
 }
@@ -368,14 +363,12 @@ const (
 	opLane
 	opReserve
 	opDecide
-	opStop
 	opPanic
 	opSpawn
 	opObserve
 	opTail
 	opStep
 	opRun
-	opRunUntil
 	opCount
 )
 
@@ -504,8 +497,6 @@ func (m *program) op(op int) {
 		}
 		m.resv[res] = true
 		m.logf("reservation %d passed=%v", res, s.decide(res, m.callback()))
-	case opStop:
-		s.stop()
 	case opPanic:
 		if m.inEvent {
 			m.inEvent = false
@@ -535,8 +526,6 @@ func (m *program) op(op int) {
 		m.logf("step -> %v", s.step())
 	case opRun:
 		m.logf("run -> %d", s.run())
-	case opRunUntil:
-		m.logf("runUntil -> %d", s.runUntil(s.now().Add(m.delay())))
 	}
 }
 

@@ -174,18 +174,14 @@ type Kernel struct {
 	ctl      chan struct{} // handshake: proc -> kernel (parked or exited)
 	procs    int           // live (started, not yet finished) processes
 	panicVal any
-	stopped  bool
 
-	// Inline-drive state: while Run/RunUntil is live (running), a
-	// parking process drives the event loop on its own goroutine
-	// (driving) instead of round-tripping through the kernel goroutine —
-	// a process whose own resume is the next event never switches
-	// goroutines at all. bounded/bound carry RunUntil's horizon so an
-	// inline driver stops exactly where the kernel loop would.
+	// Inline-drive state: while Run is live (running), a parking
+	// process drives the event loop on its own goroutine (driving)
+	// instead of round-tripping through the kernel goroutine — a process
+	// whose own resume is the next event never switches goroutines at
+	// all.
 	driving *Proc
 	running bool
-	bounded bool
-	bound   Time
 
 	fired int64 // callbacks executed since creation
 }
@@ -454,12 +450,11 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Run fires events until none remain or Stop is called. It returns the
-// final virtual time.
+// Run fires events until none remain. It returns the final virtual
+// time.
 func (k *Kernel) Run() Time {
-	k.stopped = false
-	k.running, k.bounded = true, false
-	for !k.stopped {
+	k.running = true
+	for {
 		x := k.next()
 		if x == nil {
 			break
@@ -470,36 +465,12 @@ func (k *Kernel) Run() Time {
 	return k.now
 }
 
-// RunUntil fires events with timestamps <= t, then sets the clock to t
-// (if it is not already past it) and returns.
-func (k *Kernel) RunUntil(t Time) Time {
-	k.stopped = false
-	k.running, k.bounded, k.bound = true, true, t
-	for !k.stopped {
-		x := k.next()
-		if x == nil || x.at > t {
-			break
-		}
-		k.fire(x)
-	}
-	k.running, k.bounded = false, false
-	if k.now < t {
-		k.now = t
-	}
-	return k.now
-}
-
 // Fired reports the number of callbacks this kernel has executed since
 // its creation (a reserved key never materialized is not one). It is a
 // deterministic measure of simulation work, independent of host speed:
 // the benchmark probes divide by it to price one event, and it is cheap
 // enough to maintain unconditionally.
 func (k *Kernel) Fired() int64 { return k.fired }
-
-// Stop makes the innermost Run or RunUntil return after the current
-// event completes. It may be called from inside event callbacks or
-// processes.
-func (k *Kernel) Stop() { k.stopped = true }
 
 // Procs reports the number of live processes (started and not yet
 // returned).

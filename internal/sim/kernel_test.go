@@ -55,54 +55,6 @@ func TestCancel(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		k.At(Time(i)*Time(time.Second), func() { count++ })
-	}
-	k.RunUntil(Time(3 * time.Second))
-	if count != 3 {
-		t.Errorf("RunUntil(3s) fired %d events, want 3", count)
-	}
-	if k.Now() != Time(3*time.Second) {
-		t.Errorf("clock at %v, want 3s", k.Now())
-	}
-	k.Run()
-	if count != 5 {
-		t.Errorf("Run fired %d events total, want 5", count)
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	k := NewKernel()
-	k.RunUntil(Time(7 * time.Second))
-	if k.Now() != Time(7*time.Second) {
-		t.Errorf("idle RunUntil left clock at %v, want 7s", k.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		k.At(Time(i), func() {
-			count++
-			if count == 2 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if count != 2 {
-		t.Errorf("Stop after 2 events, but %d fired", count)
-	}
-	k.Run() // resume
-	if count != 5 {
-		t.Errorf("resumed Run fired %d events total, want 5", count)
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	k := NewKernel()
 	k.After(time.Second, func() {})

@@ -21,9 +21,6 @@ type Proc struct {
 // Kernel returns the kernel this process belongs to.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
-// Name returns the diagnostic name given to Go.
-func (p *Proc) Name() string { return p.name }
-
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
@@ -85,7 +82,7 @@ func (k *Kernel) resume(p *Proc) {
 }
 
 // park returns the virtual CPU and blocks until another event resumes
-// this process. Inside Run/RunUntil the parking process drives the
+// this process. Inside Run the parking process drives the
 // event loop itself (see drive) instead of switching to the kernel
 // goroutine; under manual Step the classic two-switch handoff is kept,
 // so Step still fires exactly one event per call.
@@ -102,8 +99,7 @@ func (p *Proc) park() {
 
 // drive runs the event loop on the parked process's goroutine until an
 // event resumes the process (resume clears k.driving, possibly after
-// handing the CPU to another process directly). When no more events may
-// fire here — queue drained, Stop called, or past the RunUntil bound —
+// handing the CPU to another process directly). When the queue drains,
 // the CPU goes back to the kernel goroutine and the process waits
 // parked, exactly as the classic handoff would have left it.
 func (k *Kernel) drive(p *Proc) {
@@ -120,11 +116,8 @@ func (k *Kernel) drive(p *Proc) {
 		}
 	}()
 	for k.driving == p {
-		var x *entry
-		if !k.stopped {
-			x = k.next()
-		}
-		if x == nil || (k.bounded && x.at > k.bound) {
+		x := k.next()
+		if x == nil {
 			k.driving = nil
 			k.ctl <- struct{}{}
 			<-p.wake

@@ -19,12 +19,9 @@ type refKernel struct {
 	ctl      chan struct{}
 	procs    int
 	panicVal any
-	stopped  bool
 
 	driving *refProc
 	running bool
-	bounded bool
-	bound   Time
 
 	fired int64
 }
@@ -140,24 +137,10 @@ func (k *refKernel) Step() bool {
 }
 
 func (k *refKernel) Run() Time {
-	k.stopped = false
-	k.running, k.bounded = true, false
-	for !k.stopped && k.Step() {
+	k.running = true
+	for k.Step() {
 	}
 	k.running = false
-	return k.now
-}
-
-func (k *refKernel) RunUntil(t Time) Time {
-	k.stopped = false
-	k.running, k.bounded, k.bound = true, true, t
-	for !k.stopped && len(k.heap) > 0 && k.heap[0].at <= t {
-		k.Step()
-	}
-	k.running, k.bounded = false, false
-	if k.now < t {
-		k.now = t
-	}
 	return k.now
 }
 
@@ -169,8 +152,6 @@ func (k *refKernel) NextEventTime() (Time, bool) {
 	}
 	return k.heap[0].at, true
 }
-
-func (k *refKernel) Stop() { k.stopped = true }
 
 func (k *refKernel) Procs() int { return k.procs }
 
@@ -325,7 +306,7 @@ func (k *refKernel) drive(p *refProc) {
 		}
 	}()
 	for k.driving == p {
-		if k.stopped || len(k.heap) == 0 || (k.bounded && k.heap[0].at > k.bound) {
+		if len(k.heap) == 0 {
 			k.driving = nil
 			k.ctl <- struct{}{}
 			<-p.wake

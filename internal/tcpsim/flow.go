@@ -124,12 +124,6 @@ func Start(n *netsim.Network, src, dst netsim.NodeID, nbytes int64, cfg Config) 
 // startPump is the closure-free initial-pump trampoline.
 func startPump(a0, _ unsafe.Pointer) { (*sender)(a0).pump() }
 
-// Done reports whether the flow has completed successfully.
-func (f *Flow) Done() bool { return f.s.done }
-
-// Err reports a terminal flow error, if any.
-func (f *Flow) Err() error { return f.s.err }
-
 // Result returns the transfer outcome. It errors if the flow has not
 // completed.
 func (f *Flow) Result() (Result, error) {

@@ -74,7 +74,7 @@ func TestFlowResultBeforeCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Done() {
+	if f.s.done {
 		t.Error("flow done before kernel ran")
 	}
 	if _, err := f.Result(); err == nil {
@@ -83,7 +83,7 @@ func TestFlowResultBeforeCompletion(t *testing.T) {
 	if err := WaitAll(n, f); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Done() || f.Err() != nil {
+	if !f.s.done || f.s.err != nil {
 		t.Error("flow should be cleanly done")
 	}
 }
