@@ -266,18 +266,20 @@ func BenchmarkRVORefinement(b *testing.B) {
 // dataflow (scanner -> RT-server -> T3E -> client -> Onyx2 ->
 // workbench) as a discrete-event simulation over the testbed,
 // reporting the end-to-end delay that the F2 budget only asserts.
+// The 300-frame cases show how a run's cost grows with its length.
 func BenchmarkFMRIScenarioDES(b *testing.B) {
 	for _, pes := range []int{64, 256} {
-		pes := pes
-		b.Run(fmt.Sprintf("PEs=%d", pes), func(b *testing.B) {
-			var rep FMRIDataflowReport // the scenario runs at TR 4.0 s
-			for i := 0; i < b.N; i++ {
-				runTyped(b, "fmri-dataflow", &rep, WithPEs(pes), WithFrames(10))
-			}
-			b.ReportMetric(rep.Result.MeanGUIDelay, "gui-delay-s")
-			b.ReportMetric(rep.Result.MeanVRDelay, "vr-delay-s")
-			b.ReportMetric(rep.Result.WireSeconds, "wire-s")
-		})
+		for _, frames := range []int{10, 300} {
+			b.Run(fmt.Sprintf("PEs=%d/Frames=%d", pes, frames), func(b *testing.B) {
+				var rep FMRIDataflowReport // the scenario runs at TR 4.0 s
+				for i := 0; i < b.N; i++ {
+					runTyped(b, "fmri-dataflow", &rep, WithPEs(pes), WithFrames(frames))
+				}
+				b.ReportMetric(rep.Result.MeanGUIDelay, "gui-delay-s")
+				b.ReportMetric(rep.Result.MeanVRDelay, "vr-delay-s")
+				b.ReportMetric(rep.Result.WireSeconds, "wire-s")
+			})
+		}
 	}
 }
 

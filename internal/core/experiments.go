@@ -120,9 +120,9 @@ type Figure2Result struct {
 	Pipelined   float64
 	SafeTR      float64
 	// ScannerTransferMs is the measured time to move one raw
-	// 64x64x16 volume from the SP2-side or scanner host to the T3E
-	// over the testbed (context for the 1.1 s transfer budget, which
-	// is dominated by control-message round trips, not bytes).
+	// 64x64x16 volume from the RT-server workstation to the T3E, a
+	// campus hop inside Jülich (context for the 1.1 s transfer budget,
+	// which is dominated by control-message round trips, not bytes).
 	ScannerTransferMs float64
 	Session           fire.SessionResult
 	PipelinedSession  fire.SessionResult
@@ -176,7 +176,7 @@ func FormatFigure2(r Figure2Result) string {
 	fmt.Fprintf(&sb, "  unpipelined period     %.2f s (paper: 2.7 s) -> safe TR %.1f s (paper: 3 s)\n",
 		r.Unpipelined, r.SafeTR)
 	fmt.Fprintf(&sb, "  pipelined period       %.2f s (the unexploited improvement)\n", r.Pipelined)
-	fmt.Fprintf(&sb, "  raw volume WAN hop     %.1f ms measured (bytes are not the 1.1 s bottleneck)\n",
+	fmt.Fprintf(&sb, "  raw volume campus hop  %.1f ms measured (bytes are not the 1.1 s bottleneck)\n",
 		r.ScannerTransferMs)
 	fmt.Fprintf(&sb, "  session @TR=3.0 unpipelined: %d frames, mean delay %.2f s, max %.2f s, drops %d\n",
 		r.Session.Frames, r.Session.MeanDelay, r.Session.MaxDelay, r.Session.DroppedScans)

@@ -63,13 +63,17 @@ type FMRIScenarioResult struct {
 }
 
 // RunFMRIScenario executes the scenario on a fresh testbed of the given
-// generation (the dataflow crosses the backbone twice per frame).
+// generation (the dataflow crosses the backbone twice per frame). Each
+// of the chain's four transfers is simulated once per run and replayed
+// by its duration in later frames, which is exact here (see send).
 func RunFMRIScenario(cfg Config, sc FMRIScenario) (FMRIScenarioResult, error) {
 	if sc.PEs < 1 || sc.Frames < 1 || sc.TR <= 0 {
 		return FMRIScenarioResult{}, fmt.Errorf("core: bad fMRI scenario %+v", sc)
 	}
-	if sc.NX == 0 {
+	if sc.NX == 0 && sc.NY == 0 && sc.NZ == 0 {
 		sc.NX, sc.NY, sc.NZ = 64, 64, 16
+	} else if sc.NX < 1 || sc.NY < 1 || sc.NZ < 1 {
+		return FMRIScenarioResult{}, fmt.Errorf("core: bad fMRI matrix %dx%dx%d", sc.NX, sc.NY, sc.NZ)
 	}
 	if sc.ScannerDelay == 0 {
 		sc.ScannerDelay = mri.AvailabilityDelay
@@ -95,6 +99,30 @@ func RunFMRIScenario(cfg Config, sc FMRIScenario) (FMRIScenarioResult, error) {
 	rawBytes := sc.NX * sc.NY * sc.NZ * 4 // float32 voxels
 	funcBytes := rawBytes                 // correlation map, same matrix
 	frameBytes := 2 * 1024 * 768 * 3      // one stereo pair for the workbench
+
+	// Every frame sends the same four packet trains, so each hop's first
+	// train is simulated and later ones are replayed by its duration.
+	// That keeps every timestamp and every frame the chain takes:
+	//  1. the chain is this private network's only user and unpipelined,
+	//     so each train starts on an idle network;
+	//  2. netsim's times are integer nanoseconds and each per-packet cost
+	//     depends only on the packet's size, so an idle-network train
+	//     takes the same time whenever it starts;
+	//  3. the scanner reaches the chain only through ready, and its send
+	//     for a frame ready at T was scheduled at T-ScannerDelay: before a
+	//     train of d < ScannerDelay started, so it precedes the chain's
+	//     wake-up at T from the last packet or from Sleep(d) alike. A
+	//     longer train is simulated every time.
+	var hopDur [4]time.Duration // each hop's first train; 0 before it ran
+	send := func(p *sim.Proc, hop int, src, dst string, nbytes int) {
+		if d := hopDur[hop]; d > 0 && d < sim.Duration(sc.ScannerDelay) {
+			p.Sleep(d)
+			return
+		}
+		t0 := p.Now()
+		netsim.Train(tb.Net, hosts[src], hosts[dst], nbytes).Recv(p)
+		hopDur[hop] = p.Now().Sub(t0)
+	}
 
 	type frameStamp struct {
 		scanEnd sim.Time
@@ -135,12 +163,12 @@ func RunFMRIScenario(cfg Config, sc FMRIScenario) (FMRIScenarioResult, error) {
 			// last byte arrives.
 			w0 := p.Now()
 			// RT-server (Jülich ws) -> T3E: raw volume + control.
-			netsim.Train(tb.Net, hosts[HostWSJuelich], hosts[HostT3E600], rawBytes).Recv(p)
+			send(p, 0, HostWSJuelich, HostT3E600, rawBytes)
 			p.Sleep(sim.Duration(sc.ControlOverhead))
 			// T3E processing.
 			p.Sleep(sim.Duration(computeS))
 			// T3E -> RT-client: functional + anatomical maps.
-			netsim.Train(tb.Net, hosts[HostT3E600], hosts[HostWSJuelich], 2*funcBytes).Recv(p)
+			send(p, 1, HostT3E600, HostWSJuelich, 2*funcBytes)
 			p.Sleep(sim.Duration(sc.ControlOverhead))
 			wireTotal += p.Now().Sub(w0) - sim.Duration(sc.ControlOverhead*2+computeS)
 			// 2-D display.
@@ -149,9 +177,9 @@ func RunFMRIScenario(cfg Config, sc FMRIScenario) (FMRIScenarioResult, error) {
 			// 3-D path: functional data to the Onyx 2, rendered
 			// stereo frame back to the Jülich workbench.
 			w1 := p.Now()
-			netsim.Train(tb.Net, hosts[HostT3E600], hosts[HostOnyx2], funcBytes).Recv(p)
+			send(p, 2, HostT3E600, HostOnyx2, funcBytes)
 			p.Sleep(sim.Duration(0.2)) // merge + render on the Onyx 2
-			netsim.Train(tb.Net, hosts[HostOnyx2], hosts[HostWS2Juelich], frameBytes).Recv(p)
+			send(p, 3, HostOnyx2, HostWS2Juelich, frameBytes)
 			wireTotal += p.Now().Sub(w1) - sim.Duration(0.2)
 			stamps[f].vr = p.Now()
 		}

@@ -84,4 +84,20 @@ func TestFMRIScenarioValidation(t *testing.T) {
 	if _, err := RunFMRIScenario(Config{}, FMRIScenario{}); err == nil {
 		t.Error("zero scenario accepted")
 	}
+	// A matrix is all zero (the default) or all positive. A zero axis
+	// used to divide by zero in the T3E cost model, and a negative one
+	// sent empty trains the chain waited for forever, stranding its
+	// goroutine and testbed.
+	base := runtime.NumGoroutine()
+	for _, m := range [][3]int{{64, 0, 16}, {-64, 64, 16}, {0, 64, 16}, {64, 64, -1}} {
+		sc := FMRIScenario{PEs: 256, TR: 4, Frames: 4, NX: m[0], NY: m[1], NZ: m[2]}
+		if _, err := RunFMRIScenario(Config{}, sc); err == nil {
+			t.Errorf("%dx%dx%d matrix accepted", m[0], m[1], m[2])
+		}
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the rejected matrices, %d before", runtime.NumGoroutine(), base)
+		}
+	}
 }
