@@ -143,9 +143,10 @@ func figure2EndToEndOn(ctx context.Context, tb *Testbed, pes, frames int) (Figur
 		Pipelined:   st.PipelinedPeriod(),
 		SafeTR:      fire.SafeTR(st.UnpipelinedPeriod()),
 	}
-	// Measure the raw-volume hop on the testbed (64x64x16 float32).
-	vol := volume.New(64, 64, 16)
-	tr, err := tb.TCPTransfer(HostWSJuelich, HostT3E600, int64(vol.Bytes()), tcpsim.Config{})
+	// Measure the raw-volume hop on the testbed: a 64x64x16 volume of
+	// float32 voxels, the bytes volume.New(64, 64, 16).Bytes() counts.
+	const rawVolumeBytes = 64 * 64 * 16 * 4
+	tr, err := tb.TCPTransfer(HostWSJuelich, HostT3E600, rawVolumeBytes, tcpsim.Config{})
 	if err != nil {
 		return res, err
 	}

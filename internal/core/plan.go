@@ -115,13 +115,7 @@ func wrapScenario(s Scenario) *Sweep {
 			return rep, nil
 		})
 	sw.encode = encodeReportPoint
-	sw.decode = func(b []byte) (any, error) {
-		var r WireReport
-		if err := json.Unmarshal(b, &r); err != nil {
-			return nil, fmt.Errorf("core: scenario %q: decoding report point: %w", s.Name(), err)
-		}
-		return r, nil
-	}
+	sw.decode = pointDecoder(s.Name(), readWireReport)
 	return sw
 }
 

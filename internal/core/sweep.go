@@ -6,10 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"runtime"
 	"slices"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -83,6 +82,11 @@ type Sweep struct {
 	// not re-enumerate the whole grid per point.
 	gridOnce sync.Once
 	grid     []Point
+	// keyTails memoizes each grid point's "|pt=<index>:<coords>" key
+	// suffix (PointKey), built on first use: a job keys every point of
+	// its grid, and the coordinates never change.
+	keyOnce  sync.Once
+	keyTails []string
 }
 
 // NoShardTestbed declares that every point function builds its own
@@ -528,19 +532,26 @@ func (r *SweepRun) Report(ctx context.Context) (Report, error) {
 // WirePoint declares the concrete type a point result decodes into when
 // it travels between a remote worker and the coordinator (JSON over
 // HTTP). proto is a zero value of the per-point result type — e.g.
-// WirePoint(Figure1Row{}). Sweeps without a wire codec are not
-// distributable and always run in-process. Returns the sweep for
-// chaining, like NoShardTestbed.
+// WirePoint(Figure1Row{}). The type must be one codec.go has a reader
+// for: Figure1Row, AggregateRow, MixedTrafficResult or
+// FMRIDataflowReport; any other is a registration bug and panics, as
+// MustRegister does. Sweeps without a wire codec are not distributable
+// and always run in-process. Returns the sweep for chaining, like
+// NoShardTestbed.
 func (sw *Sweep) WirePoint(proto any) *Sweep {
-	wireType := reflect.TypeOf(proto)
-	sw.encode = json.Marshal
-	sw.decode = func(b []byte) (any, error) {
-		pv := reflect.New(wireType)
-		if err := json.Unmarshal(b, pv.Interface()); err != nil {
-			return nil, fmt.Errorf("core: sweep %q: decoding point result: %w", sw.name, err)
-		}
-		return pv.Elem().Interface(), nil
+	switch proto.(type) {
+	case Figure1Row:
+		sw.decode = pointDecoder(sw.name, readFigure1Row)
+	case AggregateRow:
+		sw.decode = pointDecoder(sw.name, readAggregateRow)
+	case MixedTrafficResult:
+		sw.decode = pointDecoder(sw.name, readMixedTrafficResult)
+	case FMRIDataflowReport:
+		sw.decode = pointDecoder(sw.name, readFMRIDataflowReport)
+	default:
+		panic(fmt.Sprintf("core: sweep %q: no wire reader for point type %T", sw.name, proto))
 	}
+	sw.encode = json.Marshal
 	return sw
 }
 
@@ -559,9 +570,13 @@ func (sw *Sweep) EncodePoint(v any) ([]byte, error) {
 
 // DecodePoint unmarshals one point result into the declared wire type,
 // so MergeFunc's type assertions see the same concrete type a local
-// evaluation would have produced. encoding/json round-trips float64
-// exactly (shortest-representation encoding), which is what keeps a
-// distributed report byte-identical to a local one.
+// evaluation would have produced. The type's reader (codec.go) walks
+// the compact JSON EncodePoint wrote, without reflection, and falls
+// back to json.Unmarshal on anything else: either way the value is the
+// one json.Unmarshal gives. encoding/json round-trips float64 exactly
+// (shortest-representation encoding), and so does the reader's
+// strconv.ParseFloat, which is what keeps a distributed report
+// byte-identical to a local one.
 func (sw *Sweep) DecodePoint(b []byte) (any, error) {
 	if sw.decode == nil {
 		return nil, fmt.Errorf("core: sweep %q has no wire codec (WirePoint not declared)", sw.name)
@@ -636,31 +651,55 @@ func (sw *Sweep) PointDeps(fields ...OptField) *Sweep {
 // Changing the format silently orphans every persisted point;
 // TestPointKeyStableAcrossProcesses pins it.
 func (sw *Sweep) PointKey(opts Options, pt Point) string {
-	coords, err := json.Marshal(pt.Coords)
-	if err != nil {
-		coords = []byte("unmarshalable")
-	}
 	deps := sw.keyDeps
 	if deps == nil {
 		deps = allOptFields
 	}
-	var b strings.Builder
-	b.WriteString(sw.name)
+	var buf [128]byte
+	b := append(buf[:0], sw.name...)
 	for _, f := range deps {
 		switch f {
 		case OptWAN:
-			fmt.Fprintf(&b, "|wan=%d", int(opts.WAN))
+			b = strconv.AppendInt(append(b, "|wan="...), int64(opts.WAN), 10)
 		case OptExtensions:
-			fmt.Fprintf(&b, "|ext=%t", opts.Extensions)
+			b = strconv.AppendBool(append(b, "|ext="...), opts.Extensions)
 		case OptPEs:
-			fmt.Fprintf(&b, "|pes=%d", opts.PEs)
+			b = strconv.AppendInt(append(b, "|pes="...), int64(opts.PEs), 10)
 		case OptFrames:
-			fmt.Fprintf(&b, "|frames=%d", opts.Frames)
+			b = strconv.AppendInt(append(b, "|frames="...), int64(opts.Frames), 10)
 		case OptFlows:
-			fmt.Fprintf(&b, "|flows=%d", opts.Flows)
+			b = strconv.AppendInt(append(b, "|flows="...), int64(opts.Flows), 10)
 		}
 	}
-	fmt.Fprintf(&b, "|pt=%d:%s", pt.Index, coords)
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	b = append(b, sw.keyTail(pt)...)
+	sum := sha256.Sum256(b)
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:])
+}
+
+// keyTail is the "|pt=<index>:<coords>" part of pt's key: memoized for
+// the points of the grid, marshalled afresh for any other point.
+func (sw *Sweep) keyTail(pt Point) string {
+	grid := sw.Points()
+	sw.keyOnce.Do(func() {
+		tails := make([]string, len(grid))
+		for i, g := range grid {
+			tails[i] = pointKeyTail(g)
+		}
+		sw.keyTails = tails
+	})
+	if i := pt.Index; i >= 0 && i < len(grid) && len(pt.Coords) > 0 &&
+		len(pt.Coords) == len(grid[i].Coords) && &pt.Coords[0] == &grid[i].Coords[0] {
+		return sw.keyTails[i]
+	}
+	return pointKeyTail(pt)
+}
+
+func pointKeyTail(pt Point) string {
+	coords, err := json.Marshal(pt.Coords)
+	if err != nil {
+		coords = []byte("unmarshalable")
+	}
+	return "|pt=" + strconv.Itoa(pt.Index) + ":" + string(coords)
 }

@@ -68,9 +68,23 @@ func doJSON(ctx context.Context, hc *http.Client, token, method, base, path stri
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return resp.StatusCode, fmt.Errorf("dist: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))
 	case resp.StatusCode == http.StatusOK && out != nil:
+		if st, ok := out.(*JobStatus); ok {
+			return resp.StatusCode, readJobStatusBody(resp, st)
+		}
 		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
 	}
 	return resp.StatusCode, nil
+}
+
+// readJobStatusBody decodes a JobStatus reply with decodeJobStatus,
+// which keeps the report as the exact bytes the coordinator sent.
+func readJobStatusBody(resp *http.Response, st *JobStatus) error {
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	*st, err = decodeJobStatus(bytes.TrimRight(b, " \t\r\n"))
+	return err
 }
 
 // do is doJSON for the job-side endpoints, which answer 200 or fail.

@@ -45,11 +45,12 @@ type Config struct {
 	// CacheEntryBytes caps one stored point's wire bytes; larger results
 	// are not cached at all (0: no per-entry cap).
 	CacheEntryBytes int
-	// Store receives every coordinator state transition — job lifecycle,
-	// finished points, worker stats — and provides the recovered state at
-	// startup: finished points are served from the store again, jobs that
-	// were queued or running resume, and reconnecting workers keep their
-	// sticky IDs and throughput EWMAs. Nil defaults to a fresh in-memory
+	// Store receives every coordinator state transition recovery needs —
+	// job submissions and outcomes, finished points, worker stats — and
+	// provides the recovered state at startup: finished points are
+	// served from the store again, jobs that were queued or running
+	// resume, and reconnecting workers keep their sticky IDs and
+	// throughput EWMAs. Nil defaults to a fresh in-memory
 	// store (persist.NewMem()), which journals identically but recovers
 	// nothing; hand a persist.Disk (gtwd -data-dir) for crash durability,
 	// or share one Mem across two Coordinators to test recovery.
@@ -325,11 +326,12 @@ func (c *Coordinator) execute(j *job) {
 		return
 	}
 
+	// The step to running is not journaled: recovery re-runs a queued
+	// job and a running one alike, so the record would change nothing.
 	c.sched.mu.Lock()
 	j.status = JobRunning
 	j.start = time.Now()
 	plan := core.PlanFor(s)
-	c.pstore.PutJob(jobRecordLocked(j))
 	c.sched.mu.Unlock()
 	c.jobEvent(j, JobRunning, "")
 

@@ -529,3 +529,50 @@ func TestRecoveredJobWithUnreadableOptionsFails(t *testing.T) {
 		t.Error("no job-failed audit record for job-7")
 	}
 }
+
+// jobStatusLog is a journal that remembers the status of every job
+// record written to it, in order.
+type jobStatusLog struct {
+	persist.Store
+	mu       sync.Mutex
+	statuses []string
+}
+
+func (s *jobStatusLog) PutJob(rec persist.JobRecord) {
+	s.mu.Lock()
+	s.statuses = append(s.statuses, rec.Status)
+	s.mu.Unlock()
+	s.Store.PutJob(rec)
+}
+
+// A job is journaled when it is queued and when it ends, not when it
+// starts running: recovery re-runs a queued job and a running one alike.
+// A running record, which older builds wrote, still recovers: the job
+// resumes under its ID and completes with the uninterrupted run's report.
+func TestJobStartIsNotJournaledAndRunningRecordsResume(t *testing.T) {
+	registerCountingSweep("dist-test-running", 3, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	wantJSON, _ := localReport(t, "dist-test-running", WireOptions{}.Options())
+
+	log := &jobStatusLog{Store: persist.NewMem()}
+	a := newCluster(t, Config{Store: log})
+	if st, err := a.cl.Run(ctx, JobRequest{Scenario: "dist-test-running"}); err != nil || st.Status != JobDone {
+		t.Fatalf("run: %v / %+v", err, st)
+	}
+	log.mu.Lock()
+	got := strings.Join(log.statuses, ",")
+	log.mu.Unlock()
+	if got != JobQueued+","+JobDone {
+		t.Errorf("journaled job statuses %s, want %s,%s", got, JobQueued, JobDone)
+	}
+
+	mem := persist.NewMem()
+	mem.PutJob(persist.JobRecord{ID: "job-5", Scenario: "dist-test-running",
+		Opts: json.RawMessage(`{}`), Status: JobRunning, PointsTotal: 3})
+	b := newCluster(t, Config{Store: mem})
+	st, err := b.cl.Wait(ctx, "job-5")
+	if err != nil || st.Status != JobDone || !bytes.Equal(st.Report, wantJSON) {
+		t.Fatalf("recovered running job: %v / %s (%s), report %s; want done with %s", err, st.Status, st.Error, st.Report, wantJSON)
+	}
+}

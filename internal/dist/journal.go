@@ -119,9 +119,7 @@ func jobRecordLocked(j *job) persist.JobRecord {
 		Tenant: j.tenant.Name,
 	}
 	if len(j.timings) > 0 {
-		if b, err := json.Marshal(j.timings); err == nil {
-			rec.Timings = b
-		}
+		rec.Timings = appendShardTimings(nil, j.timings)
 	}
 	return rec
 }

@@ -21,6 +21,10 @@ import (
 // store keeps encoded wire bytes, not live values: a hit decodes
 // exactly as a fresh upload would — which is what keeps reports
 // assembled from cached points byte-identical to freshly computed ones.
+// That decode is the sweep's typed reader (core's codec.go), which
+// walks the compact JSON the store holds without reflection; the key a
+// hit is looked up by comes from the sweep's memoized per-point key
+// suffixes.
 //
 // onPut/onEvict, when set, observe every accepted insert/update and
 // every eviction (both called with the store lock held) — the

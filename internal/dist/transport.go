@@ -100,6 +100,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeJobStatus is writeJSON for a JobStatus, with the same bytes: the
+// report is spliced in as it is (codec.go).
+func writeJobStatus(w http.ResponseWriter, st *JobStatus) {
+	b, err := appendJobStatus(make([]byte, 0, 256+len(st.Report)+len(st.Text)), st)
+	if err != nil {
+		http.Error(w, "encoding job status: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	b = append(b, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b) // the client going away is its own business
+}
+
 // maxBodyBytes bounds a request body. A point value in an admitted body
 // is journaled base64-encoded, 4/3 its size, in one WAL record, and
 // persist treats a record past 64 MiB as corruption on replay — dropping
@@ -133,7 +148,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request, t *te
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	writeJobStatus(w, st)
 }
 
 func (c *Coordinator) statusLocked(j *job) JobStatus {
@@ -172,7 +187,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request, _ *tenan
 	s.mu.Lock()
 	st := c.statusLocked(j)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	writeJobStatus(w, &st)
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request, _ *tenant.Tenant) {

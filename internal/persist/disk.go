@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -82,6 +83,21 @@ type walRecord struct {
 	Job    *JobRecord    `json:"job,omitempty"`
 	Worker *WorkerRecord `json:"worker,omitempty"`
 	Audit  *AuditRecord  `json:"audit,omitempty"`
+}
+
+// encode returns the record's JSON payload, the bytes json.Marshal
+// would write. A job record is spliced by hand (JobRecord.AppendJSON):
+// json.Marshal would re-compact its report.
+func (rec walRecord) encode() ([]byte, error) {
+	if rec.Op != "job" || rec.Job == nil {
+		return json.Marshal(rec)
+	}
+	b := make([]byte, 0, 256+len(rec.Job.Report)+len(rec.Job.Text))
+	b, err := rec.Job.AppendJSON(append(b, `{"op":"job","job":`...))
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
 }
 
 // diskSnapshot is the snapshot.json schema.
@@ -259,7 +275,7 @@ func (d *Disk) append(rec walRecord) {
 		return
 	}
 	d.applyLocked(rec)
-	payload, err := json.Marshal(rec)
+	payload, err := rec.encode()
 	if err != nil {
 		d.opt.Logf("persist: marshaling %s record: %v", rec.Op, err)
 		return
@@ -332,11 +348,14 @@ func (d *Disk) Snapshot() error {
 // (empty) log, delete the old one.
 func (d *Disk) snapshotLocked() error {
 	next := d.gen + 1
-	snap := diskSnapshot{Gen: next, State: d.m.state()}
-	b, err := json.Marshal(&snap)
+	// The bytes json.Marshal(&diskSnapshot{...}) would write, with every
+	// job record spliced (State.appendJSON).
+	b := strconv.AppendUint([]byte(`{"gen":`), next, 10)
+	b, err := d.m.state().appendJSON(append(b, `,"state":`...))
 	if err != nil {
 		return fmt.Errorf("persist: marshaling snapshot: %w", err)
 	}
+	b = append(b, '}')
 	tmp := d.snapshotPath() + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {

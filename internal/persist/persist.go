@@ -24,6 +24,10 @@ package persist
 import (
 	"container/list"
 	"encoding/json"
+	"slices"
+	"strconv"
+
+	"repro/internal/wirejson"
 )
 
 // JobRecord is one submitted job as the store keeps it. Non-terminal
@@ -246,4 +250,82 @@ func sortedKeys(m map[string]*WorkerRecord) []string {
 		}
 	}
 	return keys
+}
+
+// AppendJSON appends the record as json.Marshal encodes it. The report
+// is by far the largest field and is already compact, HTML-escaped
+// json.Marshal output, so it and the other raw fields are spliced in as
+// they are (wirejson.AppendRaw) instead of being re-compacted.
+func (rec *JobRecord) AppendJSON(b []byte) ([]byte, error) {
+	var err error
+	b = wirejson.AppendString(append(b, `{"id":`...), rec.ID)
+	b = wirejson.AppendString(append(b, `,"scenario":`...), rec.Scenario)
+	if rec.Tenant != "" {
+		b = wirejson.AppendString(append(b, `,"tenant":`...), rec.Tenant)
+	}
+	if len(rec.Opts) > 0 {
+		if b, err = wirejson.AppendRaw(append(b, `,"opts":`...), rec.Opts); err != nil {
+			return nil, err
+		}
+	}
+	b = wirejson.AppendString(append(b, `,"status":`...), rec.Status)
+	if rec.Error != "" {
+		b = wirejson.AppendString(append(b, `,"error":`...), rec.Error)
+	}
+	if len(rec.Report) > 0 {
+		if b, err = wirejson.AppendRaw(append(b, `,"report":`...), rec.Report); err != nil {
+			return nil, err
+		}
+	}
+	if rec.Text != "" {
+		b = wirejson.AppendString(append(b, `,"text":`...), rec.Text)
+	}
+	if len(rec.Timings) > 0 {
+		if b, err = wirejson.AppendRaw(append(b, `,"timings":`...), rec.Timings); err != nil {
+			return nil, err
+		}
+	}
+	if rec.ElapsedMS != 0 {
+		b = strconv.AppendInt(append(b, `,"elapsed_ms":`...), rec.ElapsedMS, 10)
+	}
+	if rec.PointsTotal != 0 {
+		b = strconv.AppendInt(append(b, `,"points_total":`...), int64(rec.PointsTotal), 10)
+	}
+	if rec.PointsDone != 0 {
+		b = strconv.AppendInt(append(b, `,"points_done":`...), int64(rec.PointsDone), 10)
+	}
+	if rec.PointHits != 0 {
+		b = strconv.AppendInt(append(b, `,"point_hits":`...), int64(rec.PointHits), 10)
+	}
+	if rec.Cached {
+		b = append(b, `,"cached":true`...)
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSON appends the state as json.Marshal encodes it, every job
+// record through AppendJSON.
+func (s *State) appendJSON(b []byte) ([]byte, error) {
+	rest, err := json.Marshal(&State{Workers: s.Workers, Points: s.Points, Audit: s.Audit})
+	if err != nil || len(s.Jobs) == 0 {
+		return append(b, rest...), err
+	}
+	need := len(rest) + 16
+	for i := range s.Jobs {
+		need += 256 + len(s.Jobs[i].Report) + len(s.Jobs[i].Text) + len(s.Jobs[i].Timings)
+	}
+	b = append(slices.Grow(b, need), `{"jobs":[`...)
+	for i := range s.Jobs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, err = s.Jobs[i].AppendJSON(b); err != nil {
+			return nil, err
+		}
+	}
+	b = append(b, ']')
+	if len(rest) > len("{}") {
+		return append(append(b, ','), rest[1:]...), nil
+	}
+	return append(b, '}'), nil
 }
