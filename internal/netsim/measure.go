@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/sim"
@@ -39,10 +40,14 @@ func (*pinger) HandleDrop(*Packet) {}
 // the instant the train's last packet is delivered. It only injects:
 // the caller — a process on the network's single kernel — receives from
 // the channel to wait out the transfer. Nothing is retransmitted, so a
-// train whose last packet is dropped at a full queue never completes,
-// and neither does an empty one (nbytes <= 0 sends no packet). The
-// packets come from the network's pool.
+// train whose last packet is dropped at a full queue never completes.
+// An empty train (nbytes <= 0) would send no packet and so never
+// complete either, parking its waiter for good: it is a caller error
+// and panics. The packets come from the network's pool.
 func Train(n *Network, src, dst NodeID, nbytes int) *sim.Chan[struct{}] {
+	if nbytes <= 0 {
+		panic(fmt.Sprintf("netsim: Train of %d bytes: a train carries at least one byte", nbytes))
+	}
 	const mtu = 65536 - 40
 	remaining := nbytes
 	done := sim.NewChan[struct{}](n.K, 0)

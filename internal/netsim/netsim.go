@@ -131,6 +131,10 @@ type Link struct {
 // WireBytes reports total framed bytes carried (both directions).
 func (l *Link) WireBytes() int64 { return l.wireBytes }
 
+// BusyTime reports the total time the link spent serializing, summed
+// over both directions.
+func (l *Link) BusyTime() time.Duration { return l.busyTime }
+
 // Utilization reports the fraction of the interval [0, now] during
 // which the link was serializing, summed over both directions (so a
 // saturated duplex link reads 2.0).
@@ -218,6 +222,7 @@ type Network struct {
 	// schedule their own events on it too.
 	K     *sim.Kernel
 	nodes []*Node
+	links []*Link
 	pool  pktPool
 }
 
@@ -273,6 +278,9 @@ func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
 // Nodes reports the number of nodes.
 func (n *Network) Nodes() int { return len(n.nodes) }
 
+// Links returns the network's links in the order they were connected.
+func (n *Network) Links() []*Link { return n.links }
+
 // Connect joins two nodes with a duplex link.
 func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	if cfg.MTU == 0 {
@@ -294,6 +302,7 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	l.a, l.b = ia, ib
 	a.ifaces = append(a.ifaces, ia)
 	b.ifaces = append(b.ifaces, ib)
+	n.links = append(n.links, l)
 	return l
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -454,6 +455,35 @@ func TestBadLinkPanics(t *testing.T) {
 	n.Connect(a, b, LinkConfig{})
 }
 
+// A train of no bytes would send nothing and leave its waiter parked
+// for good; Train refuses it, before scheduling anything. A one-byte
+// train still completes.
+func TestEmptyTrainPanics(t *testing.T) {
+	n, a, b := twoHosts(LinkConfig{Bps: 1e9})
+	for _, nbytes := range []int{0, -64} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Train of %d bytes did not panic", nbytes)
+				}
+			}()
+			Train(n, a.ID, b.ID, nbytes)
+		}()
+		if p := n.Pending(); p != 0 {
+			t.Errorf("Train of %d bytes left %d events pending", nbytes, p)
+		}
+	}
+	done := false
+	n.K.Go("waiter", func(p *sim.Proc) {
+		Train(n, a.ID, b.ID, 1).Recv(p)
+		done = true
+	})
+	n.Run()
+	if !done {
+		t.Error("a one-byte train never completed")
+	}
+}
+
 // cellFramer frames a packet into whole 53-byte cells of 48 payload
 // bytes after an 8-byte trailer, so wire size is not packet size.
 type cellFramer struct{}
@@ -510,5 +540,48 @@ func TestMemoizedCostsFollowPacketSize(t *testing.T) {
 		if got := l.WireBytes(); got != wantWire {
 			t.Errorf("%s: WireBytes = %d, want %d", l.Name, got, wantWire)
 		}
+	}
+}
+
+// ownSeq is a Protocol that owns the packets of one handler and encodes
+// their Seq as it is.
+type ownSeq struct{ h Handler }
+
+func (o ownSeq) AppendPacket(dst []byte, p *Packet) ([]byte, bool) {
+	return AppendInts(dst, p.Seq), p.Handler == o.h
+}
+func (ownSeq) OwnsEvent(func(a0, a1 unsafe.Pointer), unsafe.Pointer, unsafe.Pointer) bool {
+	return false
+}
+func (ownSeq) ShiftPacket(p *Packet, periods int64) { p.Seq += periods }
+
+// A snapshot is a closed world: a closure event, a packet of another
+// handler or a packet with Meta set makes Capture fail.
+func TestCaptureClosedWorld(t *testing.T) {
+	n, a, b := twoHosts(LinkConfig{Bps: 1e9, Delay: time.Millisecond})
+	mine := hooks{}
+	proto := ownSeq{h: &mine}
+	var s Snapshot
+	n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000, Handler: &mine})
+	if !n.Capture(&s, proto) {
+		t.Fatal("a packet of the protocol's own failed the snapshot")
+	}
+	ev := n.K.After(time.Microsecond, func() {})
+	if n.Capture(&s, proto) {
+		t.Error("a closure event passed the snapshot")
+	}
+	n.K.Cancel(ev)
+	n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000, Handler: hooks{}})
+	if n.Capture(&s, proto) {
+		t.Error("a packet of another handler passed the snapshot")
+	}
+	n.Run()
+	n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000, Handler: &mine, Meta: "x"})
+	if n.Capture(&s, proto) {
+		t.Error("a packet with Meta passed the snapshot")
+	}
+	n.Run()
+	if !n.Capture(&s, proto) {
+		t.Error("an idle network failed the snapshot")
 	}
 }

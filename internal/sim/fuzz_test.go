@@ -18,7 +18,8 @@ import (
 // materialized or let pass, tails (from callbacks, where they run as the
 // event's tail, from processes and from the top level), nested schedules
 // from callbacks and processes sleeping 0 or 1 ns, Step / Run, and
-// panicking callbacks followed by a resumed Run —
+// panicking callbacks followed by a resumed Run, and Shifts of the whole
+// schedule (at the top level, from callbacks and from processes) —
 // and runs it against Kernel and against refKernel, the heap kernel
 // Kernel replaced. The two transcripts must be identical: every callback and
 // process wake-up with its time, every panic, and after each operation
@@ -28,7 +29,9 @@ import (
 // The reference has no lanes, tails or reserved keys, so it is given
 // their meaning: a lane push and a tail are an AtFunc at their time (a
 // tail's is now), and a reserved key is a sentinel
-// event scheduled at Reserve time. The sentinel's firing is the truth
+// event scheduled at Reserve time. Its shift adds (dt, dseq) to the
+// clock, the seq counter and every record; the kernel's side moves the
+// reserved keys it holds as netsim moves its link-free keys. The sentinel's firing is the truth
 // Passed is checked against; a materialized key turns it into the real
 // callback, and a key never materialized counts as fired on neither
 // side (the reference's Fired and Pending are corrected for it). Each
@@ -40,9 +43,12 @@ import (
 // each of those features, plus a few long interleavings) replays in
 // every plain go test. TestKernelOrderCorpusPrograms pins the program
 // each corpus file decodes to; TestKernelOrderTailPaths decodes the tail
-// inputs and checks they reach the paths they are there for.
+// and shift inputs and checks they reach the paths they are there for.
 func FuzzKernelOrder(f *testing.F) {
 	for _, p := range tailPrograms {
+		f.Add(p.in)
+	}
+	for _, p := range shiftPrograms {
 		f.Add(p.in)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) { checkProgram(t, in) })
@@ -164,10 +170,44 @@ var tailPrograms = []struct {
 		[]string{"proc 1.0 @0", "tail in event=true", "fire 2 @0", "proc 1.1 @0"}},
 }
 
-// TestKernelOrderTailPaths runs the tail seed inputs and checks each
-// transcript reaches what its input is there for.
+// shiftPrograms are seed inputs for Shift, in the same form: a shift
+// must move the tail, lane entries, reserved keys and a process's
+// wake-up with everything else.
+var shiftPrograms = []struct {
+	name string
+	in   []byte
+	want []string
+}{
+	// Event 1 leaves a tail and shifts by (1, 1): the tail runs at 1,
+	// still before event 2, now at 6.
+	{"shift with the tail pending",
+		[]byte{opAt, 0, opAt, 3, 5, opRun, 2, opTail, opShift, 1, 1, 0, 0},
+		[]string{"fire 1 @0", "tail in event=true", "shift 1/1 in event=true", "fire 3 @1", "fire 2 @6"}},
+	// Two lane entries at 1 and 3 and a key reserved at 2 (its guard,
+	// event 3, after it) move by 2; materialized by the first entry,
+	// the key fires at 4 before its guard, and the second entry at 5.
+	{"shift with lane entries and a reserved key",
+		[]byte{opLane, 4, 1, opLane, 4, 2, opReserve, 3, 2, opShift, 2, 1, opRun, 1, opDecide, 0, 0, 0, 0, 0},
+		[]string{"reserve 0 @2 seq=3", "shift 2/1 in event=false", "fire 1 @3", "reservation 0 passed=false", "fire 4 @4", "fire 3 @4", "fire 2 @5"}},
+	// Two lanes, the second with two entries behind its head, move by
+	// 2: the entry behind the head keeps its place too.
+	{"shift with two lanes",
+		[]byte{opLane, 4, 1, opLane, 5, 2, opLane, 5, 1, opShift, 2, 0, opRun, 0, 0, 0, 0},
+		[]string{"shift 2/0 in event=false", "fire 1 @3", "fire 2 @4", "fire 3 @5", "run -> 5"}},
+	// A process shifts by 3 before it sleeps: it wakes at 3.
+	{"shift from a process",
+		[]byte{opSpawn, 2, opAt, 1, opRun, 1, opShift, 3, 2, 0, 1, opCancel, 0, 0, 0},
+		[]string{"proc 1.0 @0", "shift 3/2 in event=true", "proc 1.1 @3"}},
+	// Event 1 cancels event 3 and shifts with the root vacant.
+	{"shift after a cancel with the root vacant",
+		[]byte{opAt, 0, opAt, 1, opAt, 1, opRun, 2, opCancel, 2, opShift, 1, 2, 0, 0},
+		[]string{"fire 1 @0", "shift 1/2 in event=true", "fire 2 @2"}},
+}
+
+// TestKernelOrderTailPaths runs the tail and shift seed inputs and
+// checks each transcript reaches what its input is there for.
 func TestKernelOrderTailPaths(t *testing.T) {
-	for _, p := range tailPrograms {
+	for _, p := range append(tailPrograms[:len(tailPrograms):len(tailPrograms)], shiftPrograms...) {
 		t.Run(p.name, func(t *testing.T) {
 			log := checkProgram(t, p.in)
 			i := 0
@@ -205,6 +245,9 @@ type sys interface {
 	fired() int64
 	procs() int
 	spawn(body func(sleep func(time.Duration)))
+	// shift moves the clock, the seq counter and every pending key by
+	// (dt, dseq), reserved keys included.
+	shift(dt Time, dseq uint64)
 }
 
 func callThunk(a0, _ unsafe.Pointer) { (*(*func())(a0))() }
@@ -259,6 +302,15 @@ func (s *newSys) fired() int64       { return s.k.Fired() }
 func (s *newSys) procs() int         { return s.k.Procs() }
 func (s *newSys) spawn(body func(func(time.Duration))) {
 	s.k.Go("p", func(p *Proc) { body(p.Sleep) })
+}
+
+// shift moves the reserved keys with the kernel, as their owner must.
+func (s *newSys) shift(dt Time, dseq uint64) {
+	s.k.Shift(dt, dseq)
+	for i := range s.keys {
+		s.keys[i].at += dt
+		s.keys[i].seq += dseq
+	}
 }
 
 // refSys runs a program on the reference. sentPending counts sentinels
@@ -340,6 +392,7 @@ func (s *refSys) procs() int         { return s.k.Procs() }
 func (s *refSys) spawn(body func(func(time.Duration))) {
 	s.k.Go("p", func(p *refProc) { body(p.Sleep) })
 }
+func (s *refSys) shift(dt Time, dseq uint64) { s.k.shift(dt, dseq) }
 
 // program is one run of the decoded input against one sys.
 type program struct {
@@ -367,6 +420,7 @@ const (
 	opSpawn
 	opObserve
 	opTail
+	opShift
 	opStep
 	opRun
 	opCount
@@ -522,6 +576,13 @@ func (m *program) op(op int) {
 	case opTail:
 		m.logf("tail in event=%v", m.inEvent)
 		s.tail(m.callback())
+	case opShift:
+		dt, dseq := Time(m.byte()%4), uint64(m.byte()%3)
+		m.logf("shift %d/%d in event=%v", dt, dseq, m.inEvent)
+		s.shift(dt, dseq)
+		for i := range m.laneLast {
+			m.laneLast[i] += dt
+		}
 	case opStep:
 		m.logf("step -> %v", s.step())
 	case opRun:

@@ -51,6 +51,13 @@
 //     callback. It never enters the heap; a second Tail while the slot is
 //     taken is an ordinary event.
 //
+// A schedule can also be moved as a whole: Visit walks every pending
+// event (lane entries and the tail included) and Shift adds one
+// (dt, dseq) to the clock, the seq counters and every pending key. A
+// uniform shift keeps every comparison between keys, so the heap stays
+// ordered as it is. internal/tcpsim uses the pair to skip whole periods
+// of a transfer whose state repeats exactly (see netsim.Snapshot).
+//
 // The kernel underpins the network model (internal/netsim), the machine
 // cost models (internal/machine) and every experiment driver in this
 // repository.
@@ -59,6 +66,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 	"unsafe"
 )
@@ -184,6 +192,9 @@ type Kernel struct {
 	running bool
 
 	fired int64 // callbacks executed since creation
+
+	lanes []*Lane // every lane made on this kernel, in creation order
+	visit []entry // Visit's scratch: the pending events outside lanes
 }
 
 // NewKernel returns a kernel with the clock at zero and no pending
@@ -466,11 +477,103 @@ func (k *Kernel) Run() Time {
 }
 
 // Fired reports the number of callbacks this kernel has executed since
-// its creation (a reserved key never materialized is not one). It is a
+// its creation (a reserved key never materialized is not one, and
+// neither is an event a Shift moved past: Shift fires nothing). It is a
 // deterministic measure of simulation work, independent of host speed:
 // the benchmark probes divide by it to price one event, and it is cheap
 // enough to maintain unconditionally.
 func (k *Kernel) Fired() int64 { return k.fired }
+
+// Seq reports the last seq the kernel handed out (to an event or a
+// reserved key); the next schedule gets Seq()+1.
+func (k *Kernel) Seq() uint64 { return k.seq }
+
+// Cur reports the seq of the event firing now, or of the last one
+// fired: the seq Passed compares a key at Now against.
+func (k *Kernel) Cur() uint64 { return k.cur }
+
+// Visit calls fn for every pending event until fn returns false. It
+// visits each lane's entries in
+// firing order, lane by lane in the order the lanes were made, and then
+// the other pending events — the tail and the heap's — in key order, so
+// two schedules that hold the same events under the same keys are
+// visited in the same order however their heaps are laid out. f is nil
+// for a closure event (At, After); a0 and a1 are then nil too. fn must
+// not schedule, cancel or fire anything.
+func (k *Kernel) Visit(fn func(at Time, seq uint64, f func(a0, a1 unsafe.Pointer), a0, a1 unsafe.Pointer) bool) {
+	for _, l := range k.lanes {
+		for i := 0; i < l.q.Len(); i++ {
+			ent := l.q.slot(i)
+			if !fn(ent.at, ent.seq, ent.fn, ent.a0, ent.a1) {
+				return
+			}
+		}
+	}
+	v := k.visit[:0]
+	if k.tail.e != nil {
+		v = append(v, k.tail)
+	}
+	for i, x := range k.heap {
+		if i == 0 && k.vacant || x.e.lane {
+			continue
+		}
+		v = append(v, x)
+	}
+	slices.SortFunc(v, func(a, b entry) int {
+		if a.less(&b) {
+			return -1
+		}
+		return 1
+	})
+	k.visit = v
+	more := true
+	for i := range v {
+		if e := v[i].e; more {
+			more = fn(e.at, e.seq, e.fn2, e.a0, e.a1)
+		}
+		v[i] = entry{} // the scratch must not pin records
+	}
+}
+
+// Shift moves the clock and the whole schedule forward by dt and the
+// seq counter by dseq: Now, Seq, Cur and the key of every pending event
+// — heap, tail and lane entries — all gain (dt, dseq), as if the
+// schedule had been made that much later. Every comparison between two
+// keys, and between a key and (Now, Cur), comes out as before, so the
+// heap needs no re-sift and the events fire in the order they would
+// have. Keys kept outside the kernel (reserved keys not yet
+// materialized) are the caller's to shift. Shift fires nothing, so
+// Fired does not count what it skips; dt must not be negative.
+func (k *Kernel) Shift(dt Time, dseq uint64) {
+	if dt < 0 {
+		panic(fmt.Sprintf("sim: Shift by negative time %d", dt))
+	}
+	k.now += dt
+	k.seq += dseq
+	k.cur += dseq
+	for i := range k.heap {
+		if i == 0 && k.vacant {
+			continue
+		}
+		x := &k.heap[i]
+		x.at += dt
+		x.e.at += dt
+		x.e.seq += dseq
+	}
+	if k.tail.e != nil {
+		k.tail.at += dt
+		k.tail.e.at += dt
+		k.tail.e.seq += dseq
+	}
+	for _, l := range k.lanes {
+		for i := 0; i < l.q.Len(); i++ {
+			ent := l.q.slot(i)
+			ent.at += dt
+			ent.seq += dseq
+		}
+		l.last += dt
+	}
+}
 
 // Procs reports the number of live processes (started and not yet
 // returned).
@@ -502,6 +605,7 @@ type laneEntry struct {
 func (k *Kernel) NewLane() *Lane {
 	l := &Lane{k: k}
 	l.head = event{fn2: laneStep, a0: unsafe.Pointer(l), index: -1, lane: true}
+	k.lanes = append(k.lanes, l)
 	return l
 }
 

@@ -155,6 +155,17 @@ func (k *refKernel) NextEventTime() (Time, bool) {
 
 func (k *refKernel) Procs() int { return k.procs }
 
+// shift adds (dt, dseq) to the clock, the seq counter and every pending
+// record's key: the plain meaning of Kernel.Shift.
+func (k *refKernel) shift(dt Time, dseq uint64) {
+	k.now += dt
+	k.seq += dseq
+	for _, e := range k.heap {
+		e.at += dt
+		e.seq += dseq
+	}
+}
+
 func refEventLess(a, b *refRecord) bool {
 	if a.at != b.at {
 		return a.at < b.at

@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Ring is a growable FIFO ring buffer: head/length indices over a
 // power-of-two slice, so Push and Pop are O(1) however deep the backlog
 // grows (no head-copying). It backs Chan's message buffer and netsim's
@@ -44,6 +46,18 @@ func (r *Ring[T]) grow() {
 
 // front returns the head-of-line slot; the ring must not be empty.
 func (r *Ring[T]) front() *T { return &r.buf[r.head] }
+
+// At returns the i-th queued value, counting from the head of the line
+// (At(0) is what Pop would return). It panics unless 0 <= i < Len().
+func (r *Ring[T]) At(i int) T { return *r.slot(i) }
+
+// slot returns the i-th queued slot, counting from the head of the line.
+func (r *Ring[T]) slot(i int) *T {
+	if i < 0 || i >= r.n {
+		panic(fmt.Sprintf("sim: Ring index %d out of range [0, %d)", i, r.n))
+	}
+	return &r.buf[(r.head+i)&(len(r.buf)-1)]
+}
 
 // Pop removes and returns the head-of-line value. It panics on an empty
 // ring (check Len first), like an out-of-range slice index.

@@ -52,3 +52,42 @@ func TestTCPTransferSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("steady-state TCP transfer allocates %.1f times/op, want 0 (flow pool regression)", avg)
 	}
 }
+
+// BenchmarkWindowLimitedTransfer runs a window-limited transfer — 16 MiB
+// through a 256 KiB window in 1460-byte segments over twoHosts' gigabit
+// link — with the steady-state fast-forward off (full: every ACK period
+// simulated, so ns/event keeps pricing the per-packet path) and on (ff:
+// the ramp-up and the drain simulated, the periods between skipped).
+// events/op is what the kernel fired; skipped_periods/op what the
+// fast-forward jumped over.
+func BenchmarkWindowLimitedTransfer(b *testing.B) {
+	for _, mode := range []struct {
+		name string
+		on   bool
+	}{{"full", false}, {"ff", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			defer tcpsim.SetFastForward(mode.on)()
+			n, a, z := twoHosts()
+			cfg := tcpsim.Config{WindowBytes: 256 << 10, MSS: 1460}
+			fired := n.K.Fired()
+			var skipped int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f, err := tcpsim.Start(n, a, z, 16<<20, cfg)
+				if err == nil {
+					err = tcpsim.WaitAll(n, f)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				skipped += f.SkippedPeriods()
+				f.Release()
+			}
+			events := float64(n.K.Fired() - fired)
+			b.ReportMetric(events/float64(b.N), "events/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+			b.ReportMetric(float64(skipped)/float64(b.N), "skipped_periods/op")
+		})
+	}
+}

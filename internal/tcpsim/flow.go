@@ -41,8 +41,10 @@ func getSender() *sender {
 	if s == nil {
 		s = &sender{}
 	}
-	ring := s.sendTS
+	// Keep the buffers: the timestamp ring and the snapshots'.
+	ring, a, b := s.sendTS, s.ff.a, s.ff.b
 	*s = sender{sendTS: ring}
+	s.ff.a, s.ff.b = a, b
 	s.handle = Flow{s: s}
 	s.dataH = dataPath{s}
 	s.ackH = ackPath{s}

@@ -132,6 +132,8 @@ type sender struct {
 	dataH dataPath
 	ackH  ackPath
 
+	ff fastForward
+
 	// The retransmission timer is due at the key (rtoAt, rtoSeq) the
 	// last armRTO reserved. rtoEv is its one pending event, keyed
 	// (rtoEvAt, rtoEvSeq): that key or an earlier one an older armRTO
@@ -276,17 +278,15 @@ func (s *sender) onAck(ackNo, ackSeg int64) {
 		s.ackSeq, s.ackSeg = ackNo, ackSeg
 		s.dupAcks = 0
 		s.retries = 0
-		// Congestion window growth.
-		if s.cwnd < s.ssthresh {
-			s.cwnd += float64(acked) // slow start
-		} else {
-			s.cwnd += float64(s.mss) * float64(acked) / s.cwnd // CA
-		}
+		s.grow(acked)
 		if s.ackSeq >= s.total {
 			s.complete()
 			return
 		}
 		s.pump()
+		if fastForwardOn {
+			s.steady()
+		}
 		return
 	}
 	// Duplicate ACK.
@@ -297,6 +297,17 @@ func (s *sender) onAck(ackNo, ackSeg int64) {
 		s.cwnd = s.ssthresh
 		s.rtx++
 		s.goBackN()
+	}
+}
+
+// grow opens the congestion window for a new ACK of acked bytes. A
+// fast-forward repeats it once per skipped period, so the window comes
+// out bit for bit as the ACKs would have left it.
+func (s *sender) grow(acked int64) {
+	if s.cwnd < s.ssthresh {
+		s.cwnd += float64(acked) // slow start
+	} else {
+		s.cwnd += float64(s.mss) * float64(acked) / s.cwnd // CA
 	}
 }
 

@@ -71,19 +71,18 @@ func Stream(n *netsim.Network, src, dst netsim.NodeID, cfg StreamConfig) (Stream
 	pktsPerFrame := (FrameBytes + cfg.MTU - 1) / cfg.MTU
 	spacing := FrameInterval / time.Duration(pktsPerFrame)
 
-	st := &stream{n: n, src: src, dst: dst, perFrame: pktsPerFrame, frames: make([]frameState, cfg.Frames)}
-	pkts := make([]streamPacket, cfg.Frames*pktsPerFrame)
-	for f := 0; f < cfg.Frames; f++ {
-		for k := 0; k < pktsPerFrame; k++ {
-			sp := &pkts[f*pktsPerFrame+k]
-			sp.frame, sp.bytes = f, cfg.MTU
-			if k == pktsPerFrame-1 {
-				sp.bytes = FrameBytes - (pktsPerFrame-1)*cfg.MTU
-			}
-			at := sim.Time(f)*sim.Time(FrameInterval) + sim.Time(k)*sim.Time(spacing)
-			n.K.AtFunc(at, sendStreamPacket, unsafe.Pointer(st), unsafe.Pointer(sp))
-		}
+	st := &stream{n: n, src: src, dst: dst, perFrame: pktsPerFrame, frames: make([]frameState, cfg.Frames),
+		mtu: cfg.MTU, spacing: spacing, total: cfg.Frames * pktsPerFrame}
+	// Every packet's send is keyed now, in order — packet i's key is
+	// (st.at(i), first+i) — but only the next one to send is an event:
+	// each send materializes its successor's key, so the stream keeps
+	// one event pending instead of one per packet and fires in the same
+	// order.
+	st.first = n.K.Reserve()
+	for i := 1; i < st.total; i++ {
+		n.K.Reserve()
 	}
+	n.K.Materialize(st.at(0), st.first, sendStreamPacket, unsafe.Pointer(st), nil)
 	n.Run()
 
 	var res StreamResult
@@ -133,6 +132,26 @@ type stream struct {
 	perFrame int
 	frames   []frameState
 	lost     int
+
+	// Packet i is packet i%perFrame of frame i/perFrame. first is the
+	// seq of packet 0's key, next the packet whose send is pending.
+	mtu         int
+	spacing     time.Duration
+	total, next int
+	first       uint64
+}
+
+// at is the time packet i is sent: its frame's start plus its spacing.
+func (st *stream) at(i int) sim.Time {
+	return sim.Time(i/st.perFrame)*sim.Time(FrameInterval) + sim.Time(i%st.perFrame)*sim.Time(st.spacing)
+}
+
+// bytes is packet i's size: the MTU, or what the frame has left.
+func (st *stream) bytes(i int) int {
+	if i%st.perFrame == st.perFrame-1 {
+		return FrameBytes - (st.perFrame-1)*st.mtu
+	}
+	return st.mtu
 }
 
 type frameState struct {
@@ -140,16 +159,17 @@ type frameState struct {
 	complete sim.Time
 }
 
-// streamPacket is what one packet's send event needs to know.
-type streamPacket struct{ frame, bytes int }
-
-// sendStreamPacket is the closure-free send event of one packet: a0 is
-// the stream, a1 the packet's streamPacket.
-func sendStreamPacket(a0, a1 unsafe.Pointer) {
-	st, sp := (*stream)(a0), (*streamPacket)(a1)
+// sendStreamPacket is the closure-free send event of the stream's next
+// packet (a0 is the stream); it materializes the one after.
+func sendStreamPacket(a0, _ unsafe.Pointer) {
+	st := (*stream)(a0)
+	i := st.next
+	if st.next++; st.next < st.total {
+		st.n.K.Materialize(st.at(st.next), st.first+uint64(st.next), sendStreamPacket, a0, nil)
+	}
 	p := st.n.NewPacket()
-	p.Src, p.Dst, p.Bytes = st.src, st.dst, sp.bytes
-	p.Seq = int64(sp.frame)
+	p.Src, p.Dst, p.Bytes = st.src, st.dst, st.bytes(i)
+	p.Seq = int64(i / st.perFrame)
 	p.Handler = st
 	st.n.Send(p)
 }
