@@ -73,7 +73,7 @@ func TestFacadeExperiments(t *testing.T) {
 	if len(up.Aggregate) == 0 || up.Aggregate[0].Backbone != OC12 || up.Aggregate[0].AggregateMbps <= 0 {
 		t.Errorf("no OC-12 aggregate throughput: %+v", up.Aggregate)
 	}
-	if OC3.LineRate() >= OC12.LineRate() || OC12.LineRate() >= OC48.LineRate() {
+	if OC3.PayloadRate() >= OC12.PayloadRate() || OC12.PayloadRate() >= OC48.PayloadRate() {
 		t.Error("carrier ordering broken")
 	}
 }

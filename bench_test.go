@@ -7,6 +7,7 @@ package gtw
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -45,15 +46,12 @@ func BenchmarkTable1FIREScaling(b *testing.B) {
 func BenchmarkFIREModulesReal(b *testing.B) {
 	ph := mri.NewPhantom(32, 32, 8, nil)
 	vol := ph.Anatomy
-	moved := vol.Shift(0.7, -0.4, 0.2)
-	b.Run("median-filter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fire.MedianFilter3D(vol, 1)
-		}
-	})
+	moved := volume.New(32, 32, 8)
+	new(volume.Sampler).Shift(moved, vol, 0.7, -0.4, 0.2)
 	b.Run("motion-correct", func(b *testing.B) {
+		fixed := volume.New(32, 32, 8)
 		for i := 0; i < b.N; i++ {
-			if _, err := fire.EstimateShift(vol, moved, fire.MotionOptions{}); err != nil {
+			if _, _, err := fire.MotionCorrect(fixed, vol, moved, fire.MotionOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -84,7 +82,7 @@ func BenchmarkFIREModulesReal(b *testing.B) {
 func scanSeries(sc *mri.Scanner) []*volume.Volume {
 	var series []*volume.Volume
 	for v := sc.Next(); v != nil; v = sc.Next() {
-		series = append(series, v.Clone())
+		series = append(series, &volume.Volume{NX: v.NX, NY: v.NY, NZ: v.NZ, Data: slices.Clone(v.Data)})
 	}
 	return series
 }
@@ -224,40 +222,6 @@ func BenchmarkPipelineAblation(b *testing.B) {
 			b.ReportMetric(up.AchievedPeriod, "unpipelined-period-s")
 			b.ReportMetric(pp.AchievedPeriod, "pipelined-period-s")
 			b.ReportMetric(up.AchievedPeriod/pp.AchievedPeriod, "speedup")
-		})
-	}
-}
-
-// BenchmarkRVORefinement is the X2 ablation: the planned coarse-raster
-// + iterative-refinement RVO against the full raster, comparing work
-// (grid evaluations) and result quality.
-func BenchmarkRVORefinement(b *testing.B) {
-	truth := mri.HRF{Delay: 8.5, Dispersion: 1.4}
-	act := mri.Activation{CX: 6, CY: 6, CZ: 3, Radius: 2.5, Amplitude: 0.08, HRF: truth}
-	ph := mri.NewPhantom(12, 12, 6, []mri.Activation{act})
-	stim := mri.BlockStimulus(40, 8)
-	sc := mri.NewScanner(ph, mri.ScanConfig{NX: 12, NY: 12, NZ: 6, TR: 2, NScans: 40,
-		Stimulus: stim, NoiseStd: 0.5, Seed: 17})
-	series := scanSeries(sc)
-	for _, mode := range []struct {
-		name string
-		opts fire.RVOOptions
-	}{
-		{"full-raster", fire.DefaultRVOGrid()},
-		{"coarse+refine", fire.CoarseRVOGrid()},
-	} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			var res *fire.RVOResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = fire.RVO(series, stim, 2.0, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Evaluated), "grid-evals")
-			b.ReportMetric(float64(res.Corr.At(6, 6, 3)), "center-r")
 		})
 	}
 }

@@ -23,7 +23,11 @@ func TestOnceRendersSnapshot(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cl := &dist.Client{Base: srv.URL}
-	if st, err := cl.Run(ctx, dist.JobRequest{Scenario: "table1-model"}); err != nil || st.Status != dist.JobDone {
+	st, err := cl.Submit(ctx, dist.JobRequest{Scenario: "table1-model"})
+	if err == nil {
+		st, err = cl.Wait(ctx, st.ID)
+	}
+	if err != nil || st.Status != dist.JobDone {
 		t.Fatalf("seed job: %v / %+v", err, st)
 	}
 

@@ -50,7 +50,7 @@
 //	                     network their hosts sit on, in virtual time
 //	internal/mpitrace    VAMPIR-style tracing of that virtual time
 //	internal/machine     supercomputer performance models
-//	internal/fire        FIRE fMRI analysis (filters, motion, RVO, ...)
+//	internal/fire        FIRE fMRI analysis (motion, correlation, T3E cost model)
 //	internal/mri         synthetic MRI scanner
 //	internal/meg         pmusic / MUSIC dipole analysis
 //	internal/groundwater TRACE/PARTRACE coupling

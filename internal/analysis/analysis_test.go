@@ -2,7 +2,6 @@ package analysis_test
 
 import (
 	"go/ast"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -69,39 +68,5 @@ func TestIgnoreDirectives(t *testing.T) {
 		if !strings.HasPrefix(got[i], w.prefix) || !strings.Contains(got[i], w.contains) {
 			t.Errorf("diagnostic %d = %q, want prefix %q containing %q", i, got[i], w.prefix, w.contains)
 		}
-	}
-}
-
-// TestLoadChecksTests loads a package with internal and external tests:
-// each test build is a test package of its own, holding only its
-// _test.go files, and the ordinary package holds none of them.
-func TestLoadChecksTests(t *testing.T) {
-	prog, err := analysis.Load("testdata/tests", "./...")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	files := func(pkg *analysis.Package) string {
-		var names []string
-		for _, f := range pkg.Files {
-			names = append(names, filepath.Base(prog.Fset.Position(f.Pos()).Filename))
-		}
-		return strings.Join(names, " ")
-	}
-	var got []string
-	for _, pkg := range prog.Pkgs {
-		got = append(got, pkg.Path+" ["+pkg.ForTest+"] "+files(pkg))
-	}
-	for _, pkg := range prog.Tests {
-		got = append(got, pkg.Path+" ["+pkg.ForTest+"] "+files(pkg))
-	}
-	want := "fixture/p [] p.go|fixture/p [fixture/p] p_test.go|fixture/p_test [fixture/p] x_test.go"
-	if g := strings.Join(got, "|"); g != want {
-		t.Errorf("loaded %q, want %q", g, want)
-	}
-}
-
-func TestLoadFailsOnTestTypeError(t *testing.T) {
-	if _, err := analysis.Load("testdata/badtest", "./..."); err == nil {
-		t.Fatal("a test file that does not type-check loaded")
 	}
 }

@@ -21,42 +21,32 @@ import (
 // deliberately dependency-free, so instead of golang.org/x/tools'
 // go/packages the loader drives the go toolchain directly:
 //
-//	go list -test -export -deps -json <patterns>
+//	go list -export -deps -json <patterns>
 //
-// enumerates every package in dependency order, test variants
-// included, and materialises export data (in the build cache) for all
-// of them. Packages outside the main module are imported from that
-// export data through go/importer's lookup hook — never re-type-checked
-// — while the main module's own packages are parsed and type-checked
-// from source, in the dependency order go list guarantees, so their
-// ASTs and type objects share one identity space across packages. That
-// identity sharing is what lets the pointdeps analyzer walk a call from
-// internal/core into another module package and keep resolving objects.
+// enumerates every package in dependency order and materialises export
+// data (in the build cache) for all of them. Packages outside the main
+// module are imported from that export data through go/importer's
+// lookup hook — never re-type-checked — while the main module's own
+// packages are parsed and type-checked from source, in the dependency
+// order go list guarantees, so their ASTs and type objects share one
+// identity space across packages. That identity sharing is what lets
+// the pointdeps analyzer walk a call from internal/core into another
+// module package and keep resolving objects.
 //
-// A package with tests is checked a second time together with its
-// internal _test.go files, and its external _test package on top of
-// that; go list's ImportMap routes each test build's imports to the
-// variants recompiled for it. Those checks have their own objects, so
-// code that relates a test's use to a declaration matches by
-// (*types.Func).FullName, not by identity.
+// Test files are not loaded: every analyzer checks shipped code, and
+// `go vet` and `go test` type-check the tests.
 
 // Package is one type-checked main-module package.
 type Package struct {
-	// Path is the import path ("repro/internal/core", or
-	// "repro/internal/core_test" for an external test package).
+	// Path is the import path ("repro/internal/core").
 	Path string
 	// Dir is the package's source directory.
 	Dir string
-	// ForTest is, for a test package, the import path of the package
-	// whose tests it holds; it is empty for an ordinary package.
-	ForTest string
-	// Files are the parsed Go files, with comments: the non-test files
-	// of an ordinary package, only the _test.go files of a test package.
+	// Files are the parsed non-test Go files, with comments.
 	Files []*ast.File
 	// Types is the source-checked package object.
 	Types *types.Package
-	// Info carries the type-checker's facts for every file checked with
-	// the package, Files among them.
+	// Info carries the type-checker's facts for Files.
 	Info *types.Info
 }
 
@@ -67,11 +57,6 @@ type Program struct {
 	Fset *token.FileSet
 	// Pkgs are the main-module packages, sorted by import path.
 	Pkgs []*Package
-	// Tests are the main-module test packages, sorted by import path.
-	// A package with internal tests has one, checked together with the
-	// package's own files; a package with an external _test package has
-	// one for that too.
-	Tests []*Package
 	// ModulePath is the main module's path ("repro").
 	ModulePath string
 	// ModuleDir is the main module's root directory.
@@ -96,14 +81,10 @@ func (p *Program) FuncDecl(fn *types.Func) *FuncSource { return p.decls[fn] }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
-	// ImportPath is the package's ID: "p", or "p [q.test]" for p
-	// recompiled for q's tests.
 	ImportPath string
-	ForTest    string
 	Dir        string
 	Export     string
 	GoFiles    []string
-	ImportMap  map[string]string
 	Module     *struct {
 		Path, Dir string
 		Main      bool
@@ -113,15 +94,14 @@ type listPkg struct {
 
 // Load lists patterns under dir (the module root, or any directory
 // inside the module) and type-checks every main-module package they
-// resolve to, with its tests. A type error anywhere, test files
-// included, fails the load.
+// resolve to. A type error in any of them fails the load.
 func Load(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	args := append([]string{
-		"list", "-test", "-export", "-deps",
-		"-json=ImportPath,ForTest,Dir,Export,GoFiles,ImportMap,Module,Error",
+		"list", "-export", "-deps",
+		"-json=ImportPath,Dir,Export,GoFiles,Module,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -167,9 +147,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	}
 
 	l := &loader{
-		prog:    prog,
-		checked: make(map[string]*types.Package),
-		parsed:  make(map[string]*ast.File),
+		prog: prog,
 		base: importer.ForCompiler(prog.Fset, "gc", func(path string) (io.ReadCloser, error) {
 			f, ok := exports[path]
 			if !ok {
@@ -179,8 +157,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		}),
 	}
 	for _, lp := range pkgs {
-		// The generated test main ("p.test") has no source of its own.
-		if lp.Module == nil || !lp.Module.Main || lp.ForTest == "" && strings.HasSuffix(lp.ImportPath, ".test") {
+		if lp.Module == nil || !lp.Module.Main {
 			continue
 		}
 		if err := l.check(lp); err != nil {
@@ -188,7 +165,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		}
 	}
 	sort.Slice(prog.Pkgs, func(i, j int) bool { return prog.Pkgs[i].Path < prog.Pkgs[j].Path })
-	sort.Slice(prog.Tests, func(i, j int) bool { return prog.Tests[i].Path < prog.Tests[j].Path })
 	return prog, nil
 }
 
@@ -197,11 +173,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 type loader struct {
 	prog *Program
 	base types.Importer
-	// checked maps a go list ID to its source-checked package.
-	checked map[string]*types.Package
-	// parsed caches files by name: a test build re-checks its package's
-	// files.
-	parsed map[string]*ast.File
 }
 
 // importerFunc adapts a function to types.Importer.
@@ -209,25 +180,17 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// check parses and type-checks one listed main-module package and files
-// it under prog.Pkgs, prog.Tests, or neither (a dependency recompiled
-// for another package's tests).
+// check parses and type-checks one listed main-module package and
+// files it under prog.Pkgs.
 func (l *loader) check(lp listPkg) error {
-	var files, testFiles []*ast.File
+	var files []*ast.File
 	for _, name := range lp.GoFiles {
 		name = filepath.Join(lp.Dir, name)
-		f := l.parsed[name]
-		if f == nil {
-			var err error
-			if f, err = parser.ParseFile(l.prog.Fset, name, nil, parser.ParseComments); err != nil {
-				return fmt.Errorf("analysis: parsing %s: %v", name, err)
-			}
-			l.parsed[name] = f
+		f, err := parser.ParseFile(l.prog.Fset, name, nil, parser.ParseComments)
+		if err != nil {
+			return fmt.Errorf("analysis: parsing %s: %v", name, err)
 		}
 		files = append(files, f)
-		if strings.HasSuffix(name, "_test.go") {
-			testFiles = append(testFiles, f)
-		}
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -237,30 +200,18 @@ func (l *loader) check(lp listPkg) error {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
-		if id, ok := lp.ImportMap[path]; ok {
-			path = id
-		}
-		if pkg := l.checked[path]; pkg != nil {
-			return pkg, nil
+		if pkg := l.prog.byPath[path]; pkg != nil {
+			return pkg.Types, nil
 		}
 		return l.base.Import(path)
 	})}
-	path, _, _ := strings.Cut(lp.ImportPath, " ")
-	tpkg, err := conf.Check(path, l.prog.Fset, files, info)
+	tpkg, err := conf.Check(lp.ImportPath, l.prog.Fset, files, info)
 	if err != nil {
 		return fmt.Errorf("analysis: type-checking %s: %v", lp.ImportPath, err)
 	}
-	l.checked[lp.ImportPath] = tpkg
-	pkg := &Package{Path: path, Dir: lp.Dir, ForTest: lp.ForTest, Files: files, Types: tpkg, Info: info}
-	if lp.ForTest != "" {
-		if len(testFiles) > 0 {
-			pkg.Files = testFiles
-			l.prog.Tests = append(l.prog.Tests, pkg)
-		}
-		return nil
-	}
+	pkg := &Package{Path: lp.ImportPath, Dir: lp.Dir, Files: files, Types: tpkg, Info: info}
 	l.prog.Pkgs = append(l.prog.Pkgs, pkg)
-	l.prog.byPath[path] = pkg
+	l.prog.byPath[pkg.Path] = pkg
 	for _, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)

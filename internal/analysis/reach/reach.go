@@ -1,26 +1,29 @@
-// Package reach flags exported library code that nothing but its own
-// package's tests reaches. Every exported function should serve a
-// scenario, a binary or the benchmark; one that only its own tests call
-// is either dead (delete it), a reference its tests pin other code
-// against (move it into a _test.go file), or waived with a reason.
+// Package reach flags exported library code that no shipped code
+// reaches. Every exported function should serve a scenario, a binary or
+// the benchmark; one that only tests call is either dead (delete it), a
+// reference tests pin other code against (move it into a _test.go
+// file), or waived with a reason.
 //
 // A function or method with an exported name, declared in a package that
-// is neither the module root (the importable API) nor a main package, is
+// is neither the module root (the importable API), a main package, nor a
+// test-helper package (one whose name ends in "test", as httptest), is
 // reached when
 //
-//   - non-test module code outside its own declaration uses it,
-//   - non-test code of the benchmark module under bench/ uses it, or
-//   - a _test.go file of another package uses it.
+//   - non-test module code outside its own declaration uses it, or
+//   - non-test code of the benchmark module under bench/ uses it.
 //
-// Every use is decided by go/types: the module is loaded with its test
-// packages, and bench/ is loaded as its own module, with this module
-// imported from export data. The loads do not share objects, so a use
-// is matched to a declaration by (*types.Func).FullName: a call to
-// another type's method of the same name reaches nothing here. A method
-// that implements an interface method declared in the program or in a
-// package it imports is exempt: an interface call reaches it without
-// naming it. Callers count only from loaded packages, so the answer is
-// meaningful for a whole-module load (gtwvet ./...), not a subset.
+// A use from a _test.go file counts for nothing: a test of code only
+// tests run pins nothing that ships.
+//
+// Every use is decided by go/types: bench/ is loaded as its own module,
+// with this module imported from export data. The two loads do not share
+// objects, so a use is matched to a declaration by
+// (*types.Func).FullName: a call to another type's method of the same
+// name reaches nothing here. A method that implements an interface
+// method declared in the program or in a package it imports is exempt:
+// an interface call reaches it without naming it. Callers count only
+// from loaded packages, so the answer is meaningful for a whole-module
+// load (gtwvet ./...), not a subset.
 package reach
 
 import (
@@ -28,6 +31,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/analysis"
 )
@@ -44,7 +48,7 @@ func New() *analysis.Analyzer {
 	)
 	return &analysis.Analyzer{
 		Name: "reach",
-		Doc:  "exported library functions must be reached by non-test code, bench/ or another package's tests",
+		Doc:  "exported library functions must be reached by non-test module code or bench/",
 		Run: func(pass *analysis.Pass) error {
 			if cachedFor != pass.Prog {
 				r, err := collect(pass.Prog)
@@ -61,11 +65,8 @@ func New() *analysis.Analyzer {
 
 // refs is what the whole program references, by (*types.Func).FullName.
 type refs struct {
-	// uses holds the functions non-test module code, bench/ or another
-	// package's tests use.
+	// uses holds the functions non-test module code or bench/ uses.
 	uses map[string]bool
-	// ownTests holds the functions their own package's tests use.
-	ownTests map[string]bool
 	// ifaces indexes every interface in view by its method names.
 	ifaces    map[string][]*types.Interface
 	seenIface map[*types.Interface]bool
@@ -75,7 +76,7 @@ type refs struct {
 // package that r does not reach.
 func check(pass *analysis.Pass, r *refs) {
 	pkg := pass.Pkg
-	if pkg.Path == pass.Prog.ModulePath || pkg.Types.Name() == "main" {
+	if name := pkg.Types.Name(); pkg.Path == pass.Prog.ModulePath || name == "main" || strings.HasSuffix(name, "test") {
 		return
 	}
 	for _, f := range pkg.Files {
@@ -96,11 +97,7 @@ func check(pass *analysis.Pass, r *refs) {
 				}
 				what = recvName(recv) + "." + fd.Name.Name
 			}
-			by := "nothing references it"
-			if r.ownTests[fn.FullName()] {
-				by = "only its own package's tests reference it"
-			}
-			pass.Reportf(fd.Name.Pos(), "%s is unreached: %s (delete it, move it into a _test.go file, or waive it)", what, by)
+			pass.Reportf(fd.Name.Pos(), "%s is unreached: no non-test code or bench/ uses it (delete it, move it into a _test.go file, or waive it)", what)
 		}
 	}
 }
@@ -130,11 +127,10 @@ func recvName(t types.Type) string {
 	return t.String()
 }
 
-// collect gathers what the program, its tests and bench/ use.
+// collect gathers what the program and bench/ use.
 func collect(prog *analysis.Program) (*refs, error) {
 	r := &refs{
 		uses:      make(map[string]bool),
-		ownTests:  make(map[string]bool),
 		ifaces:    make(map[string][]*types.Interface),
 		seenIface: make(map[*types.Interface]bool),
 	}
@@ -146,9 +142,6 @@ func collect(prog *analysis.Program) (*refs, error) {
 		for _, tv := range pkg.Info.Types {
 			r.addInterface(tv.Type)
 		}
-	}
-	for _, pkg := range prog.Tests {
-		r.scanUses(pkg)
 	}
 	root := filepath.Join(prog.ModuleDir, benchDir)
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
@@ -165,8 +158,7 @@ func collect(prog *analysis.Program) (*refs, error) {
 }
 
 // scanUses records the functions pkg's files use, except a function's
-// uses of itself. A test package's uses of the package it tests go to
-// ownTests.
+// uses of itself.
 func (r *refs) scanUses(pkg *analysis.Package) {
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
@@ -183,12 +175,7 @@ func (r *refs) scanUses(pkg *analysis.Package) {
 				if !ok || fn.Origin() == self {
 					return true
 				}
-				fn = fn.Origin()
-				if pkg.ForTest != "" && fn.Pkg() != nil && fn.Pkg().Path() == pkg.ForTest {
-					r.ownTests[fn.FullName()] = true
-				} else {
-					r.uses[fn.FullName()] = true
-				}
+				r.uses[fn.Origin().FullName()] = true
 				return true
 			})
 		}

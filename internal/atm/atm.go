@@ -76,12 +76,6 @@ const (
 	OC48 OC = 48
 )
 
-// baseOC1Line is the OC-1 line rate in bit/s.
-const baseOC1Line = 51.84e6
-
-// LineRate reports the gross optical line rate in bit/s.
-func (c OC) LineRate() float64 { return baseOC1Line * float64(c) }
-
 // PayloadRate reports the SDH payload (SPE) rate available to the ATM
 // cell stream in bit/s: the line rate minus section/line/path overhead.
 // For concatenated STS-Nc the payload is 149.76 Mbit/s per STS-3c.

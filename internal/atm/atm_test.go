@@ -74,6 +74,10 @@ func TestCLIPWireBytes(t *testing.T) {
 	}
 }
 
+// LineRate reports the gross optical line rate in bit/s: 51.84 Mbit/s
+// per OC-1, the rate PayloadRate's SDH overhead is taken from.
+func (c OC) LineRate() float64 { return 51.84e6 * float64(c) }
+
 func TestSDHRates(t *testing.T) {
 	if got := OC12.LineRate(); math.Abs(got-622.08e6) > 1 {
 		t.Errorf("OC-12 line rate = %v", got)

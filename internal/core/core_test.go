@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -266,7 +267,7 @@ func TestFigure3StreamedROICourseEqualsSeries(t *testing.T) {
 	sc := mri.NewScanner(ph, cfg)
 	var series []*volume.Volume
 	for v := sc.Next(); v != nil; v = sc.Next() {
-		series = append(series, v.Clone())
+		series = append(series, &volume.Volume{NX: v.NX, NY: v.NY, NZ: v.NZ, Data: slices.Clone(v.Data)})
 	}
 	corr := fire.NewCorrelator(sc.Reference(0), cfg.NX, cfg.NY, cfg.NZ)
 	for _, v := range series {
@@ -364,12 +365,15 @@ func (tb *Testbed) Allocations() map[string]string {
 func (tb *Testbed) BackboneUtilization() float64 {
 	tb.simMu.Lock()
 	defer tb.simMu.Unlock()
-	return tb.backbone.Utilization(tb.Net.Now())
+	if now := tb.Net.K.Now(); now > 0 {
+		return tb.backbone.BusyTime.Seconds() / now.Seconds()
+	}
+	return 0
 }
 
 // BackboneWireBytes reports total framed bytes carried on the WAN link.
 func (tb *Testbed) BackboneWireBytes() int64 {
 	tb.simMu.Lock()
 	defer tb.simMu.Unlock()
-	return tb.backbone.WireBytes()
+	return tb.backbone.WireBytes
 }

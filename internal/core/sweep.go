@@ -112,9 +112,6 @@ func (sw *Sweep) Name() string { return sw.name }
 // Description implements Scenario.
 func (sw *Sweep) Description() string { return sw.desc }
 
-// Axes returns the sweep's grid dimensions.
-func (sw *Sweep) Axes() []Axis { return sw.axes }
-
 // Points enumerates the grid in row-major order (last axis fastest).
 // The slice is computed once and shared; callers must not mutate it.
 func (sw *Sweep) Points() []Point {

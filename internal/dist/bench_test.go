@@ -57,7 +57,7 @@ func BenchmarkColdGridJob(b *testing.B) {
 	leases0 := c.met.leasesGranted.Value()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := cl.Run(ctx, JobRequest{Scenario: "dist-bench-grid", Opts: WireOptions{Frames: i + 1}})
+		st, err := runJob(ctx, cl, JobRequest{Scenario: "dist-bench-grid", Opts: WireOptions{Frames: i + 1}})
 		if err != nil || st.Status != JobDone || st.PointHits != 0 {
 			b.Fatalf("job %d: %v / %+v, want done with no store hit", i, err, st)
 		}

@@ -159,15 +159,6 @@ func (cl *Client) WaitStream(ctx context.Context, id string, _ func(error)) (*Jo
 	return cl.Wait(ctx, id)
 }
 
-// Run submits a job and waits for it.
-func (cl *Client) Run(ctx context.Context, req JobRequest) (*JobStatus, error) {
-	st, err := cl.Submit(ctx, req)
-	if err != nil || st.Status == JobDone || st.Status == JobFailed {
-		return st, err
-	}
-	return cl.Wait(ctx, st.ID)
-}
-
 // Status fetches the coordinator snapshot.
 func (cl *Client) Status(ctx context.Context) (*StatusReply, error) {
 	var st StatusReply

@@ -81,6 +81,15 @@ func newCluster(t *testing.T, cfg Config) *testCluster {
 	}
 }
 
+// runJob submits req and waits for the job to finish.
+func runJob(ctx context.Context, cl *Client, req JobRequest) (*JobStatus, error) {
+	st, err := cl.Submit(ctx, req)
+	if err != nil || st.Status == JobDone || st.Status == JobFailed {
+		return st, err
+	}
+	return cl.Wait(ctx, st.ID)
+}
+
 // startWorker runs w until the test ends.
 func (tc *testCluster) startWorker(t *testing.T, w *Worker) {
 	t.Helper()
@@ -127,7 +136,7 @@ func TestDistributedSweepByteIdenticalWithTwoWorkers(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	opts := WireOptions{Frames: 7}
-	st, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-identical", Opts: opts})
+	st, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-identical", Opts: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +174,7 @@ func TestFigure1ThroughputDistributedMatchesLocal(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	st, err := tc.cl.Run(ctx, JobRequest{Scenario: "figure1-throughput"})
+	st, err := runJob(ctx, tc.cl, JobRequest{Scenario: "figure1-throughput"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +211,7 @@ func TestWorkerKilledMidLeaseReRunsElsewhere(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	st, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-kill"})
+	st, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-kill"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +464,7 @@ func TestOnePointJobsNeverAbandoned(t *testing.T) {
 			defer wg.Done()
 			for n := c; n < jobs; n += clients {
 				// A fresh Frames per job: every one is a store miss.
-				st, err := cl.Run(ctx, JobRequest{Scenario: "dist-test-onepoint", Opts: WireOptions{Frames: n + 1}})
+				st, err := runJob(ctx, cl, JobRequest{Scenario: "dist-test-onepoint", Opts: WireOptions{Frames: n + 1}})
 				if err != nil {
 					t.Errorf("job %d: %v", n, err)
 					return
@@ -479,14 +488,14 @@ func TestPointStoreServesRepeatJobs(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	first, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-cache", Opts: WireOptions{Frames: 3}})
+	first, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-cache", Opts: WireOptions{Frames: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Status != JobDone || first.Cached {
 		t.Fatalf("first run: status %s cached %v", first.Status, first.Cached)
 	}
-	second, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-cache", Opts: WireOptions{Frames: 3}})
+	second, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-cache", Opts: WireOptions{Frames: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +506,7 @@ func TestPointStoreServesRepeatJobs(t *testing.T) {
 		t.Error("cached report differs from the original")
 	}
 	// Different options miss the cache.
-	third, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-cache", Opts: WireOptions{Frames: 9}})
+	third, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-cache", Opts: WireOptions{Frames: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,11 +524,11 @@ func TestAllHitJobStartsNoLocalShard(t *testing.T) {
 	tc := newCluster(t, Config{LocalShards: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	cold, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-allhit"})
+	cold, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-allhit"})
 	if err != nil || cold.Status != JobDone || len(cold.Shards) != 1 || cold.Shards[0].Worker != "local-0" {
 		t.Fatalf("cold run: %v / %+v, want done on the one local shard", err, cold)
 	}
-	hit, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-allhit"})
+	hit, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-allhit"})
 	if err != nil || hit.Status != JobDone || !hit.Cached {
 		t.Fatalf("resubmission: %v / %+v, want done and cached", err, hit)
 	}
@@ -584,7 +593,7 @@ func TestFinishedJobsPrunedPastRetention(t *testing.T) {
 
 	var ids []string
 	for frames := 1; frames <= 4; frames++ {
-		st, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-prune", Opts: WireOptions{Frames: frames}})
+		st, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-prune", Opts: WireOptions{Frames: frames}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -609,7 +618,7 @@ func TestNonSweepScenarioRunsOnCoordinator(t *testing.T) {
 	tc := newCluster(t, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	st, err := tc.cl.Run(ctx, JobRequest{Scenario: "table1-model"})
+	st, err := runJob(ctx, tc.cl, JobRequest{Scenario: "table1-model"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestCoordinatorRestartServesRecoveredPoints(t *testing.T) {
 	defer cancel()
 
 	a := newCluster(t, Config{LocalShards: 2, Store: mem})
-	first, err := a.cl.Run(ctx, JobRequest{Scenario: "dist-test-recover", Opts: WireOptions{Frames: 1}})
+	first, err := runJob(ctx, a.cl, JobRequest{Scenario: "dist-test-recover", Opts: WireOptions{Frames: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCoordinatorRestartServesRecoveredPoints(t *testing.T) {
 	}
 	// A resubmission (different-but-irrelevant options, so it is a new
 	// job) is served entirely from the recovered store.
-	second, err := b.cl.Run(ctx, JobRequest{Scenario: "dist-test-recover", Opts: WireOptions{Frames: 2}})
+	second, err := runJob(ctx, b.cl, JobRequest{Scenario: "dist-test-recover", Opts: WireOptions{Frames: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestDiskBackedCoordinatorSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := newCluster(t, Config{LocalShards: 2, Store: d1})
-	first, err := a.cl.Run(ctx, JobRequest{Scenario: "dist-test-disk", Opts: WireOptions{Frames: 1}})
+	first, err := runJob(ctx, a.cl, JobRequest{Scenario: "dist-test-disk", Opts: WireOptions{Frames: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestDiskBackedCoordinatorSurvivesRestart(t *testing.T) {
 	}
 	t.Cleanup(func() { d2.Close() })
 	b := newCluster(t, Config{LocalShards: 2, Store: d2})
-	second, err := b.cl.Run(ctx, JobRequest{Scenario: "dist-test-disk", Opts: WireOptions{Frames: 2}})
+	second, err := runJob(ctx, b.cl, JobRequest{Scenario: "dist-test-disk", Opts: WireOptions{Frames: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestWorkerStatsRecoveredAcrossRestart(t *testing.T) {
 	a := newCluster(t, Config{LocalShards: -1, Store: mem})
 	w := NewWorker("")
 	a.startWorker(t, w)
-	if st, err := a.cl.Run(ctx, JobRequest{Scenario: "dist-test-wstats"}); err != nil || st.Status != JobDone {
+	if st, err := runJob(ctx, a.cl, JobRequest{Scenario: "dist-test-wstats"}); err != nil || st.Status != JobDone {
 		t.Fatalf("seed job: %v / %+v", err, st)
 	}
 	a.c.Close()
@@ -338,7 +338,7 @@ func TestOverlappingJobsRacingShareTheStore(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			finals[i], errs[i] = tc.cl.Run(ctx,
+			finals[i], errs[i] = runJob(ctx, tc.cl,
 				JobRequest{Scenario: "dist-test-race", Opts: WireOptions{Frames: i + 1}})
 		}(i)
 	}
@@ -396,7 +396,7 @@ func TestBatchStreamingCoalescesUploads(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	st, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-batch"})
+	st, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-batch"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestBatchStreamingDeathReRunsOnlyUnflushedTail(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	st, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-batch-kill"})
+	st, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-batch-kill"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestRecoveredJobWithUnreadableOptionsFails(t *testing.T) {
 	}
 	// A healthy job after it runs, under the next ID, and is the only
 	// thing that evaluated a point.
-	next, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-badopts"})
+	next, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-badopts"})
 	if err != nil || next.Status != JobDone || next.ID != "job-8" {
 		t.Fatalf("next job: %v / %+v, want job-8 done", err, next)
 	}
@@ -557,7 +557,7 @@ func TestJobStartIsNotJournaledAndRunningRecordsResume(t *testing.T) {
 
 	log := &jobStatusLog{Store: persist.NewMem()}
 	a := newCluster(t, Config{Store: log})
-	if st, err := a.cl.Run(ctx, JobRequest{Scenario: "dist-test-running"}); err != nil || st.Status != JobDone {
+	if st, err := runJob(ctx, a.cl, JobRequest{Scenario: "dist-test-running"}); err != nil || st.Status != JobDone {
 		t.Fatalf("run: %v / %+v", err, st)
 	}
 	log.mu.Lock()

@@ -84,7 +84,7 @@ func TestCrossJobPointReuseServesOverlappingGrids(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	first, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-reuse", Opts: WireOptions{Frames: 1}})
+	first, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-reuse", Opts: WireOptions{Frames: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCrossJobPointReuseServesOverlappingGrids(t *testing.T) {
 	}
 	// Different Frames — irrelevant to the points (PointDeps()) — so the
 	// grids overlap completely.
-	second, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-reuse", Opts: WireOptions{Frames: 2}})
+	second, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-reuse", Opts: WireOptions{Frames: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestPointStorePartialOverlapAfterEviction(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	first, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-evict"})
+	first, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-evict"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-evict"})
+	second, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-evict"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestNonSweepScenarioExecutesOnWorkers(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	st, err := tc.cl.Run(ctx, JobRequest{Scenario: "table1-model"})
+	st, err := runJob(ctx, tc.cl, JobRequest{Scenario: "table1-model"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestNonSweepScenarioExecutesOnWorkers(t *testing.T) {
 	}
 	// The wrapped point is stored too: a resubmission is served without
 	// any worker involvement.
-	again, err := tc.cl.Run(ctx, JobRequest{Scenario: "table1-model"})
+	again, err := runJob(ctx, tc.cl, JobRequest{Scenario: "table1-model"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestWorkerDeathAfterStreamingReRunsOnlyTail(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	st, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-stream-kill"})
+	st, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-stream-kill"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,7 +176,7 @@ func TestAuthRequiredWhenTenantsConfigured(t *testing.T) {
 	cl := tc.authedClient("tok-alpha")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	st, err := cl.Run(ctx, submit)
+	st, err := runJob(ctx, cl, submit)
 	if err != nil {
 		t.Fatalf("authenticated run: %v", err)
 	}
@@ -209,11 +209,11 @@ func TestTwoTenantReportsByteIdentical(t *testing.T) {
 
 	opts := WireOptions{Frames: 3}
 	req := JobRequest{Scenario: "dist-test-tenantid", Opts: opts}
-	stA, err := tc.authedClient("tok-alpha").Run(ctx, req)
+	stA, err := runJob(ctx, tc.authedClient("tok-alpha"), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stB, err := tc.authedClient("tok-beta").Run(ctx, req)
+	stB, err := runJob(ctx, tc.authedClient("tok-beta"), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestMetricsAndStatusSurfaceTenantCounters(t *testing.T) {
 	tc.startWorker(t, NewWorker(""))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	st, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-metrics"})
+	st, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-metrics"})
 	if err != nil {
 		t.Fatal(err)
 	}

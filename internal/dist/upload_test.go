@@ -92,7 +92,7 @@ func TestEachPointCrossesTheWireOnce(t *testing.T) {
 	tc.startWorker(t, w)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	st, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-once"})
+	st, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-once"})
 	if err != nil || st.Status != JobDone {
 		t.Fatalf("job: %v / %+v", err, st)
 	}
@@ -137,7 +137,7 @@ func TestLostAcknowledgementResendsAndAttributesOnce(t *testing.T) {
 	tc.startWorker(t, w)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	st, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-lostack"})
+	st, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-lostack"})
 	if err != nil || st.Status != JobDone {
 		t.Fatalf("job: %v / %+v", err, st)
 	}
@@ -196,7 +196,7 @@ func TestFlushRuleBatchesCheapPointsAndStreamsCostlyOnes(t *testing.T) {
 			tc.startWorker(t, w)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			st, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-flush"})
+			st, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-flush"})
 			if err != nil || st.Status != JobDone {
 				t.Fatalf("job: %v / %+v", err, st)
 			}
@@ -383,7 +383,7 @@ func TestWorkerLastBatchAlreadyTaken(t *testing.T) {
 	tc.startWorker(t, w)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	st, err := tc.cl.Run(ctx, JobRequest{Scenario: "dist-test-taken"})
+	st, err := runJob(ctx, tc.cl, JobRequest{Scenario: "dist-test-taken"})
 	if err != nil || st.Status != JobDone {
 		t.Fatalf("job: %v / %+v", err, st)
 	}

@@ -4,23 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/mri"
+	"repro/internal/volume"
 )
-
-// BenchmarkMedianFilterParallel compares the serial and parallel
-// median filter on a full-size 64x64x16 scan.
-func BenchmarkMedianFilterParallel(b *testing.B) {
-	ph := mri.NewPhantom(64, 64, 16, nil)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MedianFilter3D(ph.Anatomy, 1)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ParallelMedianFilter3D(ph.Anatomy, 1, 0)
-		}
-	})
-}
 
 // BenchmarkCorrelatorAdd measures the per-scan realtime analysis cost
 // at the paper's acquisition size.
@@ -31,7 +16,7 @@ func BenchmarkCorrelatorAdd(b *testing.B) {
 		ref[i] = float64(i%16) - 8
 	}
 	c := NewCorrelator(ref, 64, 64, 16)
-	b.SetBytes(int64(ph.Anatomy.Bytes()))
+	b.SetBytes(int64(4 * ph.Anatomy.Voxels()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := c.Add(ph.Anatomy); err != nil {
@@ -48,11 +33,16 @@ var benchShift [3]float64
 // runs for every scan.
 func BenchmarkEstimateShift(b *testing.B) {
 	ref := mri.NewPhantom(64, 64, 16, nil).Anatomy
-	cur := ref.Shift(0.4, -0.3, 0.2)
+	cur := volume.New(64, 64, 16)
+	new(volume.Sampler).Shift(cur, ref, 0.4, -0.3, 0.2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := EstimateShift(ref, cur, MotionOptions{})
+		opts := MotionOptions{}
+		if err := checkMotion(ref, cur, &opts); err != nil {
+			b.Fatal(err)
+		}
+		d, err := estimateShift(new(volume.Sampler), volume.New(ref.NX, ref.NY, ref.NZ), ref, cur, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

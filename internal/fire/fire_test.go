@@ -10,64 +10,16 @@ import (
 	"repro/internal/volume"
 )
 
-func TestMedianFilterRemovesImpulse(t *testing.T) {
-	v := volume.New(8, 8, 8)
-	v.Fill(100)
-	v.Set(4, 4, 4, 10000) // hot voxel
-	out := MedianFilter3D(v, 1)
-	if out.At(4, 4, 4) != 100 {
-		t.Errorf("impulse survived median filter: %v", out.At(4, 4, 4))
-	}
-}
-
-func TestMedianFilterIdempotentOnConstant(t *testing.T) {
-	v := volume.New(6, 6, 6)
-	v.Fill(42)
-	out := MedianFilter3D(v, 1)
-	for i, x := range out.Data {
-		if x != 42 {
-			t.Fatalf("constant field changed at %d: %v", i, x)
-		}
-	}
-}
-
-func TestMedianFilterPreservesStep(t *testing.T) {
-	// A median filter preserves edges better than averaging: voxels
-	// well inside each half keep their value exactly.
-	v := volume.New(8, 8, 8)
-	for z := 0; z < 8; z++ {
-		for y := 0; y < 8; y++ {
-			for x := 0; x < 8; x++ {
-				if x < 4 {
-					v.Set(x, y, z, 10)
-				} else {
-					v.Set(x, y, z, 20)
-				}
-			}
-		}
-	}
-	out := MedianFilter3D(v, 1)
-	if out.At(1, 4, 4) != 10 || out.At(6, 4, 4) != 20 {
-		t.Error("median filter destroyed a clean step edge")
-	}
-}
-
-func TestMedianFilterZeroRadiusClones(t *testing.T) {
-	v := volume.New(4, 4, 4)
-	v.Set(1, 1, 1, 5)
-	out := MedianFilter3D(v, 0)
-	if out.At(1, 1, 1) != 5 {
-		t.Error("r=0 should copy")
-	}
-	out.Set(1, 1, 1, 9)
-	if v.At(1, 1, 1) != 5 {
-		t.Error("r=0 result aliases input")
-	}
-}
-
 func phantomVolume() *volume.Volume {
 	ph := mri.NewPhantom(24, 24, 12, nil)
 	return ph.Anatomy
+}
+
+// shifted returns v rigidly translated by (dx, dy, dz) voxels.
+func shifted(v *volume.Volume, dx, dy, dz float64) *volume.Volume {
+	out := volume.New(v.NX, v.NY, v.NZ)
+	new(volume.Sampler).Shift(out, v, dx, dy, dz)
+	return out
 }
 
 func TestEstimateShiftRecoversKnownMotion(t *testing.T) {
@@ -77,8 +29,8 @@ func TestEstimateShiftRecoversKnownMotion(t *testing.T) {
 		{0.5, -0.7, 0.3},
 		{-1.2, 0.4, -0.5},
 	} {
-		cur := ref.Shift(want[0], want[1], want[2])
-		got, err := EstimateShift(ref, cur, MotionOptions{})
+		cur := shifted(ref, want[0], want[1], want[2])
+		_, got, err := MotionCorrect(nil, ref, cur, MotionOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +45,7 @@ func TestEstimateShiftRecoversKnownMotion(t *testing.T) {
 
 func TestMotionCorrectRestoresImage(t *testing.T) {
 	ref := phantomVolume()
-	cur := ref.Shift(0.8, -0.6, 0.2)
+	cur := shifted(ref, 0.8, -0.6, 0.2)
 	fixed, d, err := MotionCorrect(nil, ref, cur, MotionOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +69,7 @@ func TestMotionCorrectRestoresImage(t *testing.T) {
 	// resampling): the estimator must be nearly as good. Comparing
 	// against the raw reference instead would mostly measure the
 	// trilinear low-pass loss at the phantom's sharp skull edges.
-	ideal := cur.Shift(-0.8, 0.6, -0.2)
+	ideal := shifted(cur, -0.8, 0.6, -0.2)
 	var idealRms float64
 	for z := 3; z < ref.NZ-3; z++ {
 		for y := 3; y < ref.NY-3; y++ {
@@ -135,7 +87,7 @@ func TestMotionCorrectRestoresImage(t *testing.T) {
 func TestEstimateShiftShapeMismatch(t *testing.T) {
 	a := volume.New(4, 4, 4)
 	b := volume.New(4, 4, 5)
-	if _, err := EstimateShift(a, b, MotionOptions{}); err == nil {
+	if _, _, err := MotionCorrect(nil, a, b, MotionOptions{}); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 }
@@ -143,7 +95,7 @@ func TestEstimateShiftShapeMismatch(t *testing.T) {
 func TestEstimateShiftFeaturelessErrors(t *testing.T) {
 	a := volume.New(8, 8, 8) // all zeros: no gradients anywhere
 	b := volume.New(8, 8, 8)
-	if _, err := EstimateShift(a, b, MotionOptions{}); err == nil {
+	if _, _, err := MotionCorrect(nil, a, b, MotionOptions{}); err == nil {
 		t.Error("featureless image should error (singular normal equations)")
 	}
 }
@@ -160,29 +112,73 @@ func TestEstimateShiftThinVolumeNamesDimension(t *testing.T) {
 		{24, 2, 12, 1, "NY = 2 with Border 1"},
 	} {
 		v := mri.NewPhantom(c.nx, c.ny, c.nz, nil).Anatomy
-		_, err := EstimateShift(v, v.Shift(0.5, 0, 0), MotionOptions{Border: c.border})
+		_, _, err := MotionCorrect(nil, v, shifted(v, 0.5, 0, 0), MotionOptions{Border: c.border})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%dx%dx%d border %d: error %v, want one naming %q", c.nx, c.ny, c.nz, c.border, err, c.want)
 		}
 	}
 }
 
-// referenceEstimateShift is EstimateShift as it was before the
-// gradients were read by stride: one volume.Gradient call (six clamps,
-// seven Idx) per interior voxel per iteration. EstimateShift must agree
-// with it to the last bit.
+// gradient returns central-difference spatial gradients (gx, gy, gz) of
+// v at voxel (x, y, z), using one-sided differences at the boundary.
+func gradient(v *volume.Volume, x, y, z int) (gx, gy, gz float64) {
+	clamp := func(i, n int) int { return min(max(i, 0), n-1) }
+	sample := func(a, b float32, h float64) float64 { return float64(a-b) / h }
+	xm, xp := clamp(x-1, v.NX), clamp(x+1, v.NX)
+	ym, yp := clamp(y-1, v.NY), clamp(y+1, v.NY)
+	zm, zp := clamp(z-1, v.NZ), clamp(z+1, v.NZ)
+	gx = sample(v.At(xp, y, z), v.At(xm, y, z), float64(xp-xm))
+	gy = sample(v.At(x, yp, z), v.At(x, ym, z), float64(yp-ym))
+	gz = sample(v.At(x, y, zp), v.At(x, y, zm), float64(zp-zm))
+	if xp == xm {
+		gx = 0
+	}
+	if yp == ym {
+		gy = 0
+	}
+	if zp == zm {
+		gz = 0
+	}
+	return gx, gy, gz
+}
+
+func TestGradientOfLinearField(t *testing.T) {
+	v := volume.New(6, 6, 6)
+	for z := 0; z < 6; z++ {
+		for y := 0; y < 6; y++ {
+			for x := 0; x < 6; x++ {
+				v.Set(x, y, z, float32(3*x+5*y-2*z))
+			}
+		}
+	}
+	gx, gy, gz := gradient(v, 3, 3, 3)
+	if gx != 3 || gy != 5 || gz != -2 {
+		t.Errorf("gradient = (%v,%v,%v), want (3,5,-2)", gx, gy, gz)
+	}
+	// Boundary gradients use one-sided differences but stay exact for
+	// linear fields.
+	gx, gy, gz = gradient(v, 0, 0, 5)
+	if gx != 3 || gy != 5 || gz != -2 {
+		t.Errorf("boundary gradient = (%v,%v,%v)", gx, gy, gz)
+	}
+}
+
+// referenceEstimateShift is the motion fit as it was before the
+// gradients were read by stride: one gradient call (six clamps, seven
+// Idx) per interior voxel per iteration. MotionCorrect's estimate must
+// agree with it to the last bit.
 func referenceEstimateShift(ref, cur *volume.Volume, opts MotionOptions) ([3]float64, error) {
 	opts.fill()
 	var d [3]float64
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		moved := cur.Shift(-d[0], -d[1], -d[2])
+		moved := shifted(cur, -d[0], -d[1], -d[2])
 		var jtj [3][3]float64
 		var jtr [3]float64
 		b := opts.Border
 		for z := b; z < ref.NZ-b; z++ {
 			for y := b; y < ref.NY-b; y++ {
 				for x := b; x < ref.NX-b; x++ {
-					gx, gy, gz := moved.Gradient(x, y, z)
+					gx, gy, gz := gradient(moved, x, y, z)
 					r := float64(ref.At(x, y, z) - moved.At(x, y, z))
 					g := [3]float64{gx, gy, gz}
 					for i := 0; i < 3; i++ {
@@ -226,12 +222,15 @@ func TestEstimateShiftEqualsGradientLoopBitForBit(t *testing.T) {
 		{[3]float64{-1.2, 0.4, -0.5}, 0},
 		{[3]float64{0.5, -0.7, 0.3}, 1}, // the thinnest border: neighbors reach the faces
 	} {
-		cur := ref.Shift(c.shift[0], c.shift[1], c.shift[2])
-		got, err := EstimateShift(ref, cur, MotionOptions{Border: c.border})
+		cur := shifted(ref, c.shift[0], c.shift[1], c.shift[2])
+		want, err := referenceEstimateShift(ref, cur, MotionOptions{Border: c.border})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := referenceEstimateShift(ref, cur, MotionOptions{Border: c.border})
+		// MotionCorrect fits in its target volume, then resamples into
+		// it: the reference's estimate, and the image a shift by it gives.
+		var got [3]float64
+		fixed, got, err = MotionCorrect(fixed, ref, cur, MotionOptions{Border: c.border})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,99 +239,19 @@ func TestEstimateShiftEqualsGradientLoopBitForBit(t *testing.T) {
 				t.Errorf("shift %v border %d axis %d: %v, Gradient loop %v", c.shift, c.border, i, got[i], want[i])
 			}
 		}
-		// MotionCorrect fits in its target volume, then resamples into
-		// it: the same estimate, and the image Shift gives for it.
-		var d [3]float64
-		fixed, d, err = MotionCorrect(fixed, ref, cur, MotionOptions{Border: c.border})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d != want {
-			t.Errorf("shift %v border %d: MotionCorrect estimate %v, Gradient loop %v", c.shift, c.border, d, want)
-		}
-		ideal := cur.Shift(-want[0], -want[1], -want[2])
+		ideal := shifted(cur, -want[0], -want[1], -want[2])
 		for i := range ideal.Data {
 			if math.Float32bits(fixed.Data[i]) != math.Float32bits(ideal.Data[i]) {
 				t.Fatalf("shift %v border %d: corrected voxel %d = %v, Shift %v", c.shift, c.border, i, fixed.Data[i], ideal.Data[i])
 			}
 		}
 	}
-	if _, _, err := MotionCorrect(volume.New(2, 2, 2), ref, ref.Clone(), MotionOptions{}); err == nil {
+	cur := shifted(ref, 0, 0, 0)
+	if _, _, err := MotionCorrect(volume.New(2, 2, 2), ref, cur, MotionOptions{}); err == nil {
 		t.Error("MotionCorrect wrote into a target of another shape")
 	}
-	cur := ref.Clone()
 	if _, _, err := MotionCorrect(cur, ref, cur, MotionOptions{}); err == nil {
 		t.Error("MotionCorrect wrote over its own input")
-	}
-}
-
-func TestDetrendRemovesLinearDrift(t *testing.T) {
-	n := 40
-	d, err := NewDetrender(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := make([]float64, n)
-	for i := range y {
-		y[i] = 100 + 0.5*float64(i) // baseline + drift
-	}
-	out, err := d.Apply(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drift gone, baseline (mean) retained.
-	var mean float64
-	for _, v := range out {
-		mean += v
-	}
-	mean /= float64(n)
-	if math.Abs(mean-100-0.5*float64(n-1)/2) > 1e-9 {
-		t.Errorf("mean after detrend = %v", mean)
-	}
-	for i := 1; i < n; i++ {
-		if math.Abs(out[i]-out[0]) > 1e-9 {
-			t.Fatalf("residual drift at %d: %v vs %v", i, out[i], out[0])
-		}
-	}
-}
-
-func TestDetrendPreservesSignal(t *testing.T) {
-	// A zero-mean oscillation orthogonal-ish to the drift terms
-	// should survive detrending nearly unchanged.
-	n := 64
-	d, err := NewDetrender(n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := make([]float64, n)
-	sig := make([]float64, n)
-	for i := range y {
-		sig[i] = math.Sin(2 * math.Pi * float64(i) / 8)
-		y[i] = sig[i] + 3 + 0.2*float64(i)
-	}
-	out, _ := d.Apply(y)
-	// Compare detrended signal shape against the pure oscillation.
-	var dot, ss float64
-	for i := range out {
-		c := out[i] - 3 - 0.2*float64(n-1)/2 // remove retained baseline
-		dot += c * sig[i]
-		ss += sig[i] * sig[i]
-	}
-	if dot/ss < 0.95 {
-		t.Errorf("signal attenuated by detrend: projection %.3f", dot/ss)
-	}
-}
-
-func TestDetrenderValidation(t *testing.T) {
-	if _, err := NewDetrender(3, 2); err == nil {
-		t.Error("too-short series accepted")
-	}
-	if _, err := NewDetrender(10, 0); err == nil {
-		t.Error("order 0 accepted")
-	}
-	d, _ := NewDetrender(10, 1)
-	if _, err := d.Apply(make([]float64, 5)); err == nil {
-		t.Error("wrong-length series accepted")
 	}
 }
 

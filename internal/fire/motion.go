@@ -8,7 +8,7 @@ import (
 	"repro/internal/volume"
 )
 
-// MotionOptions tunes EstimateShift.
+// MotionOptions tunes MotionCorrect's shift estimate.
 type MotionOptions struct {
 	// MaxIter bounds the Gauss-Newton iterations (default 8).
 	MaxIter int
@@ -32,18 +32,6 @@ func (o *MotionOptions) fill() {
 	}
 }
 
-// EstimateShift estimates the rigid translation (in voxels) that maps
-// ref onto cur, using the iterative linear scheme the paper describes:
-// linearize the image around the current estimate with spatial
-// gradients and solve the 3x3 normal equations, then re-resample.
-// Small head movements (a few voxels) are the intended regime.
-func EstimateShift(ref, cur *volume.Volume, opts MotionOptions) ([3]float64, error) {
-	if err := checkMotion(ref, cur, &opts); err != nil {
-		return [3]float64{}, err
-	}
-	return estimateShift(new(volume.Sampler), volume.New(ref.NX, ref.NY, ref.NZ), ref, cur, opts)
-}
-
 // checkMotion validates a motion fit of cur against ref and fills in
 // the option defaults.
 func checkMotion(ref, cur *volume.Volume, opts *MotionOptions) error {
@@ -62,8 +50,13 @@ func checkMotion(ref, cur *volume.Volume, opts *MotionOptions) error {
 	return nil
 }
 
-// estimateShift is EstimateShift on checked inputs: every Gauss-Newton
-// iteration resamples cur through s into the same volume moved.
+// estimateShift estimates the rigid translation (in voxels) that maps
+// ref onto cur, using the iterative linear scheme the paper describes:
+// linearize the image around the current estimate with spatial
+// gradients and solve the 3x3 normal equations, then re-resample. Small
+// head movements (a few voxels) are the intended regime. The inputs
+// must have passed checkMotion; every Gauss-Newton iteration resamples
+// cur through s into the same volume moved.
 func estimateShift(s *volume.Sampler, moved, ref, cur *volume.Volume, opts MotionOptions) ([3]float64, error) {
 	b := opts.Border
 	nx, plane := ref.NX, ref.NX*ref.NY
@@ -76,7 +69,7 @@ func estimateShift(s *volume.Sampler, moved, ref, cur *volume.Volume, opts Motio
 		// columns are the spatial gradients of the moved image and
 		// r is the intensity residual vs. the reference. Border >= 1
 		// keeps every neighbor inside the volume, so the gradients are
-		// the plain central differences volume.Gradient computes there.
+		// plain central differences.
 		// J^T J is symmetric and g[i]*g[j] == g[j]*g[i] exactly, so six
 		// running sums, each in serial voxel order, are its nine entries.
 		var xx, xy, xz, yy, yz, zz float64

@@ -120,8 +120,12 @@ func TestProtoReusesImage(t *testing.T) {
 	var buf bytes.Buffer
 	rt := NewConn(&buf)
 	a, b := volume.New(4, 3, 2), volume.New(2, 2, 2)
-	a.Fill(1)
-	b.Fill(2)
+	for i := range a.Data {
+		a.Data[i] = 1
+	}
+	for i := range b.Data {
+		b.Data[i] = 2
+	}
 	for _, v := range []*volume.Volume{a, a, b} {
 		if err := rt.WriteImage(0, v); err != nil {
 			t.Fatal(err)

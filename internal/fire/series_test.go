@@ -2,6 +2,7 @@ package fire
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mri"
 	"repro/internal/volume"
@@ -15,7 +16,7 @@ import (
 func scanSeries(sc *mri.Scanner) []*volume.Volume {
 	var series []*volume.Volume
 	for v := sc.Next(); v != nil; v = sc.Next() {
-		series = append(series, v.Clone())
+		series = append(series, &volume.Volume{NX: v.NX, NY: v.NY, NZ: v.NZ, Data: slices.Clone(v.Data)})
 	}
 	return series
 }

@@ -2,8 +2,7 @@
 // application codes need: matrix/vector arithmetic, a cyclic Jacobi
 // eigensolver for symmetric matrices (signal-subspace extraction in the
 // MUSIC dipole analysis), and a conjugate-gradient solver for symmetric
-// positive-definite operators (the TRACE groundwater flow solver and the
-// planned RVO refinement).
+// positive-definite operators (the TRACE groundwater flow solver).
 //
 // Everything is stdlib-only, row-major float64, and sized for the
 // problem dimensions in the paper (tens to a few hundreds), not BLAS

@@ -1,26 +1,7 @@
 package mpi
 
-// Internal collective tags.
-const (
-	tagBarrier = iota
-	tagGather
-)
-
-// Barrier blocks until every rank of the communicator has entered it
-// (dissemination algorithm, ceil(log2 n) rounds).
-func (c *Comm) Barrier() error {
-	n := c.Size()
-	for dist := 1; dist < n; dist *= 2 {
-		sent := c.isend("coll-send", c.collCtx, (c.rank+dist)%n, tagBarrier, nil)
-		if _, err := c.recvColl((c.rank-dist+n)%n, tagBarrier); err != nil {
-			return err
-		}
-		if _, err := sent.Wait(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// tagGather is Gather's tag in the collective context.
+const tagGather = 1
 
 // Gather collects each rank's buffer at root, ordered by rank. Only
 // root receives a non-nil result.

@@ -222,17 +222,12 @@ func (r *Request) Wait() (Message, error) {
 	return r.msg, r.err
 }
 
-// Isend starts a nonblocking send.
+// Isend starts a nonblocking send. It runs on a helper process of its
+// own, so the transfer proceeds while the rank goes on to receive.
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
-	return c.isend("send", c.p2pCtx, dst, tag, data)
-}
-
-// isend runs a send on a helper process of its own, so the transfer
-// proceeds while the rank goes on to receive.
-func (c *Comm) isend(op string, ctx, dst, tag int, data []byte) *Request {
 	r := &Request{blocked: blocked{rank: c.self, op: "wait for its nonblocking send"}, e: c.endpoint}
-	c.world.k.Go(op, func(p *sim.Proc) {
-		r.finish(Message{}, c.send(p, op, ctx, c.group, dst, tag, data))
+	c.world.k.Go("send", func(p *sim.Proc) {
+		r.finish(Message{}, c.send(p, "send", c.p2pCtx, c.group, dst, tag, data))
 	})
 	return r
 }

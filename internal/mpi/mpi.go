@@ -1,7 +1,7 @@
 // Package mpi is a metacomputing-aware message-passing library modeled
 // on the MPI subset Pallas implemented for the Gigabit Testbed West:
 // point-to-point communication (blocking and nonblocking, raw bytes or
-// float64 vectors) and the Barrier, Gather and Scan collectives.
+// float64 vectors) and the Gather collective.
 //
 // The library runs on the simulation kernel. A rank is a sim.Proc of
 // its World's kernel: exactly one rank runs at any moment, a rank keeps

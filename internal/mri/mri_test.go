@@ -3,6 +3,8 @@ package mri
 import (
 	"math"
 	"testing"
+
+	"repro/internal/volume"
 )
 
 func TestHRFPeaksAtDelay(t *testing.T) {
@@ -217,7 +219,8 @@ func TestScannerMotionApplied(t *testing.T) {
 	v0, v1 := series[0], series[1]
 	// The shifted frame differs from the first mostly by translation:
 	// shifting v1 back should approximately restore v0.
-	back := v1.Shift(-3, 0, 0)
+	back := volume.New(v1.NX, v1.NY, v1.NZ)
+	new(volume.Sampler).Shift(back, v1, -3, 0, 0)
 	var diff, ref float64
 	for z := 1; z < 7; z++ {
 		for y := 2; y < 30; y++ {

@@ -121,28 +121,13 @@ type Link struct {
 	MTU    int           // network-layer MTU
 	Framer Framer
 
+	// Wire accounting, both directions together, which the network
+	// only adds to: WireBytes is the framed bytes carried, BusyTime the
+	// time spent serializing.
+	WireBytes int64
+	BusyTime  time.Duration
+
 	a, b *Iface
-
-	// Wire accounting, both directions together.
-	wireBytes int64
-	busyTime  time.Duration
-}
-
-// WireBytes reports total framed bytes carried (both directions).
-func (l *Link) WireBytes() int64 { return l.wireBytes }
-
-// BusyTime reports the total time the link spent serializing, summed
-// over both directions.
-func (l *Link) BusyTime() time.Duration { return l.busyTime }
-
-// Utilization reports the fraction of the interval [0, now] during
-// which the link was serializing, summed over both directions (so a
-// saturated duplex link reads 2.0).
-func (l *Link) Utilization(now sim.Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	return l.busyTime.Seconds() / now.Seconds()
 }
 
 // LinkConfig configures Connect.
@@ -220,9 +205,10 @@ func (pp *pktPool) put(p *Packet) {
 type Network struct {
 	// K is the kernel every event of the network runs on; drivers
 	// schedule their own events on it too.
-	K     *sim.Kernel
+	K *sim.Kernel
+	// Links are the network's links in the order they were connected.
+	Links []*Link
 	nodes []*Node
-	links []*Link
 	pool  pktPool
 }
 
@@ -278,9 +264,6 @@ func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
 // Nodes reports the number of nodes.
 func (n *Network) Nodes() int { return len(n.nodes) }
 
-// Links returns the network's links in the order they were connected.
-func (n *Network) Links() []*Link { return n.links }
-
 // Connect joins two nodes with a duplex link.
 func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	if cfg.MTU == 0 {
@@ -302,7 +285,7 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	l.a, l.b = ia, ib
 	a.ifaces = append(a.ifaces, ia)
 	b.ifaces = append(b.ifaces, ib)
-	n.links = append(n.links, l)
+	n.Links = append(n.Links, l)
 	return l
 }
 
@@ -371,43 +354,6 @@ func (n *Network) PathMTU(src, dst NodeID) (int, error) {
 		cur = ifc.peer.node
 	}
 	return mtu, nil
-}
-
-// PathDelay reports the zero-load one-way delay for a single packet of
-// the given size from src to dst.
-func (n *Network) PathDelay(src, dst NodeID, bytes int) (time.Duration, error) {
-	if src == dst {
-		return 0, nil
-	}
-	var total time.Duration
-	cur := n.nodes[src]
-	// Host injection.
-	if cur.HostBps > 0 {
-		total += time.Duration(float64(bytes) * 8 / cur.HostBps * 1e9)
-	}
-	for cur.ID != dst {
-		if cur.routes == nil {
-			return 0, fmt.Errorf("netsim: routes not computed")
-		}
-		idx := cur.routes[dst]
-		if idx < 0 {
-			return 0, fmt.Errorf("netsim: %s unreachable from %s", n.nodes[dst].Name, n.nodes[src].Name)
-		}
-		ifc := cur.ifaces[idx]
-		l := ifc.link
-		wire := l.Framer.WireSize(bytes)
-		total += time.Duration(float64(wire)*8/l.Bps*1e9) + l.Delay
-		next := ifc.peer.node
-		if next.ID != dst {
-			total += next.relayCost(bytes)
-		}
-		cur = next
-	}
-	dstNode := n.nodes[dst]
-	if dstNode.HostBps > 0 {
-		total += time.Duration(float64(bytes) * 8 / dstNode.HostBps * 1e9)
-	}
-	return total, nil
 }
 
 // relayCost is the time nd's forwarding CPU spends on a bytes-byte
@@ -536,8 +482,8 @@ func (n *Network) transmit(ifc *Iface, p *Packet) {
 		ifc.txTime = time.Duration(float64(ifc.txWire) * 8 / l.Bps * 1e9)
 	}
 	txTime := ifc.txTime
-	l.wireBytes += int64(ifc.txWire)
-	l.busyTime += txTime
+	l.WireBytes += int64(ifc.txWire)
+	l.BusyTime += txTime
 	if ifc.q.Len() > 0 {
 		k.AfterFunc(txTime, transmitStep, unsafe.Pointer(ifc), nil)
 	} else {
@@ -593,9 +539,6 @@ func (n *Network) deliver(nd *Node, p *Packet) {
 // Run executes the simulation until no events remain and returns the
 // final clock.
 func (n *Network) Run() sim.Time { return n.K.Run() }
-
-// Now reports the simulation clock.
-func (n *Network) Now() sim.Time { return n.K.Now() }
 
 // Pending reports the number of events waiting to fire.
 func (n *Network) Pending() int { return n.K.Pending() }

@@ -52,10 +52,9 @@ func TestSinglePacketDelay(t *testing.T) {
 
 func TestPathDelayMatchesSimulation(t *testing.T) {
 	n, a, b := twoHosts(LinkConfig{Bps: 622e6, Delay: 500 * time.Microsecond, MTU: 9180})
-	analytic, err := n.PathDelay(a.ID, b.ID, 9180)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Zero-load delay: one serialization and one propagation.
+	bytes, bps := 9180.0, 622e6
+	analytic := time.Duration(bytes*8/bps*1e9) + 500*time.Microsecond
 	var arrived sim.Time
 	n.K.At(0, func() {
 		n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 9180,
@@ -120,10 +119,10 @@ func TestGatewayForwardingCost(t *testing.T) {
 	n.Connect(gw, b, LinkConfig{Bps: 622e6, Delay: 10 * time.Microsecond, MTU: 65536})
 	n.ComputeRoutes()
 
-	direct, err := n.PathDelay(a.ID, b.ID, 65536)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var arrived sim.Time
+	n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 65536, Handler: hooks{deliver: func(*Packet) { arrived = n.K.Now() }}})
+	n.Run()
+	direct := arrived.Sub(0)
 	// Must include both serializations, both propagations and the
 	// relay cost.
 	bits := float64(65536 * 8)
@@ -132,7 +131,7 @@ func TestGatewayForwardingCost(t *testing.T) {
 	relay := 50*time.Microsecond + time.Duration(bits/2.6e9*1e9)
 	want := ser1 + ser2 + 20*time.Microsecond + relay
 	if diff := (direct - want).Abs(); diff > time.Microsecond {
-		t.Errorf("PathDelay = %v, want %v", direct, want)
+		t.Errorf("delivered after %v, want %v", direct, want)
 	}
 }
 
@@ -263,7 +262,8 @@ func TestFloodAddsQueueingDelay(t *testing.T) {
 func TestDeepQueueFIFOAcrossWraparound(t *testing.T) {
 	n, a, b := twoHosts(LinkConfig{Bps: 100e6, Delay: time.Millisecond, MTU: 65536, QueueBytes: 64 << 20})
 	var order []int
-	seq := 0
+	seq, depth := 0, 0
+	ifc := a.ifaces[0]
 	// 6 waves of 20 x 10000-byte packets (0.8 ms serialization each),
 	// 25 ms apart: each wave queues ~19 deep and fully drains before
 	// the next, so the head laps the grown ring again and again.
@@ -277,6 +277,8 @@ func TestDeepQueueFIFOAcrossWraparound(t *testing.T) {
 					Handler: hooks{deliver: func(*Packet) { order = append(order, k) }}})
 			}
 		})
+		// 1 ms in, the wave's first packet is on the wire and the rest wait.
+		n.K.At(at+sim.Time(time.Millisecond), func() { depth = max(depth, ifc.q.Len()) })
 	}
 	n.K.Run()
 	if len(order) != 120 {
@@ -287,13 +289,24 @@ func TestDeepQueueFIFOAcrossWraparound(t *testing.T) {
 			t.Fatalf("FIFO broken at delivery %d: got packet %d", i, v)
 		}
 	}
-	ifc := a.ifaces[0]
-	if ifc.q.Cap() <= 16 {
-		t.Errorf("ring never grew: %d slots for a ~19-deep queue", ifc.q.Cap())
+	// A ring grows to the power of two at or above the deepest backlog,
+	// so fewer than 2*depth slots: 120 packets lap it at least twice.
+	if depth <= 16 {
+		t.Errorf("queue only %d deep: the ring never grew past 16 slots", depth)
 	}
-	if laps := 120 / ifc.q.Cap(); laps < 2 {
-		t.Errorf("ring of %d slots lapped only %d times; waves too small for the test's purpose", ifc.q.Cap(), laps)
+	if laps := 120 / (2 * depth); laps < 2 {
+		t.Errorf("queue %d deep lapped its ring only %d times; waves too small for the test's purpose", depth, laps)
 	}
+}
+
+// utilization is the fraction of [0, now] during which l was
+// serializing, summed over both directions (so a saturated duplex link
+// reads 2.0).
+func utilization(l *Link, now sim.Time) float64 {
+	if now <= 0 {
+		return 0
+	}
+	return l.BusyTime.Seconds() / now.Seconds()
 }
 
 func TestLinkUtilizationAccounting(t *testing.T) {
@@ -306,16 +319,16 @@ func TestLinkUtilizationAccounting(t *testing.T) {
 	// 100 packets of 62500 B at 100 Mbit/s: 5 ms serialization each,
 	// 500 ms total busy time.
 	Flood(n, a.ID, b.ID, 62500, 100)
-	if got := l.WireBytes(); got != 100*62500 {
+	if got := l.WireBytes; got != 100*62500 {
 		t.Errorf("wire bytes = %d", got)
 	}
 	// The link was busy essentially the whole run (packets back to
 	// back), so utilization ~1.
-	u := l.Utilization(k.Now())
+	u := utilization(l, k.Now())
 	if u < 0.9 || u > 1.01 {
 		t.Errorf("utilization = %.3f, want ~1 for a saturated one-way flood", u)
 	}
-	if l.Utilization(0) != 0 {
+	if utilization(l, 0) != 0 {
 		t.Error("utilization at t=0 should be 0")
 	}
 }
@@ -327,12 +340,12 @@ func TestLinkUtilizationAccounting(t *testing.T) {
 func checkLinks(t *testing.T, n *Network, links []*Link, packets, bytes int, now sim.Time) {
 	t.Helper()
 	for _, l := range links {
-		if got, want := l.WireBytes(), int64(packets*bytes); got != want {
+		if got, want := l.WireBytes, int64(packets*bytes); got != want {
 			t.Errorf("%s: WireBytes = %d, want %d", l.Name, got, want)
 		}
 		tx := time.Duration(float64(bytes) * 8 / l.Bps * 1e9)
 		want := (time.Duration(packets) * tx).Seconds() / now.Seconds()
-		if got := l.Utilization(now); math.Abs(got-want) > 1e-12 {
+		if got := utilization(l, now); math.Abs(got-want) > 1e-12 {
 			t.Errorf("%s: Utilization = %v, want %v", l.Name, got, want)
 		}
 	}
@@ -362,7 +375,8 @@ func TestLonePacketFiresNoLinkFreeEvents(t *testing.T) {
 	if got := n.K.Fired(); got != 7 {
 		t.Errorf("lone packet fired %d events, want 7", got)
 	}
-	if want, _ := n.PathDelay(a.ID, b.ID, 1000); arrived.Sub(0) != want || end != arrived {
+	// Three 8 us serializations and 10 us propagations, two 1 us relays.
+	if want := 3*(8*time.Microsecond+cfg.Delay) + 2*time.Microsecond; arrived.Sub(0) != want || end != arrived {
 		t.Errorf("delivered at %v, run ended at %v, want both %v", arrived, end, want)
 	}
 	checkLinks(t, n, links, 1, 1000, end)
@@ -537,7 +551,7 @@ func TestMemoizedCostsFollowPacketSize(t *testing.T) {
 		t.Errorf("%d of %d packets delivered", delivered, len(sends))
 	}
 	for _, l := range links {
-		if got := l.WireBytes(); got != wantWire {
+		if got := l.WireBytes; got != wantWire {
 			t.Errorf("%s: WireBytes = %d, want %d", l.Name, got, wantWire)
 		}
 	}

@@ -152,9 +152,9 @@ func (n *Network) Capture(s *Snapshot, p Protocol) bool {
 		}
 	}
 	s.wire, s.busy = s.wire[:0], s.busy[:0]
-	for _, l := range n.links {
-		s.wire = append(s.wire, l.wireBytes)
-		s.busy = append(s.busy, l.busyTime)
+	for _, l := range n.Links {
+		s.wire = append(s.wire, l.WireBytes)
+		s.busy = append(s.busy, l.BusyTime)
 	}
 	s.rel = rel
 	return true
@@ -236,9 +236,9 @@ func (n *Network) Advance(from, to *Snapshot, periods int64, p Protocol) (sim.Ti
 			}
 		}
 	}
-	for i, l := range n.links {
-		l.wireBytes += periods * (to.wire[i] - from.wire[i])
-		l.busyTime += time.Duration(periods) * (to.busy[i] - from.busy[i])
+	for i, l := range n.Links {
+		l.WireBytes += periods * (to.wire[i] - from.wire[i])
+		l.BusyTime += time.Duration(periods) * (to.busy[i] - from.busy[i])
 	}
 	return dt, dseq
 }

@@ -575,10 +575,6 @@ func (k *Kernel) Shift(dt Time, dseq uint64) {
 	}
 }
 
-// Procs reports the number of live processes (started and not yet
-// returned).
-func (k *Kernel) Procs() int { return k.procs }
-
 // ---- Lanes ----
 
 // Lane is a FIFO stream of closure-free callbacks on one kernel whose

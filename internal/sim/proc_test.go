@@ -5,6 +5,10 @@ import (
 	"time"
 )
 
+// Procs reports the number of live processes (started and not yet
+// returned).
+func (k *Kernel) Procs() int { return k.procs }
+
 func TestProcSleep(t *testing.T) {
 	k := NewKernel()
 	var wake Time

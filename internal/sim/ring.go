@@ -15,9 +15,6 @@ type Ring[T any] struct {
 // Len reports the number of queued values.
 func (r *Ring[T]) Len() int { return r.n }
 
-// Cap reports the current slot count (0 or a power of two).
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // Push appends v at the tail, growing the ring when full.
 func (r *Ring[T]) Push(v T) { *r.push() = v }
 

@@ -2,6 +2,9 @@ package sim
 
 import "testing"
 
+// Cap reports the current slot count (0 or a power of two).
+func (r *Ring[T]) Cap() int { return len(r.buf) }
+
 func TestRingFIFOAcrossGrowthAndWraparound(t *testing.T) {
 	var r Ring[int]
 	if r.Len() != 0 || r.Cap() != 0 {

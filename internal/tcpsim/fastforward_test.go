@@ -39,13 +39,13 @@ func transfer(n *netsim.Network, src, dst netsim.NodeID, nbytes int64, cfg tcpsi
 	if err == nil {
 		res, err = f.Result()
 	}
-	o := outcome{Res: res, Cwnd: math.Float64bits(f.Cwnd()), Now: n.Now(), Pending: n.Pending()}
+	o := outcome{Res: res, Cwnd: math.Float64bits(f.Cwnd()), Now: n.K.Now(), Pending: n.Pending()}
 	if err != nil {
 		o.Err = err.Error()
 	}
-	for _, l := range n.Links() {
-		o.Wire = append(o.Wire, l.WireBytes())
-		o.Busy = append(o.Busy, l.BusyTime())
+	for _, l := range n.Links {
+		o.Wire = append(o.Wire, l.WireBytes)
+		o.Busy = append(o.Busy, l.BusyTime)
 	}
 	skipped := f.SkippedPeriods()
 	f.Release()

@@ -128,11 +128,3 @@ func (s *Scheduler) Order(candidates []string) []string {
 	}
 	return out
 }
-
-// VT reports a tenant's current virtual time (0 for unknown tenants);
-// exposed for tests and status introspection.
-func (s *Scheduler) VT(name string) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.vt[name]
-}

@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// VT reports a tenant's current virtual time (0 for unknown tenants).
+func (s *Scheduler) VT(name string) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.vt[name]
+}
+
 func TestLoadConfig(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tenants.json")

@@ -33,7 +33,12 @@ func MergeFunctional(anatHi, corr *volume.Volume) *volume.Volume {
 		}
 		return cs
 	}
-	return corr.Resample(axis(anatHi.NX, corr.NX), axis(anatHi.NY, corr.NY), axis(anatHi.NZ, corr.NZ))
+	out := volume.New(anatHi.NX, anatHi.NY, anatHi.NZ)
+	plane, n := corr.PlaneSampler(axis(anatHi.NX, corr.NX), axis(anatHi.NY, corr.NY), axis(anatHi.NZ, corr.NZ)), out.NX*out.NY
+	for k := 0; k < out.NZ; k++ {
+		plane(k, out.Data[k*n:(k+1)*n])
+	}
+	return out
 }
 
 // RenderMIP produces a maximum-intensity projection of the anatomy

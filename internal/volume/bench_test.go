@@ -15,6 +15,6 @@ func BenchmarkShift(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchVolume = v.Shift(0.4, -0.7, 0.3)
+		benchVolume = shifted(v, 0.4, -0.7, 0.3)
 	}
 }

@@ -20,27 +20,18 @@ func TestIndexRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if v.Voxels() != 120 || v.Bytes() != 480 {
-		t.Errorf("Voxels=%d Bytes=%d", v.Voxels(), v.Bytes())
+	if v.Voxels() != 120 {
+		t.Errorf("Voxels=%d", v.Voxels())
 	}
 }
 
-func TestSetAtCloneFill(t *testing.T) {
+func TestSetAtSameShape(t *testing.T) {
 	v := New(3, 3, 3)
 	v.Set(1, 2, 0, 7)
-	if v.At(1, 2, 0) != 7 {
+	if v.At(1, 2, 0) != 7 || v.Data[1+3*2] != 7 {
 		t.Error("Set/At")
 	}
-	c := v.Clone()
-	c.Set(1, 2, 0, 9)
-	if v.At(1, 2, 0) != 7 {
-		t.Error("Clone aliases")
-	}
-	v.Fill(2)
-	if v.At(0, 0, 0) != 2 || v.At(2, 2, 2) != 2 {
-		t.Error("Fill")
-	}
-	if !v.SameShape(c) {
+	if !v.SameShape(New(3, 3, 3)) {
 		t.Error("SameShape")
 	}
 	if v.SameShape(New(3, 3, 4)) {
@@ -115,33 +106,19 @@ func TestTrilinearReproducesLinearField(t *testing.T) {
 	}
 }
 
+// shifted returns v rigidly translated by (dx, dy, dz) voxels.
+func shifted(v *Volume, dx, dy, dz float64) *Volume {
+	out := New(v.NX, v.NY, v.NZ)
+	new(Sampler).Shift(out, v, dx, dy, dz)
+	return out
+}
+
 func TestShiftRecoversIntegerTranslation(t *testing.T) {
 	v := New(8, 8, 8)
 	v.Set(4, 4, 4, 100)
-	s := v.Shift(2, 1, -1)
+	s := shifted(v, 2, 1, -1)
 	if s.At(6, 5, 3) != 100 {
 		t.Errorf("shifted peak at wrong place: %v", s.At(6, 5, 3))
-	}
-}
-
-func TestGradientOfLinearField(t *testing.T) {
-	v := New(6, 6, 6)
-	for z := 0; z < 6; z++ {
-		for y := 0; y < 6; y++ {
-			for x := 0; x < 6; x++ {
-				v.Set(x, y, z, float32(3*x+5*y-2*z))
-			}
-		}
-	}
-	gx, gy, gz := v.Gradient(3, 3, 3)
-	if gx != 3 || gy != 5 || gz != -2 {
-		t.Errorf("gradient = (%v,%v,%v), want (3,5,-2)", gx, gy, gz)
-	}
-	// Boundary gradients use one-sided differences but stay exact for
-	// linear fields.
-	gx, gy, gz = v.Gradient(0, 0, 5)
-	if gx != 3 || gy != 5 || gz != -2 {
-		t.Errorf("boundary gradient = (%v,%v,%v)", gx, gy, gz)
 	}
 }
 
@@ -207,7 +184,7 @@ func TestShiftProperties(t *testing.T) {
 			}
 		}
 	}
-	zero := v.Shift(0, 0, 0)
+	zero := shifted(v, 0, 0, 0)
 	for i := range v.Data {
 		if zero.Data[i] != v.Data[i] {
 			t.Fatalf("zero shift changed voxel %d", i)
@@ -217,7 +194,7 @@ func TestShiftProperties(t *testing.T) {
 		dx := float64(a) / 200 // up to +-0.64 voxels
 		dy := float64(b) / 200
 		dz := float64(c) / 200
-		back := v.Shift(dx, dy, dz).Shift(-dx, -dy, -dz)
+		back := shifted(shifted(v, dx, dy, dz), -dx, -dy, -dz)
 		// Interior voxels restored within interpolation loss.
 		for z := 2; z < 8; z++ {
 			for y := 2; y < 8; y++ {
@@ -268,12 +245,22 @@ func randomVolume(nx, ny, nz int, seed int64) *Volume {
 // volume: a stale row or slice would show as a wrong voxel.
 var reused Sampler
 
-// requireResampleIsTrilinear checks Resample against the per-voxel
-// Trilinear loop it replaced, to the last bit, and the reused sampler
-// too, asked for its planes in reverse z order.
+// resample returns the whole grid xs x ys x zs of v, plane by plane in
+// z order, through a new Sampler.
+func resample(v *Volume, xs, ys, zs []float64) *Volume {
+	var s Sampler
+	s.Reset(v, xs, ys, zs)
+	out := New(len(xs), len(ys), len(zs))
+	s.planes(out)
+	return out
+}
+
+// requireResampleIsTrilinear checks a new Sampler's planes against the
+// per-voxel Trilinear loop they replaced, to the last bit, and the
+// reused sampler too, asked for its planes in reverse z order.
 func requireResampleIsTrilinear(t *testing.T, name string, v *Volume, xs, ys, zs []float64) {
 	t.Helper()
-	got := v.Resample(xs, ys, zs)
+	got := resample(v, xs, ys, zs)
 	if got.NX != len(xs) || got.NY != len(ys) || got.NZ != len(zs) {
 		t.Fatalf("%s: shape %dx%dx%d, want %dx%dx%d", name, got.NX, got.NY, got.NZ, len(xs), len(ys), len(zs))
 	}
@@ -284,7 +271,7 @@ func requireResampleIsTrilinear(t *testing.T, name string, v *Volume, xs, ys, zs
 		reused.Plane(k, plane)
 		for i, g := range plane {
 			if math.Float32bits(g) != math.Float32bits(got.Data[k*n+i]) {
-				t.Fatalf("%s: reused sampler plane %d voxel %d = %v, Resample %v", name, k, i, g, got.Data[k*n+i])
+				t.Fatalf("%s: reused sampler plane %d voxel %d = %v, new sampler %v", name, k, i, g, got.Data[k*n+i])
 			}
 		}
 	}
@@ -301,7 +288,7 @@ func requireResampleIsTrilinear(t *testing.T, name string, v *Volume, xs, ys, zs
 }
 
 func TestResampleEqualsTrilinearBitForBit(t *testing.T) {
-	shifted := func(n int, d float64) []float64 {
+	coords := func(n int, d float64) []float64 {
 		cs := make([]float64, n)
 		for i := range cs {
 			cs[i] = float64(i) - d
@@ -327,18 +314,18 @@ func TestResampleEqualsTrilinearBitForBit(t *testing.T) {
 			shifts = append(shifts, [3]float64{rng.NormFloat64() * 2, rng.NormFloat64() * 2, rng.NormFloat64() * 2})
 		}
 		for _, d := range shifts {
-			xs, ys, zs := shifted(v.NX, d[0]), shifted(v.NY, d[1]), shifted(v.NZ, d[2])
+			xs, ys, zs := coords(v.NX, d[0]), coords(v.NY, d[1]), coords(v.NZ, d[2])
 			requireResampleIsTrilinear(t, "shift", v, xs, ys, zs)
-			// Shift is that grid, and so is the reused sampler's Shift
-			// into a reused volume.
-			got, want := v.Shift(d[0], d[1], d[2]), v.Resample(xs, ys, zs)
+			// A new sampler's Shift is that grid, and so is the reused
+			// sampler's Shift into a reused volume.
+			got, want := shifted(v, d[0], d[1], d[2]), resample(v, xs, ys, zs)
 			reused.Shift(into, v, d[0], d[1], d[2])
 			for i := range want.Data {
 				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-					t.Fatalf("Shift%v voxel %d = %v, Resample %v", d, i, got.Data[i], want.Data[i])
+					t.Fatalf("Shift%v voxel %d = %v, planes %v", d, i, got.Data[i], want.Data[i])
 				}
 				if math.Float32bits(into.Data[i]) != math.Float32bits(want.Data[i]) {
-					t.Fatalf("Sampler.Shift%v voxel %d = %v, Resample %v", d, i, into.Data[i], want.Data[i])
+					t.Fatalf("reused Shift%v voxel %d = %v, planes %v", d, i, into.Data[i], want.Data[i])
 				}
 			}
 		}

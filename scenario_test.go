@@ -76,8 +76,8 @@ func TestSweepFacade(t *testing.T) {
 			}
 			return &FutureWorkReport{}, nil
 		})
-	if sw.Name() != "facade-sweep" || len(sw.Axes()) != 1 {
-		t.Fatalf("sweep metadata broken: %q, %d axes", sw.Name(), len(sw.Axes()))
+	if sw.Name() != "facade-sweep" || len(sw.Points()) != 3 {
+		t.Fatalf("sweep metadata broken: %q, %d points", sw.Name(), len(sw.Points()))
 	}
 	rep, err := sw.Run(context.Background(), nil, NewOptions(WithShards(2)))
 	if err != nil {
