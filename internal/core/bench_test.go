@@ -86,27 +86,53 @@ func BenchmarkSweepWorkStealing(b *testing.B) {
 	runSweep(b, sw, 4)
 }
 
-// BenchmarkFigure1EthernetProbe runs figure-1's 1500-MTU probe (96 MiB
-// over WS-Jülich -> WS-GMD in 1460-byte segments) on a fresh OC-48
-// testbed per op: the most expensive thing the repository simulates,
-// and the one every per-packet cost of sim, netsim and tcpsim is paid
-// on. events/op is what the kernel fired and ns/event the price of one;
-// compare both sides with -count ≥ 6.
-func BenchmarkFigure1EthernetProbe(b *testing.B) {
-	p := f1probes[4]
-	if p.mtu != 1500 {
-		b.Fatalf("f1probes[4] is %q, not the 1500-MTU probe", p.path)
+// BenchmarkFigure1Probe runs each figure-1 probe (96 MiB with a 4 MiB
+// window) on a fresh OC-48 testbed per op, one sub-benchmark a probe.
+// Ethernet is the 1500-MTU probe (WS-Jülich -> WS-GMD in 1460-byte
+// segments) that BenchmarkFigure1EthernetProbe ran, with the same
+// inputs: the most expensive thing the repository simulates, and the
+// one every per-packet cost of sim, netsim and tcpsim is paid on.
+// events/op is what the kernel fired, ns/event the price of one, and
+// skipped_periods/op the ACKs the fast-forward jumped over; compare
+// with -count ≥ 6.
+func BenchmarkFigure1Probe(b *testing.B) {
+	names := []string{"HiPPI", "T3E-SP2", "ATM-64K", "CLIP-9180", "Ethernet"}
+	if len(names) != len(f1probes) || f1probes[4].mtu != 1500 {
+		b.Fatalf("f1probes changed: %d probes, the fifth of MTU %d", len(f1probes), f1probes[4].mtu)
 	}
-	var events int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb := New(Config{})
-		if _, err := figure1Probe(tb, p); err != nil {
-			b.Fatal(err)
-		}
-		events += tb.K.Fired()
+	for i, p := range f1probes {
+		b.Run(names[i], func(b *testing.B) {
+			cfg := tcpsim.Config{WindowBytes: 4 << 20}
+			if p.mtu != 0 {
+				cfg.MSS = p.mtu - tcpsim.HeaderBytes
+			}
+			var events, skipped int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				tb := New(Config{})
+				src, err := tb.Host(p.src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dst, err := tb.Host(p.dst)
+				if err != nil {
+					b.Fatal(err)
+				}
+				f, err := tcpsim.Start(tb.Net, src, dst, 96<<20, cfg)
+				if err == nil {
+					err = tcpsim.WaitAll(tb.Net, f)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				events += tb.K.Fired()
+				skipped += f.SkippedPeriods()
+				f.Release()
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			b.ReportMetric(float64(skipped)/float64(b.N), "skipped_periods/op")
+		})
 	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }

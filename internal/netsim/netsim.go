@@ -293,19 +293,23 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 // all node pairs. Call after the topology is final; Connect after
 // ComputeRoutes requires another call.
 func (n *Network) ComputeRoutes() {
-	for _, src := range n.nodes {
-		src.routes = make([]int, len(n.nodes))
-		for i := range src.routes {
-			src.routes[i] = -1
-		}
-		// BFS from src.
-		type hop struct {
-			node     *Node
-			firstIfc int
-		}
-		visited := make([]bool, len(n.nodes))
+	// BFS from every source, in one routes array, one visited set and
+	// two frontier buffers for all of them.
+	type hop struct {
+		node     *Node
+		firstIfc int
+	}
+	nn := len(n.nodes)
+	routes := make([]int, nn*nn)
+	for i := range routes {
+		routes[i] = -1
+	}
+	visited := make([]bool, nn)
+	var frontier, next []hop
+	for id, src := range n.nodes {
+		src.routes = routes[id*nn : (id+1)*nn : (id+1)*nn]
+		clear(visited)
 		visited[src.ID] = true
-		var frontier []hop
 		for i, ifc := range src.ifaces {
 			peer := ifc.peer.node
 			if !visited[peer.ID] {
@@ -315,7 +319,7 @@ func (n *Network) ComputeRoutes() {
 			}
 		}
 		for len(frontier) > 0 {
-			var next []hop
+			next = next[:0]
 			for _, h := range frontier {
 				for _, ifc := range h.node.ifaces {
 					peer := ifc.peer.node
@@ -326,7 +330,7 @@ func (n *Network) ComputeRoutes() {
 					}
 				}
 			}
-			frontier = next
+			frontier, next = next, frontier
 		}
 	}
 }

@@ -8,10 +8,14 @@ func SetFastForward(on bool) (restore func()) {
 	return func() { fastForwardOn = was }
 }
 
-// SkippedPeriods reports the ACK periods the flow's fast-forward
-// skipped.
-func (f *Flow) SkippedPeriods() int64 { return f.s.ff.skipped }
-
 // Cwnd reports the flow's congestion window, which a fast-forward must
 // leave bit for bit as the skipped ACKs would have.
 func (f *Flow) Cwnd() float64 { return f.s.cwnd }
+
+// Captures reports the snapshots the flow's fast-forward took, the
+// certificates' second snapshots included.
+func (f *Flow) Captures() int64 { return f.s.ff.captures }
+
+// Period reports the period, in new ACKs, of the flow's last
+// certificate: the one it jumped by, for a flow that jumped.
+func (f *Flow) Period() int64 { return f.s.ff.period }

@@ -13,32 +13,44 @@ import (
 )
 
 // Fast-forward. A window-limited flow alone on its path settles into a
-// steady state that repeats exactly from one ACK to the next: every ACK
-// comes the same time after the one before and acknowledges the same
-// number of bytes, and the whole simulation — every packet in flight,
-// every queue, every pending event — is the state one ACK earlier moved
-// on by one period. Durations depend only on packet sizes and times are
-// integer nanoseconds, so nothing depends on absolute times or sequence
-// numbers; only the end of the transfer (a short last segment, the ACK
-// of the last byte) breaks the pattern. Such a period need not be
-// simulated again and again: the sender certifies it once and jumps
-// the whole simulation over as many periods as it can while every
-// segment they would send is full-size. Only the ramp-up and the drain
-// are simulated, and the result is the same to the bit.
+// steady state that repeats exactly every p ACKs: the ACKs of one
+// period come at the same times after the period's start and
+// acknowledge the same numbers of bytes as those of the period before,
+// and the whole simulation — every packet in flight, every queue, every
+// pending event — is the state one period earlier moved on by one
+// period. Most flows repeat from one ACK to the next (p = 1); a host
+// that drains slower than its gateway forwards, like the SP2's, spaces
+// its ACKs in a pattern a few ACKs long. Durations depend only on
+// packet sizes and times are integer nanoseconds, so nothing depends on
+// absolute times or sequence numbers; only the end of the transfer (a
+// short last segment, the ACK of the last byte) breaks the pattern.
+// Such a period need not be simulated again and again: the sender
+// certifies it once and jumps the whole simulation over as many periods
+// as it can while every segment they would send is full-size. Only the
+// ramp-up and the drain are simulated, and the result is the same to
+// the bit.
 //
-//   - Trigger: a cheap per-ACK signature — the same clock step and ACK
-//     step as the last new ACK, srtt and rttvar unchanged, the window at
-//     its WindowBytes cap in congestion avoidance (a new ACK has just
-//     cleared dupAcks) — must hold for one window's worth of ACKs.
+//   - Trigger: each new ACK's signature — its clock step and ACK step
+//     from the last new ACK, srtt and rttvar after it — goes into a ring
+//     of the last ring signatures. A period p ≤ ring is a candidate
+//     once at least max(wait, p) consecutive new ACKs since the last
+//     try each had the signature of the one p ACKs before, with the
+//     window at its WindowBytes cap in congestion avoidance; the
+//     shortest candidate is tried. wait starts at 1 and doubles, up to
+//     one window of ACKs, with every try that does not end in a jump, so
+//     a flow that never certifies pays about log2(window) extra
+//     snapshots and then one a window, and one that does is tried at
+//     its first repeating ACK.
 //   - Certificate: a full relative snapshot (netsim.Snapshot plus the
 //     sender's own state) at the end of one new ACK must equal the one
-//     at the end of the next. Any event or packet that is not the
-//     network's or this flow's makes the snapshot fail, so a flow that
-//     shares the kernel with other traffic never jumps.
+//     at the end of the p-th new ACK after it. Any event or packet that
+//     is not the network's or this flow's makes the snapshot fail, so a
+//     flow that shares the kernel with other traffic never jumps.
 //   - Jump: netsim.Advance moves the kernel and the network, ShiftPacket
 //     every packet of the flow, and the sender moves its sequence
 //     numbers, send-timestamp ring and timer keys; the congestion window
-//     repeats its per-ACK update once per skipped period.
+//     repeats its per-ACK update once per skipped ACK, with the ACK step
+//     of that ACK's phase, in phase order.
 //
 // The retransmission timer is the one pending event whose key is not
 // periodic: armRTO leaves the event where it is and only reserves a new
@@ -58,26 +70,44 @@ var fastForwardOn = true
 // other events in a snapshot.
 var fireRTOPC = reflect.ValueOf(fireRTO).Pointer()
 
-// fastForward is a sender's steady-state detector.
-type fastForward struct {
-	// The signature of the last new ACK: the clock and the cumulative
-	// ACK at it, the steps to them from the one before, and the RTT
-	// estimate after it.
-	at           sim.Time
-	ack          int64
+// ring is how many per-ACK signatures the trigger keeps, and so the
+// longest period, in new ACKs, it finds. The SP2's drain repeats every
+// 5.
+const ring = 8
+
+// signature is what the trigger compares of one new ACK: the clock and
+// ACK steps from the new ACK before, and the RTT estimate after it.
+type signature struct {
 	dt           sim.Time
 	dack         int64
 	srtt, rttvar time.Duration
-	// streak counts consecutive new ACKs with an unchanged signature;
-	// armed is set while a holds the snapshot taken at the last one.
-	streak int64
-	armed  bool
-	a, b   snapshot
+}
+
+// fastForward is a sender's steady-state detector.
+type fastForward struct {
+	// The clock and the cumulative ACK at the last new ACK.
+	at  sim.Time
+	ack int64
+	// sigs holds the signatures of the last ring new ACKs, the n-th at
+	// n%ring; n counts them.
+	sigs [ring]signature
+	n    int64
+	// run[p-1] counts the consecutive new ACKs since the last try whose
+	// signature was that of the one p before, with the window capped; a
+	// period needs a run of max(wait, p).
+	run  [ring]int64
+	wait int64
+	// period is the last period tried, in new ACKs: a holds the
+	// snapshot taken at its start, and left counts down the new ACKs
+	// until b is due.
+	period, left int64
+	a, b         snapshot
 	// The bytes and segments one period moves the flow on by, while
 	// Advance shifts its packets.
 	pbytes, psegs int64
-	// skipped counts the periods the flow's jumps skipped.
-	skipped int64
+	// skipped counts the ACKs the flow's jumps skipped; captures the
+	// snapshots it took.
+	skipped, captures int64
 }
 
 // snapshot is the state of the network and the sender at the end of
@@ -92,40 +122,66 @@ func (c *snapshot) same(o *snapshot) bool {
 	return c.net.Same(&o.net) && bytes.Equal(c.own, o.own)
 }
 
-// steady runs at the end of every new ACK: it keeps the signature,
+// steady runs at the end of every new ACK: it keeps the signatures,
 // takes the certificate's snapshots and jumps when they agree.
 func (s *sender) steady() {
 	f := &s.ff
 	now := s.n.K.Now()
-	dt, dack := now-f.at, s.ackSeq-f.ack
-	same := dt == f.dt && dack == f.dack && s.srtt == f.srtt && s.rttvar == f.rttvar &&
-		s.cwnd >= s.ssthresh && s.cwnd >= float64(s.cfg.WindowBytes)
-	f.at, f.ack, f.dt, f.dack, f.srtt, f.rttvar = now, s.ackSeq, dt, dack, s.srtt, s.rttvar
-	if !same {
-		f.streak, f.armed = 0, false
-		return
+	sig := signature{now - f.at, s.ackSeq - f.ack, s.srtt, s.rttvar}
+	f.at, f.ack = now, s.ackSeq
+	capped := s.cwnd >= s.ssthresh && s.cwnd >= float64(s.cfg.WindowBytes)
+	var p int64
+	for q := int64(1); q <= ring; q++ {
+		if !capped || f.n < q || f.sigs[(f.n-q)%ring] != sig {
+			f.run[q-1] = 0
+			continue
+		}
+		if f.run[q-1]++; p == 0 && f.run[q-1] >= max(f.wait, q) {
+			p = q
+		}
 	}
-	if f.armed {
-		f.streak, f.armed = 0, false
-		if s.capture(&f.b) && f.a.same(&f.b) {
-			s.jump()
+	f.sigs[f.n%ring] = sig
+	f.n++
+	if f.left > 0 {
+		if f.left--; f.left == 0 && (!s.capture(&f.b) || !f.a.same(&f.b) || !s.jump()) {
+			s.backoff()
 		}
 		return
 	}
-	f.streak++
-	// A failed snapshot waits for another window of ACKs, so a flow
-	// that never certifies pays O(1) per ACK for trying. Two periods
-	// must be left to send: the one the certificate spends and one to
-	// skip.
-	if f.streak >= s.window()/int64(s.mss) && (s.total-s.nextSeq)/dack >= 2 {
-		f.streak = 0
-		f.armed = s.capture(&f.a)
+	// Two periods must be left to send: the one the certificate spends
+	// and one to skip.
+	if p == 0 || s.total-s.nextSeq < 2*f.phaseBytes(p) {
+		return
 	}
+	f.run = [ring]int64{}
+	if !s.capture(&f.a) {
+		s.backoff()
+		return
+	}
+	f.period, f.left = p, p
+}
+
+// phaseBytes sums the ACK steps of the last p new ACKs.
+func (f *fastForward) phaseBytes(p int64) int64 {
+	var b int64
+	for i := f.n - p; i < f.n; i++ {
+		b += f.sigs[i%ring].dack
+	}
+	return b
+}
+
+// backoff doubles the run a period needs after a try that did not end
+// in a jump, up to one window of ACKs: a flow that never certifies pays
+// O(1) per ACK for trying.
+func (s *sender) backoff() {
+	f := &s.ff
+	f.wait = min(2*f.wait, max(s.window()/int64(s.mss), 1))
 }
 
 // capture fills c with the state now and reports whether it is a
 // closed world for the flow.
 func (s *sender) capture(c *snapshot) bool {
+	s.ff.captures++
 	if !s.n.Capture(&c.net, s) {
 		return false
 	}
@@ -160,9 +216,10 @@ func b2i(b bool) int64 {
 // jump moves the simulation on by as many periods of the certified
 // steady state as the transfer has full-size segments left for: every
 // segment the skipped periods send lies below total, and no ACK in them
-// reaches total.
-func (s *sender) jump() {
+// reaches total. It reports whether it skipped any.
+func (s *sender) jump() bool {
 	f := &s.ff
+	p := f.period
 	f.pbytes, f.psegs = s.ackSeq-f.a.ackSeq, s.ackSeg-f.a.ackSeg
 	periods := (s.total - s.nextSeq) / f.pbytes
 	if dt := s.n.K.Now() - f.a.net.Now(); dt > 0 {
@@ -170,7 +227,7 @@ func (s *sender) jump() {
 		periods = min(periods, (math.MaxInt64/2-int64(s.n.K.Now()))/int64(dt))
 	}
 	if periods < 1 {
-		return
+		return false
 	}
 	dt, dseq := s.n.Advance(&f.a.net, &f.b.net, periods, s)
 	db, dg := periods*f.pbytes, periods*f.psegs
@@ -195,11 +252,15 @@ func (s *sender) jump() {
 	s.rtoSeq += dseq
 	s.rtoEvAt += dt
 	s.rtoEvSeq += dseq
+	// The skipped ACKs repeat the certified period's, phase by phase.
 	for range periods {
-		s.grow(f.pbytes)
+		for i := f.n - p; i < f.n; i++ {
+			s.grow(f.sigs[i%ring].dack)
+		}
 	}
 	f.at, f.ack = s.n.K.Now(), s.ackSeq
-	f.skipped += periods
+	f.skipped += periods * p
+	return true
 }
 
 // AppendPacket implements netsim.Protocol: a data segment or an ACK of

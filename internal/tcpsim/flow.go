@@ -105,6 +105,7 @@ func Start(n *netsim.Network, src, dst netsim.NodeID, nbytes int64, cfg Config) 
 	s.mss = mss
 	s.cwnd = float64(cfg.InitialCwndSegs * mss)
 	s.ssthresh = float64(cfg.WindowBytes)
+	s.ff.wait = 1
 	s.start = n.K.Now()
 	if cap(s.sendTS) >= ringSize {
 		s.sendTS = s.sendTS[:ringSize]
@@ -145,6 +146,12 @@ func (f *Flow) Result() (Result, error) {
 	}
 	return res, nil
 }
+
+// SkippedPeriods reports the one-ACK periods the flow's fast-forward
+// skipped: a jump over k periods of p ACKs counts k×p.
+//
+//gtwvet:ignore reach reference: the fast-forward tests pin which transfers jump by it, and core's Figure-1 probe benchmarks report it as skipped_periods/op
+func (f *Flow) SkippedPeriods() int64 { return f.s.ff.skipped }
 
 // WaitAll runs the kernel until every flow has completed (or one
 // stalls with no pending events).
