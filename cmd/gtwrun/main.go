@@ -15,8 +15,7 @@
 //	-pes N           T3E partition size (fMRI scenarios)
 //	-frames N        volumes/frames/scans to acquire
 //	-flows N         concurrent backbone flows
-//	-workers N       engine worker pool size
-//	-shards N        shards per sweep scenario (0 = GOMAXPROCS)
+//	-workers N       engine worker pool size, and the most shards a sweep uses
 //	-json            print each report as JSON instead of text
 //	-timeout D       cancel the whole run after D (e.g. 30s)
 //	-connect URL     run scenarios through a remote coordinator
@@ -24,10 +23,11 @@
 //	-cpuprofile F    write a CPU profile of the run to F (go tool pprof)
 //
 // Sweep scenarios (figure1-throughput, backbone-aggregate,
-// mixed-traffic, fmri-pe-sweep) lease their parameter grid to -shards
-// kernels through a work-stealing queue; with -json their envelope
-// carries the participant count and per-shard timings. Neither
-// sharding nor distribution ever changes the report itself.
+// mixed-traffic, fmri-pe-sweep) lease their parameter grid to one
+// kernel per core (at most -workers) through a work-stealing queue;
+// with -json their envelope carries the participant count and
+// per-shard timings. Neither sharding nor distribution ever changes
+// the report itself.
 //
 // Distributed mode: -connect URL submits the named scenarios to a gtwd
 // coordinator — with its job queue and result cache — and prints the
@@ -99,8 +99,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	pes := fs.Int("pes", def.PEs, "T3E partition size")
 	frames := fs.Int("frames", def.Frames, "volumes/frames/scans to acquire")
 	flows := fs.Int("flows", def.Flows, "concurrent backbone flows")
-	workers := fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "shards per sweep scenario (0 = GOMAXPROCS; reports are shard-count independent)")
+	workers := fs.Int("workers", 0, "engine worker pool size, and the most shards a sweep uses (0 = GOMAXPROCS)")
 	asJSON := fs.Bool("json", false, "print each report as JSON instead of text")
 	timeout := fs.Duration("timeout", 0, "cancel the whole run after this duration (0 = none)")
 	connect := fs.String("connect", "",
@@ -164,7 +163,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		gtw.WithFrames(*frames),
 		gtw.WithFlows(*flows),
 		gtw.WithWorkers(*workers),
-		gtw.WithShards(*shards),
 	}
 	if *ext {
 		opts = append(opts, gtw.WithExtensions())
@@ -189,8 +187,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *connect != "" {
-		// -shards and -workers never reach the wire: they only change
-		// wall-clock time, so dropping them is safe.
+		// -workers never reaches the wire: it only changes wall-clock
+		// time, so dropping it is safe.
 		return runConnect(ctx, *connect, *token, names, gtw.NewOptions(opts...), *asJSON, stdout, stderr)
 	}
 

@@ -162,8 +162,8 @@ func TestJSONSweepEnvelopeCarriesShardTimings(t *testing.T) {
 		}
 		return string(doc.Report), points
 	}
-	seqReport, seqPoints := runJSON("-json", "-shards", "1", "backbone-aggregate")
-	shardReport, shardPoints := runJSON("-json", "-shards", "2", "backbone-aggregate")
+	seqReport, seqPoints := runJSON("-json", "-workers", "1", "backbone-aggregate")
+	shardReport, shardPoints := runJSON("-json", "backbone-aggregate")
 	if seqPoints != 2 || shardPoints != 2 {
 		t.Errorf("shard points = %d / %d, want 2 grid points covered", seqPoints, shardPoints)
 	}
@@ -181,9 +181,10 @@ func TestJSONSweepEnvelopeCarriesShardTimings(t *testing.T) {
 func TestJSONEnvelopeGolden(t *testing.T) {
 	var out, errOut strings.Builder
 	// One shard pins the per-shard point assignment (with several, the
-	// work-stealing split is a wall-clock race); the envelope schema
-	// and report bytes are identical at any shard count.
-	args := []string{"-json", "-shards", "1", "backbone-aggregate"}
+	// work-stealing split is a wall-clock race), and -workers 1 caps a
+	// sweep at one; the envelope schema and report bytes are identical
+	// at any shard count.
+	args := []string{"-json", "-workers", "1", "backbone-aggregate"}
 	if code := run(args, &out, &errOut); code != 0 {
 		t.Fatalf("run(%v) = %d, stderr: %s", args, code, errOut.String())
 	}
@@ -244,7 +245,7 @@ func TestConnectMatchesLocalRun(t *testing.T) {
 		}
 		return env
 	}
-	local := parseEnvelope("-json", "-shards", "1", "backbone-aggregate")
+	local := parseEnvelope("-json", "backbone-aggregate")
 	remote := parseEnvelope("-json", "-connect", srv.URL, "backbone-aggregate")
 	if !bytes.Equal(local.Report, remote.Report) {
 		t.Errorf("-connect report differs from local run:\n%s\nvs\n%s", remote.Report, local.Report)

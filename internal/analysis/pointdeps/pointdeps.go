@@ -48,8 +48,8 @@ const defaultCorePath = "repro/internal/core"
 
 // optionFields maps Options struct fields to their OptField wire
 // tokens, mirroring the constants in core/sweep.go. Only these fields
-// participate in point content addresses; Workers/Shards and the
-// dispatcher never cross the wire.
+// participate in point content addresses; Workers and the dispatcher
+// never cross the wire.
 var optionFields = map[string]string{
 	"WAN":        "wan",
 	"Extensions": "ext",

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/tcpsim"
@@ -40,13 +41,13 @@ func transferSweep(name string, points int, bytes func(i int) int64) *Sweep {
 		})
 }
 
-// runSweep drives sw at the given shard count (0 = GOMAXPROCS) b.N
-// times and checks each merged report kept its shard timings.
+// runSweep drives sw at the given shard count b.N times and checks
+// each merged report kept its shard timings.
 func runSweep(b *testing.B, sw *Sweep, shards int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := sw.Run(context.Background(), nil, NewOptions(WithShards(shards)))
+		rep, err := sw.runShards(context.Background(), nil, NewOptions(), shards)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +68,7 @@ func BenchmarkSweepSingleKernel(b *testing.B) { runSweep(b, evenSweep(), 1) }
 
 // BenchmarkSweepSharded is the same sweep split across GOMAXPROCS
 // shards, each owning a fresh kernel/network/testbed.
-func BenchmarkSweepSharded(b *testing.B) { runSweep(b, evenSweep(), 0) }
+func BenchmarkSweepSharded(b *testing.B) { runSweep(b, evenSweep(), runtime.GOMAXPROCS(0)) }
 
 // BenchmarkSweepWorkStealing runs an intentionally uneven grid through
 // the work-stealing queue: 16 points where point 0 costs ~10x its

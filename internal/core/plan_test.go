@@ -99,7 +99,7 @@ func TestPlanForSweepIsIdentity(t *testing.T) {
 	if p.wrapped || p.Sweep() != sw {
 		t.Fatal("sweep plan must be the sweep itself")
 	}
-	opts := NewOptions(WithShards(1))
+	opts := NewOptions()
 	direct, err := sw.Run(context.Background(), nil, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -66,12 +66,9 @@ type Options struct {
 	Frames int
 	// Flows is the number of concurrent flows for backbone loading.
 	Flows int
-	// Workers bounds engine concurrency in RunAll (default GOMAXPROCS).
+	// Workers bounds engine concurrency: RunAll's pool and each sweep's
+	// shard count (default GOMAXPROCS).
 	Workers int
-	// Shards bounds the per-sweep shard count (default GOMAXPROCS,
-	// not exceeding a Workers bound, capped at the grid size).
-	// Non-sweep scenarios ignore it.
-	Shards int
 }
 
 // Option mutates Options (the functional-options pattern).
@@ -107,14 +104,16 @@ func WithFrames(n int) Option { return func(o *Options) { o.Frames = n } }
 // WithFlows sets the number of concurrent backbone flows.
 func WithFlows(n int) Option { return func(o *Options) { o.Flows = n } }
 
-// WithWorkers bounds the RunAll worker pool.
+// WithWorkers bounds the RunAll worker pool and each sweep's shard
+// count.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
-// WithShards bounds how many shards a sweep scenario may split its grid
-// across (0 = GOMAXPROCS, not exceeding a WithWorkers bound). Sharding
-// changes only wall-clock time: shard results merge in grid order, so
-// reports stay byte-identical.
-func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
+// WithShards does nothing: a sweep picks its own shard count, one per
+// core, capped by WithWorkers and by the grid size.
+//
+// Deprecated: bench/inproc.go is its only caller; it goes when that
+// call does.
+func WithShards(int) Option { return func(*Options) {} }
 
 // WithKernels does nothing: every testbed runs on one kernel.
 //

@@ -185,69 +185,53 @@ type sweepReport struct {
 // ShardTimings implements ShardedReport.
 func (r *sweepReport) ShardTimings() []ShardTiming { return r.timings }
 
-// Run implements Scenario: evaluate every grid point across shards and
-// merge in grid order.
+// Run implements Scenario: evaluate every grid point and merge in grid
+// order. A testbed the caller hands in runs the grid serially. With tb
+// nil the grid is shared by one shard per core — GOMAXPROCS, capped by
+// a Workers bound and by the grid size — each on the testbed
+// NewShardTestbed builds. The fan-out stays for a scenario run alone,
+// which RunAll's pool cannot overlap with anything: on bench's
+// sim-sweep workload (2-core host, paired runs) one serial shard was
+// ~25 % slower in wall time.
 //
-// Sharding: opts.Shards bounds the shard count (0 = GOMAXPROCS, capped
-// at the number of points). Shards lease batches of points from a
-// shared work-stealing queue — a shard that drains its lease steals the
-// next one, so uneven point costs no longer leave shards idle. Each
-// shard runs on its own fresh testbed built from opts. A testbed passed
-// in as tb serves an unsharded run itself; sharded, it fixes the
-// configuration of every shard's fresh testbed.
-//
-// Cancellation stops shards between points and Run returns ctx's error;
-// a panicking point is contained and reported as that point's error.
-// The first error in grid order wins. Dispatch changes only wall-clock
-// time: results merge in grid order, so the report stays byte-identical
-// whatever the shard count.
+// Cancellation stops the shards between points and Run returns ctx's
+// error; a panicking point is contained and reported as that point's
+// error. The first error in grid order wins. Results merge in grid
+// order, so the report is byte-identical whatever the shard count.
 func (sw *Sweep) Run(ctx context.Context, tb *Testbed, opts Options) (Report, error) {
-	pts := sw.Points()
-	if len(pts) == 0 {
+	n := len(sw.Points())
+	if n == 0 {
 		return nil, fmt.Errorf("core: sweep %q has an empty grid", sw.name)
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-		// An explicit WithWorkers bound caps total engine concurrency;
-		// don't let the default shard fan-out exceed it (an explicit
-		// WithShards still may).
-		if opts.Workers > 0 && opts.Workers < shards {
-			shards = opts.Workers
+	shards := 1
+	if tb == nil {
+		shards = min(runtime.GOMAXPROCS(0), n)
+		if opts.Workers > 0 {
+			shards = min(shards, opts.Workers)
 		}
 	}
-	if shards > len(pts) {
-		shards = len(pts)
-	}
-	// Shard testbeds are built from the sweep run's configuration; a
-	// testbed handed in by the caller fixes that configuration for
-	// every shard (the engine builds none for sweeps, so tb is non-nil
-	// only for direct callers).
-	shardCfg := Config{WAN: opts.WAN, Extensions: opts.Extensions}
-	if tb != nil {
-		shardCfg = tb.Cfg
-	}
+	return sw.runShards(ctx, tb, opts, shards)
+}
 
-	run := NewSweepRun(sw, opts, NewWorkStealingDispatcher(len(pts), shards), shards)
-	// Cancellation closes the queue, unblocking shards waiting on Next;
-	// the per-point ctx check records the error for points still held
-	// in leases.
-	stop := context.AfterFunc(ctx, run.q.Close)
-	defer stop()
+// runShards evaluates the grid on shards goroutines that lease points
+// from one work-stealing queue, so uneven point costs do not leave a
+// shard idle. Each shard runs on tb, which only a single shard may be
+// handed, or else on a testbed of its own. A shard waiting for a lease
+// while another holds the rest wakes when that one completes: after a
+// cancellation each point left in a lease records ctx's error at once.
+func (sw *Sweep) runShards(ctx context.Context, tb *Testbed, opts Options, shards int) (Report, error) {
+	run := NewSweepRun(sw, opts, NewWorkStealingDispatcher(len(sw.Points()), shards), shards)
 	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
+	for s := range shards {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			var shardTb *Testbed
-			if shards == 1 {
-				shardTb = tb // unsharded: any testbed the caller handed in
+			shardTb := tb
+			if shardTb == nil {
+				shardTb = sw.NewShardTestbed(opts)
 			}
-			if shardTb == nil && !sw.noTestbed {
-				shardTb = New(shardCfg)
-			}
-			run.RunShard(ctx, s, fmt.Sprintf("shard-%d", s), shardTb)
-		}(s)
+			run.RunShard(ctx, s, "shard-"+strconv.Itoa(s), shardTb)
+		}()
 	}
 	wg.Wait()
 	return run.Report(ctx)
@@ -267,8 +251,9 @@ func (sw *Sweep) runOnePoint(ctx context.Context, tb *Testbed, opts Options, pt 
 
 // NewShardTestbed builds the fresh per-shard (or, remotely, per-lease)
 // testbed a sweep's points run on, or nil for sweeps that declared
-// NoShardTestbed. The coordinator and workers of internal/dist use it
-// so their testbeds match what Sweep.Run would have built locally.
+// NoShardTestbed. Sweep.Run and the coordinator and workers of
+// internal/dist all build their testbeds with it, so every path runs a
+// point on the same configuration.
 func (sw *Sweep) NewShardTestbed(opts Options) *Testbed {
 	if sw.noTestbed {
 		return nil

@@ -41,6 +41,17 @@ func TestSweepPointsGridOrder(t *testing.T) {
 	}
 }
 
+// registeredSweep looks name up in the registry as a *Sweep.
+func registeredSweep(t testing.TB, name string) *Sweep {
+	t.Helper()
+	sc, _ := Lookup(name)
+	sw, ok := sc.(*Sweep)
+	if !ok {
+		t.Fatalf("scenario %q is %T, not a sweep", name, sc)
+	}
+	return sw
+}
+
 // Shard results must reassemble in grid order even when completion
 // order is reversed (early points slower than late ones).
 func TestSweepMergesInGridOrderNotCompletionOrder(t *testing.T) {
@@ -64,7 +75,7 @@ func TestSweepMergesInGridOrderNotCompletionOrder(t *testing.T) {
 			}
 			return &FutureWorkReport{}, nil
 		})
-	if _, err := sw.Run(context.Background(), nil, NewOptions(WithShards(8))); err != nil {
+	if _, err := sw.runShards(context.Background(), nil, NewOptions(), 8); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -74,11 +85,12 @@ func TestSweepMergesInGridOrderNotCompletionOrder(t *testing.T) {
 func TestSweepReportsByteIdenticalAcrossShardCounts(t *testing.T) {
 	for _, name := range []string{"figure1-throughput", "backbone-aggregate", "mixed-traffic", "fmri-pe-sweep"} {
 		t.Run(name, func(t *testing.T) {
-			sequential, err := Run(context.Background(), name, WithShards(1), WithFrames(10))
+			sw, opts := registeredSweep(t, name), NewOptions(WithFrames(10))
+			sequential, err := sw.runShards(context.Background(), nil, opts, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sharded, err := Run(context.Background(), name, WithShards(4), WithFrames(10))
+			sharded, err := sw.runShards(context.Background(), nil, opts, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +114,7 @@ func TestSweepReportsByteIdenticalAcrossShardCounts(t *testing.T) {
 }
 
 func TestSweepReportSurfacesShardTimings(t *testing.T) {
-	rep, err := Run(context.Background(), "backbone-aggregate", WithShards(2))
+	rep, err := registeredSweep(t, "backbone-aggregate").runShards(context.Background(), nil, NewOptions(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,48 +141,40 @@ func TestSweepReportSurfacesShardTimings(t *testing.T) {
 	}
 }
 
-// A caller-built testbed passed positionally fixes the configuration of
-// every shard testbed, even when sharding rebuilds them.
+// A caller-built testbed passed positionally is the one every point of
+// the grid runs on.
 func TestSweepShardsInheritCallerTestbedConfig(t *testing.T) {
-	var wans [2]atm.OC
+	var tbs [2]*Testbed
 	sw := NewSweep("test-cfg-sweep", "records each shard's backbone generation",
 		[]Axis{{Name: "i", Values: []any{0, 1}}},
 		func(ctx context.Context, tb *Testbed, opts Options, pt Point) (any, error) {
-			wans[pt.Index] = tb.Cfg.WAN
+			tbs[pt.Index] = tb
 			return nil, nil
 		},
 		func(opts Options, results []any) (Report, error) {
 			return &FutureWorkReport{}, nil
 		})
 	tb := New(Config{WAN: atm.OC12})
-	// Default opts carry OC-48; the OC-12 testbed must win on every shard.
-	if _, err := sw.Run(context.Background(), tb, NewOptions(WithShards(2))); err != nil {
+	// Default opts carry OC-48; the OC-12 testbed must win on every point.
+	if _, err := sw.Run(context.Background(), tb, NewOptions()); err != nil {
 		t.Fatal(err)
 	}
-	for i, wan := range wans {
-		if wan != atm.OC12 {
-			t.Errorf("shard of point %d ran on %v, want the caller testbed's OC12", i, wan)
+	for i, got := range tbs {
+		if got != tb {
+			t.Errorf("point %d ran on %p, want the caller's OC12 testbed %p", i, got, tb)
 		}
 	}
 }
 
-// A WithWorkers bound caps the default shard fan-out, so -workers keeps
-// limiting total engine concurrency (an explicit WithShards may still
-// exceed it).
+// A WithWorkers bound caps the shard fan-out, so -workers keeps
+// limiting total engine concurrency.
 func TestSweepDefaultShardsRespectWorkersBound(t *testing.T) {
 	rep, err := Run(context.Background(), "backbone-aggregate", WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := len(rep.(ShardedReport).ShardTimings()); n != 1 {
-		t.Errorf("default sharding used %d shards under WithWorkers(1), want 1", n)
-	}
-	rep, err = Run(context.Background(), "backbone-aggregate", WithWorkers(1), WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(rep.(ShardedReport).ShardTimings()); n != 2 {
-		t.Errorf("explicit WithShards(2) used %d shards, want 2", n)
+		t.Errorf("sharding used %d shards under WithWorkers(1), want 1", n)
 	}
 }
 
@@ -211,7 +215,7 @@ func TestSweepCancellationNoLeakedGoroutines(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, "test-blocking-sweep", WithShards(4))
+		_, err := registeredSweep(t, "test-blocking-sweep").runShards(ctx, nil, NewOptions(), 4)
 		done <- err
 	}()
 	// Wait until all four shards are inside a point, then cancel.
@@ -255,7 +259,7 @@ func TestSweepPointPanicContained(t *testing.T) {
 		delete(registry.m, "test-panic-sweep")
 		registry.Unlock()
 	}()
-	_, err := Run(context.Background(), "test-panic-sweep", WithShards(3))
+	_, err := registeredSweep(t, "test-panic-sweep").runShards(context.Background(), nil, NewOptions(), 3)
 	if err == nil || !strings.Contains(err.Error(), "point 1") || !strings.Contains(err.Error(), "panicked") {
 		t.Errorf("panicking point not reported: %v", err)
 	}
@@ -286,9 +290,10 @@ func TestRunAllCancellationMidSweepNoLeaks(t *testing.T) {
 	go func() {
 		defer close(done)
 		results, err = RunAll(ctx, []string{"test-blocking-sweep-all", "table1-model"},
-			WithWorkers(2), WithShards(2))
+			WithWorkers(2))
 	}()
-	for started.Load() < 2 {
+	// One core runs the sweep on one shard, so wait for one point only.
+	for started.Load() < 1 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()

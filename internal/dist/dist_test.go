@@ -107,11 +107,10 @@ func (tc *testCluster) startWorker(t *testing.T, w *Worker) {
 	})
 }
 
-// localReport runs the sweep in-process on a single kernel and returns
-// its report bytes and text — the byte-identity reference.
+// localReport runs the sweep in-process and returns its report bytes
+// and text — the byte-identity reference.
 func localReport(t *testing.T, name string, o core.Options) ([]byte, string) {
 	t.Helper()
-	o.Shards = 1
 	rep, err := core.RunWith(context.Background(), name, o)
 	if err != nil {
 		t.Fatalf("local run of %s: %v", name, err)

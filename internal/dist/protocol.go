@@ -89,8 +89,8 @@ import (
 )
 
 // WireOptions is the cross-machine subset of core.Options: the fields
-// that parameterize a scenario, without the process-local ones
-// (Workers, Shards). It is also the result-cache key, because these
+// that parameterize a scenario, without the process-local one
+// (Workers). It is also the result-cache key, because these
 // are exactly the fields that can change report bytes.
 type WireOptions struct {
 	WAN        int  `json:"wan,omitempty"`

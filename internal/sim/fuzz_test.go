@@ -254,6 +254,7 @@ func callThunk(a0, _ unsafe.Pointer) { (*(*func())(a0))() }
 
 type newSys struct {
 	k     *Kernel
+	live  int // processes spawned and not yet returned
 	lanes [3]*Lane
 	evs   []Event
 	keys  []struct {
@@ -299,9 +300,9 @@ func (s *newSys) run() Time          { return s.k.Run() }
 func (s *newSys) pending() int       { return s.k.Pending() }
 func (s *newSys) next() (Time, bool) { return s.k.NextEventTime() }
 func (s *newSys) fired() int64       { return s.k.Fired() }
-func (s *newSys) procs() int         { return s.k.Procs() }
+func (s *newSys) procs() int         { return s.live }
 func (s *newSys) spawn(body func(func(time.Duration))) {
-	s.k.Go("p", func(p *Proc) { body(p.Sleep) })
+	countGo(s.k, &s.live, "p", func(p *Proc) { body(p.Sleep) })
 }
 
 // shift moves the reserved keys with the kernel, as their owner must.

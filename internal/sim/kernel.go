@@ -180,7 +180,6 @@ type Kernel struct {
 	laned    int           // lane entries waiting behind their lane's head
 	free     []*event      // recycled event records
 	ctl      chan struct{} // handshake: proc -> kernel (parked or exited)
-	procs    int           // live (started, not yet finished) processes
 	panicVal any
 
 	// Inline-drive state: while Run is live (running), a parking

@@ -30,12 +30,10 @@ func (p *Proc) Now() Time { return p.k.now }
 // propagated out of the kernel's Run/Step.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, wake: make(chan struct{})}
-	k.procs++
 	go func() {
 		<-p.wake // wait for the kernel to hand us the virtual CPU
 		defer func() {
 			p.done = true
-			k.procs--
 			if r := recover(); r != nil {
 				k.panicVal = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 			}

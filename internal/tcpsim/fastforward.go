@@ -35,8 +35,9 @@ import (
 //     of the last ring signatures. A period p ≤ ring is a candidate
 //     once at least max(wait, p) consecutive new ACKs since the last
 //     try each had the signature of the one p ACKs before, with the
-//     window at its WindowBytes cap in congestion avoidance; the
-//     shortest candidate is tried. wait starts at 1 and doubles, up to
+//     window at its WindowBytes cap in congestion avoidance, and all p
+//     signatures of the period have the same ACK step; the shortest
+//     candidate is tried. wait starts at 1 and doubles, up to
 //     one window of ACKs, with every try that does not end in a jump, so
 //     a flow that never certifies pays about log2(window) extra
 //     snapshots and then one a window, and one that does is tried at
@@ -49,8 +50,10 @@ import (
 //   - Jump: netsim.Advance moves the kernel and the network, ShiftPacket
 //     every packet of the flow, and the sender moves its sequence
 //     numbers, send-timestamp ring and timer keys; the congestion window
-//     repeats its per-ACK update once per skipped ACK, with the ACK step
-//     of that ACK's phase, in phase order.
+//     repeats its per-ACK update once per skipped ACK. Every receiver
+//     acknowledges one segment per ACK, so a steady period's ACKs all
+//     have one ACK step; the trigger and the jump both require it, and
+//     each skipped ACK's update adds that step.
 //
 // The retransmission timer is the one pending event whose key is not
 // periodic: armRTO leaves the event where it is and only reserves a new
@@ -150,7 +153,7 @@ func (s *sender) steady() {
 	}
 	// Two periods must be left to send: the one the certificate spends
 	// and one to skip.
-	if p == 0 || s.total-s.nextSeq < 2*f.phaseBytes(p) {
+	if p == 0 || !f.evenAcks(p) || s.total-s.nextSeq < 2*p*sig.dack {
 		return
 	}
 	f.run = [ring]int64{}
@@ -161,13 +164,16 @@ func (s *sender) steady() {
 	f.period, f.left = p, p
 }
 
-// phaseBytes sums the ACK steps of the last p new ACKs.
-func (f *fastForward) phaseBytes(p int64) int64 {
-	var b int64
-	for i := f.n - p; i < f.n; i++ {
-		b += f.sigs[i%ring].dack
+// evenAcks reports whether the last p new ACKs all had the ACK step
+// of the last one.
+func (f *fastForward) evenAcks(p int64) bool {
+	dack := f.sigs[(f.n-1)%ring].dack
+	for i := f.n - p; i < f.n-1; i++ {
+		if f.sigs[i%ring].dack != dack {
+			return false
+		}
 	}
-	return b
+	return true
 }
 
 // backoff doubles the run a period needs after a try that did not end
@@ -220,6 +226,11 @@ func b2i(b bool) int64 {
 func (s *sender) jump() bool {
 	f := &s.ff
 	p := f.period
+	// The certified period's own ACKs, the ones each skipped period
+	// repeats, must have one ACK step as well.
+	if !f.evenAcks(p) {
+		return false
+	}
 	f.pbytes, f.psegs = s.ackSeq-f.a.ackSeq, s.ackSeg-f.a.ackSeg
 	periods := (s.total - s.nextSeq) / f.pbytes
 	if dt := s.n.K.Now() - f.a.net.Now(); dt > 0 {
@@ -252,11 +263,9 @@ func (s *sender) jump() bool {
 	s.rtoSeq += dseq
 	s.rtoEvAt += dt
 	s.rtoEvSeq += dseq
-	// The skipped ACKs repeat the certified period's, phase by phase.
-	for range periods {
-		for i := f.n - p; i < f.n; i++ {
-			s.grow(f.sigs[i%ring].dack)
-		}
+	dack := f.pbytes / p
+	for range periods * p {
+		s.grow(dack)
 	}
 	f.at, f.ack = s.n.K.Now(), s.ackSeq
 	f.skipped += periods * p

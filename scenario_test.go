@@ -79,7 +79,7 @@ func TestSweepFacade(t *testing.T) {
 	if sw.Name() != "facade-sweep" || len(sw.Points()) != 3 {
 		t.Fatalf("sweep metadata broken: %q, %d points", sw.Name(), len(sw.Points()))
 	}
-	rep, err := sw.Run(context.Background(), nil, NewOptions(WithShards(2)))
+	rep, err := sw.Run(context.Background(), nil, NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 //		func(opts gtw.Options, results []any) (gtw.Report, error) {
 //			return assemble(results), nil
 //		}))
-//	rep, err := gtw.Run(ctx, "my-sweep", gtw.WithShards(8))
+//	rep, err := gtw.Run(ctx, "my-sweep")
 
 // Axis is one named dimension of a sweep grid.
 type Axis = core.Axis
@@ -57,8 +57,3 @@ func CountWorkers(timings []ShardTiming) int { return core.CountWorkers(timings)
 func NewSweep(name, description string, axes []Axis, runPoint PointFunc, merge MergeFunc) *Sweep {
 	return core.NewSweep(name, description, axes, runPoint, merge)
 }
-
-// WithShards bounds how many shards a sweep may split its grid across
-// (0 = GOMAXPROCS, not exceeding a WithWorkers bound). Sharding changes
-// only wall-clock time, never the report bytes.
-func WithShards(n int) Option { return core.WithShards(n) }
