@@ -290,7 +290,7 @@ func runRTSession(ctx context.Context, scans int) (Report, error) {
 		}
 		return fail(err)
 	}
-	rep := &RTSessionReport{Scans: len(res.Shifts)}
+	rep := &RTSessionReport{Scans: len(res.Shifts), FitIterations: res.Iterations, FitsAtMaxIter: res.AtMaxIter}
 	for _, s := range res.Shifts {
 		if norm := math.Sqrt(s[0]*s[0] + s[1]*s[1] + s[2]*s[2]); norm > rep.MaxShiftVoxels {
 			rep.MaxShiftVoxels = norm

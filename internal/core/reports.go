@@ -351,7 +351,13 @@ type RTSessionReport struct {
 	// MaxShiftVoxels is the largest estimated subject motion over the
 	// session, in voxels.
 	MaxShiftVoxels float64
-	PNGBytes       int
+	// FitIterations are the motion fit's Gauss-Newton iterations, one
+	// count per scan in arrival order.
+	FitIterations []int
+	// FitsAtMaxIter counts the scans whose fit stopped at its iteration
+	// cap without converging.
+	FitsAtMaxIter int
+	PNGBytes      int
 	// PNG is the rendered figure-3 overlay (excluded from JSON;
 	// PNGBytes records its size).
 	PNG []byte `json:"-"`
@@ -365,6 +371,12 @@ func (r *RTSessionReport) Text() string {
 		r.Scans, r.ActivatedVoxels, r.PeakCorrelation)
 	fmt.Fprintf(&sb, "  peak estimated subject motion %.2f voxels; overlay rendered (%d PNG bytes)\n",
 		r.MaxShiftVoxels, r.PNGBytes)
+	iters := 0
+	for _, n := range r.FitIterations {
+		iters += n
+	}
+	fmt.Fprintf(&sb, "  motion fits: %d Gauss-Newton iterations over %d scans, %d stopped at the iteration cap\n",
+		iters, len(r.FitIterations), r.FitsAtMaxIter)
 	return sb.String()
 }
 

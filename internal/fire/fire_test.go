@@ -30,10 +30,11 @@ func TestEstimateShiftRecoversKnownMotion(t *testing.T) {
 		{-1.2, 0.4, -0.5},
 	} {
 		cur := shifted(ref, want[0], want[1], want[2])
-		_, got, err := MotionCorrect(nil, ref, cur, MotionOptions{})
+		_, fit, err := MotionCorrect(nil, ref, cur, MotionOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := fit.Shift
 		for i := 0; i < 3; i++ {
 			if math.Abs(got[i]-want[i]) > 0.08 {
 				t.Errorf("shift %v: estimated %v (axis %d off by %.3f)",
@@ -46,11 +47,11 @@ func TestEstimateShiftRecoversKnownMotion(t *testing.T) {
 func TestMotionCorrectRestoresImage(t *testing.T) {
 	ref := phantomVolume()
 	cur := shifted(ref, 0.8, -0.6, 0.2)
-	fixed, d, err := MotionCorrect(nil, ref, cur, MotionOptions{})
+	fixed, fit, err := MotionCorrect(nil, ref, cur, MotionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(d[0]-0.8) > 0.1 {
+	if d := fit.Shift; math.Abs(d[0]-0.8) > 0.1 {
 		t.Errorf("estimated dx = %v", d[0])
 	}
 	// Interior voxels should match the reference closely after
@@ -165,8 +166,10 @@ func TestGradientOfLinearField(t *testing.T) {
 
 // referenceEstimateShift is the motion fit as it was before the
 // gradients were read by stride: one gradient call (six clamps, seven
-// Idx) per interior voxel per iteration. MotionCorrect's estimate must
-// agree with it to the last bit.
+// Idx) per interior voxel per iteration, and a fresh shifted volume per
+// iteration. It stops, as MotionCorrect does, without applying an
+// update that falls below Tol. MotionCorrect's estimate must agree with
+// it to the last bit.
 func referenceEstimateShift(ref, cur *volume.Volume, opts MotionOptions) ([3]float64, error) {
 	opts.fill()
 	var d [3]float64
@@ -200,12 +203,12 @@ func referenceEstimateShift(ref, cur *volume.Volume, opts MotionOptions) ([3]flo
 		if err != nil {
 			return d, err
 		}
-		d[0] += delta[0]
-		d[1] += delta[1]
-		d[2] += delta[2]
 		if math.Sqrt(delta[0]*delta[0]+delta[1]*delta[1]+delta[2]*delta[2]) < opts.Tol {
 			break
 		}
+		d[0] += delta[0]
+		d[1] += delta[1]
+		d[2] += delta[2]
 	}
 	return d, nil
 }
@@ -229,11 +232,12 @@ func TestEstimateShiftEqualsGradientLoopBitForBit(t *testing.T) {
 		}
 		// MotionCorrect fits in its target volume, then resamples into
 		// it: the reference's estimate, and the image a shift by it gives.
-		var got [3]float64
-		fixed, got, err = MotionCorrect(fixed, ref, cur, MotionOptions{Border: c.border})
+		var fit MotionFit
+		fixed, fit, err = MotionCorrect(fixed, ref, cur, MotionOptions{Border: c.border})
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := fit.Shift
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Errorf("shift %v border %d axis %d: %v, Gradient loop %v", c.shift, c.border, i, got[i], want[i])

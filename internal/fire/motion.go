@@ -18,6 +18,9 @@ type MotionOptions struct {
 	// Border excludes this many voxels at each face from the fit
 	// (default 2), avoiding clamped-edge artifacts.
 	Border int
+	// Start is the estimate the fit starts from (default zero): a
+	// realtime session passes the previous scan's.
+	Start [3]float64
 }
 
 func (o *MotionOptions) fill() {
@@ -50,48 +53,79 @@ func checkMotion(ref, cur *volume.Volume, opts *MotionOptions) error {
 	return nil
 }
 
+// MotionFit is the outcome of one motion fit.
+type MotionFit struct {
+	// Shift is the estimate, in voxels: the shift the fit's last
+	// resampling removed when it converged, the last update applied
+	// when it reached MaxIter.
+	Shift [3]float64
+	// Iterations counts the Gauss-Newton iterations, each one
+	// resampling and one solve.
+	Iterations int
+	// Converged reports that the last update fell below Tol, so the fit
+	// stopped without applying it.
+	Converged bool
+}
+
 // estimateShift estimates the rigid translation (in voxels) that maps
 // ref onto cur, using the iterative linear scheme the paper describes:
 // linearize the image around the current estimate with spatial
 // gradients and solve the 3x3 normal equations, then re-resample. Small
-// head movements (a few voxels) are the intended regime. The inputs
-// must have passed checkMotion; every Gauss-Newton iteration resamples
-// cur through s into the same volume moved.
-func estimateShift(s *volume.Sampler, moved, ref, cur *volume.Volume, opts MotionOptions) ([3]float64, error) {
+// head movements (a few voxels) are the intended regime. The fit starts
+// at opts.Start and stops without applying an update that falls below
+// Tol: its estimate is then the one the last resampling used. The
+// inputs must have passed checkMotion; every Gauss-Newton iteration
+// resamples cur through s into the same volume moved, one z-plane at a
+// time, and folds each plane into the normal equations as soon as the
+// planes around it are resampled.
+func estimateShift(s *volume.Sampler, moved, ref, cur *volume.Volume, opts MotionOptions) (MotionFit, error) {
 	b := opts.Border
-	nx, plane := ref.NX, ref.NX*ref.NY
-	var d [3]float64
+	nx, ny, nz, plane, w := ref.NX, ref.NY, ref.NZ, ref.NX*ref.NY, ref.NX-2*opts.Border
+	fit := MotionFit{Shift: opts.Start}
+	d := &fit.Shift
 	a := linalg.NewMat(3, 3)
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		// Resample cur back by the current estimate.
-		s.Shift(moved, cur, -d[0], -d[1], -d[2])
-		// Accumulate J^T J and J^T r over interior voxels, where J
-		// columns are the spatial gradients of the moved image and
-		// r is the intensity residual vs. the reference. Border >= 1
-		// keeps every neighbor inside the volume, so the gradients are
-		// plain central differences.
+	for fit.Iterations < opts.MaxIter {
+		fit.Iterations++
+		// Resample cur back by the current estimate, and accumulate
+		// J^T J and J^T r over interior voxels, where J columns are the
+		// spatial gradients of the moved image and r is the intensity
+		// residual vs. the reference. Border >= 1 keeps every neighbor
+		// inside the volume, so the gradients are plain central
+		// differences; plane z's are taken once plane z+1 is made.
 		// J^T J is symmetric and g[i]*g[j] == g[j]*g[i] exactly, so six
 		// running sums, each in serial voxel order, are its nine entries.
-		var xx, xy, xz, yy, yz, zz float64
-		var jtr [3]float64
+		s.ResetShift(cur, -d[0], -d[1], -d[2])
+		var xx, xy, xz, yy, yz, zz, rx, ry, rz float64
 		m := moved.Data
-		for z := b; z < ref.NZ-b; z++ {
-			for y := b; y < ref.NY-b; y++ {
-				row := ref.Idx(0, y, z)
-				for v := row + b; v < row+nx-b; v++ {
-					gx := float64(m[v+1]-m[v-1]) / 2
-					gy := float64(m[v+nx]-m[v-nx]) / 2
-					gz := float64(m[v+plane]-m[v-plane]) / 2
-					r := float64(ref.Data[v] - m[v])
+		for k := 0; k < nz; k++ {
+			s.Plane(k, m[k*plane:(k+1)*plane])
+			z := k - 1
+			if z < b || z >= nz-b {
+				continue
+			}
+			for y := b; y < ny-b; y++ {
+				// The row's interior voxels v and their six neighbors,
+				// each a slice of w voxels.
+				v := z*plane + y*nx + b
+				c, rf := m[v:v+w], ref.Data[v:v+w]
+				xm, xp := m[v-1 : v-1+w][:len(c)], m[v+1 : v+1+w][:len(c)]
+				ym, yp := m[v-nx : v-nx+w][:len(c)], m[v+nx : v+nx+w][:len(c)]
+				zm, zp := m[v-plane : v-plane+w][:len(c)], m[v+plane : v+plane+w][:len(c)]
+				rf = rf[:len(c)]
+				for x := range c {
+					gx := float64(xp[x]-xm[x]) / 2
+					gy := float64(yp[x]-ym[x]) / 2
+					gz := float64(zp[x]-zm[x]) / 2
+					r := float64(rf[x] - c[x])
 					xx += gx * gx
 					xy += gx * gy
 					xz += gx * gz
 					yy += gy * gy
 					yz += gy * gz
 					zz += gz * gz
-					jtr[0] += gx * r
-					jtr[1] += gy * r
-					jtr[2] += gz * r
+					rx += gx * r
+					ry += gy * r
+					rz += gz * r
 				}
 			}
 		}
@@ -100,42 +134,47 @@ func estimateShift(s *volume.Sampler, moved, ref, cur *volume.Volume, opts Motio
 				a.Set(i, j, v)
 			}
 		}
-		delta, err := linalg.Solve(a, jtr[:])
+		delta, err := linalg.Solve(a, []float64{rx, ry, rz})
 		if err != nil {
-			return d, fmt.Errorf("fire: motion normal equations singular (featureless image?): %w", err)
+			return fit, fmt.Errorf("fire: motion normal equations singular (featureless image?): %w", err)
+		}
+		if math.Sqrt(delta[0]*delta[0]+delta[1]*delta[1]+delta[2]*delta[2]) < opts.Tol {
+			fit.Converged = true
+			return fit, nil
 		}
 		d[0] += delta[0]
 		d[1] += delta[1]
 		d[2] += delta[2]
-		if math.Sqrt(delta[0]*delta[0]+delta[1]*delta[1]+delta[2]*delta[2]) < opts.Tol {
-			break
-		}
 	}
-	return d, nil
+	return fit, nil
 }
 
 // MotionCorrect estimates the shift of cur relative to ref and returns
-// cur resampled by it together with the estimate. The corrected image
-// is written into dst, which also holds the fit's intermediate
+// cur resampled by it together with the fit. The corrected image is
+// written into dst, which also holds the fit's intermediate
 // resamplings, so a loop that passes the same dst every scan allocates
 // no volume; nil dst allocates one. dst must have cur's shape and must
-// not be cur.
-func MotionCorrect(dst, ref, cur *volume.Volume, opts MotionOptions) (*volume.Volume, [3]float64, error) {
+// not be cur. A converged fit's last resampling is the corrected image;
+// a fit that reached MaxIter applies its last update and resamples once
+// more.
+func MotionCorrect(dst, ref, cur *volume.Volume, opts MotionOptions) (*volume.Volume, MotionFit, error) {
 	if err := checkMotion(ref, cur, &opts); err != nil {
-		return nil, [3]float64{}, err
+		return nil, MotionFit{}, err
 	}
 	switch {
 	case dst == nil:
 		dst = volume.New(cur.NX, cur.NY, cur.NZ)
 	case dst == cur || !dst.SameShape(cur):
-		return nil, [3]float64{}, fmt.Errorf("fire: motion-correction target %dx%dx%d is not a separate %dx%dx%d volume",
+		return nil, MotionFit{}, fmt.Errorf("fire: motion-correction target %dx%dx%d is not a separate %dx%dx%d volume",
 			dst.NX, dst.NY, dst.NZ, cur.NX, cur.NY, cur.NZ)
 	}
 	var s volume.Sampler
-	d, err := estimateShift(&s, dst, ref, cur, opts)
+	fit, err := estimateShift(&s, dst, ref, cur, opts)
 	if err != nil {
-		return nil, d, err
+		return nil, fit, err
 	}
-	s.Shift(dst, cur, -d[0], -d[1], -d[2])
-	return dst, d, nil
+	if !fit.Converged {
+		s.Shift(dst, cur, -fit.Shift[0], -fit.Shift[1], -fit.Shift[2])
+	}
+	return dst, fit, nil
 }

@@ -15,14 +15,22 @@ type Result struct {
 	// Shifts are the rigid motion estimates removed from the scans, in
 	// the order the scans arrived.
 	Shifts [][3]float64
+	// Iterations are the motion fits' Gauss-Newton iteration counts,
+	// one per scan in the same order.
+	Iterations []int
+	// AtMaxIter counts the fits that stopped at MaxIter without
+	// converging.
+	AtMaxIter int
 }
 
 // RunSession is the RT-client loop FIRE runs within the 2-second
 // acquisition time: it pulls raw images from client until the RT-server
 // signals the end of the measurement, removes each scan's 3-D motion
 // against motionRef, and folds the corrected scan into the incremental
-// correlation with the normalized reference vector ref. Every scan must
-// have motionRef's matrix. ctx is checked before each scan, and the
+// correlation with the normalized reference vector ref. Each scan's
+// motion fit starts from the previous scan's estimate (the first from
+// zero): a subject holds a position from one 2-second scan to the next.
+// Every scan must have motionRef's matrix. ctx is checked before each scan, and the
 // correlation map is computed once, after the last.
 func RunSession(ctx context.Context, client *RTClient, ref []float64, motionRef *volume.Volume) (*Result, error) {
 	if client == nil {
@@ -38,6 +46,7 @@ func RunSession(ctx context.Context, client *RTClient, ref []float64, motionRef 
 	corr := NewCorrelator(ref, nx, ny, nz)
 	res := &Result{}
 	var fixed *volume.Volume // the motion-corrected scan, reused every scan
+	var start [3]float64     // the previous scan's motion estimate
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -54,15 +63,20 @@ func RunSession(ctx context.Context, client *RTClient, ref []float64, motionRef 
 			return nil, fmt.Errorf("fire: scan %d has shape %dx%dx%d, session expects %dx%dx%d",
 				msg.Scan, img.NX, img.NY, img.NZ, nx, ny, nz)
 		}
-		var shift [3]float64
-		fixed, shift, err = MotionCorrect(fixed, motionRef, img, MotionOptions{})
+		var fit MotionFit
+		fixed, fit, err = MotionCorrect(fixed, motionRef, img, MotionOptions{Start: start})
 		if err != nil {
 			return nil, fmt.Errorf("fire: scan %d motion correction: %w", msg.Scan, err)
 		}
 		if err := corr.Add(fixed); err != nil {
 			return nil, err
 		}
-		res.Shifts = append(res.Shifts, shift)
+		start = fit.Shift
+		res.Shifts = append(res.Shifts, fit.Shift)
+		res.Iterations = append(res.Iterations, fit.Iterations)
+		if !fit.Converged {
+			res.AtMaxIter++
+		}
 	}
 	var err error
 	if res.Corr, err = corr.Map(); err != nil {

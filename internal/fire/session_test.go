@@ -105,7 +105,8 @@ func TestRealtimeSessionShapeMismatch(t *testing.T) {
 
 func TestRealtimeSessionFeedsVolume(t *testing.T) {
 	// The session's map is the analysis chain run directly over the
-	// same data: motion correction, then the correlator.
+	// same data: motion correction, each fit started from the previous
+	// scan's estimate, then the correlator.
 	client, sc, ph := startServer(t, false, 16)
 	res, err := RunSession(context.Background(), client, sc.Reference(0), ph.Anatomy)
 	if err != nil {
@@ -114,8 +115,9 @@ func TestRealtimeSessionFeedsVolume(t *testing.T) {
 	sc2, _ := measurement(false, 16)
 	c := NewCorrelator(sc2.Reference(0), 16, 16, 8)
 	var fixed *volume.Volume
+	var fit MotionFit
 	for v := sc2.Next(); v != nil; v = sc2.Next() {
-		if fixed, _, err = MotionCorrect(fixed, ph.Anatomy, v, MotionOptions{}); err != nil {
+		if fixed, fit, err = MotionCorrect(fixed, ph.Anatomy, v, MotionOptions{Start: fit.Shift}); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Add(fixed); err != nil {

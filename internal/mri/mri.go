@@ -149,29 +149,39 @@ func HeadPlanes(nx, ny, nz int) (plane func(z int, dst []float32, mask []bool)) 
 		}
 		return t
 	}
-	exs := axis(nx, func(x float64) float64 { return (x - cx) / rx })
-	eys := axis(ny, func(y float64) float64 { return (y - cy) / ry })
-	ezs := axis(nz, func(z float64) float64 { return (z - cz) / rz })
-	sinX := axis(nx, func(x float64) float64 { return math.Sin(x * 0.4) })
-	cosY := axis(ny, func(y float64) float64 { return math.Cos(y * 0.3) })
-	sinZ := axis(nz, math.Sin)
+	// The squares and the texture's factors are the products the
+	// per-voxel formulas (ex²+ey²)+ez² and 800 + 150·sin·cos + 50·sin
+	// form, each taken once per axis entry.
+	sq := func(e float64) float64 { return e * e }
+	ex2 := axis(nx, func(x float64) float64 { return sq((x - cx) / rx) })
+	ey2 := axis(ny, func(y float64) float64 { return sq((y - cy) / ry) })
+	ez2 := axis(nz, func(z float64) float64 { return sq((z - cz) / rz) })
+	texX := axis(nx, func(x float64) float64 { return 150 * math.Sin(x*0.4) })
+	texY := axis(ny, func(y float64) float64 { return math.Cos(y * 0.3) })
+	texZ := axis(nz, func(z float64) float64 { return 50 * math.Sin(z) })
 	return func(z int, dst []float32, mask []bool) {
-		ez, sz, i := ezs[z], sinZ[z], 0
-		for y, ey := range eys {
-			for x, ex := range exs {
-				r := ex*ex + ey*ey + ez*ez
+		ez, sz, n := ez2[z], texZ[z], len(ex2)
+		for y, ey := range ey2 {
+			row, cy := dst[y*n:(y+1)*n], texY[y]
+			for x, ex := range ex2[:len(row)] {
+				r := ex + ey + ez
 				switch {
 				case r < 0.75: // brain tissue with mild spatial texture
-					dst[i] = float32(800 + 150*sinX[x]*cosY[y] + 50*sz)
+					row[x] = float32(800 + texX[x]*cy + sz)
 				case r < 1.0: // skull/scalp shell
-					dst[i] = 300
+					row[x] = 300
 				default: // air
-					dst[i] = 0
+					row[x] = 0
 				}
-				if mask != nil {
-					mask[i] = r < 0.75
-				}
-				i++
+			}
+		}
+		if mask == nil {
+			return
+		}
+		for y, ey := range ey2 {
+			row := mask[y*n : (y+1)*n]
+			for x, ex := range ex2[:len(row)] {
+				row[x] = ex+ey+ez < 0.75
 			}
 		}
 	}
@@ -216,8 +226,11 @@ type Scanner struct {
 	// envelope, in voxel order and, within a voxel, activation order —
 	// the order Next applies them in.
 	gains []gain
-	rng   *rand.Rand
-	t     int
+	// resp holds each activation's expected response at the scan Next
+	// is synthesizing.
+	resp []float64
+	rng  *rand.Rand
+	t    int
 	// vol is the volume Next returns every call. A moved scan is
 	// synthesized into raw and shifted into vol through shift.
 	vol, raw *volume.Volume
@@ -242,6 +255,7 @@ func NewScanner(ph *Phantom, cfg ScanConfig) *Scanner {
 	for _, a := range ph.Activations {
 		s.refs = append(s.refs, a.HRF.Convolve(cfg.Stimulus, cfg.TR))
 	}
+	s.resp = make([]float64, len(s.refs))
 	// The envelopes do not change from scan to scan: evaluate them once.
 	for idx, brain := range ph.BrainMask {
 		if !brain {
@@ -283,21 +297,35 @@ func (s *Scanner) Next() *volume.Volume {
 		}
 		out = s.raw
 	}
+	// Everything that holds for the whole scan is read once: the
+	// drift, the noise and its generator, each activation's response at
+	// this scan, and the next voxel an activation modulates.
 	ph := s.Phantom
-	drift := s.Cfg.DriftPerScan * float64(s.t)
-	gains := s.gains
-	for idx, b := range ph.Anatomy.Data {
+	drift, std, rng := s.Cfg.DriftPerScan*float64(s.t), s.Cfg.NoiseStd, s.rng
+	for i, ref := range s.refs {
+		s.resp[i] = ref[s.t]
+	}
+	gains, next := s.gains, -1
+	if len(gains) > 0 {
+		next = gains[0].voxel
+	}
+	anat := ph.Anatomy.Data
+	mask, dst := ph.BrainMask[:len(anat)], out.Data[:len(anat)]
+	for idx, b := range anat {
 		sig := float64(b)
-		if ph.BrainMask[idx] {
-			for ; len(gains) > 0 && gains[0].voxel == idx; gains = gains[1:] {
-				sig *= 1 + gains[0].depth*s.refs[gains[0].act][s.t]
+		if mask[idx] {
+			for idx == next {
+				sig *= 1 + gains[0].depth*s.resp[gains[0].act]
+				if gains, next = gains[1:], -1; len(gains) > 0 {
+					next = gains[0].voxel
+				}
 			}
 			sig += drift
 		}
-		if s.Cfg.NoiseStd > 0 {
-			sig += s.rng.NormFloat64() * s.Cfg.NoiseStd
+		if std > 0 {
+			sig += rng.NormFloat64() * std
 		}
-		out.Data[idx] = float32(sig)
+		dst[idx] = float32(sig)
 	}
 	if moved {
 		s.shift.Shift(s.vol, s.raw, m.DX, m.DY, m.DZ)

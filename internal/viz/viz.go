@@ -68,6 +68,12 @@ func WritePNG(w io.Writer, img image.Image) error { return png.Encode(w, img) }
 // nx x ny x nz high-resolution anatomical grid (trilinear), one z-plane
 // at a time, as done before display on the Onyx 2: "it is merged with a
 // high resolution (256x256x128 voxels) image of the subject's head".
+//
+// A target voxel whose eight taps all read +0 is +0: each product of +0
+// and a weight in [0, 1] is +0, and so is each sum of two. So only the
+// target rows, columns and planes whose taps reach the map's support —
+// the box around its voxels that are not +0 — are sampled; every other
+// voxel is written +0, the value sampling would give.
 func MergeSampler(corr *volume.Volume, nx, ny, nz int) (plane func(z int, dst []float32)) {
 	// axis maps target voxels 0..n-1 onto source coordinates 0..src-1;
 	// a one-voxel target axis samples coordinate 0.
@@ -81,7 +87,66 @@ func MergeSampler(corr *volume.Volume, nx, ny, nz int) (plane func(z int, dst []
 		}
 		return cs
 	}
-	return corr.PlaneSampler(axis(nx, corr.NX), axis(ny, corr.NY), axis(nz, corr.NZ))
+	xs, ys, zs := axis(nx, corr.NX), axis(ny, corr.NY), axis(nz, corr.NZ)
+	lo, hi := support(corr)
+	x0, x1 := window(xs, corr.NX, lo[0], hi[0])
+	y0, y1 := window(ys, corr.NY, lo[1], hi[1])
+	z0, z1 := window(zs, corr.NZ, lo[2], hi[2])
+	if x0 == x1 || y0 == y1 {
+		z0, z1 = 0, 0
+	}
+	var box func(k int, dst []float32)
+	if z0 < z1 {
+		box = corr.PlaneSampler(xs[x0:x1], ys[y0:y1], zs[z0:z1])
+	}
+	w, buf := x1-x0, make([]float32, (x1-x0)*(y1-y0))
+	return func(z int, dst []float32) {
+		dst = dst[:nx*ny]
+		clear(dst)
+		if z < z0 || z >= z1 {
+			return
+		}
+		box(z-z0, buf)
+		for y := y0; y < y1; y++ {
+			copy(dst[y*nx+x0:y*nx+x1], buf[(y-y0)*w:])
+		}
+	}
+}
+
+// support returns the smallest box [lo, hi] (per axis, inclusive)
+// holding every voxel of v that is not +0; lo > hi when there is none.
+func support(v *volume.Volume) (lo, hi [3]int) {
+	lo, hi = [3]int{v.NX, v.NY, v.NZ}, [3]int{-1, -1, -1}
+	i := 0
+	for z := 0; z < v.NZ; z++ {
+		for y := 0; y < v.NY; y++ {
+			for x := 0; x < v.NX; x++ {
+				if math.Float32bits(v.Data[i]) != 0 {
+					for a, c := range [3]int{x, y, z} {
+						lo[a], hi[a] = min(lo[a], c), max(hi[a], c)
+					}
+				}
+				i++
+			}
+		}
+	}
+	return lo, hi
+}
+
+// window returns the run [a, b) of the increasing coordinates cs whose
+// trilinear taps along an axis of n voxels — floor(c) and floor(c)+1,
+// each clamped to [0, n) — reach a source index in [lo, hi].
+func window(cs []float64, n, lo, hi int) (a, b int) {
+	reaches := func(c float64) bool {
+		i := int(math.Floor(c))
+		return min(max(i, 0), n-1) <= hi && min(max(i+1, 0), n-1) >= lo
+	}
+	for a < len(cs) && !reaches(cs[a]) {
+		a++
+	}
+	for b = a; b < len(cs) && reaches(cs[b]); b++ {
+	}
+	return a, b
 }
 
 // MIP accumulates, from z-planes handed to Add, a maximum-intensity
@@ -110,18 +175,24 @@ func (m *MIP) Add(anat, fn []float32) {
 	if !m.seeded {
 		m.min, m.max, m.seeded = anat[0], anat[0], true
 	}
+	// The anatomy's fold, then the map's: each keeps its voxel order.
+	peak, lo, hi := m.peak[:len(anat)], m.min, m.max
 	for p, v := range anat {
-		if v > m.peak[p] {
-			m.peak[p] = v
+		if v > peak[p] {
+			peak[p] = v
 		}
-		if v < m.min {
-			m.min = v
+		if v < lo {
+			lo = v
 		}
-		if v > m.max {
-			m.max = v
+		if v > hi {
+			hi = v
 		}
-		if float64(fn[p]) >= m.clip {
-			m.active[p] = true
+	}
+	m.min, m.max = lo, hi
+	active, clip := m.active[:len(anat)], m.clip
+	for p, v := range fn[:len(anat)] {
+		if float64(v) >= clip {
+			active[p] = true
 		}
 	}
 }

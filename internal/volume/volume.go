@@ -107,17 +107,19 @@ func (v *Volume) Trilinear(x, y, z float64) float32 {
 }
 
 // tap is one axis of a trilinear sample: the two clamped source indices
-// around a coordinate and the weight of the upper one.
+// around a coordinate, the weight f of the upper one and the weight
+// g = 1-f of the lower one, computed once per tap instead of per voxel.
 type tap struct {
 	i0, i1 int
-	f      float64
+	f, g   float64
 }
 
 // tapAt turns a sampling coordinate along an axis of length n into a
 // tap, exactly as Trilinear treats each of its three coordinates.
 func tapAt(c float64, n int) tap {
 	c0 := int(math.Floor(c))
-	return tap{clamp(c0, n), clamp(c0+1, n), c - float64(c0)}
+	f := c - float64(c0)
+	return tap{clamp(c0, n), clamp(c0+1, n), f, 1 - f}
 }
 
 // lines holds two equal-length lines of float64s, each tagged with the
@@ -173,8 +175,13 @@ func (l *lines) get(t, keep int) ([]float64, bool) {
 type Sampler struct {
 	v          *Volume
 	tx, ty, tz []tap
-	rows       lines // source rows of one slice, interpolated along x
-	slices     lines // source slices, interpolated along x and y
+	// run is the longest stretch tx[lo:hi] of x taps that read two
+	// adjacent source voxels at a fixed offset from their index,
+	// i0 = i + off and i1 = i0 + 1: a shift's unclamped interior, which
+	// row interpolates from two contiguous source slices.
+	run    struct{ lo, hi, off int }
+	rows   lines // source rows of one slice, interpolated along x
+	slices lines // source slices, interpolated along x and y
 }
 
 // Reset points the sampler at v and the grid xs x ys x zs.
@@ -193,9 +200,21 @@ func axisTaps(taps []tap, coords []float64, n int) []tap {
 	return taps
 }
 
-// bind attaches v and empties both caches for the current taps.
+// bind attaches v, finds the x taps' contiguous run and empties both
+// caches for the current taps.
 func (s *Sampler) bind(v *Volume) {
 	s.v = v
+	s.run.lo, s.run.hi, s.run.off = 0, 0, 0
+	for lo := 0; lo < len(s.tx); {
+		off, hi := s.tx[lo].i0-lo, lo
+		for hi < len(s.tx) && s.tx[hi].i0 == hi+off && s.tx[hi].i1 == hi+off+1 {
+			hi++
+		}
+		if hi-lo > s.run.hi-s.run.lo {
+			s.run.lo, s.run.hi, s.run.off = lo, hi, off
+		}
+		lo = max(hi, lo+1)
+	}
 	s.rows.reset(len(s.tx))
 	s.slices.reset(len(s.tx) * len(s.ty))
 }
@@ -206,7 +225,7 @@ func (s *Sampler) Plane(k int, dst []float32) {
 	c0, c1 := s.slice(z.i0, z.i1), s.slice(z.i1, z.i0)
 	dst, c1 = dst[:len(c0)], c1[:len(c0)] // bounds checked once, not per voxel
 	for i := range dst {
-		dst[i] = float32(c0[i]*(1-z.f) + c1[i]*z.f)
+		dst[i] = float32(c0[i]*z.g + c1[i]*z.f)
 	}
 }
 
@@ -223,7 +242,7 @@ func (s *Sampler) slice(z, keep int) []float64 {
 		out := c[j*n : (j+1)*n]
 		c00, c10 := s.row(y.i0, y.i1, z)[:n], s.row(y.i1, y.i0, z)[:n]
 		for i := range out {
-			out[i] = c00[i]*(1-y.f) + c10[i]*y.f
+			out[i] = c00[i]*y.g + c10[i]*y.f
 		}
 	}
 	return c
@@ -237,8 +256,22 @@ func (s *Sampler) row(y, keep, z int) []float64 {
 		return c
 	}
 	r, c := s.v.row(y, z), c[:len(s.tx)]
-	for i, x := range s.tx {
-		c[i] = float64(r[x.i0])*(1-x.f) + float64(r[x.i1])*x.f
+	lo, hi, off := s.run.lo, s.run.hi, s.run.off
+	for i, x := range s.tx[:lo] {
+		c[i] = float64(r[x.i0])*x.g + float64(r[x.i1])*x.f
+	}
+	// The run: the same expression, its two source voxels read from
+	// two contiguous slices instead of through each tap's indices.
+	if lo < hi {
+		out, taps := c[lo:hi], s.tx[lo:hi]
+		r0, r1 := r[lo+off:hi+off], r[lo+off+1:hi+off+1]
+		r0, r1, taps = r0[:len(out)], r1[:len(out)], taps[:len(out)]
+		for i := range out {
+			out[i] = float64(r0[i])*taps[i].g + float64(r1[i])*taps[i].f
+		}
+	}
+	for i, x := range s.tx[hi:] {
+		c[hi+i] = float64(r[x.i0])*x.g + float64(r[x.i1])*x.f
 	}
 	return c
 }
@@ -275,9 +308,17 @@ func (s *Sampler) Shift(dst, v *Volume, dx, dy, dz float64) {
 		panic(fmt.Sprintf("volume: Shift into a %dx%dx%d volume that is not a distinct copy of the %dx%dx%d source",
 			dst.NX, dst.NY, dst.NZ, v.NX, v.NY, v.NZ))
 	}
+	s.ResetShift(v, dx, dy, dz)
+	s.planes(dst)
+}
+
+// ResetShift points the sampler at v and the grid Shift samples for the
+// translation (dx, dy, dz), so that Plane(k, dst) writes z-plane k of
+// the shifted volume: a caller that consumes each plane as it is made
+// takes them in z order.
+func (s *Sampler) ResetShift(v *Volume, dx, dy, dz float64) {
 	s.tx, s.ty, s.tz = shiftTaps(s.tx, v.NX, dx), shiftTaps(s.ty, v.NY, dy), shiftTaps(s.tz, v.NZ, dz)
 	s.bind(v)
-	s.planes(dst)
 }
 
 // shiftTaps refills taps with the taps of coordinates i - d, i in
