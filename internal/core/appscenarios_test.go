@@ -130,3 +130,31 @@ func TestFSIPrivateTestbedLeaksNoGoroutine(t *testing.T) {
 		time.Sleep(wait)
 	}
 }
+
+// TestRTSessionMotionFitsConverge pins the default session's motion
+// fits. Each fit starts from the previous scan's estimate, so the moved
+// half of the session — the 15 scans after the subject moves by
+// (0.8, -0.4, 0) voxels at scan 15 — takes one long fit and then about
+// one iteration a scan: 23 iterations, against 110 when every fit
+// started from zero. No fit stops at its iteration cap.
+func TestRTSessionMotionFitsConverge(t *testing.T) {
+	rep, err := Run(context.Background(), "fire-rt-session")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rep.(*RTSessionReport)
+	if len(r.FitIterations) != r.Scans || r.Scans != 30 {
+		t.Fatalf("%d iteration counts for %d scans, want 30", len(r.FitIterations), r.Scans)
+	}
+	total, moved := 0, 0
+	for scan, n := range r.FitIterations {
+		total += n
+		if scan >= r.Scans/2 {
+			moved += n
+		}
+	}
+	if total != 40 || moved != 23 || r.FitsAtMaxIter != 0 {
+		t.Errorf("fits took %d iterations, %d of them after the subject moved, %d stopped at the cap; want 40, 23 and 0",
+			total, moved, r.FitsAtMaxIter)
+	}
+}

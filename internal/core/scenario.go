@@ -267,6 +267,14 @@ func RunAll(ctx context.Context, names []string, opts ...Option) ([]RunResult, e
 	if workers > len(scns) {
 		workers = len(scns)
 	}
+	// A pool of several workers already keeps the cores busy with
+	// scenarios, so a sweep among them takes one shard: more would
+	// build testbeds and goroutines that only compete with the pool.
+	// A scenario run alone (Run, or a pool of one) keeps its fan-out.
+	each := o
+	if workers > 1 {
+		each.Workers = 1
+	}
 	results := make([]RunResult, len(scns))
 	var started = make([]bool, len(scns))
 	idx := make(chan int)
@@ -276,7 +284,7 @@ func RunAll(ctx context.Context, names []string, opts ...Option) ([]RunResult, e
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = runOne(ctx, scns[i], o)
+				results[i] = runOne(ctx, scns[i], each)
 			}
 		}()
 	}

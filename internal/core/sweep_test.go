@@ -178,6 +178,37 @@ func TestSweepDefaultShardsRespectWorkersBound(t *testing.T) {
 	}
 }
 
+// RunAll's pool already runs one scenario per worker, so a sweep inside
+// a pool of several takes one shard; the same sweep run alone fans out
+// over min(GOMAXPROCS, points) shards.
+func TestRunAllSweepsTakeOneShardEach(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	sweeps := []string{"backbone-aggregate", "fmri-pe-sweep"}
+	results, err := RunAll(context.Background(), sweeps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name, r.Err)
+		}
+		if n := len(r.Report.(ShardedReport).ShardTimings()); n != 1 {
+			t.Errorf("%s in a pool of two ran on %d shards, want 1", r.Name, n)
+		}
+	}
+	for _, name := range sweeps {
+		rep, err := Run(context.Background(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _ := Lookup(name)
+		want := min(runtime.GOMAXPROCS(0), len(s.(*Sweep).Points()))
+		if n := len(rep.(ShardedReport).ShardTimings()); n != want || want < 2 {
+			t.Errorf("%s alone ran on %d shards, want min(GOMAXPROCS, points) = %d (at least 2)", name, n, want)
+		}
+	}
+}
+
 // registerBlockingSweep registers a sweep whose points park until the
 // run context is cancelled, and returns a cleanup plus a counter of
 // points that started.

@@ -1,6 +1,10 @@
 package mri
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/volume"
+)
 
 var (
 	benchPhantom *Phantom
@@ -26,5 +30,23 @@ func BenchmarkHeadPlanesHiRes(b *testing.B) {
 			head(z, plane, nil)
 		}
 		benchPlane = plane
+	}
+}
+
+var benchScan *volume.Volume
+
+// BenchmarkScannerNext: figure 3's measurement, 48 noisy 64x64x16 scans
+// of one activation site, synthesized by a new scanner per op — what
+// figure3-overlay runs twice.
+func BenchmarkScannerNext(b *testing.B) {
+	act := Activation{CX: 32, CY: 30, CZ: 8, Radius: 5, Amplitude: 0.05, HRF: DefaultHRF}
+	ph := NewPhantom(64, 64, 16, []Activation{act})
+	cfg := ScanConfig{NX: 64, NY: 64, NZ: 16, TR: 2, NScans: 48, NoiseStd: 3, Seed: 42}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sc := NewScanner(ph, cfg)
+		for v := sc.Next(); v != nil; v = sc.Next() {
+			benchScan = v
+		}
 	}
 }

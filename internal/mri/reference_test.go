@@ -245,3 +245,162 @@ func TestScannerSeriesEqualsPerVoxelEnvelopeBitForBit(t *testing.T) {
 		}
 	}
 }
+
+// parentHeadPlanes is HeadPlanes as it was before its per-row terms were
+// hoisted and its mask loop split out, kept verbatim but for its name.
+func parentHeadPlanes(nx, ny, nz int) (plane func(z int, dst []float32, mask []bool)) {
+	cx, cy, cz := float64(nx-1)/2, float64(ny-1)/2, float64(nz-1)/2
+	rx, ry, rz := float64(nx)*0.42, float64(ny)*0.42, float64(nz)*0.46
+	// Everything that depends on one coordinate only — the ellipsoid
+	// offsets and the texture's trigonometry — is tabulated per axis.
+	axis := func(n int, f func(i float64) float64) []float64 {
+		t := make([]float64, n)
+		for i := range t {
+			t[i] = f(float64(i))
+		}
+		return t
+	}
+	exs := axis(nx, func(x float64) float64 { return (x - cx) / rx })
+	eys := axis(ny, func(y float64) float64 { return (y - cy) / ry })
+	ezs := axis(nz, func(z float64) float64 { return (z - cz) / rz })
+	sinX := axis(nx, func(x float64) float64 { return math.Sin(x * 0.4) })
+	cosY := axis(ny, func(y float64) float64 { return math.Cos(y * 0.3) })
+	sinZ := axis(nz, math.Sin)
+	return func(z int, dst []float32, mask []bool) {
+		ez, sz, i := ezs[z], sinZ[z], 0
+		for y, ey := range eys {
+			for x, ex := range exs {
+				r := ex*ex + ey*ey + ez*ez
+				switch {
+				case r < 0.75: // brain tissue with mild spatial texture
+					dst[i] = float32(800 + 150*sinX[x]*cosY[y] + 50*sz)
+				case r < 1.0: // skull/scalp shell
+					dst[i] = 300
+				default: // air
+					dst[i] = 0
+				}
+				if mask != nil {
+					mask[i] = r < 0.75
+				}
+				i++
+			}
+		}
+	}
+}
+
+// stale fills a plane and a mask with what a reused buffer may hold:
+// -0, infinities, NaN and set mask bits.
+func stale(plane []float32, mask []bool) {
+	specials := []float32{float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 7}
+	for i := range plane {
+		plane[i] = specials[i%len(specials)]
+	}
+	for i := range mask {
+		mask[i] = i%3 != 0
+	}
+}
+
+func TestHeadPlanesEqualParentBitForBit(t *testing.T) {
+	for _, d := range [][3]int{{64, 64, 16}, {256, 256, 128}, {5, 1, 3}, {7, 9, 1}, {1, 1, 1}, {33, 17, 5}} {
+		n := d[0] * d[1]
+		head, parent := HeadPlanes(d[0], d[1], d[2]), parentHeadPlanes(d[0], d[1], d[2])
+		got, want := volume.New(d[0], d[1], 1), volume.New(d[0], d[1], 1)
+		gotMask, wantMask := make([]bool, n), make([]bool, n)
+		for z := 0; z < d[2]; z++ {
+			for _, withMask := range []bool{true, false} {
+				stale(got.Data, gotMask)
+				stale(want.Data, wantMask)
+				gm, wm := gotMask, wantMask
+				if !withMask {
+					gm, wm = nil, nil
+				}
+				head(z, got.Data, gm)
+				parent(z, want.Data, wm)
+				if digest(gotMask, got) != digest(wantMask, want) {
+					t.Fatalf("%dx%dx%d plane %d (mask %v): differs from the parent's HeadPlanes", d[0], d[1], d[2], z, withMask)
+				}
+			}
+		}
+	}
+}
+
+// parentNext is Scanner.Next as it was before its per-scan invariants
+// were hoisted out of the voxel loop, kept verbatim but for its name.
+func (s *Scanner) parentNext() *volume.Volume {
+	if s.t >= s.Cfg.NScans {
+		return nil
+	}
+	var m Shift
+	if s.t < len(s.Cfg.Motion) {
+		m = s.Cfg.Motion[s.t]
+	}
+	moved := m.DX != 0 || m.DY != 0 || m.DZ != 0
+	out := s.vol
+	if moved {
+		if s.raw == nil {
+			s.raw = volume.New(out.NX, out.NY, out.NZ)
+		}
+		out = s.raw
+	}
+	ph := s.Phantom
+	drift := s.Cfg.DriftPerScan * float64(s.t)
+	gains := s.gains
+	for idx, b := range ph.Anatomy.Data {
+		sig := float64(b)
+		if ph.BrainMask[idx] {
+			for ; len(gains) > 0 && gains[0].voxel == idx; gains = gains[1:] {
+				sig *= 1 + gains[0].depth*s.refs[gains[0].act][s.t]
+			}
+			sig += drift
+		}
+		if s.Cfg.NoiseStd > 0 {
+			sig += s.rng.NormFloat64() * s.Cfg.NoiseStd
+		}
+		out.Data[idx] = float32(sig)
+	}
+	if moved {
+		s.shift.Shift(s.vol, s.raw, m.DX, m.DY, m.DZ)
+	}
+	s.t++
+	return s.vol
+}
+
+func TestScannerNextEqualsParentBitForBit(t *testing.T) {
+	acts := []Activation{
+		{CX: 12, CY: 14, CZ: 5, Radius: 5, Amplitude: 0.04, HRF: DefaultHRF},
+		{CX: 16, CY: 14, CZ: 6, Radius: 4.5, Amplitude: 0.03, HRF: HRF{Delay: 5, Dispersion: 1.2}},
+		{CX: 16, CY: 18, CZ: 8, Radius: 2, Amplitude: 0.05, HRF: DefaultHRF}, // among the last brain voxels
+	}
+	ph := NewPhantom(32, 32, 10, acts)
+	// Sources a scan may meet: -0 in the air, and infinities and NaN in
+	// and outside the brain, one of them at an activated voxel.
+	for i, v := range ph.Anatomy.Data {
+		if v == 0 {
+			ph.Anatomy.Data[i] = float32(math.Copysign(0, -1))
+		}
+	}
+	for i, x := range []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())} {
+		ph.Anatomy.Set(12+i, 14, 5, x)  // brain, activated
+		ph.Anatomy.Set(1+i, 1, 0, x)    // air
+		ph.Anatomy.Set(16, 3+i*4, 5, x) // wherever the ellipsoid puts it
+	}
+	motion := []Shift{{}, {DX: 0.4}, {DX: -1.3, DY: 0.2, DZ: 0.6}, {}, {DY: 2}, {DZ: 40}, {DX: 0.7, DY: -0.7}}
+	for _, cfg := range []ScanConfig{
+		{NX: 32, NY: 32, NZ: 10, TR: 2, NScans: 9, NoiseStd: 4, DriftPerScan: 0.5, Seed: 21, Motion: motion},
+		{NX: 32, NY: 32, NZ: 10, TR: 2, NScans: 5, Seed: 5, Stimulus: []float64{0, 1, 1, 0, 1}}, // no noise, no drift
+	} {
+		got, want := NewScanner(ph, cfg), NewScanner(ph, cfg)
+		for scan := 0; ; scan++ {
+			g, w := got.Next(), want.parentNext()
+			if (g == nil) != (w == nil) {
+				t.Fatalf("scan %d: Next gave %v, the parent's %v", scan, g != nil, w != nil)
+			}
+			if g == nil {
+				break
+			}
+			if digest(nil, g) != digest(nil, w) {
+				t.Fatalf("seed %d scan %d differs from the parent's Next", cfg.Seed, scan)
+			}
+		}
+	}
+}
