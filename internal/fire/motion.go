@@ -94,6 +94,12 @@ func estimateShift(s *volume.Sampler, moved, ref, cur *volume.Volume, opts Motio
 		// differences; plane z's are taken once plane z+1 is made.
 		// J^T J is symmetric and g[i]*g[j] == g[j]*g[i] exactly, so six
 		// running sums, each in serial voxel order, are its nine entries.
+		// The sums take the differences unhalved and are scaled by 1/4
+		// (1/2 for J^T r) at the end: a power-of-two scale commutes with
+		// every rounding here, because a product of two float32
+		// differences is 0 or a multiple of 2^-298, far from float64's
+		// subnormals, and far below its overflow, so each sum is the
+		// same bits as the sum of halved gradients.
 		s.ResetShift(cur, -d[0], -d[1], -d[2])
 		var xx, xy, xz, yy, yz, zz, rx, ry, rz float64
 		m := moved.Data
@@ -113,9 +119,9 @@ func estimateShift(s *volume.Sampler, moved, ref, cur *volume.Volume, opts Motio
 				zm, zp := m[v-plane : v-plane+w][:len(c)], m[v+plane : v+plane+w][:len(c)]
 				rf = rf[:len(c)]
 				for x := range c {
-					gx := float64(xp[x]-xm[x]) / 2
-					gy := float64(yp[x]-ym[x]) / 2
-					gz := float64(zp[x]-zm[x]) / 2
+					gx := float64(xp[x] - xm[x])
+					gy := float64(yp[x] - ym[x])
+					gz := float64(zp[x] - zm[x])
 					r := float64(rf[x] - c[x])
 					xx += gx * gx
 					xy += gx * gy
@@ -129,6 +135,8 @@ func estimateShift(s *volume.Sampler, moved, ref, cur *volume.Volume, opts Motio
 				}
 			}
 		}
+		xx, xy, xz, yy, yz, zz = xx/4, xy/4, xz/4, yy/4, yz/4, zz/4
+		rx, ry, rz = rx/2, ry/2, rz/2
 		for i, row := range [3][3]float64{{xx, xy, xz}, {xy, yy, yz}, {xz, yz, zz}} {
 			for j, v := range row {
 				a.Set(i, j, v)

@@ -30,8 +30,8 @@ type Result struct {
 // correlation with the normalized reference vector ref. Each scan's
 // motion fit starts from the previous scan's estimate (the first from
 // zero): a subject holds a position from one 2-second scan to the next.
-// Every scan must have motionRef's matrix. ctx is checked before each scan, and the
-// correlation map is computed once, after the last.
+// Every scan must have motionRef's matrix. ctx is checked before each
+// scan, and the correlation map is computed once, after the last.
 func RunSession(ctx context.Context, client *RTClient, ref []float64, motionRef *volume.Volume) (*Result, error) {
 	if client == nil {
 		return nil, fmt.Errorf("fire: session has no RT client")
