@@ -226,11 +226,8 @@ type Scanner struct {
 	// envelope, in voxel order and, within a voxel, activation order —
 	// the order Next applies them in.
 	gains []gain
-	// resp holds each activation's expected response at the scan Next
-	// is synthesizing.
-	resp []float64
-	rng  *rand.Rand
-	t    int
+	rng   *rand.Rand
+	t     int
 	// vol is the volume Next returns every call. A moved scan is
 	// synthesized into raw and shifted into vol through shift.
 	vol, raw *volume.Volume
@@ -255,7 +252,6 @@ func NewScanner(ph *Phantom, cfg ScanConfig) *Scanner {
 	for _, a := range ph.Activations {
 		s.refs = append(s.refs, a.HRF.Convolve(cfg.Stimulus, cfg.TR))
 	}
-	s.resp = make([]float64, len(s.refs))
 	// The envelopes do not change from scan to scan: evaluate them once.
 	for idx, brain := range ph.BrainMask {
 		if !brain {
@@ -298,13 +294,10 @@ func (s *Scanner) Next() *volume.Volume {
 		out = s.raw
 	}
 	// Everything that holds for the whole scan is read once: the
-	// drift, the noise and its generator, each activation's response at
-	// this scan, and the next voxel an activation modulates.
-	ph := s.Phantom
-	drift, std, rng := s.Cfg.DriftPerScan*float64(s.t), s.Cfg.NoiseStd, s.rng
-	for i, ref := range s.refs {
-		s.resp[i] = ref[s.t]
-	}
+	// drift, the noise and its generator, and the next voxel an
+	// activation modulates.
+	ph, t := s.Phantom, s.t
+	drift, std, rng := s.Cfg.DriftPerScan*float64(t), s.Cfg.NoiseStd, s.rng
 	gains, next := s.gains, -1
 	if len(gains) > 0 {
 		next = gains[0].voxel
@@ -315,7 +308,7 @@ func (s *Scanner) Next() *volume.Volume {
 		sig := float64(b)
 		if mask[idx] {
 			for idx == next {
-				sig *= 1 + gains[0].depth*s.resp[gains[0].act]
+				sig *= 1 + gains[0].depth*s.refs[gains[0].act][t]
 				if gains, next = gains[1:], -1; len(gains) > 0 {
 					next = gains[0].voxel
 				}
