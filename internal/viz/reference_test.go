@@ -271,14 +271,20 @@ func TestMergeSamplerEqualsParentBitForBit(t *testing.T) {
 func TestMIPAddEqualsParentBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	values := []float32{negZero, 0, inf, -inf, nan, 0.5, 0.49999997, -3}
-	for _, clip := range []float64{0.5, math.Inf(-1), math.NaN()} {
+	// A head-like anatomy too — only ±0, the shell's 300 and brain
+	// values — so that the range's minimum ties -0 with +0.
+	head := []float32{negZero, 0, 0, 300, 812.5, negZero}
+	for _, clip := range []float64{0.5, math.Inf(-1), math.NaN(), 0.25} {
 		const nx, ny = 9, 7
 		got, want := NewMIP(nx, ny, clip), NewMIP(nx, ny, clip)
 		anat, fn := make([]float32, nx*ny), make([]float32, nx*ny)
 		for z := 0; z < 12; z++ {
 			for i := range anat {
 				anat[i], fn[i] = float32(rng.NormFloat64()*100), float32(rng.Float64())
-				if rng.Intn(3) == 0 {
+				if clip == 0.25 {
+					anat[i] = head[rng.Intn(len(head))]
+				}
+				if rng.Intn(3) == 0 && clip != 0.25 {
 					anat[i] = values[rng.Intn(len(values))]
 				}
 				if rng.Intn(3) == 0 {
