@@ -225,30 +225,30 @@ func Figure3Overlay() (Figure3Result, error) {
 	}
 	res := Figure3Result{Scans: corr.Scans()}
 	clip := 0.5
-	roi := make([]bool, m.Voxels())
+	var roi []int
 	for i, v := range m.Data {
 		if float64(v) >= clip {
-			res.ActivatedVoxels++
-			roi[i] = true
+			roi = append(roi, i)
 		}
 		if float64(v) > res.PeakCorrelation {
 			res.PeakCorrelation = float64(v)
 		}
 	}
+	res.ActivatedVoxels = len(roi)
 	// The map fixes the ROI only once every scan is in, so a second
-	// scanner replays the identical measurement and each scan is reduced
-	// to its ROI mean as it arrives, summed in voxel order.
-	if res.ActivatedVoxels > 0 {
+	// scanner replays the identical measurement at the ROI's voxels
+	// alone, and each scan is reduced to its ROI mean as it arrives,
+	// summed in voxel order.
+	if len(roi) > 0 {
 		sc = mri.NewScanner(ph, cfg)
+		vals := make([]float32, len(roi))
 		res.ROICourse = make([]float64, 0, cfg.NScans)
-		for v := sc.Next(); v != nil; v = sc.Next() {
+		for sc.NextROI(roi, vals) {
 			var s float64
-			for i, in := range roi {
-				if in {
-					s += float64(v.Data[i])
-				}
+			for _, x := range vals {
+				s += float64(x)
 			}
-			res.ROICourse = append(res.ROICourse, s/float64(res.ActivatedVoxels))
+			res.ROICourse = append(res.ROICourse, s/float64(len(roi)))
 		}
 	}
 	img, err := viz.RenderOverlay(ph.Anatomy, m, 8, clip)

@@ -1,6 +1,7 @@
 package mri
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/volume"
@@ -49,4 +50,42 @@ func BenchmarkScannerNext(b *testing.B) {
 			benchScan = v
 		}
 	}
+}
+
+var benchNoise float64
+
+// BenchmarkNoise: ns per Gaussian draw of one stream three ways —
+// math/rand's NormFloat64, the scanner's chunked fill, and the skip
+// NextROI steps past the voxels it does not synthesize with.
+func BenchmarkNoise(b *testing.B) {
+	const draws = 1 << 16 // one 64x64x16 scan
+	b.Run("mathrand", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(43))
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < draws; k++ {
+				benchNoise = rng.NormFloat64()
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*draws), "ns/draw")
+	})
+	b.Run("fill", func(b *testing.B) {
+		var g noiseSource
+		g.seed(43)
+		buf := make([]float64, noiseChunk)
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < draws; k += noiseChunk {
+				g.fill(buf)
+			}
+		}
+		benchNoise = buf[0]
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*draws), "ns/draw")
+	})
+	b.Run("skip", func(b *testing.B) {
+		var g noiseSource
+		g.seed(43)
+		for i := 0; i < b.N; i++ {
+			g.skip(draws)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*draws), "ns/draw")
+	})
 }

@@ -12,7 +12,6 @@ package mri
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/volume"
 )
@@ -226,7 +225,10 @@ type Scanner struct {
 	// envelope, in voxel order and, within a voxel, activation order —
 	// the order Next applies them in.
 	gains []gain
-	rng   *rand.Rand
+	rng   noiseSource
+	// noise holds one chunk's noise draws: Next draws them a chunk at a
+	// time, ahead of the voxels they are added to.
+	noise []float64
 	t     int
 	// vol is the volume Next returns every call. A moved scan is
 	// synthesized into raw and shifted into vol through shift.
@@ -247,8 +249,9 @@ func NewScanner(ph *Phantom, cfg ScanConfig) *Scanner {
 		cfg.Stimulus = BlockStimulus(cfg.NScans, 8)
 	}
 	base := ph.Anatomy
-	s := &Scanner{Phantom: ph, Cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + 1)),
-		vol: volume.New(base.NX, base.NY, base.NZ)}
+	s := &Scanner{Phantom: ph, Cfg: cfg, vol: volume.New(base.NX, base.NY, base.NZ),
+		noise: make([]float64, min(noiseChunk, len(base.Data)))}
+	s.rng.seed(cfg.Seed + 1)
 	for _, a := range ph.Activations {
 		s.refs = append(s.refs, a.HRF.Convolve(cfg.Stimulus, cfg.TR))
 	}
@@ -270,6 +273,19 @@ func NewScanner(ph *Phantom, cfg ScanConfig) *Scanner {
 // ScansDone reports how many volumes have been generated so far.
 func (s *Scanner) ScansDone() int { return s.t }
 
+// noiseChunk is how many voxels' noise Next draws at a time.
+const noiseChunk = 4096
+
+// motion reports the subject's displacement during scan t and whether
+// there is one.
+func (s *Scanner) motion(t int) (Shift, bool) {
+	var m Shift
+	if t < len(s.Cfg.Motion) {
+		m = s.Cfg.Motion[t]
+	}
+	return m, m.DX != 0 || m.DY != 0 || m.DZ != 0
+}
+
 // Next synthesizes the next volume in the series, or returns nil when
 // the acquisition is complete.
 //
@@ -281,11 +297,7 @@ func (s *Scanner) Next() *volume.Volume {
 	if s.t >= s.Cfg.NScans {
 		return nil
 	}
-	var m Shift
-	if s.t < len(s.Cfg.Motion) {
-		m = s.Cfg.Motion[s.t]
-	}
-	moved := m.DX != 0 || m.DY != 0 || m.DZ != 0
+	m, moved := s.motion(s.t)
 	out := s.vol
 	if moved {
 		if s.raw == nil {
@@ -294,37 +306,97 @@ func (s *Scanner) Next() *volume.Volume {
 		out = s.raw
 	}
 	// Everything that holds for the whole scan is read once: the
-	// drift, the noise and its generator, and the next voxel an
-	// activation modulates.
+	// drift, the noise, and the next voxel an activation modulates.
 	ph, t := s.Phantom, s.t
-	drift, std, rng := s.Cfg.DriftPerScan*float64(t), s.Cfg.NoiseStd, s.rng
+	drift, std := s.Cfg.DriftPerScan*float64(t), s.Cfg.NoiseStd
 	gains, next := s.gains, -1
 	if len(gains) > 0 {
 		next = gains[0].voxel
 	}
 	anat := ph.Anatomy.Data
 	mask, dst := ph.BrainMask[:len(anat)], out.Data[:len(anat)]
-	for idx, b := range anat {
-		sig := float64(b)
-		if mask[idx] {
-			for idx == next {
-				sig *= 1 + gains[0].depth*s.refs[gains[0].act][t]
-				if gains, next = gains[1:], -1; len(gains) > 0 {
-					next = gains[0].voxel
-				}
-			}
-			sig += drift
-		}
+	for c := 0; c < len(anat); c += noiseChunk {
+		chunk := anat[c:min(c+noiseChunk, len(anat))]
+		brain, voxels, noise := mask[c:c+len(chunk)], dst[c:c+len(chunk)], s.noise[:len(chunk)]
 		if std > 0 {
-			sig += rng.NormFloat64() * std
+			s.rng.fill(noise)
 		}
-		dst[idx] = float32(sig)
+		for k, b := range chunk {
+			sig := float64(b)
+			if brain[k] {
+				for c+k == next {
+					sig *= 1 + gains[0].depth*s.refs[gains[0].act][t]
+					if gains, next = gains[1:], -1; len(gains) > 0 {
+						next = gains[0].voxel
+					}
+				}
+				sig += drift
+			}
+			if std > 0 {
+				sig += noise[k] * std
+			}
+			voxels[k] = float32(sig)
+		}
 	}
 	if moved {
 		s.shift.Shift(s.vol, s.raw, m.DX, m.DY, m.DZ)
 	}
 	s.t++
 	return s.vol
+}
+
+// NextROI synthesizes the next scan at the given voxels only, or
+// reports false, writing nothing, when the acquisition is complete:
+// dst[k] gets the value Next's volume would hold at voxel index
+// voxels[k]. The indices must be ascending and dst at least as long.
+//
+// The noise draws of every other voxel are stepped past, not computed,
+// so later scans are the ones Next would give. A scan that moves is
+// synthesized whole by Next and gathered, since every voxel of a
+// shifted scan reads its neighbours.
+func (s *Scanner) NextROI(voxels []int, dst []float32) bool {
+	if s.t >= s.Cfg.NScans {
+		return false
+	}
+	dst = dst[:len(voxels)]
+	if _, moved := s.motion(s.t); moved {
+		v := s.Next()
+		for k, idx := range voxels {
+			dst[k] = v.Data[idx]
+		}
+		return true
+	}
+	// The per-voxel arithmetic is Next's.
+	ph, t := s.Phantom, s.t
+	drift, std := s.Cfg.DriftPerScan*float64(t), s.Cfg.NoiseStd
+	anat, gains, drawn := ph.Anatomy.Data, s.gains, 0
+	mask := ph.BrainMask[:len(anat)]
+	for k, idx := range voxels {
+		if k > 0 && idx <= voxels[k-1] {
+			panic("mri: NextROI voxels are not ascending")
+		}
+		sig := float64(anat[idx])
+		if mask[idx] {
+			for len(gains) > 0 && gains[0].voxel < idx {
+				gains = gains[1:]
+			}
+			for ; len(gains) > 0 && gains[0].voxel == idx; gains = gains[1:] {
+				sig *= 1 + gains[0].depth*s.refs[gains[0].act][t]
+			}
+			sig += drift
+		}
+		if std > 0 {
+			s.rng.skip(idx - drawn)
+			sig += s.rng.norm() * std
+			drawn = idx + 1
+		}
+		dst[k] = float32(sig)
+	}
+	if std > 0 {
+		s.rng.skip(len(anat) - drawn)
+	}
+	s.t++
+	return true
 }
 
 // Reference returns the normalized expected response of activation i —

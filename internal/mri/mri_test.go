@@ -275,4 +275,75 @@ func TestScannerOwnsItsVolumeAndAllocatesNothingPerScan(t *testing.T) {
 	if sc.Next() != nil {
 		t.Error("scanner did not stop after NScans")
 	}
+	// NextROI, on a scanner of its own, allocates nothing either: its
+	// first scan moves and sizes the same buffers through Next.
+	roi := NewScanner(ph, sc.Cfg)
+	voxels := []int{0, 100, 2000, ph.Anatomy.Voxels() - 1}
+	dst := make([]float32, len(voxels))
+	roi.NextROI(voxels, dst)
+	allocs = testing.AllocsPerRun(scans-2, func() {
+		if !roi.NextROI(voxels, dst) {
+			t.Fatalf("NextROI stopped after %d scans", roi.ScansDone())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("NextROI allocates %.1f times per scan after the first, want 0", allocs)
+	}
+	if roi.ScansDone() != scans || roi.NextROI(voxels, dst) {
+		t.Errorf("NextROI took %d scans and did not stop after NScans", roi.ScansDone())
+	}
+}
+
+func TestScannerNextROIEqualsNext(t *testing.T) {
+	acts := []Activation{
+		{CX: 12, CY: 14, CZ: 5, Radius: 5, Amplitude: 0.04, HRF: DefaultHRF},
+		{CX: 16, CY: 14, CZ: 6, Radius: 4.5, Amplitude: 0.03, HRF: HRF{Delay: 5, Dispersion: 1.2}},
+		{CX: 16, CY: 18, CZ: 8, Radius: 2, Amplitude: 0.05, HRF: DefaultHRF},
+	}
+	ph := NewPhantom(32, 32, 10, acts)
+	for i, x := range []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())} {
+		ph.Anatomy.Set(12+i, 14, 5, x) // brain, activated
+		ph.Anatomy.Set(1+i, 1, 0, x)   // air
+	}
+	last := ph.Anatomy.Voxels() - 1
+	// The voxel lists a scan is asked for, in turn: none, the first and
+	// the last, the voxels two sites modulate (as a correlation map's ROI
+	// would be), a sparse grid, and all of them.
+	var sites, grid, all []int
+	for i := 0; i <= last; i++ {
+		x, y, z := i%32, i/32%32, i/(32*32)
+		if acts[0].ActivationWeight(x, y, z) > 0 || acts[2].ActivationWeight(x, y, z) > 0 {
+			sites = append(sites, i)
+		}
+		if i%7 == 3 {
+			grid = append(grid, i)
+		}
+		all = append(all, i)
+	}
+	lists := [][]int{nil, {0, last}, sites, grid, all}
+	// Scans 1 and 3 move; scan 6 is the first list again, past the
+	// motion list.
+	motion := []Shift{{}, {DX: 0.4}, {}, {DY: -1.1, DZ: 0.3}, {}, {}}
+	dst := make([]float32, len(all))
+	for _, cfg := range []ScanConfig{
+		{NX: 32, NY: 32, NZ: 10, TR: 2, NScans: 11, NoiseStd: 4, DriftPerScan: 0.5, Seed: 21, Motion: motion},
+		{NX: 32, NY: 32, NZ: 10, TR: 2, NScans: 6, Seed: 5}, // no noise, no drift
+	} {
+		full, roi := NewScanner(ph, cfg), NewScanner(ph, cfg)
+		for scan := 0; ; scan++ {
+			voxels := lists[scan%len(lists)]
+			v, ok := full.Next(), roi.NextROI(voxels, dst)
+			if ok != (v != nil) {
+				t.Fatalf("seed %d scan %d: NextROI reports %v, Next gave a scan: %v", cfg.Seed, scan, ok, v != nil)
+			}
+			if !ok {
+				break
+			}
+			for k, i := range voxels {
+				if math.Float32bits(dst[k]) != math.Float32bits(v.Data[i]) {
+					t.Fatalf("seed %d scan %d voxel %d: NextROI %v, Next %v", cfg.Seed, scan, i, dst[k], v.Data[i])
+				}
+			}
+		}
+	}
 }

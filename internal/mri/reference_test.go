@@ -324,9 +324,18 @@ func TestHeadPlanesEqualParentBitForBit(t *testing.T) {
 	}
 }
 
+// parentScanner is a Scanner whose noise comes from math/rand, the
+// generator the scanner drew from before it had its own: its rng field
+// shadows the Scanner's.
+type parentScanner struct {
+	*Scanner
+	rng *rand.Rand
+}
+
 // parentNext is Scanner.Next as it was before its per-scan invariants
-// were hoisted out of the voxel loop, kept verbatim but for its name.
-func (s *Scanner) parentNext() *volume.Volume {
+// were hoisted out of the voxel loop, kept verbatim but for its name and
+// receiver.
+func (s parentScanner) parentNext() *volume.Volume {
 	if s.t >= s.Cfg.NScans {
 		return nil
 	}
@@ -389,7 +398,8 @@ func TestScannerNextEqualsParentBitForBit(t *testing.T) {
 		{NX: 32, NY: 32, NZ: 10, TR: 2, NScans: 9, NoiseStd: 4, DriftPerScan: 0.5, Seed: 21, Motion: motion},
 		{NX: 32, NY: 32, NZ: 10, TR: 2, NScans: 5, Seed: 5, Stimulus: []float64{0, 1, 1, 0, 1}}, // no noise, no drift
 	} {
-		got, want := NewScanner(ph, cfg), NewScanner(ph, cfg)
+		got := NewScanner(ph, cfg)
+		want := parentScanner{NewScanner(ph, cfg), rand.New(rand.NewSource(cfg.Seed + 1))}
 		for scan := 0; ; scan++ {
 			g, w := got.Next(), want.parentNext()
 			if (g == nil) != (w == nil) {
