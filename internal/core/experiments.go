@@ -326,16 +326,13 @@ func figure4WorkbenchOn(ctx context.Context, tb *Testbed) (Figure4Result, error)
 			}
 		}
 	}
-	// Head, merge and projection advance together one z-plane at a
-	// time through two reused planes, so no 256x256x128 volume exists.
+	// The head's projection comes in closed form and the merge is
+	// sampled only where the map's support reaches, so neither a
+	// 256x256x128 volume nor one of its planes is synthesized.
 	const nx, ny, nz = 256, 256, 128
-	head, merge, mip := mri.HeadPlanes(nx, ny, nz), viz.MergeSampler(corr, nx, ny, nz), viz.NewMIP(nx, ny, 0.5)
-	anat, fn := make([]float32, nx*ny), make([]float32, nx*ny)
-	for z := 0; z < nz; z++ {
-		head(z, anat, nil)
-		merge(z, fn)
-		mip.Add(anat, fn)
-	}
+	peak, lo, hi := mri.HeadProjection(nx, ny, nz)
+	mip := viz.NewMIP(nx, peak, lo, hi)
+	mip.Activate(corr, nz, 0.5)
 	img := mip.Image()
 	var buf bytes.Buffer
 	if err := viz.WritePNG(&buf, img); err != nil {

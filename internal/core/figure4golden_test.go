@@ -26,8 +26,8 @@ type figure4Golden struct {
 
 // TestFigure4Golden compares figure4-workbench's PNG digest, rows and
 // stream rate with values recorded while the head was still rendered
-// from three whole 256x256x128 volumes: the plane-by-plane pipeline
-// must draw the same image. Regenerate only for a change that means to
+// from three whole 256x256x128 volumes: the projected pipeline must
+// draw the same image. Regenerate only for a change that means to
 // alter the picture, with
 // go test ./internal/core -run TestFigure4Golden -update-figure4-golden.
 func TestFigure4Golden(t *testing.T) {
@@ -68,11 +68,12 @@ func TestFigure4Golden(t *testing.T) {
 
 // TestFigure4WorkbenchAllocatesNoVolume bounds what one figure4 run
 // allocates. Rendering from whole volumes cost 75.5 MB (anatomy,
-// brain mask, upsampled map); plane by plane it is a few 256x256
-// buffers and the PNG encoder, so a single 33 MB volume coming back
-// fails the bound.
+// brain mask, upsampled map) and plane by plane 2.2 MB; from the head's
+// projection it is the peaks, the activity, the image and the PNG
+// encoder (~1.7 MB), so a single 33 MB volume, or the plane loop's two
+// 256x256 planes and its upsampled map's cached slices, fail the bound.
 func TestFigure4WorkbenchAllocatesNoVolume(t *testing.T) {
-	const bound = 4 << 20
+	const bound = 2 << 20
 	tb := New(Config{})
 	least := leastAlloc(t, func() error {
 		_, err := figure4WorkbenchOn(context.Background(), tb)

@@ -15,12 +15,12 @@ import (
 type Correlator struct {
 	ref        []float64
 	nx, ny, nz int
-	n          int       // scans folded in
-	sx         float64   // sum of ref over folded scans
-	sxx        float64   // sum of ref^2
-	sy         []float64 // per-voxel sum of signal
-	syy        []float64 // per-voxel sum of signal^2
-	sxy        []float64 // per-voxel sum of ref*signal
+	n          int     // scans folded in
+	sx         float64 // sum of ref over folded scans
+	sxx        float64 // sum of ref^2
+	// sums holds per voxel the sums of signal, signal^2 and ref*signal,
+	// side by side so a scan streams through one array.
+	sums [][3]float64
 }
 
 // NewCorrelator creates a correlator against the given reference
@@ -29,7 +29,7 @@ func NewCorrelator(ref []float64, nx, ny, nz int) *Correlator {
 	nvox := nx * ny * nz
 	return &Correlator{
 		ref: ref, nx: nx, ny: ny, nz: nz,
-		sy: make([]float64, nvox), syy: make([]float64, nvox), sxy: make([]float64, nvox),
+		sums: make([][3]float64, nvox),
 	}
 }
 
@@ -48,11 +48,12 @@ func (c *Correlator) Add(v *volume.Volume) error {
 	x := c.ref[c.n]
 	c.sx += x
 	c.sxx += x * x
+	sums := c.sums[:len(v.Data)]
 	for i, raw := range v.Data {
-		y := float64(raw)
-		c.sy[i] += y
-		c.syy[i] += y * y
-		c.sxy[i] += x * y
+		y, s := float64(raw), &sums[i]
+		s[0] += y
+		s[1] += y * y
+		s[2] += x * y
 	}
 	c.n++
 	return nil
@@ -71,12 +72,13 @@ func (c *Correlator) Map() (*volume.Volume, error) {
 	if varX <= 0 {
 		return out, nil // constant reference so far: all zeros
 	}
-	for i := range out.Data {
-		varY := fn*c.syy[i] - c.sy[i]*c.sy[i]
+	for i, s := range c.sums[:len(out.Data)] {
+		sy, syy, sxy := s[0], s[1], s[2]
+		varY := fn*syy - sy*sy
 		if varY <= 1e-12 {
 			continue
 		}
-		cov := fn*c.sxy[i] - c.sx*c.sy[i]
+		cov := fn*sxy - c.sx*sy
 		r := cov / math.Sqrt(varX*varY)
 		// Clamp FP excursions so downstream clip levels behave.
 		if r > 1 {

@@ -10,7 +10,7 @@ import (
 
 // MotionOptions tunes MotionCorrect's shift estimate.
 type MotionOptions struct {
-	// MaxIter bounds the Gauss-Newton iterations (default 8).
+	// MaxIter bounds the Gauss-Newton iterations (default 16).
 	MaxIter int
 	// Tol stops iterating when the update norm falls below it
 	// (default 1e-3 voxels).
@@ -25,7 +25,7 @@ type MotionOptions struct {
 
 func (o *MotionOptions) fill() {
 	if o.MaxIter == 0 {
-		o.MaxIter = 8
+		o.MaxIter = 16
 	}
 	if o.Tol == 0 {
 		o.Tol = 1e-3

@@ -21,7 +21,7 @@ func BenchmarkNewPhantomHiRes(b *testing.B) {
 	}
 }
 
-// BenchmarkHeadPlanesHiRes: the same head as figure 4 draws it, all 128
+// BenchmarkHeadPlanesHiRes: figure 4's 256x256x128 head drawn, all 128
 // planes into one reused 256x256 plane and no mask.
 func BenchmarkHeadPlanesHiRes(b *testing.B) {
 	b.ReportAllocs()
@@ -31,6 +31,15 @@ func BenchmarkHeadPlanesHiRes(b *testing.B) {
 			head(z, plane, nil)
 		}
 		benchPlane = plane
+	}
+}
+
+// BenchmarkHeadProjection: the projection figure 4 renders from the
+// same head, per-pixel peaks and range in closed form, no plane drawn.
+func BenchmarkHeadProjection(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchPlane, _, _ = HeadProjection(256, 256, 128)
 	}
 }
 

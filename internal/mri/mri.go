@@ -11,7 +11,9 @@
 package mri
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/volume"
 )
@@ -132,43 +134,23 @@ func NewPhantom(nx, ny, nz int, acts []Activation) *Phantom {
 }
 
 // HeadPlanes is the phantom's nx x ny x nz anatomy as a plane
-// generator, so a consumer of a large head (figure 4's 256x256x128)
-// never holds the whole volume: plane(z, dst, mask) writes z-plane z,
-// nx*ny voxels x fastest, into dst and, unless mask is nil, whether each
-// voxel is brain into mask.
+// generator, so a consumer of a large head never holds the whole
+// volume: plane(z, dst, mask) writes z-plane z, nx*ny voxels x fastest,
+// into dst and, unless mask is nil, whether each voxel is brain into
+// mask.
 func HeadPlanes(nx, ny, nz int) (plane func(z int, dst []float32, mask []bool)) {
-	cx, cy, cz := float64(nx-1)/2, float64(ny-1)/2, float64(nz-1)/2
-	rx, ry, rz := float64(nx)*0.42, float64(ny)*0.42, float64(nz)*0.46
-	// Everything that depends on one coordinate only — the ellipsoid
-	// offsets and the texture's trigonometry — is tabulated per axis.
-	axis := func(n int, f func(i float64) float64) []float64 {
-		t := make([]float64, n)
-		for i := range t {
-			t[i] = f(float64(i))
-		}
-		return t
-	}
-	// The squares and the texture's factors are the products the
-	// per-voxel formulas (ex²+ey²)+ez² and 800 + 150·sin·cos + 50·sin
-	// form, each taken once per axis entry.
-	sq := func(e float64) float64 { return e * e }
-	ex2 := axis(nx, func(x float64) float64 { return sq((x - cx) / rx) })
-	ey2 := axis(ny, func(y float64) float64 { return sq((y - cy) / ry) })
-	ez2 := axis(nz, func(z float64) float64 { return sq((z - cz) / rz) })
-	texX := axis(nx, func(x float64) float64 { return 150 * math.Sin(x*0.4) })
-	texY := axis(ny, func(y float64) float64 { return math.Cos(y * 0.3) })
-	texZ := axis(nz, func(z float64) float64 { return 50 * math.Sin(z) })
+	h := newHead(nx, ny, nz)
 	return func(z int, dst []float32, mask []bool) {
-		ez, sz, n := ez2[z], texZ[z], len(ex2)
-		for y, ey := range ey2 {
-			row, cy := dst[y*n:(y+1)*n], texY[y]
-			for x, ex := range ex2[:len(row)] {
+		ez, sz, n := h.ez2[z], h.texZ[z], len(h.ex2)
+		for y, ey := range h.ey2 {
+			row, cy := dst[y*n:(y+1)*n], h.texY[y]
+			for x, ex := range h.ex2[:len(row)] {
 				r := ex + ey + ez
 				switch {
-				case r < 0.75: // brain tissue with mild spatial texture
-					row[x] = float32(800 + texX[x]*cy + sz)
-				case r < 1.0: // skull/scalp shell
-					row[x] = 300
+				case r < brainR: // brain tissue with mild spatial texture
+					row[x] = brain(h.texX[x], cy, sz)
+				case r < shellR: // skull/scalp shell
+					row[x] = shell
 				default: // air
 					row[x] = 0
 				}
@@ -177,14 +159,136 @@ func HeadPlanes(nx, ny, nz int) (plane func(z int, dst []float32, mask []bool)) 
 		if mask == nil {
 			return
 		}
-		for y, ey := range ey2 {
+		for y, ey := range h.ey2 {
 			row := mask[y*n : (y+1)*n]
-			for x, ex := range ex2[:len(row)] {
-				row[x] = ex+ey+ez < 0.75
+			for x, ex := range h.ex2[:len(row)] {
+				row[x] = ex+ey+ez < brainR
 			}
 		}
 	}
 }
+
+// HeadProjection is the maximum-intensity projection along z of the
+// head HeadPlanes draws, found without drawing it (figure 4's
+// 256x256x128 head is 8.4 M voxels): peak holds each pixel's largest
+// voxel, nx*ny of them x fastest, and lo and hi are the smallest and
+// largest of all nx*ny*nz voxels (both 0 when there are none). Each is,
+// bit for bit, what folding the planes gives.
+//
+// A column's voxel in plane z is brain while (ex²+ey²)+ez² < 0.75 and
+// shell while it is < 1. Float addition is monotone, so with the planes
+// sorted by ez² a column's brain voxels are its first kb planes and its
+// brain and shell voxels its first ks; a binary search finds each
+// count. A brain voxel's value brain(texX, texY, texZ) is monotone in
+// texZ, so the column's brain peak is at the largest texZ of those kb
+// planes (a prefix maximum of texZ in the sorted order) and, in a column
+// of brain alone, its least value at the smallest texZ of all. Brain
+// values lie in [600, 1000], above the shell's 300 and the air's +0,
+// and no voxel is -0 or NaN, so the order of the fold does not matter.
+func HeadProjection(nx, ny, nz int) (peak []float32, lo, hi float32) {
+	peak = make([]float32, nx*ny)
+	if len(peak) == 0 || nz <= 0 {
+		return peak, 0, 0
+	}
+	h := newHead(nx, ny, nz)
+	order := make([]int, nz)
+	for z := range order {
+		order[z] = z
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(h.ez2[a], h.ez2[b]) })
+	// ez[k] is the k-th smallest ez², and tzMax[k] the largest texZ of
+	// the first k planes in that order.
+	ez, tzMax := make([]float64, nz), make([]float64, nz+1)
+	tzMax[0] = math.Inf(-1)
+	for k, z := range order {
+		ez[k], tzMax[k+1] = h.ez2[z], max(tzMax[k], h.texZ[z])
+	}
+	tzLeast := slices.Min(h.texZ)
+	// planes counts the planes from ez[from:] on whose voxel s + ez² < r.
+	planes := func(s, r float64, from int) int {
+		i, j := from, nz
+		for i < j {
+			m := int(uint(i+j) >> 1)
+			if s+ez[m] < r {
+				i = m + 1
+			} else {
+				j = m
+			}
+		}
+		return i
+	}
+	lo = float32(math.Inf(1))
+	for y, ey := range h.ey2 {
+		row, cy := peak[y*nx:(y+1)*nx], h.texY[y]
+		for x, ex := range h.ex2 {
+			s := ex + ey
+			kb := planes(s, brainR, 0)
+			ks := planes(s, shellR, kb)
+			// The column's peak and minimum; air is +0.
+			var top, least float32
+			switch {
+			case kb > 0:
+				top = brain(h.texX[x], cy, tzMax[kb])
+			case ks > 0:
+				top = shell
+			}
+			switch {
+			case kb == nz:
+				least = brain(h.texX[x], cy, tzLeast)
+			case ks == nz:
+				least = shell
+			}
+			row[x] = top
+			lo, hi = min(lo, least), max(hi, top)
+		}
+	}
+	return peak, lo, hi
+}
+
+// The head's tissue classes: a voxel is brain where (ex²+ey²)+ez² <
+// brainR, shell where it is < shellR, and air (+0) elsewhere.
+const (
+	brainR = 0.75
+	shellR = 1.0
+	shell  = 300
+)
+
+// head holds the phantom's per-axis tables. Everything that depends on
+// one coordinate only — the ellipsoid offsets and the texture's
+// trigonometry — is tabulated per axis: the squares and the texture's
+// factors are the products the per-voxel formulas (ex²+ey²)+ez² and
+// 800 + 150·sin·cos + 50·sin form, each taken once per axis entry.
+type head struct {
+	ex2, ey2, ez2    []float64
+	texX, texY, texZ []float64
+}
+
+func newHead(nx, ny, nz int) head {
+	cx, cy, cz := float64(nx-1)/2, float64(ny-1)/2, float64(nz-1)/2
+	rx, ry, rz := float64(nx)*0.42, float64(ny)*0.42, float64(nz)*0.46
+	axis := func(n int, f func(i float64) float64) []float64 {
+		t := make([]float64, n)
+		for i := range t {
+			t[i] = f(float64(i))
+		}
+		return t
+	}
+	sq := func(e float64) float64 { return e * e }
+	return head{
+		ex2:  axis(nx, func(x float64) float64 { return sq((x - cx) / rx) }),
+		ey2:  axis(ny, func(y float64) float64 { return sq((y - cy) / ry) }),
+		ez2:  axis(nz, func(z float64) float64 { return sq((z - cz) / rz) }),
+		texX: axis(nx, func(x float64) float64 { return 150 * math.Sin(x*0.4) }),
+		texY: axis(ny, func(y float64) float64 { return math.Cos(y * 0.3) }),
+		texZ: axis(nz, func(z float64) float64 { return 50 * math.Sin(z) }),
+	}
+}
+
+// brain is a brain voxel's value from its column's texture factors
+// texX·texY and its plane's texZ. HeadPlanes and HeadProjection both
+// call it, so both compile the same float operations, also where an
+// architecture fuses the a*b+c into one FMA.
+func brain(texX, texY, texZ float64) float32 { return float32(800 + texX*texY + texZ) }
 
 // ActivationWeight reports the activation envelope of site a at voxel
 // (x, y, z): 1 at the center falling smoothly to 0 at the radius.

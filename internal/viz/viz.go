@@ -1,9 +1,10 @@
 // Package viz reimplements the visualization stages of the fMRI
 // project: the 2-D overlay display of the FIRE GUI (figure 3), the
 // merge of the functional data with the high-resolution anatomical
-// head scan for 3-D display (figure 4), a maximum-intensity-projection
-// renderer standing in for AVS/AVOCADO — both streaming z-planes, so no
-// 256x256x128 volume is built — and the Responsive Workbench
+// head scan for 3-D display (figure 4) and a maximum-intensity-projection
+// renderer standing in for AVS/AVOCADO — built from the head's
+// projection and only the merge's support box, so no 256x256x128 volume
+// or plane is built — and the Responsive Workbench
 // frame-streaming arithmetic that section 4 quotes ("less than 8
 // frames/second over a 622 Mbit/s ATM network using classical IP").
 package viz
@@ -64,55 +65,6 @@ func RenderOverlay(anat, corr *volume.Volume, z int, clip float64) (*image.RGBA,
 // WritePNG encodes an image as PNG.
 func WritePNG(w io.Writer, img image.Image) error { return png.Encode(w, img) }
 
-// MergeSampler upsamples the functional correlation map onto an
-// nx x ny x nz high-resolution anatomical grid (trilinear), one z-plane
-// at a time, as done before display on the Onyx 2: "it is merged with a
-// high resolution (256x256x128 voxels) image of the subject's head".
-//
-// A target voxel whose eight taps all read +0 is +0: each product of +0
-// and a weight in [0, 1] is +0, and so is each sum of two. So only the
-// target rows, columns and planes whose taps reach the map's support —
-// the box around its voxels that are not +0 — are sampled; every other
-// voxel is written +0, the value sampling would give.
-func MergeSampler(corr *volume.Volume, nx, ny, nz int) (plane func(z int, dst []float32)) {
-	// axis maps target voxels 0..n-1 onto source coordinates 0..src-1;
-	// a one-voxel target axis samples coordinate 0.
-	axis := func(n, src int) []float64 {
-		cs := make([]float64, n)
-		if n > 1 {
-			scale := float64(src-1) / float64(n-1)
-			for i := range cs {
-				cs[i] = float64(i) * scale
-			}
-		}
-		return cs
-	}
-	xs, ys, zs := axis(nx, corr.NX), axis(ny, corr.NY), axis(nz, corr.NZ)
-	lo, hi := support(corr)
-	x0, x1 := window(xs, corr.NX, lo[0], hi[0])
-	y0, y1 := window(ys, corr.NY, lo[1], hi[1])
-	z0, z1 := window(zs, corr.NZ, lo[2], hi[2])
-	if x0 == x1 || y0 == y1 {
-		z0, z1 = 0, 0
-	}
-	var box func(k int, dst []float32)
-	if z0 < z1 {
-		box = corr.PlaneSampler(xs[x0:x1], ys[y0:y1], zs[z0:z1])
-	}
-	w, buf := x1-x0, make([]float32, (x1-x0)*(y1-y0))
-	return func(z int, dst []float32) {
-		dst = dst[:nx*ny]
-		clear(dst)
-		if z < z0 || z >= z1 {
-			return
-		}
-		box(z-z0, buf)
-		for y := y0; y < y1; y++ {
-			copy(dst[y*nx+x0:y*nx+x1], buf[(y-y0)*w:])
-		}
-	}
-}
-
 // support returns the smallest box [lo, hi] (per axis, inclusive)
 // holding every voxel of v that is not +0; lo > hi when there is none.
 func support(v *volume.Volume) (lo, hi [3]int) {
@@ -149,55 +101,88 @@ func window(cs []float64, n, lo, hi int) (a, b int) {
 	return a, b
 }
 
-// MIP accumulates, from z-planes handed to Add, a maximum-intensity
-// projection of the anatomy along z with activated regions (upsampled
-// correlation >= clip) highlighted: figure 4's "light areas are regions
-// of the brain that are activated". Per pixel it keeps the running peak
-// and an OR of activity, so the plane order does not matter, and over
-// all voxels the anatomy's range, seeded from the first as MinMax does.
+// MIP is figure 4's picture: a maximum-intensity projection of the
+// anatomy along z with activated regions (upsampled correlation >=
+// clip) highlighted, "light areas are regions of the brain that are
+// activated". Per pixel it holds the anatomy's peak and whether any
+// voxel of its column is active; min and max, the anatomy's range over
+// all voxels, scale the gray levels.
 type MIP struct {
 	nx       int
-	clip     float64
 	peak     []float32
 	active   []bool
 	min, max float32
-	seeded   bool
 }
 
-// NewMIP starts an empty nx x ny projection.
-func NewMIP(nx, ny int, clip float64) *MIP {
-	return &MIP{nx: nx, clip: clip, peak: make([]float32, nx*ny), active: make([]bool, nx*ny)}
+// NewMIP starts a projection with no pixel active from an anatomy's
+// per-pixel peaks along z (nx per row, x fastest) and its range over all
+// voxels, which is what mri.HeadProjection gives for the head. The MIP
+// keeps peak.
+func NewMIP(nx int, peak []float32, min, max float32) *MIP {
+	return &MIP{nx: nx, peak: peak, active: make([]bool, len(peak)), min: min, max: max}
 }
 
-// Add folds in one z-plane of the anatomy and the same plane of the
-// upsampled map, nx*ny voxels each, x fastest.
-func (m *MIP) Add(anat, fn []float32) {
-	if !m.seeded {
-		m.min, m.max, m.seeded = anat[0], anat[0], true
+// Activate marks the pixels whose column of the correlation map,
+// upsampled (trilinear) onto the anatomy's nx x ny x nz grid, holds a
+// voxel >= clip. The map is upsampled as done before display on the
+// Onyx 2: "it is merged with a high resolution (256x256x128 voxels)
+// image of the subject's head".
+//
+// An upsampled voxel whose eight taps all read +0 is +0: each product
+// of +0 and a weight in [0, 1] is +0, and so is each sum of two. So only
+// the box of target columns, rows and planes whose taps reach the map's
+// support (the box around its voxels that are not +0) is sampled. Every
+// voxel outside it is +0, which is active exactly when +0 >= clip.
+func (m *MIP) Activate(corr *volume.Volume, nz int, clip float64) {
+	nx, ny := m.nx, len(m.peak)/m.nx
+	xs, ys, zs := axis(nx, corr.NX), axis(ny, corr.NY), axis(nz, corr.NZ)
+	lo, hi := support(corr)
+	x0, x1 := window(xs, corr.NX, lo[0], hi[0])
+	y0, y1 := window(ys, corr.NY, lo[1], hi[1])
+	z0, z1 := window(zs, corr.NZ, lo[2], hi[2])
+	if nz > 0 && 0 >= clip {
+		// A column outside the box is +0 from top to bottom, and so is
+		// part of a box column when the box is less than nz planes deep.
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				if z1-z0 < nz || y < y0 || y >= y1 || x < x0 || x >= x1 {
+					m.active[y*nx+x] = true
+				}
+			}
+		}
 	}
-	// The anatomy's fold, then the map's: each keeps its voxel order.
-	peak, lo, hi := m.peak[:len(anat)], m.min, m.max
-	for p, v := range anat {
-		if v > peak[p] {
-			peak[p] = v
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+	if x0 == x1 || y0 == y1 || z0 == z1 {
+		return // the box is empty
 	}
-	m.min, m.max = lo, hi
-	active, clip := m.active[:len(anat)], m.clip
-	for p, v := range fn[:len(anat)] {
-		if float64(v) >= clip {
-			active[p] = true
+	w := x1 - x0
+	plane, buf := corr.PlaneSampler(xs[x0:x1], ys[y0:y1], zs[z0:z1]), make([]float32, w*(y1-y0))
+	for k := 0; k < z1-z0; k++ {
+		plane(k, buf)
+		for y := y0; y < y1; y++ {
+			active := m.active[y*nx+x0 : y*nx+x1]
+			for x, v := range buf[(y-y0)*w : (y-y0+1)*w] {
+				if float64(v) >= clip {
+					active[x] = true
+				}
+			}
 		}
 	}
 }
 
-// Image renders the planes added so far.
+// axis maps target voxels 0..n-1 onto source coordinates 0..src-1; a
+// one-voxel target axis samples coordinate 0.
+func axis(n, src int) []float64 {
+	cs := make([]float64, n)
+	if n > 1 {
+		scale := float64(src-1) / float64(n-1)
+		for i := range cs {
+			cs[i] = float64(i) * scale
+		}
+	}
+	return cs
+}
+
+// Image renders the projection.
 func (m *MIP) Image() *image.RGBA {
 	scale := 1.0
 	if m.max > m.min {
