@@ -16,6 +16,8 @@
 //	-frames N        volumes/frames/scans to acquire
 //	-flows N         concurrent backbone flows
 //	-workers N       engine worker pool size, and the most shards a sweep uses
+//	                 (groundwater-coupled's TRACE look-ahead uses up to
+//	                 GOMAXPROCS solvers whatever -workers is)
 //	-json            print each report as JSON instead of text
 //	-timeout D       cancel the whole run after D (e.g. 30s)
 //	-connect URL     run scenarios through a remote coordinator
@@ -99,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	pes := fs.Int("pes", def.PEs, "T3E partition size")
 	frames := fs.Int("frames", def.Frames, "volumes/frames/scans to acquire")
 	flows := fs.Int("flows", def.Flows, "concurrent backbone flows")
-	workers := fs.Int("workers", 0, "engine worker pool size, and the most shards a sweep uses (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "engine worker pool size, and the most shards a sweep uses (0 = GOMAXPROCS); groundwater-coupled's TRACE look-ahead uses up to GOMAXPROCS solvers whatever it is")
 	asJSON := fs.Bool("json", false, "print each report as JSON instead of text")
 	timeout := fs.Duration("timeout", 0, "cancel the whole run after this duration (0 = none)")
 	connect := fs.String("connect", "",

@@ -38,8 +38,11 @@ func leastAlloc(t *testing.T, run func() error) uint64 {
 // remains is one message payload per MPI send, the scanner's two
 // volumes and the correlator's sums. groundwater-coupled cost 7.8 MB
 // while TRACE allocated its right-hand side, initial guess and CG's
-// three scratch vectors afresh for each of its 6 solves; it keeps them
-// across the run now (5.8 MB). It and fmri-dataflow (0.5 MB: it
+// three scratch vectors afresh for each of its 6 solves, and 5.8 MB
+// while each step packed and unpacked its field through new slices;
+// now each of TRACE's solvers keeps its vectors and field and PARTRACE
+// unpacks into one field (2.5 MB at GOMAXPROCS 1, 5.3 MB at 8, one
+// solver per core up to one per step). It and fmri-dataflow (0.5 MB: it
 // computes the volume size instead of allocating a volume) are bounded
 // so that a return to per-step, per-element or per-volume allocation
 // shows.

@@ -1,7 +1,9 @@
 package groundwater
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/mpi"
 	"repro/internal/netsim"
@@ -54,28 +56,40 @@ func RunCoupled(net *netsim.Network, hosts [2]string, tracer mpi.Tracer, cfg Cou
 		case 0: // TRACE
 			// K and Dx do not change between coupling steps: one
 			// stencil serves the run, and a step only re-solves for
-			// the drifted inflow head.
+			// the drifted inflow head. No step's solve depends on
+			// another's, so a pool of solvers runs them ahead while
+			// this rank sends the fields in step order.
 			st, err := assemble(cfg.Flow)
 			if err != nil {
 				return fmt.Errorf("TRACE: %w", err)
 			}
+			heads := make([]float64, cfg.Steps)
 			headLeft := cfg.Flow.HeadLeft
+			for s := range heads {
+				heads[s] = headLeft
+				headLeft += cfg.HeadDrift
+			}
+			ahead := solveAhead(st, heads, cfg.Flow.HeadRight)
+			defer ahead.close()
 			cgTotal := 0
-			for s := 0; s < cfg.Steps; s++ {
-				field, err := st.solve(headLeft, cfg.Flow.HeadRight)
-				if err != nil {
-					return fmt.Errorf("TRACE step %d: %w", s, err)
+			for s := range heads {
+				step := ahead.next(s)
+				if step.err != nil {
+					return fmt.Errorf("TRACE step %d: %w", s, step.err)
 				}
-				cgTotal += field.CGIterations
-				buf := packField(field)
-				if err := c.Send(1, fieldTag, buf); err != nil {
+				cgTotal += step.cgIterations
+				if err := c.Send(1, fieldTag, step.payload); err != nil {
 					return err
 				}
-				headLeft += cfg.HeadDrift
 			}
 			// Ship the solver-effort tally for the report.
 			return c.SendFloat64s(1, fieldTag+1, []float64{float64(cgTotal)})
 		case 1: // PARTRACE
+			// Every step's field is unpacked into this one: Track
+			// reads it and keeps nothing of it.
+			n := cfg.Flow.NX * cfg.Flow.NY * cfg.Flow.NZ
+			field := &FlowField{NX: cfg.Flow.NX, NY: cfg.Flow.NY, NZ: cfg.Flow.NZ, Dx: cfg.Flow.Dx,
+				VX: make([]float64, n), VY: make([]float64, n), VZ: make([]float64, n)}
 			var parts []Particle
 			elapsed := 0.0
 			var lastRes TrackResult
@@ -86,8 +100,7 @@ func RunCoupled(net *netsim.Network, hosts [2]string, tracer mpi.Tracer, cfg Cou
 				if err != nil {
 					return err
 				}
-				field, err := unpackField(msg.Data, cfg.Flow)
-				if err != nil {
+				if err := unpackField(field, msg.Data); err != nil {
 					return fmt.Errorf("PARTRACE step %d: %w", s, err)
 				}
 				perStep = len(msg.Data)
@@ -118,36 +131,33 @@ func RunCoupled(net *netsim.Network, hosts [2]string, tracer mpi.Tracer, cfg Cou
 	return result, err
 }
 
-// packField serializes the velocity components as float32, the wire
-// format whose size the paper's 30 MByte/s figure refers to.
+// packField serializes the velocity components as little-endian
+// float32, the wire format whose size the paper's 30 MByte/s figure
+// refers to: VX, then VY, then VZ.
 func packField(f *FlowField) []byte {
-	n := f.NX * f.NY * f.NZ
-	v := make([]float32, 3*n)
-	for i := 0; i < n; i++ {
-		v[i] = float32(f.VX[i])
-		v[n+i] = float32(f.VY[i])
-		v[2*n+i] = float32(f.VZ[i])
+	n := len(f.VX)
+	buf := make([]byte, 12*n)
+	for k, v := range [3][]float64{f.VX, f.VY, f.VZ} {
+		out := buf[4*n*k : 4*n*(k+1)]
+		for i, x := range v {
+			binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(float32(x)))
+		}
 	}
-	return mpi.Float32sToBytes(v)
+	return buf
 }
 
-// unpackField rebuilds a FlowField (velocities only; head omitted) from
-// the wire format.
-func unpackField(buf []byte, cfg FlowConfig) (*FlowField, error) {
-	v, err := mpi.BytesToFloat32s(buf)
-	if err != nil {
-		return nil, err
+// unpackField decodes the wire format into f's velocities (the head is
+// not sent), which must hold the sender's grid.
+func unpackField(f *FlowField, buf []byte) error {
+	n := len(f.VX)
+	if len(buf) != 12*n {
+		return fmt.Errorf("groundwater: field payload of %d bytes, want %d", len(buf), 12*n)
 	}
-	n := cfg.NX * cfg.NY * cfg.NZ
-	if len(v) != 3*n {
-		return nil, fmt.Errorf("groundwater: field payload %d values, want %d", len(v), 3*n)
+	for k, v := range [3][]float64{f.VX, f.VY, f.VZ} {
+		in := buf[4*n*k : 4*n*(k+1)]
+		for i := range v {
+			v[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(in[4*i:])))
+		}
 	}
-	f := &FlowField{NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ, Dx: cfg.Dx,
-		VX: make([]float64, n), VY: make([]float64, n), VZ: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		f.VX[i] = float64(v[i])
-		f.VY[i] = float64(v[n+i])
-		f.VZ[i] = float64(v[2*n+i])
-	}
-	return f, nil
+	return nil
 }

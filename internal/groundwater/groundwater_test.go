@@ -437,7 +437,7 @@ func TestSolveMatchesReferenceCGBitForBit(t *testing.T) {
 	nx, ny, nz, inx := cfg.NX, cfg.NY, cfg.NZ, cfg.NX-2
 	n := inx * ny * nz
 	for step, headLeft := range []float64{cfg.HeadLeft, cfg.HeadLeft + 0.2} {
-		got, err := st.solve(headLeft, cfg.HeadRight)
+		got, err := st.newSolver().solve(headLeft, cfg.HeadRight)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,16 +476,19 @@ func TestSolveMatchesReferenceCGBitForBit(t *testing.T) {
 	}
 }
 
-// A coupled run solves every step on the stencil of its first: each
-// step must still be exactly the fresh solve of the drifted problem.
+// A coupled run solves every step on the stencil of its first, and a
+// solver solves every step it takes in the scratch and field of its
+// first: each step must still be exactly the fresh solve of the
+// drifted problem.
 func TestStencilReuseEqualsFreshSolves(t *testing.T) {
 	cfg := scenarioFlow()
 	st, err := assemble(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sv := st.newSolver()
 	for step := 0; step < 2; step++ {
-		got, err := st.solve(cfg.HeadLeft, cfg.HeadRight)
+		got, err := sv.solve(cfg.HeadLeft, cfg.HeadRight)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -574,5 +577,5 @@ func SolveFlow(cfg FlowConfig) (*FlowField, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.solve(cfg.HeadLeft, cfg.HeadRight)
+	return s.newSolver().solve(cfg.HeadLeft, cfg.HeadRight)
 }

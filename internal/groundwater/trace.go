@@ -24,7 +24,10 @@
 // r·r. Every sum keeps the order of additions of the unfused solve.
 // Initial guess and tolerance are the same for every solve (no warm
 // start), so a coupled step is bit for bit the fresh solve of its
-// boundary condition.
+// boundary condition. That also makes the steps independent of each
+// other: RunCoupled solves them ahead on a pool of solvers that share
+// the assembled operator, each with its own vectors (ahead.go), and
+// sends the fields in step order.
 package groundwater
 
 import (
@@ -92,8 +95,9 @@ type face struct {
 // interior-in-x cells 1..NX-2, all y and z, x fastest): one face record
 // per unknown. It depends only on the grid, K and Dx, so a coupled run
 // assembles it once and every solve — and every CG iteration inside
-// one — reuses it, together with the solve's scratch vectors, so a
-// stencil serves one solve at a time.
+// one — reuses it. Nothing writes it after assemble, so any number of
+// solvers share one stencil at once; each solve's vectors belong to
+// its solver.
 type stencil struct {
 	cfg   FlowConfig // validated, Tol defaulted
 	inx   int        // unknowns per row: NX-2
@@ -101,9 +105,26 @@ type stencil struct {
 	// zero is a row of +0 that stands in for a y/z neighbor row outside
 	// the grid, so every row runs the same loop.
 	zero []float64
-	// Solve scratch, kept across the solves of a coupled run.
-	b, h []float64
-	cg   linalg.CGWork
+}
+
+// solver is one solve's scratch on a shared stencil: the right-hand
+// side, the iterate, CG's vectors and the field the solve returns. It
+// serves one solve at a time and keeps them all across its solves.
+type solver struct {
+	st    *stencil
+	b, h  []float64
+	cg    linalg.CGWork
+	field FlowField
+}
+
+// newSolver makes a solver on s.
+func (s *stencil) newSolver() *solver {
+	cfg := s.cfg
+	n, cells := len(s.faces), cfg.NX*cfg.NY*cfg.NZ
+	return &solver{st: s, b: make([]float64, n), h: make([]float64, n),
+		field: FlowField{NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ, Dx: cfg.Dx,
+			Head: make([]float64, cells),
+			VX:   make([]float64, cells), VY: make([]float64, cells), VZ: make([]float64, cells)}}
 }
 
 // assemble validates cfg and builds its stencil.
@@ -122,8 +143,7 @@ func assemble(cfg FlowConfig) (*stencil, error) {
 		cfg.Tol = 1e-10
 	}
 	n := (nx - 2) * ny * nz
-	s := &stencil{cfg: cfg, inx: nx - 2, faces: make([]face, n), zero: make([]float64, nx-2),
-		b: make([]float64, n), h: make([]float64, n)}
+	s := &stencil{cfg: cfg, inx: nx - 2, faces: make([]face, n), zero: make([]float64, nx-2)}
 	// Interface transmissibility between two cells (unit cross-section
 	// area divided by spacing folds into a single Dx factor).
 	trans := func(c1, c2 int) float64 { return harmonic(cfg.K[c1], cfg.K[c2]) * cfg.Dx }
@@ -169,12 +189,14 @@ func assemble(cfg FlowConfig) (*stencil, error) {
 // unknowns, returning src·dst summed in index order. The x- face of a
 // row's first cell and the x+ face of its last touch a Dirichlet plane,
 // which is on the right-hand side and not in src, so those two cells
-// take the per-cell path; the cells between run one branch-free loop.
+// are written out before and after the loop, each without the face it
+// lacks; the cells between run one branch-free loop.
 //
 // A y/z neighbor outside the grid is read from s.zero, and its face is
-// +0, so the loop adds a +0 term where the per-cell path adds nothing.
-// off starts at +0 and a sum that starts at +0 is never -0, so adding
-// +0 leaves every bit of off as it was, for any src.
+// +0, so apply adds a +0 term where the matrix-free operator it
+// replaced added nothing. off starts at +0 and a sum that starts at +0
+// is never -0, so adding +0 leaves every bit of off as it was, for any
+// src.
 func (s *stencil) apply(dst, src []float64) float64 {
 	inx, ny, nz := s.inx, s.cfg.NY, s.cfg.NZ
 	plane := inx * ny
@@ -202,9 +224,24 @@ func (s *stencil) apply(dst, src []float64) float64 {
 			// the loop's bounds checks.
 			ym, yp, zm, zp = ym[:len(row)], yp[:len(row)], zm[:len(row)], zp[:len(row)]
 			fs, out = fs[:len(row)], out[:len(row)]
+			last := len(row) - 1
 
-			dot = edge(out, row, fs, ym, yp, zm, zp, 0, dot)
-			for i := 1; i < len(row)-1; i++ {
+			// The first cell: no x- face, and an x+ face unless it is
+			// also the last.
+			f := &fs[0]
+			var off float64
+			if last > 0 {
+				off += f.xp * row[1]
+			}
+			off += f.ym * ym[0]
+			off += f.yp * yp[0]
+			off += f.zm * zm[0]
+			off += f.zp * zp[0]
+			d := f.diag*row[0] - off
+			out[0] = d
+			dot += row[0] * d
+
+			for i := 1; i < last; i++ {
 				f := &fs[i]
 				var off float64
 				off += f.xm * row[i-1]
@@ -217,39 +254,31 @@ func (s *stencil) apply(dst, src []float64) float64 {
 				out[i] = d
 				dot += row[i] * d
 			}
-			if len(row) > 1 {
-				dot = edge(out, row, fs, ym, yp, zm, zp, len(row)-1, dot)
+
+			// The last cell, if it is not the first: no x+ face.
+			if last > 0 {
+				f := &fs[last]
+				var off float64
+				off += f.xm * row[last-1]
+				off += f.ym * ym[last]
+				off += f.yp * yp[last]
+				off += f.zm * zm[last]
+				off += f.zp * zp[last]
+				d := f.diag*row[last] - off
+				out[last] = d
+				dot += row[last] * d
 			}
 		}
 	}
 	return dot
 }
 
-// edge is apply's per-cell path for cell i of a row, the row's first or
-// last: it adds an x face only where the neighbor is an unknown. It
-// returns dot with the cell's src·dst term added.
-func edge(out, row []float64, fs []face, ym, yp, zm, zp []float64, i int, dot float64) float64 {
-	f := &fs[i]
-	var off float64
-	if i > 0 {
-		off += f.xm * row[i-1]
-	}
-	if i < len(row)-1 {
-		off += f.xp * row[i+1]
-	}
-	off += f.ym * ym[i]
-	off += f.yp * yp[i]
-	off += f.zm * zm[i]
-	off += f.zp * zp[i]
-	d := f.diag*row[i] - off
-	out[i] = d
-	return dot + row[i]*d
-}
-
 // solve runs one steady-state solve on the assembled grid with the
 // given Dirichlet heads (the stencil's own cfg.HeadLeft/HeadRight are
-// not consulted: a coupled run drifts them from step to step).
-func (s *stencil) solve(headLeft, headRight float64) (*FlowField, error) {
+// not consulted: a coupled run drifts them from step to step). The
+// field it returns is the solver's own, valid until its next solve.
+func (sv *solver) solve(headLeft, headRight float64) (*FlowField, error) {
+	s := sv.st
 	cfg := s.cfg
 	nx, ny, nz, inx := cfg.NX, cfg.NY, cfg.NZ, s.inx
 	n := inx * ny * nz
@@ -257,7 +286,7 @@ func (s *stencil) solve(headLeft, headRight float64) (*FlowField, error) {
 
 	// RHS from the Dirichlet planes, and a linear initial guess, which
 	// speeds convergence.
-	b, h := s.b, s.h
+	b, h := sv.b, sv.h
 	clear(b)
 	for first := 0; first < n; first += inx {
 		last := first + inx - 1
@@ -268,7 +297,7 @@ func (s *stencil) solve(headLeft, headRight float64) (*FlowField, error) {
 			h[first+x-1] = headLeft + f*(headRight-headLeft)
 		}
 	}
-	res, err := linalg.CG(s.apply, h, b, cfg.Tol, 40*n, &s.cg)
+	res, err := linalg.CG(s.apply, h, b, cfg.Tol, 40*n, &sv.cg)
 	if err != nil {
 		return nil, fmt.Errorf("groundwater: CG failed: %w", err)
 	}
@@ -276,9 +305,11 @@ func (s *stencil) solve(headLeft, headRight float64) (*FlowField, error) {
 		return nil, fmt.Errorf("groundwater: CG stalled at residual %g after %d iterations", res.Residual, res.Iterations)
 	}
 
-	// Assemble the full head field.
-	field := &FlowField{NX: nx, NY: ny, NZ: nz, Dx: cfg.Dx,
-		Head: make([]float64, nx*ny*nz), CGIterations: res.Iterations}
+	// Assemble the full head field. Every cell is written, and each
+	// velocity below is written at the same cells every solve (the
+	// others stay +0), so nothing of the previous solve shows.
+	field := &sv.field
+	field.CGIterations = res.Iterations
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
 			field.Head[idx(0, y, z)] = headLeft
@@ -288,9 +319,6 @@ func (s *stencil) solve(headLeft, headRight float64) (*FlowField, error) {
 	}
 	// Cell-centered pore velocities from central differences of head
 	// (one-sided at boundaries), v = -K grad h / porosity.
-	field.VX = make([]float64, nx*ny*nz)
-	field.VY = make([]float64, nx*ny*nz)
-	field.VZ = make([]float64, nx*ny*nz)
 	grad := func(hm, hp float64, cells int) float64 { return (hp - hm) / (float64(cells) * cfg.Dx) }
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {

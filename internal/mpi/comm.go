@@ -275,27 +275,6 @@ func decodeFloat64s(dst []float64, b []byte) ([]float64, error) {
 	return dst, nil
 }
 
-// Float32sToBytes encodes a float32 slice little-endian.
-func Float32sToBytes(v []float32) []byte {
-	buf := make([]byte, 4*len(v))
-	for i, f := range v {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
-	}
-	return buf
-}
-
-// BytesToFloat32s decodes a little-endian float32 slice.
-func BytesToFloat32s(b []byte) ([]float32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("mpi: byte length %d not a multiple of 4", len(b))
-	}
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out, nil
-}
-
 // SendFloat64s sends the concatenation of parts as one float64 message.
 // The values are encoded once, straight into the message the receiver
 // gets; the caller may change parts as soon as the call returns.

@@ -19,3 +19,6 @@ func (f *Flow) Captures() int64 { return f.s.ff.captures }
 // Period reports the period, in new ACKs, of the flow's last
 // certificate: the one it jumped by, for a flow that jumped.
 func (f *Flow) Period() int64 { return f.s.ff.period }
+
+// RTOs reports the retransmission timeouts the flow fired.
+func (f *Flow) RTOs() int64 { return f.s.rtos }

@@ -15,12 +15,14 @@ import (
 )
 
 // outcome is what a transfer leaves behind that a fast-forward must not
-// change: the result, the congestion window, the clock, every link's
-// accounting and an empty schedule.
+// change: the result, the congestion window, the retransmission
+// timeouts fired, the clock, every link's accounting and an empty
+// schedule.
 type outcome struct {
 	Res     tcpsim.Result
 	Err     string
 	Cwnd    uint64 // bits
+	RTOs    int64
 	Now     sim.Time
 	Wire    []int64
 	Busy    []time.Duration
@@ -39,7 +41,7 @@ func transfer(n *netsim.Network, src, dst netsim.NodeID, nbytes int64, cfg tcpsi
 	if err == nil {
 		res, err = f.Result()
 	}
-	o := outcome{Res: res, Cwnd: math.Float64bits(f.Cwnd()), Now: n.K.Now(), Pending: n.Pending()}
+	o := outcome{Res: res, Cwnd: math.Float64bits(f.Cwnd()), RTOs: f.RTOs(), Now: n.K.Now(), Pending: n.Pending()}
 	if err != nil {
 		o.Err = err.Error()
 	}

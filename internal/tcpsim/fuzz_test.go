@@ -105,15 +105,15 @@ func FuzzTransferFastForward(f *testing.F) {
 	})
 }
 
-// TestTransferFastForwardCorpusSkips replays the committed corpus and
-// requires most of its inputs to skip periods.
-func TestTransferFastForwardCorpusSkips(t *testing.T) {
+// corpus reads the committed seed corpus of FuzzTransferFastForward.
+func corpus(t *testing.T) [][]byte {
+	t.Helper()
 	dir := filepath.Join("testdata", "fuzz", "FuzzTransferFastForward")
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jumped := 0
+	var inputs [][]byte
 	for _, fi := range files {
 		raw, err := os.ReadFile(filepath.Join(dir, fi.Name()))
 		if err != nil {
@@ -126,12 +126,47 @@ func TestTransferFastForwardCorpusSkips(t *testing.T) {
 		if !ok || err != nil {
 			t.Fatalf("%s: not a one-[]byte corpus file: %q", fi.Name(), raw)
 		}
-		fn := decodeTransfer([]byte(in))
+		inputs = append(inputs, []byte(in))
+	}
+	return inputs
+}
+
+// TestTransferFastForwardCorpusSkips replays the committed corpus and
+// requires most of its inputs to skip periods.
+func TestTransferFastForwardCorpusSkips(t *testing.T) {
+	inputs := corpus(t)
+	jumped := 0
+	for _, in := range inputs {
+		fn := decodeTransfer(in)
 		if sameWithAndWithout(t, fn.build, fn.first, fn.second, fn.cfg) > 0 {
 			jumped++
 		}
 	}
-	if len(files) < 8 || 2*jumped < len(files) {
-		t.Errorf("%d of %d corpus inputs skipped periods; want at least half of at least 8", jumped, len(files))
+	if len(inputs) < 8 || 2*jumped < len(inputs) {
+		t.Errorf("%d of %d corpus inputs skipped periods; want at least half of at least 8", jumped, len(inputs))
+	}
+}
+
+// TestTransferFastForwardCorpusFiresRTO replays the committed corpus
+// and requires at least two of its inputs to fire a retransmission
+// timeout, with the fast-forward on and off alike (the outcome compared
+// counts the RTOs), so the on/off comparison covers loss recovery by
+// timeout and not only by duplicate ACKs. Three do: a 64 KiB transfer
+// whose first burst overflows a 12 KiB queue and loses its tail (one
+// RTO), a 1 MiB one in 65 496-byte segments through a 64 KiB queue
+// (one), and a pair over a 155 Mbit/s link with a 12 KiB queue in
+// 8 960-byte segments (11 RTOs, then 5 in the second transfer).
+func TestTransferFastForwardCorpusFiresRTO(t *testing.T) {
+	fired := 0
+	for _, in := range corpus(t) {
+		fn := decodeTransfer(in)
+		out, _ := transferTwice(t, false, fn.build, fn.first, fn.second, fn.cfg)
+		if out[0].RTOs+out[1].RTOs > 0 {
+			fired++
+			sameWithAndWithout(t, fn.build, fn.first, fn.second, fn.cfg)
+		}
+	}
+	if fired < 2 {
+		t.Errorf("%d corpus inputs fire an RTO; want at least 2", fired)
 	}
 }

@@ -119,6 +119,7 @@ type sender struct {
 	dupAcks  int
 	rtx      int
 	retries  int
+	rtos     int64 // retransmission timeouts fired, the last one included
 
 	srtt   time.Duration
 	rttvar time.Duration
@@ -388,6 +389,7 @@ func (s *sender) onRTO() {
 	if s.done || s.err != nil {
 		return
 	}
+	s.rtos++
 	s.retries++
 	if s.retries > s.cfg.MaxRetries {
 		s.err = fmt.Errorf("tcpsim: %d consecutive RTOs, giving up at %d/%d bytes",
