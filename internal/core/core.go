@@ -94,8 +94,7 @@ const (
 //
 // A Testbed is safe for concurrent use: the co-allocation map is
 // guarded by allocMu, and every operation that advances the simulation
-// kernel or reads its counters (TCPTransfer, RTT, BackboneUtilization,
-// BackboneWireBytes) serialises on simMu. Callers
+// kernel (TCPTransfer, RTT) serialises on simMu. Callers
 // that share one therefore interleave their transfers on it, but each
 // transfer still runs on an otherwise idle simulated network;
 // in-simulator bandwidth contention between two flows only happens
@@ -109,10 +108,9 @@ type Testbed struct {
 	hosts    map[string]*netsim.Node
 	machines map[string]machine.Spec
 	alloc    map[string]string // host -> session owner
-	backbone *netsim.Link
 
 	allocMu sync.Mutex // guards alloc
-	simMu   sync.Mutex // serialises kernel access and counter reads
+	simMu   sync.Mutex // serialises kernel access
 }
 
 // propDelayWAN is the one-way propagation delay of the ~100 km
@@ -214,7 +212,7 @@ func New(cfg Config) *Testbed {
 	atm155(add(HostWS155GMD, nil), swGMD)
 
 	// --- WAN backbone ---
-	tb.backbone = n.Connect(swFZJ, swGMD, netsim.LinkConfig{
+	n.Connect(swFZJ, swGMD, netsim.LinkConfig{
 		Name: "gtw-backbone", Bps: cfg.WAN.PayloadRate(),
 		Delay: propDelayWAN, MTU: atm.MaxCLIPMTU, Framer: ATMFramer{},
 		QueueBytes: 64 << 20,

@@ -359,21 +359,3 @@ func (tb *Testbed) Allocations() map[string]string {
 	}
 	return out
 }
-
-// BackboneUtilization reports the WAN link's busy fraction over the
-// simulation so far (both directions; 2.0 = saturated duplex).
-func (tb *Testbed) BackboneUtilization() float64 {
-	tb.simMu.Lock()
-	defer tb.simMu.Unlock()
-	if now := tb.Net.K.Now(); now > 0 {
-		return tb.backbone.BusyTime.Seconds() / now.Seconds()
-	}
-	return 0
-}
-
-// BackboneWireBytes reports total framed bytes carried on the WAN link.
-func (tb *Testbed) BackboneWireBytes() int64 {
-	tb.simMu.Lock()
-	defer tb.simMu.Unlock()
-	return tb.backbone.WireBytes
-}

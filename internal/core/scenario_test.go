@@ -237,7 +237,7 @@ func TestRunOnePanicContained(t *testing.T) {
 }
 
 // TestTestbedConcurrentAccess hammers one shared testbed from many
-// goroutines — co-allocation, transfers, RTT and backbone counters —
+// goroutines — co-allocation, transfers and RTT —
 // and relies on the race detector to flag unguarded state.
 func TestTestbedConcurrentAccess(t *testing.T) {
 	tb := New(Config{})
@@ -274,8 +274,6 @@ func TestTestbedConcurrentAccess(t *testing.T) {
 			if _, err := tb.RTT(HostWSJuelich, HostWSGMD); err != nil {
 				t.Error(err)
 			}
-			_ = tb.BackboneUtilization()
-			_ = tb.BackboneWireBytes()
 		}(i)
 	}
 	wg.Wait()

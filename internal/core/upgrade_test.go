@@ -85,30 +85,32 @@ func TestMixedTrafficUpgradeEffect(t *testing.T) {
 	}
 }
 
+// TestBackboneUtilizationDuringTransfer: a 64 MiB WAN transfer in
+// 64 KByte segments nearly fills the OC-12 backbone, and leaves most of
+// the OC-48 one idle. A backbone carries at most its payload rate of
+// framed bytes, so TCP's goodput through it is at most that rate times
+// the share of payload in a segment's CLIP frame.
 func TestBackboneUtilizationDuringTransfer(t *testing.T) {
-	tb := New(Config{WAN: atm.OC12})
-	if tb.BackboneWireBytes() != 0 {
-		t.Error("fresh backbone carried bytes")
-	}
-	// A WAN transfer at near the OC-12 ceiling keeps one direction of
-	// the backbone almost fully busy.
-	if _, err := tb.TCPTransfer(HostWSJuelich, HostWSGMD, 64<<20, tcpConfig4MB()); err != nil {
-		t.Fatal(err)
-	}
-	u := tb.BackboneUtilization()
-	if u < 0.85 || u > 1.2 {
-		t.Errorf("OC-12 utilization during saturating transfer = %.3f, want ~0.9-1.1", u)
-	}
-	if tb.BackboneWireBytes() < 64<<20 {
-		t.Errorf("backbone carried only %d bytes", tb.BackboneWireBytes())
-	}
-	// The same transfer on OC-48 leaves most of the backbone idle.
-	tb48 := New(Config{WAN: atm.OC48})
-	if _, err := tb48.TCPTransfer(HostWSJuelich, HostWSGMD, 64<<20, tcpConfig4MB()); err != nil {
-		t.Fatal(err)
-	}
-	if u48 := tb48.BackboneUtilization(); u48 > 0.5 {
-		t.Errorf("OC-48 utilization = %.3f, want plenty of headroom", u48)
+	const mss = atm.MaxCLIPMTU - tcpsim.HeaderBytes
+	share := float64(mss) / float64(atm.CLIPWireBytes(atm.MaxCLIPMTU))
+	for _, c := range []struct {
+		wan    atm.OC
+		lo, hi float64 // goodput over the backbone's goodput ceiling
+	}{
+		{atm.OC12, 0.85, 1},
+		{atm.OC48, 0, 0.5},
+	} {
+		tb := New(Config{WAN: c.wan})
+		res, err := tb.TCPTransfer(HostWSJuelich, HostWSGMD, 64<<20, tcpConfig4MB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := res.ThroughputBps / (c.wan.PayloadRate() * share)
+		t.Logf("%v: %.1f Mbit/s, %.3f of the backbone's goodput ceiling", c.wan, res.ThroughputBps/1e6, u)
+		if res.MSS != mss || u < c.lo || u > c.hi {
+			t.Errorf("%v: %.1f Mbit/s in %d-byte segments is %.3f of the backbone's goodput ceiling, want %v-%v",
+				c.wan, res.ThroughputBps/1e6, res.MSS, u, c.lo, c.hi)
+		}
 	}
 }
 

@@ -293,22 +293,20 @@ func settledGoroutines(n int) int {
 
 // A solve that fails fails the run with the first failing step's
 // error, in step order, whichever solver failed first: a NaN drift
-// leaves step 0 solvable and makes every later step's CG run to its
-// iteration cap and stall, and four solvers start on steps 0 to 3 at
-// once. Step 0's field is still sent, no later one, and no solver
+// leaves step 0 solvable and puts a NaN in every later step's
+// right-hand side, which CG refuses at its first step, and four
+// solvers start on steps 0 to 3 at once. Step 0's field is still sent, no later one, and no solver
 // outlives the run.
 func TestCoupledRunReportsFirstFailingSolve(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := smallCoupled(9)
-	cfg.Flow.NX, cfg.Flow.NY, cfg.Flow.NZ = 8, 4, 4
-	cfg.Flow.K = LognormalK(8, 4, 4, 1e-4, 0.8, 11)
 	cfg.HeadDrift = math.NaN()
 	withProcs(4, func() {
 		net, hosts := twoHosts(0)
 		log := &eventLog{}
 		_, err := RunCoupled(net, hosts, log, cfg)
-		if err == nil || !strings.HasPrefix(err.Error(), "TRACE step 1: groundwater: CG stalled") {
-			t.Fatalf("err = %v, want step 1's stalled solve", err)
+		if want := "TRACE step 1: groundwater: CG failed: linalg: CG step not finite (pAp=NaN)"; err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %q", err, want)
 		}
 		if n := fieldSends(log.events); n != 1 {
 			t.Errorf("%d fields sent before the failing step, want 1", n)

@@ -43,6 +43,10 @@ func (w *CGWork) vectors(n int) (r, p, ap []float64) {
 // the operator (which returns pAp), and one pass that moves x and r and
 // sums r·r. Each sum still adds its terms in index order, so the
 // iterates are bit for bit those of the textbook Dot/Axpy sequence.
+//
+// A step that is not finite — a NaN or an Inf in b or x, or from the
+// operator — is an error at the iteration it appears in: pAp that is
+// not positive (NaN included), or a new r·r that is not finite.
 func CG(a Operator, x, b []float64, tol float64, maxIter int, w *CGWork) (CGResult, error) {
 	n := len(b)
 	if len(x) != n {
@@ -75,9 +79,13 @@ func CG(a Operator, x, b []float64, tol float64, maxIter int, w *CGWork) (CGResu
 			return CGResult{Iterations: it, Residual: math.Sqrt(rs) / bnorm, Converged: true}, nil
 		}
 		pap := a(ap, p)
-		if pap <= 0 {
+		if !(pap > 0) {
+			what := "operator not positive definite"
+			if math.IsNaN(pap) {
+				what = "step not finite"
+			}
 			return CGResult{Iterations: it, Residual: math.Sqrt(rs) / bnorm},
-				fmt.Errorf("linalg: CG operator not positive definite (pAp=%g)", pap)
+				fmt.Errorf("linalg: CG %s (pAp=%g)", what, pap)
 		}
 		alpha := rs / pap
 		nalpha := -alpha
@@ -86,6 +94,10 @@ func CG(a Operator, x, b []float64, tol float64, maxIter int, w *CGWork) (CGResu
 			x[i] += alpha * p[i]
 			r[i] += nalpha * ap[i]
 			rsNew += r[i] * r[i]
+		}
+		if math.IsNaN(rsNew) || math.IsInf(rsNew, 0) {
+			return CGResult{Iterations: it + 1, Residual: math.Sqrt(rsNew) / bnorm},
+				fmt.Errorf("linalg: CG step not finite (r·r=%g)", rsNew)
 		}
 		beta := rsNew / rs
 		for i := range p {

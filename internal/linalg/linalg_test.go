@@ -363,6 +363,23 @@ func TestCGRejectsIndefinite(t *testing.T) {
 	}
 }
 
+// A NaN or an Inf in the right-hand side is an error within two
+// iterations, not a run to the iteration cap.
+func TestCGStopsOnNonFiniteStep(t *testing.T) {
+	const n = 50
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = math.Sin(float64(i))
+		}
+		b[n/2] = bad
+		res, err := CG(fused(poisson1D(n)), make([]float64, n), b, 1e-12, 1000, new(CGWork))
+		if err == nil || res.Iterations > 2 || res.Converged {
+			t.Errorf("b[%d] = %v: CG = %+v, %v; want an error within two iterations", n/2, bad, res, err)
+		}
+	}
+}
+
 func TestCGDimMismatch(t *testing.T) {
 	op := fused(func(dst, src []float64) { copy(dst, src) })
 	if _, err := CG(op, make([]float64, 3), make([]float64, 2), 0, 0, new(CGWork)); err == nil {

@@ -100,10 +100,9 @@ type Iface struct {
 	capBytes int64
 	drops    int64
 
-	// The wire size and serialization time of a txBytes-byte packet,
-	// kept for the next packet of that size; txBytes -1 is none yet.
+	// The serialization time of a txBytes-byte packet, kept for the
+	// next packet of that size; txBytes -1 is none yet.
 	txBytes int
-	txWire  int
 	txTime  time.Duration
 
 	// arrivals carries this direction's packets to the peer: a lane,
@@ -121,12 +120,6 @@ type Link struct {
 	MTU    int           // network-layer MTU
 	Framer Framer
 
-	// Wire accounting, both directions together, which the network
-	// only adds to: WireBytes is the framed bytes carried, BusyTime the
-	// time spent serializing.
-	WireBytes int64
-	BusyTime  time.Duration
-
 	a, b *Iface
 }
 
@@ -143,7 +136,9 @@ type LinkConfig struct {
 	// Framer is the link layer (default RawFramer).
 	Framer Framer
 	// QueueBytes is the per-direction output queue capacity
-	// (default 8 MiB).
+	// (default 8 MiB). A queue admits a packet only while its bytes
+	// fit, even onto an idle link, so it must hold at least one
+	// MTU-sized packet: Connect refuses a smaller one.
 	QueueBytes int64
 }
 
@@ -205,9 +200,7 @@ func (pp *pktPool) put(p *Packet) {
 type Network struct {
 	// K is the kernel every event of the network runs on; drivers
 	// schedule their own events on it too.
-	K *sim.Kernel
-	// Links are the network's links in the order they were connected.
-	Links []*Link
+	K     *sim.Kernel
 	nodes []*Node
 	pool  pktPool
 }
@@ -278,6 +271,9 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	if cfg.Bps <= 0 {
 		panic(fmt.Sprintf("netsim: link %q has non-positive bandwidth", cfg.Name))
 	}
+	if cfg.QueueBytes < int64(cfg.MTU) {
+		panic(fmt.Sprintf("netsim: link %q has a %d-byte queue, smaller than its %d-byte MTU", cfg.Name, cfg.QueueBytes, cfg.MTU))
+	}
 	l := &Link{Name: cfg.Name, Bps: cfg.Bps, Delay: cfg.Delay, MTU: cfg.MTU, Framer: cfg.Framer}
 	ia := &Iface{node: a, link: l, capBytes: cfg.QueueBytes, txBytes: -1, arrivals: n.K.NewLane()}
 	ib := &Iface{node: b, link: l, capBytes: cfg.QueueBytes, txBytes: -1, arrivals: n.K.NewLane()}
@@ -285,7 +281,6 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	l.a, l.b = ia, ib
 	a.ifaces = append(a.ifaces, ia)
 	b.ifaces = append(b.ifaces, ib)
-	n.Links = append(n.Links, l)
 	return l
 }
 
@@ -482,12 +477,9 @@ func (n *Network) transmit(ifc *Iface, p *Packet) {
 	k := n.K
 	if p.Bytes != ifc.txBytes {
 		ifc.txBytes = p.Bytes
-		ifc.txWire = l.Framer.WireSize(p.Bytes)
-		ifc.txTime = time.Duration(float64(ifc.txWire) * 8 / l.Bps * 1e9)
+		ifc.txTime = time.Duration(float64(l.Framer.WireSize(p.Bytes)) * 8 / l.Bps * 1e9)
 	}
 	txTime := ifc.txTime
-	l.WireBytes += int64(ifc.txWire)
-	l.BusyTime += txTime
 	if ifc.q.Len() > 0 {
 		k.AfterFunc(txTime, transmitStep, unsafe.Pointer(ifc), nil)
 	} else {

@@ -299,56 +299,9 @@ func TestDeepQueueFIFOAcrossWraparound(t *testing.T) {
 	}
 }
 
-// utilization is the fraction of [0, now] during which l was
-// serializing, summed over both directions (so a saturated duplex link
-// reads 2.0).
-func utilization(l *Link, now sim.Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	return l.BusyTime.Seconds() / now.Seconds()
-}
-
-func TestLinkUtilizationAccounting(t *testing.T) {
-	k := sim.NewKernel()
-	n := New(k)
-	a := n.AddNode("a")
-	b := n.AddNode("b")
-	l := n.Connect(a, b, LinkConfig{Bps: 100e6, Delay: time.Millisecond, MTU: 65536, QueueBytes: 64 << 20})
-	n.ComputeRoutes()
-	// 100 packets of 62500 B at 100 Mbit/s: 5 ms serialization each,
-	// 500 ms total busy time.
-	Flood(n, a.ID, b.ID, 62500, 100)
-	if got := l.WireBytes; got != 100*62500 {
-		t.Errorf("wire bytes = %d", got)
-	}
-	// The link was busy essentially the whole run (packets back to
-	// back), so utilization ~1.
-	u := utilization(l, k.Now())
-	if u < 0.9 || u > 1.01 {
-		t.Errorf("utilization = %.3f, want ~1 for a saturated one-way flood", u)
-	}
-	if utilization(l, 0) != 0 {
-		t.Error("utilization at t=0 should be 0")
-	}
-}
-
-// checkLinks asserts the closed forms of a run that put `packets`
-// packets of `bytes` on each link and ended at now: every link carried
-// packets*bytes on the wire (raw framing) and was busy packets*tx of
-// now, and no node dropped anything.
-func checkLinks(t *testing.T, n *Network, links []*Link, packets, bytes int, now sim.Time) {
+// checkNoDrops asserts that no node dropped anything.
+func checkNoDrops(t *testing.T, n *Network) {
 	t.Helper()
-	for _, l := range links {
-		if got, want := l.WireBytes, int64(packets*bytes); got != want {
-			t.Errorf("%s: WireBytes = %d, want %d", l.Name, got, want)
-		}
-		tx := time.Duration(float64(bytes) * 8 / l.Bps * 1e9)
-		want := (time.Duration(packets) * tx).Seconds() / now.Seconds()
-		if got := utilization(l, now); math.Abs(got-want) > 1e-12 {
-			t.Errorf("%s: Utilization = %v, want %v", l.Name, got, want)
-		}
-	}
 	for id := 0; id < n.Nodes(); id++ {
 		if d := n.Node(NodeID(id)).Drops(); d != 0 {
 			t.Errorf("%s dropped %d packets", n.Node(NodeID(id)).Name, d)
@@ -367,7 +320,9 @@ func TestLonePacketFiresNoLinkFreeEvents(t *testing.T) {
 	r2 := n.AddNode("r2", WithForwardCost(time.Microsecond, 0))
 	b := n.AddNode("b")
 	cfg := LinkConfig{Bps: 1e9, Delay: 10 * time.Microsecond, MTU: 65536}
-	links := []*Link{n.Connect(a, r1, cfg), n.Connect(r1, r2, cfg), n.Connect(r2, b, cfg)}
+	n.Connect(a, r1, cfg)
+	n.Connect(r1, r2, cfg)
+	n.Connect(r2, b, cfg)
 	n.ComputeRoutes()
 	var arrived sim.Time
 	n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000, Handler: hooks{deliver: func(*Packet) { arrived = n.K.Now() }}})
@@ -379,7 +334,7 @@ func TestLonePacketFiresNoLinkFreeEvents(t *testing.T) {
 	if want := 3*(8*time.Microsecond+cfg.Delay) + 2*time.Microsecond; arrived.Sub(0) != want || end != arrived {
 		t.Errorf("delivered at %v, run ended at %v, want both %v", arrived, end, want)
 	}
-	checkLinks(t, n, links, 1, 1000, end)
+	checkNoDrops(t, n)
 }
 
 // A back-to-back burst of N packets on one link fires one link-free
@@ -398,7 +353,7 @@ func TestBurstFiresOneLinkFreeEventPerSuccessor(t *testing.T) {
 	if want := sim.Time(N*100*time.Microsecond + time.Millisecond); end != want {
 		t.Errorf("run ended at %v, want %v", end, want)
 	}
-	checkLinks(t, n, []*Link{a.ifaces[0].link}, N, bytes, end)
+	checkNoDrops(t, n)
 }
 
 // A packet forwarded at the very instant the link frees sees the link
@@ -457,16 +412,28 @@ func TestForwardAtLinkFreeInstant(t *testing.T) {
 }
 
 func TestBadLinkPanics(t *testing.T) {
-	k := sim.NewKernel()
-	n := New(k)
-	a := n.AddNode("a")
-	b := n.AddNode("b")
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-bandwidth link did not panic")
-		}
-	}()
-	n.Connect(a, b, LinkConfig{})
+	for _, c := range []struct {
+		name string
+		cfg  LinkConfig
+	}{
+		{"zero-bandwidth", LinkConfig{}},
+		{"queue below the MTU", LinkConfig{Bps: 1e9, MTU: 65536, QueueBytes: 12 << 10}},
+		{"queue below the default MTU", LinkConfig{Bps: 1e9, QueueBytes: 9179}},
+	} {
+		n := New(sim.NewKernel())
+		a, b := n.AddNode("a"), n.AddNode("b")
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s link did not panic", c.name)
+				}
+			}()
+			n.Connect(a, b, c.cfg)
+		}()
+	}
+	// A queue of exactly one MTU is a valid link.
+	n := New(sim.NewKernel())
+	n.Connect(n.AddNode("a"), n.AddNode("b"), LinkConfig{Bps: 1e9, MTU: 1500, QueueBytes: 1500})
 }
 
 // A train of no bytes would send nothing and leave its waiter parked
@@ -516,7 +483,8 @@ func TestMemoizedCostsFollowPacketSize(t *testing.T) {
 	gw := n.AddNode("gw", WithForwardCost(7*time.Microsecond, 310e6))
 	b := n.AddNode("b")
 	cfg := LinkConfig{Bps: 135.6e6, Delay: 50 * time.Microsecond, MTU: 9180, Framer: cellFramer{}}
-	links := []*Link{n.Connect(a, gw, cfg), n.Connect(gw, b, cfg)}
+	n.Connect(a, gw, cfg)
+	n.Connect(gw, b, cfg)
 	n.ComputeRoutes()
 
 	type send struct {
@@ -531,12 +499,10 @@ func TestMemoizedCostsFollowPacketSize(t *testing.T) {
 	ser := func(bytes int) time.Duration {
 		return time.Duration(float64(cfg.Framer.WireSize(bytes)) * 8 / cfg.Bps * 1e9)
 	}
-	var wantWire int64
 	delivered := 0
 	for i, s := range sends {
 		at := sim.Time(time.Duration(i) * 10 * time.Millisecond) // no queueing
 		want := 2*(ser(s.bytes)+cfg.Delay) + gw.ForwardCost + time.Duration(float64(s.bytes)*8/gw.ForwardBps*1e9)
-		wantWire += int64(cfg.Framer.WireSize(s.bytes))
 		n.K.At(at, func() {
 			n.Send(&Packet{Src: s.src, Dst: s.dst, Bytes: s.bytes, Handler: hooks{deliver: func(*Packet) {
 				delivered++
@@ -549,11 +515,6 @@ func TestMemoizedCostsFollowPacketSize(t *testing.T) {
 	n.Run()
 	if delivered != len(sends) {
 		t.Errorf("%d of %d packets delivered", delivered, len(sends))
-	}
-	for _, l := range links {
-		if got := l.WireBytes; got != wantWire {
-			t.Errorf("%s: WireBytes = %d, want %d", l.Name, got, wantWire)
-		}
 	}
 }
 
@@ -577,25 +538,51 @@ func TestCaptureClosedWorld(t *testing.T) {
 	proto := ownSeq{h: &mine}
 	var s Snapshot
 	n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000, Handler: &mine})
-	if !n.Capture(&s, proto) {
+	if !n.Capture(&s, proto, nil) {
 		t.Fatal("a packet of the protocol's own failed the snapshot")
 	}
 	ev := n.K.After(time.Microsecond, func() {})
-	if n.Capture(&s, proto) {
+	if n.Capture(&s, proto, nil) {
 		t.Error("a closure event passed the snapshot")
 	}
 	n.K.Cancel(ev)
 	n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000, Handler: hooks{}})
-	if n.Capture(&s, proto) {
+	if n.Capture(&s, proto, nil) {
 		t.Error("a packet of another handler passed the snapshot")
 	}
 	n.Run()
 	n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000, Handler: &mine, Meta: "x"})
-	if n.Capture(&s, proto) {
+	if n.Capture(&s, proto, nil) {
 		t.Error("a packet with Meta passed the snapshot")
 	}
 	n.Run()
-	if !n.Capture(&s, proto) {
+	if !n.Capture(&s, proto, nil) {
 		t.Error("an idle network failed the snapshot")
 	}
+}
+
+// Against a reference snapshot, Capture reports whether the state is
+// the reference's, relative to the clock: the same idle network later
+// is, the network with a packet in flight is not.
+func TestCaptureAgainstRef(t *testing.T) {
+	n, a, b := twoHosts(LinkConfig{Bps: 1e9, Delay: time.Millisecond})
+	mine := hooks{}
+	proto := ownSeq{h: &mine}
+	var idle, s Snapshot
+	if !n.Capture(&idle, proto, nil) {
+		t.Fatal("an idle network failed the snapshot")
+	}
+	n.K.At(sim.Time(time.Second), func() {
+		if !n.Capture(&s, proto, &idle) {
+			t.Error("the idle network a second later differs from itself")
+		}
+		n.Send(&Packet{Src: a.ID, Dst: b.ID, Bytes: 1000, Handler: &mine})
+		if n.Capture(&s, proto, &idle) {
+			t.Error("a packet in flight passed as the idle network")
+		}
+		if !n.Capture(&s, proto, nil) {
+			t.Error("a packet of the protocol's own failed the snapshot")
+		}
+	})
+	n.Run()
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
-	"time"
 	"unsafe"
 
 	"repro/internal/sim"
@@ -14,7 +13,8 @@ import (
 // A transport that settles into an exactly periodic steady state — a
 // window-limited TCP flow alone on its path, say — can skip whole
 // periods instead of simulating them: capture a Snapshot at the same
-// point of two consecutive periods, and if the two are the Same, the
+// point of two consecutive periods, the second against the first, and if
+// the two are the same, the
 // evolution from the second is the evolution from the first moved by
 // one period, so Advance can move the network k periods on at once.
 //
@@ -26,9 +26,7 @@ import (
 // reads — endpoints, size, hop count — and by the Protocol, which owns
 // their Seq, Aux and Handler. Times and seqs enter only as differences,
 // and the network's behaviour depends on nothing else: durations depend
-// only on packet sizes and times are integer nanoseconds. What grows by
-// the same amount every period — each link's wire bytes and busy time —
-// is kept absolute, and Advance adds the per-period growth k times.
+// only on packet sizes and times are integer nanoseconds.
 //
 // The encoding is a closed world: an event that is neither the
 // network's nor owned by the Protocol (a closure, a process, another
@@ -55,18 +53,13 @@ type Protocol interface {
 // kernel's clock there. The zero value is empty; Capture fills it and
 // reuses its buffers.
 type Snapshot struct {
-	now  sim.Time
-	seq  uint64
-	rel  []byte // AppendInts encoding
-	wire []int64
-	busy []time.Duration
+	now sim.Time
+	seq uint64
+	rel []byte // AppendInts encoding
 }
 
 // Now reports the clock the snapshot was taken at.
 func (s *Snapshot) Now() sim.Time { return s.now }
-
-// Same reports whether two snapshots hold the same relative state.
-func (s *Snapshot) Same(o *Snapshot) bool { return bytes.Equal(s.rel, o.rel) }
 
 // AppendInts appends vs to dst as varints: the snapshot's encoding,
 // which keeps the mostly small relative numbers of a window of packets
@@ -114,16 +107,21 @@ func stepKind(f func(a0, a1 unsafe.Pointer)) int64 {
 }
 
 // Capture fills s with the network's state now and reports whether the
-// state is a closed world for p (see Protocol). Call it in event
-// context, where the kernel's Passed is exact.
-func (n *Network) Capture(s *Snapshot, p Protocol) bool {
+// state is a closed world for p (see Protocol) and, with ref non-nil,
+// the same relative state as ref holds. Against ref it stops at the
+// first event or node that differs, so a state that has not settled
+// costs only the head of a snapshot. Call it in event context, where
+// the kernel's Passed is exact.
+func (n *Network) Capture(s *Snapshot, p Protocol, ref *Snapshot) bool {
 	k := n.K
 	now, seq := k.Now(), k.Seq()
 	s.now, s.seq = now, seq
 	rel := AppendInts(s.rel[:0], int64(seq-k.Cur()))
-	ok := true
+	ok := agrees(rel, 0, ref)
 	k.Visit(func(at sim.Time, eseq uint64, f func(a0, a1 unsafe.Pointer), a0, a1 unsafe.Pointer) bool {
+		from := len(rel)
 		rel, ok = n.appendEvent(rel, at-now, eseq-seq, f, a0, a1, p)
+		ok = ok && agrees(rel, from, ref)
 		return ok
 	})
 	if !ok {
@@ -131,6 +129,7 @@ func (n *Network) Capture(s *Snapshot, p Protocol) bool {
 		return false
 	}
 	for _, nd := range n.nodes {
+		from := len(rel)
 		rel = AppendInts(rel, since(nd.txFree, now), since(nd.rxFree, now), since(nd.fwdFree, now), nd.dropped)
 		for _, ifc := range nd.ifaces {
 			rel = AppendInts(rel, int64(ifc.q.Len()), ifc.queued, ifc.drops)
@@ -150,14 +149,19 @@ func (n *Network) Capture(s *Snapshot, p Protocol) bool {
 				rel = AppendInts(rel, 1, int64(ifc.freeAt-now), int64(ifc.freeSeq-seq))
 			}
 		}
-	}
-	s.wire, s.busy = s.wire[:0], s.busy[:0]
-	for _, l := range n.Links {
-		s.wire = append(s.wire, l.WireBytes)
-		s.busy = append(s.busy, l.BusyTime)
+		if !agrees(rel, from, ref) {
+			s.rel = rel
+			return false
+		}
 	}
 	s.rel = rel
-	return true
+	return ref == nil || len(rel) == len(ref.rel)
+}
+
+// agrees reports whether rel, equal to ref's encoding before from, is
+// still a prefix of it; with no ref, anything agrees.
+func agrees(rel []byte, from int, ref *Snapshot) bool {
+	return ref == nil || len(rel) <= len(ref.rel) && bytes.Equal(rel[from:], ref.rel[from:len(rel)])
 }
 
 // appendEvent encodes a pending event, its key relative to the clock,
@@ -199,13 +203,12 @@ func (n *Network) appendPacket(dst []byte, p *Packet, proto Protocol) ([]byte, b
 }
 
 // Advance moves the network periods periods on from to, where from and
-// to are snapshots captured one period apart, the later one just now,
-// and Same: the clock, the seq counter, every pending key, every node's
-// free times and every reserved link-free key move by periods times the
-// (time, seq) distance between them, each link's wire bytes and busy
-// time grow by periods times what they grew between them, and p shifts
+// to are snapshots captured one period apart, the later one just now
+// and against the earlier: the clock, the seq counter, every pending
+// key, every node's free times and every reserved link-free key move by
+// periods times the (time, seq) distance between them, and p shifts
 // every packet in flight or queued. The drop counters stay: the
-// snapshots being the Same, no period dropped anything. It returns the
+// snapshots being the same, no period dropped anything. It returns the
 // time and seq distance the clock moved, for the protocol to move its
 // own keys by.
 func (n *Network) Advance(from, to *Snapshot, periods int64, p Protocol) (sim.Time, uint64) {
@@ -235,10 +238,6 @@ func (n *Network) Advance(from, to *Snapshot, periods int64, p Protocol) (sim.Ti
 				ifc.freeSeq += dseq
 			}
 		}
-	}
-	for i, l := range n.Links {
-		l.WireBytes += periods * (to.wire[i] - from.wire[i])
-		l.BusyTime += time.Duration(periods) * (to.busy[i] - from.busy[i])
 	}
 	return dt, dseq
 }

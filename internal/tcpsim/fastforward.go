@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"reflect"
-	"slices"
 	"time"
 	"unsafe"
 
@@ -16,54 +15,85 @@ import (
 // steady state that repeats exactly every p ACKs: the ACKs of one
 // period come at the same times after the period's start and
 // acknowledge the same numbers of bytes as those of the period before,
-// and the whole simulation — every packet in flight, every queue, every
-// pending event — is the state one period earlier moved on by one
-// period. Most flows repeat from one ACK to the next (p = 1); a host
-// that drains slower than its gateway forwards, like the SP2's, spaces
-// its ACKs in a pattern a few ACKs long. Durations depend only on
-// packet sizes and times are integer nanoseconds, so nothing depends on
-// absolute times or sequence numbers; only the end of the transfer (a
-// short last segment, the ACK of the last byte) breaks the pattern.
-// Such a period need not be simulated again and again: the sender
-// certifies it once and jumps the whole simulation over as many periods
-// as it can while every segment they would send is full-size. Only the
-// ramp-up and the drain are simulated, and the result is the same to
-// the bit.
+// and the network — every packet in flight, every queue, every pending
+// event — is the state one period earlier moved on by one period. Most
+// flows repeat from one ACK to the next (p = 1); a host that drains
+// slower than its gateway forwards, like the SP2's, spaces its ACKs in
+// a pattern a few ACKs long. Durations depend only on packet sizes and
+// times are integer nanoseconds, so nothing depends on absolute times
+// or sequence numbers; only the end of the transfer (a short last
+// segment, the ACK of the last byte) breaks the pattern. Such a period
+// need not be simulated again and again: the sender certifies it once
+// and jumps the whole simulation over as many periods as it can while
+// every segment they would send is full-size. Only the ramp-up and the
+// drain are simulated, and the result is the same to the bit.
 //
 //   - Trigger: each new ACK's signature — its clock step and ACK step
-//     from the last new ACK, srtt and rttvar after it — goes into a ring
-//     of the last ring signatures. A period p ≤ ring is a candidate
-//     once at least max(wait, p) consecutive new ACKs since the last
-//     try each had the signature of the one p ACKs before, with the
-//     window at its WindowBytes cap in congestion avoidance, and all p
-//     signatures of the period have the same ACK step; the shortest
-//     candidate is tried. wait starts at 1 and doubles, up to
-//     one window of ACKs, with every try that does not end in a jump, so
-//     a flow that never certifies pays about log2(window) extra
-//     snapshots and then one a window, and one that does is tried at
-//     its first repeating ACK.
+//     from the last new ACK — goes into a ring of the last ring
+//     signatures. A period p ≤ ring is a candidate once at least
+//     max(wait, p) consecutive new ACKs since the last try each had the
+//     signature of the one p ACKs before, with the window at its
+//     WindowBytes cap, and all p signatures of the period have the same
+//     ACK step; the shortest candidate is tried. wait starts at 1 and
+//     doubles, up to one window of ACKs, with every try that does not
+//     end in a jump, so a flow that never certifies pays about
+//     log2(window) extra snapshots and then one a window, and one that
+//     does is tried at its first repeating ACK.
 //   - Certificate: a full relative snapshot (netsim.Snapshot plus the
 //     sender's own state) at the end of one new ACK must equal the one
-//     at the end of the p-th new ACK after it. Any event or packet that
-//     is not the network's or this flow's makes the snapshot fail, so a
-//     flow that shares the kernel with other traffic never jumps.
+//     at the end of the p-th new ACK after it. The sender's part holds
+//     its sequence numbers relative to the cumulative ACK, its loss
+//     state, each live send stamp's segment and generation, and the
+//     timer's pending flag and key seq; it leaves out the RTT estimator
+//     (srtt, rttvar), the stamps' times and the timer key's time. Any
+//     event or packet that is not the network's or this flow's makes
+//     the snapshot fail, so a flow that shares the kernel with other
+//     traffic never jumps.
 //   - Jump: netsim.Advance moves the kernel and the network, ShiftPacket
 //     every packet of the flow, and the sender moves its sequence
-//     numbers, send-timestamp ring and timer keys; the congestion window
-//     repeats its per-ACK update once per skipped ACK. Every receiver
-//     acknowledges one segment per ACK, so a steady period's ACKs all
-//     have one ACK step; the trigger and the jump both require it, and
-//     each skipped ACK's update adds that step.
+//     numbers, stamps the outstanding segments the skipped periods sent
+//     and re-keys its timer. Every receiver acknowledges one segment per
+//     ACK, so a steady period's ACKs all have one ACK step and move the
+//     same number of segments; the trigger and the jump both require it.
+//
+// What the certificate leaves out never reaches the network: srtt and
+// rttvar only set the timer's deadline, and a timer that does not
+// expire sends nothing. So the network repeats from the window cap on,
+// while the estimator is still settling from the ramp-up's samples, and
+// the jump replays the estimator instead of certifying it. Each skipped
+// ACK takes the sample the simulation would: its time (the jump's, plus
+// whole periods, plus that ACK's offset within the certified period)
+// less the send time of the oldest outstanding segment. A segment sent
+// before the jump has its stamp in the ring; one sent inside the skip
+// was sent exactly a whole number of periods after its counterpart in
+// the certified period, whose stamps the jump copies first. Once every
+// sample comes from that pattern, the samples repeat every period, and
+// once (srtt, rttvar) come back to their value one period before, so
+// does everything after: the replay stops there, after about one window
+// of ACKs plus the estimator's convergence. The jump is refused, with
+// the sender untouched, where the argument fails: a period whose
+// segments are not spread evenly over its ACKs, a certified period
+// whose stamps have left the ring, a timer armed at the jump that
+// expires before the first skipped ACK, or a replayed rto() no longer
+// than the period's longest ACK gap, which could expire between two
+// ACKs.
+//
+// The congestion window needs no replay: grow stops it at WindowBytes,
+// above which it is dead state (window() caps it, and fast retransmit
+// and RTO overwrite it without reading it), and the trigger waits for
+// the cap. So a jump costs O(window) plus the estimator's convergence,
+// not O(skipped ACKs).
 //
 // The retransmission timer is the one pending event whose key is not
 // periodic: armRTO leaves the event where it is and only reserves a new
 // key, so the event's key stays put while the clock moves on, and it is
 // left out of the snapshot. That is safe because the event only ever
 // sits at or before the timer's current key, and when it fires there
-// early it does nothing but re-materialize under the current key. Moved
-// by the same shift as everything else it keeps that invariant, so the
-// timer expires exactly when it would have; only the count of such
-// early firings (Kernel.Fired) differs.
+// early it does nothing but re-materialize under the current key. The
+// jump shifts it with everything else and, where the replayed rto()
+// puts the new key before it, moves it back to the key, which keeps
+// that invariant; so the timer expires exactly when it would have, and
+// only the count of early firings (Kernel.Fired) differs.
 
 // fastForwardOn enables the fast-forward. It is on in every build; only
 // tests turn it off, to compare with the full simulation.
@@ -79,11 +109,10 @@ var fireRTOPC = reflect.ValueOf(fireRTO).Pointer()
 const ring = 8
 
 // signature is what the trigger compares of one new ACK: the clock and
-// ACK steps from the new ACK before, and the RTT estimate after it.
+// ACK steps from the new ACK before.
 type signature struct {
-	dt           sim.Time
-	dack         int64
-	srtt, rttvar time.Duration
+	dt   sim.Time
+	dack int64
 }
 
 // fastForward is a sender's steady-state detector.
@@ -108,6 +137,9 @@ type fastForward struct {
 	// The bytes and segments one period moves the flow on by, while
 	// Advance shifts its packets.
 	pbytes, psegs int64
+	// sent holds the send times of the certified period's segments, in
+	// segment order, while a jump replays the estimator.
+	sent []sim.Time
 	// skipped counts the ACKs the flow's jumps skipped; captures the
 	// snapshots it took.
 	skipped, captures int64
@@ -116,13 +148,9 @@ type fastForward struct {
 // snapshot is the state of the network and the sender at the end of
 // one new ACK.
 type snapshot struct {
-	net            netsim.Snapshot
-	own            []byte // the sender's state, relative to ackSeq, ackSeg and the clock
-	ackSeq, ackSeg int64
-}
-
-func (c *snapshot) same(o *snapshot) bool {
-	return c.net.Same(&o.net) && bytes.Equal(c.own, o.own)
+	net                     netsim.Snapshot
+	own                     []byte // the sender's state, relative to ackSeq, ackSeg and the kernel's seq
+	ackSeq, ackSeg, nextSeg int64
 }
 
 // steady runs at the end of every new ACK: it keeps the signatures,
@@ -130,9 +158,9 @@ func (c *snapshot) same(o *snapshot) bool {
 func (s *sender) steady() {
 	f := &s.ff
 	now := s.n.K.Now()
-	sig := signature{now - f.at, s.ackSeq - f.ack, s.srtt, s.rttvar}
+	sig := signature{now - f.at, s.ackSeq - f.ack}
 	f.at, f.ack = now, s.ackSeq
-	capped := s.cwnd >= s.ssthresh && s.cwnd >= float64(s.cfg.WindowBytes)
+	capped := s.cwnd >= float64(s.cfg.WindowBytes)
 	var p int64
 	for q := int64(1); q <= ring; q++ {
 		if !capped || f.n < q || f.sigs[(f.n-q)%ring] != sig {
@@ -146,7 +174,7 @@ func (s *sender) steady() {
 	f.sigs[f.n%ring] = sig
 	f.n++
 	if f.left > 0 {
-		if f.left--; f.left == 0 && (!s.capture(&f.b) || !f.a.same(&f.b) || !s.jump()) {
+		if f.left--; f.left == 0 && (!s.capture(&f.b, &f.a) || !s.jump()) {
 			s.backoff()
 		}
 		return
@@ -157,7 +185,7 @@ func (s *sender) steady() {
 		return
 	}
 	f.run = [ring]int64{}
-	if !s.capture(&f.a) {
+	if !s.capture(&f.a, nil) {
 		s.backoff()
 		return
 	}
@@ -185,31 +213,34 @@ func (s *sender) backoff() {
 }
 
 // capture fills c with the state now and reports whether it is a
-// closed world for the flow.
-func (s *sender) capture(c *snapshot) bool {
+// closed world for the flow and, with ref non-nil, the state ref holds.
+func (s *sender) capture(c, ref *snapshot) bool {
 	s.ff.captures++
-	if !s.n.Capture(&c.net, s) {
+	var net *netsim.Snapshot
+	if ref != nil {
+		net = &ref.net
+	}
+	if !s.n.Capture(&c.net, s, net) {
 		return false
 	}
-	k := s.n.K
-	now, seq := k.Now(), k.Seq()
 	o := netsim.AppendInts(c.own[:0],
 		s.rcvNext-s.ackSeq, s.nextSeq-s.ackSeq, s.rcvSeg-s.ackSeg, s.nextSeg-s.ackSeg,
 		int64(s.dupAcks), int64(s.rtx), int64(s.retries), int64(s.tsGen),
-		int64(s.srtt), int64(s.rttvar), int64(math.Float64bits(s.ssthresh)))
-	// The live send timestamps: a segment outside [ackSeg, nextSeg) is
-	// sent again, and stamped, before its slot is read.
+		int64(math.Float64bits(s.ssthresh)))
+	// The live send stamps, but not their times: a segment outside
+	// [ackSeg, nextSeg) is sent again, and stamped, before its slot is
+	// read.
 	mask := int64(len(s.sendTS) - 1)
 	for seg := s.ackSeg; seg < s.nextSeg; seg++ {
 		e := &s.sendTS[seg&mask]
-		o = netsim.AppendInts(o, e.seq-s.ackSeq, int64(e.ts-now), int64(e.gen-s.tsGen))
+		o = netsim.AppendInts(o, e.seq-s.ackSeq, int64(e.gen-s.tsGen))
 	}
-	// The timer's current key; its pending event is left out (see
-	// above).
-	o = netsim.AppendInts(o, b2i(s.rtoEv.Pending()), int64(s.rtoAt-now), int64(s.rtoSeq-seq))
+	// The timer's current key, but not its time; its pending event is
+	// left out (see above).
+	o = netsim.AppendInts(o, b2i(s.rtoEv.Pending()), int64(s.rtoSeq-s.n.K.Seq()))
 	c.own = o
-	c.ackSeq, c.ackSeg = s.ackSeq, s.ackSeg
-	return true
+	c.ackSeq, c.ackSeg, c.nextSeg = s.ackSeq, s.ackSeg, s.nextSeg
+	return ref == nil || bytes.Equal(c.own, ref.own)
 }
 
 func b2i(b bool) int64 {
@@ -222,54 +253,120 @@ func b2i(b bool) int64 {
 // jump moves the simulation on by as many periods of the certified
 // steady state as the transfer has full-size segments left for: every
 // segment the skipped periods send lies below total, and no ACK in them
-// reaches total. It reports whether it skipped any.
+// reaches total. It reports whether it skipped any; when it did not,
+// the sender is as it was.
 func (s *sender) jump() bool {
 	f := &s.ff
 	p := f.period
 	// The certified period's own ACKs, the ones each skipped period
-	// repeats, must have one ACK step as well.
-	if !f.evenAcks(p) {
+	// repeats, must have one ACK step and move whole segments.
+	f.pbytes, f.psegs = s.ackSeq-f.a.ackSeq, s.ackSeg-f.a.ackSeg
+	if !f.evenAcks(p) || f.psegs%p != 0 {
 		return false
 	}
-	f.pbytes, f.psegs = s.ackSeq-f.a.ackSeq, s.ackSeg-f.a.ackSeg
+	k := s.n.K
+	period := k.Now() - f.a.net.Now()
 	periods := (s.total - s.nextSeq) / f.pbytes
-	if dt := s.n.K.Now() - f.a.net.Now(); dt > 0 {
+	if period > 0 {
 		// Keep the clock far from overflowing.
-		periods = min(periods, (math.MaxInt64/2-int64(s.n.K.Now()))/int64(dt))
+		periods = min(periods, (math.MaxInt64/2-int64(k.Now()))/int64(period))
 	}
-	if periods < 1 {
+	if periods < 1 || !s.replay(periods, period) {
 		return false
 	}
 	dt, dseq := s.n.Advance(&f.a.net, &f.b.net, periods, s)
 	db, dg := periods*f.pbytes, periods*f.psegs
+	first := s.nextSeg // the first segment sent inside the skip
 	s.ackSeq += db
 	s.rcvNext += db
 	s.nextSeq += db
 	s.ackSeg += dg
 	s.rcvSeg += dg
 	s.nextSeg += dg
-	// Segment i's stamp lives in slot i&(len-1): rotate the ring with
-	// the segment numbers, then move the stamps themselves.
-	ts := s.sendTS
-	r := int(dg & int64(len(ts)-1))
-	slices.Reverse(ts)
-	slices.Reverse(ts[:r])
-	slices.Reverse(ts[r:])
-	for i := range ts {
-		ts[i].seq += db
-		ts[i].ts += dt
+	mask := int64(len(s.sendTS) - 1)
+	for seg := max(first, s.ackSeg); seg < s.nextSeg; seg++ {
+		e := &s.sendTS[seg&mask]
+		e.seq, e.ts, e.gen = s.nextSeq-(s.nextSeg-seg)*int64(s.mss), f.sentAt(seg-f.a.nextSeg, period), s.tsGen
 	}
-	s.rtoAt += dt
-	s.rtoSeq += dseq
+	// The last skipped ACK re-armed the timer with the replayed
+	// estimate; the pending event must not lie beyond that key.
+	s.rtoAt, s.rtoSeq = k.Now().Add(s.rto()), s.rtoSeq+dseq
 	s.rtoEvAt += dt
 	s.rtoEvSeq += dseq
-	dack := f.pbytes / p
-	for range periods * p {
-		s.grow(dack)
+	if s.rtoEv.Pending() && s.rtoEvAt > s.rtoAt {
+		k.Cancel(s.rtoEv)
+		s.scheduleRTO()
 	}
-	f.at, f.ack = s.n.K.Now(), s.ackSeq
+	f.at, f.ack = k.Now(), s.ackSeq
 	f.skipped += periods * p
 	return true
+}
+
+// replay runs the RTT estimator over the ACKs of periods periods of
+// the given length after now, as the simulation would, and reports
+// whether the timer stays quiet through them; if it might not, it
+// leaves the estimator as it was.
+func (s *sender) replay(periods int64, period sim.Time) bool {
+	f := &s.ff
+	p, mask := f.period, int64(len(s.sendTS)-1)
+	// The certified period's stamps, all still in the ring.
+	f.sent = f.sent[:0]
+	for seg := f.a.nextSeg; seg < s.nextSeg; seg++ {
+		e := &s.sendTS[seg&mask]
+		if e.seq != s.nextSeq-(s.nextSeg-seg)*int64(s.mss) || e.gen != s.tsGen {
+			return false
+		}
+		f.sent = append(f.sent, e.ts)
+	}
+	// The ACKs' offsets in the period, and its longest gap.
+	var offs [ring]sim.Time
+	var off, gap sim.Time
+	for r := range p {
+		dt := f.sigs[(f.n-p+r)%ring].dt
+		off += dt
+		offs[r], gap = off, max(gap, dt)
+	}
+	now := s.n.K.Now()
+	if s.rtoAt <= now+offs[0] {
+		return false
+	}
+	srtt, rttvar := s.srtt, s.rttvar
+	step, dack := f.psegs/p, f.pbytes/p
+	seq, seg := s.ackSeq, s.ackSeg
+	start := [2]time.Duration{srtt, rttvar} // at the last period boundary
+	for i := range periods * p {
+		q, r := i/p, i%p
+		at := now + sim.Time(q)*period + offs[r]
+		if seg < s.nextSeg {
+			if ts, ok := s.lookupSendTS(seq, seg); ok {
+				s.rttSample(at.Sub(ts))
+			}
+		} else {
+			s.rttSample(at.Sub(f.sentAt(seg-f.a.nextSeg, period)))
+		}
+		if s.rto() <= time.Duration(gap) {
+			s.srtt, s.rttvar = srtt, rttvar
+			return false
+		}
+		seq, seg = seq+dack, seg+step
+		if r == p-1 {
+			// A period all of whose samples came from the pattern, and
+			// which left the estimator where it found it, repeats.
+			if seg-p*step >= s.nextSeg && start == [2]time.Duration{s.srtt, s.rttvar} {
+				break
+			}
+			start = [2]time.Duration{s.srtt, s.rttvar}
+		}
+	}
+	return true
+}
+
+// sentAt is the send time of the segment j segments after the certified
+// period's first: a whole number of periods after its counterpart in
+// the certified period.
+func (f *fastForward) sentAt(j int64, period sim.Time) sim.Time {
+	n := int64(len(f.sent))
+	return f.sent[j%n] + sim.Time(j/n)*period
 }
 
 // AppendPacket implements netsim.Protocol: a data segment or an ACK of

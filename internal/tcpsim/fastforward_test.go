@@ -15,17 +15,14 @@ import (
 )
 
 // outcome is what a transfer leaves behind that a fast-forward must not
-// change: the result, the congestion window, the retransmission
-// timeouts fired, the clock, every link's accounting and an empty
-// schedule.
+// change: the result (SRTT included), the congestion window, the
+// retransmission timeouts fired, the clock and an empty schedule.
 type outcome struct {
 	Res     tcpsim.Result
 	Err     string
 	Cwnd    uint64 // bits
 	RTOs    int64
 	Now     sim.Time
-	Wire    []int64
-	Busy    []time.Duration
 	Pending int
 }
 
@@ -44,10 +41,6 @@ func transfer(n *netsim.Network, src, dst netsim.NodeID, nbytes int64, cfg tcpsi
 	o := outcome{Res: res, Cwnd: math.Float64bits(f.Cwnd()), RTOs: f.RTOs(), Now: n.K.Now(), Pending: n.Pending()}
 	if err != nil {
 		o.Err = err.Error()
-	}
-	for _, l := range n.Links {
-		o.Wire = append(o.Wire, l.WireBytes)
-		o.Busy = append(o.Busy, l.BusyTime)
 	}
 	skipped := f.SkippedPeriods()
 	f.Release()
@@ -87,6 +80,41 @@ func sameWithAndWithout(t testing.TB, build func() (*netsim.Network, netsim.Node
 	return skipped
 }
 
+// sameAfterJump runs a transfer of nbytes with the fast-forward on
+// until its first jump, and with it off until the same cumulative ACK,
+// and compares the sender's state there: the estimator the jump
+// replayed, the timer key it re-armed, the clock. It returns the
+// segment of the cumulative ACK the jump started from.
+func sameAfterJump(t *testing.T, build func() (*netsim.Network, netsim.NodeID, netsim.NodeID), nbytes int64, cfg tcpsim.Config) (from int64) {
+	t.Helper()
+	var got tcpsim.Sender
+	for _, on := range []bool{true, false} {
+		restore := tcpsim.SetFastForward(on)
+		n, a, z := build()
+		f, err := tcpsim.Start(n, a, z, nbytes, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n.K.Step() {
+			if on && f.SkippedPeriods() > 0 {
+				got, from = f.State(), f.CertifiedAt()
+				break
+			}
+			if !on && f.State().AckSeg == got.AckSeg {
+				if want := f.State(); got != want {
+					t.Errorf("after the jump to ACK %d:\nfast-forward: %+v\nsimulated:    %+v", got.AckSeg, got, want)
+				}
+				break
+			}
+		}
+		if on && f.SkippedPeriods() == 0 {
+			t.Fatal("no period skipped")
+		}
+		restore()
+	}
+	return from
+}
+
 func testbed(cfg core.Config, src, dst string) func() (*netsim.Network, netsim.NodeID, netsim.NodeID) {
 	return func() (*netsim.Network, netsim.NodeID, netsim.NodeID) {
 		tb := core.New(cfg)
@@ -104,8 +132,8 @@ func testbed(cfg core.Config, src, dst string) func() (*netsim.Network, netsim.N
 
 // TestFastForwardFigure1Probes runs every figure-1 probe (96 MiB with
 // a 4 MiB window) on the OC-12 and OC-48 testbeds, with and without the
-// section-5 extensions, with the fast-forward on and off: results,
-// clocks and link accounting must be identical, for the probe and for a
+// section-5 extensions, with the fast-forward on and off: results and
+// clocks must be identical, for the probe and for a
 // second transfer on the network it leaves. Every probe must actually
 // have skipped periods; the T3E -> SP2 probe's repeat every 5 ACKs.
 func TestFastForwardFigure1Probes(t *testing.T) {
@@ -192,8 +220,8 @@ func chain() (*netsim.Network, netsim.NodeID, netsim.NodeID) {
 }
 
 // TestFastForwardMultiACKPeriod runs chain's transfer with the
-// fast-forward on and off: the same result, cwnd bits, clock and link
-// accounting, and it must have skipped most of its ACKs by a period of
+// fast-forward on and off: the same result, cwnd bits and clock, and it
+// must have skipped most of its ACKs by a period of
 // several ACKs, counting k periods of p ACKs as k×p.
 func TestFastForwardMultiACKPeriod(t *testing.T) {
 	cfg := tcpsim.Config{WindowBytes: 64 << 10, MSS: 4000}
@@ -267,15 +295,16 @@ func TestFastForwardBacksOff(t *testing.T) {
 	t.Run("two-flows", func(t *testing.T) { run(t, 2, false) })
 }
 
-// TestTestbedNsPerEventTransferSkipsNothing pins the transfer the
+// TestTestbedNsPerEventTransferFires1936Events pins the transfer the
 // core.testbed_ns_per_event row times: 16 MiB from WS-Jülich to WS-GMD
-// over the 64K MTU with a 4 MiB window, on a fresh default testbed. The
+// over the 64K MTU with a 4 MiB window, on a fresh default testbed. It
+// jumps at its window cap, over 128 ACKs, and fires 1 936 events. The
 // row divides wall time by Kernel.Fired and a skipped period fires no
-// event, so a jump would raise the row with no per-event cost moving.
-// The measurement-contract note on that row in ROADMAP.md says the
-// transfer skips nothing: a change that makes it jump must update that
-// note along with this test.
-func TestTestbedNsPerEventTransferSkipsNothing(t *testing.T) {
+// event, so a change in where the transfer jumps moves the row with no
+// per-event cost moving. The measurement-contract note on that row in
+// ROADMAP.md gives these numbers: a change that moves them must update
+// that note along with this test.
+func TestTestbedNsPerEventTransferFires1936Events(t *testing.T) {
 	n, a, z := testbed(core.Config{}, core.HostWSJuelich, core.HostWSGMD)()
 	f, err := tcpsim.Start(n, a, z, 16<<20, tcpsim.Config{WindowBytes: 4 << 20})
 	if err == nil {
@@ -284,7 +313,166 @@ func TestTestbedNsPerEventTransferSkipsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped, fired := f.SkippedPeriods(), n.K.Fired(); skipped != 0 || fired != 3857 {
-		t.Errorf("%d ACKs skipped, %d events fired; want 0 and 3857", skipped, fired)
+	if skipped, fired := f.SkippedPeriods(), n.K.Fired(); skipped != 128 || fired != 1936 {
+		t.Errorf("%d ACKs skipped, %d events fired; want 128 and 1936", skipped, fired)
+	}
+}
+
+// TestFigure1ProbeEventsPinned pins what each figure-1 probe (96 MiB
+// with a 4 MiB window on a fresh default testbed, as
+// BenchmarkFigure1Probe in internal/core runs it) fires and skips. The
+// probes jump at their window cap, while the RTT estimator is still
+// settling; a change that makes them certify later fires more events
+// and fails here.
+func TestFigure1ProbeEventsPinned(t *testing.T) {
+	for _, p := range []struct {
+		name, src, dst  string
+		mtu             int
+		events, skipped int64
+	}{
+		{"HiPPI", core.HostT3E600, core.HostT3E1200, 0, 1148, 1346},
+		{"T3E-SP2", core.HostT3E600, core.HostSP2, 0, 6427, 1245},
+		{"ATM-64K", core.HostWSJuelich, core.HostWSGMD, 0, 1935, 1408},
+		{"CLIP-9180", core.HostWSJuelich, core.HostWSGMD, 9180, 13783, 10095},
+		{"Ethernet", core.HostWSJuelich, core.HostWSGMD, 1500, 92317, 63173},
+	} {
+		cfg := tcpsim.Config{WindowBytes: 4 << 20}
+		if p.mtu != 0 {
+			cfg.MSS = p.mtu - tcpsim.HeaderBytes
+		}
+		n, a, z := testbed(core.Config{}, p.src, p.dst)()
+		f, err := tcpsim.Start(n, a, z, 96<<20, cfg)
+		if err == nil {
+			err = tcpsim.WaitAll(n, f)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fired, skipped := n.K.Fired(), f.SkippedPeriods(); fired != p.events || skipped != p.skipped {
+			t.Errorf("%s: %d events fired, %d ACKs skipped; want %d and %d", p.name, fired, skipped, p.events, p.skipped)
+		}
+		f.Release()
+	}
+}
+
+// TestFastForwardBeforeTheEstimatorSettles: the 1500-MTU probe's window
+// caps after about one window of ACKs, and the segments slow start sent
+// before the cap are acknowledged during the next window, so its RTT
+// samples settle only after about two windows. The flow certifies
+// before that and the jump replays the estimator: the same result, SRTT
+// included, as the full simulation.
+func TestFastForwardBeforeTheEstimatorSettles(t *testing.T) {
+	cfg := tcpsim.Config{WindowBytes: 4 << 20, MSS: 1500 - tcpsim.HeaderBytes}
+	build := testbed(core.Config{}, core.HostWSJuelich, core.HostWSGMD)
+	sameWithAndWithout(t, build, 24<<20, 3<<20, cfg)
+	w := int64(cfg.WindowBytes / cfg.MSS)
+	if from := sameAfterJump(t, build, 24<<20, cfg); from >= 2*w {
+		t.Errorf("jumped from ACK %d; want a jump from before ACK %d, two windows in", from, 2*w)
+	}
+}
+
+// TestFastForwardReplaysEstimatorOverLongPeriod: the T3E -> SP2 probe's
+// steady state repeats every 5 ACKs, and the jump replays the estimator
+// over the certified period's 5 ACK offsets.
+func TestFastForwardReplaysEstimatorOverLongPeriod(t *testing.T) {
+	cfg := tcpsim.Config{WindowBytes: 4 << 20}
+	build := testbed(core.Config{}, core.HostT3E600, core.HostSP2)
+	sameWithAndWithout(t, build, 32<<20, 5<<20, cfg)
+	sameAfterJump(t, build, 32<<20, cfg)
+	n, a, z := build()
+	f, err := tcpsim.Start(n, a, z, 32<<20, cfg)
+	if err == nil {
+		err = tcpsim.WaitAll(n, f)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, skipped := f.Period(), f.SkippedPeriods(); p != 5 || skipped == 0 || skipped%p != 0 {
+		t.Errorf("period %d, %d ACKs skipped; want whole periods of 5 skipped", p, skipped)
+	}
+	f.Release()
+}
+
+// TestFastForwardMovesTheTimerBack: with an RTOMin below the RTT
+// estimate, rto() follows the estimator, which the jump replays; here it
+// ends lower than it was at the certificate, so the timer's pending
+// event, shifted with the network, would lie beyond the timer's new key
+// and must be moved back to it. The pending event must sit at or before
+// the key after every event, and the transfer come out as the full
+// simulation's.
+func TestFastForwardMovesTheTimerBack(t *testing.T) {
+	build := func() (*netsim.Network, netsim.NodeID, netsim.NodeID) {
+		n := netsim.New(sim.NewKernel())
+		src := n.AddNode("src", netsim.WithHostBps(264e6))
+		dst := n.AddNode("dst", netsim.WithHostBps(300e6))
+		n.Connect(src, dst, netsim.LinkConfig{Bps: 2.406e9, Delay: 52, MTU: 9180, Framer: core.ATMFramer{}, QueueBytes: 256 << 10})
+		n.ComputeRoutes()
+		return n, src.ID, dst.ID
+	}
+	cfg := tcpsim.Config{MSS: 1460, WindowBytes: 16 << 10, RTOMin: 298 * time.Microsecond}
+	const size = 2 << 20
+	sameWithAndWithout(t, build, size, size/3, cfg)
+	sameAfterJump(t, build, size, cfg)
+	n, a, z := build()
+	f, err := tcpsim.Start(n, a, z, size, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jumped, movedBack := false, false
+	for n.K.Step() {
+		inOrder, atKey := f.TimerInOrder()
+		if !inOrder {
+			t.Fatalf("at %v (%d ACKs skipped): the timer's pending event lies beyond its key", n.K.Now(), f.SkippedPeriods())
+		}
+		if !jumped && f.SkippedPeriods() > 0 {
+			jumped, movedBack = true, atKey
+		}
+	}
+	if _, err := f.Result(); err != nil {
+		t.Fatal(err)
+	}
+	if !jumped || !movedBack {
+		t.Errorf("jumped %v, timer event at its key after the jump %v; want both", jumped, movedBack)
+	}
+	f.Release()
+}
+
+// TestFastForwardRefusesPeriodOutgrowingRing: the jump reads the
+// certified period's send stamps from the ring, so a period of more
+// segments than the ring holds cannot be replayed and must not jump.
+// Start sizes the ring to the window plus two segments, and the flows
+// whose window is under three segments repeat within two ACKs, so no
+// flow Start sizes meets this; the test cuts the ring of chain's flow,
+// whose period is 3 ACKs of one segment, to 2 slots.
+func TestFastForwardRefusesPeriodOutgrowingRing(t *testing.T) {
+	cfg := tcpsim.Config{WindowBytes: 64 << 10, MSS: 4000}
+	const size = 8 << 20
+	var want [2]outcome
+	var skipped [2]int64
+	for i, on := range []bool{false, true} {
+		restore := tcpsim.SetFastForward(on)
+		n, a, z := chain()
+		f, err := tcpsim.Start(n, a, z, size, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.ShrinkStampRing(2)
+		err = tcpsim.WaitAll(n, f)
+		o := outcome{Cwnd: math.Float64bits(f.Cwnd()), RTOs: f.RTOs(), Now: n.K.Now(), Pending: n.Pending()}
+		if err == nil {
+			o.Res, err = f.Result()
+		}
+		if err != nil {
+			o.Err = err.Error()
+		}
+		want[i], skipped[i] = o, f.SkippedPeriods()
+		if on && f.Period() != 3 {
+			t.Errorf("tried a period of %d ACKs, want 3", f.Period())
+		}
+		f.Release()
+		restore()
+	}
+	if want[0] != want[1] || skipped[1] != 0 {
+		t.Errorf("%d ACKs skipped:\nfast-forward: %+v\nsimulated:    %+v", skipped[1], want[1], want[0])
 	}
 }

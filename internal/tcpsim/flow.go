@@ -41,10 +41,11 @@ func getSender() *sender {
 	if s == nil {
 		s = &sender{}
 	}
-	// Keep the buffers: the timestamp ring and the snapshots'.
-	ring, a, b := s.sendTS, s.ff.a, s.ff.b
+	// Keep the buffers: the timestamp ring, the snapshots' and the
+	// jump's stamps.
+	ring, a, b, sent := s.sendTS, s.ff.a, s.ff.b, s.ff.sent
 	*s = sender{sendTS: ring}
-	s.ff.a, s.ff.b = a, b
+	s.ff.a, s.ff.b, s.ff.sent = a, b, sent
 	s.handle = Flow{s: s}
 	s.dataH = dataPath{s}
 	s.ackH = ackPath{s}

@@ -30,8 +30,9 @@ type fuzzNet struct {
 // once in runs out): hop count, then per link its rate, delay, MTU,
 // framing and queue cap, per relay its forwarding cost and copy rate,
 // the two hosts' I/O caps, window, MSS and the two transfer sizes.
-// Queue caps go down to 12 KiB, small enough to drop, and windows down
-// to 4 KiB, below most MSS choices.
+// Queue caps go down to 12 KiB, small enough to drop, but never below
+// the link's MTU (netsim refuses such a link), and windows down to
+// 4 KiB, below most MSS choices.
 func decodeTransfer(in []byte) fuzzNet {
 	pos := 0
 	next := func() int {
@@ -51,6 +52,7 @@ func decodeTransfer(in []byte) fuzzNet {
 			MTU:        int(pick(1500, 4352, 9180, 65536)),
 			QueueBytes: int64(pick(12<<10, 64<<10, 256<<10, 1<<20, 8<<20)),
 		}
+		l.QueueBytes = max(l.QueueBytes, int64(l.MTU))
 		if next()%2 == 1 {
 			l.Framer = core.ATMFramer{}
 		}
@@ -92,8 +94,8 @@ func (f fuzzNet) build() (*netsim.Network, netsim.NodeID, netsim.NodeID) {
 // FuzzTransferFastForward decodes a chain network and a transfer (see
 // decodeTransfer) and runs it twice on fresh networks, with the
 // fast-forward on and off, each followed by a second transfer on the
-// network the first leaves. Results, errors, clocks, every link's wire
-// bytes and busy time, and the empty schedule must be the same.
+// network the first leaves. Results, errors, cwnd bits, RTO counts,
+// clocks and the empty schedule must be the same.
 //
 // The seed corpus in testdata/fuzz/FuzzTransferFastForward replays in
 // every plain go test; TestTransferFastForwardCorpusSkips checks that

@@ -301,15 +301,17 @@ func (s *sender) onAck(ackNo, ackSeg int64) {
 	}
 }
 
-// grow opens the congestion window for a new ACK of acked bytes. A
-// fast-forward repeats it once per skipped period, so the window comes
-// out bit for bit as the ACKs would have left it.
+// grow opens the congestion window for a new ACK of acked bytes, up to
+// WindowBytes: above it the window is dead state, since window() caps
+// it and loss recovery overwrites it unread. A window at the cap stays
+// there, so a fast-forward need not repeat grow per skipped ACK.
 func (s *sender) grow(acked int64) {
 	if s.cwnd < s.ssthresh {
 		s.cwnd += float64(acked) // slow start
 	} else {
 		s.cwnd += float64(s.mss) * float64(acked) / s.cwnd // CA
 	}
+	s.cwnd = min(s.cwnd, float64(s.cfg.WindowBytes))
 }
 
 // goBackN rewinds the send pointer to the cumulative ACK and resumes.
